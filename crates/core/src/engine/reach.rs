@@ -15,8 +15,6 @@
 //! still complete — pruning changes performance, never results (a property
 //! tested in `tests/prop_engine.rs` and enforced by the ablation bench).
 
-use std::collections::HashMap;
-
 use pex_model::Database;
 use pex_types::wire::{Reader, WireError, WireResult, Writer};
 use pex_types::TypeId;
@@ -24,125 +22,189 @@ use pex_types::TypeId;
 use super::chains::{ChainLink, TypeFilter};
 
 /// Per-type minimum-lookup reachability, for both link kinds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachIndex {
-    fields: Vec<HashMap<TypeId, u32>>,
-    fields_and_methods: Vec<HashMap<TypeId, u32>>,
+    fields: Rows,
+    fields_and_methods: Rows,
 }
 
-impl ReachIndex {
-    /// Builds the index over every type in the database.
-    pub fn build(db: &Database) -> Self {
-        let n = db.types().len();
-        let mut field_edges: Vec<Vec<TypeId>> = vec![Vec::new(); n];
-        let mut method_edges: Vec<Vec<TypeId>> = vec![Vec::new(); n];
-        for ty in db.types().iter() {
-            for owner in db.member_lookup_chain(ty) {
-                for &f in db.fields_of(owner) {
-                    let fd = db.field(f);
-                    if !fd.is_static() {
-                        field_edges[ty.index()].push(fd.ty());
-                    }
-                }
-                for &m in db.methods_of(owner) {
-                    let md = db.method(m);
-                    if !md.is_static()
-                        && md.params().is_empty()
-                        && md.return_type() != db.types().void_ty()
-                    {
-                        method_edges[ty.index()].push(md.return_type());
-                    }
-                }
-            }
-        }
-        let bfs = |extra: Option<&Vec<Vec<TypeId>>>| -> Vec<HashMap<TypeId, u32>> {
-            (0..n)
-                .map(|start| {
-                    let mut dist: HashMap<TypeId, u32> = HashMap::new();
-                    let start_ty = TypeId::from_index(start);
-                    dist.insert(start_ty, 0);
-                    let mut queue = std::collections::VecDeque::new();
-                    queue.push_back(start_ty);
-                    while let Some(t) = queue.pop_front() {
-                        let d = dist[&t];
-                        let push = |next: TypeId, dist_map: &mut HashMap<TypeId, u32>,
-                                        queue: &mut std::collections::VecDeque<TypeId>| {
-                            if let std::collections::hash_map::Entry::Vacant(slot) =
-                                dist_map.entry(next)
-                            {
-                                slot.insert(d + 1);
-                                queue.push_back(next);
-                            }
-                        };
-                        for &next in &field_edges[t.index()] {
-                            push(next, &mut dist, &mut queue);
-                        }
-                        if let Some(method_edges) = extra {
-                            for &next in &method_edges[t.index()] {
-                                push(next, &mut dist, &mut queue);
-                            }
-                        }
-                    }
-                    dist
-                })
-                .collect()
-        };
-        ReachIndex {
-            fields: bfs(None),
-            fields_and_methods: bfs(Some(&method_edges)),
+/// One list per type, stored flat: list `i` is
+/// `items[starts[i]..starts[i + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Flat<T> {
+    starts: Vec<usize>,
+    items: Vec<T>,
+}
+
+/// Per type, every reachable type with its minimum lookup count, sorted by
+/// type id.
+type Rows = Flat<(TypeId, u32)>;
+
+impl<T> Flat<T> {
+    fn new() -> Self {
+        Flat {
+            starts: vec![0],
+            items: Vec::new(),
         }
     }
 
-    /// Serializes the index for the persistent snapshot. Entries of each
-    /// per-type map are written in type-id order so identical indexes
-    /// serialize to identical bytes.
-    pub fn encode_snapshot(&self, w: &mut Writer) {
-        let encode_maps = |maps: &[HashMap<TypeId, u32>], w: &mut Writer| {
-            w.put_len(maps.len());
-            for map in maps {
-                let mut entries: Vec<(&TypeId, &u32)> = map.iter().collect();
-                entries.sort_unstable_by_key(|(ty, _)| **ty);
-                w.put_len(entries.len());
-                for (ty, d) in entries {
-                    w.put_u32(ty.index() as u32);
-                    w.put_u32(*d);
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn row(&self, i: usize) -> &[T] {
+        &self.items[self.starts[i]..self.starts[i + 1]]
+    }
+
+    /// Closes the list being appended and returns it.
+    fn close_row(&mut self) -> &mut [T] {
+        let start = self.starts[self.starts.len() - 1];
+        self.starts.push(self.items.len());
+        &mut self.items[start..]
+    }
+}
+
+impl Rows {
+    fn encode(&self, w: &mut Writer) {
+        w.put_len(self.len());
+        for i in 0..self.len() {
+            let row = self.row(i);
+            w.put_len(row.len());
+            for &(ty, d) in row {
+                w.put_u32(ty.index() as u32);
+                w.put_u32(d);
+            }
+        }
+    }
+
+    /// Decodes rows written by [`Rows::encode`] (entries in any order)
+    /// for a table of `n_types` types, rejecting a type listed twice in
+    /// one row.
+    fn decode(r: &mut Reader<'_>, n_types: usize, what: &str) -> WireResult<Self> {
+        let n = r.get_len(what)?;
+        if n != n_types {
+            return Err(WireError::new(format!(
+                "{what}: covers {n} types but the table holds {n_types}"
+            )));
+        }
+        let mut rows = Rows::new();
+        for _ in 0..n {
+            let count = r.get_len("reachability entry count")?;
+            for _ in 0..count {
+                let ty = TypeId::from_index(r.get_id(n_types, "reachable type")?);
+                let d = r.get_u32("lookup distance")?;
+                rows.items.push((ty, d));
+            }
+            let row = rows.close_row();
+            row.sort_unstable_by_key(|&(ty, _)| ty);
+            if let Some(dup) = row.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(WireError::new(format!(
+                    "duplicate reachability entry for type {}",
+                    dup[0].0.index()
+                )));
+            }
+        }
+        Ok(rows)
+    }
+}
+
+impl ReachIndex {
+    /// Builds the index over every type in the database: one breadth-first
+    /// search per type and link kind over deduplicated edge lists, all
+    /// sharing one dense distance array and queue.
+    pub fn build(db: &Database) -> Self {
+        let (fields, fields_and_methods) = Self::edges(db);
+        ReachIndex {
+            fields: Self::bfs_rows(&fields),
+            fields_and_methods: Self::bfs_rows(&fields_and_methods),
+        }
+    }
+
+    /// The deduplicated successor type ids over `.f` edges (instance-field
+    /// types) and over `.f`-or-`.m()` edges (those plus zero-argument,
+    /// non-void instance-method returns) of every type, inherited members
+    /// included.
+    fn edges(db: &Database) -> (Flat<u32>, Flat<u32>) {
+        let void = db.types().void_ty();
+        let mut fields = Flat::new();
+        let mut all = Flat::new();
+        let mut row = Vec::new();
+        for ty in db.types().iter() {
+            let chain = db.member_lookup_chain(ty);
+            row.clear();
+            for &owner in &chain {
+                for &f in db.fields_of(owner) {
+                    let fd = db.field(f);
+                    if !fd.is_static() {
+                        row.push(fd.ty().index() as u32);
+                    }
                 }
             }
-        };
-        encode_maps(&self.fields, w);
-        encode_maps(&self.fields_and_methods, w);
+            row.sort_unstable();
+            row.dedup();
+            fields.items.extend_from_slice(&row);
+            fields.close_row();
+            for &owner in &chain {
+                for &m in db.methods_of(owner) {
+                    let md = db.method(m);
+                    if !md.is_static() && md.params().is_empty() && md.return_type() != void {
+                        row.push(md.return_type().index() as u32);
+                    }
+                }
+            }
+            row.sort_unstable();
+            row.dedup();
+            all.items.extend_from_slice(&row);
+            all.close_row();
+        }
+        (fields, all)
+    }
+
+    /// Shortest lookup counts from every type over `edges`.
+    fn bfs_rows(edges: &Flat<u32>) -> Rows {
+        const UNSEEN: u32 = u32::MAX;
+        let n = edges.len();
+        let mut rows = Rows::new();
+        let mut dist = vec![UNSEEN; n];
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
+        for start in 0..n {
+            dist[start] = 0;
+            queue.push(start as u32);
+            let mut head = 0;
+            while let Some(&t) = queue.get(head) {
+                head += 1;
+                let d = dist[t as usize] + 1;
+                for &next in edges.row(t as usize) {
+                    if dist[next as usize] == UNSEEN {
+                        dist[next as usize] = d;
+                        queue.push(next);
+                    }
+                }
+            }
+            for &t in &queue {
+                rows.items
+                    .push((TypeId::from_index(t as usize), dist[t as usize]));
+                dist[t as usize] = UNSEEN;
+            }
+            queue.clear();
+            rows.close_row().sort_unstable_by_key(|&(ty, _)| ty);
+        }
+        rows
+    }
+
+    /// Serializes the index for the persistent snapshot. Each per-type row
+    /// is already in type-id order, so identical indexes serialize to
+    /// identical bytes.
+    pub fn encode_snapshot(&self, w: &mut Writer) {
+        self.fields.encode(w);
+        self.fields_and_methods.encode(w);
     }
 
     /// Decodes an index written by [`ReachIndex::encode_snapshot`] for a
     /// table of `n_types` types, bounds-checking every id.
     pub fn decode_snapshot(r: &mut Reader<'_>, n_types: usize) -> WireResult<Self> {
-        let mut decode_maps = |what: &str| -> WireResult<Vec<HashMap<TypeId, u32>>> {
-            let n = r.get_len(what)?;
-            if n != n_types {
-                return Err(WireError::new(format!(
-                    "{what}: covers {n} types but the table holds {n_types}"
-                )));
-            }
-            let mut maps = Vec::with_capacity(n);
-            for _ in 0..n {
-                let entries = r.get_len("reachability entry count")?;
-                let mut map = HashMap::with_capacity(entries);
-                for _ in 0..entries {
-                    let ty = TypeId::from_index(r.get_id(n_types, "reachable type")?);
-                    let d = r.get_u32("lookup distance")?;
-                    if map.insert(ty, d).is_some() {
-                        return Err(WireError::new(format!(
-                            "duplicate reachability entry for type {}",
-                            ty.index()
-                        )));
-                    }
-                }
-                maps.push(map);
-            }
-            Ok(maps)
-        };
-        let fields = decode_maps("field reachability map count")?;
-        let fields_and_methods = decode_maps("field+method reachability map count")?;
+        let fields = Rows::decode(r, n_types, "field reachability map count")?;
+        let fields_and_methods = Rows::decode(r, n_types, "field+method reachability map count")?;
         Ok(ReachIndex {
             fields,
             fields_and_methods,
@@ -152,19 +214,19 @@ impl ReachIndex {
     /// Minimum lookups from `from` to `to` with the given link kind, if
     /// reachable at all (`Some(0)` when `from == to`).
     pub fn min_lookups(&self, kind: ChainLink, from: TypeId, to: TypeId) -> Option<u32> {
-        self.map(kind, from).get(&to).copied()
+        let row = self.reachable(kind, from);
+        let i = row.binary_search_by_key(&to, |&(ty, _)| ty).ok()?;
+        Some(row[i].1)
     }
 
-    /// All types reachable from `from` with their minimum lookup counts.
-    pub fn reachable(&self, kind: ChainLink, from: TypeId) -> &HashMap<TypeId, u32> {
-        self.map(kind, from)
-    }
-
-    fn map(&self, kind: ChainLink, from: TypeId) -> &HashMap<TypeId, u32> {
-        match kind {
-            ChainLink::Fields => &self.fields[from.index()],
-            ChainLink::FieldsAndMethods => &self.fields_and_methods[from.index()],
-        }
+    /// All types reachable from `from` with their minimum lookup counts,
+    /// sorted by type id.
+    pub fn reachable(&self, kind: ChainLink, from: TypeId) -> &[(TypeId, u32)] {
+        let rows = match kind {
+            ChainLink::Fields => &self.fields,
+            ChainLink::FieldsAndMethods => &self.fields_and_methods,
+        };
+        rows.row(from.index())
     }
 
     /// Builds the pruning table for one `(filter, link kind)` pair:
@@ -192,7 +254,7 @@ impl ReachIndex {
                 self.reachable(kind, TypeId::from_index(i))
                     .iter()
                     .filter(|(t, _)| admissible[t.index()])
-                    .map(|(_, d)| *d)
+                    .map(|&(_, d)| d)
                     .min()
                     .unwrap_or(DIST_UNREACHABLE)
             })
@@ -353,6 +415,56 @@ mod tests {
         assert_eq!(
             reach.min_lookups(ChainLink::FieldsAndMethods, canvas, double),
             Some(2)
+        );
+    }
+
+    /// `n` rows of `(type, distance)` entries as `encode_snapshot` lays
+    /// them out, for both link kinds.
+    fn encoded(rows: &[&[(u32, u32)]]) -> Vec<u8> {
+        let mut w = Writer::new();
+        for _ in 0..2 {
+            w.put_len(rows.len());
+            for row in rows {
+                w.put_len(row.len());
+                for &(ty, d) in *row {
+                    w.put_u32(ty);
+                    w.put_u32(d);
+                }
+            }
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn snapshot_round_trip_is_exact() {
+        let db = db();
+        let reach = ReachIndex::build(&db);
+        let mut w = Writer::new();
+        reach.encode_snapshot(&mut w);
+        let bytes = w.into_bytes();
+        let decoded =
+            ReachIndex::decode_snapshot(&mut Reader::new(&bytes), db.types().len()).unwrap();
+        assert_eq!(decoded, reach);
+        let mut again = Writer::new();
+        decoded.encode_snapshot(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn decode_sorts_rows_and_rejects_duplicates() {
+        let bytes = encoded(&[&[(1, 1), (0, 0)], &[(1, 0)]]);
+        let reach = ReachIndex::decode_snapshot(&mut Reader::new(&bytes), 2).unwrap();
+        let (t0, t1) = (TypeId::from_index(0), TypeId::from_index(1));
+        assert_eq!(reach.reachable(ChainLink::Fields, t0), &[(t0, 0), (t1, 1)]);
+        assert_eq!(reach.min_lookups(ChainLink::Fields, t0, t1), Some(1));
+        assert_eq!(reach.min_lookups(ChainLink::Fields, t1, t0), None);
+
+        let bytes = encoded(&[&[(1, 1), (0, 0), (1, 2)], &[(1, 0)]]);
+        let err = ReachIndex::decode_snapshot(&mut Reader::new(&bytes), 2).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("duplicate reachability entry for type 1"),
+            "{err}"
         );
     }
 

@@ -28,7 +28,9 @@ use pex_types::TypeId;
 use crate::{Body, Database, FieldId, MethodId, Param, Visibility};
 
 use super::ast;
-use super::resolve::{compile_body, link_overrides, resolve_type_ref, visibility};
+use super::resolve::{
+    compile_body, intern_namespaces, link_overrides, resolve_type_ref, visibility, Scope,
+};
 use super::{MiniCsError, MiniCsResult};
 
 /// What an incremental update changed, phrased as the dirty sets the
@@ -102,13 +104,13 @@ struct WantField<'a> {
 struct TypePatch<'a> {
     ty: TypeId,
     decl: &'a ast::TypeDecl,
-    ns_path: &'a [String],
+    scope: Scope,
 }
 
 /// Body work queued until the whole member surface is patched: the method,
-/// its namespace path, its pre-patch body (for no-op detection), and the
+/// its lookup scope, its pre-patch body (for no-op detection), and the
 /// unresolved statements.
-type BodyWork<'a> = (MethodId, &'a [String], Option<Body>, &'a [ast::Stmt]);
+type BodyWork<'a> = (MethodId, &'a Scope, Option<Body>, &'a [ast::Stmt]);
 
 /// Re-parses one compilation unit and patches `base` with it.
 ///
@@ -130,9 +132,11 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
     let mut dirty_params: HashSet<TypeId> = HashSet::new();
 
     // Pass 1: declare or match types.
+    intern_namespaces(&mut db, &file.namespaces);
     let mut patches: Vec<TypePatch<'_>> = Vec::new();
     for ns_decl in &file.namespaces {
         let ns = db.types_mut().namespaces_mut().intern(&ns_decl.path);
+        let scope = Scope::new(&db, &ns_decl.path, &file.usings);
         for decl in &ns_decl.types {
             let existing = db.types().lookup(ns, &decl.name);
             let ty = match existing {
@@ -191,7 +195,7 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
             patches.push(TypePatch {
                 ty,
                 decl,
-                ns_path: &ns_decl.path,
+                scope: scope.clone(),
             });
         }
     }
@@ -201,7 +205,7 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
         let mut want_base: Option<TypeId> = None;
         let mut want_ifaces: Vec<TypeId> = Vec::new();
         for base_ref in &patch.decl.bases {
-            let b = resolve_type_ref(&db, patch.ns_path, &file.usings, base_ref)?;
+            let b = resolve_type_ref(&db, &patch.scope, base_ref)?;
             let base_is_class = db.types().get(b).is_class();
             if matches!(patch.decl.kind, ast::TypeDeclKind::Class) && base_is_class {
                 if want_base.is_some() {
@@ -255,7 +259,7 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
                     is_property,
                     is_private,
                 } => {
-                    let fty = resolve_type_ref(&db, patch.ns_path, &file.usings, ty)?;
+                    let fty = resolve_type_ref(&db, &patch.scope, ty)?;
                     want_fields.push(WantField {
                         name,
                         is_static: *is_static,
@@ -274,11 +278,11 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
                 } => {
                     let ret_ty = match ret {
                         None => db.types().void_ty(),
-                        Some(tr) => resolve_type_ref(&db, patch.ns_path, &file.usings, tr)?,
+                        Some(tr) => resolve_type_ref(&db, &patch.scope, tr)?,
                     };
                     let mut lowered = Vec::with_capacity(params.len());
                     for (tr, pname) in params {
-                        let pty = resolve_type_ref(&db, patch.ns_path, &file.usings, tr)?;
+                        let pty = resolve_type_ref(&db, &patch.scope, tr)?;
                         lowered.push(Param {
                             name: pname.clone(),
                             ty: pty,
@@ -483,7 +487,7 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
             let id = want.id.expect("every declaration matched or minted");
             if let Some(stmts) = want.body {
                 let old_body = db.method(id).body().cloned();
-                bodies.push((id, patch.ns_path, old_body, stmts));
+                bodies.push((id, &patch.scope, old_body, stmts));
             } else if db.method(id).body().is_some() {
                 // Declaration went bodiless while the model has a body —
                 // a body removal (the signature may be untouched).
@@ -500,8 +504,8 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
     }
 
     // Pass 5: compile bodies against the patched model.
-    for (mid, ns_path, old_body, stmts) in bodies {
-        let body = compile_body(&db, mid, ns_path, &file.usings, stmts)?;
+    for (mid, scope, old_body, stmts) in bodies {
+        let body = compile_body(&db, mid, scope, stmts)?;
         if let Err(e) = db.check_body(mid, &body) {
             let (line, col) = stmts.first().map(stmt_pos).unwrap_or((0, 0));
             return Err(MiniCsError::new(line, col, e.to_string()));

@@ -2,11 +2,12 @@
 
 use super::{MiniCsError, MiniCsResult};
 
-/// Kinds of tokens the parser consumes.
+/// Kinds of tokens the parser consumes. Identifiers borrow their text
+/// from the source.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     /// Identifier or keyword (the parser distinguishes keywords by text).
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Floating literal.
@@ -47,10 +48,10 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl<'a> TokenKind<'a> {
     /// The identifier text, if this is an identifier.
-    pub fn ident(&self) -> Option<&str> {
-        match self {
+    pub fn ident(&self) -> Option<&'a str> {
+        match *self {
             TokenKind::Ident(s) => Some(s),
             _ => None,
         }
@@ -59,9 +60,9 @@ impl TokenKind {
 
 /// A token with its source position.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'a> {
     /// Kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// 1-based line.
     pub line: u32,
     /// 1-based column.
@@ -71,6 +72,7 @@ pub struct Token {
 /// Streaming lexer. Most users call [`Lexer::tokenize`].
 #[derive(Debug)]
 pub struct Lexer<'a> {
+    source: &'a str,
     src: &'a [u8],
     pos: usize,
     line: u32,
@@ -81,6 +83,7 @@ impl<'a> Lexer<'a> {
     /// Creates a lexer over source text.
     pub fn new(source: &'a str) -> Self {
         Lexer {
+            source,
             src: source.as_bytes(),
             pos: 0,
             line: 1,
@@ -89,7 +92,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Lexes the entire input, appending a trailing [`TokenKind::Eof`].
-    pub fn tokenize(source: &str) -> MiniCsResult<Vec<Token>> {
+    pub fn tokenize(source: &'a str) -> MiniCsResult<Vec<Token<'a>>> {
         let mut lexer = Lexer::new(source);
         let mut out = Vec::new();
         loop {
@@ -170,7 +173,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Produces the next token.
-    pub fn next_token(&mut self) -> MiniCsResult<Token> {
+    pub fn next_token(&mut self) -> MiniCsResult<Token<'a>> {
         self.skip_trivia()?;
         let (line, col) = (self.line, self.col);
         let mk = |kind| Token { kind, line, col };
@@ -278,7 +281,7 @@ impl<'a> Lexer<'a> {
                         self.bump();
                     }
                 }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii");
+                let text = &self.source[start..self.pos];
                 if is_double {
                     TokenKind::Double(
                         text.parse()
@@ -299,8 +302,7 @@ impl<'a> Lexer<'a> {
                 {
                     self.bump();
                 }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii");
-                TokenKind::Ident(text.to_owned())
+                TokenKind::Ident(&self.source[start..self.pos])
             }
             other => return Err(self.err(format!("unexpected character `{}`", other as char))),
         };
@@ -312,7 +314,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         Lexer::tokenize(src)
             .unwrap()
             .into_iter()
@@ -351,7 +353,7 @@ mod tests {
                 TokenKind::Int(42),
                 TokenKind::Double(3.25),
                 TokenKind::Str("hi\n".into()),
-                TokenKind::Ident("true".into()),
+                TokenKind::Ident("true"),
                 TokenKind::Eof,
             ]
         );
@@ -363,12 +365,12 @@ mod tests {
         assert_eq!(
             kinds("x.Y 1.Z"),
             vec![
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Dot,
-                TokenKind::Ident("Y".into()),
+                TokenKind::Ident("Y"),
                 TokenKind::Int(1),
                 TokenKind::Dot,
-                TokenKind::Ident("Z".into()),
+                TokenKind::Ident("Z"),
                 TokenKind::Eof,
             ]
         );
@@ -379,9 +381,9 @@ mod tests {
         assert_eq!(
             kinds("a // line\n b /* block\n more */ c"),
             vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Ident("c".into()),
+                TokenKind::Ident("a"),
+                TokenKind::Ident("b"),
+                TokenKind::Ident("c"),
                 TokenKind::Eof,
             ]
         );

@@ -13,29 +13,73 @@ use super::{MiniCsError, MiniCsResult};
 /// Returns the first lexical or syntactic error with its position.
 pub fn parse(source: &str) -> MiniCsResult<File> {
     let tokens = Lexer::tokenize(source)?;
-    Parser { tokens, pos: 0 }.file()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    }
+    .file()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// Nesting bound for the recursive productions (expressions, member and
+/// invoke chains, `if`/`while` blocks). Every later stage — resolution,
+/// printing, dropping the tree — recurses over the same shape, so deeper
+/// input is rejected here rather than risking a stack overflow.
+const MAX_DEPTH: usize = 128;
+
+/// A source position: 1-based line and column.
+type Pos = (u32, u32);
+
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
+    /// Current nesting of the recursive productions (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Token<'a> {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek_kind(&self) -> &TokenKind {
+    fn peek_kind(&self) -> &TokenKind<'a> {
         &self.peek().kind
     }
 
-    fn bump(&mut self) -> Token {
-        let tok = self.peek().clone();
+    fn peek_pos(&self) -> Pos {
+        let t = self.peek();
+        (t.line, t.col)
+    }
+
+    /// Consumes the current token, returning its position.
+    fn bump(&mut self) -> Pos {
+        let pos = self.peek_pos();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        tok
+        pos
+    }
+
+    /// Enters one level of nesting, failing cleanly past [`MAX_DEPTH`].
+    fn enter(&mut self) -> MiniCsResult<()> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err_here(format!("input nests deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs a production that may [`Parser::enter`] nesting levels and
+    /// restores the depth it started at. An error aborts the whole parse,
+    /// so only success needs restoring.
+    fn nested<T>(
+        &mut self,
+        production: impl FnOnce(&mut Self) -> MiniCsResult<T>,
+    ) -> MiniCsResult<T> {
+        let outer = self.depth;
+        let result = production(self)?;
+        self.depth = outer;
+        Ok(result)
     }
 
     fn err_here(&self, msg: impl Into<String>) -> MiniCsError {
@@ -43,7 +87,7 @@ impl Parser {
         MiniCsError::new(t.line, t.col, msg)
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> MiniCsResult<Token> {
+    fn expect(&mut self, kind: &TokenKind<'_>, what: &str) -> MiniCsResult<Pos> {
         if self.peek_kind() == kind {
             Ok(self.bump())
         } else {
@@ -51,7 +95,7 @@ impl Parser {
         }
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: &TokenKind<'_>) -> bool {
         if self.peek_kind() == kind {
             self.bump();
             true
@@ -60,18 +104,18 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> MiniCsResult<(String, u32, u32)> {
-        match self.peek_kind().clone() {
+    fn ident(&mut self, what: &str) -> MiniCsResult<(&'a str, u32, u32)> {
+        match *self.peek_kind() {
             TokenKind::Ident(s) => {
-                let t = self.bump();
-                Ok((s, t.line, t.col))
+                let (line, col) = self.bump();
+                Ok((s, line, col))
             }
-            other => Err(self.err_here(format!("expected {what}, found {other:?}"))),
+            ref other => Err(self.err_here(format!("expected {what}, found {other:?}"))),
         }
     }
 
     fn at_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek_kind(), TokenKind::Ident(s) if s == kw)
+        matches!(self.peek_kind(), TokenKind::Ident(s) if *s == kw)
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
@@ -84,9 +128,9 @@ impl Parser {
     }
 
     fn dotted_path(&mut self, what: &str) -> MiniCsResult<Vec<String>> {
-        let mut segs = vec![self.ident(what)?.0];
+        let mut segs = vec![self.ident(what)?.0.to_owned()];
         while self.eat(&TokenKind::Dot) {
-            segs.push(self.ident("path segment")?.0);
+            segs.push(self.ident("path segment")?.0.to_owned());
         }
         Ok(segs)
     }
@@ -114,12 +158,12 @@ impl Parser {
     }
 
     fn type_ref(&mut self) -> MiniCsResult<TypeRef> {
-        let t = self.peek().clone();
+        let (line, col) = self.peek_pos();
         let segments = self.dotted_path("type name")?;
         Ok(TypeRef {
             segments,
-            line: t.line,
-            col: t.col,
+            line,
+            col,
         })
     }
 
@@ -127,7 +171,7 @@ impl Parser {
         let mut comparable = false;
         while self.eat(&TokenKind::LBracket) {
             let (attr, line, col) = self.ident("attribute name")?;
-            match attr.as_str() {
+            match attr {
                 "Comparable" => comparable = true,
                 other => {
                     return Err(MiniCsError::new(
@@ -141,7 +185,7 @@ impl Parser {
         }
         // `public` on types is accepted and ignored (everything is public).
         self.eat_keyword("public");
-        let t = self.peek().clone();
+        let (line, col) = self.peek_pos();
         let kind = if self.eat_keyword("class") {
             TypeDeclKind::Class
         } else if self.eat_keyword("struct") {
@@ -156,19 +200,20 @@ impl Parser {
         let (name, ..) = self.ident("type name")?;
         let mut decl = TypeDecl {
             kind,
-            name,
+            name: name.to_owned(),
             bases: Vec::new(),
             members: Vec::new(),
             enum_members: Vec::new(),
             comparable,
-            line: t.line,
-            col: t.col,
+            line,
+            col,
         };
         if decl.kind == TypeDeclKind::Enum {
             self.expect(&TokenKind::LBrace, "`{`")?;
             if !self.eat(&TokenKind::RBrace) {
                 loop {
-                    decl.enum_members.push(self.ident("enum member")?.0);
+                    decl.enum_members
+                        .push(self.ident("enum member")?.0.to_owned());
                     if self.eat(&TokenKind::Comma) {
                         if self.eat(&TokenKind::RBrace) {
                             break; // trailing comma
@@ -223,7 +268,7 @@ impl Parser {
                     loop {
                         let pty = self.type_ref()?;
                         let (pname, ..) = self.ident("parameter name")?;
-                        params.push((pty, pname));
+                        params.push((pty, pname.to_owned()));
                         if self.eat(&TokenKind::Comma) {
                             continue;
                         }
@@ -244,7 +289,7 @@ impl Parser {
                 Ok(MemberDecl::Method {
                     is_static,
                     ret,
-                    name,
+                    name: name.to_owned(),
                     params,
                     body,
                     is_private,
@@ -285,7 +330,7 @@ impl Parser {
                 Ok(MemberDecl::Field {
                     is_static,
                     ty,
-                    name,
+                    name: name.to_owned(),
                     is_property,
                     is_private,
                 })
@@ -298,12 +343,7 @@ impl Parser {
     /// Matches `var name =` and `Dotted.Type name =`.
     fn at_local_decl(&self) -> bool {
         let mut i = self.pos;
-        let ident_at = |i: usize| -> Option<&str> {
-            match &self.tokens.get(i)?.kind {
-                TokenKind::Ident(s) => Some(s),
-                _ => None,
-            }
-        };
+        let ident_at = |i: usize| self.tokens.get(i)?.kind.ident();
         let Some(first) = ident_at(i) else {
             return false;
         };
@@ -336,16 +376,19 @@ impl Parser {
 
     fn block(&mut self) -> MiniCsResult<Vec<Stmt>> {
         self.expect(&TokenKind::LBrace, "`{`")?;
-        let mut stmts = Vec::new();
-        while !self.eat(&TokenKind::RBrace) {
-            stmts.push(self.stmt()?);
-        }
-        Ok(stmts)
+        self.nested(|p| {
+            p.enter()?;
+            let mut stmts = Vec::new();
+            while !p.eat(&TokenKind::RBrace) {
+                stmts.push(p.stmt()?);
+            }
+            Ok(stmts)
+        })
     }
 
     fn stmt(&mut self) -> MiniCsResult<Stmt> {
         if self.at_keyword("if") {
-            let t = self.bump();
+            let (line, col) = self.bump();
             self.expect(&TokenKind::LParen, "`(`")?;
             let cond = self.expr()?;
             self.expect(&TokenKind::RParen, "`)`")?;
@@ -359,12 +402,12 @@ impl Parser {
                 cond,
                 then_body,
                 else_body,
-                line: t.line,
-                col: t.col,
+                line,
+                col,
             });
         }
         if self.at_keyword("while") {
-            let t = self.bump();
+            let (line, col) = self.bump();
             self.expect(&TokenKind::LParen, "`(`")?;
             let cond = self.expr()?;
             self.expect(&TokenKind::RParen, "`)`")?;
@@ -372,21 +415,21 @@ impl Parser {
             return Ok(Stmt::While {
                 cond,
                 body,
-                line: t.line,
-                col: t.col,
+                line,
+                col,
             });
         }
         if self.at_keyword("return") {
-            let t = self.bump();
+            let (line, col) = self.bump();
             if self.eat(&TokenKind::Semi) {
-                return Ok(Stmt::Return(None, t.line, t.col));
+                return Ok(Stmt::Return(None, line, col));
             }
             let e = self.expr()?;
             self.expect(&TokenKind::Semi, "`;`")?;
-            return Ok(Stmt::Return(Some(e), t.line, t.col));
+            return Ok(Stmt::Return(Some(e), line, col));
         }
         if self.at_local_decl() {
-            let t = self.peek().clone();
+            let (line, col) = self.peek_pos();
             let ty = if self.at_keyword("var") {
                 self.bump();
                 None
@@ -399,10 +442,10 @@ impl Parser {
             self.expect(&TokenKind::Semi, "`;`")?;
             return Ok(Stmt::Local {
                 ty,
-                name,
+                name: name.to_owned(),
                 init,
-                line: t.line,
-                col: t.col,
+                line,
+                col,
             });
         }
         let e = self.expr()?;
@@ -411,6 +454,13 @@ impl Parser {
     }
 
     fn expr(&mut self) -> MiniCsResult<Expr> {
+        self.nested(|p| {
+            p.enter()?;
+            p.assign_expr()
+        })
+    }
+
+    fn assign_expr(&mut self) -> MiniCsResult<Expr> {
         let lhs = self.cmp_expr()?;
         if self.eat(&TokenKind::Assign) {
             let rhs = self.expr()?; // right-associative
@@ -436,17 +486,26 @@ impl Parser {
         Ok(lhs)
     }
 
+    /// A primary followed by `.name` and `(args)` links. Each link nests
+    /// the tree one level deeper, so each counts toward [`MAX_DEPTH`] —
+    /// including for the arguments parsed inside the chain.
     fn postfix(&mut self) -> MiniCsResult<Expr> {
+        self.nested(Self::postfix_links)
+    }
+
+    fn postfix_links(&mut self) -> MiniCsResult<Expr> {
         let mut e = self.primary()?;
         loop {
             match self.peek_kind() {
                 TokenKind::Dot => {
+                    self.enter()?;
                     self.bump();
                     let (name, line, col) = self.ident("member name")?;
-                    e = Expr::Member(Box::new(e), name, line, col);
+                    e = Expr::Member(Box::new(e), name.to_owned(), line, col);
                 }
                 TokenKind::LParen => {
-                    let t = self.bump();
+                    self.enter()?;
+                    let (line, col) = self.bump();
                     let mut args = Vec::new();
                     if !self.eat(&TokenKind::RParen) {
                         loop {
@@ -458,7 +517,7 @@ impl Parser {
                             break;
                         }
                     }
-                    e = Expr::Invoke(Box::new(e), args, t.line, t.col);
+                    e = Expr::Invoke(Box::new(e), args, line, col);
                 }
                 _ => return Ok(e),
             }
@@ -466,19 +525,20 @@ impl Parser {
     }
 
     fn primary(&mut self) -> MiniCsResult<Expr> {
-        let t = self.peek().clone();
-        match &t.kind {
-            TokenKind::Int(v) => {
+        let (line, col) = self.peek_pos();
+        match self.peek_kind() {
+            &TokenKind::Int(v) => {
                 self.bump();
-                Ok(Expr::Int(*v))
+                Ok(Expr::Int(v))
             }
-            TokenKind::Double(v) => {
+            &TokenKind::Double(v) => {
                 self.bump();
-                Ok(Expr::Double(*v))
+                Ok(Expr::Double(v))
             }
             TokenKind::Str(s) => {
+                let s = s.clone();
                 self.bump();
-                Ok(Expr::Str(s.clone()))
+                Ok(Expr::Str(s))
             }
             TokenKind::LParen => {
                 self.bump();
@@ -486,10 +546,10 @@ impl Parser {
                 self.expect(&TokenKind::RParen, "`)`")?;
                 Ok(e)
             }
-            TokenKind::Ident(s) => match s.as_str() {
+            &TokenKind::Ident(s) => match s {
                 "this" => {
                     self.bump();
-                    Ok(Expr::This(t.line, t.col))
+                    Ok(Expr::This(line, col))
                 }
                 "true" => {
                     self.bump();
@@ -501,11 +561,11 @@ impl Parser {
                 }
                 "null" => {
                     self.bump();
-                    Ok(Expr::Null(t.line, t.col))
+                    Ok(Expr::Null(line, col))
                 }
                 _ => {
                     self.bump();
-                    Ok(Expr::Ident(s.clone(), t.line, t.col))
+                    Ok(Expr::Ident(s.to_owned(), line, col))
                 }
             },
             other => Err(self.err_here(format!("expected an expression, found {other:?}"))),
@@ -615,6 +675,46 @@ mod tests {
         };
         assert!(matches!(&stmts[0], Stmt::Expr(Expr::Invoke(..))));
         assert!(matches!(&stmts[1], Stmt::Expr(Expr::Cmp(CmpOp::Ge, ..))));
+    }
+
+    /// A method body around `stmt`, with a field `F` of the class's own
+    /// type so member chains of any length resolve.
+    fn in_body(stmt: &str) -> String {
+        format!("namespace N {{ class C {{ C F; int G(int x) {{ return x; }} void M(int v) {{ {stmt} }} }} }}")
+    }
+
+    #[test]
+    fn over_deep_input_fails_cleanly() {
+        let n = 100_000;
+        let parens = in_body(&format!("{}v{};", "(".repeat(n), ")".repeat(n)));
+        let chain = in_body(&format!("this{};", ".F".repeat(n)));
+        let calls = in_body(&format!("{}v{};", "this.G(".repeat(n), ")".repeat(n)));
+        let assigns = in_body(&format!("{}v;", "v = ".repeat(n)));
+        let blocks = in_body(&format!("{}{}", "while (true) { ".repeat(n), "}".repeat(n)));
+        for (what, src) in [
+            ("parentheses", parens),
+            ("member chain", chain),
+            ("call arguments", calls),
+            ("assignments", assigns),
+            ("blocks", blocks),
+        ] {
+            let err = super::super::compile(&src).expect_err(what);
+            assert!(err.msg.contains("nests deeper than 128"), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_within_the_cap_compiles() {
+        let n = 40;
+        for stmt in [
+            format!("{}v{};", "(".repeat(n), ")".repeat(n)),
+            format!("this{}.G(v);", ".F".repeat(n)),
+            format!("{}v{};", "this.G(".repeat(n), ")".repeat(n)),
+            format!("{}v;", "v = ".repeat(n)),
+            format!("{}{}", "while (true) { ".repeat(n), "}".repeat(n)),
+        ] {
+            super::super::compile(&in_body(&stmt)).unwrap_or_else(|e| panic!("{stmt}: {e}"));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use pex_types::{PrimKind, TypeId};
+use pex_types::{NsPrefix, PrimKind, TypeId};
 
 use crate::{Body, Database, Expr, LocalId, MethodId, Param, Stmt, ValueTy, Visibility};
 
@@ -26,12 +26,14 @@ use super::{MiniCsError, MiniCsResult};
 /// no matching overload, type mismatch, ...) with its source position.
 pub fn lower(files: &[ast::File]) -> MiniCsResult<Database> {
     let mut db = Database::new();
+    intern_namespaces(&mut db, files.iter().flat_map(|f| &f.namespaces));
 
     // Pass 1: declare all types (and enum members).
     let mut works: Vec<TypeWork<'_>> = Vec::new();
     for file in files {
         for ns_decl in &file.namespaces {
             let ns = db.types_mut().namespaces_mut().intern(&ns_decl.path);
+            let scope = Scope::new(&db, &ns_decl.path, &file.usings);
             for decl in &ns_decl.types {
                 let declared = match decl.kind {
                     ast::TypeDeclKind::Class => db.types_mut().declare_class(ns, &decl.name),
@@ -53,8 +55,7 @@ pub fn lower(files: &[ast::File]) -> MiniCsResult<Database> {
                 works.push(TypeWork {
                     ty,
                     decl,
-                    ns_path: &ns_decl.path,
-                    usings: &file.usings,
+                    scope: scope.clone(),
                 });
             }
         }
@@ -64,7 +65,7 @@ pub fn lower(files: &[ast::File]) -> MiniCsResult<Database> {
     for work in &works {
         let mut base_set = false;
         for base_ref in &work.decl.bases {
-            let base = resolve_type_ref(&db, work.ns_path, work.usings, base_ref)?;
+            let base = resolve_type_ref(&db, &work.scope, base_ref)?;
             let base_is_class = db.types().get(base).is_class();
             match work.decl.kind {
                 ast::TypeDeclKind::Class if base_is_class => {
@@ -109,7 +110,7 @@ pub fn lower(files: &[ast::File]) -> MiniCsResult<Database> {
                     is_property,
                     is_private,
                 } => {
-                    let fty = resolve_type_ref(&db, work.ns_path, work.usings, ty)?;
+                    let fty = resolve_type_ref(&db, &work.scope, ty)?;
                     db.add_field(
                         work.ty,
                         name,
@@ -130,11 +131,11 @@ pub fn lower(files: &[ast::File]) -> MiniCsResult<Database> {
                 } => {
                     let ret_ty = match ret {
                         None => db.types().void_ty(),
-                        Some(tr) => resolve_type_ref(&db, work.ns_path, work.usings, tr)?,
+                        Some(tr) => resolve_type_ref(&db, &work.scope, tr)?,
                     };
                     let mut lowered = Vec::with_capacity(params.len());
                     for (tr, pname) in params {
-                        let pty = resolve_type_ref(&db, work.ns_path, work.usings, tr)?;
+                        let pty = resolve_type_ref(&db, &work.scope, tr)?;
                         lowered.push(Param {
                             name: pname.clone(),
                             ty: pty,
@@ -161,7 +162,7 @@ pub fn lower(files: &[ast::File]) -> MiniCsResult<Database> {
 
     // Pass 5: compile bodies.
     for (mid, work, _params, stmts) in method_bodies {
-        let body = compile_body(&db, mid, work.ns_path, work.usings, stmts)?;
+        let body = compile_body(&db, mid, &work.scope, stmts)?;
         let check = db.check_body(mid, &body);
         if let Err(e) = check {
             // Positions were already validated stmt-by-stmt; this is a
@@ -189,8 +190,40 @@ pub(super) fn visibility(is_private: bool) -> Visibility {
 struct TypeWork<'a> {
     ty: TypeId,
     decl: &'a ast::TypeDecl,
-    ns_path: &'a [String],
-    usings: &'a [Vec<String>],
+    scope: Scope,
+}
+
+/// Interns every declared namespace, in declaration order, before any
+/// [`Scope`] is built.
+pub(super) fn intern_namespaces<'a>(
+    db: &mut Database,
+    ns_decls: impl IntoIterator<Item = &'a ast::NsDecl>,
+) {
+    for ns_decl in ns_decls {
+        db.types_mut().namespaces_mut().intern(&ns_decl.path);
+    }
+}
+
+/// Where names are looked up from inside one `namespace` block, in
+/// priority order: the enclosing namespaces innermost first, then each
+/// `using`. Each path is walked down the namespace trie once, here;
+/// a path no interned namespace starts with is dropped, since nothing can
+/// resolve under it — so build scopes only after every namespace of the
+/// compilation is interned ([`intern_namespaces`]).
+#[derive(Debug, Clone)]
+pub(super) struct Scope(Vec<NsPrefix>);
+
+impl Scope {
+    pub(super) fn new(db: &Database, ns_path: &[String], usings: &[Vec<String>]) -> Self {
+        let namespaces = db.types().namespaces();
+        let enclosing = (0..=ns_path.len()).rev().map(|i| &ns_path[..i]);
+        Scope(
+            enclosing
+                .chain(usings.iter().map(Vec::as_slice))
+                .filter_map(|path| namespaces.descend(NsPrefix::ROOT, path))
+                .collect(),
+        )
+    }
 }
 
 /// Links each instance method to the nearest method it overrides: same name,
@@ -224,55 +257,41 @@ pub(super) fn link_overrides(db: &mut Database) {
     }
 }
 
-/// Resolves a source type reference against the enclosing namespace chain,
-/// the `using` list and absolute paths.
+/// Resolves a source type reference against a block's [`Scope`] (the
+/// enclosing namespace chain, the `using` list and absolute paths).
 pub(super) fn resolve_type_ref(
     db: &Database,
-    ns_path: &[String],
-    usings: &[Vec<String>],
+    scope: &Scope,
     tr: &ast::TypeRef,
 ) -> MiniCsResult<TypeId> {
-    if tr.segments.len() == 1 {
-        let kw = tr.segments[0].as_str();
-        if let Some(p) = PrimKind::from_keyword(kw) {
-            return Ok(db.types().prim(p));
-        }
-        if kw == "object" {
-            return Ok(db.types().object());
-        }
-    }
-    let (name, prefix) = tr.segments.split_last().expect("paths are non-empty");
-    let mut candidates: Vec<Vec<&str>> = Vec::new();
-    for i in (0..=ns_path.len()).rev() {
-        let mut p: Vec<&str> = ns_path[..i].iter().map(String::as_str).collect();
-        p.extend(prefix.iter().map(String::as_str));
-        candidates.push(p);
-    }
-    for u in usings {
-        let mut p: Vec<&str> = u.iter().map(String::as_str).collect();
-        p.extend(prefix.iter().map(String::as_str));
-        candidates.push(p);
-    }
-    for cand in candidates {
-        let dotted = cand.join(".");
-        if let Some(ns) = db.types().namespaces().lookup_dotted(&dotted) {
-            if let Some(ty) = db.types().lookup(ns, name) {
-                return Ok(ty);
-            }
-        }
-    }
-    Err(MiniCsError::new(
-        tr.line,
-        tr.col,
-        format!("unknown type `{}`", tr.segments.join(".")),
-    ))
+    lookup_type(db, scope, &tr.segments).ok_or_else(|| {
+        MiniCsError::new(
+            tr.line,
+            tr.col,
+            format!("unknown type `{}`", tr.segments.join(".")),
+        )
+    })
 }
 
-/// Whether some interned namespace has `path` as a (strict or full) prefix.
-fn is_ns_prefix(db: &Database, path: &[String]) -> bool {
-    db.types().namespaces().iter().any(|id| {
-        let segs = db.types().namespaces().segments(id);
-        segs.len() >= path.len() && segs[..path.len()] == *path
+/// The type a dotted path names from inside `scope`: a primitive keyword
+/// or `object`, else `prefix.name` declared under the first scope path
+/// that has it. Allocates nothing.
+fn lookup_type<S: AsRef<str>>(db: &Database, scope: &Scope, segments: &[S]) -> Option<TypeId> {
+    let types = db.types();
+    let (name, prefix) = segments.split_last().expect("paths are non-empty");
+    let name = name.as_ref();
+    if prefix.is_empty() {
+        if let Some(p) = PrimKind::from_keyword(name) {
+            return Some(types.prim(p));
+        }
+        if name == "object" {
+            return Some(types.object());
+        }
+    }
+    let namespaces = types.namespaces();
+    scope.0.iter().find_map(|&at| {
+        let ns = namespaces.namespace_at(namespaces.descend(at, prefix)?)?;
+        types.lookup(ns, name)
     })
 }
 
@@ -286,8 +305,7 @@ enum Res {
 struct BodyCompiler<'a> {
     db: &'a Database,
     method: MethodId,
-    ns_path: &'a [String],
-    usings: &'a [Vec<String>],
+    scope: &'a Scope,
     body: Body,
     local_names: HashMap<String, LocalId>,
 }
@@ -295,8 +313,7 @@ struct BodyCompiler<'a> {
 pub(super) fn compile_body(
     db: &Database,
     mid: MethodId,
-    ns_path: &[String],
-    usings: &[Vec<String>],
+    scope: &Scope,
     stmts: &[ast::Stmt],
 ) -> MiniCsResult<Body> {
     let md = db.method(mid);
@@ -310,8 +327,7 @@ pub(super) fn compile_body(
     let mut compiler = BodyCompiler {
         db,
         method: mid,
-        ns_path,
-        usings,
+        scope,
         body,
         local_names,
     };
@@ -349,7 +365,7 @@ impl<'a> BodyCompiler<'a> {
                 }
                 let (e, ety) = self.value(init)?;
                 let declared = match ty {
-                    Some(tr) => resolve_type_ref(self.db, self.ns_path, self.usings, tr)?,
+                    Some(tr) => resolve_type_ref(self.db, self.scope, tr)?,
                     None => ety.known().ok_or_else(|| {
                         MiniCsError::new(*line, *col, "cannot infer the type of `var` from `null`")
                     })?,
@@ -568,18 +584,12 @@ impl<'a> BodyCompiler<'a> {
             }
         }
         // 3. A type.
-        let tr = ast::TypeRef {
-            segments: vec![name.to_owned()],
-            line,
-            col,
-        };
-        if let Ok(ty) = resolve_type_ref(self.db, self.ns_path, self.usings, &tr) {
+        if let Some(ty) = lookup_type(self.db, self.scope, &[name]) {
             return Ok(Res::Type(ty));
         }
         // 4. A namespace root.
-        let path = vec![name.to_owned()];
-        if is_ns_prefix(self.db, &path) {
-            return Ok(Res::Namespace(path));
+        if self.db.types().namespaces().is_prefix([name]) {
+            return Ok(Res::Namespace(vec![name.to_owned()]));
         }
         Err(MiniCsError::new(
             line,
@@ -635,13 +645,14 @@ impl<'a> BodyCompiler<'a> {
                 ))
             }
             Res::Namespace(mut path) => {
-                if let Some(ns) = self.db.types().namespaces().lookup_dotted(&path.join(".")) {
+                let namespaces = self.db.types().namespaces();
+                if let Some(ns) = namespaces.lookup(&path) {
                     if let Some(ty) = self.db.types().lookup(ns, name) {
                         return Ok(Res::Type(ty));
                     }
                 }
                 path.push(name.to_owned());
-                if is_ns_prefix(self.db, &path) {
+                if namespaces.is_prefix(&path) {
                     return Ok(Res::Namespace(path));
                 }
                 Err(MiniCsError::new(
@@ -792,8 +803,11 @@ impl<'a> BodyCompiler<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::compile;
-    use crate::{CallStyle, Context, Expr, Stmt};
+    use proptest::prelude::*;
+
+    use super::super::{ast, compile};
+    use super::{resolve_type_ref, PrimKind, Scope, TypeId};
+    use crate::{CallStyle, Context, Database, Expr, Stmt};
 
     const GEO: &str = r#"
         namespace Geo {
@@ -1029,6 +1043,103 @@ mod tests {
         )
         .unwrap();
         assert!(db.types().lookup_qualified("Lib.Deep.Helper").is_some());
+    }
+
+    /// Paths over a two-letter alphabet, so scopes, `using`s and type
+    /// references collide often.
+    fn path(len: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Vec<String>> {
+        proptest::collection::vec(
+            proptest::sample::select(vec!["A".to_owned(), "B".to_owned()]),
+            len,
+        )
+    }
+
+    /// The original resolution: every candidate scope joined to a dotted
+    /// string, split back into segments and matched against the interned
+    /// paths, then the type found by scanning the table.
+    fn reference_type_ref(
+        db: &Database,
+        ns_path: &[String],
+        usings: &[Vec<String>],
+        segments: &[String],
+    ) -> Option<TypeId> {
+        let types = db.types();
+        if segments.len() == 1 {
+            if let Some(p) = PrimKind::from_keyword(&segments[0]) {
+                return Some(types.prim(p));
+            }
+            if segments[0] == "object" {
+                return Some(types.object());
+            }
+        }
+        let (name, prefix) = segments.split_last()?;
+        let mut candidates: Vec<Vec<&str>> = Vec::new();
+        for i in (0..=ns_path.len()).rev() {
+            let mut p: Vec<&str> = ns_path[..i].iter().map(String::as_str).collect();
+            p.extend(prefix.iter().map(String::as_str));
+            candidates.push(p);
+        }
+        for u in usings {
+            let mut p: Vec<&str> = u.iter().map(String::as_str).collect();
+            p.extend(prefix.iter().map(String::as_str));
+            candidates.push(p);
+        }
+        candidates.into_iter().find_map(|cand| {
+            let dotted = cand.join(".");
+            let key: Vec<String> = if dotted.is_empty() {
+                Vec::new()
+            } else {
+                dotted.split('.').map(str::to_owned).collect()
+            };
+            let ns = types
+                .namespaces()
+                .iter()
+                .find(|&id| types.namespaces().segments(id) == key.as_slice())?;
+            types
+                .iter()
+                .find(|&t| types.get(t).namespace() == ns && types.get(t).name() == name)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Trie-walking resolution agrees with the join/split reference
+        /// on random namespace sets (leaves interned without their
+        /// prefixes, types in the global namespace too), `using` lists
+        /// and type references; so does the namespace-prefix test.
+        #[test]
+        fn type_refs_resolve_as_the_join_split_reference(
+            namespaces in proptest::collection::vec(path(1..=3), 0..10),
+            types in proptest::collection::vec(
+                (0usize..11, proptest::sample::select(vec!["A", "T", "U"])),
+                0..20,
+            ),
+            ns_path in path(0..=3),
+            usings in proptest::collection::vec(path(1..=2), 0..3),
+            prefix in path(0..=2),
+            name in proptest::sample::select(vec!["A", "T", "U", "int", "object", "Object"]),
+        ) {
+            let mut db = Database::new();
+            let mut ns_ids = vec![pex_types::NamespaceId::GLOBAL];
+            for p in &namespaces {
+                ns_ids.push(db.types_mut().namespaces_mut().intern(p));
+            }
+            for (ns, ty) in types {
+                let _ = db.types_mut().declare_class(ns_ids[ns % ns_ids.len()], ty);
+            }
+            let mut segments = prefix.clone();
+            segments.push(name.to_owned());
+            let tr = ast::TypeRef { segments: segments.clone(), line: 1, col: 1 };
+            let scope = Scope::new(&db, &ns_path, &usings);
+            prop_assert_eq!(
+                resolve_type_ref(&db, &scope, &tr).ok(),
+                reference_type_ref(&db, &ns_path, &usings, &segments)
+            );
+            let nss = db.types().namespaces();
+            let reference_prefix = nss.iter().any(|id| nss.segments(id).starts_with(&prefix));
+            prop_assert_eq!(nss.is_prefix(&prefix), reference_prefix);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use pex_corpus::{generate, ClientProfile, LibraryProfile};
 use pex_model::{Context, Database, MethodId};
 use pex_serve::json::{self, Value};
 use pex_serve::proto::{self, QueryRequest};
-use pex_serve::{persist, RequestDefaults, Snapshot};
+use pex_serve::{persist, RequestDefaults, Snapshot, SnapshotSource};
 
 fn small_db(seed: u64) -> Database {
     let lib = LibraryProfile {
@@ -155,5 +155,22 @@ proptest! {
             let second = answer(&loaded, &query);
             prop_assert_eq!(first, second, "warm rerun diverged on `{}`", query);
         }
+    }
+}
+
+/// The format is canonical on the shipped corpus too: decoding the
+/// Paint.NET snapshot and encoding it again reproduces every byte, the
+/// reachability rows and the rebuilt namespace and type-name lookups
+/// included.
+#[test]
+fn paint_snapshot_reencodes_byte_identically() {
+    let built = Snapshot::load(&SnapshotSource::Paint).unwrap();
+    let bytes = persist::to_bytes(&built);
+    let loaded = persist::from_bytes(&bytes).unwrap();
+    assert_eq!(loaded.reach, built.reach);
+    assert_eq!(persist::to_bytes(&loaded), bytes);
+    let types = loaded.db.types();
+    for ty in types.iter() {
+        assert_eq!(types.lookup_qualified(&types.qualified_name(ty)), Some(ty));
     }
 }

@@ -73,6 +73,34 @@ fn malformed_requests_get_an_error_response_not_a_crash() {
 }
 
 #[test]
+fn over_deep_update_source_is_a_parse_error_not_a_crash() {
+    let (mut child, mut reader) = spawn(&["paint", "--workers", "1"]);
+    send(&mut child, r#"{"id":1,"query":"?({img, size})","limit":3}"#);
+    let before = recv(&mut reader);
+    let n = 100_000;
+    let parens = format!("{}0{}", "(".repeat(n), ")".repeat(n));
+    let chain = format!("this{}", ".F".repeat(n));
+    for (id, expr) in [(2, parens), (3, chain)] {
+        let source = format!(
+            "namespace PaintDotNet {{ class Deep {{ Deep F; int M() {{ return {expr}; }} }} }}"
+        );
+        send(
+            &mut child,
+            &format!(r#"{{"id":{id},"cmd":"update","source":"{source}"}}"#),
+        );
+        let resp = recv(&mut reader);
+        assert!(resp.contains("\"error\":\"parse_error\""), "{resp}");
+        assert!(resp.contains("nests deeper than 128"), "{resp}");
+    }
+    // Still serving, with unchanged answers.
+    send(&mut child, r#"{"id":1,"query":"?({img, size})","limit":3}"#);
+    let completions = |r: &str| r[r.find("\"completions\"").expect(r)..].to_owned();
+    assert_eq!(completions(&recv(&mut reader)), completions(&before));
+    drop(child.stdin.take());
+    assert_eq!(wait_exit(child), 0);
+}
+
+#[test]
 fn zero_deadline_is_reported_as_a_degraded_deadline_outcome() {
     let (mut child, mut reader) = spawn(&["paint"]);
     send(&mut child, r#"{"id":3,"query":"?","deadline_ms":0}"#);

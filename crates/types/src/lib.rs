@@ -53,6 +53,6 @@ pub use def::{TypeDef, TypeKind};
 pub use distance::ComparablePair;
 pub use error::{TypeError, TypeResult};
 pub use ids::{NamespaceId, TypeId};
-pub use namespace::Namespaces;
+pub use namespace::{Namespaces, NsPrefix};
 pub use primitive::PrimKind;
 pub use table::{TypeTable, WellKnown};

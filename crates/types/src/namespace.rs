@@ -17,10 +17,38 @@ use crate::NamespaceId;
 /// scores method calls by the length of the common prefix of the namespaces
 /// of all participating non-primitive types; [`Namespaces::common_prefix_len`]
 /// implements that computation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Namespaces {
     paths: Vec<Vec<String>>,
-    by_path: HashMap<Vec<String>, NamespaceId>,
+    /// Segment trie over every interned path. Node 0 is the empty path; a
+    /// node exists exactly when some interned path starts with the node's
+    /// path, and carries an id only if that path itself was interned.
+    trie: Vec<TrieNode>,
+}
+
+/// A node of the [`Namespaces`] path trie: a segment path that some
+/// interned namespace starts with. Walking a scope's path once and then
+/// [`Namespaces::descend`]ing from the node resolves many names under it
+/// without re-walking the shared prefix. Nodes stay valid as more paths
+/// are interned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NsPrefix(u32);
+
+impl NsPrefix {
+    /// The empty path, a prefix of every namespace.
+    pub const ROOT: NsPrefix = NsPrefix(0);
+}
+
+#[derive(Debug, Clone, Default)]
+struct TrieNode {
+    id: Option<NamespaceId>,
+    children: HashMap<String, u32>,
+}
+
+impl Default for Namespaces {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Namespaces {
@@ -28,7 +56,7 @@ impl Namespaces {
     pub fn new() -> Self {
         let mut ns = Namespaces {
             paths: Vec::new(),
-            by_path: HashMap::new(),
+            trie: vec![TrieNode::default()],
         };
         let id = ns.intern(&[] as &[&str]);
         debug_assert_eq!(id, NamespaceId::GLOBAL);
@@ -38,14 +66,37 @@ impl Namespaces {
     /// Interns a namespace path given as segments, returning its id.
     /// Re-interning an existing path returns the same id.
     pub fn intern<S: AsRef<str>>(&mut self, segments: &[S]) -> NamespaceId {
-        let key: Vec<String> = segments.iter().map(|s| s.as_ref().to_owned()).collect();
-        if let Some(&id) = self.by_path.get(&key) {
-            return id;
+        match self.insert(segments) {
+            Ok(id) | Err(id) => id,
+        }
+    }
+
+    /// Adds a path to the arena: `Ok` with its fresh id, or `Err` with the
+    /// id it already had.
+    fn insert<S: AsRef<str>>(&mut self, segments: &[S]) -> Result<NamespaceId, NamespaceId> {
+        let mut node = 0;
+        for seg in segments {
+            let seg = seg.as_ref();
+            node = match self.trie[node].children.get(seg) {
+                Some(&child) => child as usize,
+                None => {
+                    let child = self.trie.len();
+                    self.trie.push(TrieNode::default());
+                    self.trie[node]
+                        .children
+                        .insert(seg.to_owned(), child as u32);
+                    child
+                }
+            };
+        }
+        if let Some(id) = self.trie[node].id {
+            return Err(id);
         }
         let id = NamespaceId(self.paths.len() as u32);
-        self.paths.push(key.clone());
-        self.by_path.insert(key, id);
-        id
+        self.paths
+            .push(segments.iter().map(|s| s.as_ref().to_owned()).collect());
+        self.trie[node].id = Some(id);
+        Ok(id)
     }
 
     /// Interns a dotted path such as `"System.Collections"`. The empty string
@@ -58,14 +109,55 @@ impl Namespaces {
         self.intern(&segs)
     }
 
+    /// The trie node `segments` further down from `from`, if some
+    /// interned path continues that way. Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` was not issued by this arena (or a clone of it).
+    pub fn descend<I, S>(&self, from: NsPrefix, segments: I) -> Option<NsPrefix>
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
+        let mut node = from.0;
+        for seg in segments {
+            node = *self.trie[node as usize].children.get(seg.as_ref())?;
+        }
+        Some(NsPrefix(node))
+    }
+
+    /// The namespace interned at exactly this trie node, if any.
+    pub fn namespace_at(&self, prefix: NsPrefix) -> Option<NamespaceId> {
+        self.trie[prefix.0 as usize].id
+    }
+
+    /// Looks up a previously interned path given as segments, without
+    /// interning it or allocating.
+    pub fn lookup<I, S>(&self, segments: I) -> Option<NamespaceId>
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
+        self.namespace_at(self.descend(NsPrefix::ROOT, segments)?)
+    }
+
+    /// Whether some interned namespace has `segments` as a (strict or
+    /// full) prefix of its path. The empty path is a prefix of every one.
+    pub fn is_prefix<I, S>(&self, segments: I) -> bool
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
+        self.descend(NsPrefix::ROOT, segments).is_some()
+    }
+
     /// Looks up a previously interned dotted path without interning it.
     pub fn lookup_dotted(&self, dotted: &str) -> Option<NamespaceId> {
-        let key: Vec<String> = if dotted.is_empty() {
-            Vec::new()
-        } else {
-            dotted.split('.').map(str::to_owned).collect()
-        };
-        self.by_path.get(&key).copied()
+        if dotted.is_empty() {
+            return Some(NamespaceId::GLOBAL);
+        }
+        self.lookup(dotted.split('.'))
     }
 
     /// The segments of a namespace path.
@@ -132,7 +224,7 @@ impl Namespaces {
     }
 
     /// Serializes the arena for the persistent snapshot: paths in id
-    /// order. The lookup map is rebuilt on decode.
+    /// order. The lookup trie is rebuilt on decode.
     pub fn encode(&self, w: &mut Writer) {
         w.put_len(self.paths.len());
         for path in &self.paths {
@@ -144,7 +236,7 @@ impl Namespaces {
     }
 
     /// Decodes an arena written by [`Namespaces::encode`], rebuilding the
-    /// path lookup map and validating that id 0 is the global namespace
+    /// path lookup trie and validating that id 0 is the global namespace
     /// and that no path appears twice.
     pub fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
         let count = r.get_len("namespace count")?;
@@ -155,7 +247,7 @@ impl Namespaces {
         }
         let mut ns = Namespaces {
             paths: Vec::with_capacity(count),
-            by_path: HashMap::with_capacity(count),
+            trie: vec![TrieNode::default()],
         };
         for i in 0..count {
             let segs = r.get_len("namespace segment count")?;
@@ -168,17 +260,12 @@ impl Namespaces {
                     "namespace 0 must be the global (empty) namespace",
                 ));
             }
-            if ns
-                .by_path
-                .insert(path.clone(), NamespaceId(i as u32))
-                .is_some()
-            {
+            if ns.insert(&path).is_err() {
                 return Err(WireError::new(format!(
                     "duplicate namespace path '{}'",
                     path.join(".")
                 )));
             }
-            ns.paths.push(path);
         }
         Ok(ns)
     }
@@ -190,7 +277,7 @@ impl Namespaces {
         if segs.is_empty() {
             return None;
         }
-        self.by_path.get(&segs[..segs.len() - 1]).copied()
+        self.lookup(&segs[..segs.len() - 1])
     }
 }
 
@@ -261,5 +348,33 @@ mod tests {
         let id = ns.intern_dotted("Yep");
         assert_eq!(ns.lookup_dotted("Yep"), Some(id));
         assert_eq!(ns.lookup_dotted(""), Some(NamespaceId::GLOBAL));
+    }
+
+    #[test]
+    fn prefixes_of_interned_paths_are_not_namespaces() {
+        let mut ns = Namespaces::new();
+        let abc = ns.intern_dotted("A.B.C");
+        assert_eq!(ns.lookup(["A", "B", "C"]), Some(abc));
+        assert_eq!(ns.lookup_dotted("A.B"), None);
+        assert_eq!(ns.parent(abc), None);
+        assert!(ns.is_prefix(["A", "B"]));
+        assert!(ns.is_prefix(std::iter::empty::<&str>()));
+        assert!(!ns.is_prefix(["A", "C"]));
+        assert!(!ns.is_prefix(["A", "B", "C", "D"]));
+        let a = ns.descend(NsPrefix::ROOT, ["A"]).unwrap();
+        assert_eq!(ns.namespace_at(a), None);
+        let ab_node = ns.descend(a, ["B"]).unwrap();
+        assert_eq!(
+            ns.descend(ab_node, ["C"]).and_then(|p| ns.namespace_at(p)),
+            Some(abc)
+        );
+        let ab = ns.intern_dotted("A.B");
+        assert_eq!(
+            ns.namespace_at(ab_node),
+            Some(ab),
+            "nodes survive interning"
+        );
+        assert_eq!(ns.parent(abc), Some(ab));
+        assert_eq!(ns.dotted(ab), "A.B");
     }
 }

@@ -31,7 +31,9 @@ pub struct WellKnown {
 pub struct TypeTable {
     namespaces: Namespaces,
     types: Vec<TypeDef>,
-    by_name: HashMap<(NamespaceId, String), TypeId>,
+    /// Simple-name maps, indexed by namespace id (absent past the last
+    /// namespace that holds a type).
+    by_name: Vec<HashMap<String, TypeId>>,
     well_known: WellKnown,
     prims: [TypeId; PrimKind::ALL.len()],
     /// Lazily built conversion cache; cleared by every hierarchy mutator
@@ -56,7 +58,7 @@ impl TypeTable {
         let mut table = TypeTable {
             namespaces,
             types: Vec::new(),
-            by_name: HashMap::new(),
+            by_name: Vec::new(),
             // Placeholder ids, fixed up immediately below.
             well_known: WellKnown {
                 object: TypeId(0),
@@ -93,14 +95,14 @@ impl TypeTable {
         kind: TypeKind,
         comparable: bool,
     ) -> TypeResult<TypeId> {
-        let key = (namespace, name.to_owned());
-        if self.by_name.contains_key(&key) {
+        if self.lookup(namespace, name).is_some() {
             return Err(TypeError::DuplicateType {
                 name: name.to_owned(),
             });
         }
         self.conv.take();
         let id = TypeId(self.types.len() as u32);
+        insert_name(&mut self.by_name, namespace, name.to_owned(), id);
         self.types.push(TypeDef {
             name: name.to_owned(),
             namespace,
@@ -108,7 +110,6 @@ impl TypeTable {
             interfaces: Vec::new(),
             comparable,
         });
-        self.by_name.insert(key, id);
         Ok(id)
     }
 
@@ -297,7 +298,7 @@ impl TypeTable {
 
     /// Looks up a type by namespace and simple name.
     pub fn lookup(&self, ns: NamespaceId, name: &str) -> Option<TypeId> {
-        self.by_name.get(&(ns, name.to_owned())).copied()
+        self.by_name.get(ns.index())?.get(name).copied()
     }
 
     /// Looks up a type by fully qualified dotted name (e.g.
@@ -433,7 +434,7 @@ impl TypeTable {
         let namespaces = Namespaces::decode(r)?;
         let count = r.get_len("type count")?;
         let mut types = Vec::with_capacity(count);
-        let mut by_name = HashMap::with_capacity(count);
+        let mut by_name = Vec::new();
         for i in 0..count {
             let name = r.get_str("type name")?;
             let namespace = NamespaceId(r.get_id(namespaces.len(), "type namespace id")? as u32);
@@ -476,10 +477,7 @@ impl TypeTable {
                 interfaces.push(TypeId(r.get_id(count, "interface id")? as u32));
             }
             let comparable = r.get_bool("comparable flag")?;
-            if by_name
-                .insert((namespace, name.clone()), TypeId(i as u32))
-                .is_some()
-            {
+            if insert_name(&mut by_name, namespace, name.clone(), TypeId(i as u32)).is_some() {
                 return Err(WireError::new(format!("duplicate type name '{name}'")));
             }
             types.push(TypeDef {
@@ -533,6 +531,20 @@ impl TypeTable {
         self.conv
             .get_or_init(|| Arc::new(ConversionIndex::build(self)))
     }
+}
+
+/// Inserts `name` into `namespace`'s simple-name map, growing the
+/// per-namespace index as needed; returns the id it displaced, if any.
+fn insert_name(
+    by_name: &mut Vec<HashMap<String, TypeId>>,
+    namespace: NamespaceId,
+    name: String,
+    id: TypeId,
+) -> Option<TypeId> {
+    if by_name.len() <= namespace.index() {
+        by_name.resize_with(namespace.index() + 1, HashMap::new);
+    }
+    by_name[namespace.index()].insert(name, id)
 }
 
 #[cfg(test)]
