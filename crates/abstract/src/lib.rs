@@ -179,11 +179,11 @@ impl<'db> AbsTypes<'db> {
         Some(self.method_ret[root.index()])
     }
 
-    /// Abstract class of an interned expression — the arena twin of
-    /// [`AbsTypes::expr_class`]. Only the top node matters (a lookup chain's
-    /// class is its trailing member's), so the walk never descends and needs
-    /// no materialization.
-    pub fn expr_class_interned(
+    /// Abstract class of an interned expression evaluated inside
+    /// `enclosing` (if it has one; literals and opaque expressions do not).
+    /// Only the top node matters (a lookup chain's class is its trailing
+    /// member's), so the walk never descends and needs no materialization.
+    pub fn expr_class(
         &self,
         enclosing: Option<MethodId>,
         arena: &ArenaRead<'_>,
@@ -354,13 +354,6 @@ impl<'db> AbsTypes<'db> {
         abs.add_all_bodies_except(Some(enclosing));
         abs.add_body_prefix(enclosing, stmt_index);
         abs
-    }
-
-    /// Abstract class of an expression evaluated inside `enclosing` (if it
-    /// has one; literals and opaque expressions do not).
-    pub fn expr_class(&self, enclosing: Option<MethodId>, e: &Expr) -> Option<AbsClass> {
-        self.expr_var(enclosing, e)
-            .map(|v| AbsClass(self.uf.find(v)))
     }
 
     /// Abstract class of the receiver-first argument slot `i` of `m`.
@@ -573,6 +566,7 @@ impl<'db> MethodSweep<'db> {
 mod tests {
     use super::*;
     use pex_model::minics::compile;
+    use pex_model::ExprArena;
 
     /// The paper's Family.Show example: `Path.Combine` chains must infer
     /// a "path-like" abstract type for first arguments and return values,
@@ -750,13 +744,9 @@ mod tests {
         assert!(pa.is_some() && pb.is_some());
         assert_ne!(pa, pb, "Object-declared methods must not merge receivers");
         // The call expression itself has no abstract type.
-        assert_eq!(
-            abs.expr_class(
-                Some(m),
-                &Expr::Call(to_string, vec![Expr::Local(LocalId(0))])
-            ),
-            None
-        );
+        let arena = ExprArena::new();
+        let call = arena.intern_expr(&Expr::Call(to_string, vec![Expr::Local(LocalId(0))]));
+        assert_eq!(abs.expr_class(Some(m), &arena.read(), call), None);
     }
 
     #[test]
@@ -850,9 +840,10 @@ mod tests {
         // unified with Exists's parameter, but Combine's first parameter is
         // only tied in by the final `return Path.Combine(appLocation, ...)`.
         let abs2 = AbsTypes::for_query(&db, m, 2);
-        let app_location = Expr::Local(LocalId(0));
+        let arena = ExprArena::new();
+        let app_location = arena.local(LocalId(0));
         assert!(AbsTypes::matches(
-            abs2.expr_class(Some(m), &app_location),
+            abs2.expr_class(Some(m), &arena.read(), app_location),
             abs2.param_class(exists, 0)
         ));
         assert!(!AbsTypes::matches(

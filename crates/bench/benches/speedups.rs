@@ -1,7 +1,7 @@
 //! Perf-trajectory benchmarks: the memoized type-relation cache vs the
-//! per-query BFS it replaced, the hash-consed (interned) enumeration
-//! pipeline vs the boxed reference pipeline, and parallel vs sequential
-//! experiment replay.
+//! per-query BFS it replaced, best-first vs exhaustive top-k search,
+//! snapshot reuse, boot and incremental update against full rebuilds, and
+//! parallel vs sequential experiment replay.
 //!
 //! Unlike the other benches this one post-processes its results into a
 //! machine-readable `BENCH_results.json` at the workspace root, so future
@@ -15,7 +15,7 @@ use criterion::{black_box, BenchResult, Criterion};
 use pex_core::{CandidateScratch, MethodIndex};
 use pex_corpus::table1_projects;
 use pex_experiments::{load_projects, methods, obs_report, ExperimentConfig};
-use pex_model::{Database, ExprKey};
+use pex_model::Database;
 use pex_types::TypeId;
 
 /// The scale the acceptance numbers are pinned to (Table 1 at 0.02).
@@ -210,120 +210,6 @@ fn bench_obs_overhead(c: &mut Criterion, db: &Database, index: &MethodIndex, typ
             });
         }
     }
-}
-
-/// Enumeration and dedup guards for the hash-consed arena.
-///
-/// `enumerate_boxed` vs `enumerate_interned` runs the same real-corpus
-/// query through the boxed reference pipeline (tree clones, [`ExprKey`]
-/// dedup) and the interned production pipeline (id copies, id-set dedup,
-/// materialization only at emission); the derived
-/// `enumerate_interned_speedup` is the tentpole's headline number.
-/// `dedup_exprkey` vs `dedup_arena_id` isolates just the dedup probe on
-/// the same batch of completions, after asserting the two schemes
-/// partition the batch identically.
-fn bench_enumeration(c: &mut Criterion) {
-    let projects = load_projects(SCALE);
-    let project = &projects[0];
-    let site = project
-        .extracted
-        .calls
-        .iter()
-        .find(|s| !s.args.is_empty())
-        .expect("corpus has call sites");
-    let ctx = pex_experiments::extract::site_context(&project.db, site.enclosing, site.stmt);
-    let completer = pex_core::Completer::new(
-        &project.db,
-        &ctx,
-        &project.index,
-        pex_core::RankConfig::all(),
-        None,
-    );
-    let query = pex_core::PartialExpr::UnknownCall(vec![pex_core::PartialExpr::Known(
-        site.args[0].clone(),
-    )]);
-
-    // The two pipelines must agree row-for-row before their speeds are
-    // worth comparing (the equivalence proptest pins this broadly; this is
-    // the same check on the benched query).
-    const TAKE: usize = 300;
-    let boxed_rows: Vec<(String, u32)> = completer
-        .completions_boxed(&query)
-        .take(TAKE)
-        .map(|comp| (format!("{:?}", comp.expr), comp.score))
-        .collect();
-    let interned_rows: Vec<(String, u32)> = completer
-        .completions(&query)
-        .take(TAKE)
-        .map(|comp| (format!("{:?}", comp.expr), comp.score))
-        .collect();
-    assert_eq!(
-        boxed_rows, interned_rows,
-        "pipelines diverged on the benched query"
-    );
-    assert!(
-        boxed_rows.len() >= 10,
-        "need a real batch, got {}",
-        boxed_rows.len()
-    );
-
-    c.bench_function("speedups/enumerate_boxed", |b| {
-        b.iter(|| {
-            let n = completer
-                .completions_boxed(black_box(&query))
-                .take(TAKE)
-                .count();
-            black_box(n)
-        })
-    });
-    c.bench_function("speedups/enumerate_interned", |b| {
-        b.iter(|| {
-            let n = completer.completions(black_box(&query)).take(TAKE).count();
-            black_box(n)
-        })
-    });
-
-    // Dedup probe in isolation, on the batch the query produced.
-    let exprs: Vec<pex_model::Expr> = completer
-        .completions_boxed(&query)
-        .take(500)
-        .map(|comp| comp.expr)
-        .collect();
-    let arena = pex_model::ExprArena::new();
-    let ids: Vec<pex_model::ExprId> = exprs.iter().map(|e| arena.intern_expr(e)).collect();
-    let by_key: std::collections::HashSet<ExprKey> =
-        exprs.iter().map(|e| ExprKey(e.clone())).collect();
-    let by_id: std::collections::HashSet<pex_model::ExprId> = ids.iter().copied().collect();
-    assert_eq!(
-        by_key.len(),
-        by_id.len(),
-        "arena-id dedup must partition completions exactly like ExprKey dedup"
-    );
-
-    c.bench_function("speedups/dedup_exprkey", |b| {
-        b.iter(|| {
-            let mut seen = std::collections::HashSet::new();
-            let mut kept = 0usize;
-            for e in &exprs {
-                if seen.insert(ExprKey(black_box(e).clone())) {
-                    kept += 1;
-                }
-            }
-            black_box(kept)
-        })
-    });
-    c.bench_function("speedups/dedup_arena_id", |b| {
-        b.iter(|| {
-            let mut seen = std::collections::HashSet::new();
-            let mut kept = 0usize;
-            for &id in &ids {
-                if seen.insert(black_box(id)) {
-                    kept += 1;
-                }
-            }
-            black_box(kept)
-        })
-    });
 }
 
 /// Best-first vs exhaustive top-k on a deep, type-filtered chain query —
@@ -762,20 +648,6 @@ fn render_json(results: &[BenchResult], snap: &pex_obs::MetricsSnapshot) -> Stri
             "speedups/candidates_consume_raw"
         ))
     ));
-    // Guards for the hash-consed arena: id-set dedup must beat tree-key
-    // dedup, and the interned pipeline must beat the boxed reference on the
-    // same query (ratios > 1.0 mean the arena wins).
-    out.push_str(&format!(
-        "    \"arena_dedup_speedup\": {},\n",
-        fmt_opt(speedup("speedups/dedup_exprkey", "speedups/dedup_arena_id"))
-    ));
-    out.push_str(&format!(
-        "    \"enumerate_interned_speedup\": {},\n",
-        fmt_opt(speedup(
-            "speedups/enumerate_boxed",
-            "speedups/enumerate_interned"
-        ))
-    ));
     // Best-first frontier vs exhaustive Dijkstra on the same filtered
     // query, per depth — the deeper the chains, the more the admissible
     // bound prunes, so these ratios should grow with depth.
@@ -833,7 +705,6 @@ fn main() {
     // this run's traffic (fixture priming plus the benches themselves).
     pex_obs::registry().reset();
     bench_candidates(&mut c);
-    bench_enumeration(&mut c);
     bench_bestfirst(&mut c);
     bench_snapshot_reuse(&mut c);
     bench_snapshot_boot(&mut c);

@@ -1,64 +1,18 @@
 //! Expansion of method-call queries: given one concrete choice of argument
 //! completions (a combo), produce every type-correct, scored call.
 //!
-//! Each expander exists in two forms that must stay row-for-row identical:
-//! the boxed reference form over [`Expr`] trees (deduplicated by
-//! [`ExprKey`]) and the interned hot form over arena ids (deduplicated by
-//! [`ExprId`] — sound because id equality coincides with `ExprKey`
-//! equality). The equivalence proptest in `tests/interned_equiv.rs` pins
-//! the two together.
+//! Every built call, assignment and comparison is one arena `intern`, and
+//! the placement dedup set holds [`ExprId`]s: two ids are equal exactly
+//! when the expressions are structurally equal.
 
 use std::collections::HashSet;
 
-use pex_model::{ENode, Expr, ExprArena, ExprId, ExprKey, MethodId, ValueTy};
+use pex_model::{ENode, ExprArena, ExprId, MethodId, ValueTy};
 
 use crate::rank::Ranker;
 
 use super::index::MethodIndex;
-use super::stream::{Completion, IComp, ScoredStream};
-
-/// Expands a `?({...})` combo: finds candidate methods via the index, places
-/// the arguments injectively into argument positions (receiver included),
-/// fills the rest with `0`, and scores each resulting call.
-///
-/// Candidate lists and counts come from the index's per-type memo
-/// ([`MethodIndex::candidates_for_cached`]), so argument combos that repeat
-/// a type — within one query or across queries against the same index —
-/// never repeat the supertype walk.
-pub(crate) fn expand_unknown_call(
-    ranker: &Ranker<'_>,
-    index: &MethodIndex,
-    items: &[Completion],
-) -> Vec<Completion> {
-    let db = ranker.db;
-    let candidates = match pick_candidates(ranker, index, items.iter().map(|c| c.ty)) {
-        Some(c) => c,
-        None => index.all_with_args(),
-    };
-    let mut out = Vec::new();
-    let mut seen = HashSet::new();
-    for &m in candidates.iter() {
-        let md = db.method(m);
-        if !db.accessible(md.visibility(), md.declaring(), ranker.ctx.enclosing_type) {
-            continue;
-        }
-        let param_tys = md.full_param_types();
-        if param_tys.len() < items.len() {
-            continue;
-        }
-        place(
-            ranker,
-            m,
-            &param_tys,
-            items,
-            &mut vec![None; param_tys.len()],
-            0,
-            &mut seen,
-            &mut out,
-        );
-    }
-    out
-}
+use super::stream::{IComp, ScoredStream};
 
 /// Picks the candidate list of the argument whose index entry is smallest
 /// (paper Section 4.2); `None` when no argument has a known type.
@@ -80,58 +34,15 @@ fn pick_candidates<'i>(
     best.map(|(t, _)| index.candidates_for_cached(db, t))
 }
 
-/// Recursive injective placement of `items[i..]` into free positions.
-#[allow(clippy::too_many_arguments)]
-fn place(
-    ranker: &Ranker<'_>,
-    m: MethodId,
-    param_tys: &[pex_types::TypeId],
-    items: &[Completion],
-    slots: &mut Vec<Option<usize>>, // slot j -> index into items
-    i: usize,
-    seen: &mut HashSet<ExprKey>,
-    out: &mut Vec<Completion>,
-) {
-    let db = ranker.db;
-    if i == items.len() {
-        let args: Vec<Expr> = slots
-            .iter()
-            .map(|s| match s {
-                Some(k) => items[*k].expr.clone(),
-                None => Expr::Hole0,
-            })
-            .collect();
-        let expr = Expr::Call(m, args);
-        if !seen.insert(ExprKey(expr.clone())) {
-            return;
-        }
-        if let Some(score) = ranker.score(&expr) {
-            let ty = ValueTy::Known(db.method(m).return_type());
-            out.push(Completion { expr, score, ty });
-        }
-        return;
-    }
-    for j in 0..param_tys.len() {
-        if slots[j].is_some() {
-            continue;
-        }
-        let fits = match items[i].ty {
-            ValueTy::Wildcard => true,
-            ValueTy::Known(t) => db.types().type_distance(t, param_tys[j]).is_some(),
-        };
-        if !fits {
-            continue;
-        }
-        slots[j] = Some(i);
-        place(ranker, m, param_tys, items, slots, i + 1, seen, out);
-        slots[j] = None;
-    }
-}
-
-/// Interned twin of [`expand_unknown_call`]: same candidate choice, same
-/// injective placement order, but every built call is one `intern` and the
-/// dedup set holds `u32` ids instead of whole trees.
-pub(crate) fn expand_unknown_call_interned(
+/// Expands a `?({...})` combo: finds candidate methods via the index, places
+/// the arguments injectively into argument positions (receiver included),
+/// fills the rest with `0`, and scores each resulting call.
+///
+/// Candidate lists and counts come from the index's per-type memo
+/// ([`MethodIndex::candidates_for_cached`]), so argument combos that repeat
+/// a type — within one query or across queries against the same index —
+/// never repeat the supertype walk.
+pub(crate) fn expand_unknown_call(
     ranker: &Ranker<'_>,
     index: &MethodIndex,
     arena: &ExprArena,
@@ -153,7 +64,7 @@ pub(crate) fn expand_unknown_call_interned(
         if param_tys.len() < items.len() {
             continue;
         }
-        place_interned(
+        place(
             ranker,
             arena,
             m,
@@ -168,14 +79,15 @@ pub(crate) fn expand_unknown_call_interned(
     out
 }
 
+/// Recursive injective placement of `items[i..]` into free positions.
 #[allow(clippy::too_many_arguments)]
-fn place_interned(
+fn place(
     ranker: &Ranker<'_>,
     arena: &ExprArena,
     m: MethodId,
     param_tys: &[pex_types::TypeId],
     items: &[IComp],
-    slots: &mut Vec<Option<usize>>,
+    slots: &mut Vec<Option<usize>>, // slot j -> index into items
     i: usize,
     seen: &mut HashSet<ExprId>,
     out: &mut Vec<IComp>,
@@ -194,7 +106,7 @@ fn place_interned(
         if !seen.insert(expr) {
             return;
         }
-        if let Some(score) = ranker.score_interned(arena, expr) {
+        if let Some(score) = ranker.score(arena, expr) {
             let ty = ValueTy::Known(db.method(m).return_type());
             out.push(IComp { expr, score, ty });
         }
@@ -212,42 +124,13 @@ fn place_interned(
             continue;
         }
         slots[j] = Some(i);
-        place_interned(ranker, arena, m, param_tys, items, slots, i + 1, seen, out);
+        place(ranker, arena, m, param_tys, items, slots, i + 1, seen, out);
         slots[j] = None;
     }
 }
 
 /// Expands a known-method combo positionally over the candidate overloads.
 pub(crate) fn expand_known_call(
-    ranker: &Ranker<'_>,
-    candidates: &[MethodId],
-    items: &[Completion],
-) -> Vec<Completion> {
-    let db = ranker.db;
-    let mut out = Vec::new();
-    for &m in candidates {
-        let md = db.method(m);
-        if md.full_arity() != items.len() {
-            continue;
-        }
-        if !db.accessible(md.visibility(), md.declaring(), ranker.ctx.enclosing_type) {
-            continue;
-        }
-        let args: Vec<Expr> = items.iter().map(|c| c.expr.clone()).collect();
-        let expr = Expr::Call(m, args);
-        if let Some(score) = ranker.score(&expr) {
-            out.push(Completion {
-                expr,
-                score,
-                ty: ValueTy::Known(md.return_type()),
-            });
-        }
-    }
-    out
-}
-
-/// Interned twin of [`expand_known_call`].
-pub(crate) fn expand_known_call_interned(
     ranker: &Ranker<'_>,
     arena: &ExprArena,
     candidates: &[MethodId],
@@ -265,7 +148,7 @@ pub(crate) fn expand_known_call_interned(
         }
         let args: Vec<ExprId> = items.iter().map(|c| c.expr).collect();
         let expr = arena.call(m, &args);
-        if let Some(score) = ranker.score_interned(arena, expr) {
+        if let Some(score) = ranker.score(arena, expr) {
             out.push(IComp {
                 expr,
                 score,
@@ -277,32 +160,7 @@ pub(crate) fn expand_known_call_interned(
 }
 
 /// Expands an assignment combo (`[lhs, rhs]`).
-pub(crate) fn expand_assign(ranker: &Ranker<'_>, items: &[Completion]) -> Vec<Completion> {
-    debug_assert_eq!(items.len(), 2);
-    let lhs = &items[0];
-    if !matches!(
-        lhs.expr,
-        Expr::Local(_) | Expr::StaticField(_) | Expr::FieldAccess(..)
-    ) {
-        return Vec::new();
-    }
-    let expr = Expr::assign(items[0].expr.clone(), items[1].expr.clone());
-    match ranker.score(&expr) {
-        Some(score) => vec![Completion {
-            expr,
-            score,
-            ty: lhs.ty,
-        }],
-        None => Vec::new(),
-    }
-}
-
-/// Interned twin of [`expand_assign`].
-pub(crate) fn expand_assign_interned(
-    ranker: &Ranker<'_>,
-    arena: &ExprArena,
-    items: &[IComp],
-) -> Vec<IComp> {
+pub(crate) fn expand_assign(ranker: &Ranker<'_>, arena: &ExprArena, items: &[IComp]) -> Vec<IComp> {
     debug_assert_eq!(items.len(), 2);
     let lhs = &items[0];
     let lhs_ok = matches!(
@@ -313,7 +171,7 @@ pub(crate) fn expand_assign_interned(
         return Vec::new();
     }
     let expr = arena.assign(items[0].expr, items[1].expr);
-    match ranker.score_interned(arena, expr) {
+    match ranker.score(arena, expr) {
         Some(score) => vec![IComp {
             expr,
             score,
@@ -326,31 +184,13 @@ pub(crate) fn expand_assign_interned(
 /// Expands a comparison combo (`[lhs, rhs]`).
 pub(crate) fn expand_cmp(
     ranker: &Ranker<'_>,
-    op: pex_model::CmpOp,
-    items: &[Completion],
-) -> Vec<Completion> {
-    debug_assert_eq!(items.len(), 2);
-    let expr = Expr::cmp(op, items[0].expr.clone(), items[1].expr.clone());
-    match ranker.score(&expr) {
-        Some(score) => vec![Completion {
-            expr,
-            score,
-            ty: ValueTy::Known(ranker.db.types().bool_ty()),
-        }],
-        None => Vec::new(),
-    }
-}
-
-/// Interned twin of [`expand_cmp`].
-pub(crate) fn expand_cmp_interned(
-    ranker: &Ranker<'_>,
     arena: &ExprArena,
     op: pex_model::CmpOp,
     items: &[IComp],
 ) -> Vec<IComp> {
     debug_assert_eq!(items.len(), 2);
     let expr = arena.cmp(op, items[0].expr, items[1].expr);
-    match ranker.score_interned(arena, expr) {
+    match ranker.score(arena, expr) {
         Some(score) => vec![IComp {
             expr,
             score,

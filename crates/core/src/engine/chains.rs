@@ -9,22 +9,21 @@
 //! heap pops states in score order, emitting those that pass the optional
 //! type filter and expanding their successors.
 //!
-//! The stream is generic over how chain expressions are *built*
-//! (`ChainGrow`): the boxed reference path clones `Expr` trees, the hot
-//! path interns arena ids. Successor member lists come from the shared
-//! `SuccessorMemo`, so repeated states of one type — within a query or
-//! across serve requests — walk the member tables once.
+//! Chain expressions are arena ids: extending a chain interns one node and
+//! copies a `u32`, never a tree. Successor member lists come from the
+//! shared `SuccessorMemo`, so repeated states of one type — within a query
+//! or across serve requests — walk the member tables once.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use pex_model::{Context, Database, Expr, ExprArena, ExprId, FieldId, MethodId, ValueTy};
+use pex_model::{Context, Database, ExprArena, ExprId, ValueTy};
 use pex_types::TypeId;
 
 use super::budget::Budget;
 use super::memo::{ChainMember, SuccessorMemo};
 use super::reach::{ReachPruner, DIST_UNREACHABLE};
-use super::stream::{Scored, ScoredStream};
+use super::stream::{IComp, ScoredStream};
 use crate::rank::ScoreBound;
 
 /// Hard ceiling on how many links any chain search may append to a root,
@@ -144,43 +143,6 @@ impl TypeFilter {
     }
 }
 
-/// How chain links become expressions: the one seam between the boxed and
-/// interned enumeration paths.
-pub(crate) trait ChainGrow<E> {
-    /// `base.f`
-    fn field(&self, base: &E, f: FieldId) -> E;
-    /// `recv.m()`
-    fn call0(&self, m: MethodId, recv: &E) -> E;
-}
-
-/// Builds boxed [`Expr`] trees (the reference path; clones the base).
-pub(crate) struct BoxedGrow;
-
-impl ChainGrow<Expr> for BoxedGrow {
-    fn field(&self, base: &Expr, f: FieldId) -> Expr {
-        Expr::field(base.clone(), f)
-    }
-
-    fn call0(&self, m: MethodId, recv: &Expr) -> Expr {
-        Expr::Call(m, vec![recv.clone()])
-    }
-}
-
-/// Interns arena nodes (the hot path; extending a chain copies a `u32`).
-pub(crate) struct ArenaGrow<'x> {
-    pub(crate) arena: &'x ExprArena,
-}
-
-impl<'x> ChainGrow<ExprId> for ArenaGrow<'x> {
-    fn field(&self, base: &ExprId, f: FieldId) -> ExprId {
-        self.arena.field(*base, f)
-    }
-
-    fn call0(&self, m: MethodId, recv: &ExprId) -> ExprId {
-        self.arena.call(m, &[*recv])
-    }
-}
-
 /// Best-first (A*) search knobs for one [`ChainStream`].
 ///
 /// The exhaustive stream is a plain Dijkstra keyed by accrued score. With
@@ -208,7 +170,7 @@ pub(crate) struct BestFirst {
     pub(crate) dominance_k: Option<usize>,
 }
 
-struct HeapState<E> {
+struct HeapState {
     /// Admissible lower bound on any completion extending this state; its
     /// accrued part is exactly `completion.score`. In exhaustive mode the
     /// pending heuristic is always zero, so the key degenerates to the
@@ -216,37 +178,38 @@ struct HeapState<E> {
     bound: ScoreBound,
     tie: TieKey,
     links: usize,
-    completion: Scored<E>,
+    completion: IComp,
 }
 
-impl<E> HeapState<E> {
+impl HeapState {
     fn key(&self) -> u32 {
         self.bound.get()
     }
 }
 
-impl<E> PartialEq for HeapState<E> {
+impl PartialEq for HeapState {
     fn eq(&self, other: &Self) -> bool {
         (self.key(), self.tie) == (other.key(), other.tie)
     }
 }
-impl<E> Eq for HeapState<E> {}
-impl<E> Ord for HeapState<E> {
+impl Eq for HeapState {}
+impl Ord for HeapState {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.key(), self.tie).cmp(&(other.key(), other.tie))
     }
 }
-impl<E> PartialOrd for HeapState<E> {
+impl PartialOrd for HeapState {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
 /// The chain-closure stream. See module docs.
-pub(crate) struct ChainStream<'a, E, G: ChainGrow<E>> {
+pub(crate) struct ChainStream<'a> {
     db: &'a Database,
     ctx: &'a Context,
-    roots: Box<dyn ScoredStream<E> + 'a>,
+    arena: &'a ExprArena,
+    roots: Box<dyn ScoredStream<ExprId> + 'a>,
     links: ChainLink,
     /// Maximum number of links appended to a root (`Some(1)` for non-star
     /// suffixes, `None` — bounded by `max_depth` — for star suffixes).
@@ -256,7 +219,7 @@ pub(crate) struct ChainStream<'a, E, G: ChainGrow<E>> {
     max_depth: usize,
     link_cost: u32,
     filter: TypeFilter,
-    heap: BinaryHeap<Reverse<HeapState<E>>>,
+    heap: BinaryHeap<Reverse<HeapState>>,
     /// Roots pulled from the root stream so far; the next root's tie key is
     /// `TieKey::root(roots_pulled)`.
     roots_pulled: u32,
@@ -269,7 +232,6 @@ pub(crate) struct ChainStream<'a, E, G: ChainGrow<E>> {
     /// long filtered skip-run cannot outlive the query's budget between
     /// emitted items.
     budget: Budget,
-    grow: G,
     memo: &'a SuccessorMemo,
     /// Best-first knobs; `None` runs the exhaustive Dijkstra unchanged.
     bf: Option<BestFirst>,
@@ -290,24 +252,25 @@ pub(crate) struct ChainStream<'a, E, G: ChainGrow<E>> {
     frontier_max: u64,
 }
 
-impl<'a, E, G: ChainGrow<E>> ChainStream<'a, E, G> {
+impl<'a> ChainStream<'a> {
     #[allow(clippy::too_many_arguments)] // one-shot constructor mirroring the paper's knobs
     pub(crate) fn new(
         db: &'a Database,
         ctx: &'a Context,
-        roots: Box<dyn ScoredStream<E> + 'a>,
+        arena: &'a ExprArena,
+        roots: Box<dyn ScoredStream<ExprId> + 'a>,
         links: ChainLink,
         max_links: Option<usize>,
         max_depth: usize,
         link_cost: u32,
         filter: TypeFilter,
         budget: Budget,
-        grow: G,
         memo: &'a SuccessorMemo,
     ) -> Self {
         ChainStream {
             db,
             ctx,
+            arena,
             roots,
             links,
             max_links,
@@ -318,7 +281,6 @@ impl<'a, E, G: ChainGrow<E>> ChainStream<'a, E, G> {
             roots_pulled: 0,
             pruner: None,
             budget,
-            grow,
             memo,
             bf: None,
             dom: Vec::new(),
@@ -434,7 +396,7 @@ impl<'a, E, G: ChainGrow<E>> ChainStream<'a, E, G> {
         }
     }
 
-    fn push(&mut self, links: usize, tie: TieKey, bound: ScoreBound, completion: Scored<E>) {
+    fn push(&mut self, links: usize, tie: TieKey, bound: ScoreBound, completion: IComp) {
         debug_assert_eq!(bound.accrued(), completion.score);
         let bound = bound.with_pending(self.heuristic(completion.ty));
         if let Some(bf) = self.bf {
@@ -507,7 +469,7 @@ impl<'a, E, G: ChainGrow<E>> ChainStream<'a, E, G> {
     }
 
     /// Expands one state's successors into the heap.
-    fn expand(&mut self, links: usize, tie: TieKey, bound: ScoreBound, completion: &Scored<E>) {
+    fn expand(&mut self, links: usize, tie: TieKey, bound: ScoreBound, completion: &IComp) {
         if links >= self.limit() {
             return;
         }
@@ -524,10 +486,10 @@ impl<'a, E, G: ChainGrow<E>> ChainStream<'a, E, G> {
                 continue;
             }
             let expr = match step.member {
-                ChainMember::Field(f) => self.grow.field(&completion.expr, f),
-                ChainMember::Call0(m) => self.grow.call0(m, &completion.expr),
+                ChainMember::Field(f) => self.arena.field(completion.expr, f),
+                ChainMember::Call0(m) => self.arena.call(m, &[completion.expr]),
             };
-            let c = Scored {
+            let c = IComp {
                 expr,
                 score: completion.score + self.link_cost,
                 ty: ValueTy::Known(step.ty),
@@ -542,7 +504,7 @@ impl<'a, E, G: ChainGrow<E>> ChainStream<'a, E, G> {
     }
 }
 
-impl<'a, E, G: ChainGrow<E>> ScoredStream<E> for ChainStream<'a, E, G> {
+impl ScoredStream<ExprId> for ChainStream<'_> {
     fn bound(&mut self) -> Option<u32> {
         let heap_bound = self.heap.peek().map(|Reverse(s)| s.key());
         let root_bound = self.roots.bound();
@@ -554,7 +516,7 @@ impl<'a, E, G: ChainGrow<E>> ScoredStream<E> for ChainStream<'a, E, G> {
         }
     }
 
-    fn next_item(&mut self) -> Option<Scored<E>> {
+    fn next_item(&mut self) -> Option<IComp> {
         loop {
             if !self.budget.charge() {
                 return None;
@@ -576,7 +538,7 @@ impl<'a, E, G: ChainGrow<E>> ScoredStream<E> for ChainStream<'a, E, G> {
     }
 }
 
-impl<'a, E, G: ChainGrow<E>> Drop for ChainStream<'a, E, G> {
+impl Drop for ChainStream<'_> {
     fn drop(&mut self) {
         if self.bf.is_none() {
             return;
@@ -598,7 +560,7 @@ impl<'a, E, G: ChainGrow<E>> Drop for ChainStream<'a, E, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::stream::{Completion, VecStream};
+    use crate::engine::stream::VecStream;
     use pex_model::minics::compile;
     use pex_model::Local;
 
@@ -627,20 +589,20 @@ mod tests {
         (db, ctx)
     }
 
-    fn root(db: &Database, ctx: &Context) -> Completion {
-        let ty = ctx.locals[0].ty;
-        let _ = db;
-        Completion {
-            expr: Expr::Local(pex_model::LocalId(0)),
+    /// A root stream holding the one local, `ln`.
+    fn roots<'a>(arena: &ExprArena, ctx: &Context) -> Box<dyn ScoredStream<ExprId> + 'a> {
+        Box::new(VecStream::new(vec![IComp {
+            expr: arena.local(pex_model::LocalId(0)),
             score: 0,
-            ty: ValueTy::Known(ty),
-        }
+            ty: ValueTy::Known(ctx.locals[0].ty),
+        }]))
     }
 
     fn renders(
         db: &Database,
         ctx: &Context,
-        stream: &mut dyn ScoredStream<Expr>,
+        arena: &ExprArena,
+        stream: &mut dyn ScoredStream<ExprId>,
         n: usize,
     ) -> Vec<String> {
         let mut out = Vec::new();
@@ -649,7 +611,7 @@ mod tests {
                 Some(c) => out.push(pex_model::render_expr(
                     db,
                     ctx,
-                    &c.expr,
+                    &arena.materialize(c.expr),
                     pex_model::CallStyle::Receiver,
                 )),
                 None => break,
@@ -662,21 +624,21 @@ mod tests {
     fn star_closure_explores_depth_in_score_order() {
         let (db, ctx) = setup();
         let memo = SuccessorMemo::default();
-        let roots = Box::new(VecStream::new(vec![root(&db, &ctx)]));
+        let arena = ExprArena::new();
         let mut s = ChainStream::new(
             &db,
             &ctx,
-            roots,
+            &arena,
+            roots(&arena, &ctx),
             ChainLink::FieldsAndMethods,
             None,
             6,
             2,
             TypeFilter::any(),
             Budget::unlimited(),
-            BoxedGrow,
             &memo,
         );
-        let names = renders(&db, &ctx, &mut s, 10);
+        let names = renders(&db, &ctx, &arena, &mut s, 10);
         assert_eq!(names[0], "ln");
         assert!(names.contains(&"ln.P1".to_string()));
         assert!(names.contains(&"ln.GetLength()".to_string()));
@@ -691,21 +653,21 @@ mod tests {
     fn single_link_limit_and_field_only() {
         let (db, ctx) = setup();
         let memo = SuccessorMemo::default();
-        let roots = Box::new(VecStream::new(vec![root(&db, &ctx)]));
+        let arena = ExprArena::new();
         let mut s = ChainStream::new(
             &db,
             &ctx,
-            roots,
+            &arena,
+            roots(&arena, &ctx),
             ChainLink::Fields,
             Some(1),
             6,
             2,
             TypeFilter::any(),
             Budget::unlimited(),
-            BoxedGrow,
             &memo,
         );
-        let names = renders(&db, &ctx, &mut s, 20);
+        let names = renders(&db, &ctx, &arena, &mut s, 20);
         assert_eq!(names.len(), 3, "ln, ln.P1, ln.P2 only: {names:?}");
         assert!(!names.iter().any(|n| n.contains("GetLength")));
         assert!(!names
@@ -718,21 +680,21 @@ mod tests {
         let (db, ctx) = setup();
         let memo = SuccessorMemo::default();
         let int = db.types().int_ty();
-        let roots = Box::new(VecStream::new(vec![root(&db, &ctx)]));
+        let arena = ExprArena::new();
         let mut s = ChainStream::new(
             &db,
             &ctx,
-            roots,
+            &arena,
+            roots(&arena, &ctx),
             ChainLink::Fields,
             None,
             6,
             2,
             TypeFilter::one_of(vec![int]),
             Budget::unlimited(),
-            BoxedGrow,
             &memo,
         );
-        let names = renders(&db, &ctx, &mut s, 20);
+        let names = renders(&db, &ctx, &arena, &mut s, 20);
         // Only int-typed chains: the X/Y of P1 and P2.
         assert_eq!(names.len(), 4, "{names:?}");
         assert!(names.iter().all(|n| n.ends_with(".X") || n.ends_with(".Y")));
@@ -771,21 +733,21 @@ mod tests {
         let memo = SuccessorMemo::default();
         // Point has no reference-typed fields, so chains die out anyway;
         // use cap 1 to check the cap itself.
-        let roots = Box::new(VecStream::new(vec![root(&db, &ctx)]));
+        let arena = ExprArena::new();
         let mut s = ChainStream::new(
             &db,
             &ctx,
-            roots,
+            &arena,
+            roots(&arena, &ctx),
             ChainLink::FieldsAndMethods,
             None,
             1,
             2,
             TypeFilter::any(),
             Budget::unlimited(),
-            BoxedGrow,
             &memo,
         );
-        let names = renders(&db, &ctx, &mut s, 50);
+        let names = renders(&db, &ctx, &arena, &mut s, 50);
         assert!(
             names.iter().all(|n| n.matches('.').count() <= 1),
             "{names:?}"
@@ -811,57 +773,6 @@ mod tests {
             let child = deep.child(u32::MAX);
             assert!(deep < child);
             deep = child;
-        }
-    }
-
-    #[test]
-    fn arena_grow_matches_boxed_chains() {
-        let (db, ctx) = setup();
-        let memo = SuccessorMemo::default();
-        let arena = ExprArena::new();
-        let boxed_roots = Box::new(VecStream::new(vec![root(&db, &ctx)]));
-        let mut boxed = ChainStream::new(
-            &db,
-            &ctx,
-            boxed_roots,
-            ChainLink::FieldsAndMethods,
-            None,
-            4,
-            2,
-            TypeFilter::any(),
-            Budget::unlimited(),
-            BoxedGrow,
-            &memo,
-        );
-        let root_id = arena.local(pex_model::LocalId(0));
-        let interned_roots = Box::new(VecStream::new(vec![Scored {
-            expr: root_id,
-            score: 0,
-            ty: root(&db, &ctx).ty,
-        }]));
-        let mut interned = ChainStream::new(
-            &db,
-            &ctx,
-            interned_roots,
-            ChainLink::FieldsAndMethods,
-            None,
-            4,
-            2,
-            TypeFilter::any(),
-            Budget::unlimited(),
-            ArenaGrow { arena: &arena },
-            &memo,
-        );
-        for _ in 0..40 {
-            match (boxed.next_item(), interned.next_item()) {
-                (Some(b), Some(i)) => {
-                    assert_eq!(b.score, i.score);
-                    assert_eq!(b.ty, i.ty);
-                    assert_eq!(b.expr, arena.materialize(i.expr));
-                }
-                (None, None) => break,
-                (b, i) => panic!("streams diverged: {b:?} vs {i:?}"),
-            }
         }
     }
 }

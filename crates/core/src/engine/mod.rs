@@ -3,7 +3,9 @@
 //! [`Completer::completions`] compiles a [`PartialExpr`] into a tree of
 //! scored streams — chain closures for holes and `.?` suffixes,
 //! products plus reorder buffers for calls and operators — and iterates the
-//! root stream, deduplicating, in non-decreasing score order.
+//! root stream, deduplicating, in non-decreasing score order. Every stream
+//! carries interned arena ids; an emitted row is materialized into an
+//! [`Expr`](pex_model::Expr) tree only once it survives dedup.
 
 pub mod budget;
 pub(crate) mod calls;
@@ -22,9 +24,7 @@ pub use reach::ReachIndex;
 pub use stream::Completion;
 
 use pex_abstract::AbsTypes;
-use pex_model::{
-    CallStyle, Context, Database, Expr, ExprArena, ExprId, ExprKey, GlobalRef, ValueTy,
-};
+use pex_model::{CallStyle, Context, Database, ExprArena, ExprId, GlobalRef, ValueTy};
 use pex_types::TypeId;
 
 use crate::partial::PartialExpr;
@@ -32,7 +32,7 @@ use crate::rank::{RankConfig, Ranker};
 
 use budget::Budget;
 use calls::Filtered;
-use chains::{ArenaGrow, BestFirst, BoxedGrow, ChainLink, ChainStream, TypeFilter};
+use chains::{BestFirst, ChainLink, ChainStream, TypeFilter};
 use memo::SuccessorMemo;
 use stream::{
     ExpandStream, IComp, MergeStream, ProductStream, ScoredStream, SliceStream, VecStream,
@@ -161,11 +161,9 @@ pub struct Completer<'a> {
     /// depend only on construction-time state (`db`/`ctx`/`abs`/`config` —
     /// never on [`CompleteOptions`]), and scoring walks every visible
     /// global through the ranker, which dominates the fixed cost of short
-    /// queries; repeat queries replay the memo instead.
-    hole_roots_memo: std::cell::OnceCell<Vec<Completion>>,
-    /// Interned twin of [`Completer::hole_roots_memo`]; valid for this
-    /// completer's (fixed) arena.
-    hole_roots_interned_memo: std::cell::OnceCell<Vec<IComp>>,
+    /// queries; repeat queries replay the memo instead. The ids are valid
+    /// for this completer's (fixed) arena.
+    hole_roots_memo: std::cell::OnceCell<Vec<IComp>>,
 }
 
 impl<'a> Completer<'a> {
@@ -188,7 +186,6 @@ impl<'a> Completer<'a> {
             owned_cache: EngineCache::default(),
             shared_cache: None,
             hole_roots_memo: std::cell::OnceCell::new(),
-            hole_roots_interned_memo: std::cell::OnceCell::new(),
         }
     }
 
@@ -215,7 +212,7 @@ impl<'a> Completer<'a> {
         self.shared_cache = Some(cache);
         // Interned root ids belong to the previous cache's arena; drop any
         // memoized set so they are re-interned into the shared arena.
-        self.hole_roots_interned_memo = std::cell::OnceCell::new();
+        self.hole_roots_memo = std::cell::OnceCell::new();
         self
     }
 
@@ -243,57 +240,13 @@ impl<'a> Completer<'a> {
     /// enumeration stopped once it has; budget trips never yield a silent
     /// `None`.
     ///
-    /// Enumeration runs over interned arena ids — clones are `u32` copies,
-    /// dedup is an id-set probe — and each emitted survivor is materialized
-    /// back into an [`Expr`] tree only at this boundary.
+    /// This is the exhaustive mode: every chain stream runs a plain
+    /// Dijkstra keyed by accrued score, with no row cap and no pruning.
     pub fn completions(&self, pe: &PartialExpr) -> CompletionIter<'_> {
-        pex_obs::counter!("engine.queries", 1);
-        let filter = match self.options.expected {
-            Some(t) => TypeFilter::one_of(vec![t]),
-            None => TypeFilter::any(),
-        };
-        let budget = Budget::start(&self.options.budget);
-        let cache = self.cache();
-        CompletionIter {
-            pipe: Pipe::Interned {
-                stream: self.stream_for_interned(pe, filter, &budget, cache, None),
-                arena: &cache.arena,
-                seen: std::collections::HashSet::new(),
-            },
-            budget,
-            finished: None,
-            span: pex_obs::span("query"),
-            generated: 0,
-            emitted: 0,
-        }
+        self.iter(pe, None, usize::MAX)
     }
 
-    /// Like [`Completer::completions`], but running the boxed reference
-    /// pipeline: `Expr` trees cloned through every combinator, deduplicated
-    /// by [`ExprKey`]. Kept as the executable specification the interned
-    /// path is pinned against (see `tests/interned_equiv.rs`) and as the
-    /// baseline leg of the `speedups` bench.
-    pub fn completions_boxed(&self, pe: &PartialExpr) -> CompletionIter<'_> {
-        pex_obs::counter!("engine.queries", 1);
-        let filter = match self.options.expected {
-            Some(t) => TypeFilter::one_of(vec![t]),
-            None => TypeFilter::any(),
-        };
-        let budget = Budget::start(&self.options.budget);
-        CompletionIter {
-            pipe: Pipe::Boxed {
-                stream: self.stream_for(pe, filter, &budget),
-                seen: std::collections::HashSet::new(),
-            },
-            budget,
-            finished: None,
-            span: pex_obs::span("query"),
-            generated: 0,
-            emitted: 0,
-        }
-    }
-
-    /// Best-first twin of [`Completer::completions`] for a caller that
+    /// Best-first mode of [`Completer::completions`] for a caller that
     /// will consume at most `k` distinct rows — the shape of every top-k
     /// API (`complete`, `rank_of`, serve requests).
     ///
@@ -308,7 +261,13 @@ impl<'a> Completer<'a> {
     /// provably rank past `k`. After `k` rows the iterator reports
     /// [`QueryOutcome::Limit`] and yields nothing further — that stop is
     /// precisely what makes the pruning sound.
-    pub fn completions_bestfirst(&self, pe: &PartialExpr, k: usize) -> BestFirstIter<'_> {
+    pub fn completions_bestfirst(&self, pe: &PartialExpr, k: usize) -> CompletionIter<'_> {
+        self.iter(pe, Self::bestfirst_config(pe, k), k)
+    }
+
+    /// Compiles `pe` and wraps its root stream in an iterator that stops
+    /// with [`QueryOutcome::Limit`] after `cap` distinct rows.
+    fn iter(&self, pe: &PartialExpr, bf: Option<BestFirst>, cap: usize) -> CompletionIter<'_> {
         pex_obs::counter!("engine.queries", 1);
         let filter = match self.options.expected {
             Some(t) => TypeFilter::one_of(vec![t]),
@@ -316,21 +275,16 @@ impl<'a> Completer<'a> {
         };
         let budget = Budget::start(&self.options.budget);
         let cache = self.cache();
-        let bf = Self::bestfirst_config(pe, k);
-        BestFirstIter {
-            inner: CompletionIter {
-                pipe: Pipe::Interned {
-                    stream: self.stream_for_interned(pe, filter, &budget, cache, bf),
-                    arena: &cache.arena,
-                    seen: std::collections::HashSet::new(),
-                },
-                budget,
-                finished: None,
-                span: pex_obs::span("query"),
-                generated: 0,
-                emitted: 0,
-            },
-            remaining: k,
+        CompletionIter {
+            stream: self.stream_for(pe, filter, &budget, cache, bf),
+            arena: &cache.arena,
+            seen: std::collections::HashSet::new(),
+            remaining: cap,
+            budget,
+            finished: None,
+            span: pex_obs::span("query"),
+            generated: 0,
+            emitted: 0,
         }
     }
 
@@ -378,7 +332,7 @@ impl<'a> Completer<'a> {
     /// drained first, and a degraded outcome when a budget tripped first.
     ///
     /// Because the result-count target is known, this runs the best-first
-    /// pipeline ([`Completer::completions_bestfirst`]): same rows, same
+    /// mode ([`Completer::completions_bestfirst`]): same rows, same
     /// order, same outcome classification, but with bound/dominance
     /// pruning cutting the search work on deep chain queries.
     pub fn complete_with_outcome(
@@ -429,13 +383,14 @@ impl<'a> Completer<'a> {
     /// Per-term score breakdown for a completion this engine produced.
     ///
     /// Re-interning the materialized expression is a hash-cons hit (the
-    /// enumeration already interned every node), so the explain walk runs
-    /// over arena ids without a second boxed traversal. Returns `None` only
-    /// for expressions this engine's ranker cannot score — never for a
+    /// enumeration already interned every node). The breakdown comes from
+    /// the same ranking walk as the score, so it counts toward the
+    /// `rank.*.evals` counters like any score. Returns `None` only for
+    /// expressions this engine's ranker cannot score — never for a
     /// completion it just emitted.
     pub fn explain(&self, c: &Completion) -> Option<crate::rank::ScoreBreakdown> {
         let id = self.cache().arena.intern_expr(&c.expr);
-        let breakdown = self.ranker().explain_interned(&self.cache().arena, id)?;
+        let breakdown = self.ranker().explain(&self.cache().arena, id)?;
         debug_assert_eq!(breakdown.total, c.score, "explain must reproduce the score");
         Some(breakdown)
     }
@@ -458,50 +413,8 @@ impl<'a> Completer<'a> {
     }
 
     /// Root completions for a `?` hole: live locals, `this`, and globals.
-    fn hole_roots(&self) -> SliceStream<'_, Expr> {
+    fn hole_roots(&self, arena: &ExprArena) -> SliceStream<'_, ExprId> {
         let roots = self.hole_roots_memo.get_or_init(|| {
-            let ranker = self.ranker();
-            let mut roots = Vec::new();
-            for (i, local) in self.ctx.locals.iter().enumerate() {
-                roots.push(Completion {
-                    expr: Expr::Local(pex_model::LocalId(i as u32)),
-                    score: 0,
-                    ty: ValueTy::Known(local.ty),
-                });
-            }
-            if let Some(this_ty) = self.ctx.this_type() {
-                roots.push(Completion {
-                    expr: Expr::This,
-                    score: 0,
-                    ty: ValueTy::Known(this_ty),
-                });
-            }
-            for g in self.db.globals() {
-                let (expr, ty) = match g {
-                    GlobalRef::Field(f) => {
-                        (Expr::StaticField(f), ValueTy::Known(self.db.field(f).ty()))
-                    }
-                    GlobalRef::Method(m) => (
-                        Expr::Call(m, Vec::new()),
-                        ValueTy::Known(self.db.method(m).return_type()),
-                    ),
-                };
-                if let Some(score) = ranker.score(&expr) {
-                    roots.push(Completion { expr, score, ty });
-                }
-            }
-            // Stored pre-sorted in the stream's (descending) emission
-            // order, so replays are a borrowing cursor — no sort, no clone.
-            roots.sort_by_key(|c| std::cmp::Reverse(c.score));
-            roots
-        });
-        SliceStream::new(roots)
-    }
-
-    /// Interned twin of [`Completer::hole_roots`]: same roots, same order,
-    /// same scores, but each root is an arena id.
-    fn hole_roots_interned(&self, arena: &ExprArena) -> SliceStream<'_, ExprId> {
-        let roots = self.hole_roots_interned_memo.get_or_init(|| {
             let ranker = self.ranker();
             let mut roots = Vec::new();
             for (i, local) in self.ctx.locals.iter().enumerate() {
@@ -528,10 +441,12 @@ impl<'a> Completer<'a> {
                         ValueTy::Known(self.db.method(m).return_type()),
                     ),
                 };
-                if let Some(score) = ranker.score_interned(arena, expr) {
+                if let Some(score) = ranker.score(arena, expr) {
                     roots.push(IComp { expr, score, ty });
                 }
             }
+            // Stored pre-sorted in the stream's (descending) emission
+            // order, so replays are a borrowing cursor — no sort, no clone.
             roots.sort_by_key(|c| std::cmp::Reverse(c.score));
             roots
         });
@@ -542,155 +457,6 @@ impl<'a> Completer<'a> {
     /// satisfy `filter`. Every combinator with an internal search loop
     /// (chain Dijkstra, product frontier) shares `budget`, so a resource
     /// trip stops work *inside* a pull, not only between pulls.
-    fn stream_for<'s>(
-        &'s self,
-        pe: &PartialExpr,
-        filter: TypeFilter,
-        budget: &Budget,
-    ) -> Box<dyn ScoredStream<Expr> + 's> {
-        let ranker = self.ranker();
-        let memo = &self.cache().chains;
-        match pe {
-            PartialExpr::Known(e) => {
-                let mut items = Vec::new();
-                if let (Some(score), Ok(ty)) = (ranker.score(e), self.db.expr_ty(e, self.ctx)) {
-                    if filter.passes(self.db, ty) {
-                        items.push(Completion {
-                            expr: e.clone(),
-                            score,
-                            ty,
-                        });
-                    }
-                }
-                Box::new(VecStream::new(items))
-            }
-            PartialExpr::Hole0 => Box::new(VecStream::new(vec![Completion {
-                expr: Expr::Hole0,
-                score: 0,
-                ty: ValueTy::Wildcard,
-            }])),
-            PartialExpr::Hole => {
-                let pruner = self.pruner_for(ChainLink::FieldsAndMethods, &filter);
-                Box::new(
-                    ChainStream::new(
-                        self.db,
-                        self.ctx,
-                        Box::new(self.hole_roots()),
-                        ChainLink::FieldsAndMethods,
-                        None,
-                        self.options.max_depth,
-                        self.link_cost(),
-                        filter,
-                        budget.clone(),
-                        BoxedGrow,
-                        memo,
-                    )
-                    .with_pruner(pruner),
-                )
-            }
-            PartialExpr::Suffix(base, kind) => {
-                let roots = self.stream_for(base, TypeFilter::any(), budget);
-                let links = if kind.allows_methods() {
-                    ChainLink::FieldsAndMethods
-                } else {
-                    ChainLink::Fields
-                };
-                let max_links = if kind.is_star() { None } else { Some(1) };
-                let pruner = self.pruner_for(links, &filter);
-                Box::new(
-                    ChainStream::new(
-                        self.db,
-                        self.ctx,
-                        roots,
-                        links,
-                        max_links,
-                        self.options.max_depth,
-                        self.link_cost(),
-                        filter,
-                        budget.clone(),
-                        BoxedGrow,
-                        memo,
-                    )
-                    .with_pruner(pruner),
-                )
-            }
-            PartialExpr::UnknownCall(args) => {
-                let arg_streams: Vec<Box<dyn ScoredStream<Expr> + 's>> = args
-                    .iter()
-                    .map(|a| self.stream_for(a, TypeFilter::any(), budget))
-                    .collect();
-                let product = ProductStream::new(arg_streams, budget.clone());
-                let index = self.index;
-                let expand = move |combo: &stream::Combo<Expr>| {
-                    calls::expand_unknown_call(&ranker, index, &combo.items)
-                };
-                self.filtered(Box::new(ExpandStream::new(product, expand)), filter)
-            }
-            PartialExpr::KnownCall { candidates, args } => {
-                let viable: Vec<pex_model::MethodId> = candidates
-                    .iter()
-                    .copied()
-                    .filter(|m| self.db.method(*m).full_arity() == args.len())
-                    .collect();
-                if viable.is_empty() {
-                    return Box::new(VecStream::empty());
-                }
-                let arg_streams: Vec<Box<dyn ScoredStream<Expr> + 's>> = args
-                    .iter()
-                    .enumerate()
-                    .map(|(i, a)| {
-                        // Narrow each argument stream to types accepted at
-                        // this position by some viable overload.
-                        let wanted: Vec<TypeId> = viable
-                            .iter()
-                            .map(|m| self.db.method(*m).full_param_types()[i])
-                            .collect();
-                        self.stream_for(a, TypeFilter::one_of(wanted), budget)
-                    })
-                    .collect();
-                let product = ProductStream::new(arg_streams, budget.clone());
-                let cands = viable;
-                let expand = move |combo: &stream::Combo<Expr>| {
-                    calls::expand_known_call(&ranker, &cands, &combo.items)
-                };
-                self.filtered(Box::new(ExpandStream::new(product, expand)), filter)
-            }
-            PartialExpr::Assign(l, r) => {
-                let streams: Vec<Box<dyn ScoredStream<Expr> + 's>> = vec![
-                    self.stream_for(l, TypeFilter::any(), budget),
-                    self.stream_for(r, TypeFilter::any(), budget),
-                ];
-                let product = ProductStream::new(streams, budget.clone());
-                let expand =
-                    move |combo: &stream::Combo<Expr>| calls::expand_assign(&ranker, &combo.items);
-                self.filtered(Box::new(ExpandStream::new(product, expand)), filter)
-            }
-            PartialExpr::Alt(alts) => {
-                let streams: Vec<Box<dyn ScoredStream<Expr> + 's>> = alts
-                    .iter()
-                    .map(|a| self.stream_for(a, filter.clone(), budget))
-                    .collect();
-                Box::new(MergeStream::new(streams))
-            }
-            PartialExpr::Cmp(op, l, r) => {
-                // Paper Section 4.2: operands of a relational operator can
-                // only have ordered types; narrow both streams up front.
-                let streams: Vec<Box<dyn ScoredStream<Expr> + 's>> = vec![
-                    self.stream_for(l, TypeFilter::Ordered, budget),
-                    self.stream_for(r, TypeFilter::Ordered, budget),
-                ];
-                let product = ProductStream::new(streams, budget.clone());
-                let op = *op;
-                let expand =
-                    move |combo: &stream::Combo<Expr>| calls::expand_cmp(&ranker, op, &combo.items);
-                self.filtered(Box::new(ExpandStream::new(product, expand)), filter)
-            }
-        }
-    }
-
-    /// Interned twin of [`Completer::stream_for`]: arm-for-arm identical
-    /// compilation, but every stream carries [`ExprId`]s and every built
-    /// node is one `intern`. The equivalence proptest guards the pair.
     ///
     /// `bf` applies best-first pruning to the *top-level* chain stream only
     /// (`Hole`/`Suffix` arms): those are the streams whose emissions are
@@ -699,7 +465,7 @@ impl<'a> Completer<'a> {
     /// arms) always run exhaustively — their emissions feed combinators
     /// that add expression-dependent score terms or compare stream bounds,
     /// where dropping or re-keying items could change the merged order.
-    fn stream_for_interned<'s>(
+    fn stream_for<'s>(
         &'s self,
         pe: &PartialExpr,
         filter: TypeFilter,
@@ -714,10 +480,9 @@ impl<'a> Completer<'a> {
             PartialExpr::Known(e) => {
                 let mut items = Vec::new();
                 let id = arena.intern_expr(e);
-                if let (Some(score), Ok(ty)) = (
-                    ranker.score_interned(arena, id),
-                    self.db.expr_ty(e, self.ctx),
-                ) {
+                if let (Some(score), Ok(ty)) =
+                    (ranker.score(arena, id), self.db.expr_ty(e, self.ctx))
+                {
                     if filter.passes(self.db, ty) {
                         items.push(IComp {
                             expr: id,
@@ -739,14 +504,14 @@ impl<'a> Completer<'a> {
                     ChainStream::new(
                         self.db,
                         self.ctx,
-                        Box::new(self.hole_roots_interned(arena)),
+                        arena,
+                        Box::new(self.hole_roots(arena)),
                         ChainLink::FieldsAndMethods,
                         None,
                         self.options.max_depth,
                         self.link_cost(),
                         filter,
                         budget.clone(),
-                        ArenaGrow { arena },
                         memo,
                     )
                     .with_pruner(pruner)
@@ -754,7 +519,7 @@ impl<'a> Completer<'a> {
                 )
             }
             PartialExpr::Suffix(base, kind) => {
-                let roots = self.stream_for_interned(base, TypeFilter::any(), budget, cache, None);
+                let roots = self.stream_for(base, TypeFilter::any(), budget, cache, None);
                 let links = if kind.allows_methods() {
                     ChainLink::FieldsAndMethods
                 } else {
@@ -766,6 +531,7 @@ impl<'a> Completer<'a> {
                     ChainStream::new(
                         self.db,
                         self.ctx,
+                        arena,
                         roots,
                         links,
                         max_links,
@@ -773,7 +539,6 @@ impl<'a> Completer<'a> {
                         self.link_cost(),
                         filter,
                         budget.clone(),
-                        ArenaGrow { arena },
                         memo,
                     )
                     .with_pruner(pruner)
@@ -783,12 +548,12 @@ impl<'a> Completer<'a> {
             PartialExpr::UnknownCall(args) => {
                 let arg_streams: Vec<Box<dyn ScoredStream<ExprId> + 's>> = args
                     .iter()
-                    .map(|a| self.stream_for_interned(a, TypeFilter::any(), budget, cache, None))
+                    .map(|a| self.stream_for(a, TypeFilter::any(), budget, cache, None))
                     .collect();
                 let product = ProductStream::new(arg_streams, budget.clone());
                 let index = self.index;
                 let expand = move |combo: &stream::Combo<ExprId>| {
-                    calls::expand_unknown_call_interned(&ranker, index, arena, &combo.items)
+                    calls::expand_unknown_call(&ranker, index, arena, &combo.items)
                 };
                 self.filtered(Box::new(ExpandStream::new(product, expand)), filter)
             }
@@ -811,31 +576,31 @@ impl<'a> Completer<'a> {
                             .iter()
                             .map(|m| self.db.method(*m).full_param_types()[i])
                             .collect();
-                        self.stream_for_interned(a, TypeFilter::one_of(wanted), budget, cache, None)
+                        self.stream_for(a, TypeFilter::one_of(wanted), budget, cache, None)
                     })
                     .collect();
                 let product = ProductStream::new(arg_streams, budget.clone());
                 let cands = viable;
                 let expand = move |combo: &stream::Combo<ExprId>| {
-                    calls::expand_known_call_interned(&ranker, arena, &cands, &combo.items)
+                    calls::expand_known_call(&ranker, arena, &cands, &combo.items)
                 };
                 self.filtered(Box::new(ExpandStream::new(product, expand)), filter)
             }
             PartialExpr::Assign(l, r) => {
                 let streams: Vec<Box<dyn ScoredStream<ExprId> + 's>> = vec![
-                    self.stream_for_interned(l, TypeFilter::any(), budget, cache, None),
-                    self.stream_for_interned(r, TypeFilter::any(), budget, cache, None),
+                    self.stream_for(l, TypeFilter::any(), budget, cache, None),
+                    self.stream_for(r, TypeFilter::any(), budget, cache, None),
                 ];
                 let product = ProductStream::new(streams, budget.clone());
                 let expand = move |combo: &stream::Combo<ExprId>| {
-                    calls::expand_assign_interned(&ranker, arena, &combo.items)
+                    calls::expand_assign(&ranker, arena, &combo.items)
                 };
                 self.filtered(Box::new(ExpandStream::new(product, expand)), filter)
             }
             PartialExpr::Alt(alts) => {
                 let streams: Vec<Box<dyn ScoredStream<ExprId> + 's>> = alts
                     .iter()
-                    .map(|a| self.stream_for_interned(a, filter.clone(), budget, cache, None))
+                    .map(|a| self.stream_for(a, filter.clone(), budget, cache, None))
                     .collect();
                 Box::new(MergeStream::new(streams))
             }
@@ -843,24 +608,24 @@ impl<'a> Completer<'a> {
                 // Paper Section 4.2: operands of a relational operator can
                 // only have ordered types; narrow both streams up front.
                 let streams: Vec<Box<dyn ScoredStream<ExprId> + 's>> = vec![
-                    self.stream_for_interned(l, TypeFilter::Ordered, budget, cache, None),
-                    self.stream_for_interned(r, TypeFilter::Ordered, budget, cache, None),
+                    self.stream_for(l, TypeFilter::Ordered, budget, cache, None),
+                    self.stream_for(r, TypeFilter::Ordered, budget, cache, None),
                 ];
                 let product = ProductStream::new(streams, budget.clone());
                 let op = *op;
                 let expand = move |combo: &stream::Combo<ExprId>| {
-                    calls::expand_cmp_interned(&ranker, arena, op, &combo.items)
+                    calls::expand_cmp(&ranker, arena, op, &combo.items)
                 };
                 self.filtered(Box::new(ExpandStream::new(product, expand)), filter)
             }
         }
     }
 
-    fn filtered<'s, E: 's>(
+    fn filtered<'s>(
         &'s self,
-        inner: Box<dyn ScoredStream<E> + 's>,
+        inner: Box<dyn ScoredStream<ExprId> + 's>,
         filter: TypeFilter,
-    ) -> Box<dyn ScoredStream<E> + 's> {
+    ) -> Box<dyn ScoredStream<ExprId> + 's> {
         if filter.is_any() {
             return inner;
         }
@@ -896,6 +661,12 @@ fn distinct_rows(pe: &PartialExpr) -> bool {
 
 /// Iterator over deduplicated completions in score order.
 ///
+/// A best-first iterator ([`Completer::completions_bestfirst`]) stops with
+/// [`QueryOutcome::Limit`] after its `k` rows and yields nothing further:
+/// a pruned state could only have produced rows strictly after the `k`-th
+/// distinct one, so refusing to enumerate past `k` is what keeps the
+/// pruning invisible.
+///
 /// Returning `None` is no longer ambiguous: [`CompletionIter::outcome`]
 /// reports whether the search space drained ([`QueryOutcome::Exhausted`])
 /// or a resource bound tripped first (`StepBudget` / `Deadline` /
@@ -903,7 +674,13 @@ fn distinct_rows(pe: &PartialExpr) -> bool {
 /// the unbudgeted enumeration — an item produced in the same pull that
 /// tripped the budget is discarded rather than emitted out of order.
 pub struct CompletionIter<'s> {
-    pipe: Pipe<'s>,
+    stream: Box<dyn ScoredStream<ExprId> + 's>,
+    arena: &'s ExprArena,
+    /// Ids already emitted; id equality is structural equality.
+    seen: std::collections::HashSet<ExprId>,
+    /// Distinct rows still to emit before the iterator stops with
+    /// [`QueryOutcome::Limit`] (`usize::MAX` for exhaustive iteration).
+    remaining: usize,
     budget: Budget,
     /// Set exactly once, when iteration stops; also bumps the
     /// `engine.query.outcome.*` counter for the classification.
@@ -916,36 +693,6 @@ pub struct CompletionIter<'s> {
     generated: u64,
     /// Candidates that survived dedup and were yielded to the caller.
     emitted: u64,
-}
-
-/// Which pipeline an iterator runs: interned ids (the default hot path,
-/// deduplicated by id, materialized at emission) or boxed trees (the
-/// reference path, deduplicated by [`ExprKey`]). Id dedup partitions
-/// candidates exactly like `ExprKey` dedup — id equality coincides with
-/// structural `ExprKey` equality within one arena — so both pipelines emit
-/// the same rows.
-enum Pipe<'s> {
-    Boxed {
-        stream: Box<dyn ScoredStream<Expr> + 's>,
-        seen: std::collections::HashSet<ExprKey>,
-    },
-    Interned {
-        stream: Box<dyn ScoredStream<ExprId> + 's>,
-        arena: &'s ExprArena,
-        seen: std::collections::HashSet<ExprId>,
-    },
-}
-
-/// Result of pulling one candidate from a pipeline.
-enum Pulled {
-    /// The stream drained.
-    Done,
-    /// The budget tripped inside the pull; the item was discarded.
-    Dropped,
-    /// A duplicate of an already-emitted expression.
-    Dup,
-    /// A novel completion, ready to yield.
-    Emit(Completion),
 }
 
 impl CompletionIter<'_> {
@@ -981,54 +728,35 @@ impl<'s> Iterator for CompletionIter<'s> {
     type Item = Completion;
 
     fn next(&mut self) -> Option<Completion> {
+        if self.remaining == 0 {
+            self.finish(QueryOutcome::Limit);
+        }
         if self.finished.is_some() {
             return None;
         }
-        loop {
-            if !self.budget.charge() {
+        while self.budget.charge() {
+            let Some(c) = self.stream.next_item() else {
+                break;
+            };
+            // A budget trip inside the pull means the item may have been
+            // released by a half-settled reorder buffer, so emitting it
+            // could violate score order. Drop it: emitted items stay a
+            // prefix of the unbudgeted enumeration.
+            if self.budget.tripped().is_some() {
                 break;
             }
-            let budget = &self.budget;
-            let pulled = match &mut self.pipe {
-                Pipe::Boxed { stream, seen } => match stream.next_item() {
-                    None => Pulled::Done,
-                    // A budget trip inside the pull means the item may have
-                    // been released by a half-settled reorder buffer, so
-                    // emitting it could violate score order. Drop it:
-                    // emitted items stay a prefix of the unbudgeted
-                    // enumeration.
-                    Some(_) if budget.tripped().is_some() => Pulled::Dropped,
-                    Some(c) if seen.insert(ExprKey(c.expr.clone())) => Pulled::Emit(c),
-                    Some(_) => Pulled::Dup,
-                },
-                Pipe::Interned {
-                    stream,
-                    arena,
-                    seen,
-                } => match stream.next_item() {
-                    None => Pulled::Done,
-                    Some(_) if budget.tripped().is_some() => Pulled::Dropped,
-                    // Materialization happens only here, after id dedup —
-                    // dropped duplicates and never-pulled candidates never
-                    // build a tree.
-                    Some(c) if seen.insert(c.expr) => Pulled::Emit(Completion {
-                        expr: arena.materialize(c.expr),
-                        score: c.score,
-                        ty: c.ty,
-                    }),
-                    Some(_) => Pulled::Dup,
-                },
-            };
-            match pulled {
-                Pulled::Done | Pulled::Dropped => break,
-                Pulled::Dup => {
-                    self.generated += 1;
-                }
-                Pulled::Emit(c) => {
-                    self.generated += 1;
-                    self.emitted += 1;
-                    return Some(c);
-                }
+            self.generated += 1;
+            if self.seen.insert(c.expr) {
+                self.emitted += 1;
+                self.remaining -= 1;
+                // Materialization happens only here, after id dedup —
+                // dropped duplicates and never-pulled candidates never
+                // build a tree.
+                return Some(Completion {
+                    expr: self.arena.materialize(c.expr),
+                    score: c.score,
+                    ty: c.ty,
+                });
             }
         }
         let outcome = self.budget.tripped().unwrap_or(QueryOutcome::Exhausted);
@@ -1053,49 +781,12 @@ impl Drop for CompletionIter<'_> {
     }
 }
 
-/// Iterator over the best-first pipeline
-/// ([`Completer::completions_bestfirst`]): row-for-row identical to
-/// [`CompletionIter`] — expressions, scores, tie order, outcome — up to
-/// its `k`-row stop point, after which it reports [`QueryOutcome::Limit`]
-/// and yields nothing further. The hard stop is not a convenience: a
-/// pruned state could only have produced rows strictly after the `k`-th
-/// distinct one, so refusing to enumerate past `k` is what keeps the
-/// pruning invisible.
-pub struct BestFirstIter<'s> {
-    inner: CompletionIter<'s>,
-    /// Distinct rows still to emit before the iterator stops with
-    /// [`QueryOutcome::Limit`].
-    remaining: usize,
-}
-
-impl BestFirstIter<'_> {
-    /// Why iteration stopped, or `None` while rows remain; see
-    /// [`CompletionIter::outcome`].
-    pub fn outcome(&self) -> Option<QueryOutcome> {
-        self.inner.outcome()
-    }
-}
-
-impl Iterator for BestFirstIter<'_> {
-    type Item = Completion;
-
-    fn next(&mut self) -> Option<Completion> {
-        if self.remaining == 0 {
-            self.inner.finish(QueryOutcome::Limit);
-            return None;
-        }
-        let c = self.inner.next()?;
-        self.remaining -= 1;
-        Some(c)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parse_partial;
     use pex_model::minics::compile;
-    use pex_model::Local;
+    use pex_model::{Expr, Local};
 
     /// A miniature Paint.NET: the paper's running example.
     const PAINT: &str = r#"

@@ -16,10 +16,9 @@
 //! Every stream exposes a **lower bound** on its next item's score; bounds
 //! are what make the composition safe.
 //!
-//! All combinators are generic over the expression payload `E`: the boxed
-//! reference path runs them over [`Expr`] trees ([`Completion`]), the hot
-//! path over interned [`pex_model::ExprId`]s ([`IComp`]), where cloning an
-//! item is a `u32` copy instead of a tree clone.
+//! The engine runs every combinator over interned [`pex_model::ExprId`]s
+//! ([`IComp`]), where cloning an item is a `u32` copy instead of a tree
+//! clone; the combinators themselves are generic over the payload.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -40,7 +39,8 @@ pub struct Scored<E> {
     pub ty: ValueTy,
 }
 
-/// A completion over a materialised [`Expr`] tree — the public, boxed form.
+/// A completion over a materialised [`Expr`] tree — the public form every
+/// emitted row takes.
 pub type Completion = Scored<Expr>;
 
 /// A completion over an interned arena id — the hot enumeration form.
@@ -58,8 +58,7 @@ pub(crate) trait ScoredStream<E> {
 pub(crate) struct VecStream<E> {
     // Stored in descending score order so `pop` yields the cheapest. The
     // sort is stable, so among equal scores the *last-constructed* item
-    // emits first; both the boxed and interned paths rely on constructing
-    // candidates in the same order to stay row-for-row identical.
+    // emits first: tie order follows construction order.
     items: Vec<Scored<E>>,
 }
 
@@ -115,34 +114,68 @@ impl<'a, E: Clone> ScoredStream<E> for SliceStream<'a, E> {
     }
 }
 
-/// K-way merge of streams by bound. Used for [`super::super::PartialExpr::Alt`]
+/// K-way merge of streams. Used for [`super::super::PartialExpr::Alt`]
 /// queries, whose completions are the union of their alternatives'.
+///
+/// A stream's bound is only a lower bound on its next score (a reorder
+/// buffer's pending combos may expand to dearer items), so each stream's
+/// next item is pulled into a head slot first and released only once its
+/// exact score is no higher than every other stream's key: its pulled
+/// head's score, or else its bound.
 pub(crate) struct MergeStream<'a, E> {
     streams: Vec<Box<dyn ScoredStream<E> + 'a>>,
+    heads: Vec<Head<E>>,
+}
+
+enum Head<E> {
+    Unpulled,
+    Pulled(Scored<E>),
+    Done,
 }
 
 impl<'a, E> MergeStream<'a, E> {
     pub(crate) fn new(streams: Vec<Box<dyn ScoredStream<E> + 'a>>) -> Self {
-        MergeStream { streams }
+        let heads = streams.iter().map(|_| Head::Unpulled).collect();
+        MergeStream { streams, heads }
+    }
+
+    /// The lowest key and the first stream holding it.
+    fn min_key(&mut self) -> Option<(usize, u32)> {
+        let mut best: Option<(usize, u32)> = None;
+        for (i, (stream, head)) in self.streams.iter_mut().zip(&self.heads).enumerate() {
+            let key = match head {
+                Head::Unpulled => stream.bound(),
+                Head::Pulled(item) => Some(item.score),
+                Head::Done => None,
+            };
+            if let Some(k) = key {
+                if best.is_none_or(|(_, b)| k < b) {
+                    best = Some((i, k));
+                }
+            }
+        }
+        best
     }
 }
 
 impl<'a, E> ScoredStream<E> for MergeStream<'a, E> {
     fn bound(&mut self) -> Option<u32> {
-        self.streams.iter_mut().filter_map(|s| s.bound()).min()
+        self.min_key().map(|(_, k)| k)
     }
 
     fn next_item(&mut self) -> Option<Scored<E>> {
-        let mut best: Option<(usize, u32)> = None;
-        for (i, s) in self.streams.iter_mut().enumerate() {
-            if let Some(b) = s.bound() {
-                if best.map(|(_, bb)| b < bb).unwrap_or(true) {
-                    best = Some((i, b));
+        loop {
+            let (i, _) = self.min_key()?;
+            match std::mem::replace(&mut self.heads[i], Head::Unpulled) {
+                Head::Pulled(item) => return Some(item),
+                _ => {
+                    self.heads[i] = match self.streams[i].next_item() {
+                        Some(item) => Head::Pulled(item),
+                        None => Head::Done,
+                    }
                 }
             }
         }
-        let (i, _) = best?;
-        self.streams[i].next_item()
     }
 }
 
@@ -410,6 +443,23 @@ mod tests {
         let b = Box::new(VecStream::new(vec![c(1), c(2), c(9)]));
         let m = MergeStream::new(vec![a, b]);
         assert_eq!(drain(m), vec![0, 1, 2, 4, 9]);
+    }
+
+    /// A reorder buffer's bound is the score of its cheapest pending combo,
+    /// which may expand to a dearer item; the merge must not release that
+    /// item ahead of a cheaper one from another stream.
+    #[test]
+    fn merge_orders_by_score_not_by_inexact_bounds() {
+        let a: Box<dyn ScoredStream<Expr>> = Box::new(VecStream::new(vec![c(0)]));
+        let dear = ExpandStream::new(ProductStream::new(vec![a], Budget::unlimited()), |combo| {
+            vec![Completion {
+                score: combo.score + 5,
+                ..c(0)
+            }]
+        });
+        let cheap = Box::new(VecStream::new(vec![c(1), c(9)]));
+        let m = MergeStream::new(vec![Box::new(dear), cheap]);
+        assert_eq!(drain(m), vec![1, 5, 9]);
     }
 
     #[test]

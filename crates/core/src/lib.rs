@@ -58,8 +58,8 @@ pub use engine::{
     budget::{CancelToken, QueryBudget, QueryOutcome, RankResult},
     chains::{ChainLink, MAX_DEPTH_LIMIT},
     invalidate::{refresh_derived, InvalidationStats},
-    BestFirstIter, CandidateScratch, CompleteOptions, Completer, Completion, CompletionIter,
-    EngineCache, InvalidMaxDepth, MethodIndex, ReachIndex,
+    CandidateScratch, CompleteOptions, Completer, Completion, CompletionIter, EngineCache,
+    InvalidMaxDepth, MethodIndex, ReachIndex,
 };
 pub use partial::{derives, parse_partial, ParseError, PartialExpr, SuffixKind};
 pub use rank::{RankConfig, RankTerm, Ranker, ScoreBound, ScoreBreakdown};

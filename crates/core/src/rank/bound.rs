@@ -71,7 +71,7 @@ mod tests {
     use crate::engine::memo::{ChainMember, SuccessorMemo};
     use crate::rank::{RankConfig, Ranker};
     use pex_model::minics::compile;
-    use pex_model::{Context, Database, Expr, Local, LocalId};
+    use pex_model::{Context, Database, ExprArena, Local, LocalId};
     use proptest::prelude::*;
 
     fn setup() -> (Database, Context) {
@@ -131,10 +131,11 @@ mod tests {
             config.depth = depth_term;
             let ranker = Ranker::new(&db, &ctx, None, config);
             let memo = SuccessorMemo::default();
+            let arena = ExprArena::new();
 
-            let mut expr = Expr::Local(LocalId(0));
+            let mut expr = arena.local(LocalId(0));
             let mut ty = ctx.locals[0].ty;
-            let root_score = ranker.score(&expr).expect("locals score");
+            let root_score = ranker.score(&arena, expr).expect("locals score");
             let mut bounds = vec![ScoreBound::root(root_score)];
             for &pick in &path {
                 let steps = memo.successors(&db, ty, ChainLink::FieldsAndMethods, None);
@@ -143,15 +144,15 @@ mod tests {
                 }
                 let step = &steps[pick % steps.len()];
                 expr = match step.member {
-                    ChainMember::Field(f) => Expr::field(expr, f),
-                    ChainMember::Call0(m) => Expr::Call(m, vec![expr]),
+                    ChainMember::Field(f) => arena.field(expr, f),
+                    ChainMember::Call0(m) => arena.call(m, &[expr]),
                 };
                 ty = step.ty;
                 let prev = *bounds.last().unwrap();
                 bounds.push(prev.extend(ranker.link_cost()));
             }
 
-            let final_score = ranker.score(&expr).expect("chains type-check");
+            let final_score = ranker.score(&arena, expr).expect("chains type-check");
             for (i, b) in bounds.iter().enumerate() {
                 prop_assert!(b.get() <= final_score);
                 // A heuristic counting the links this chain actually still

@@ -22,13 +22,18 @@
 //! Zero-argument calls (instance or static) are scored as lookups — depth
 //! only — because the paper treats them as property sugar; the call-specific
 //! terms apply to calls with declared parameters.
+//!
+//! Scoring and explaining are one walk over interned arena nodes that adds
+//! each term's share into a per-term accumulator: [`Ranker::score`] is the
+//! accumulator's sum and [`Ranker::explain`] the accumulator itself, so the
+//! two cannot disagree.
 
 mod bound;
 
 pub use bound::ScoreBound;
 
 use pex_abstract::AbsTypes;
-use pex_model::{ArenaRead, Context, Database, ENode, Expr, ExprArena, ExprId, MethodId, ValueTy};
+use pex_model::{ArenaRead, Context, Database, ENode, ExprArena, ExprId, MethodId, ValueTy};
 use pex_types::TypeId;
 
 /// The individually toggleable ranking terms (paper Table 2's columns).
@@ -60,7 +65,7 @@ impl RankTerm {
     ];
 
     /// Position of the term in [`RankTerm::ALL`] (the accumulator index
-    /// used by the single-pass explain walk).
+    /// of the ranking walk).
     pub fn index(self) -> usize {
         match self {
             RankTerm::Namespace => 0,
@@ -240,7 +245,8 @@ impl ScoreBreakdown {
     }
 }
 
-/// Scores completed expressions (the specification the engine follows).
+/// Scores completed, interned expressions (the specification the engine
+/// follows).
 ///
 /// `abs` is optional: without a solution every abstract type is undefined,
 /// which uniformly penalises all argument positions when the term is on.
@@ -283,165 +289,175 @@ impl<'a> Ranker<'a> {
 
     /// The cost of one member-access link.
     pub fn link_cost(&self) -> u32 {
-        if self.config.depth {
-            pex_obs::counter!("rank.term.depth.evals", 1);
+        if self.eval(RankTerm::Depth) {
             2
         } else {
             0
         }
     }
 
-    /// Scores a completed expression. Returns `None` if the expression does
-    /// not type-check in the context (type-incorrect completions are never
-    /// produced, regardless of which terms are enabled).
-    pub fn score(&self, e: &Expr) -> Option<u32> {
+    /// Whether `term` is enabled, counting one evaluation of it
+    /// (`rank.term.*.evals`) when it is.
+    fn eval(&self, term: RankTerm) -> bool {
+        if !self.config.enabled(term) {
+            return false;
+        }
+        match term {
+            RankTerm::Namespace => pex_obs::counter!("rank.term.namespace.evals", 1),
+            RankTerm::InScopeStatic => pex_obs::counter!("rank.term.in_scope_static.evals", 1),
+            RankTerm::Depth => pex_obs::counter!("rank.term.depth.evals", 1),
+            RankTerm::MatchingName => pex_obs::counter!("rank.term.matching_name.evals", 1),
+            RankTerm::TypeDistance => pex_obs::counter!("rank.term.type_distance.evals", 1),
+            RankTerm::AbstractTypes => pex_obs::counter!("rank.term.abstract_types.evals", 1),
+        }
+        true
+    }
+
+    /// Scores an interned expression: the sum of its enabled terms. Returns
+    /// `None` if the expression does not type-check in the context
+    /// (type-incorrect completions are never produced, regardless of which
+    /// terms are enabled).
+    pub fn score(&self, arena: &ExprArena, id: ExprId) -> Option<u32> {
+        let mut acc = [0u32; 6];
+        self.walk(&arena.read(), id, &mut acc)?;
+        Some(acc.iter().sum())
+    }
+
+    /// Decomposes an interned expression's score into per-term
+    /// contributions. Terms disabled in this ranker's configuration report
+    /// 0, so `total` equals [`Ranker::score`] exactly: both are read off
+    /// the same walk. Returns `None` if the expression is ill-typed.
+    pub fn explain(&self, arena: &ExprArena, id: ExprId) -> Option<ScoreBreakdown> {
+        let mut acc = [0u32; 6];
+        self.walk(&arena.read(), id, &mut acc)?;
+        Some(ScoreBreakdown::from_contributions(acc))
+    }
+
+    /// The one walk over the Figure 7 terms: adds each term's share of
+    /// `id`'s score into `acc` (indexed by [`RankTerm::index`]), or returns
+    /// `None` as soon as a node fails to type-check.
+    fn walk(&self, r: &ArenaRead<'_>, id: ExprId, acc: &mut [u32; 6]) -> Option<()> {
         pex_obs::counter!("rank.score.evals", 1);
-        match e {
-            Expr::Local(l) => {
-                if l.index() < self.ctx.locals.len() {
-                    Some(0)
-                } else {
-                    None
-                }
+        match r.node(id) {
+            ENode::Local(l) => (l.index() < self.ctx.locals.len()).then_some(()),
+            ENode::This => self.ctx.this_type().map(|_| ()),
+            ENode::IntLit(_)
+            | ENode::DoubleBits(_)
+            | ENode::BoolLit(_)
+            | ENode::StrLit(_)
+            | ENode::Null
+            | ENode::Hole0
+            | ENode::Opaque { .. } => Some(()),
+            ENode::StaticField(_) => {
+                acc[RankTerm::Depth.index()] += self.link_cost();
+                Some(())
             }
-            Expr::This => self.ctx.this_type().map(|_| 0),
-            Expr::IntLit(_)
-            | Expr::DoubleLit(_)
-            | Expr::BoolLit(_)
-            | Expr::StrLit(_)
-            | Expr::Null
-            | Expr::Hole0
-            | Expr::Opaque { .. } => Some(0),
-            Expr::StaticField(_) => Some(self.link_cost()),
-            Expr::FieldAccess(base, f) => {
-                let base_score = self.score(base)?;
-                let base_ty = self.expr_type(base)?;
-                match base_ty {
-                    ValueTy::Known(t)
-                        if self
-                            .db
-                            .types()
-                            .implicitly_convertible(t, self.db.field(*f).declaring()) => {}
-                    ValueTy::Wildcard => {}
-                    _ => return None,
-                }
-                Some(base_score + self.link_cost())
+            ENode::FieldAccess(base, f) => {
+                let (base, f) = (*base, *f);
+                self.walk(r, base, acc)?;
+                self.receiver_fits(r, base, self.db.field(f).declaring())?;
+                acc[RankTerm::Depth.index()] += self.link_cost();
+                Some(())
             }
-            Expr::Call(m, args) => self.score_call(*m, args),
-            Expr::Assign(l, r) => {
-                let ls = self.score(l)?;
-                let rs = self.score(r)?;
-                let lt = self.expr_type(l)?;
-                let rt = self.expr_type(r)?;
+            ENode::Call(m, args) => self.walk_call(r, *m, args, acc),
+            ENode::Assign(l, rhs) => {
+                let (l, rhs) = (*l, *rhs);
+                self.walk(r, l, acc)?;
+                self.walk(r, rhs, acc)?;
+                let lt = self.node_type(r, l)?;
+                let rt = self.node_type(r, rhs)?;
                 let td = match (rt, lt) {
                     (ValueTy::Known(from), ValueTy::Known(to)) => {
                         self.db.types().type_distance(from, to)?
                     }
                     _ => 0,
                 };
-                let td_term = if self.config.type_distance {
-                    pex_obs::counter!("rank.term.type_distance.evals", 1);
-                    td
-                } else {
-                    0
-                };
-                let abs_term = self.pair_abs_term(l, r);
-                Some(ls + rs + td_term + abs_term)
+                if self.eval(RankTerm::TypeDistance) {
+                    acc[RankTerm::TypeDistance.index()] += td;
+                }
+                self.pair_abs_term(r, l, rhs, acc);
+                Some(())
             }
-            Expr::Cmp(_, l, r) => {
-                let ls = self.score(l)?;
-                let rs = self.score(r)?;
-                let lt = self.expr_type(l)?;
-                let rt = self.expr_type(r)?;
+            ENode::Cmp(_, l, rhs) => {
+                let (l, rhs) = (*l, *rhs);
+                self.walk(r, l, acc)?;
+                self.walk(r, rhs, acc)?;
+                let lt = self.node_type(r, l)?;
+                let rt = self.node_type(r, rhs)?;
                 let td = match (lt, rt) {
                     (ValueTy::Known(a), ValueTy::Known(b)) => {
                         self.db.types().comparable_pair(a, b)?.distance
                     }
                     _ => 0,
                 };
-                let td_term = if self.config.type_distance {
-                    pex_obs::counter!("rank.term.type_distance.evals", 1);
-                    td
-                } else {
-                    0
-                };
-                let abs_term = self.pair_abs_term(l, r);
-                let name_term = if self.config.matching_name {
-                    pex_obs::counter!("rank.term.matching_name.evals", 1);
-                    if self.same_trailing_name(l, r) {
-                        0
-                    } else {
-                        3
-                    }
-                } else {
-                    0
-                };
-                Some(ls + rs + td_term + abs_term + name_term)
+                if self.eval(RankTerm::TypeDistance) {
+                    acc[RankTerm::TypeDistance.index()] += td;
+                }
+                self.pair_abs_term(r, l, rhs, acc);
+                if self.eval(RankTerm::MatchingName) && !self.same_trailing_name(r, l, rhs) {
+                    acc[RankTerm::MatchingName.index()] += 3;
+                }
+                Some(())
             }
         }
     }
 
-    fn score_call(&self, m: MethodId, args: &[Expr]) -> Option<u32> {
+    fn walk_call(
+        &self,
+        r: &ArenaRead<'_>,
+        m: MethodId,
+        args: &[ExprId],
+        acc: &mut [u32; 6],
+    ) -> Option<()> {
         let md = self.db.method(m);
         if args.len() != md.full_arity() {
             return None;
         }
         // Zero-argument calls are lookups: depth cost only.
         if md.params().is_empty() {
-            let base = match args.first() {
-                Some(recv) => {
-                    let s = self.score(recv)?;
-                    match self.expr_type(recv)? {
-                        ValueTy::Known(t)
-                            if self.db.types().implicitly_convertible(t, md.declaring()) => {}
-                        ValueTy::Wildcard => {}
-                        _ => return None,
-                    }
-                    s
-                }
-                None => 0,
-            };
-            return Some(base + self.link_cost());
+            if let Some(&recv) = args.first() {
+                self.walk(r, recv, acc)?;
+                self.receiver_fits(r, recv, md.declaring())?;
+            }
+            acc[RankTerm::Depth.index()] += self.link_cost();
+            return Some(());
         }
         let param_tys = md.full_param_types();
-        let mut total = 0u32;
-        for (i, (arg, want)) in args.iter().zip(&param_tys).enumerate() {
-            total += self.score(arg)?;
-            match self.expr_type(arg)? {
-                ValueTy::Known(t) => {
-                    let d = self.db.types().type_distance(t, *want)?;
-                    if self.config.type_distance {
-                        pex_obs::counter!("rank.term.type_distance.evals", 1);
-                        total += d;
-                    }
-                }
-                ValueTy::Wildcard => {}
-            }
-            if self.config.abstract_types {
-                pex_obs::counter!("rank.term.abstract_types.evals", 1);
-                if !self.arg_abs_matches(m, i, arg) {
-                    total += 1;
+        for (i, (&arg, want)) in args.iter().zip(&param_tys).enumerate() {
+            self.walk(r, arg, acc)?;
+            if let ValueTy::Known(t) = self.node_type(r, arg)? {
+                let d = self.db.types().type_distance(t, *want)?;
+                if self.eval(RankTerm::TypeDistance) {
+                    acc[RankTerm::TypeDistance.index()] += d;
                 }
             }
-        }
-        if self.config.in_scope_static {
-            pex_obs::counter!("rank.term.in_scope_static.evals", 1);
-            if !(md.is_static() && self.static_in_scope(m)) {
-                total += 1;
+            if self.eval(RankTerm::AbstractTypes) && !self.arg_abs_matches(r, m, i, arg) {
+                acc[RankTerm::AbstractTypes.index()] += 1;
             }
         }
-        if self.config.namespace {
-            pex_obs::counter!("rank.term.namespace.evals", 1);
-            total += self.namespace_term(m, args, &param_tys);
+        if self.eval(RankTerm::InScopeStatic) && !(md.is_static() && self.static_in_scope(m)) {
+            acc[RankTerm::InScopeStatic.index()] += 1;
         }
-        Some(total)
+        if self.eval(RankTerm::Namespace) {
+            acc[RankTerm::Namespace.index()] += self.namespace_term(r, m, args);
+        }
+        Some(())
+    }
+
+    /// `Some` when the node type-checks and its type (or a wildcard) can
+    /// receive a member declared on `owner`.
+    fn receiver_fits(&self, r: &ArenaRead<'_>, id: ExprId, owner: TypeId) -> Option<()> {
+        match self.node_type(r, id)? {
+            ValueTy::Known(t) if !self.db.types().implicitly_convertible(t, owner) => None,
+            _ => Some(()),
+        }
     }
 
     /// The common-namespace term: `3 - min(3, p)`.
-    fn namespace_term(&self, m: MethodId, args: &[Expr], _param_tys: &[TypeId]) -> u32 {
+    fn namespace_term(&self, r: &ArenaRead<'_>, m: MethodId, args: &[ExprId]) -> u32 {
         let mut arg_ns = Vec::new();
-        for arg in args {
-            if let Ok(ValueTy::Known(t)) = self.db.expr_ty(arg, self.ctx) {
+        for &arg in args {
+            if let Some(ValueTy::Known(t)) = self.node_type(r, arg) {
                 let def = self.db.types().get(t);
                 if !def.is_primitive() && t != self.db.types().object() {
                     arg_ns.push(def.namespace());
@@ -472,293 +488,37 @@ impl<'a> Ranker<'a> {
         self.db.member_lookup_chain(enclosing).contains(&declaring)
     }
 
-    fn arg_abs_matches(&self, m: MethodId, i: usize, arg: &Expr) -> bool {
+    fn arg_abs_matches(&self, r: &ArenaRead<'_>, m: MethodId, i: usize, arg: ExprId) -> bool {
         let Some(abs) = self.abs else { return false };
-        let a = abs.expr_class(self.ctx.enclosing_method, arg);
+        let a = abs.expr_class(self.ctx.enclosing_method, r, arg);
         let p = abs.param_class(m, i);
         AbsTypes::matches(a, p)
     }
 
-    fn pair_abs_term(&self, l: &Expr, r: &Expr) -> u32 {
-        if !self.config.abstract_types {
-            return 0;
+    /// The abstract-type pair penalty of an assignment or comparison: `+1`
+    /// unless both sides share an abstract class.
+    fn pair_abs_term(&self, r: &ArenaRead<'_>, l: ExprId, rhs: ExprId, acc: &mut [u32; 6]) {
+        if !self.eval(RankTerm::AbstractTypes) {
+            return;
         }
-        pex_obs::counter!("rank.term.abstract_types.evals", 1);
         let matched = self.abs.is_some_and(|abs| {
             AbsTypes::matches(
-                abs.expr_class(self.ctx.enclosing_method, l),
-                abs.expr_class(self.ctx.enclosing_method, r),
+                abs.expr_class(self.ctx.enclosing_method, r, l),
+                abs.expr_class(self.ctx.enclosing_method, r, rhs),
             )
         });
-        u32::from(!matched)
+        acc[RankTerm::AbstractTypes.index()] += u32::from(!matched);
     }
 
     /// Whether both sides end in a member (or local) of the same name.
-    fn same_trailing_name(&self, l: &Expr, r: &Expr) -> bool {
-        match (self.trailing_name(l), self.trailing_name(r)) {
+    fn same_trailing_name(&self, r: &ArenaRead<'_>, l: ExprId, rhs: ExprId) -> bool {
+        match (self.trailing_name(r, l), self.trailing_name(r, rhs)) {
             (Some(a), Some(b)) => a == b,
             _ => false,
         }
     }
 
-    fn trailing_name<'s>(&'s self, e: &'s Expr) -> Option<&'s str> {
-        match e {
-            Expr::StaticField(f) | Expr::FieldAccess(_, f) => Some(self.db.field(*f).name()),
-            Expr::Call(m, _) => Some(self.db.method(*m).name()),
-            Expr::Local(l) => self.ctx.locals.get(l.index()).map(|loc| loc.name.as_str()),
-            _ => None,
-        }
-    }
-
-    fn expr_type(&self, e: &Expr) -> Option<ValueTy> {
-        self.db.expr_ty(e, self.ctx).ok()
-    }
-
-    /// Decomposes an expression's score into per-term contributions.
-    ///
-    /// Exploits the ranking function's additivity: each term's contribution
-    /// is the expression's score under a configuration enabling only that
-    /// term. Terms disabled in this ranker's configuration report 0 and are
-    /// excluded from `total`. Returns `None` if the expression is ill-typed.
-    pub fn explain(&self, e: &Expr) -> Option<ScoreBreakdown> {
-        let mut terms = [(RankTerm::Namespace, 0u32); 6];
-        let mut total = 0u32;
-        for (slot, term) in terms.iter_mut().zip(RankTerm::ALL) {
-            let value = if self.config.enabled(term) {
-                let solo = Ranker::new(self.db, self.ctx, self.abs, RankConfig::only(&[term]));
-                solo.score(e)?
-            } else {
-                0
-            };
-            *slot = (term, value);
-            total += value;
-        }
-        debug_assert_eq!(self.score(e), Some(total), "terms must be additive");
-        Some(ScoreBreakdown { terms, total })
-    }
-
-    // ---- interned twins -------------------------------------------------
-    //
-    // These mirror the boxed scoring arms exactly — same arithmetic, same
-    // early `None`s, same obs counter bumps — so the interned enumeration
-    // path produces identical scores without materializing trees. The
-    // row-for-row equivalence proptest pins the pair together.
-
-    /// Scores an interned expression; same contract and same result as
-    /// [`Ranker::score`] on the materialized tree.
-    pub fn score_interned(&self, arena: &ExprArena, id: ExprId) -> Option<u32> {
-        let r = arena.read();
-        self.score_node(&r, id)
-    }
-
-    fn score_node(&self, r: &ArenaRead<'_>, id: ExprId) -> Option<u32> {
-        pex_obs::counter!("rank.score.evals", 1);
-        match r.node(id) {
-            ENode::Local(l) => {
-                if l.index() < self.ctx.locals.len() {
-                    Some(0)
-                } else {
-                    None
-                }
-            }
-            ENode::This => self.ctx.this_type().map(|_| 0),
-            ENode::IntLit(_)
-            | ENode::DoubleBits(_)
-            | ENode::BoolLit(_)
-            | ENode::StrLit(_)
-            | ENode::Null
-            | ENode::Hole0
-            | ENode::Opaque { .. } => Some(0),
-            ENode::StaticField(_) => Some(self.link_cost()),
-            ENode::FieldAccess(base, f) => {
-                let (base, f) = (*base, *f);
-                let base_score = self.score_node(r, base)?;
-                let base_ty = self.node_type(r, base)?;
-                match base_ty {
-                    ValueTy::Known(t)
-                        if self
-                            .db
-                            .types()
-                            .implicitly_convertible(t, self.db.field(f).declaring()) => {}
-                    ValueTy::Wildcard => {}
-                    _ => return None,
-                }
-                Some(base_score + self.link_cost())
-            }
-            ENode::Call(m, args) => self.score_call_node(r, *m, args),
-            ENode::Assign(l, rhs) => {
-                let (l, rhs) = (*l, *rhs);
-                let ls = self.score_node(r, l)?;
-                let rs = self.score_node(r, rhs)?;
-                let lt = self.node_type(r, l)?;
-                let rt = self.node_type(r, rhs)?;
-                let td = match (rt, lt) {
-                    (ValueTy::Known(from), ValueTy::Known(to)) => {
-                        self.db.types().type_distance(from, to)?
-                    }
-                    _ => 0,
-                };
-                let td_term = if self.config.type_distance {
-                    pex_obs::counter!("rank.term.type_distance.evals", 1);
-                    td
-                } else {
-                    0
-                };
-                let abs_term = self.pair_abs_term_node(r, l, rhs);
-                Some(ls + rs + td_term + abs_term)
-            }
-            ENode::Cmp(_, l, rhs) => {
-                let (l, rhs) = (*l, *rhs);
-                let ls = self.score_node(r, l)?;
-                let rs = self.score_node(r, rhs)?;
-                let lt = self.node_type(r, l)?;
-                let rt = self.node_type(r, rhs)?;
-                let td = match (lt, rt) {
-                    (ValueTy::Known(a), ValueTy::Known(b)) => {
-                        self.db.types().comparable_pair(a, b)?.distance
-                    }
-                    _ => 0,
-                };
-                let td_term = if self.config.type_distance {
-                    pex_obs::counter!("rank.term.type_distance.evals", 1);
-                    td
-                } else {
-                    0
-                };
-                let abs_term = self.pair_abs_term_node(r, l, rhs);
-                let name_term = if self.config.matching_name {
-                    pex_obs::counter!("rank.term.matching_name.evals", 1);
-                    if self.same_trailing_name_node(r, l, rhs) {
-                        0
-                    } else {
-                        3
-                    }
-                } else {
-                    0
-                };
-                Some(ls + rs + td_term + abs_term + name_term)
-            }
-        }
-    }
-
-    fn score_call_node(&self, r: &ArenaRead<'_>, m: MethodId, args: &[ExprId]) -> Option<u32> {
-        let md = self.db.method(m);
-        if args.len() != md.full_arity() {
-            return None;
-        }
-        // Zero-argument calls are lookups: depth cost only.
-        if md.params().is_empty() {
-            let base = match args.first() {
-                Some(&recv) => {
-                    let s = self.score_node(r, recv)?;
-                    match self.node_type(r, recv)? {
-                        ValueTy::Known(t)
-                            if self.db.types().implicitly_convertible(t, md.declaring()) => {}
-                        ValueTy::Wildcard => {}
-                        _ => return None,
-                    }
-                    s
-                }
-                None => 0,
-            };
-            return Some(base + self.link_cost());
-        }
-        let param_tys = md.full_param_types();
-        let mut total = 0u32;
-        for (i, (&arg, want)) in args.iter().zip(&param_tys).enumerate() {
-            total += self.score_node(r, arg)?;
-            match self.node_type(r, arg)? {
-                ValueTy::Known(t) => {
-                    let d = self.db.types().type_distance(t, *want)?;
-                    if self.config.type_distance {
-                        pex_obs::counter!("rank.term.type_distance.evals", 1);
-                        total += d;
-                    }
-                }
-                ValueTy::Wildcard => {}
-            }
-            if self.config.abstract_types {
-                pex_obs::counter!("rank.term.abstract_types.evals", 1);
-                if !self.arg_abs_matches_node(r, m, i, arg) {
-                    total += 1;
-                }
-            }
-        }
-        if self.config.in_scope_static {
-            pex_obs::counter!("rank.term.in_scope_static.evals", 1);
-            if !(md.is_static() && self.static_in_scope(m)) {
-                total += 1;
-            }
-        }
-        if self.config.namespace {
-            pex_obs::counter!("rank.term.namespace.evals", 1);
-            total += self.namespace_term_node(r, m, args);
-        }
-        Some(total)
-    }
-
-    fn namespace_term_node(&self, r: &ArenaRead<'_>, m: MethodId, args: &[ExprId]) -> u32 {
-        let mut arg_ns = Vec::new();
-        for &arg in args {
-            if let Ok(ValueTy::Known(t)) = self.db.expr_ty_interned(r, arg, self.ctx) {
-                let def = self.db.types().get(t);
-                if !def.is_primitive() && t != self.db.types().object() {
-                    arg_ns.push(def.namespace());
-                }
-            }
-        }
-        let sim = if arg_ns.len() <= 1 {
-            0
-        } else {
-            let decl_ns = self
-                .db
-                .types()
-                .get(self.db.method(m).declaring())
-                .namespace();
-            arg_ns.push(decl_ns);
-            self.db.types().namespaces().common_prefix_len(arg_ns)
-        };
-        3 - (sim.min(3) as u32)
-    }
-
-    fn arg_abs_matches_node(&self, r: &ArenaRead<'_>, m: MethodId, i: usize, arg: ExprId) -> bool {
-        let Some(abs) = self.abs else { return false };
-        let a = abs.expr_class_interned(self.ctx.enclosing_method, r, arg);
-        let p = abs.param_class(m, i);
-        AbsTypes::matches(a, p)
-    }
-
-    fn pair_abs_term_node(&self, r: &ArenaRead<'_>, l: ExprId, rhs: ExprId) -> u32 {
-        if !self.config.abstract_types {
-            return 0;
-        }
-        pex_obs::counter!("rank.term.abstract_types.evals", 1);
-        self.pair_abs_mismatch_node(r, l, rhs)
-    }
-
-    /// The ungated abstract-type pair penalty (0 or 1), shared by the
-    /// scoring and explain walks.
-    fn pair_abs_mismatch_node(&self, r: &ArenaRead<'_>, l: ExprId, rhs: ExprId) -> u32 {
-        let matched = self.abs.is_some_and(|abs| {
-            AbsTypes::matches(
-                abs.expr_class_interned(self.ctx.enclosing_method, r, l),
-                abs.expr_class_interned(self.ctx.enclosing_method, r, rhs),
-            )
-        });
-        u32::from(!matched)
-    }
-
-    fn same_trailing_name_node(&self, r: &ArenaRead<'_>, l: ExprId, rhs: ExprId) -> bool {
-        match (
-            self.trailing_name_node(r, l),
-            self.trailing_name_node(r, rhs),
-        ) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        }
-    }
-
-    fn trailing_name_node<'s>(&'s self, r: &'s ArenaRead<'_>, id: ExprId) -> Option<&'s str> {
+    fn trailing_name<'s>(&'s self, r: &'s ArenaRead<'_>, id: ExprId) -> Option<&'s str> {
         match r.node(id) {
             ENode::StaticField(f) | ENode::FieldAccess(_, f) => Some(self.db.field(*f).name()),
             ENode::Call(m, _) => Some(self.db.method(*m).name()),
@@ -770,184 +530,13 @@ impl<'a> Ranker<'a> {
     fn node_type(&self, r: &ArenaRead<'_>, id: ExprId) -> Option<ValueTy> {
         self.db.expr_ty_interned(r, id, self.ctx).ok()
     }
-
-    // ---- single-pass explain -------------------------------------------
-    //
-    // `explain_interned` decomposes a score into per-term contributions in
-    // ONE scoring-shaped walk over the interned nodes: the arms below
-    // mirror `score_node`/`score_call_node` exactly — same arithmetic,
-    // same early `None`s, same config gating — but write each term's share
-    // into a per-term accumulator instead of one running total. Because
-    // the ranking function is a sum of independent terms, the accumulator
-    // entries always sum to the score (debug-asserted here; the serve
-    // layer additionally asserts integer equality per response). Unlike
-    // the boxed [`Ranker::explain`], no per-term solo re-scores are run,
-    // and no `rank.term.*.evals` counters are bumped — explain is a
-    // post-search decomposition, not a scoring eval.
-
-    /// Decomposes an interned expression's score into per-term
-    /// contributions in a single walk (no per-term re-scoring). Terms
-    /// disabled in this ranker's configuration report 0 and are excluded
-    /// from `total`, so `total` equals [`Ranker::score_interned`] exactly.
-    /// Returns `None` if the expression is ill-typed.
-    pub fn explain_interned(&self, arena: &ExprArena, id: ExprId) -> Option<ScoreBreakdown> {
-        let r = arena.read();
-        let mut acc = [0u32; 6];
-        self.explain_node(&r, id, &mut acc)?;
-        let breakdown = ScoreBreakdown::from_contributions(acc);
-        debug_assert_eq!(
-            self.score_node(&r, id),
-            Some(breakdown.total),
-            "explain walk must reproduce the score"
-        );
-        Some(breakdown)
-    }
-
-    fn explain_link(&self, acc: &mut [u32; 6]) {
-        if self.config.depth {
-            acc[RankTerm::Depth.index()] += 2;
-        }
-    }
-
-    fn explain_node(&self, r: &ArenaRead<'_>, id: ExprId, acc: &mut [u32; 6]) -> Option<()> {
-        match r.node(id) {
-            ENode::Local(l) => {
-                if l.index() < self.ctx.locals.len() {
-                    Some(())
-                } else {
-                    None
-                }
-            }
-            ENode::This => self.ctx.this_type().map(|_| ()),
-            ENode::IntLit(_)
-            | ENode::DoubleBits(_)
-            | ENode::BoolLit(_)
-            | ENode::StrLit(_)
-            | ENode::Null
-            | ENode::Hole0
-            | ENode::Opaque { .. } => Some(()),
-            ENode::StaticField(_) => {
-                self.explain_link(acc);
-                Some(())
-            }
-            ENode::FieldAccess(base, f) => {
-                let (base, f) = (*base, *f);
-                self.explain_node(r, base, acc)?;
-                match self.node_type(r, base)? {
-                    ValueTy::Known(t)
-                        if self
-                            .db
-                            .types()
-                            .implicitly_convertible(t, self.db.field(f).declaring()) => {}
-                    ValueTy::Wildcard => {}
-                    _ => return None,
-                }
-                self.explain_link(acc);
-                Some(())
-            }
-            ENode::Call(m, args) => self.explain_call_node(r, *m, args, acc),
-            ENode::Assign(l, rhs) => {
-                let (l, rhs) = (*l, *rhs);
-                self.explain_node(r, l, acc)?;
-                self.explain_node(r, rhs, acc)?;
-                let lt = self.node_type(r, l)?;
-                let rt = self.node_type(r, rhs)?;
-                let td = match (rt, lt) {
-                    (ValueTy::Known(from), ValueTy::Known(to)) => {
-                        self.db.types().type_distance(from, to)?
-                    }
-                    _ => 0,
-                };
-                if self.config.type_distance {
-                    acc[RankTerm::TypeDistance.index()] += td;
-                }
-                if self.config.abstract_types {
-                    acc[RankTerm::AbstractTypes.index()] += self.pair_abs_mismatch_node(r, l, rhs);
-                }
-                Some(())
-            }
-            ENode::Cmp(_, l, rhs) => {
-                let (l, rhs) = (*l, *rhs);
-                self.explain_node(r, l, acc)?;
-                self.explain_node(r, rhs, acc)?;
-                let lt = self.node_type(r, l)?;
-                let rt = self.node_type(r, rhs)?;
-                let td = match (lt, rt) {
-                    (ValueTy::Known(a), ValueTy::Known(b)) => {
-                        self.db.types().comparable_pair(a, b)?.distance
-                    }
-                    _ => 0,
-                };
-                if self.config.type_distance {
-                    acc[RankTerm::TypeDistance.index()] += td;
-                }
-                if self.config.abstract_types {
-                    acc[RankTerm::AbstractTypes.index()] += self.pair_abs_mismatch_node(r, l, rhs);
-                }
-                if self.config.matching_name && !self.same_trailing_name_node(r, l, rhs) {
-                    acc[RankTerm::MatchingName.index()] += 3;
-                }
-                Some(())
-            }
-        }
-    }
-
-    fn explain_call_node(
-        &self,
-        r: &ArenaRead<'_>,
-        m: MethodId,
-        args: &[ExprId],
-        acc: &mut [u32; 6],
-    ) -> Option<()> {
-        let md = self.db.method(m);
-        if args.len() != md.full_arity() {
-            return None;
-        }
-        // Zero-argument calls are lookups: depth cost only.
-        if md.params().is_empty() {
-            if let Some(&recv) = args.first() {
-                self.explain_node(r, recv, acc)?;
-                match self.node_type(r, recv)? {
-                    ValueTy::Known(t)
-                        if self.db.types().implicitly_convertible(t, md.declaring()) => {}
-                    ValueTy::Wildcard => {}
-                    _ => return None,
-                }
-            }
-            self.explain_link(acc);
-            return Some(());
-        }
-        let param_tys = md.full_param_types();
-        for (i, (&arg, want)) in args.iter().zip(&param_tys).enumerate() {
-            self.explain_node(r, arg, acc)?;
-            match self.node_type(r, arg)? {
-                ValueTy::Known(t) => {
-                    let d = self.db.types().type_distance(t, *want)?;
-                    if self.config.type_distance {
-                        acc[RankTerm::TypeDistance.index()] += d;
-                    }
-                }
-                ValueTy::Wildcard => {}
-            }
-            if self.config.abstract_types && !self.arg_abs_matches_node(r, m, i, arg) {
-                acc[RankTerm::AbstractTypes.index()] += 1;
-            }
-        }
-        if self.config.in_scope_static && !(md.is_static() && self.static_in_scope(m)) {
-            acc[RankTerm::InScopeStatic.index()] += 1;
-        }
-        if self.config.namespace {
-            acc[RankTerm::Namespace.index()] += self.namespace_term_node(r, m, args);
-        }
-        Some(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pex_model::minics::compile;
-    use pex_model::{CmpOp, Local};
+    use pex_model::{CmpOp, Expr, Local};
 
     fn setup() -> (Database, Context) {
         let db = compile(
@@ -996,21 +585,26 @@ mod tests {
         }
     }
 
+    fn score(r: &Ranker<'_>, e: &Expr) -> Option<u32> {
+        let arena = ExprArena::new();
+        r.score(&arena, arena.intern_expr(e))
+    }
+
     #[test]
     fn depth_counts_links_times_two() {
         let (db, ctx) = setup();
         let r = Ranker::new(&db, &ctx, None, RankConfig::only(&[RankTerm::Depth]));
-        assert_eq!(r.score(&e(&db, &ctx, "p")), Some(0));
-        assert_eq!(r.score(&e(&db, &ctx, "ln.P1")), Some(2));
-        assert_eq!(r.score(&e(&db, &ctx, "ln.P1.X")), Some(4));
+        assert_eq!(score(&r, &e(&db, &ctx, "p")), Some(0));
+        assert_eq!(score(&r, &e(&db, &ctx, "ln.P1")), Some(2));
+        assert_eq!(score(&r, &e(&db, &ctx, "ln.P1.X")), Some(4));
         assert_eq!(
-            r.score(&e(&db, &ctx, "ln.Mid()")),
+            score(&r, &e(&db, &ctx, "ln.Mid()")),
             Some(2),
             "zero-arg call = lookup"
         );
-        assert_eq!(r.score(&e(&db, &ctx, "ln.Mid().Y")), Some(4));
+        assert_eq!(score(&r, &e(&db, &ctx, "ln.Mid().Y")), Some(4));
         let off = Ranker::new(&db, &ctx, None, RankConfig::none());
-        assert_eq!(off.score(&e(&db, &ctx, "ln.P1.X")), Some(0));
+        assert_eq!(score(&off, &e(&db, &ctx, "ln.P1.X")), Some(0));
     }
 
     #[test]
@@ -1019,10 +613,10 @@ mod tests {
         // Use(p): param type Point, arg Point -> td 0.
         let r = Ranker::new(&db, &ctx, None, RankConfig::only(&[RankTerm::TypeDistance]));
         let call = e(&db, &ctx, "App.Deep.Nested.Client.Use(p)");
-        assert_eq!(r.score(&call), Some(0));
+        assert_eq!(score(&r, &call), Some(0));
         // Distance(p, ln.P1): args score includes the lookup? depth off -> 0.
         let call2 = e(&db, &ctx, "Geo.Line.Distance(p, ln.P1)");
-        assert_eq!(r.score(&call2), Some(0));
+        assert_eq!(score(&r, &call2), Some(0));
     }
 
     #[test]
@@ -1035,9 +629,9 @@ mod tests {
             RankConfig::only(&[RankTerm::InScopeStatic]),
         );
         // Distance is a static of the enclosing type Line: no penalty.
-        assert_eq!(r.score(&e(&db, &ctx, "Geo.Line.Distance(p, p)")), Some(0));
+        assert_eq!(score(&r, &e(&db, &ctx, "Geo.Line.Distance(p, p)")), Some(0));
         // Far is a static of another type: +1.
-        assert_eq!(r.score(&e(&db, &ctx, "Geo.Other.Far(p, p)")), Some(1));
+        assert_eq!(score(&r, &e(&db, &ctx, "Geo.Other.Far(p, p)")), Some(1));
     }
 
     #[test]
@@ -1045,10 +639,10 @@ mod tests {
         let (db, ctx) = setup();
         let r = Ranker::new(&db, &ctx, None, RankConfig::only(&[RankTerm::Namespace]));
         // Two non-primitive args in Geo, method in Geo: prefix len 1 -> 3-1=2.
-        assert_eq!(r.score(&e(&db, &ctx, "Geo.Line.Distance(p, p)")), Some(2));
+        assert_eq!(score(&r, &e(&db, &ctx, "Geo.Line.Distance(p, p)")), Some(2));
         // Single non-primitive argument: sim forced to 0 -> term 3.
         assert_eq!(
-            r.score(&e(&db, &ctx, "App.Deep.Nested.Client.Use(p)")),
+            score(&r, &e(&db, &ctx, "App.Deep.Nested.Client.Use(p)")),
             Some(3)
         );
     }
@@ -1059,11 +653,11 @@ mod tests {
         let r = Ranker::new(&db, &ctx, None, RankConfig::only(&[RankTerm::MatchingName]));
         let same = e(&db, &ctx, "p.X >= ln.P1.X");
         let diff = e(&db, &ctx, "p.X >= ln.P1.Y");
-        assert_eq!(r.score(&same), Some(0));
-        assert_eq!(r.score(&diff), Some(3));
+        assert_eq!(score(&r, &same), Some(0));
+        assert_eq!(score(&r, &diff), Some(3));
         // Locals compare by name too.
         let pp = Expr::cmp(CmpOp::Lt, e(&db, &ctx, "p.X"), e(&db, &ctx, "p.X"));
-        assert_eq!(r.score(&pp), Some(0));
+        assert_eq!(score(&r, &pp), Some(0));
     }
 
     #[test]
@@ -1073,7 +667,7 @@ mod tests {
         // Point >= Point is not comparable.
         let p = e(&db, &ctx, "p");
         let bad = Expr::cmp(CmpOp::Ge, p.clone(), p);
-        assert_eq!(r.score(&bad), None);
+        assert_eq!(score(&r, &bad), None);
     }
 
     #[test]
@@ -1085,7 +679,7 @@ mod tests {
             .unwrap();
         let call = Expr::Call(dist, vec![e(&db, &ctx, "p"), Expr::Hole0]);
         let r_t = Ranker::new(&db, &ctx, None, RankConfig::only(&[RankTerm::TypeDistance]));
-        assert_eq!(r_t.score(&call), Some(0), "0-holes add no type distance");
+        assert_eq!(score(&r_t, &call), Some(0), "0-holes add no type distance");
         let r_a = Ranker::new(
             &db,
             &ctx,
@@ -1093,13 +687,13 @@ mod tests {
             RankConfig::only(&[RankTerm::AbstractTypes]),
         );
         // No abs solution provided: every position mismatches -> +2.
-        assert_eq!(r_a.score(&call), Some(2));
+        assert_eq!(score(&r_a, &call), Some(2));
     }
 
     #[test]
-    fn explain_interned_matches_boxed_explain_and_sums_to_the_score() {
+    fn explain_terms_are_solo_scores_and_sum_to_the_score() {
         let (db, ctx) = setup();
-        let arena = pex_model::ExprArena::default();
+        let arena = ExprArena::new();
         let exprs = [
             "p",
             "ln.P1.X",
@@ -1119,23 +713,25 @@ mod tests {
         for config in configs {
             let ranker = Ranker::new(&db, &ctx, None, config);
             for src in exprs {
-                let expr = e(&db, &ctx, src);
-                let id = arena.intern_expr(&expr);
-                let interned = ranker.explain_interned(&arena, id).unwrap();
-                let boxed = ranker.explain(&expr).unwrap();
-                assert_eq!(interned, boxed, "{src} under {config:?}");
+                let id = arena.intern_expr(&e(&db, &ctx, src));
+                let breakdown = ranker.explain(&arena, id).unwrap();
                 assert_eq!(
-                    Some(interned.total),
-                    ranker.score_interned(&arena, id),
+                    Some(breakdown.total),
+                    ranker.score(&arena, id),
                     "{src}: terms must sum to the score"
                 );
-                let sum: u32 = interned.terms.iter().map(|&(_, v)| v).sum();
-                assert_eq!(sum, interned.total, "{src}: total is the term sum");
-                for (term, v) in interned.terms {
-                    assert!(
-                        config.enabled(term) || v == 0,
-                        "{src}: disabled term {term:?} must report 0"
-                    );
+                let sum: u32 = breakdown.terms.iter().map(|&(_, v)| v).sum();
+                assert_eq!(sum, breakdown.total, "{src}: total is the term sum");
+                for (term, v) in breakdown.terms {
+                    // Additivity: a term's share is the score under a
+                    // configuration enabling only that term.
+                    let solo = Ranker::new(&db, &ctx, None, RankConfig::only(&[term]));
+                    let want = if config.enabled(term) {
+                        solo.score(&arena, id).unwrap()
+                    } else {
+                        0
+                    };
+                    assert_eq!(v, want, "{src}: term {term:?} under {config:?}");
                 }
             }
         }
@@ -1144,7 +740,7 @@ mod tests {
         let p = e(&db, &ctx, "p");
         let bad = Expr::cmp(CmpOp::Ge, p.clone(), p);
         let id = arena.intern_expr(&bad);
-        assert_eq!(ranker.explain_interned(&arena, id), None);
+        assert_eq!(ranker.explain(&arena, id), None);
     }
 
     #[test]

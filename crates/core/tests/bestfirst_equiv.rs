@@ -16,92 +16,18 @@ use proptest::prelude::*;
 
 use pex_abstract::AbsTypes;
 use pex_core::{
-    BestFirstIter, CompleteOptions, Completer, CompletionIter, EngineCache, MethodIndex,
-    PartialExpr, QueryBudget, QueryOutcome, RankConfig, ReachIndex, SuffixKind,
+    CompleteOptions, Completer, CompletionIter, EngineCache, MethodIndex, PartialExpr, QueryBudget,
+    QueryOutcome, RankConfig, ReachIndex,
 };
-use pex_corpus::{generate, ClientProfile, LibraryProfile};
-use pex_model::{CmpOp, Context, Database, Expr, MethodId, ValueTy};
+use pex_model::{Context, ValueTy};
 
-fn small_db(seed: u64) -> Database {
-    let lib = LibraryProfile {
-        types: 25,
-        namespaces: 4,
-        ..Default::default()
-    };
-    let client = ClientProfile {
-        classes: 2,
-        ..Default::default()
-    };
-    generate(&lib, &client, seed)
-}
-
-/// First call statement site in the corpus, with its context.
-fn first_site(db: &Database) -> Option<(MethodId, usize, MethodId, Vec<Expr>)> {
-    for m in db.methods() {
-        if let Some(body) = db.method(m).body() {
-            for (si, stmt) in body.stmts.iter().enumerate() {
-                if let Some(Expr::Call(target, args)) = stmt.expr() {
-                    if !args.is_empty() {
-                        return Some((m, si, *target, args.clone()));
-                    }
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Every query shape the engine compiles, so agreement is pinned both on
-/// the chain-rooted shapes where pruning engages and on the product/merge
-/// shapes where it must stay disengaged.
-fn query_mix(target: MethodId, args: &[Expr]) -> Vec<PartialExpr> {
-    let known0 = PartialExpr::Known(args[0].clone());
-    let mut hole_args: Vec<PartialExpr> =
-        args.iter().map(|a| PartialExpr::Known(a.clone())).collect();
-    hole_args[0] = PartialExpr::Hole;
-    vec![
-        PartialExpr::Hole,
-        PartialExpr::suffix(known0.clone(), SuffixKind::Field),
-        PartialExpr::suffix(known0.clone(), SuffixKind::FieldStar),
-        PartialExpr::suffix(known0.clone(), SuffixKind::MethodStar),
-        // A hole-based suffix re-derives each chain through every
-        // (base, appended-links) split, so dedup fires and the running
-        // threshold must stay disabled — pinned here after a regression.
-        PartialExpr::suffix(PartialExpr::Hole, SuffixKind::MethodStar),
-        PartialExpr::suffix(PartialExpr::Hole, SuffixKind::FieldStar),
-        PartialExpr::UnknownCall(vec![known0.clone()]),
-        PartialExpr::KnownCall {
-            candidates: vec![target],
-            args: hole_args,
-        },
-        PartialExpr::Assign(Box::new(PartialExpr::Hole), Box::new(known0.clone())),
-        PartialExpr::Cmp(
-            CmpOp::Lt,
-            Box::new(known0.clone()),
-            Box::new(PartialExpr::Hole),
-        ),
-        PartialExpr::Alt(vec![
-            PartialExpr::UnknownCall(vec![known0.clone()]),
-            PartialExpr::suffix(known0, SuffixKind::Method),
-        ]),
-    ]
-}
+mod common;
+use common::{first_site, query_mix, small_db};
 
 type Rows = Vec<(String, u32, ValueTy)>;
 
-fn exhaustive_rows(mut iter: CompletionIter<'_>, take: usize) -> (Rows, QueryOutcome) {
-    let mut out = Vec::new();
-    while out.len() < take {
-        match iter.next() {
-            Some(c) => out.push((format!("{:?}", c.expr), c.score, c.ty)),
-            None => break,
-        }
-    }
-    let outcome = iter.outcome().unwrap_or(QueryOutcome::Limit);
-    (out, outcome)
-}
-
-fn bestfirst_rows(mut iter: BestFirstIter<'_>, take: usize) -> (Rows, QueryOutcome) {
+/// Drains up to `take` rows plus the final outcome into a comparable form.
+fn rows(mut iter: CompletionIter<'_>, take: usize) -> (Rows, QueryOutcome) {
     let mut out = Vec::new();
     while out.len() < take {
         match iter.next() {
@@ -143,9 +69,9 @@ proptest! {
                         ..Default::default()
                     });
                 for query in query_mix(target, &args) {
-                    let (reference, ref_out) = exhaustive_rows(engine.completions(&query), k);
+                    let (reference, ref_out) = rows(engine.completions(&query), k);
                     let (bf, bf_out) =
-                        bestfirst_rows(engine.completions_bestfirst(&query, k), k);
+                        rows(engine.completions_bestfirst(&query, k), k);
                     prop_assert_eq!(
                         &bf, &reference,
                         "rows diverged on {} depth {} expected {:?} k {}",
@@ -188,13 +114,13 @@ proptest! {
         for query in query_mix(target, &args) {
             let unbudgeted = Completer::new(&db, &ctx, &index, RankConfig::all(), None)
                 .with_reach(&reach);
-            let (reference, _) = exhaustive_rows(unbudgeted.completions(&query), K);
+            let (reference, _) = rows(unbudgeted.completions(&query), K);
 
             let engine = Completer::new(&db, &ctx, &index, RankConfig::all(), None)
                 .with_reach(&reach)
                 .with_options(budgeted_options.clone());
-            let (exhaustive, _) = exhaustive_rows(engine.completions(&query), K);
-            let (bf, bf_out) = bestfirst_rows(engine.completions_bestfirst(&query, K), K);
+            let (exhaustive, _) = rows(engine.completions(&query), K);
+            let (bf, bf_out) = rows(engine.completions_bestfirst(&query, K), K);
 
             prop_assert!(
                 bf.len() <= reference.len() && bf[..] == reference[..bf.len()],
@@ -218,9 +144,11 @@ proptest! {
     }
 
     /// Shared-cache transparency for the best-first path (the serve
-    /// snapshot shape): interleaved warm-cache runs reproduce cold rows.
+    /// snapshot shape): `threads` threads interning into one cache
+    /// concurrently, and interleaved warm-cache runs after them, reproduce
+    /// the cold rows.
     #[test]
-    fn bestfirst_shared_cache_is_transparent(seed in 0u64..60) {
+    fn bestfirst_shared_cache_is_transparent(seed in 0u64..60, threads in 1usize..5) {
         let db = small_db(seed);
         let Some((enclosing, stmt, target, args)) = first_site(&db) else { return Ok(()) };
         let body = db.method(enclosing).body().expect("site came from a body");
@@ -233,15 +161,34 @@ proptest! {
         let cold = Completer::new(&db, &ctx, &index, RankConfig::all(), None).with_reach(&reach);
         let expected: Vec<_> = queries
             .iter()
-            .map(|q| bestfirst_rows(cold.completions_bestfirst(q, 20), 20))
+            .map(|q| rows(cold.completions_bestfirst(q, 20), 20))
             .collect();
+
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (cache, queries, expected) = (&cache, &queries, &expected);
+                let (db, ctx, index, reach) = (&db, &ctx, &index, &reach);
+                scope.spawn(move || {
+                    let engine = Completer::new(db, ctx, index, RankConfig::all(), None)
+                        .with_reach(reach)
+                        .with_cache(cache);
+                    // Stagger the starting query so threads intern
+                    // different expressions concurrently.
+                    for i in 0..queries.len() {
+                        let k = (i + t) % queries.len();
+                        let got = rows(engine.completions_bestfirst(&queries[k], 20), 20);
+                        assert_eq!(got, expected[k], "thread {t} diverged on query {k}");
+                    }
+                });
+            }
+        });
 
         let warm = Completer::new(&db, &ctx, &index, RankConfig::all(), None)
             .with_reach(&reach)
             .with_cache(&cache);
         for round in 0..2 {
             for (q, exp) in queries.iter().zip(&expected) {
-                let got = bestfirst_rows(warm.completions_bestfirst(q, 20), 20);
+                let got = rows(warm.completions_bestfirst(q, 20), 20);
                 prop_assert_eq!(
                     &got, exp,
                     "shared-cache best-first diverged on {} round {}", q.shape(), round

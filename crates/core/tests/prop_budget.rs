@@ -17,37 +17,10 @@ use pex_core::{
     CancelToken, CompleteOptions, Completer, MethodIndex, PartialExpr, QueryBudget, QueryOutcome,
     RankConfig,
 };
-use pex_corpus::{generate, ClientProfile, LibraryProfile};
-use pex_model::{Context, Database, Expr, MethodId};
+use pex_model::{Context, Database};
 
-fn small_db(seed: u64) -> Database {
-    let lib = LibraryProfile {
-        types: 20,
-        namespaces: 3,
-        ..Default::default()
-    };
-    let client = ClientProfile {
-        classes: 2,
-        ..Default::default()
-    };
-    generate(&lib, &client, seed)
-}
-
-/// First call statement site in the corpus, with its context.
-fn first_site(db: &Database) -> Option<(MethodId, usize, Vec<Expr>)> {
-    for m in db.methods() {
-        if let Some(body) = db.method(m).body() {
-            for (si, stmt) in body.stmts.iter().enumerate() {
-                if let Some(Expr::Call(_, args)) = stmt.expr() {
-                    if !args.is_empty() {
-                        return Some((m, si, args.clone()));
-                    }
-                }
-            }
-        }
-    }
-    None
-}
+mod common;
+use common::{corpus, first_site};
 
 fn completer_with<'a>(
     db: &'a Database,
@@ -67,8 +40,8 @@ proptest! {
     /// Exhausted iff fully drained, for both unbudgeted and budgeted runs.
     #[test]
     fn exhausted_iff_fully_drained(seed in 0u64..300, max_steps in 1usize..200) {
-        let db = small_db(seed);
-        let Some((enclosing, stmt, args)) = first_site(&db) else { return Ok(()) };
+        let db = corpus(seed, 20, 3);
+        let Some((enclosing, stmt, _, args)) = first_site(&db) else { return Ok(()) };
         let body = db.method(enclosing).body().expect("site came from a body");
         let ctx = Context::at_statement(&db, enclosing, body, stmt);
         let index = MethodIndex::build(&db);
@@ -116,8 +89,8 @@ proptest! {
         seed in 0u64..300,
         max_steps in 1usize..400,
     ) {
-        let db = small_db(seed);
-        let Some((enclosing, stmt, args)) = first_site(&db) else { return Ok(()) };
+        let db = corpus(seed, 20, 3);
+        let Some((enclosing, stmt, _, args)) = first_site(&db) else { return Ok(()) };
         let body = db.method(enclosing).body().expect("site came from a body");
         let ctx = Context::at_statement(&db, enclosing, body, stmt);
         let index = MethodIndex::build(&db);
@@ -147,8 +120,8 @@ proptest! {
     /// corpus; an uncancelled token changes nothing.
     #[test]
     fn cancel_token_outcomes(seed in 0u64..100) {
-        let db = small_db(seed);
-        let Some((enclosing, stmt, _)) = first_site(&db) else { return Ok(()) };
+        let db = corpus(seed, 20, 3);
+        let Some((enclosing, stmt, _, _)) = first_site(&db) else { return Ok(()) };
         let body = db.method(enclosing).body().expect("site came from a body");
         let ctx = Context::at_statement(&db, enclosing, body, stmt);
         let index = MethodIndex::build(&db);

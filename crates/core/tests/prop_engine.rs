@@ -2,32 +2,191 @@
 //! corpora: every output must derive from its query (the Figure 6
 //! reference semantics), type-check, carry the specification score, and
 //! arrive in non-decreasing score order without duplicates. A brute-force
-//! enumerator cross-checks completeness for single-lookup queries.
+//! enumerator, built straight from the code model, is the oracle for the
+//! complete set of rows on every query shape.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use proptest::prelude::*;
 
 use pex_abstract::AbsTypes;
 use pex_core::{
-    derives, ChainLink, Completer, Completion, MethodIndex, PartialExpr, RankConfig, ReachIndex,
-    SuffixKind,
+    derives, ChainLink, CompleteOptions, Completer, Completion, MethodIndex, PartialExpr,
+    RankConfig, Ranker, ReachIndex, SuffixKind,
 };
 use pex_corpus::{generate, ClientProfile, LibraryProfile};
-use pex_model::{Context, Database, Expr, MethodId, Stmt, ValueTy};
+use pex_model::{Context, Database, Expr, ExprArena, GlobalRef, LocalId, MethodId, Stmt, ValueTy};
 use pex_types::TypeId;
 
-fn small_db(seed: u64) -> Database {
-    let lib = LibraryProfile {
-        types: 25,
-        namespaces: 4,
-        ..Default::default()
-    };
-    let client = ClientProfile {
-        classes: 2,
-        ..Default::default()
-    };
-    generate(&lib, &client, seed)
+mod common;
+use common::{first_site, query_mix, small_db};
+
+/// The specification score of a boxed expression.
+fn spec_score(ranker: &Ranker<'_>, e: &Expr) -> Option<u32> {
+    let arena = ExprArena::new();
+    ranker.score(&arena, arena.intern_expr(e))
+}
+
+/// The reference enumerator: every expression a query derives, built by
+/// structural recursion straight from the code model — globals, instance
+/// fields, zero-argument instance methods, accessibility and type
+/// distance — with at most `max_depth` links per chain and no budget.
+/// Nothing is pruned but placements whose argument cannot convert; the
+/// caller keeps the candidates the ranker accepts (the well-typed ones).
+struct BruteForce<'a> {
+    db: &'a Database,
+    ctx: &'a Context,
+    max_depth: usize,
+}
+
+impl BruteForce<'_> {
+    fn exprs(&self, pe: &PartialExpr) -> Vec<Expr> {
+        match pe {
+            PartialExpr::Known(e) => vec![e.clone()],
+            PartialExpr::Hole0 => vec![Expr::Hole0],
+            PartialExpr::Hole => {
+                let mut roots: Vec<Expr> = (0..self.ctx.locals.len())
+                    .map(|i| Expr::Local(LocalId(i as u32)))
+                    .collect();
+                if self.ctx.this_type().is_some() {
+                    roots.push(Expr::This);
+                }
+                for g in self.db.globals() {
+                    roots.push(match g {
+                        GlobalRef::Field(f) => Expr::StaticField(f),
+                        GlobalRef::Method(m) => Expr::Call(m, Vec::new()),
+                    });
+                }
+                self.chains(roots, true, self.max_depth)
+            }
+            PartialExpr::Suffix(base, kind) => {
+                let links = if kind.is_star() { self.max_depth } else { 1 };
+                self.chains(self.exprs(base), kind.allows_methods(), links)
+            }
+            PartialExpr::UnknownCall(args) => {
+                let mut out = Vec::new();
+                for items in self.product(args) {
+                    for m in self.db.methods().filter(|&m| self.accessible(m)) {
+                        let params = self.db.method(m).full_param_types();
+                        self.place(m, &params, &items, &mut vec![None; params.len()], &mut out);
+                    }
+                }
+                out
+            }
+            PartialExpr::KnownCall { candidates, args } => {
+                let mut out = Vec::new();
+                for items in self.product(args) {
+                    for &m in candidates.iter().filter(|&&m| self.accessible(m)) {
+                        out.push(Expr::Call(m, items.clone()));
+                    }
+                }
+                out
+            }
+            PartialExpr::Assign(l, r) => self
+                .product(&[(**l).clone(), (**r).clone()])
+                .into_iter()
+                .filter(|p| {
+                    matches!(
+                        p[0],
+                        Expr::Local(_) | Expr::StaticField(_) | Expr::FieldAccess(..)
+                    )
+                })
+                .map(|p| Expr::assign(p[0].clone(), p[1].clone()))
+                .collect(),
+            PartialExpr::Cmp(op, l, r) => self
+                .product(&[(**l).clone(), (**r).clone()])
+                .into_iter()
+                .map(|p| Expr::cmp(*op, p[0].clone(), p[1].clone()))
+                .collect(),
+            PartialExpr::Alt(alts) => alts.iter().flat_map(|a| self.exprs(a)).collect(),
+        }
+    }
+
+    /// The roots plus every chain of 1..=`links` instance-field (and, with
+    /// `methods`, zero-argument instance call) lookups grown from them.
+    fn chains(&self, roots: Vec<Expr>, methods: bool, links: usize) -> Vec<Expr> {
+        let from = self.ctx.enclosing_type;
+        let mut out = roots.clone();
+        let mut frontier = roots;
+        for _ in 0..links {
+            let mut next = Vec::new();
+            for e in &frontier {
+                let Ok(ValueTy::Known(t)) = self.db.expr_ty(e, self.ctx) else {
+                    continue;
+                };
+                for f in self.db.instance_fields(t, from) {
+                    next.push(Expr::field(e.clone(), f));
+                }
+                if methods {
+                    for m in self.db.zero_arg_instance_methods(t, from) {
+                        next.push(Expr::Call(m, vec![e.clone()]));
+                    }
+                }
+            }
+            out.extend(next.iter().cloned());
+            frontier = next;
+        }
+        out
+    }
+
+    /// Every choice of one expression per argument.
+    fn product(&self, args: &[PartialExpr]) -> Vec<Vec<Expr>> {
+        let mut combos = vec![Vec::new()];
+        for arg in args {
+            let choices = self.exprs(arg);
+            combos = combos
+                .iter()
+                .flat_map(|c| {
+                    choices.iter().map(move |e| {
+                        let mut next = c.clone();
+                        next.push(e.clone());
+                        next
+                    })
+                })
+                .collect();
+        }
+        combos
+    }
+
+    /// Every injective placement of `items` into the parameter slots of
+    /// `m` (receiver first) that each item's type converts to, with `0` in
+    /// the remaining slots.
+    fn place(
+        &self,
+        m: MethodId,
+        params: &[TypeId],
+        items: &[Expr],
+        slots: &mut Vec<Option<usize>>,
+        out: &mut Vec<Expr>,
+    ) {
+        let i = slots.iter().flatten().count();
+        if i == items.len() {
+            let args = slots
+                .iter()
+                .map(|s| s.map_or(Expr::Hole0, |k| items[k].clone()))
+                .collect();
+            out.push(Expr::Call(m, args));
+            return;
+        }
+        let fits = |want: TypeId| match self.db.expr_ty(&items[i], self.ctx) {
+            Ok(ValueTy::Known(t)) => self.db.types().type_distance(t, want).is_some(),
+            Ok(ValueTy::Wildcard) => true,
+            Err(_) => false,
+        };
+        for j in 0..params.len() {
+            if slots[j].is_none() && fits(params[j]) {
+                slots[j] = Some(i);
+                self.place(m, params, items, slots, out);
+                slots[j] = None;
+            }
+        }
+    }
+
+    fn accessible(&self, m: MethodId) -> bool {
+        let md = self.db.method(m);
+        self.db
+            .accessible(md.visibility(), md.declaring(), self.ctx.enclosing_type)
+    }
 }
 
 /// The reachability index built the simple way, as the oracle for the
@@ -84,22 +243,6 @@ fn reference_reach(db: &Database) -> [Vec<HashMap<TypeId, u32>>; 2] {
     [bfs(false), bfs(true)]
 }
 
-/// First call statement site in the corpus, with its context.
-fn first_site(db: &Database) -> Option<(MethodId, usize, MethodId, Vec<Expr>)> {
-    for m in db.methods() {
-        if let Some(body) = db.method(m).body() {
-            for (si, stmt) in body.stmts.iter().enumerate() {
-                if let Some(Expr::Call(target, args)) = stmt.expr() {
-                    if !args.is_empty() {
-                        return Some((m, si, *target, args.clone()));
-                    }
-                }
-            }
-        }
-    }
-    None
-}
-
 fn check_stream(
     db: &Database,
     ctx: &Context,
@@ -122,7 +265,7 @@ fn check_stream(
         prop_assert!(c.score >= last, "scores must be non-decreasing");
         last = c.score;
         prop_assert_eq!(
-            ranker.score(&c.expr),
+            spec_score(&ranker, &c.expr),
             Some(c.score),
             "engine score must match the specification ranker"
         );
@@ -171,83 +314,50 @@ proptest! {
         check_stream(&db, &ctx, &engine, &q3, 30)?;
     }
 
-    /// For `.?f` (exactly zero or one field lookups) the completion set is
-    /// small enough to enumerate by hand; the engine must produce exactly
-    /// that set.
+    /// On every query shape, the fully drained engine produces exactly the
+    /// brute-force set of well-typed completions, each with its
+    /// specification score, every row derives from the query, and scores
+    /// never decrease.
     #[test]
-    fn single_lookup_completions_are_exhaustive(seed in 0u64..300) {
+    fn every_shape_matches_the_brute_force_enumerator(seed in 0u64..300) {
+        const MAX_DEPTH: usize = 2;
         let db = small_db(seed);
-        let Some((enclosing, stmt, _, args)) = first_site(&db) else { return Ok(()) };
+        let Some((enclosing, stmt, target, args)) = first_site(&db) else { return Ok(()) };
         let body = db.method(enclosing).body().expect("site came from a body");
         let ctx = Context::at_statement(&db, enclosing, body, stmt);
+        let abs = AbsTypes::for_query(&db, enclosing, stmt);
         let index = MethodIndex::build(&db);
-        let engine = Completer::new(&db, &ctx, &index, RankConfig::all(), None);
-
-        let base = args[0].clone();
-        let Ok(ValueTy::Known(base_ty)) = db.expr_ty(&base, &ctx) else { return Ok(()) };
-        let query = PartialExpr::suffix(PartialExpr::Known(base.clone()), SuffixKind::Field);
-
-        // Brute force: the base itself plus each accessible instance field.
-        let mut expected: Vec<String> = vec![format!("{base:?}")];
-        for f in db.instance_fields(base_ty, ctx.enclosing_type) {
-            expected.push(format!("{:?}", Expr::field(base.clone(), f)));
-        }
-        expected.sort();
-
-        let mut got: Vec<String> = engine
-            .completions(&query)
-            .take(expected.len() + 10)
-            .map(|c| format!("{:?}", c.expr))
-            .collect();
-        got.sort();
-        prop_assert_eq!(got, expected);
-    }
-
-    /// For `.?*f` with a small depth cap, the completion set must equal the
-    /// brute-force enumeration of all field chains up to that length.
-    #[test]
-    fn star_closure_is_exhaustive_up_to_the_cap(seed in 0u64..200) {
-        let db = small_db(seed);
-        let Some((enclosing, stmt, _, args)) = first_site(&db) else { return Ok(()) };
-        let body = db.method(enclosing).body().expect("site came from a body");
-        let ctx = Context::at_statement(&db, enclosing, body, stmt);
-        let index = MethodIndex::build(&db);
-        let engine = Completer::new(&db, &ctx, &index, RankConfig::all(), None).with_options(
-            pex_core::CompleteOptions {
-                max_depth: 2,
+        let reach = ReachIndex::build(&db);
+        let engine = Completer::new(&db, &ctx, &index, RankConfig::all(), Some(&abs))
+            .with_reach(&reach)
+            .with_options(CompleteOptions {
+                max_depth: MAX_DEPTH,
                 ..Default::default()
-            },
-        );
-        let base = args[0].clone();
-        let Ok(ValueTy::Known(base_ty)) = db.expr_ty(&base, &ctx) else { return Ok(()) };
-        let query =
-            PartialExpr::suffix(PartialExpr::Known(base.clone()), SuffixKind::FieldStar);
+            });
+        let ranker = engine.ranker();
+        let brute = BruteForce { db: &db, ctx: &ctx, max_depth: MAX_DEPTH };
 
-        // Brute force: chains of 0..=2 instance-field links.
-        let mut expected: Vec<String> = Vec::new();
-        let mut frontier = vec![(base.clone(), base_ty)];
-        expected.push(format!("{base:?}"));
-        for _ in 0..2 {
-            let mut next = Vec::new();
-            for (e, t) in &frontier {
-                for f in db.instance_fields(*t, ctx.enclosing_type) {
-                    let fe = Expr::field(e.clone(), f);
-                    expected.push(format!("{fe:?}"));
-                    next.push((fe, db.field(f).ty()));
-                }
+        for query in query_mix(target, &args) {
+            let expected: BTreeSet<(String, u32)> = brute
+                .exprs(&query)
+                .into_iter()
+                .filter_map(|e| Some((format!("{e:?}"), spec_score(&ranker, &e)?)))
+                .collect();
+            let rows: Vec<Completion> = engine.completions(&query).collect();
+            let mut last = 0;
+            for c in &rows {
+                prop_assert!(
+                    derives(&db, &ctx, &query, &c.expr),
+                    "{} does not derive from {}", engine.render(c), query.shape()
+                );
+                prop_assert!(c.score >= last, "scores decreased on {}", query.shape());
+                last = c.score;
             }
-            frontier = next;
+            let got: BTreeSet<(String, u32)> =
+                rows.iter().map(|c| (format!("{:?}", c.expr), c.score)).collect();
+            prop_assert_eq!(got.len(), rows.len(), "duplicate rows on {}", query.shape());
+            prop_assert_eq!(got, expected, "row set diverged on {}", query.shape());
         }
-        expected.sort();
-        expected.dedup();
-
-        let mut got: Vec<String> = engine
-            .completions(&query)
-            .take(expected.len() + 20)
-            .map(|c| format!("{:?}", c.expr))
-            .collect();
-        got.sort();
-        prop_assert_eq!(got, expected);
     }
 
     /// Completions are stable across identical runs (determinism).

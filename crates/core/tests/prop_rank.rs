@@ -7,35 +7,10 @@ use proptest::prelude::*;
 
 use pex_abstract::AbsTypes;
 use pex_core::{RankConfig, RankTerm, Ranker};
-use pex_corpus::{generate, ClientProfile, LibraryProfile};
-use pex_model::{Context, Database, Expr, MethodId};
+use pex_model::{Context, ExprArena};
 
-fn small_db(seed: u64) -> Database {
-    let lib = LibraryProfile {
-        types: 25,
-        namespaces: 4,
-        ..Default::default()
-    };
-    let client = ClientProfile {
-        classes: 2,
-        ..Default::default()
-    };
-    generate(&lib, &client, seed)
-}
-
-fn sites(db: &Database) -> Vec<(MethodId, usize, Expr)> {
-    let mut out = Vec::new();
-    for m in db.methods() {
-        if let Some(body) = db.method(m).body() {
-            for (si, stmt) in body.stmts.iter().enumerate() {
-                if let Some(e) = stmt.expr() {
-                    out.push((m, si, e.clone()));
-                }
-            }
-        }
-    }
-    out
-}
+mod common;
+use common::{sites, small_db};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -46,14 +21,16 @@ proptest! {
         for (m, si, expr) in sites(&db).into_iter().take(25) {
             let body = db.method(m).body().expect("sites come from bodies");
             let ctx = Context::at_statement(&db, m, body, si);
+            let arena = ExprArena::new();
+            let id = arena.intern_expr(&expr);
             let abs = AbsTypes::for_query(&db, m, si);
             let full = Ranker::new(&db, &ctx, Some(&abs), RankConfig::all());
-            let Some(total) = full.score(&expr) else { continue };
+            let Some(total) = full.score(&arena, id) else { continue };
             // Sum of solo terms equals the full score.
             let mut sum = 0;
             for term in RankTerm::ALL {
                 let solo = Ranker::new(&db, &ctx, Some(&abs), RankConfig::only(&[term]));
-                sum += solo.score(&expr).expect("typedness is config-independent");
+                sum += solo.score(&arena, id).expect("typedness is config-independent");
             }
             prop_assert_eq!(sum, total, "additivity violated for {:?}", expr);
             // Complementarity: without(t) + only(t) == all.
@@ -62,12 +39,12 @@ proptest! {
                     Ranker::new(&db, &ctx, Some(&abs), RankConfig::without(&[term]));
                 let solo = Ranker::new(&db, &ctx, Some(&abs), RankConfig::only(&[term]));
                 prop_assert_eq!(
-                    without.score(&expr).expect("typed") + solo.score(&expr).expect("typed"),
+                    without.score(&arena, id).expect("typed") + solo.score(&arena, id).expect("typed"),
                     total
                 );
             }
             // Breakdown agrees.
-            let breakdown = full.explain(&expr).expect("typed");
+            let breakdown = full.explain(&arena, id).expect("typed");
             prop_assert_eq!(breakdown.total, total);
             let term_sum: u32 = breakdown.terms.iter().map(|(_, v)| *v).sum();
             prop_assert_eq!(term_sum, total);
@@ -80,8 +57,10 @@ proptest! {
         for (m, si, expr) in sites(&db).into_iter().take(15) {
             let body = db.method(m).body().expect("sites come from bodies");
             let ctx = Context::at_statement(&db, m, body, si);
+            let arena = ExprArena::new();
+            let id = arena.intern_expr(&expr);
             let none = Ranker::new(&db, &ctx, None, RankConfig::none());
-            if let Some(score) = none.score(&expr) {
+            if let Some(score) = none.score(&arena, id) {
                 prop_assert_eq!(score, 0, "no terms, no cost: {:?}", expr);
             }
         }
@@ -93,9 +72,11 @@ proptest! {
         for (m, si, expr) in sites(&db).into_iter().take(15) {
             let body = db.method(m).body().expect("sites come from bodies");
             let ctx = Context::at_statement(&db, m, body, si);
+            let arena = ExprArena::new();
+            let id = arena.intern_expr(&expr);
             let all = Ranker::new(&db, &ctx, None, RankConfig::all());
             let none = Ranker::new(&db, &ctx, None, RankConfig::none());
-            prop_assert_eq!(all.score(&expr).is_some(), none.score(&expr).is_some());
+            prop_assert_eq!(all.score(&arena, id).is_some(), none.score(&arena, id).is_some());
         }
     }
 }

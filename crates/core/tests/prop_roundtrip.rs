@@ -5,21 +5,10 @@
 use proptest::prelude::*;
 
 use pex_core::{parse_partial, PartialExpr};
-use pex_corpus::{generate, ClientProfile, LibraryProfile};
-use pex_model::{CallStyle, Context, Database, Expr, MethodId};
+use pex_model::{CallStyle, Context, Expr};
 
-fn small_db(seed: u64) -> Database {
-    let lib = LibraryProfile {
-        types: 25,
-        namespaces: 4,
-        ..Default::default()
-    };
-    let client = ClientProfile {
-        classes: 2,
-        ..Default::default()
-    };
-    generate(&lib, &client, seed)
-}
+mod common;
+use common::{sites, small_db};
 
 /// Whether an expression survives rendering textually: opaque expressions
 /// render as pseudo-code, the literal `0` re-parses as a hole, and string
@@ -31,20 +20,6 @@ fn renderable(e: &Expr) -> bool {
         Expr::DoubleLit(_) => false, // float formatting round-trips are a separate concern
         _ => e.children().iter().all(|c| renderable(c)),
     }
-}
-
-fn sites(db: &Database) -> Vec<(MethodId, usize, Expr)> {
-    let mut out = Vec::new();
-    for m in db.methods() {
-        if let Some(body) = db.method(m).body() {
-            for (si, stmt) in body.stmts.iter().enumerate() {
-                if let Some(e) = stmt.expr() {
-                    out.push((m, si, e.clone()));
-                }
-            }
-        }
-    }
-    out
 }
 
 proptest! {

@@ -13,9 +13,10 @@
 //! * building a node the arena has seen before allocates nothing and
 //!   returns the existing id (counted as `arena.hits`; first sights count
 //!   as `arena.interned`);
-//! * two ids are equal **iff** the materialized expressions are equal under
-//!   [`ExprKey`](crate::ExprKey) total equality (doubles by bits), so an id
-//!   set deduplicates exactly like an `ExprKey` set.
+//! * two ids are equal **iff** the materialized expressions are
+//!   structurally equal with doubles compared by bit pattern (`NaN` equals
+//!   itself, `0.0` and `-0.0` differ), so an id set deduplicates
+//!   expressions exactly.
 //!
 //! The arena is `Sync` (interior `RwLock`): one arena can be shared by
 //! concurrent queries — `pex-serve` keeps one in its snapshot so requests
@@ -51,8 +52,7 @@ pub struct Sym(pub u32);
 
 /// One hash-consed expression node: the [`Expr`] grammar with [`ExprId`]
 /// children, [`Sym`] strings, and doubles by bit pattern (which makes the
-/// node `Eq + Hash` — the total equality [`crate::ExprKey`] supplies for
-/// trees).
+/// node `Eq + Hash`, a total equality).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ENode {
     /// A local variable or parameter.
@@ -487,7 +487,51 @@ impl ExprArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExprKey;
+
+    /// The oracle for id equality: [`Expr`] under total structural equality.
+    ///
+    /// `Expr`'s `PartialEq` follows IEEE 754 for double literals (`NaN != NaN`)
+    /// and therefore cannot be `Eq`; this wrapper compares doubles **by bit
+    /// pattern**, consistent with [`Expr`]'s `Hash`. Two interned ids must be
+    /// equal exactly when their trees are `ExprKey`-equal.
+    #[derive(Debug, Clone)]
+    struct ExprKey(Expr);
+
+    impl PartialEq for ExprKey {
+        fn eq(&self, other: &Self) -> bool {
+            fn total_eq(a: &Expr, b: &Expr) -> bool {
+                match (a, b) {
+                    (Expr::DoubleLit(x), Expr::DoubleLit(y)) => x.to_bits() == y.to_bits(),
+                    (Expr::FieldAccess(ab, af), Expr::FieldAccess(bb, bf)) => {
+                        af == bf && total_eq(ab, bb)
+                    }
+                    (Expr::Call(am, aa), Expr::Call(bm, ba)) => {
+                        am == bm
+                            && aa.len() == ba.len()
+                            && aa.iter().zip(ba).all(|(x, y)| total_eq(x, y))
+                    }
+                    (Expr::Assign(al, ar), Expr::Assign(bl, br)) => {
+                        total_eq(al, bl) && total_eq(ar, br)
+                    }
+                    (Expr::Cmp(ao, al, ar), Expr::Cmp(bo, bl, br)) => {
+                        ao == bo && total_eq(al, bl) && total_eq(ar, br)
+                    }
+                    // Every remaining form contains no `f64`, so the derived
+                    // equality is already total.
+                    _ => a == b,
+                }
+            }
+            total_eq(&self.0, &other.0)
+        }
+    }
+
+    impl Eq for ExprKey {}
+
+    impl std::hash::Hash for ExprKey {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            self.0.hash(state);
+        }
+    }
 
     #[test]
     fn interning_deduplicates_structurally() {
@@ -543,12 +587,27 @@ mod tests {
     fn ids_dedup_exactly_like_expr_keys() {
         let arena = ExprArena::new();
         // NaN equals itself bitwise; 0.0 and -0.0 differ bitwise.
-        let nan1 = arena.intern_expr(&Expr::DoubleLit(f64::NAN));
-        let nan2 = arena.intern_expr(&Expr::DoubleLit(f64::NAN));
-        assert_eq!(nan1, nan2);
-        let pos = arena.intern_expr(&Expr::DoubleLit(0.0));
-        let neg = arena.intern_expr(&Expr::DoubleLit(-0.0));
-        assert_ne!(pos, neg);
+        let exprs = [
+            Expr::DoubleLit(f64::NAN),
+            Expr::DoubleLit(f64::NAN),
+            Expr::DoubleLit(0.0),
+            Expr::DoubleLit(-0.0),
+            Expr::Call(MethodId(1), vec![Expr::This, Expr::DoubleLit(-0.0)]),
+            Expr::Call(MethodId(1), vec![Expr::This, Expr::DoubleLit(0.0)]),
+            Expr::Call(MethodId(1), vec![Expr::This, Expr::DoubleLit(0.0)]),
+        ];
+        let ids: Vec<ExprId> = exprs.iter().map(|e| arena.intern_expr(e)).collect();
+        for (a, ia) in exprs.iter().zip(&ids) {
+            for (b, ib) in exprs.iter().zip(&ids) {
+                assert_eq!(
+                    ia == ib,
+                    ExprKey(a.clone()) == ExprKey(b.clone()),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+        assert_eq!(ids[0], ids[1]);
+        assert_ne!(ids[2], ids[3]);
     }
 
     #[test]
@@ -581,5 +640,27 @@ mod tests {
         });
         // 5 locals + 4 fields each over 5 bases = at most 25 field nodes.
         assert!(arena.len() <= 30, "no duplicate nodes under contention");
+    }
+
+    #[test]
+    fn expr_key_equality_is_total_and_matches_hash() {
+        use std::collections::HashSet;
+        let mut set: HashSet<ExprKey> = HashSet::new();
+        assert!(set.insert(ExprKey(Expr::DoubleLit(f64::NAN))));
+        // NaN equals itself bitwise: a duplicate under total equality.
+        assert!(!set.insert(ExprKey(Expr::DoubleLit(f64::NAN))));
+        // 0.0 and -0.0 differ bitwise: distinct rendered literals.
+        assert!(set.insert(ExprKey(Expr::DoubleLit(0.0))));
+        assert!(set.insert(ExprKey(Expr::DoubleLit(-0.0))));
+        // Structural forms dedup recursively.
+        let call = Expr::Call(MethodId(1), vec![Expr::This, Expr::DoubleLit(1.5)]);
+        assert!(set.insert(ExprKey(call.clone())));
+        assert!(!set.insert(ExprKey(call.clone())));
+        assert!(set.insert(ExprKey(Expr::Call(MethodId(1), vec![Expr::This]))));
+        assert!(set.insert(ExprKey(Expr::assign(
+            Expr::Local(LocalId(0)),
+            Expr::IntLit(3)
+        ))));
+        assert!(set.insert(ExprKey(Expr::cmp(CmpOp::Lt, Expr::This, call))));
     }
 }

@@ -264,7 +264,7 @@ impl Expr {
 impl std::hash::Hash for Expr {
     /// Structural hash. `Expr` cannot derive `Hash` because of
     /// [`Expr::DoubleLit`]; floating literals hash by bit pattern, matching
-    /// the total equality of [`ExprKey`].
+    /// the arena's id equality ([`crate::ExprArena`]).
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         std::mem::discriminant(self).hash(state);
         match self {
@@ -297,59 +297,6 @@ impl std::hash::Hash for Expr {
                 label.hash(state);
             }
         }
-    }
-}
-
-/// [`Expr`] as a hash-set / hash-map key.
-///
-/// `Expr`'s `PartialEq` follows IEEE 754 for double literals (`NaN != NaN`)
-/// and therefore cannot be `Eq`; this wrapper supplies the total equality a
-/// hash key needs by comparing doubles **by bit pattern**, consistent with
-/// [`Expr`]'s `Hash`. The engine's dedup sets use it in place of the old
-/// `format!("{expr:?}")` string keys, avoiding a per-candidate formatting
-/// pass and allocation on the hottest loop.
-#[derive(Debug, Clone)]
-pub struct ExprKey(pub Expr);
-
-impl PartialEq for ExprKey {
-    fn eq(&self, other: &Self) -> bool {
-        fn total_eq(a: &Expr, b: &Expr) -> bool {
-            match (a, b) {
-                (Expr::DoubleLit(x), Expr::DoubleLit(y)) => x.to_bits() == y.to_bits(),
-                (Expr::FieldAccess(ab, af), Expr::FieldAccess(bb, bf)) => {
-                    af == bf && total_eq(ab, bb)
-                }
-                (Expr::Call(am, aa), Expr::Call(bm, ba)) => {
-                    am == bm
-                        && aa.len() == ba.len()
-                        && aa.iter().zip(ba).all(|(x, y)| total_eq(x, y))
-                }
-                (Expr::Assign(al, ar), Expr::Assign(bl, br)) => {
-                    total_eq(al, bl) && total_eq(ar, br)
-                }
-                (Expr::Cmp(ao, al, ar), Expr::Cmp(bo, bl, br)) => {
-                    ao == bo && total_eq(al, bl) && total_eq(ar, br)
-                }
-                // Every remaining form contains no `f64`, so the derived
-                // equality is already total.
-                _ => a == b,
-            }
-        }
-        total_eq(&self.0, &other.0)
-    }
-}
-
-impl Eq for ExprKey {}
-
-impl std::hash::Hash for ExprKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
-    }
-}
-
-impl From<Expr> for ExprKey {
-    fn from(e: Expr) -> Self {
-        ExprKey(e)
     }
 }
 
@@ -527,28 +474,6 @@ mod tests {
         assert_eq!(body.live_locals_at(1), 2);
         assert_eq!(body.live_locals_at(2), 2);
         assert_eq!(body.live_locals_at(3), 3);
-    }
-
-    #[test]
-    fn expr_key_equality_is_total_and_matches_hash() {
-        use std::collections::HashSet;
-        let mut set: HashSet<ExprKey> = HashSet::new();
-        assert!(set.insert(ExprKey(Expr::DoubleLit(f64::NAN))));
-        // NaN equals itself bitwise: a duplicate under total equality.
-        assert!(!set.insert(ExprKey(Expr::DoubleLit(f64::NAN))));
-        // 0.0 and -0.0 differ bitwise: distinct rendered literals.
-        assert!(set.insert(ExprKey(Expr::DoubleLit(0.0))));
-        assert!(set.insert(ExprKey(Expr::DoubleLit(-0.0))));
-        // Structural forms dedup recursively.
-        let call = Expr::Call(MethodId(1), vec![Expr::This, Expr::DoubleLit(1.5)]);
-        assert!(set.insert(ExprKey(call.clone())));
-        assert!(!set.insert(ExprKey(call.clone())));
-        assert!(set.insert(ExprKey(Expr::Call(MethodId(1), vec![Expr::This]))));
-        assert!(set.insert(ExprKey(Expr::assign(
-            Expr::Local(LocalId(0)),
-            Expr::IntLit(3)
-        ))));
-        assert!(set.insert(ExprKey(Expr::cmp(CmpOp::Lt, Expr::This, call))));
     }
 
     #[test]

@@ -34,7 +34,7 @@ mod snap;
 pub use arena::{ArenaRead, ENode, ExprArena, ExprId, Sym};
 pub use context::{Context, Local};
 pub use database::{Database, GlobalRef, ModelError, ModelResult};
-pub use expr::{Body, CmpOp, Expr, ExprKey, ExprKindName, LastMember, Stmt, ValueTy};
+pub use expr::{Body, CmpOp, Expr, ExprKindName, LastMember, Stmt, ValueTy};
 pub use ids::{FieldId, LocalId, MethodId};
 pub use member::{Field, Method, Param, Visibility};
 pub use pretty::{render_expr, CallStyle};

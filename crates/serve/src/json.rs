@@ -151,11 +151,18 @@ impl fmt::Display for ParseError {
     }
 }
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Nesting bound for arrays and objects, the same bound the
+/// partial-expression and mini-C# parsers use: no request needs more, and
+/// deeper input is rejected rather than risking a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document; trailing non-whitespace is an error, and so is
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -169,6 +176,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -206,8 +215,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -215,6 +224,20 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper.
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("JSON nested too deeply"));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -410,6 +433,20 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.msg, "JSON nested too deeply");
+        assert_eq!(err.pos, MAX_DEPTH);
+        // Objects count too, mixed with arrays.
+        let mixed = format!("{}1{}", "{\"a\":[".repeat(65), "]}".repeat(65));
+        assert!(parse(&mixed).is_err());
+        // A huge attack line fails fast instead of overflowing the stack.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -73,6 +73,22 @@ fn malformed_requests_get_an_error_response_not_a_crash() {
 }
 
 #[test]
+fn over_deep_json_is_a_bad_request_not_a_crash() {
+    let (mut child, mut reader) = spawn(&["paint", "--workers", "1"]);
+    send(&mut child, &"[".repeat(200_000));
+    let resp = recv(&mut reader);
+    assert!(resp.contains("\"error\":\"bad_request\""), "{resp}");
+    assert!(resp.contains("nested too deeply"), "{resp}");
+    // Exactly one error line, then the daemon keeps serving.
+    send(&mut child, r#"{"id":2,"cmd":"ping"}"#);
+    let resp = recv(&mut reader);
+    assert!(resp.contains("\"id\":2"), "{resp}");
+    assert!(resp.contains("\"pong\":true"), "{resp}");
+    drop(child.stdin.take());
+    assert_eq!(wait_exit(child), 0);
+}
+
+#[test]
 fn over_deep_update_source_is_a_parse_error_not_a_crash() {
     let (mut child, mut reader) = spawn(&["paint", "--workers", "1"]);
     send(&mut child, r#"{"id":1,"query":"?({img, size})","limit":3}"#);

@@ -424,7 +424,6 @@ fn explain_query(s: &Session, text: &str) {
             ..Default::default()
         },
     );
-    let ranker = engine.ranker();
     let results = engine.complete(&query, s.count);
     if results.is_empty() {
         say!("(no completions)");
@@ -433,7 +432,7 @@ fn explain_query(s: &Session, text: &str) {
     let codes: Vec<String> = RankTerm::ALL.iter().map(|t| t.code().to_string()).collect();
     say!("{:>5}  {}  completion", "score", codes.join("  "));
     for c in &results {
-        let Some(breakdown) = ranker.explain(&c.expr) else {
+        let Some(breakdown) = engine.explain(c) else {
             continue;
         };
         let cells: Vec<String> = breakdown

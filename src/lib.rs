@@ -78,7 +78,8 @@ pub mod prelude {
         RankConfig, RankTerm, Ranker, ReachIndex, ScoreBreakdown, SuffixKind, MAX_DEPTH_LIMIT,
     };
     pub use pex_model::{
-        Body, CallStyle, CmpOp, Context, Database, Expr, Local, Stmt, ValueTy, Visibility,
+        Body, CallStyle, CmpOp, Context, Database, Expr, ExprArena, Local, Stmt, ValueTy,
+        Visibility,
     };
     pub use pex_types::{NamespaceId, PrimKind, TypeId, TypeTable};
 }

@@ -63,6 +63,7 @@ fn setup() -> (Database, Context, pex::model::MethodId) {
 fn check_invariants(db: &Database, ctx: &Context, engine: &Completer<'_>, query: &PartialExpr) {
     let completions: Vec<Completion> = engine.completions(query).take(40).collect();
     let ranker = engine.ranker();
+    let arena = ExprArena::new();
     let mut last = 0;
     for c in &completions {
         assert!(
@@ -78,7 +79,7 @@ fn check_invariants(db: &Database, ctx: &Context, engine: &Completer<'_>, query:
         assert!(c.score >= last, "scores must be non-decreasing");
         last = c.score;
         assert_eq!(
-            ranker.score(&c.expr),
+            ranker.score(&arena, arena.intern_expr(&c.expr)),
             Some(c.score),
             "score mismatch: {}",
             engine.render(c)
