@@ -10,7 +10,7 @@
 //! * object keys keep insertion order (a `Vec`, not a map), so re-emitting
 //!   a merged document is stable.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,46 +82,22 @@ impl Value {
 }
 
 impl fmt::Display for Value {
-    /// Serializes back to compact JSON.
+    /// Serializes back to compact JSON through [`JsonWriter`].
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => f.write_str("null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Value::Str(s) => write!(f, "\"{}\"", escape(s)),
-            Value::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
-            }
-            Value::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "\"{}\":{v}", escape(k))?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut w = JsonWriter::default();
+        w.value(self);
+        f.write_str(&w.finish())
     }
 }
 
-/// Escapes a string for embedding in a JSON document.
+/// Escapes a string for embedding in a JSON document (without the quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -129,11 +105,159 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
+}
+
+/// The one JSON emitter: every protocol response, the `stats`/`health`
+/// bodies, the `--metrics-out` document and [`Value`]'s `Display` are
+/// written through it, so escaping is correct by construction.
+///
+/// It streams into one `String` with a single separator flag, which is all
+/// compact JSON needs: an item that follows another gets a comma; a key's
+/// value and a container's first item do not. Matching `open`/`close`
+/// calls is the caller's job. A response *body* (see
+/// [`assemble_response`](crate::proto::assemble_response)) is written by a
+/// fresh writer that starts with a key instead of `{`.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    comma: bool,
+}
+
+/// Anything [`JsonWriter::value`] can write: numbers, booleans, strings,
+/// [`Value`]s, and `Option`s of those (`None` is `null`).
+pub trait JsonScalar {
+    /// Writes `self` as one JSON value.
+    fn write_to(self, w: &mut JsonWriter);
+}
+
+impl JsonWriter {
+    /// The document written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// Starts the next item, with a comma unless it comes first.
+    fn item(&mut self) -> &mut String {
+        if std::mem::replace(&mut self.comma, true) {
+            self.out.push(',');
+        }
+        &mut self.out
+    }
+
+    /// Opens an object (`{`) or an array (`[`).
+    pub fn open(&mut self, bracket: char) -> &mut Self {
+        self.item().push(bracket);
+        self.comma = false;
+        self
+    }
+
+    /// Closes the innermost object (`}`) or array (`]`).
+    pub fn close(&mut self, bracket: char) -> &mut Self {
+        self.out.push(bracket);
+        self.comma = true;
+        self
+    }
+
+    /// Writes an object key; the next call writes its value.
+    pub fn key(&mut self, k: &str) -> &mut Self {
+        self.value(k).out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// Writes one value.
+    pub fn value(&mut self, v: impl JsonScalar) -> &mut Self {
+        v.write_to(self);
+        self
+    }
+
+    /// Writes `"k":v`.
+    pub fn field(&mut self, k: &str, v: impl JsonScalar) -> &mut Self {
+        self.key(k).value(v)
+    }
+
+    /// Appends a body rendered by another writer: the remaining fields of
+    /// the object this writer has open, and its closing brace.
+    pub fn body(&mut self, body: &str) -> &mut Self {
+        self.item().push_str(body);
+        self
+    }
+}
+
+macro_rules! display_scalar {
+    ($($t:ty),*) => {$(
+        impl JsonScalar for $t {
+            fn write_to(self, w: &mut JsonWriter) {
+                let _ = write!(w.item(), "{self}");
+            }
+        }
+    )*};
+}
+display_scalar!(bool, u32, u64, usize);
+
+impl JsonScalar for f64 {
+    /// Whole values below 10^15 print as integers, anything else in Rust's
+    /// shortest round-trip form, and (JSON has neither) infinities and NaN
+    /// as `null`.
+    fn write_to(self, w: &mut JsonWriter) {
+        let out = w.item();
+        let _ = if !self.is_finite() {
+            out.write_str("null")
+        } else if self.fract() == 0.0 && self.abs() < 1e15 {
+            write!(out, "{}", self as i64)
+        } else {
+            write!(out, "{self}")
+        };
+    }
+}
+
+impl JsonScalar for &str {
+    fn write_to(self, w: &mut JsonWriter) {
+        let out = w.item();
+        out.push('"');
+        escape_into(out, self);
+        out.push('"');
+    }
+}
+
+impl JsonScalar for &Value {
+    fn write_to(self, w: &mut JsonWriter) {
+        match self {
+            Value::Null => w.value(None::<bool>),
+            Value::Bool(b) => w.value(*b),
+            Value::Num(n) => w.value(*n),
+            Value::Str(s) => w.value(s.as_str()),
+            Value::Arr(items) => {
+                w.open('[');
+                for item in items {
+                    w.value(item);
+                }
+                w.close(']')
+            }
+            Value::Obj(fields) => {
+                w.open('{');
+                for (k, v) in fields {
+                    w.field(k, v);
+                }
+                w.close('}')
+            }
+        };
+    }
+}
+
+impl<T: JsonScalar> JsonScalar for Option<T> {
+    fn write_to(self, w: &mut JsonWriter) {
+        match self {
+            Some(v) => v.write_to(w),
+            None => w.item().push_str("null"),
+        }
+    }
 }
 
 /// A parse failure: byte offset plus a short message.
@@ -468,6 +592,15 @@ mod tests {
             parse("18446744073709549568").unwrap().as_u64(),
             Some(18446744073709549568)
         );
+    }
+
+    #[test]
+    fn non_finite_numbers_write_as_null() {
+        // `1e999` parses to infinity; echoing it as `inf` would be invalid
+        // JSON.
+        let v = parse(r#"{"id":1e999,"n":[-0.0,2.5]}"#).unwrap();
+        assert_eq!(v.to_string(), r#"{"id":null,"n":[0,2.5]}"#);
+        assert_eq!(Value::Num(f64::NAN).to_string(), "null");
     }
 
     #[test]

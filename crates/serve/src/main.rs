@@ -1,7 +1,8 @@
 //! `pex-serve` — the long-lived completion daemon.
 //!
 //! Loads a code model once, prewarms every index, and serves the
-//! JSON-lines protocol from a fixed worker pool over two transports:
+//! JSON-lines protocol from a fixed worker pool over two transports, both
+//! run by the one connection loop [`serve_connection`]:
 //!
 //! * **stdin/stdout** (always on): one request per line on stdin, one
 //!   response per line on stdout. EOF on stdin begins a graceful
@@ -11,23 +12,23 @@
 //!   worker pool and admission queue.
 //!
 //! A `{"cmd":"shutdown"}` request from any transport triggers the same
-//! graceful drain. `--metrics-out FILE` writes the metric registry
-//! (counters, gauges, latency histograms) as JSON on shutdown — the daemon
-//! equivalent of `pex-experiments --metrics-out` — and, with
-//! `--metrics-interval-s N`, every N seconds while serving (each write is
-//! atomic: a temp file renamed into place, so scrapers never read a torn
-//! document). (Catching SIGTERM directly would need a signal handler,
-//! which `std` cannot install without unsafe code; the workspace forbids
-//! it, so orchestrators should close stdin or send the shutdown command
-//! instead.)
+//! graceful drain, even while stdin stays open. `--metrics-out FILE`
+//! writes the metric registry (counters, gauges, latency histograms) as
+//! JSON on shutdown — the daemon equivalent of `pex-experiments
+//! --metrics-out` — and, with `--metrics-interval-s N`, every N seconds
+//! while serving (each write is atomic: a temp file renamed into place, so
+//! scrapers never read a torn document). (Catching SIGTERM directly would
+//! need a signal handler, which `std` cannot install without unsafe code;
+//! the workspace forbids it, so orchestrators should close stdin or send
+//! the shutdown command instead.)
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pex_serve::json::{self, Value};
 use pex_serve::proto::RequestDefaults;
 use pex_serve::registry::{self, DefaultOrigin};
 use pex_serve::{ServeConfig, Server, ServerClient, Snapshot, SnapshotRegistry, SnapshotSource};
@@ -136,6 +137,7 @@ fn main() {
         options.max_snapshot_bytes,
     ));
     let server = Server::start(registry, options.config);
+    let client = server.client();
 
     // Periodic metrics flush: a plain timer thread woken early at shutdown
     // by dropping the channel's sender. No flush happens unless both
@@ -171,14 +173,15 @@ fn main() {
             }
         };
         eprintln!("pex-serve: listening on {}", path.display());
-        spawn_socket_listener(listener, server.client(), options.max_connections)
+        spawn_socket_listener(listener, client.clone(), options.max_connections)
     });
 
-    // The stdin transport runs on the main thread.
-    stdin_transport(&server);
+    // Stdin is one more connection, served on the main thread until stdin
+    // EOF or a shutdown requested on any transport.
+    serve_connection(BufReader::new(PolledStdin::spawn()), io::stdout(), &client);
 
     // Graceful shutdown: stop accepting, drain admitted work, join.
-    server.request_shutdown();
+    client.request_shutdown();
     if let Some(accept_thread) = listener_handle {
         // The accept loop blocks in `accept`; a throwaway connection wakes
         // it so it can observe the shutdown flag and exit promptly.
@@ -204,60 +207,125 @@ fn main() {
     }
 }
 
-/// Reads requests from stdin until EOF or a shutdown command. Responses
-/// are written (and flushed, for pipeline clients) by a dedicated writer
-/// thread so slow queries never block admission.
-fn stdin_transport(server: &Server) {
+/// The longest request line a transport accepts, newline excluded. A
+/// longer line is answered `request_too_large` once and skipped up to the
+/// next newline, so no client can make the daemon buffer without bound.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How often a connection waiting for input re-checks the shutdown flag.
+const POLL: Duration = Duration::from_millis(100);
+
+/// The one connection loop, shared by stdin and every socket client.
+///
+/// Reads request lines until EOF, a read error, or a shutdown requested on
+/// any transport (checked after every read, and reads time out every
+/// [`POLL`]), and submits each to the pool. Lines are capped at
+/// [`MAX_LINE_BYTES`]: past the cap the rest of the line is discarded
+/// unbuffered. A writer thread sends the answers back, flushed per line
+/// for pipelining clients, so a slow query never blocks reading. Returns
+/// once every request this connection admitted has been answered and
+/// written.
+fn serve_connection<R: BufRead, W: Write + Send + 'static>(
+    mut input: R,
+    output: W,
+    server: &ServerClient,
+) {
     let (tx, rx) = channel::<String>();
     let writer = std::thread::spawn(move || {
-        let stdout = std::io::stdout();
+        let mut out = io::BufWriter::new(output);
         for response in rx {
-            let mut out = stdout.lock();
             if writeln!(out, "{response}")
-                .and_then(|_| out.flush())
+                .and_then(|()| out.flush())
                 .is_err()
             {
-                // stdout closed (client went away): stop writing; the main
-                // loop notices on EOF or shutdown.
-                break;
+                break; // the client went away; the reader sees EOF next
             }
         }
     });
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut line = Vec::new();
+    let mut oversized = false;
+    while !server.shutdown_requested() {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            // A read timeout is the poll tick: re-check the shutdown flag.
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => continue,
+            Err(_) => break,
+        };
+        // EOF ends a last line that has no newline.
+        let eof = chunk.is_empty();
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let part = &chunk[..newline.unwrap_or(chunk.len())];
+        if line.len() + part.len() > MAX_LINE_BYTES {
+            oversized = true;
+            line = Vec::new();
+        } else if !oversized {
+            line.extend_from_slice(part);
+        }
+        let used = newline.map_or(chunk.len(), |i| i + 1);
+        input.consume(used);
+        if newline.is_none() && !eof {
             continue;
         }
-        if handle_if_shutdown(&line, server, &tx) {
-            break;
+        match String::from_utf8(std::mem::take(&mut line)) {
+            _ if std::mem::take(&mut oversized) => {
+                let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                server.reject("request_too_large", &message, &tx);
+            }
+            Ok(text) if text.trim().is_empty() => {}
+            Ok(text) => server.submit(text, &tx),
+            Err(_) => server.reject("bad_request", "request line is not valid UTF-8", &tx),
         }
-        server.submit(line, &tx);
-        if server.shutdown_requested() {
+        if eof {
             break;
         }
     }
+    // Queued jobs hold clones of `tx`, so the writer ends only after the
+    // last of this connection's answers is written.
     drop(tx);
     let _ = writer.join();
 }
 
-/// Transport-level fast path for `{"cmd":"shutdown"}`: acknowledged
-/// immediately so the drain can begin without waiting for a worker. The
-/// substring pre-filter keeps the common path free of double parsing.
-fn handle_if_shutdown(line: &str, server: &Server, tx: &Sender<String>) -> bool {
-    if !line.contains("\"shutdown\"") {
-        return false;
+/// Stdin as a connection the loop can poll. A pump thread does the
+/// blocking reads and hands chunks over a channel; a wait longer than
+/// [`POLL`] reports `TimedOut`, as a socket read with a timeout does. So
+/// the main thread notices a shutdown requested on the socket even while
+/// stdin stays open, and the pump — parked in a read only EOF can end —
+/// holds no reply sender that would keep the stdout writer waiting.
+struct PolledStdin {
+    chunks: Receiver<Vec<u8>>,
+    chunk: io::Cursor<Vec<u8>>,
+}
+
+impl PolledStdin {
+    fn spawn() -> PolledStdin {
+        let (tx, chunks) = sync_channel::<Vec<u8>>(1);
+        std::thread::spawn(move || {
+            let mut buf = vec![0; 8192];
+            // A read error ends stdin like EOF does.
+            while let Ok(n @ 1..) = io::stdin().read(&mut buf) {
+                if tx.send(buf[..n].to_vec()).is_err() {
+                    break;
+                }
+            }
+        });
+        PolledStdin {
+            chunks,
+            chunk: io::Cursor::new(Vec::new()),
+        }
     }
-    let Ok(doc) = json::parse(line) else {
-        return false;
-    };
-    if doc.get("cmd").and_then(Value::as_str) != Some("shutdown") {
-        return false;
+}
+
+impl Read for PolledStdin {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        if self.chunk.position() == self.chunk.get_ref().len() as u64 {
+            self.chunk = match self.chunks.recv_timeout(POLL) {
+                Ok(chunk) => io::Cursor::new(chunk),
+                Err(RecvTimeoutError::Timeout) => return Err(TimedOut.into()),
+                Err(RecvTimeoutError::Disconnected) => return Ok(0), // EOF
+            };
+        }
+        self.chunk.read(out)
     }
-    server.request_shutdown();
-    let id = doc.get("id").cloned();
-    let _ = tx.send(pex_serve::proto::shutdown_response(id.as_ref()));
-    true
 }
 
 /// Readies `--socket PATH` for binding without clobbering anything live:
@@ -311,8 +379,9 @@ fn prepare_socket_path(path: &std::path::Path) {
     }
 }
 
-/// Accepts socket connections until shutdown; each connection gets a
-/// reader (with a poll timeout so shutdown is observed) and a writer.
+/// Accepts socket connections until shutdown; each connection runs
+/// [`serve_connection`] on its own thread, with a read timeout so it
+/// notices shutdown.
 ///
 /// The accept call blocks — no polling, no connect latency — and shutdown
 /// wakes it with a throwaway connection (see `main`). Finished connection
@@ -356,7 +425,10 @@ fn spawn_socket_listener(
                     pex_obs::counter!("serve.connections", 1);
                     let server = server.clone();
                     connections.push(std::thread::spawn(move || {
-                        socket_connection(stream, &server);
+                        let _ = stream.set_read_timeout(Some(POLL));
+                        if let Ok(write_half) = stream.try_clone() {
+                            serve_connection(BufReader::new(stream), write_half, &server);
+                        }
                     }));
                 }
                 Err(_) => break,
@@ -366,70 +438,6 @@ fn spawn_socket_listener(
             let _ = c.join();
         }
     })
-}
-
-/// One socket client: reads request lines (polling for shutdown via a
-/// read timeout), writes responses as they complete.
-fn socket_connection(stream: std::os::unix::net::UnixStream, server: &ServerClient) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let (tx, rx) = channel::<String>();
-    let writer = std::thread::spawn(move || {
-        let mut out = std::io::BufWriter::new(write_half);
-        for response in rx {
-            if writeln!(out, "{response}")
-                .and_then(|_| out.flush())
-                .is_err()
-            {
-                break;
-            }
-        }
-    });
-    let mut reader = BufReader::new(stream);
-    let mut acc = String::new();
-    loop {
-        if server.shutdown_requested() {
-            break;
-        }
-        match reader.read_line(&mut acc) {
-            Ok(0) => break, // client closed
-            Ok(_) => {
-                if !acc.ends_with('\n') {
-                    continue; // timeout mid-line; keep accumulating
-                }
-                let line = std::mem::take(&mut acc);
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                if line.contains("\"shutdown\"") {
-                    if let Ok(doc) = json::parse(line) {
-                        if doc.get("cmd").and_then(Value::as_str) == Some("shutdown") {
-                            server.request_shutdown();
-                            let id = doc.get("id").cloned();
-                            let _ = tx.send(pex_serve::proto::shutdown_response(id.as_ref()));
-                            break;
-                        }
-                    }
-                }
-                server.submit(line.to_owned(), &tx);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue; // poll tick: re-check the shutdown flag
-            }
-            Err(_) => break,
-        }
-    }
-    drop(tx);
-    let _ = writer.join();
 }
 
 fn usage_exit(msg: &str) -> ! {
@@ -445,7 +453,8 @@ fn take_value(args: &[String], i: &mut usize, flag: &str) -> String {
     }
 }
 
-fn parse_usize(flag: &str, v: &str) -> usize {
+fn take_number(args: &[String], i: &mut usize, flag: &str) -> usize {
+    let v = take_value(args, i, flag);
     v.parse()
         .unwrap_or_else(|_| usage_exit(&format!("{flag} takes an integer, got `{v}`")))
 }
@@ -478,49 +487,32 @@ fn parse_args() -> Options {
                 std::process::exit(0);
             }
             "--local" => options.locals.push(take_value(&args, &mut i, flag)),
-            "--workers" => {
-                options.config.workers = parse_usize(flag, &take_value(&args, &mut i, flag)).max(1)
-            }
-            "--queue-cap" => {
-                options.config.queue_cap =
-                    parse_usize(flag, &take_value(&args, &mut i, flag)).max(1)
-            }
-            "--limit" => defaults.limit = parse_usize(flag, &take_value(&args, &mut i, flag)),
-            "--deadline-ms" => {
-                defaults.deadline_ms =
-                    Some(parse_usize(flag, &take_value(&args, &mut i, flag)) as u64)
-            }
-            "--max-steps" => {
-                defaults.max_steps = parse_usize(flag, &take_value(&args, &mut i, flag))
-            }
-            "--socket" => options.socket = Some(PathBuf::from(take_value(&args, &mut i, flag))),
+            "--workers" => options.config.workers = take_number(&args, &mut i, flag).max(1),
+            "--queue-cap" => options.config.queue_cap = take_number(&args, &mut i, flag).max(1),
+            "--limit" => defaults.limit = take_number(&args, &mut i, flag),
+            "--deadline-ms" => defaults.deadline_ms = Some(take_number(&args, &mut i, flag) as u64),
+            "--max-steps" => defaults.max_steps = take_number(&args, &mut i, flag),
+            "--socket" => options.socket = Some(take_value(&args, &mut i, flag).into()),
             "--max-connections" => {
-                options.max_connections = parse_usize(flag, &take_value(&args, &mut i, flag)).max(1)
+                options.max_connections = take_number(&args, &mut i, flag).max(1)
             }
-            "--metrics-out" => {
-                options.metrics_out = Some(PathBuf::from(take_value(&args, &mut i, flag)))
-            }
+            "--metrics-out" => options.metrics_out = Some(take_value(&args, &mut i, flag).into()),
             "--metrics-interval-s" => {
-                options.metrics_interval_s =
-                    Some(parse_usize(flag, &take_value(&args, &mut i, flag)).max(1) as u64)
+                options.metrics_interval_s = Some(take_number(&args, &mut i, flag).max(1) as u64)
             }
             "--save-snapshot" => {
-                options.save_snapshot = Some(PathBuf::from(take_value(&args, &mut i, flag)))
+                options.save_snapshot = Some(take_value(&args, &mut i, flag).into())
             }
             "--load-snapshot" => {
-                options.load_snapshot = Some(PathBuf::from(take_value(&args, &mut i, flag)))
+                options.load_snapshot = Some(take_value(&args, &mut i, flag).into())
             }
-            "--snapshot-dir" => {
-                options.snapshot_dir = Some(PathBuf::from(take_value(&args, &mut i, flag)))
-            }
+            "--snapshot-dir" => options.snapshot_dir = Some(take_value(&args, &mut i, flag).into()),
             "--max-snapshot-bytes" => {
-                options.max_snapshot_bytes =
-                    Some(parse_usize(flag, &take_value(&args, &mut i, flag)) as u64)
+                options.max_snapshot_bytes = Some(take_number(&args, &mut i, flag) as u64)
             }
             "--build-only" => options.build_only = true,
             "--slo-p99-us" => {
-                options.config.slo_p99_us =
-                    Some(parse_usize(flag, &take_value(&args, &mut i, flag)) as u64)
+                options.config.slo_p99_us = Some(take_number(&args, &mut i, flag) as u64)
             }
             other if other.starts_with('-') => usage_exit(&format!("unknown flag {other}")),
             other => {

@@ -1,20 +1,20 @@
 //! Bridges the `pex-obs` registry into protocol JSON.
 //!
 //! Everything the daemon reports about itself — the `stats` and `health`
-//! commands, and the `--metrics-out` document — is built here as a
-//! [`Value`] tree and serialised by the same emitter as every protocol
-//! response, so metric names and labels are escaped correctly no matter
-//! what characters they contain (the old `--metrics-out` path spliced
-//! pre-rendered JSON into a `format!`).
+//! command bodies, and the `--metrics-out` document — is streamed here
+//! through the same [`JsonWriter`] as every protocol response, so metric
+//! names and labels are escaped correctly no matter what characters they
+//! contain.
 //!
-//! Rolling windows: the worker pool records per-request latencies into
+//! Rolling windows: the worker pool records per-query latencies into
 //! [`pex_obs::WindowedHistogram`]s under the names below, and
-//! [`stats_response`] reads the last-1s/10s/60s merges with interpolated
+//! the `stats` command reads the last-1s/10s/60s merges with interpolated
 //! percentiles — a live view the lifetime histograms cannot give.
 
-use pex_obs::{HistogramSnapshot, MetricsSnapshot};
+use pex_obs::MetricsSnapshot;
 
-use crate::json::Value;
+use crate::json::JsonWriter;
+use crate::proto::body;
 use crate::registry::SnapshotRegistry;
 
 /// Windowed per-request latency in microseconds (admission to response),
@@ -30,161 +30,129 @@ pub const SHED_WINDOW: &str = "serve.requests.shed.window";
 /// The window (seconds) health checks evaluate shed rate and SLO burn over.
 pub const HEALTH_WINDOW_S: u64 = 10;
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+/// Writes a lifetime [`MetricsSnapshot`] as a
+/// `{"counters","gauges","histograms"}` object. Histograms carry exact
+/// count/sum/max, bucket-bound p50/p90/p99, and their non-empty buckets as
+/// `[upper bound, count]` pairs — the same shape
+/// [`MetricsSnapshot::to_json`] renders.
+fn write_metrics(w: &mut JsonWriter, snap: &MetricsSnapshot) {
+    w.open('{').key("counters").open('{');
+    for (k, v) in &snap.counters {
+        w.field(k, *v);
+    }
+    w.close('}').key("gauges").open('{');
+    for (k, v) in &snap.gauges {
+        w.field(k, *v);
+    }
+    w.close('}').key("histograms").open('{');
+    for (k, h) in &snap.histograms {
+        w.key(k)
+            .open('{')
+            .field("count", h.count)
+            .field("sum", h.sum)
+            .field("max", h.max)
+            .field("p50", h.percentile(50.0))
+            .field("p90", h.percentile(90.0))
+            .field("p99", h.percentile(99.0))
+            .key("buckets")
+            .open('[');
+        for &(i, c) in &h.buckets {
+            w.open('[')
+                .value(pex_obs::Histogram::bucket_upper(i))
+                .value(c)
+                .close(']');
+        }
+        w.close(']').close('}');
+    }
+    w.close('}').close('}');
 }
 
-fn num(n: u64) -> Value {
-    Value::Num(n as f64)
-}
-
-/// A lifetime [`MetricsSnapshot`] as a `{"counters","gauges","histograms"}`
-/// object. Histograms carry exact count/sum/max, bucket-bound p50/p90/p99,
-/// and their non-empty buckets as `[upper bound, count]` pairs — the same
-/// shape [`MetricsSnapshot::to_json`] renders, built as a [`Value`] so it
-/// can embed in protocol responses.
-pub fn metrics_value(snap: &MetricsSnapshot) -> Value {
-    let counters = snap
-        .counters
-        .iter()
-        .map(|(k, v)| (k.clone(), num(*v)))
-        .collect();
-    let gauges = snap
-        .gauges
-        .iter()
-        .map(|(k, v)| (k.clone(), num(*v)))
-        .collect();
-    let histograms = snap
-        .histograms
-        .iter()
-        .map(|(k, h)| {
-            let buckets = h
-                .buckets
-                .iter()
-                .map(|&(i, c)| Value::Arr(vec![num(pex_obs::Histogram::bucket_upper(i)), num(c)]))
-                .collect();
-            let body = obj(vec![
-                ("count", num(h.count)),
-                ("sum", num(h.sum)),
-                ("max", num(h.max)),
-                ("p50", num(h.percentile(50.0))),
-                ("p90", num(h.percentile(90.0))),
-                ("p99", num(h.percentile(99.0))),
-                ("buckets", Value::Arr(buckets)),
-            ]);
-            (k.clone(), body)
-        })
-        .collect();
-    Value::Obj(vec![
-        ("counters".to_owned(), Value::Obj(counters)),
-        ("gauges".to_owned(), Value::Obj(gauges)),
-        ("histograms".to_owned(), Value::Obj(histograms)),
-    ])
-}
-
-/// One rolling window of the request-latency histogram: sample count, the
-/// implied request rate, and interpolated percentiles in microseconds.
-pub fn window_value(w: &HistogramSnapshot, seconds: u64) -> Value {
-    obj(vec![
-        ("seconds", num(seconds)),
-        ("count", num(w.count)),
-        (
-            "rate_rps",
-            Value::Num(w.count as f64 / seconds.max(1) as f64),
-        ),
-        ("p50_us", num(w.percentile_interp(50.0))),
-        ("p90_us", num(w.percentile_interp(90.0))),
-        ("p99_us", num(w.percentile_interp(99.0))),
-        ("max_us", num(w.max)),
-    ])
-}
-
-/// The per-tenant table embedded in `stats` and `health`: one entry per
-/// resident tenant (default first) with its byte accounting and the
-/// `serve.tenant.<id>.*` resolution counters, so the per-tenant
+/// Writes the per-tenant table embedded in `stats` and `health`: one
+/// entry per resident tenant (default first) with its byte accounting and
+/// the `serve.tenant.<id>.*` resolution counters, so the per-tenant
 /// identities `sent == ok + degraded + shed + errors` (queries) and
 /// `sent == applied + rejected` (edits) can be checked externally.
-pub fn tenants_value(registry: &SnapshotRegistry) -> Value {
+fn write_tenants(w: &mut JsonWriter, registry: &SnapshotRegistry) {
     let obs = pex_obs::registry();
-    let entries = registry
-        .describe()
-        .into_iter()
-        .map(|t| {
-            let c = |suffix: &str| {
-                num(obs
-                    .counter(&pex_obs::scoped_name("serve.tenant", &t.project, suffix))
-                    .get())
-            };
-            let body = obj(vec![
-                ("bytes", num(t.bytes)),
-                ("pinned", Value::Bool(t.pinned)),
-                ("dirty", Value::Bool(t.dirty)),
-                (
-                    "requests",
-                    obj(vec![
-                        ("ok", c("requests.ok")),
-                        ("degraded", c("requests.degraded")),
-                        ("shed", c("requests.shed")),
-                        ("errors", c("requests.error")),
-                    ]),
-                ),
-                (
-                    "edits",
-                    obj(vec![
-                        ("applied", c("edits.applied")),
-                        ("rejected", c("edits.rejected")),
-                    ]),
-                ),
-                ("coalesced", c("coalesced")),
-            ]);
-            (t.project, body)
-        })
-        .collect();
-    Value::Obj(entries)
+    w.open('{');
+    for t in registry.describe() {
+        let c = |suffix: &str| {
+            obs.counter(&pex_obs::scoped_name("serve.tenant", &t.project, suffix))
+                .get()
+        };
+        w.key(&t.project)
+            .open('{')
+            .field("bytes", t.bytes)
+            .field("pinned", t.pinned)
+            .field("dirty", t.dirty)
+            .key("requests")
+            .open('{')
+            .field("ok", c("requests.ok"))
+            .field("degraded", c("requests.degraded"))
+            .field("shed", c("requests.shed"))
+            .field("errors", c("requests.error"))
+            .close('}')
+            .key("edits")
+            .open('{')
+            .field("applied", c("edits.applied"))
+            .field("rejected", c("edits.rejected"))
+            .close('}')
+            .field("coalesced", c("coalesced"))
+            .close('}');
+    }
+    w.close('}');
 }
 
-/// The registry-wide residency summary for `stats`.
-fn registry_value(registry: &SnapshotRegistry) -> Value {
-    obj(vec![
-        ("resident", num(registry.resident_names().len() as u64)),
-        ("resident_bytes", num(registry.resident_bytes())),
-        ("max_bytes", registry.max_bytes().map_or(Value::Null, num)),
-    ])
-}
-
-/// The `{"cmd":"stats"}` response: the full lifetime registry snapshot
-/// plus last-1s/10s/60s request-latency windows and the tenant table.
-pub fn stats_response(
-    id: Option<&Value>,
-    queue_depth: usize,
-    registry: &SnapshotRegistry,
-) -> String {
+/// The `{"cmd":"stats"}` body: the full lifetime registry snapshot plus
+/// last-1s/10s/60s request-latency windows and the tenant table.
+pub(crate) fn stats_rest(queue_depth: usize, registry: &SnapshotRegistry) -> String {
     let latency = pex_obs::registry().windowed(REQUEST_WINDOW);
-    let windows = obj(vec![
-        ("1s", window_value(&latency.window(1), 1)),
-        ("10s", window_value(&latency.window(10), 10)),
-        ("60s", window_value(&latency.window(60), 60)),
-    ]);
-    let stats = obj(vec![
-        ("queue_depth", num(queue_depth as u64)),
-        ("windows", windows),
-        ("registry", registry_value(registry)),
-        ("tenants", tenants_value(registry)),
-        ("metrics", metrics_value(&pex_obs::registry().snapshot())),
-    ]);
-    respond(id, "stats", stats)
+    body(|w| {
+        w.field("ok", true)
+            .key("stats")
+            .open('{')
+            .field("queue_depth", queue_depth)
+            .key("windows")
+            .open('{');
+        // Each window: sample count, the implied request rate, and
+        // interpolated percentiles in microseconds.
+        for (name, seconds) in [("1s", 1u64), ("10s", 10), ("60s", 60)] {
+            let h = latency.window(seconds);
+            w.key(name)
+                .open('{')
+                .field("seconds", seconds)
+                .field("count", h.count)
+                .field("rate_rps", h.count as f64 / seconds as f64)
+                .field("p50_us", h.percentile_interp(50.0))
+                .field("p90_us", h.percentile_interp(90.0))
+                .field("p99_us", h.percentile_interp(99.0))
+                .field("max_us", h.max)
+                .close('}');
+        }
+        w.close('}')
+            .key("registry")
+            .open('{')
+            .field("resident", registry.resident_names().len())
+            .field("resident_bytes", registry.resident_bytes())
+            .field("max_bytes", registry.max_bytes())
+            .close('}')
+            .key("tenants");
+        write_tenants(w, registry);
+        w.key("metrics");
+        write_metrics(w, &pex_obs::registry().snapshot());
+        w.close('}');
+    })
 }
 
-/// The `{"cmd":"health"}` response: queue depth, the windowed shed rate,
-/// the request-accounting identity, and the SLO-burn flag.
+/// The `{"cmd":"health"}` body: queue depth, the windowed shed rate, the
+/// request-accounting identity, and the SLO-burn flag.
 ///
 /// Accounting: `received` counts every submitted line; `ok`, `degraded`,
 /// `shed`, and `errors` count resolutions. `pending` is the difference —
 /// requests admitted but not yet answered, **including this health check
 /// itself**, so on an otherwise idle server `pending` is exactly 1 and
 /// `received == ok + degraded + shed + errors + pending` holds.
-pub fn health_response(
-    id: Option<&Value>,
+pub(crate) fn health_rest(
     queue_depth: usize,
     slo_p99_us: Option<u64>,
     snapshot_registry: &SnapshotRegistry,
@@ -215,64 +183,52 @@ pub fn health_response(
         .percentile_interp(99.0);
     let burning = slo_p99_us.is_some_and(|slo| p99_us > slo);
 
-    let health = obj(vec![
-        ("queue_depth", num(queue_depth as u64)),
-        ("window_s", num(HEALTH_WINDOW_S)),
-        (
-            "requests",
-            obj(vec![
-                ("received", num(received)),
-                ("ok", num(ok)),
-                ("degraded", num(degraded)),
-                ("shed", num(shed)),
-                ("errors", num(errors)),
-                ("pending", num(pending)),
-            ]),
-        ),
-        ("shed_rate", Value::Num(shed_rate)),
-        ("tenants", tenants_value(snapshot_registry)),
-        (
-            "slo",
-            obj(vec![
-                ("p99_us", num(p99_us)),
-                ("threshold_us", slo_p99_us.map_or(Value::Null, num)),
-                ("burning", Value::Bool(burning)),
-            ]),
-        ),
-    ]);
-    respond(id, "health", health)
+    body(|w| {
+        w.field("ok", true)
+            .key("health")
+            .open('{')
+            .field("queue_depth", queue_depth)
+            .field("window_s", HEALTH_WINDOW_S)
+            .key("requests")
+            .open('{')
+            .field("received", received)
+            .field("ok", ok)
+            .field("degraded", degraded)
+            .field("shed", shed)
+            .field("errors", errors)
+            .field("pending", pending)
+            .close('}')
+            .field("shed_rate", shed_rate)
+            .key("tenants");
+        write_tenants(w, snapshot_registry);
+        w.key("slo")
+            .open('{')
+            .field("p99_us", p99_us)
+            .field("threshold_us", slo_p99_us)
+            .field("burning", burning)
+            .close('}')
+            .close('}');
+    })
 }
 
-/// The `--metrics-out` document (`pex-serve-metrics/1`), emitted through
-/// the protocol serialiser.
+/// The `--metrics-out` document (`pex-serve-metrics/1`).
 pub fn metrics_document() -> String {
-    let doc = Value::Obj(vec![
-        (
-            "schema".to_owned(),
-            Value::Str("pex-serve-metrics/1".to_owned()),
-        ),
-        (
-            "metrics".to_owned(),
-            metrics_value(&pex_obs::registry().snapshot()),
-        ),
-    ]);
-    format!("{doc}\n")
-}
-
-fn respond(id: Option<&Value>, key: &str, body: Value) -> String {
-    let mut fields = Vec::new();
-    if let Some(id) = id {
-        fields.push(("id".to_owned(), id.clone()));
-    }
-    fields.push(("ok".to_owned(), Value::Bool(true)));
-    fields.push((key.to_owned(), body));
-    Value::Obj(fields).to_string()
+    let mut w = JsonWriter::default();
+    w.open('{')
+        .field("schema", "pex-serve-metrics/1")
+        .key("metrics");
+    write_metrics(&mut w, &pex_obs::registry().snapshot());
+    w.close('}');
+    let mut doc = w.finish();
+    doc.push('\n');
+    doc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use crate::json::{self, Value};
+    use crate::proto::assemble_response;
     use crate::snapshot::{Snapshot, SnapshotSource};
 
     fn test_registry() -> SnapshotRegistry {
@@ -284,8 +240,9 @@ mod tests {
         let registry = pex_obs::registry();
         registry.counter("obsjson.hits").add(3);
         registry.histogram("obsjson.lat").record(100);
-        let v = metrics_value(&registry.snapshot());
-        let parsed = json::parse(&v.to_string()).unwrap();
+        let mut w = JsonWriter::default();
+        write_metrics(&mut w, &registry.snapshot());
+        let parsed = json::parse(&w.finish()).unwrap();
         assert_eq!(
             parsed
                 .get("counters")
@@ -305,7 +262,7 @@ mod tests {
     fn stats_response_reports_recorded_windows() {
         pex_obs::set_enabled(true);
         pex_obs::registry().windowed(REQUEST_WINDOW).record(500);
-        let resp = stats_response(Some(&Value::Num(9.0)), 2, &test_registry());
+        let resp = assemble_response(Some(&Value::Num(9.0)), &stats_rest(2, &test_registry()));
         let doc = json::parse(&resp).unwrap();
         assert_eq!(doc.get("ok"), Some(&Value::Bool(true)));
         assert_eq!(doc.get("id").and_then(Value::as_u64), Some(9));
@@ -321,7 +278,7 @@ mod tests {
     fn health_response_carries_the_accounting_identity_and_slo_flag() {
         pex_obs::set_enabled(true);
         let registry = test_registry();
-        let resp = health_response(None, 0, Some(1), &registry);
+        let resp = assemble_response(None, &health_rest(0, Some(1), &registry));
         let doc = json::parse(&resp).unwrap();
         let health = doc.get("health").unwrap();
         let r = health.get("requests").unwrap();
@@ -337,7 +294,7 @@ mod tests {
         let p99 = slo.get("p99_us").and_then(Value::as_u64).unwrap();
         assert_eq!(slo.get("burning"), Some(&Value::Bool(p99 > 1)), "{resp}");
         // No threshold: never burning.
-        let resp = health_response(None, 0, None, &registry);
+        let resp = assemble_response(None, &health_rest(0, None, &registry));
         let doc = json::parse(&resp).unwrap();
         let slo = doc.get("health").and_then(|h| h.get("slo")).unwrap();
         assert_eq!(slo.get("threshold_us"), Some(&Value::Null));
@@ -347,8 +304,9 @@ mod tests {
     #[test]
     fn tenant_tables_list_the_pinned_default_with_resolution_counters() {
         pex_obs::set_enabled(true);
-        let v = tenants_value(&test_registry());
-        let parsed = json::parse(&v.to_string()).unwrap();
+        let mut w = JsonWriter::default();
+        write_tenants(&mut w, &test_registry());
+        let parsed = json::parse(&w.finish()).unwrap();
         let def = parsed.get("default").expect("default tenant entry");
         assert_eq!(def.get("pinned"), Some(&Value::Bool(true)));
         let requests = def.get("requests").expect("per-tenant accounting");

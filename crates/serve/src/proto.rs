@@ -49,26 +49,27 @@
 //! {"id":9,"ok":false,"error":"parse","message":"..."}
 //! ```
 //!
-//! Every failure mode has an explicit `error` kind: `bad_request`
-//! (malformed JSON or an unusable field), `parse` (the partial-expression
-//! query did not parse), `shed` (admission control refused the request),
-//! `unknown_project` (the `project` id is invalid or has no snapshot),
-//! `reload_failed` (a `reload` could not rebuild the tenant — the old
-//! snapshot keeps serving), `dirty` (a plain `reload` refused because
-//! the tenant carries unsaved incremental edits; retry with
-//! `"force":true`), `parse_error` (an `update`'s mini-C# source did not
-//! parse or resolve — the response carries 1-based `line` and `col` and
-//! the snapshot is untouched), `update_failed` (any other `update`
-//! failure), `connection_limit` (the socket transport is at
-//! `--max-connections`), and `shutdown` (the server is draining). A
-//! request is **never** dropped without a response on a live connection.
+//! Every answer is a *body* (the members after the `id`) written by the
+//! one [`JsonWriter`] and addressed by [`assemble_response`].
+//!
+//! Every failure has an explicit `error` kind, from a closed set:
+//! `bad_request` (malformed JSON, an unusable field, a non-UTF-8 line),
+//! `request_too_large` (over the transport's line cap; skipped unparsed,
+//! so answered without an `id`), `parse` (the query did not parse),
+//! `unknown_project`, `shed` (queue full), `reload_failed` (the old
+//! snapshot keeps serving), `dirty` (a plain `reload` over unsaved edits;
+//! retry with `"force":true`), `parse_error` (an `update`'s source failed;
+//! carries 1-based `line`/`col`, snapshot untouched), `update_failed`,
+//! `connection_limit` (socket at `--max-connections`) and `shutdown`
+//! (draining). A request is **never** dropped without a response on a
+//! live connection.
 
 use std::time::{Duration, Instant};
 
 use pex_abstract::AbsTypes;
 use pex_core::{CancelToken, CompleteOptions, Completer, QueryBudget, RankConfig};
 
-use crate::json::{self, Value};
+use crate::json::{self, JsonWriter, Value};
 use crate::snapshot::Snapshot;
 
 /// Server-side fallbacks for optional request fields.
@@ -92,31 +93,27 @@ impl Default for RequestDefaults {
     }
 }
 
-/// A parsed protocol request.
+/// A parsed protocol request: everything a worker answers. The pool echoes
+/// the `id` it reads off the line; `Query` and `Update` also carry it for
+/// in-process callers that render their own responses.
+///
+/// `{"cmd":"shutdown"}` is not a request: admission
+/// ([`ServerClient::submit`](crate::server::ServerClient::submit))
+/// answers it before a line is queued, so it is never shed, never waits
+/// behind other work, and gets the same bytes on every transport.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// A completion query.
     Query(QueryRequest),
     /// Liveness probe; answered with `{"ok":true,"pong":true}`.
-    Ping {
-        /// Echoed request id.
-        id: Option<Value>,
-    },
+    Ping,
     /// Live registry snapshot plus rolling-window percentiles.
-    Stats {
-        /// Echoed request id.
-        id: Option<Value>,
-    },
+    Stats,
     /// Queue depth, windowed shed rate, and the SLO-burn flag.
-    Health {
-        /// Echoed request id.
-        id: Option<Value>,
-    },
+    Health,
     /// Hot-swap a tenant's snapshot (the default tenant when `project`
     /// is `None`); in-flight requests drain against the old snapshot.
     Reload {
-        /// Echoed request id.
-        id: Option<Value>,
         /// The tenant to reload; `None` reloads the default tenant.
         project: Option<String>,
         /// Discard unsaved incremental edits instead of refusing.
@@ -131,11 +128,6 @@ pub enum Request {
         project: Option<String>,
         /// The edited compilation units, applied in order.
         edits: Vec<String>,
-    },
-    /// Graceful-shutdown request: drain in-flight work, then exit.
-    Shutdown {
-        /// Echoed request id.
-        id: Option<Value>,
     },
 }
 
@@ -219,127 +211,112 @@ impl QueryRequest {
 /// `bad_request` response; the id is recovered when the line is valid JSON
 /// with an `id` field even if the rest of the request is unusable.
 pub fn parse_request(line: &str) -> Result<Request, (Option<Value>, String)> {
-    let doc = json::parse(line).map_err(|e| (None, format!("invalid JSON: {e}")))?;
+    request_from(json::parse(line))
+}
+
+/// [`parse_request`] over a line the caller has already run through
+/// [`json::parse`], so the worker reads the echoed `id` from the same
+/// parse.
+pub(crate) fn request_from(
+    doc: Result<Value, json::ParseError>,
+) -> Result<Request, (Option<Value>, String)> {
+    let doc = doc.map_err(|e| (None, format!("invalid JSON: {e}")))?;
     let id = doc.get("id").cloned();
+    request_fields(&doc, id.clone()).map_err(|msg| (id, msg))
+}
+
+/// Reads a request object's fields; `Err` is the `bad_request` message.
+fn request_fields(doc: &Value, id: Option<Value>) -> Result<Request, String> {
     if !matches!(doc, Value::Obj(_)) {
-        return Err((id, "request must be a JSON object".to_owned()));
+        return Err("request must be a JSON object".to_owned());
     }
-    let project = match doc.get("project") {
-        None | Some(Value::Null) => None,
-        Some(v) => match v.as_str() {
-            Some(s) => Some(s.to_owned()),
-            None => return Err((id, "`project` must be a string".to_owned())),
-        },
+    // Optional fields: absent and `null` both mean "not given".
+    let get = |field: &str| doc.get(field).filter(|v| **v != Value::Null);
+    let string = |field: &str| {
+        get(field)
+            .map(|v| {
+                v.as_str()
+                    .map(str::to_owned)
+                    .ok_or_else(|| format!("`{field}` must be a string"))
+            })
+            .transpose()
     };
+    let strings = |field: &str, items: &[Value]| {
+        items
+            .iter()
+            .map(|v| {
+                v.as_str()
+                    .map(str::to_owned)
+                    .ok_or_else(|| format!("`{field}` entries must be strings"))
+            })
+            .collect::<Result<Vec<_>, _>>()
+    };
+    let uint = |field: &str| {
+        get(field)
+            .map(|v| {
+                v.as_u64()
+                    .ok_or_else(|| format!("`{field}` must be a non-negative integer"))
+            })
+            .transpose()
+    };
+    let flag = |field: &str| match get(field) {
+        None => Ok(false),
+        Some(Value::Bool(b)) => Ok(*b),
+        Some(_) => Err(format!("`{field}` must be a boolean")),
+    };
+    let project = string("project")?;
     if let Some(cmd) = doc.get("cmd") {
         return match cmd.as_str() {
-            Some("ping") => Ok(Request::Ping { id }),
-            Some("stats") => Ok(Request::Stats { id }),
-            Some("health") => Ok(Request::Health { id }),
-            Some("reload") => {
-                let force = match doc.get("force") {
-                    None | Some(Value::Null) => false,
-                    Some(Value::Bool(b)) => *b,
-                    Some(_) => return Err((id, "`force` must be a boolean".to_owned())),
-                };
-                Ok(Request::Reload { id, project, force })
-            }
+            Some("ping") => Ok(Request::Ping),
+            Some("stats") => Ok(Request::Stats),
+            Some("health") => Ok(Request::Health),
+            Some("reload") => Ok(Request::Reload {
+                project,
+                force: flag("force")?,
+            }),
             Some("update") => {
                 let edits = match (doc.get("source"), doc.get("edits")) {
-                    (Some(src), None) => match src.as_str() {
-                        Some(s) => vec![s.to_owned()],
-                        None => return Err((id, "`source` must be a string".to_owned())),
-                    },
-                    (None, Some(Value::Arr(items))) => {
-                        let mut out = Vec::new();
-                        for item in items {
-                            match item.as_str() {
-                                Some(s) => out.push(s.to_owned()),
-                                None => {
-                                    return Err((id, "`edits` entries must be strings".to_owned()))
-                                }
-                            }
-                        }
-                        out
+                    (Some(src), None) => {
+                        vec![src.as_str().ok_or("`source` must be a string")?.to_owned()]
                     }
-                    (None, Some(_)) => {
-                        return Err((id, "`edits` must be an array of strings".to_owned()))
-                    }
+                    (None, Some(Value::Arr(items))) => strings("edits", items)?,
+                    (None, Some(_)) => return Err("`edits` must be an array of strings".into()),
                     (Some(_), Some(_)) => {
-                        return Err((id, "pass either `source` or `edits`, not both".to_owned()))
+                        return Err("pass either `source` or `edits`, not both".into())
                     }
                     (None, None) => {
-                        return Err((
-                            id,
-                            "update requires a `source` string or an `edits` array".to_owned(),
-                        ))
+                        return Err("update requires a `source` string or an `edits` array".into())
                     }
                 };
                 // `unit` (the edited class, LSP-style) is accepted and
                 // ignored: the unit's own declarations say what changed.
                 Ok(Request::Update { id, project, edits })
             }
-            Some("shutdown") => Ok(Request::Shutdown { id }),
-            _ => Err((id, format!("unknown cmd {cmd}"))),
+            _ => Err(format!("unknown cmd {cmd}")),
         };
     }
-    let Some(query) = doc.get("query") else {
-        return Err((id, "missing `query` (or `cmd`) field".to_owned()));
-    };
-    let Some(query) = query.as_str() else {
-        return Err((id, "`query` must be a string".to_owned()));
-    };
-    let uint = |field: &str| -> Result<Option<u64>, (Option<Value>, String)> {
-        match doc.get(field) {
-            None | Some(Value::Null) => Ok(None),
-            Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-                (
-                    id.clone(),
-                    format!("`{field}` must be a non-negative integer"),
-                )
-            }),
-        }
-    };
-    let flag = |field: &str| -> Result<bool, (Option<Value>, String)> {
-        match doc.get(field) {
-            None | Some(Value::Null) => Ok(false),
-            Some(Value::Bool(b)) => Ok(*b),
-            Some(_) => Err((id.clone(), format!("`{field}` must be a boolean"))),
-        }
-    };
+    let query = doc
+        .get("query")
+        .ok_or("missing `query` (or `cmd`) field")?
+        .as_str()
+        .ok_or("`query` must be a string")?
+        .to_owned();
     let limit = uint("limit")?.map(|n| n as usize);
     let deadline_ms = uint("deadline_ms")?;
     let max_steps = uint("max_steps")?.map(|n| n as usize);
     let max_depth = uint("max_depth")?.map(|n| n as usize);
     let trace = flag("trace")?;
     let explain = flag("explain")?;
-    let trace_id = match doc.get("trace_id") {
-        None | Some(Value::Null) => None,
-        Some(v) => match v.as_str() {
-            Some(s) => Some(s.to_owned()),
-            None => return Err((id, "`trace_id` must be a string".to_owned())),
-        },
-    };
-    let locals = match doc.get("locals") {
-        None | Some(Value::Null) => Vec::new(),
-        Some(Value::Arr(items)) => {
-            let mut out = Vec::new();
-            for item in items {
-                match item.as_str() {
-                    Some(s) => out.push(s.to_owned()),
-                    None => {
-                        return Err((id, "`locals` entries must be strings".to_owned()));
-                    }
-                }
-            }
-            out
-        }
-        Some(_) => return Err((id, "`locals` must be an array of strings".to_owned())),
+    let trace_id = string("trace_id")?;
+    let locals = match get("locals") {
+        None => Vec::new(),
+        Some(Value::Arr(items)) => strings("locals", items)?,
+        Some(_) => return Err("`locals` must be an array of strings".into()),
     };
     Ok(Request::Query(QueryRequest {
         id,
         project,
-        query: query.to_owned(),
+        query,
         limit,
         deadline_ms,
         max_steps,
@@ -351,21 +328,24 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<Value>, String)> {
     }))
 }
 
-fn id_field(id: Option<&Value>) -> String {
-    match id {
-        Some(v) => format!("\"id\":{v},"),
-        None => String::new(),
-    }
+/// Renders a response *body*: `fields` writes the members after the `id`
+/// (starting with `"ok"`), and the closing brace is added here. Every
+/// verb's answer is a body; [`assemble_response`] addresses it.
+pub(crate) fn body(fields: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::default();
+    fields(&mut w);
+    w.close('}');
+    w.finish()
 }
 
 /// Renders an error response *body* — everything after the opening brace
 /// and the `id` field (see [`assemble_response`]).
 pub fn error_rest(kind: &str, message: &str) -> String {
-    format!(
-        "\"ok\":false,\"error\":\"{}\",\"message\":\"{}\"}}",
-        json::escape(kind),
-        json::escape(message)
-    )
+    body(|w| {
+        w.field("ok", false)
+            .field("error", kind)
+            .field("message", message);
+    })
 }
 
 /// Renders an error response of the given kind.
@@ -374,129 +354,122 @@ pub fn error_response(id: Option<&Value>, kind: &str, message: &str) -> String {
 }
 
 /// Prepends the per-request `id` to a response body rendered by
-/// [`execute_rest`] or [`error_rest`]. Coalesced twins share one body and
-/// differ only in this prefix, so the single-request rendering is
+/// [`execute`]'s engine run or [`error_rest`]. Coalesced twins share one
+/// body and differ only in this prefix, so the single-request rendering is
 /// byte-identical to the pre-coalescing protocol.
 pub fn assemble_response(id: Option<&Value>, rest: &str) -> String {
-    format!("{{{}{rest}", id_field(id))
+    let mut w = JsonWriter::default();
+    w.open('{');
+    if let Some(id) = id {
+        w.key("id").value(id);
+    }
+    w.body(rest);
+    w.finish()
 }
 
-/// Renders the acknowledgement for a successful `reload`. A forced
-/// reload over a tenant with unsaved incremental edits carries an
-/// explicit `"discarded_edits":true` marker — edits are never dropped
-/// silently.
-pub fn reload_response(id: Option<&Value>, info: &crate::registry::ReloadInfo) -> String {
-    let discarded = if info.discarded_edits {
-        ",\"discarded_edits\":true"
-    } else {
-        ""
-    };
-    format!(
-        "{{{}\"ok\":true,\"reloaded\":\"{}\",\"bytes\":{},\"swapped\":{}{discarded}}}",
-        id_field(id),
-        json::escape(&info.project),
-        info.bytes,
-        info.swapped
-    )
+/// The `{"ok":true,"<flag>":true}` body acknowledging `ping` (`pong`) and
+/// `shutdown`.
+pub(crate) fn ack_rest(flag: &str) -> String {
+    body(|w| {
+        w.field("ok", true).field(flag, true);
+    })
+}
+
+/// The body acknowledging a successful `reload`. A forced reload over a
+/// tenant with unsaved incremental edits carries an explicit
+/// `"discarded_edits":true` marker — edits are never dropped silently.
+pub(crate) fn reload_rest(info: &crate::registry::ReloadInfo) -> String {
+    body(|w| {
+        w.field("ok", true)
+            .field("reloaded", info.project.as_str())
+            .field("bytes", info.bytes)
+            .field("swapped", info.swapped);
+        if info.discarded_edits {
+            w.field("discarded_edits", true);
+        }
+    })
+}
+
+/// The body of [`update_response`].
+pub(crate) fn update_rest(info: &crate::registry::UpdateInfo) -> String {
+    let inv = &info.stats.invalidated;
+    body(|w| {
+        w.field("ok", true)
+            .field("updated", info.project.as_str())
+            .field("applied", info.applied)
+            .field("noop", info.noop)
+            .key("invalidated")
+            .open('{')
+            .field("chains", inv.chains)
+            .field("candidates", inv.candidates)
+            .field("conversions", inv.conversions)
+            .field("reach", u64::from(inv.reach_rebuilt))
+            .close('}')
+            .field("bytes", info.bytes)
+            .field("generation", info.generation);
+    })
 }
 
 /// Renders the acknowledgement for a successful `update`: what was
-/// applied, whether the batch was a no-op, and exactly what derived
-/// state was invalidated (everything else survived the edit).
+/// applied, whether the batch was a no-op, and exactly what derived state
+/// was invalidated (everything else survived the edit).
 pub fn update_response(id: Option<&Value>, info: &crate::registry::UpdateInfo) -> String {
-    let inv = &info.stats.invalidated;
-    format!(
-        "{{{}\"ok\":true,\"updated\":\"{}\",\"applied\":{},\"noop\":{},\
-         \"invalidated\":{{\"chains\":{},\"candidates\":{},\"conversions\":{},\"reach\":{}}},\
-         \"bytes\":{},\"generation\":{}}}",
-        id_field(id),
-        json::escape(&info.project),
-        info.applied,
-        info.noop,
-        inv.chains,
-        inv.candidates,
-        inv.conversions,
-        u8::from(inv.reach_rebuilt),
-        info.bytes,
-        info.generation
-    )
+    assemble_response(id, &update_rest(info))
+}
+
+/// The body of [`parse_error_response`].
+pub(crate) fn parse_error_rest(line: u32, col: u32, message: &str) -> String {
+    body(|w| {
+        w.field("ok", false)
+            .field("error", "parse_error")
+            .field("line", line)
+            .field("col", col)
+            .field("message", message);
+    })
 }
 
 /// Renders the structured `parse_error` response for an `update` whose
 /// mini-C# source failed to parse or resolve (1-based position).
 pub fn parse_error_response(id: Option<&Value>, line: u32, col: u32, message: &str) -> String {
-    format!(
-        "{{{}\"ok\":false,\"error\":\"parse_error\",\"line\":{line},\"col\":{col},\
-         \"message\":\"{}\"}}",
-        id_field(id),
-        json::escape(message)
-    )
+    assemble_response(id, &parse_error_rest(line, col, message))
 }
 
-/// Renders the shed response for a line refused by admission control. The
-/// id is recovered best-effort so pipelining clients can match it.
-pub fn shed_response(line: &str) -> String {
-    let id = json::parse(line).ok().and_then(|d| d.get("id").cloned());
-    error_response(
-        id.as_ref(),
-        "shed",
-        "server overloaded: request queue is full",
-    )
+/// Writes a captured span as `{"name","start_ns","wall_ns","children"}`.
+fn write_span(w: &mut JsonWriter, s: &pex_obs::SpanRecord) {
+    w.open('{')
+        .field("name", s.name)
+        .field("start_ns", s.start_ns)
+        .field("wall_ns", s.duration_ns)
+        .key("children")
+        .open('[');
+    for child in &s.children {
+        write_span(w, child);
+    }
+    w.close(']').close('}');
 }
 
-/// Renders the ping response.
-pub fn pong_response(id: Option<&Value>) -> String {
-    format!("{{{}\"ok\":true,\"pong\":true}}", id_field(id))
-}
-
-/// Renders the shutdown acknowledgement.
-pub fn shutdown_response(id: Option<&Value>) -> String {
-    format!("{{{}\"ok\":true,\"shutdown\":true}}", id_field(id))
-}
-
-/// Serialises a captured span as `{"name","start_ns","wall_ns","children"}`.
-fn span_value(s: &pex_obs::SpanRecord) -> Value {
-    Value::Obj(vec![
-        ("name".to_owned(), Value::Str(s.name.to_owned())),
-        ("start_ns".to_owned(), Value::Num(s.start_ns as f64)),
-        ("wall_ns".to_owned(), Value::Num(s.duration_ns as f64)),
-        (
-            "children".to_owned(),
-            Value::Arr(s.children.iter().map(span_value).collect()),
-        ),
-    ])
-}
-
-/// Serialises a finished request scope: the span tree plus the per-query
+/// Writes a finished request scope: the span tree plus the per-query
 /// best-first search stats the engine attached (`engine.bestfirst.*`
 /// counts become `search.{expanded,pruned_bound,pruned_dominated,
 /// frontier_max}` — deltas for *this* query, not process lifetime totals).
-fn trace_value(report: &pex_obs::ScopeReport) -> Value {
-    let search = report
-        .counts
-        .iter()
-        .map(|(k, v)| {
-            let short = k.strip_prefix("engine.bestfirst.").unwrap_or(k);
-            (short.replace('.', "_"), Value::Num(*v as f64))
-        })
-        .collect();
-    Value::Obj(vec![
-        (
-            "spans".to_owned(),
-            Value::Arr(report.spans.iter().map(span_value).collect()),
-        ),
-        ("search".to_owned(), Value::Obj(search)),
-    ])
+fn write_trace(w: &mut JsonWriter, report: &pex_obs::ScopeReport) {
+    w.open('{').key("spans").open('[');
+    for span in &report.spans {
+        write_span(w, span);
+    }
+    w.close(']').key("search").open('{');
+    for (k, v) in &report.counts {
+        let short = k.strip_prefix("engine.bestfirst.").unwrap_or(k);
+        w.field(&short.replace('.', "_"), *v);
+    }
+    w.close('}').close('}');
 }
 
-/// Executes a query against the shared snapshot and renders its response.
-///
-/// Returns the response line plus its [`Disposition`] (for the
-/// `serve.requests.{ok,degraded,error}` counters). The query runs under a
-/// [`QueryBudget`] combining the request's own limits with the server's
-/// defaults and shutdown [`CancelToken`]; a deadline or budget trip is
-/// reported as `"degraded": true` with the exact [`outcome`] label — a
-/// cut-short enumeration is never passed off as a complete one.
+/// Executes a query against the shared snapshot and renders its response
+/// line and [`Disposition`]. The query runs under a [`QueryBudget`] of the
+/// request's own limits over the server's defaults; a deadline or budget
+/// trip is reported as `"degraded": true` with the exact [`outcome`] label
+/// — a cut-short enumeration is never passed off as a complete one.
 ///
 /// `abs` is the worker's prewarmed abstract-type inference over the
 /// snapshot's default query site (see [`Snapshot::abs_for_site`]); it only
@@ -515,10 +488,10 @@ pub fn execute(
     (assemble_response(req.id.as_ref(), &rest), disposition)
 }
 
-/// [`execute`] without the `id` prefix: renders the response *body* (from
-/// `"ok"` to the closing brace) so the coalescer can run the engine once
-/// and fan the body out to every waiter under its own `id`.
-pub fn execute_rest(
+/// [`execute`] without the `id` prefix: renders the response *body* so the
+/// coalescer can run the engine once and address the body to every waiter
+/// under its own `id`.
+pub(crate) fn execute_rest(
     snapshot: &Snapshot,
     req: &QueryRequest,
     defaults: &RequestDefaults,
@@ -573,15 +546,19 @@ pub fn execute_rest(
     };
     let (completions, outcome) = completer.complete_with_outcome(&query, limit);
     let report = scope.map(pex_obs::ScopeGuard::finish);
-    let latency_us = started.elapsed().as_micros();
-    let rendered: Vec<String> = completions
-        .iter()
-        .map(|c| {
-            let mut entry = format!(
-                "{{\"expr\":\"{}\",\"score\":{}",
-                json::escape(&completer.render(c)),
-                c.score
-            );
+    let latency_us = started.elapsed().as_micros() as u64;
+    let rest = body(|w| {
+        w.field("ok", true)
+            .field("trace_id", trace_id.as_str())
+            .field("outcome", outcome.label())
+            .field("degraded", outcome.is_degraded())
+            .field("latency_us", latency_us)
+            .key("completions")
+            .open('[');
+        for c in &completions {
+            w.open('{')
+                .field("expr", completer.render(c).as_str())
+                .field("score", c.score);
             if req.explain {
                 let b = completer
                     .explain(c)
@@ -590,34 +567,26 @@ pub fn execute_rest(
                     b.total, c.score,
                     "per-term breakdown must sum to the emitted score"
                 );
-                entry.push_str(",\"explain\":{");
+                w.key("explain").open('{');
                 for (term, v) in b.terms {
-                    entry.push_str(&format!("\"{}\":{v},", term.code()));
+                    w.field(term.code().encode_utf8(&mut [0; 4]), v);
                 }
-                entry.push_str(&format!("\"total\":{}}}", b.total));
+                w.field("total", b.total).close('}');
             }
-            entry.push('}');
-            entry
-        })
-        .collect();
-    let mut response = format!(
-        "\"ok\":true,\"trace_id\":\"{}\",\"outcome\":\"{}\",\"degraded\":{},\"latency_us\":{},\"completions\":[{}]",
-        json::escape(&trace_id),
-        outcome.label(),
-        outcome.is_degraded(),
-        latency_us,
-        rendered.join(",")
-    );
-    if let Some(report) = &report {
-        response.push_str(&format!(",\"trace\":{}", trace_value(report)));
-    }
-    response.push('}');
+            w.close('}');
+        }
+        w.close(']');
+        if let Some(report) = &report {
+            w.key("trace");
+            write_trace(w, report);
+        }
+    });
     let disposition = if outcome.is_degraded() {
         Disposition::Degraded
     } else {
         Disposition::Ok
     };
-    (response, disposition)
+    (rest, disposition)
 }
 
 #[cfg(test)]
@@ -651,14 +620,12 @@ mod tests {
     fn parses_control_commands() {
         assert_eq!(
             parse_request(r#"{"cmd":"ping","id":5}"#).unwrap(),
-            Request::Ping {
-                id: Some(Value::Num(5.0))
-            }
+            Request::Ping
         );
-        assert_eq!(
-            parse_request(r#"{"cmd":"shutdown"}"#).unwrap(),
-            Request::Shutdown { id: None }
-        );
+        // Shutdown is answered at admission; it never becomes a request.
+        let (id, msg) = parse_request(r#"{"cmd":"shutdown","id":1}"#).unwrap_err();
+        assert_eq!(id, Some(Value::Num(1.0)));
+        assert!(msg.contains("unknown cmd"), "{msg}");
     }
 
     #[test]
@@ -684,17 +651,6 @@ mod tests {
         assert_eq!(doc.get("id").and_then(Value::as_u64), Some(3));
         assert_eq!(doc.get("ok"), Some(&Value::Bool(false)));
         assert_eq!(doc.get("error").and_then(Value::as_str), Some("parse"));
-    }
-
-    #[test]
-    fn shed_response_recovers_the_id() {
-        let resp = shed_response(r#"{"id":42,"query":"?"}"#);
-        let doc = json::parse(&resp).unwrap();
-        assert_eq!(doc.get("id").and_then(Value::as_u64), Some(42));
-        assert_eq!(doc.get("error").and_then(Value::as_str), Some("shed"));
-        // Unparseable lines still shed, without an id.
-        let doc = json::parse(&shed_response("garbage")).unwrap();
-        assert!(doc.get("id").is_none());
     }
 
     #[test]
@@ -829,13 +785,11 @@ mod tests {
         assert!(msg.contains("trace"), "{msg}");
         assert_eq!(
             parse_request(r#"{"cmd":"stats","id":2}"#).unwrap(),
-            Request::Stats {
-                id: Some(Value::Num(2.0))
-            }
+            Request::Stats
         );
         assert_eq!(
             parse_request(r#"{"cmd":"health"}"#).unwrap(),
-            Request::Health { id: None }
+            Request::Health
         );
     }
 
@@ -945,7 +899,6 @@ mod tests {
         assert_eq!(
             parse_request(r#"{"cmd":"reload","id":2,"project":"geo-v2"}"#).unwrap(),
             Request::Reload {
-                id: Some(Value::Num(2.0)),
                 project: Some("geo-v2".into()),
                 force: false
             }
@@ -954,7 +907,6 @@ mod tests {
         assert_eq!(
             parse_request(r#"{"cmd":"reload"}"#).unwrap(),
             Request::Reload {
-                id: None,
                 project: None,
                 force: false
             }
@@ -962,7 +914,6 @@ mod tests {
         assert_eq!(
             parse_request(r#"{"cmd":"reload","force":true}"#).unwrap(),
             Request::Reload {
-                id: None,
                 project: None,
                 force: true
             }

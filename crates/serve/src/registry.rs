@@ -327,6 +327,20 @@ impl SnapshotRegistry {
         Ok(snapshot)
     }
 
+    /// The tenant per-tenant metrics file `project` under, if the registry
+    /// holds it right now: the default tenant for `None` or `"default"`,
+    /// the id itself for a resident named tenant, and `None` for anything
+    /// else — so a client-chosen `project` string never mints a metric.
+    pub fn resident_tenant<'a>(&self, project: Option<&'a str>) -> Option<&'a str> {
+        match project.filter(|p| *p != DEFAULT_TENANT) {
+            None => Some(DEFAULT_TENANT),
+            Some(p) => {
+                let inner = self.inner.lock().expect("registry lock");
+                inner.tenants.contains_key(p).then_some(p)
+            }
+        }
+    }
+
     /// Reads and validates `<project>.pexsnap` from the snapshot dir.
     fn load_from_dir(&self, project: &str) -> Result<(Arc<Snapshot>, u64), String> {
         let Some(dir) = &self.snapshot_dir else {
@@ -429,59 +443,57 @@ impl SnapshotRegistry {
         // in-flight edit's read-patch-swap (the edit would resurrect the
         // pre-reload snapshot).
         let _edits = self.update_lock.lock().expect("update lock");
-        match project.filter(|p| *p != DEFAULT_TENANT) {
+        let named = project.filter(|p| *p != DEFAULT_TENANT);
+        if let Some(project) = named {
+            validate_project_id(project).map_err(ReloadError::Failed)?;
+        }
+        let tenant = named.unwrap_or(DEFAULT_TENANT);
+        let (swapped, was_dirty) = {
+            let inner = self.inner.lock().expect("registry lock");
+            match named {
+                None => (true, inner.default_dirty),
+                Some(project) => inner
+                    .tenants
+                    .get(project)
+                    .map_or((false, false), |e| (true, e.dirty)),
+            }
+        };
+        if was_dirty && !force {
+            return Err(ReloadError::Dirty {
+                project: tenant.to_owned(),
+            });
+        }
+        let bytes = match named {
             None => {
-                let was_dirty = {
-                    let inner = self.inner.lock().expect("registry lock");
-                    inner.default_dirty
-                };
-                if was_dirty && !force {
-                    return Err(ReloadError::Dirty {
-                        project: DEFAULT_TENANT.to_owned(),
-                    });
-                }
                 let fresh = self.origin.rebuild().map_err(ReloadError::Failed)?;
                 let bytes = fresh.approx_bytes();
-                let mut inner = self.inner.lock().expect("registry lock");
-                inner.default = fresh;
-                inner.default_dirty = false;
-                drop(inner);
-                self.default_generation.fetch_add(1, Ordering::Release);
-                pex_obs::counter!("serve.registry.reloads", 1);
-                tenant_counter(DEFAULT_TENANT, "reloads", 1);
-                Ok(ReloadInfo {
-                    project: DEFAULT_TENANT.to_owned(),
-                    bytes,
-                    swapped: true,
-                    discarded_edits: was_dirty,
-                })
+                self.swap_default(fresh, false);
+                bytes
             }
             Some(project) => {
-                validate_project_id(project).map_err(ReloadError::Failed)?;
-                let (swapped, was_dirty) = {
-                    let inner = self.inner.lock().expect("registry lock");
-                    match inner.tenants.get(project) {
-                        Some(e) => (true, e.dirty),
-                        None => (false, false),
-                    }
-                };
-                if was_dirty && !force {
-                    return Err(ReloadError::Dirty {
-                        project: project.to_owned(),
-                    });
-                }
                 let (snapshot, bytes) = self.load_from_dir(project).map_err(ReloadError::Failed)?;
                 self.admit(project, snapshot, bytes, false);
-                pex_obs::counter!("serve.registry.reloads", 1);
-                tenant_counter(project, "reloads", 1);
-                Ok(ReloadInfo {
-                    project: project.to_owned(),
-                    bytes,
-                    swapped,
-                    discarded_edits: was_dirty,
-                })
+                bytes
             }
-        }
+        };
+        pex_obs::counter!("serve.registry.reloads", 1);
+        tenant_counter(tenant, "reloads", 1);
+        Ok(ReloadInfo {
+            project: tenant.to_owned(),
+            bytes,
+            swapped,
+            discarded_edits: was_dirty,
+        })
+    }
+
+    /// Installs a new default snapshot and bumps the generation so workers
+    /// re-pin; returns the new generation.
+    fn swap_default(&self, snapshot: Arc<Snapshot>, dirty: bool) -> u64 {
+        let mut inner = self.inner.lock().expect("registry lock");
+        inner.default = snapshot;
+        inner.default_dirty = dirty;
+        drop(inner);
+        self.default_generation.fetch_add(1, Ordering::Release) + 1
     }
 
     /// Applies a batch of incremental edits to a tenant and atomically
@@ -508,72 +520,43 @@ impl SnapshotRegistry {
             ));
         }
         let _edits = self.update_lock.lock().expect("update lock");
-        match project.filter(|p| *p != DEFAULT_TENANT) {
-            None => {
-                let base = self.default_snapshot();
-                let (patched, stats) = apply_edits(&base, sources)?;
-                let Some(patched) = patched else {
-                    // Whole batch was a no-op: snapshot untouched, no swap,
-                    // no generation bump, nothing invalidated.
-                    return Ok(UpdateInfo {
-                        project: DEFAULT_TENANT.to_owned(),
-                        applied: sources.len(),
-                        noop: true,
-                        bytes: base.approx_bytes(),
-                        generation: self.default_generation(),
-                        stats,
-                    });
-                };
-                let patched = Arc::new(patched);
-                let bytes = patched.approx_bytes();
-                let mut inner = self.inner.lock().expect("registry lock");
-                inner.default = patched;
-                inner.default_dirty = true;
-                drop(inner);
-                let generation = self.default_generation.fetch_add(1, Ordering::Release) + 1;
-                pex_obs::counter!("serve.registry.updates", 1);
-                tenant_counter(DEFAULT_TENANT, "updates", 1);
-                Ok(UpdateInfo {
-                    project: DEFAULT_TENANT.to_owned(),
-                    applied: sources.len(),
-                    noop: false,
-                    bytes,
-                    generation,
-                    stats,
-                })
-            }
+        let named = project.filter(|p| *p != DEFAULT_TENANT);
+        // `get` lazily loads a named tenant, so an update can target a
+        // snapshot-dir tenant that has never served.
+        let base = self.get(named).map_err(UpdateError::Failed)?;
+        let (patched, stats) = apply_edits(&base, sources)?;
+        let info = |noop, bytes, generation| UpdateInfo {
+            project: named.unwrap_or(DEFAULT_TENANT).to_owned(),
+            applied: sources.len(),
+            noop,
+            bytes,
+            generation,
+            stats,
+        };
+        let Some(patched) = patched else {
+            // Whole batch was a no-op: snapshot untouched, no swap, no
+            // generation bump, nothing invalidated.
+            let generation = if named.is_none() {
+                self.default_generation()
+            } else {
+                0
+            };
+            return Ok(info(true, base.approx_bytes(), generation));
+        };
+        let patched = Arc::new(patched);
+        // Named tenants are re-accounted at in-memory size: the on-disk
+        // `.pexsnap` length no longer describes them.
+        let bytes = patched.approx_bytes();
+        let generation = match named {
+            None => self.swap_default(patched, true),
             Some(project) => {
-                // `get` lazily loads the tenant if needed, so an update can
-                // target a snapshot-dir tenant that has never served.
-                let base = self.get(Some(project)).map_err(UpdateError::Failed)?;
-                let (patched, stats) = apply_edits(&base, sources)?;
-                let Some(patched) = patched else {
-                    return Ok(UpdateInfo {
-                        project: project.to_owned(),
-                        applied: sources.len(),
-                        noop: true,
-                        bytes: base.approx_bytes(),
-                        generation: 0,
-                        stats,
-                    });
-                };
-                let patched = Arc::new(patched);
-                // Re-account at in-memory size: the on-disk `.pexsnap`
-                // length no longer describes this tenant.
-                let bytes = patched.approx_bytes();
                 self.admit(project, patched, bytes, true);
-                pex_obs::counter!("serve.registry.updates", 1);
-                tenant_counter(project, "updates", 1);
-                Ok(UpdateInfo {
-                    project: project.to_owned(),
-                    applied: sources.len(),
-                    noop: false,
-                    bytes,
-                    generation: 0,
-                    stats,
-                })
+                0
             }
-        }
+        };
+        pex_obs::counter!("serve.registry.updates", 1);
+        tenant_counter(named.unwrap_or(DEFAULT_TENANT), "updates", 1);
+        Ok(info(false, bytes, generation))
     }
 
     /// Resident tenant ids, sorted (excluding the default).

@@ -1,38 +1,39 @@
 //! The worker pool: a fixed set of threads answering protocol requests
 //! from a shared [`SnapshotRegistry`] behind a bounded admission queue.
 //!
-//! Design invariants:
+//! Every request line takes one path, whatever transport it came from:
 //!
-//! * **One registry, many workers.** Workers share one
-//!   [`Arc<SnapshotRegistry>`]; a request resolves its `Arc<Snapshot>`
-//!   exactly once, so a concurrent `reload` swaps tenants atomically —
-//!   in-flight requests drain against the snapshot they resolved, and
-//!   nothing per-request touches mutable global state.
-//! * **Explicit load shedding.** [`Server::submit`] either admits a
-//!   request or immediately replies with a `shed`/`shutdown` error — a
-//!   request on a live connection is never silently dropped.
-//! * **In-flight coalescing.** Identical queries (same tenant, query
-//!   text, and knobs; no tracing artefacts) admitted while a twin is
-//!   executing share one engine run: the leader renders the response body
-//!   once and fans it out to every waiter under its own `id`. Followers
-//!   still resolve with their own disposition counters and latency
-//!   samples, so the accounting identity is coalescing-blind.
-//! * **Graceful shutdown.** [`Server::shutdown`] closes admission, lets
-//!   the workers drain everything already queued, and joins them. The
-//!   shared [`CancelToken`] is only tripped by [`Server::shutdown_now`],
-//!   which additionally stops in-flight enumerations at their next budget
-//!   poll (each then answers with a degraded `cancelled` outcome).
+//! 1. **Admission.** [`ServerClient::submit`] counts the line as
+//!    `received`. `{"cmd":"shutdown"}` is recognised here and nowhere
+//!    else: it raises the shutdown flag and is answered on the spot, so it
+//!    is never shed and never waits behind other work. Every other line is
+//!    queued, or refused with an explicit `shed` (queue full) or
+//!    `shutdown` (draining) error — a request on a live connection is
+//!    never silently dropped.
+//! 2. **Dispatch.** A worker pops the line, parses it, and runs the one
+//!    verb dispatch, which renders the response body once and says how
+//!    the request resolved and which resident tenant it ran against.
+//! 3. **Delivery.** `deliver` addresses the body to the request under its
+//!    own `id` and is the only place that records `serve.request.ns`, the
+//!    `serve.requests.{ok,degraded,error,coalesced}` counters, the
+//!    per-tenant counters and the query latency window. Per-tenant
+//!    counters exist only for tenants the registry holds, so a client's
+//!    `project` string can never grow the metric registry.
 //!
-//! Observability (all through `pex-obs`):
-//! `serve.requests.{received,ok,degraded,error,shed,coalesced}` counters
-//! (`received` counts every submitted line; `ok+degraded+error+shed`
-//! count resolutions — their difference is the in-flight count the
-//! `health` command reports; `coalesced` counts followers absorbed into a
-//! leader's run), per-tenant `serve.tenant.<id>.*` counters,
-//! `serve.queue.depth` / `serve.queue.depth.max` gauges,
-//! `serve.queue.wait.ns` and `serve.request.ns` latency histograms, a
-//! `serve.request` tracing span per executed request, and the rolling
-//! windows behind `stats`/`health` (see [`crate::obs_json`]).
+//! A request resolves its `Arc<Snapshot>` exactly once, so a concurrent
+//! `reload` swaps tenants atomically: in-flight requests drain against the
+//! snapshot they resolved. Identical queries (same tenant, query text and
+//! knobs; no tracing artefacts) admitted while a twin executes share one
+//! engine run, and each follower still resolves through `deliver`, so the
+//! accounting identity `received == ok + degraded + error + shed +
+//! pending` (see the `health` command) is coalescing-blind.
+//! [`Server::shutdown`] closes admission, drains everything queued, and
+//! joins the workers.
+//!
+//! Also recorded: `serve.queue.depth` / `serve.queue.depth.max` gauges,
+//! the `serve.queue.wait.ns` histogram, a `serve.request` span per
+//! dispatched request, and the rolling windows behind `stats`/`health`
+//! (see [`crate::obs_json`]).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -45,10 +46,11 @@ use std::time::Instant;
 use pex_abstract::AbsTypes;
 use pex_core::CancelToken;
 
-use crate::json::Value;
+use crate::json::{self, Value};
+use crate::obs_json;
 use crate::proto::{self, Disposition, QueryRequest, Request, RequestDefaults};
 use crate::queue::{Bounded, PushError};
-use crate::registry::{self, SnapshotRegistry, DEFAULT_TENANT};
+use crate::registry::{self, ReloadError, SnapshotRegistry, UpdateError, DEFAULT_TENANT};
 use crate::snapshot::Snapshot;
 
 /// Server sizing and per-request defaults.
@@ -81,24 +83,55 @@ impl Default for ServeConfig {
     }
 }
 
-/// One admitted request: the raw line, where to send the response, and
-/// when it was admitted (for queue-wait accounting).
-struct Job {
-    line: String,
-    reply: Sender<String>,
-    admitted: Instant,
-}
-
-/// One request absorbed into a coalesced run, waiting for the leader's
-/// response body.
+/// Where one request's answer goes: the `id` it echoes (known once the
+/// line is parsed), the reply channel, and when the line was admitted.
 struct Waiter {
     id: Option<Value>,
     reply: Sender<String>,
     admitted: Instant,
-    tenant: String,
 }
 
-/// In-flight coalescing state: key → waiters absorbed behind the leader
+/// One admitted request line and where its answer goes.
+struct Job {
+    line: String,
+    to: Waiter,
+}
+
+/// The books a resolution is entered in besides the global counters.
+#[derive(Debug, Clone, Copy)]
+enum Verb {
+    /// A completion query: the latency window and the tenant's
+    /// `requests.{ok,degraded,error}` counters.
+    Query,
+    /// An `update`: the tenant's `edits.{applied,rejected}` counters.
+    Edit,
+    /// Everything else: the global counters only.
+    Control,
+}
+
+/// What one request resolved to, before it is addressed to anyone.
+struct Answer {
+    /// The response body (see [`proto::assemble_response`]).
+    body: String,
+    disposition: Disposition,
+    verb: Verb,
+    /// The resident tenant the request ran against; `None` for control
+    /// verbs and for projects the registry does not hold.
+    tenant: Option<String>,
+}
+
+impl Answer {
+    fn control(body: String, disposition: Disposition) -> Answer {
+        Answer {
+            body,
+            disposition,
+            verb: Verb::Control,
+            tenant: None,
+        }
+    }
+}
+
+/// In-flight coalescing state: key → waiters parked behind the leader
 /// currently executing that key. The leader registers before running and
 /// collects (removing the entry) after, so a request arriving later finds
 /// no entry and simply becomes the next leader — coalescing only ever
@@ -108,25 +141,20 @@ struct Coalescer {
     inflight: Mutex<HashMap<String, Vec<Waiter>>>,
 }
 
-enum Admitted {
-    /// No twin executing: the caller runs the engine and must call
-    /// [`Coalescer::collect`] afterwards.
-    Leader,
-    /// A twin is executing; the waiter was parked behind it.
-    Follower,
-}
-
 impl Coalescer {
-    fn admit(&self, key: &str, waiter: Waiter) -> Admitted {
+    /// Parks `waiter` behind an executing twin and returns `None`; or, when
+    /// no twin is executing, registers the caller as leader and hands the
+    /// waiter back. A leader must [`Coalescer::collect`] after its run.
+    fn admit(&self, key: &str, waiter: Waiter) -> Option<Waiter> {
         let mut map = self.inflight.lock().expect("coalescer lock");
         match map.entry(key.to_owned()) {
             Entry::Occupied(mut e) => {
                 e.get_mut().push(waiter);
-                Admitted::Follower
+                None
             }
             Entry::Vacant(e) => {
                 e.insert(Vec::new());
-                Admitted::Leader
+                Some(waiter)
             }
         }
     }
@@ -137,44 +165,67 @@ impl Coalescer {
     }
 }
 
-/// A running worker pool. Dropping without calling [`Server::shutdown`]
-/// aborts the drain (the queue closes and workers finish the items they
-/// already hold), so call `shutdown` for a clean exit.
+/// A running worker pool. Call [`Server::shutdown`] to drain and join it;
+/// a `Server` dropped without it leaves its workers parked on the open
+/// queue.
 pub struct Server {
-    queue: Arc<Bounded<Job>>,
+    client: ServerClient,
     workers: Vec<JoinHandle<()>>,
-    cancel: CancelToken,
-    shutdown_flag: Arc<AtomicBool>,
 }
 
 /// A cheap, cloneable, thread-safe handle for submitting requests — what
-/// transports (socket connections, load-generator clients) hold while the
-/// [`Server`] itself stays with the thread that will join it.
+/// transports (stdin, socket connections, load-generator clients) hold
+/// while the [`Server`] itself stays with the thread that will join it.
 #[derive(Clone)]
 pub struct ServerClient {
     queue: Arc<Bounded<Job>>,
+    registry: Arc<SnapshotRegistry>,
     shutdown_flag: Arc<AtomicBool>,
 }
 
+/// Counts one line in. `received` is bumped before any resolution counter
+/// can fire, so `received - (ok+degraded+shed+errors)` is a true in-flight
+/// count.
+fn count_received() {
+    pex_obs::counter!("serve.requests.received", 1);
+    if pex_obs::enabled() {
+        pex_obs::registry()
+            .windowed(obs_json::RECEIVED_WINDOW)
+            .record(1);
+    }
+}
+
 impl ServerClient {
-    /// Admits one request line, or replies immediately with an explicit
-    /// `shed` (queue full) or `shutdown` (draining) error. The response —
-    /// whichever kind — arrives on `reply`.
+    /// Admits one request line. Exactly one response arrives on `reply`:
+    /// the shutdown acknowledgement, an explicit `shed` (queue full) or
+    /// `shutdown` (draining) error, or the worker's answer.
     pub fn submit(&self, line: String, reply: &Sender<String>) {
-        // `received` counts before any resolution counter can fire, so
-        // `received - (ok+degraded+shed+errors)` is a true in-flight count.
-        pex_obs::counter!("serve.requests.received", 1);
-        if pex_obs::enabled() {
-            pex_obs::registry()
-                .windowed(crate::obs_json::RECEIVED_WINDOW)
-                .record(1);
+        count_received();
+        let admitted = Instant::now();
+        // Shutdown is recognised here, once for every transport. A line
+        // whose `cmd` decodes to "shutdown" spells the word out or escapes
+        // part of it, so every other line skips this parse.
+        if line.contains("shutdown") || line.contains("\\u") {
+            if let Ok(doc) = json::parse(&line) {
+                if doc.get("cmd").and_then(Value::as_str) == Some("shutdown") {
+                    self.request_shutdown();
+                    let to = Waiter {
+                        id: doc.get("id").cloned(),
+                        reply: reply.clone(),
+                        admitted,
+                    };
+                    let ack = Answer::control(proto::ack_rest("shutdown"), Disposition::Ok);
+                    deliver(&to, &ack, false);
+                    return;
+                }
+            }
         }
-        let job = Job {
-            line,
+        let to = Waiter {
+            id: None,
             reply: reply.clone(),
-            admitted: Instant::now(),
+            admitted,
         };
-        match self.queue.try_push(job) {
+        let (mut job, shed) = match self.queue.try_push(Job { line, to }) {
             Ok(depth) => {
                 if pex_obs::enabled() {
                     pex_obs::registry()
@@ -182,68 +233,87 @@ impl ServerClient {
                         .set(depth as u64);
                 }
                 pex_obs::gauge_max!("serve.queue.depth.max", depth as u64);
+                return;
             }
-            Err(PushError::Full(job)) => {
-                pex_obs::counter!("serve.requests.shed", 1);
-                if pex_obs::enabled() {
-                    pex_obs::registry()
-                        .windowed(crate::obs_json::SHED_WINDOW)
-                        .record(1);
-                    registry::tenant_counter(&tenant_of_line(&job.line), "requests.shed", 1);
-                }
-                let _ = job.reply.send(proto::shed_response(&job.line));
-            }
-            Err(PushError::Closed(job)) => {
-                pex_obs::counter!("serve.requests.error", 1);
-                let id = crate::json::parse(&job.line)
-                    .ok()
-                    .and_then(|d| d.get("id").cloned());
-                let _ = job.reply.send(proto::error_response(
-                    id.as_ref(),
-                    "shutdown",
-                    "server is shutting down",
-                ));
+            Err(PushError::Full(job)) => (job, true),
+            Err(PushError::Closed(job)) => (job, false),
+        };
+        // Refused: the line never reaches a worker, so it is parsed once,
+        // here, for its id and tenant.
+        let doc = json::parse(&job.line).ok();
+        let field = |k: &str| doc.as_ref().and_then(|d| d.get(k));
+        job.to.id = field("id").cloned();
+        if !shed {
+            let err = proto::error_rest("shutdown", "server is shutting down");
+            return deliver(&job.to, &Answer::control(err, Disposition::Error), false);
+        }
+        // Shedding is an admission outcome, so it is counted here rather
+        // than in `deliver`.
+        pex_obs::counter!("serve.requests.shed", 1);
+        if pex_obs::enabled() {
+            pex_obs::registry()
+                .windowed(obs_json::SHED_WINDOW)
+                .record(1);
+        }
+        if field("cmd").is_none() {
+            let project = field("project").and_then(Value::as_str);
+            if let Some(tenant) = self.registry.resident_tenant(project) {
+                registry::tenant_counter(tenant, "requests.shed", 1);
             }
         }
+        let response = proto::error_response(
+            job.to.id.as_ref(),
+            "shed",
+            "server overloaded: request queue is full",
+        );
+        let _ = job.to.reply.send(response);
     }
 
-    /// Whether shutdown has been requested (see [`Server::shutdown_requested`]).
+    /// Answers a line the transport could not hand over whole — one past
+    /// its length cap, or not UTF-8 — with a `kind` error. The line counts
+    /// as received and resolves like any other.
+    pub fn reject(&self, kind: &str, message: &str, reply: &Sender<String>) {
+        count_received();
+        let to = Waiter {
+            id: None,
+            reply: reply.clone(),
+            admitted: Instant::now(),
+        };
+        let answer = Answer::control(proto::error_rest(kind, message), Disposition::Error);
+        deliver(&to, &answer, false);
+    }
+
+    /// Whether shutdown has been requested: transports stop reading.
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown_flag.load(Ordering::Relaxed)
     }
 
-    /// Marks the server as shutting down, so transports stop accepting.
+    /// Marks the server as shutting down, so transports stop reading.
+    /// Admission stays open until [`Server::shutdown`], so lines already
+    /// read are still answered.
     pub fn request_shutdown(&self) {
         self.shutdown_flag.store(true, Ordering::Relaxed);
     }
 }
 
-/// Best-effort tenant of a raw request line, for shed accounting (the
-/// line never reached a worker, so it was never fully parsed).
-fn tenant_of_line(line: &str) -> String {
-    crate::json::parse(line)
-        .ok()
-        .and_then(|d| d.get("project").and_then(|p| p.as_str().map(str::to_owned)))
-        .unwrap_or_else(|| DEFAULT_TENANT.to_owned())
-}
-
 impl Server {
     /// Spawns `config.workers` workers over the shared registry.
     pub fn start(registry: Arc<SnapshotRegistry>, config: ServeConfig) -> Server {
-        let queue = Arc::new(Bounded::new(config.queue_cap));
-        let cancel = CancelToken::new();
-        let shutdown_flag = Arc::new(AtomicBool::new(false));
+        let client = ServerClient {
+            queue: Arc::new(Bounded::new(config.queue_cap)),
+            registry,
+            shutdown_flag: Arc::new(AtomicBool::new(false)),
+        };
         let coalescer = Arc::new(Coalescer::default());
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let ctx = WorkerCtx {
-                    queue: Arc::clone(&queue),
-                    registry: Arc::clone(&registry),
+                    queue: Arc::clone(&client.queue),
+                    registry: Arc::clone(&client.registry),
                     coalescer: Arc::clone(&coalescer),
                     defaults: config.defaults.clone(),
                     slo_p99_us: config.slo_p99_us,
-                    cancel: cancel.clone(),
-                    shutdown_flag: Arc::clone(&shutdown_flag),
+                    cancel: CancelToken::new(),
                 };
                 std::thread::Builder::new()
                     .name(format!("pex-serve-worker-{i}"))
@@ -251,71 +321,22 @@ impl Server {
                     .expect("spawn worker thread")
             })
             .collect();
-        Server {
-            queue,
-            workers,
-            cancel,
-            shutdown_flag,
-        }
+        Server { client, workers }
     }
 
-    /// Spawns a single-tenant pool over one snapshot — the PR 8 server
-    /// shape (no tenant directory, no reload origin), for tests and the
-    /// in-process bench.
-    pub fn start_single(snapshot: Arc<Snapshot>, config: ServeConfig) -> Server {
-        Server::start(Arc::new(SnapshotRegistry::single(snapshot)), config)
-    }
-
-    /// Admits one request line, or replies immediately with an explicit
-    /// `shed` (queue full) or `shutdown` (draining) error. The response —
-    /// whichever kind — arrives on `reply`.
-    pub fn submit(&self, line: String, reply: &Sender<String>) {
-        self.client().submit(line, reply)
-    }
-
-    /// A cheap cloneable handle over the transport surface (submit +
-    /// shutdown flag), for threads that must outlive borrows of `self`.
+    /// A handle for submitting requests from other threads.
     pub fn client(&self) -> ServerClient {
-        ServerClient {
-            queue: Arc::clone(&self.queue),
-            shutdown_flag: Arc::clone(&self.shutdown_flag),
-        }
-    }
-
-    /// The cancel token shared with every in-flight query.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Whether a client has requested shutdown (a `{"cmd":"shutdown"}`
-    /// handled by a worker) or [`Server::request_shutdown`] was called.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown_flag.load(Ordering::Relaxed)
-    }
-
-    /// Marks the server as shutting down, so transports stop accepting.
-    /// Admission stays open until [`Server::shutdown`] to let responses
-    /// already promised (e.g. the shutdown ack) flow.
-    pub fn request_shutdown(&self) {
-        self.shutdown_flag.store(true, Ordering::Relaxed);
+        self.client.clone()
     }
 
     /// Graceful shutdown: close admission, drain everything already
     /// queued, join the workers.
     pub fn shutdown(self) {
-        self.request_shutdown();
-        self.queue.close();
+        self.client.request_shutdown();
+        self.client.queue.close();
         for w in self.workers {
             let _ = w.join();
         }
-    }
-
-    /// Hard shutdown: additionally cancels in-flight enumerations, which
-    /// then answer with a degraded `cancelled` outcome before the workers
-    /// drain and join.
-    pub fn shutdown_now(self) {
-        self.cancel.cancel();
-        self.shutdown();
     }
 }
 
@@ -326,8 +347,9 @@ struct WorkerCtx {
     coalescer: Arc<Coalescer>,
     defaults: RequestDefaults,
     slo_p99_us: Option<u64>,
+    /// The engine's budget API takes a cancel token; nothing trips this
+    /// one, because shutdown drains admitted work instead of cutting it.
     cancel: CancelToken,
-    shutdown_flag: Arc<AtomicBool>,
 }
 
 fn worker_loop(ctx: &WorkerCtx) {
@@ -360,254 +382,197 @@ fn worker_loop(ctx: &WorkerCtx) {
     }
 }
 
+/// Runs one job: coalesces it with an executing twin when it can,
+/// otherwise dispatches it and delivers the answer to it and to every twin
+/// that parked behind it meanwhile.
 fn handle_job(
     ctx: &WorkerCtx,
     job: Job,
     default_snapshot: &Arc<Snapshot>,
     default_abs: Option<&AbsTypes<'_>>,
 ) {
-    let wait_ns = job.admitted.elapsed().as_nanos() as u64;
+    let wait_ns = job.to.admitted.elapsed().as_nanos() as u64;
     pex_obs::histogram!("serve.queue.wait.ns", wait_ns);
     if pex_obs::enabled() {
         pex_obs::registry()
             .gauge("serve.queue.depth")
             .set(ctx.queue.depth() as u64);
     }
-    let span = pex_obs::span("serve.request");
-    let parsed = proto::parse_request(&job.line);
-    let (response, disposition) = match parsed {
-        Ok(Request::Query(q)) => {
-            handle_query(ctx, job, q, default_snapshot, default_abs);
-            return; // the query path does its own accounting and delivery
+    let _span = pex_obs::span("serve.request");
+    let Job { line, mut to } = job;
+    let doc = json::parse(&line);
+    to.id = doc.as_ref().ok().and_then(|d| d.get("id").cloned());
+    let request = proto::request_from(doc).map_err(|(_, msg)| msg);
+    let key = match &request {
+        Ok(Request::Query(q)) => q.coalesce_key(),
+        _ => None,
+    };
+    let to = match &key {
+        // Parked behind the executing leader, which delivers to it; this
+        // worker is free for non-identical work.
+        Some(key) => match ctx.coalescer.admit(key, to) {
+            Some(to) => to,
+            None => return,
+        },
+        None => to,
+    };
+    let answer = dispatch(ctx, request, default_snapshot, default_abs);
+    if let Some(key) = &key {
+        // Collect *after* executing: twins admitted during the run are in
+        // the list; twins arriving after this line lead their own run.
+        for waiter in ctx.coalescer.collect(key) {
+            deliver(&waiter, &answer, true);
         }
-        Ok(Request::Ping { id }) => (proto::pong_response(id.as_ref()), Disposition::Ok),
-        Ok(Request::Stats { id }) => (
-            crate::obs_json::stats_response(id.as_ref(), ctx.queue.depth(), &ctx.registry),
-            Disposition::Ok,
-        ),
-        Ok(Request::Health { id }) => (
-            crate::obs_json::health_response(
-                id.as_ref(),
-                ctx.queue.depth(),
-                ctx.slo_p99_us,
-                &ctx.registry,
-            ),
-            Disposition::Ok,
-        ),
-        Ok(Request::Reload { id, project, force }) => {
+    }
+    deliver(&to, &answer, false);
+}
+
+/// The one verb dispatch: runs a parsed request and renders its answer.
+fn dispatch(
+    ctx: &WorkerCtx,
+    request: Result<Request, String>,
+    default_snapshot: &Arc<Snapshot>,
+    default_abs: Option<&AbsTypes<'_>>,
+) -> Answer {
+    let ok = |body| Answer::control(body, Disposition::Ok);
+    let error = |kind, msg: &str| Answer::control(proto::error_rest(kind, msg), Disposition::Error);
+    let request = match request {
+        Ok(request) => request,
+        Err(msg) => return error("bad_request", &msg),
+    };
+    match request {
+        Request::Query(q) => query(ctx, &q, default_snapshot, default_abs),
+        Request::Ping => ok(proto::ack_rest("pong")),
+        Request::Stats => ok(obs_json::stats_rest(ctx.queue.depth(), &ctx.registry)),
+        Request::Health => ok(obs_json::health_rest(
+            ctx.queue.depth(),
+            ctx.slo_p99_us,
+            &ctx.registry,
+        )),
+        Request::Reload { project, force } => {
             match ctx.registry.reload(project.as_deref(), force) {
-                Ok(info) => (proto::reload_response(id.as_ref(), &info), Disposition::Ok),
-                Err(e @ crate::registry::ReloadError::Dirty { .. }) => (
-                    proto::error_response(id.as_ref(), "dirty", &e.to_string()),
-                    Disposition::Error,
-                ),
-                Err(crate::registry::ReloadError::Failed(msg)) => (
-                    proto::error_response(id.as_ref(), "reload_failed", &msg),
-                    Disposition::Error,
-                ),
+                Ok(info) => ok(proto::reload_rest(&info)),
+                Err(e @ ReloadError::Dirty { .. }) => error("dirty", &e.to_string()),
+                Err(ReloadError::Failed(msg)) => error("reload_failed", &msg),
             }
         }
-        Ok(Request::Update { id, project, edits }) => {
+        Request::Update { project, edits, .. } => {
             pex_obs::counter!("serve.edits.received", 1);
-            match ctx.registry.update(project.as_deref(), &edits) {
+            let (body, disposition, tenant) = match ctx.registry.update(project.as_deref(), &edits)
+            {
                 Ok(info) => {
                     pex_obs::counter!("serve.edits.applied", 1);
                     if info.noop {
                         pex_obs::counter!("serve.edits.noop", 1);
                     }
-                    crate::registry::tenant_counter(&info.project, "edits.applied", 1);
-                    (proto::update_response(id.as_ref(), &info), Disposition::Ok)
+                    let body = proto::update_rest(&info);
+                    (body, Disposition::Ok, Some(info.project))
                 }
                 Err(e) => {
                     pex_obs::counter!("serve.edits.rejected", 1);
-                    let tenant = project.as_deref().unwrap_or(DEFAULT_TENANT);
-                    crate::registry::tenant_counter(tenant, "edits.rejected", 1);
-                    let response = match e {
-                        crate::registry::UpdateError::Parse { line, col, message } => {
-                            proto::parse_error_response(id.as_ref(), line, col, &message)
+                    let body = match e {
+                        UpdateError::Parse { line, col, message } => {
+                            proto::parse_error_rest(line, col, &message)
                         }
-                        crate::registry::UpdateError::Failed(msg) => {
-                            proto::error_response(id.as_ref(), "update_failed", &msg)
-                        }
+                        UpdateError::Failed(msg) => proto::error_rest("update_failed", &msg),
                     };
-                    (response, Disposition::Error)
+                    let tenant = ctx.registry.resident_tenant(project.as_deref());
+                    (body, Disposition::Error, tenant.map(str::to_owned))
                 }
+            };
+            Answer {
+                body,
+                disposition,
+                verb: Verb::Edit,
+                tenant,
             }
         }
-        Ok(Request::Shutdown { id }) => {
-            ctx.shutdown_flag.store(true, Ordering::Relaxed);
-            (proto::shutdown_response(id.as_ref()), Disposition::Ok)
-        }
-        Err((id, msg)) => (
-            proto::error_response(id.as_ref(), "bad_request", &msg),
-            Disposition::Error,
-        ),
-    };
-    drop(span);
-    let total_ns = job.admitted.elapsed().as_nanos() as u64;
-    pex_obs::histogram!("serve.request.ns", total_ns);
-    match disposition {
-        Disposition::Ok => pex_obs::counter!("serve.requests.ok", 1),
-        Disposition::Degraded => pex_obs::counter!("serve.requests.degraded", 1),
-        Disposition::Error => pex_obs::counter!("serve.requests.error", 1),
     }
-    // A gone client (dropped receiver) is not an error; the response
-    // simply has nowhere to go.
-    let _ = job.reply.send(response);
 }
 
-/// Resolves the tenant, coalesces with an in-flight twin when possible,
-/// runs the engine, and delivers + accounts every response this run owns.
-fn handle_query(
+/// Resolves a query's tenant and runs the engine against it.
+fn query(
     ctx: &WorkerCtx,
-    job: Job,
-    q: QueryRequest,
+    q: &QueryRequest,
     default_snapshot: &Arc<Snapshot>,
     default_abs: Option<&AbsTypes<'_>>,
-) {
-    let tenant = q
-        .project
-        .clone()
-        .unwrap_or_else(|| DEFAULT_TENANT.to_owned());
+) -> Answer {
+    let answer = |(body, disposition), tenant: Option<&str>| Answer {
+        body,
+        disposition,
+        verb: Verb::Query,
+        tenant: tenant.map(str::to_owned),
+    };
+    let run = |snapshot: &Snapshot, abs| {
+        proto::execute_rest(snapshot, q, &ctx.defaults, &ctx.cancel, abs)
+    };
     // Resolve the snapshot once; everything below (including a concurrent
     // `reload`) works against this Arc, which is what makes the swap
     // drain-safe. The default tenant uses the worker's pinned snapshot so
     // the cached inference always matches the database it borrows.
-    let is_default = q
-        .project
-        .as_deref()
-        .filter(|p| *p != DEFAULT_TENANT)
-        .is_none();
-    let snapshot = if is_default {
-        Arc::clone(default_snapshot)
-    } else {
-        match ctx.registry.get(q.project.as_deref()) {
-            Ok(s) => s,
-            Err(msg) => {
-                let rest = proto::error_rest("unknown_project", &msg);
-                deliver(
-                    &tenant,
-                    q.id.as_ref(),
-                    &rest,
-                    Disposition::Error,
-                    job.admitted,
-                    &job.reply,
-                );
-                return;
-            }
-        }
+    let Some(project) = q.project.as_deref().filter(|p| *p != DEFAULT_TENANT) else {
+        return answer(run(default_snapshot, default_abs), Some(DEFAULT_TENANT));
     };
-    let run = |abs: Option<&AbsTypes<'_>>| {
-        proto::execute_rest(&snapshot, &q, &ctx.defaults, &ctx.cancel, abs)
-    };
-    // Named tenants build their site inference per request: it is a
-    // unification pass over one method body, small next to the engine run
-    // it sharpens, and caching it per (worker, tenant) would pin evicted
-    // snapshots. The default tenant — the hot path — stays prewarmed.
-    let execute = || {
-        if is_default {
-            run(default_abs)
-        } else {
+    match ctx.registry.get(Some(project)) {
+        // Named tenants build their site inference per request: it is a
+        // unification pass over one method body, small next to the engine
+        // run it sharpens, and caching it per (worker, tenant) would pin
+        // evicted snapshots. The default tenant — the hot path — stays
+        // prewarmed.
+        Ok(snapshot) => {
             let abs = snapshot.abs_for_site();
-            run(abs.as_ref())
+            answer(run(&snapshot, abs.as_ref()), Some(project))
         }
-    };
-    let Some(key) = q.coalesce_key() else {
-        let (rest, disposition) = execute();
-        deliver(
-            &tenant,
-            q.id.as_ref(),
-            &rest,
-            disposition,
-            job.admitted,
-            &job.reply,
-        );
-        return;
-    };
-    match ctx.coalescer.admit(
-        &key,
-        Waiter {
-            id: q.id.clone(),
-            reply: job.reply.clone(),
-            admitted: job.admitted,
-            tenant: tenant.clone(),
-        },
-    ) {
-        Admitted::Follower => {
-            // Parked behind the executing leader, which will deliver and
-            // account for this request at fan-out. Nothing more to do on
-            // this worker — it is free for non-identical work.
-            pex_obs::counter!("serve.requests.coalesced", 1);
-            registry::tenant_counter(&tenant, "coalesced", 1);
-        }
-        Admitted::Leader => {
-            let (rest, disposition) = execute();
-            // Collect *after* executing: twins admitted during the run are
-            // in the list; twins arriving after this line find no entry
-            // and lead their own run.
-            let waiters = ctx.coalescer.collect(&key);
-            for w in waiters {
-                deliver(
-                    &w.tenant,
-                    w.id.as_ref(),
-                    &rest,
-                    disposition,
-                    w.admitted,
-                    &w.reply,
-                );
-            }
-            deliver(
-                &tenant,
-                q.id.as_ref(),
-                &rest,
-                disposition,
-                job.admitted,
-                &job.reply,
-            );
+        Err(msg) => {
+            let body = proto::error_rest("unknown_project", &msg);
+            answer((body, Disposition::Error), None)
         }
     }
 }
 
-/// Assembles a response body under one request's `id`, records that
-/// request's resolution (global + per-tenant counters, latency windows),
-/// and sends it. Every query response — solo, leader, or coalesced
-/// follower — resolves through here exactly once, which is what keeps the
+/// Addresses an answer to one request, records that request's
+/// resolution, and sends it. This is the only place `serve.request.ns`,
+/// `serve.requests.{ok,degraded,error,coalesced}`, the per-tenant
+/// resolution counters and the query latency window are recorded: every
+/// answered line — solo, coalescing leader or follower, or answered at
+/// admission — resolves through here exactly once, which keeps the
 /// accounting identity immune to coalescing.
-fn deliver(
-    tenant: &str,
-    id: Option<&Value>,
-    rest: &str,
-    disposition: Disposition,
-    admitted: Instant,
-    reply: &Sender<String>,
-) {
-    let response = proto::assemble_response(id, rest);
-    let total_ns = admitted.elapsed().as_nanos() as u64;
+fn deliver(to: &Waiter, answer: &Answer, coalesced: bool) {
+    let response = proto::assemble_response(to.id.as_ref(), &answer.body);
+    let total_ns = to.admitted.elapsed().as_nanos() as u64;
     pex_obs::histogram!("serve.request.ns", total_ns);
-    if pex_obs::enabled() {
+    match answer.disposition {
+        Disposition::Ok => pex_obs::counter!("serve.requests.ok", 1),
+        Disposition::Degraded => pex_obs::counter!("serve.requests.degraded", 1),
+        Disposition::Error => pex_obs::counter!("serve.requests.error", 1),
+    }
+    if coalesced {
+        pex_obs::counter!("serve.requests.coalesced", 1);
+    }
+    if matches!(answer.verb, Verb::Query) && pex_obs::enabled() {
         // Admission-to-response in µs — the same interval a client
-        // measures, so the `stats` window percentiles cross-check
-        // against client-side tallies.
+        // measures, so the `stats` window percentiles cross-check against
+        // client-side tallies.
         pex_obs::registry()
-            .windowed(crate::obs_json::REQUEST_WINDOW)
+            .windowed(obs_json::REQUEST_WINDOW)
             .record(total_ns / 1_000);
     }
-    let suffix = match disposition {
-        Disposition::Ok => {
-            pex_obs::counter!("serve.requests.ok", 1);
-            "requests.ok"
+    if let Some(tenant) = &answer.tenant {
+        let suffix = match (answer.verb, answer.disposition) {
+            (Verb::Edit, Disposition::Error) => "edits.rejected",
+            (Verb::Edit, _) => "edits.applied",
+            (_, Disposition::Ok) => "requests.ok",
+            (_, Disposition::Degraded) => "requests.degraded",
+            (_, Disposition::Error) => "requests.error",
+        };
+        registry::tenant_counter(tenant, suffix, 1);
+        if coalesced {
+            registry::tenant_counter(tenant, "coalesced", 1);
         }
-        Disposition::Degraded => {
-            pex_obs::counter!("serve.requests.degraded", 1);
-            "requests.degraded"
-        }
-        Disposition::Error => {
-            pex_obs::counter!("serve.requests.error", 1);
-            "requests.error"
-        }
-    };
-    registry::tenant_counter(tenant, suffix, 1);
-    let _ = reply.send(response);
+    }
+    // A gone client (dropped receiver) is not an error; the response
+    // simply has nowhere to go.
+    let _ = to.reply.send(response);
 }
 
 #[cfg(test)]
@@ -617,10 +582,17 @@ mod tests {
     use crate::snapshot::SnapshotSource;
     use std::sync::mpsc::channel;
 
+    /// Serialises the tests that submit requests: they share the global
+    /// `serve.requests.*` counters, and the leak test checks exact deltas.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn server(workers: usize, queue_cap: usize) -> Server {
         let snapshot = Snapshot::load(&SnapshotSource::Paint).unwrap();
-        Server::start_single(
-            snapshot,
+        Server::start(
+            Arc::new(SnapshotRegistry::single(snapshot)),
             ServeConfig {
                 workers,
                 queue_cap,
@@ -631,11 +603,12 @@ mod tests {
 
     #[test]
     fn answers_concurrent_queries_from_a_shared_snapshot() {
+        let _serial = serial();
         let s = server(4, 64);
         let (tx, rx) = channel();
         const N: usize = 24;
         for i in 0..N {
-            s.submit(
+            s.client().submit(
                 format!("{{\"id\":{i},\"query\":\"?({{img, size}})\",\"limit\":3}}"),
                 &tx,
             );
@@ -662,13 +635,14 @@ mod tests {
     /// One round-trip: submit a line, wait for its response.
     fn roundtrip(s: &Server, line: &str) -> Value {
         let (tx, rx) = channel();
-        s.submit(line.to_owned(), &tx);
+        s.client().submit(line.to_owned(), &tx);
         let resp = rx.recv_timeout(std::time::Duration::from_secs(60)).unwrap();
         json::parse(&resp).unwrap_or_else(|e| panic!("bad response {resp}: {e}"))
     }
 
     #[test]
     fn updates_flip_completions_and_report_surgical_invalidations() {
+        let _serial = serial();
         let s = server(2, 64);
         let query = r#"{"id":1,"query":"?({img, size})","limit":3}"#;
         let top_expr = |doc: &Value| -> String {
@@ -725,6 +699,7 @@ mod tests {
 
     #[test]
     fn garbled_updates_answer_parse_error_and_change_nothing() {
+        let _serial = serial();
         let s = server(2, 64);
         let query = r#"{"id":1,"query":"?({img, size})","limit":5}"#;
         let before = roundtrip(&s, query);
@@ -760,6 +735,7 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_explicitly() {
+        let _serial = serial();
         // One worker and a tiny queue; flood it faster than one worker can
         // drain. Every submission gets *some* response: ok or shed.
         // Distinct ids keep the requests from coalescing (the id is not in
@@ -769,7 +745,7 @@ mod tests {
         let (tx, rx) = channel();
         const N: usize = 40;
         for i in 0..N {
-            s.submit(
+            s.client().submit(
                 format!("{{\"id\":{i},\"query\":\"?\",\"limit\":{}}}", 50 + i),
                 &tx,
             );
@@ -796,10 +772,12 @@ mod tests {
 
     #[test]
     fn shutdown_drains_admitted_requests() {
+        let _serial = serial();
         let s = server(2, 64);
         let (tx, rx) = channel();
         for i in 0..10 {
-            s.submit(format!("{{\"id\":{i},\"query\":\"img.?f\"}}"), &tx);
+            s.client()
+                .submit(format!("{{\"id\":{i},\"query\":\"img.?f\"}}"), &tx);
         }
         s.shutdown();
         drop(tx);
@@ -813,33 +791,37 @@ mod tests {
 
     #[test]
     fn submissions_after_close_get_a_shutdown_error() {
+        let _serial = serial();
         let s = server(1, 8);
         let (tx, rx) = channel();
-        s.queue.close();
-        s.submit("{\"id\":1,\"query\":\"?\"}".into(), &tx);
+        s.client.queue.close();
+        s.client().submit("{\"id\":1,\"query\":\"?\"}".into(), &tx);
         let resp = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
         assert!(resp.contains("\"error\":\"shutdown\""), "{resp}");
         s.shutdown();
     }
 
     #[test]
-    fn workers_ack_shutdown_commands_and_raise_the_flag() {
+    fn shutdown_commands_are_acked_at_admission_and_raise_the_flag() {
+        let _serial = serial();
         let s = server(1, 8);
         let (tx, rx) = channel();
-        assert!(!s.shutdown_requested());
-        s.submit("{\"id\":7,\"cmd\":\"shutdown\"}".into(), &tx);
+        assert!(!s.client().shutdown_requested());
+        s.client()
+            .submit("{\"id\":7,\"cmd\":\"shutdown\"}".into(), &tx);
         let resp = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
         assert!(resp.contains("\"shutdown\":true"), "{resp}");
-        assert!(s.shutdown_requested());
+        assert!(s.client().shutdown_requested());
         s.shutdown();
     }
 
     #[test]
     fn malformed_lines_get_bad_request_not_a_crash() {
+        let _serial = serial();
         let s = server(2, 8);
         let (tx, rx) = channel();
-        s.submit("this is not json".into(), &tx);
-        s.submit("{\"id\":3}".into(), &tx);
+        s.client().submit("this is not json".into(), &tx);
+        s.client().submit("{\"id\":3}".into(), &tx);
         for _ in 0..2 {
             let resp = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
             let doc = json::parse(&resp).unwrap();
@@ -850,7 +832,7 @@ mod tests {
             );
         }
         // The pool survives and still answers real queries.
-        s.submit("{\"id\":4,\"cmd\":\"ping\"}".into(), &tx);
+        s.client().submit("{\"id\":4,\"cmd\":\"ping\"}".into(), &tx);
         let resp = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
         assert!(resp.contains("\"pong\":true"), "{resp}");
         s.shutdown();
@@ -858,15 +840,18 @@ mod tests {
 
     #[test]
     fn stats_and_health_commands_answer_from_the_live_registry() {
+        let _serial = serial();
         pex_obs::set_enabled(true);
         let s = server(2, 16);
         let (tx, rx) = channel();
         let timeout = std::time::Duration::from_secs(30);
-        s.submit("{\"id\":1,\"query\":\"?\",\"limit\":3}".into(), &tx);
+        s.client()
+            .submit("{\"id\":1,\"query\":\"?\",\"limit\":3}".into(), &tx);
         let resp = rx.recv_timeout(timeout).unwrap();
         assert!(resp.contains("\"ok\":true"), "{resp}");
 
-        s.submit("{\"id\":2,\"cmd\":\"stats\"}".into(), &tx);
+        s.client()
+            .submit("{\"id\":2,\"cmd\":\"stats\"}".into(), &tx);
         let resp = rx.recv_timeout(timeout).unwrap();
         let doc = json::parse(&resp).unwrap();
         assert_eq!(doc.get("ok"), Some(&Value::Bool(true)), "{resp}");
@@ -881,7 +866,8 @@ mod tests {
             "the query latency landed in the window: {resp}"
         );
 
-        s.submit("{\"id\":3,\"cmd\":\"health\"}".into(), &tx);
+        s.client()
+            .submit("{\"id\":3,\"cmd\":\"health\"}".into(), &tx);
         let resp = rx.recv_timeout(timeout).unwrap();
         let doc = json::parse(&resp).unwrap();
         let health = doc.get("health").expect("health body");
@@ -901,6 +887,7 @@ mod tests {
 
     #[test]
     fn project_queries_route_to_their_tenant_snapshot() {
+        let _serial = serial();
         let registry = Arc::new(SnapshotRegistry::single(
             Snapshot::load(&SnapshotSource::Paint).unwrap(),
         ));
@@ -911,7 +898,7 @@ mod tests {
         let (tx, rx) = channel();
         let timeout = std::time::Duration::from_secs(30);
         // The geometry context knows `point` (a Point local); paint does not.
-        s.submit(
+        s.client().submit(
             "{\"id\":1,\"query\":\"point.?f\",\"project\":\"geo\",\"limit\":3}".into(),
             &tx,
         );
@@ -920,12 +907,13 @@ mod tests {
         assert_eq!(doc.get("ok"), Some(&Value::Bool(true)), "{resp}");
         // The same query against the default (paint) tenant fails to parse:
         // proof the `project` field selected a different snapshot.
-        s.submit("{\"id\":2,\"query\":\"point.?f\",\"limit\":3}".into(), &tx);
+        s.client()
+            .submit("{\"id\":2,\"query\":\"point.?f\",\"limit\":3}".into(), &tx);
         let resp = rx.recv_timeout(timeout).unwrap();
         let doc = json::parse(&resp).unwrap();
         assert_eq!(doc.get("error").and_then(Value::as_str), Some("parse"));
         // Unknown tenants get the explicit error kind.
-        s.submit(
+        s.client().submit(
             "{\"id\":3,\"query\":\"?\",\"project\":\"nope\"}".into(),
             &tx,
         );
@@ -937,7 +925,8 @@ mod tests {
             "{resp}"
         );
         // A reload with no origin reports `reload_failed`, keeps serving.
-        s.submit("{\"id\":4,\"cmd\":\"reload\"}".into(), &tx);
+        s.client()
+            .submit("{\"id\":4,\"cmd\":\"reload\"}".into(), &tx);
         let resp = rx.recv_timeout(timeout).unwrap();
         let doc = json::parse(&resp).unwrap();
         assert_eq!(
@@ -945,13 +934,14 @@ mod tests {
             Some("reload_failed"),
             "{resp}"
         );
-        s.submit("{\"id\":5,\"cmd\":\"ping\"}".into(), &tx);
+        s.client().submit("{\"id\":5,\"cmd\":\"ping\"}".into(), &tx);
         assert!(rx.recv_timeout(timeout).unwrap().contains("pong"));
         s.shutdown();
     }
 
     #[test]
     fn identical_inflight_queries_coalesce_into_one_run() {
+        let _serial = serial();
         pex_obs::set_enabled(true);
         // Coalescing needs genuine overlap: a worker must pop a twin while
         // the leader is mid-run. Under a loaded test host a fast run can
@@ -970,7 +960,7 @@ mod tests {
             let (tx, rx) = channel();
             for i in 0..N {
                 // Identical work (same key); distinct ids (not in the key).
-                s.submit(
+                s.client().submit(
                     format!("{{\"id\":{i},\"query\":\"?\",\"limit\":400,\"max_steps\":2000000}}"),
                     &tx,
                 );
@@ -1009,6 +999,7 @@ mod tests {
 
     #[test]
     fn default_reload_rebuilds_workers_without_dropping_requests() {
+        let _serial = serial();
         use crate::registry::DefaultOrigin;
         // A registry whose default can be rebuilt from its source.
         let registry = Arc::new(SnapshotRegistry::new(
@@ -1033,7 +1024,7 @@ mod tests {
         const BEFORE: usize = 8;
         const AFTER: usize = 8;
         for i in 0..BEFORE {
-            s.submit(
+            s.client().submit(
                 format!(
                     "{{\"id\":{i},\"query\":\"?({{img, size}})\",\"limit\":{}}}",
                     3 + i
@@ -1041,9 +1032,10 @@ mod tests {
                 &tx,
             );
         }
-        s.submit("{\"id\":100,\"cmd\":\"reload\"}".into(), &tx);
+        s.client()
+            .submit("{\"id\":100,\"cmd\":\"reload\"}".into(), &tx);
         for i in 0..AFTER {
-            s.submit(
+            s.client().submit(
                 format!(
                     "{{\"id\":{},\"query\":\"?({{img, size}})\",\"limit\":{}}}",
                     200 + i,
@@ -1072,5 +1064,104 @@ mod tests {
         );
         assert!(registry.default_generation() >= 1);
         s.shutdown();
+    }
+
+    #[test]
+    fn client_chosen_projects_never_mint_tenant_metrics() {
+        let _serial = serial();
+        pex_obs::set_enabled(true);
+        let obs = pex_obs::registry();
+        // Every counter this test could mint carries its `leakp` prefix.
+        let minted = || {
+            obs.snapshot()
+                .counters
+                .keys()
+                .filter(|k| k.starts_with("serve.tenant.leakp"))
+                .count()
+        };
+        let count = |name: &str| obs.counter(name).get();
+        let resolved = || {
+            ["ok", "degraded", "error", "shed"]
+                .iter()
+                .map(|k| count(&format!("serve.requests.{k}")))
+                .sum::<u64>()
+        };
+        let (received_before, resolved_before) = (count("serve.requests.received"), resolved());
+        let timeout = std::time::Duration::from_secs(60);
+        let s = server(1, 1);
+        let c = s.client();
+        let (tx, rx) = channel();
+        let mut sent = 0u64;
+
+        // Unknown-project queries and updates, one at a time (none shed).
+        for i in 0..20 {
+            for (line, kind) in [
+                (
+                    format!(r#"{{"id":{i},"query":"?","project":"leakp-q{i}"}}"#),
+                    "unknown_project",
+                ),
+                (
+                    format!(
+                        r#"{{"id":{i},"cmd":"update","project":"leakp-u{i}","source":"namespace X {{ class A {{ }} }}"}}"#
+                    ),
+                    "update_failed",
+                ),
+            ] {
+                c.submit(line, &tx);
+                sent += 1;
+                let doc = json::parse(&rx.recv_timeout(timeout).unwrap()).unwrap();
+                assert_eq!(
+                    doc.get("error").and_then(Value::as_str),
+                    Some(kind),
+                    "{doc}"
+                );
+                assert_eq!(doc.get("id").and_then(Value::as_u64), Some(i));
+            }
+        }
+        assert_eq!(minted(), 0, "unknown projects minted tenant counters");
+
+        // A shed burst of unknown-project queries behind a slow one. Every
+        // line is answered exactly once, under its own id.
+        let mut shed = 0;
+        for attempt in 0..5 {
+            c.submit(
+                r#"{"id":1000,"query":"?","limit":400,"max_steps":2000000}"#.into(),
+                &tx,
+            );
+            sent += 1;
+            const BURST: u64 = 40;
+            for i in 0..BURST {
+                c.submit(
+                    format!(r#"{{"id":{i},"query":"?","project":"leakp-s{attempt}-{i}"}}"#),
+                    &tx,
+                );
+                sent += 1;
+            }
+            let mut ids = std::collections::BTreeSet::new();
+            for _ in 0..=BURST {
+                let doc = json::parse(&rx.recv_timeout(timeout).unwrap()).unwrap();
+                match doc.get("error").and_then(Value::as_str) {
+                    Some("shed") => shed += 1,
+                    Some("unknown_project") | None => {}
+                    Some(other) => panic!("unexpected error kind {other}: {doc}"),
+                }
+                assert!(ids.insert(doc.get("id").and_then(Value::as_u64).unwrap()));
+            }
+            assert_eq!(ids.len() as u64, BURST + 1, "one answer per line");
+            if shed > 0 {
+                break;
+            }
+        }
+        assert!(shed > 0, "a 1-deep queue behind a slow query must shed");
+        assert_eq!(minted(), 0, "the shed path minted tenant counters");
+        assert!(rx.try_recv().is_err(), "no line was answered twice");
+        s.shutdown();
+
+        assert_eq!(count("serve.requests.received") - received_before, sent);
+        assert_eq!(
+            resolved() - resolved_before,
+            sent,
+            "received == ok + degraded + error + shed over the test"
+        );
     }
 }

@@ -198,3 +198,38 @@ fn refuses_to_replace_a_path_that_is_not_a_socket() {
     );
     std::fs::remove_file(&socket).ok();
 }
+
+#[test]
+fn socket_shutdown_exits_while_stdin_stays_open() {
+    let socket = socket_path("sockbye");
+    let child = spawn_daemon(&socket, &[]);
+    // `child` keeps the daemon's stdin pipe open throughout: the shutdown
+    // must come from the socket alone.
+    let resp = roundtrip(&socket, r#"{"id":"bye","cmd":"shutdown"}"#);
+    assert_eq!(resp, r#"{"id":"bye","ok":true,"shutdown":true}"#);
+    assert_eq!(wait_exit(child), 0);
+    assert!(
+        !socket.exists(),
+        "daemon removes its socket on clean shutdown"
+    );
+}
+
+#[test]
+fn over_long_socket_lines_answer_request_too_large_and_resync() {
+    let socket = socket_path("longline");
+    let child = spawn_daemon(&socket, &[]);
+    let mut stream = connect_ready(&socket);
+    // Twice the daemon's 1 MiB line cap, then a normal request.
+    let huge = format!(r#"{{"id":1,"query":"{}"}}"#, "x".repeat(2 << 20));
+    writeln!(stream, "{huge}").expect("write long line");
+    writeln!(stream, r#"{{"id":2,"cmd":"ping"}}"#).expect("write ping");
+    stream.flush().expect("flush");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read error line");
+    assert!(line.contains("\"error\":\"request_too_large\""), "{line}");
+    line.clear();
+    reader.read_line(&mut line).expect("read pong");
+    assert_eq!(line.trim_end(), r#"{"id":2,"ok":true,"pong":true}"#);
+    shutdown(child, &socket);
+}

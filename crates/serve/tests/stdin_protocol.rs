@@ -117,6 +117,24 @@ fn over_deep_update_source_is_a_parse_error_not_a_crash() {
 }
 
 #[test]
+fn over_long_lines_answer_request_too_large_and_resync() {
+    let (mut child, mut reader) = spawn(&["paint", "--workers", "1"]);
+    // Twice the daemon's 1 MiB line cap: one error line, no id (the line
+    // is never parsed), then the next line is served normally.
+    let huge = format!(r#"{{"id":1,"query":"{}"}}"#, "x".repeat(2 << 20));
+    send(&mut child, &huge);
+    let resp = recv(&mut reader);
+    assert!(
+        resp.starts_with("{\"ok\":false,\"error\":\"request_too_large\""),
+        "{resp}"
+    );
+    send(&mut child, r#"{"id":2,"cmd":"ping"}"#);
+    assert_eq!(recv(&mut reader), r#"{"id":2,"ok":true,"pong":true}"#);
+    drop(child.stdin.take());
+    assert_eq!(wait_exit(child), 0);
+}
+
+#[test]
 fn zero_deadline_is_reported_as_a_degraded_deadline_outcome() {
     let (mut child, mut reader) = spawn(&["paint"]);
     send(&mut child, r#"{"id":3,"query":"?","deadline_ms":0}"#);
