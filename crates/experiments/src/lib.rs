@@ -39,7 +39,6 @@ pub mod obs_report;
 pub mod prospector;
 pub mod scaling;
 pub mod sensitivity;
-pub mod serve_bench;
 pub mod speed;
 pub mod stats;
 

@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 
 use pex_experiments::{
     args as args_exp, baselines, figures, lookups, methods, obs_report, scaling, sensitivity,
-    serve_bench, speed, ExperimentConfig,
+    speed, ExperimentConfig,
 };
 use pex_obs::{JsonLinesSink, StderrPrettySink, TeeSink};
 
@@ -93,8 +93,6 @@ fn main() {
     let mut metrics_out: Option<PathBuf> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut time_limit_s: Option<u64> = None;
-    let mut serve_cfg = serve_bench::ServeBenchConfig::default();
-    let mut bench_out = PathBuf::from("BENCH_results.json");
     let mut i = 1;
     while i < argv.len() {
         let flag = argv[i].as_str();
@@ -107,10 +105,7 @@ fn main() {
         };
         match flag {
             "--scale" => cfg.scale = parse_or_exit(flag, &take_value(), "a float"),
-            "--limit" => {
-                cfg.limit = parse_or_exit(flag, &take_value(), "an integer");
-                serve_cfg.limit = cfg.limit;
-            }
+            "--limit" => cfg.limit = parse_or_exit(flag, &take_value(), "an integer"),
             "--max-sites" => cfg.max_sites = Some(parse_or_exit(flag, &take_value(), "an integer")),
             "--t2-max-sites" => {
                 t2_max_sites = Some(parse_or_exit(flag, &take_value(), "an integer"))
@@ -125,21 +120,6 @@ fn main() {
             "--out" => out_dir = Some(PathBuf::from(take_value())),
             "--metrics-out" => metrics_out = Some(PathBuf::from(take_value())),
             "--trace" => trace_out = Some(PathBuf::from(take_value())),
-            "--clients" => serve_cfg.clients = parse_or_exit(flag, &take_value(), "an integer"),
-            "--qps" => serve_cfg.qps = parse_or_exit(flag, &take_value(), "a rate"),
-            "--duration-s" => {
-                serve_cfg.duration = std::time::Duration::from_secs_f64(parse_or_exit(
-                    flag,
-                    &take_value(),
-                    "seconds",
-                ))
-            }
-            "--queue-cap" => serve_cfg.queue_cap = parse_or_exit(flag, &take_value(), "an integer"),
-            "--live-stats" => serve_cfg.live_stats = true,
-            "--tenants" => serve_cfg.tenants = parse_or_exit(flag, &take_value(), "an integer"),
-            "--open-loop" => serve_cfg.open_loop = true,
-            "--edit-rate" => serve_cfg.edit_rate = parse_or_exit(flag, &take_value(), "an integer"),
-            "--bench-out" => bench_out = PathBuf::from(take_value()),
             other => {
                 pex_obs::message!("unknown flag {other}");
                 std::process::exit(2);
@@ -189,44 +169,6 @@ fn main() {
     };
 
     let wants = |what: &str| command == what || command == "all";
-
-    if command == "serve-bench" {
-        // Shared flags map onto the server: --threads sizes the worker
-        // pool, --limit and --deadline-ms become the request defaults.
-        if let Some(threads) = cfg.threads {
-            serve_cfg.workers = threads.max(1);
-        }
-        serve_cfg.deadline_ms = cfg.deadline_ms;
-        if serve_cfg.open_loop && serve_cfg.qps <= 0.0 {
-            pex_obs::message!("--open-loop needs a --qps schedule to send on");
-            pex_obs::flush_sink();
-            std::process::exit(2);
-        }
-        pex_obs::message!(
-            "serve-bench: {} clients ({} loop, {} tenants) for {:.1}s against {} workers...",
-            serve_cfg.clients,
-            if serve_cfg.open_loop {
-                "open"
-            } else {
-                "closed"
-            },
-            serve_cfg.tenants.max(1),
-            serve_cfg.duration.as_secs_f64(),
-            serve_cfg.workers
-        );
-        let report = serve_bench::run(&serve_cfg);
-        emit("serve-bench", report.render().trim_end().to_owned());
-        match report.merge_into_bench_results(&bench_out) {
-            Ok(()) => pex_obs::message!("merged serve section into {}", bench_out.display()),
-            Err(e) => {
-                pex_obs::message!("{e}");
-                pex_obs::flush_sink();
-                std::process::exit(2);
-            }
-        }
-        finish(&command, &cfg, metrics_out.as_deref());
-        return;
-    }
 
     if command == "dump" {
         // Write each generated project back out as mini-C# source.
@@ -441,8 +383,6 @@ COMMANDS:
     all | examples | table1 | fig9 | fig10 | fig11 | fig12 |
     fig13 | fig14 | fig15 | fig16 | table2 | speed | baselines
     scaling            query latency vs corpus scale (not part of `all`)
-    serve-bench        load-test an in-process pex-serve worker pool and
-                       report throughput + latency percentiles
     dump               write the generated projects as mini-C# source
 
 FLAGS:
@@ -466,26 +406,6 @@ FLAGS:
                        rates, ranking-term evaluation counts
     --trace FILE       write tracing span events as JSON lines (one object
                        per completed span; stderr output is unchanged)
-
-serve-bench flags (plus --threads for workers, --limit, --deadline-ms):
-    --clients N        concurrent closed-loop clients (default 4)
-    --qps Q            total target request rate; 0 = unpaced (default)
-    --duration-s D     load-generation duration in seconds (default 3)
-    --queue-cap N      server admission queue capacity
-    --tenants N        fan the load across N registry tenants; tenant 0 is
-                       the default tenant (no project field), tenants 1..N
-                       target t1..t{N-1} via the protocol project field
-    --open-loop        send on the --qps schedule regardless of responses
-                       (arrival rate stays fixed under overload; requires
-                       --qps > 0); results land under serve.multi_tenant
-    --edit-rate N      make every N-th request per client an incremental
-                       update command (0 = queries only); edits keep their
-                       own per-tenant ledger, sent == applied + rejected
-    --live-stats       scrape {\"cmd\":\"stats\"} mid-load and cross-check the
-                       daemon's rolling-window percentiles against the
-                       clients' own stopwatches (asserts p50/p90 agree)
-    --bench-out FILE   merge the serve section into this JSON file
-                       (default BENCH_results.json)
 
 `all` and `speed` print a human-readable observability summary (latency
 percentiles per phase, cache hit rates) to stderr when done.

@@ -71,7 +71,8 @@ fn write_metrics(w: &mut JsonWriter, snap: &MetricsSnapshot) {
 /// entry per resident tenant (default first) with its byte accounting and
 /// the `serve.tenant.<id>.*` resolution counters, so the per-tenant
 /// identities `sent == ok + degraded + shed + errors` (queries) and
-/// `sent == applied + rejected` (edits) can be checked externally.
+/// `sent == applied + rejected` (edits; a shed edit is rejected) can be
+/// checked externally.
 fn write_tenants(w: &mut JsonWriter, registry: &SnapshotRegistry) {
     let obs = pex_obs::registry();
     w.open('{');

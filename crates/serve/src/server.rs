@@ -174,7 +174,7 @@ pub struct Server {
 }
 
 /// A cheap, cloneable, thread-safe handle for submitting requests — what
-/// transports (stdin, socket connections, load-generator clients) hold
+/// transports (stdin, socket connections, in-process test clients) hold
 /// while the [`Server`] itself stays with the thread that will join it.
 #[derive(Clone)]
 pub struct ServerClient {
@@ -255,10 +255,17 @@ impl ServerClient {
                 .windowed(obs_json::SHED_WINDOW)
                 .record(1);
         }
-        if field("cmd").is_none() {
+        // A shed query is the tenant's `requests.shed`; a shed edit is one
+        // of its `edits.rejected`, so both per-tenant ledgers still close.
+        let books = match field("cmd").map(Value::as_str) {
+            None => Some("requests.shed"),
+            Some(Some("update")) => Some("edits.rejected"),
+            Some(_) => None,
+        };
+        if let Some(suffix) = books {
             let project = field("project").and_then(Value::as_str);
             if let Some(tenant) = self.registry.resident_tenant(project) {
-                registry::tenant_counter(tenant, "requests.shed", 1);
+                registry::tenant_counter(tenant, suffix, 1);
             }
         }
         let response = proto::error_response(
@@ -1162,6 +1169,64 @@ mod tests {
             resolved() - resolved_before,
             sent,
             "received == ok + degraded + error + shed over the test"
+        );
+    }
+
+    #[test]
+    fn shed_updates_close_the_tenant_edit_ledger() {
+        let _serial = serial();
+        pex_obs::set_enabled(true);
+        let obs = pex_obs::registry();
+        let edits = || {
+            ["applied", "rejected"]
+                .iter()
+                .map(|k| obs.counter(&format!("serve.tenant.shedp.edits.{k}")).get())
+                .sum::<u64>()
+        };
+        let timeout = std::time::Duration::from_secs(60);
+        let s = server(1, 1);
+        s.client
+            .registry
+            .insert("shedp", Snapshot::load(&SnapshotSource::Paint).unwrap())
+            .unwrap();
+        let c = s.client();
+        let (tx, rx) = channel();
+        let before = edits();
+        let mut sent = 0u64;
+        let mut shed = 0;
+        // A burst of updates to a resident tenant behind a slow query on a
+        // 1-deep queue: most of the burst is shed at admission.
+        for _ in 0..5 {
+            c.submit(
+                r#"{"id":0,"query":"?","limit":400,"max_steps":2000000}"#.into(),
+                &tx,
+            );
+            const BURST: u64 = 40;
+            for i in 1..=BURST {
+                c.submit(
+                    format!(
+                        r#"{{"id":{i},"cmd":"update","project":"shedp","source":"namespace X {{ class Broken {{"}}"#
+                    ),
+                    &tx,
+                );
+            }
+            sent += BURST;
+            for _ in 0..=BURST {
+                let doc = json::parse(&rx.recv_timeout(timeout).unwrap()).unwrap();
+                if doc.get("error").and_then(Value::as_str) == Some("shed") {
+                    shed += 1;
+                }
+            }
+            if shed > 0 {
+                break;
+            }
+        }
+        s.shutdown();
+        assert!(shed > 0, "a 1-deep queue behind a slow query must shed");
+        assert_eq!(
+            edits() - before,
+            sent,
+            "every update, shed or not, is the tenant's applied or rejected"
         );
     }
 }

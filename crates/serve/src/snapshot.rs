@@ -157,7 +157,8 @@ impl Snapshot {
     }
 
     /// Builds and prewarms a snapshot around an already-compiled database
-    /// (used by the in-process `serve-bench` load generator).
+    /// (used by [`Snapshot::load`] and by the benchmark's in-process
+    /// replay, `perfbench/src/replay.rs`).
     pub fn from_database(
         name: String,
         db: Database,

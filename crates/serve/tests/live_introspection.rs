@@ -1,12 +1,20 @@
 //! End-to-end tests of the daemon's live introspection surface against
 //! the real `pex-serve` binary: `stats`, `health`, `"trace": true`,
-//! `"explain": true`, and the periodic `--metrics-interval-s` flush.
+//! `"explain": true`, and the periodic `--metrics-interval-s` flush — plus
+//! one in-process load test that scrapes `stats` mid-load and checks its
+//! windows against the clients' own stopwatches. `pex_obs` metrics are
+//! process-global, so that test must stay the only in-process server in
+//! this binary.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdout, Command, Stdio};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::channel;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use pex_serve::json::{self, Value};
+use pex_serve::{ServeConfig, Server, ServerClient, Snapshot, SnapshotRegistry, SnapshotSource};
 
 fn spawn(args: &[&str]) -> (Child, BufReader<ChildStdout>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_pex-serve"))
@@ -210,4 +218,96 @@ fn metrics_interval_flushes_a_parseable_document_while_serving() {
         .and_then(Value::as_u64);
     assert_eq!(ok, Some(1), "{final_doc}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One `stats` round trip through the admission path, returning its body.
+fn scrape_stats(client: &ServerClient) -> Value {
+    let (tx, rx) = channel();
+    client.submit(r#"{"id":"stats","cmd":"stats"}"#.into(), &tx);
+    let resp = rx.recv_timeout(Duration::from_secs(60)).expect("stats");
+    let doc = json::parse(&resp).unwrap_or_else(|e| panic!("bad JSON ({e}): {resp}"));
+    doc.get("stats")
+        .cloned()
+        .unwrap_or_else(|| panic!("stats: {resp}"))
+}
+
+/// Nearest-rank percentile of the clients' samples.
+fn percentile(sorted: &[u64], p: f64) -> u64 {
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+#[test]
+fn live_stats_windows_agree_with_client_stopwatches() {
+    const CLIENTS: usize = 2;
+    const QUERIES: usize = 60;
+    let paint = Snapshot::load(&SnapshotSource::Paint).expect("paint snapshot");
+    let server = Server::start(
+        Arc::new(SnapshotRegistry::single(paint)),
+        ServeConfig {
+            workers: 2,
+            queue_cap: 64,
+            ..ServeConfig::default()
+        },
+    );
+    let answered = Arc::new(AtomicUsize::new(0));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let client = server.client();
+            let answered = Arc::clone(&answered);
+            std::thread::spawn(move || {
+                let (tx, rx) = channel();
+                (0..QUERIES)
+                    .map(|k| {
+                        let line = format!(r#"{{"id":"c{c}-{k}","query":"?({{img, size}})"}}"#);
+                        let sent = Instant::now();
+                        client.submit(line, &tx);
+                        let resp = rx.recv_timeout(Duration::from_secs(60)).expect("answer");
+                        let us = sent.elapsed().as_micros() as u64;
+                        assert!(resp.contains(r#""ok":true"#), "{resp}");
+                        answered.fetch_add(1, Ordering::Relaxed);
+                        us
+                    })
+                    .collect::<Vec<u64>>()
+            })
+        })
+        .collect();
+
+    // Mid-load: half the queries are answered, the rest still running.
+    while answered.load(Ordering::Relaxed) < CLIENTS * QUERIES / 2 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let live = scrape_stats(&server.client());
+    let w10 = live.get("windows").and_then(|w| w.get("10s")).unwrap();
+    assert!(u(w10, "count") > 0, "requests visible mid-load: {live}");
+    assert!(u(w10, "p50_us") <= u(w10, "p99_us"), "{live}");
+
+    let mut client_us: Vec<u64> = clients
+        .into_iter()
+        .flat_map(|h| h.join().expect("client thread"))
+        .collect();
+    client_us.sort_unstable();
+    let done = scrape_stats(&server.client());
+    server.shutdown();
+    let counters = done.get("metrics").and_then(|m| m.get("counters")).unwrap();
+    assert!(u(counters, "serve.requests.ok") > 0, "{done}");
+    assert!(percentile(&client_us, 50.0) <= percentile(&client_us, 99.0));
+
+    // The daemon's window and the clients' stopwatches time the same
+    // queries through different pipelines: log2 buckets plus
+    // interpolation against exact timestamps. Bucket geometry bounds the
+    // disagreement by 2x. p99 is reported but not asserted: the tail is a
+    // handful of samples, often engine warmup, so its ratio is not
+    // schedule-stable.
+    let w60 = done.get("windows").and_then(|w| w.get("60s")).unwrap();
+    assert_eq!(u(w60, "count"), (CLIENTS * QUERIES) as u64, "{done}");
+    for (p, key) in [(50.0, "p50_us"), (90.0, "p90_us"), (99.0, "p99_us")] {
+        let (daemon, client) = (u(w60, key) as f64, percentile(&client_us, p) as f64);
+        let ratio = daemon.max(client) / daemon.min(client).max(1.0);
+        eprintln!("p{p}: daemon window {daemon}us vs client {client}us (x{ratio:.2})");
+        assert!(
+            p > 90.0 || ratio <= 2.0,
+            "p{p} disagrees: daemon window {daemon}us vs client {client}us"
+        );
+    }
 }

@@ -1,14 +1,20 @@
 //! End-to-end tests of the multi-tenant registry through the real
 //! binary: project routing against `--snapshot-dir`, hot swap via
 //! `{"cmd":"reload"}` with zero dropped requests under concurrent load,
-//! and per-tenant accounting in the introspection commands.
+//! and per-tenant accounting in the introspection commands — plus one
+//! in-process load test that checks the per-tenant books against `stats`.
+//! `pex_obs` counters are process-global, so that test must stay the only
+//! in-process server in this binary.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
+use std::sync::mpsc::channel;
+use std::sync::Arc;
 use std::time::Duration;
 
-use pex_serve::{persist, Snapshot, SnapshotSource};
+use pex_serve::json::{self, Value};
+use pex_serve::{persist, ServeConfig, Server, Snapshot, SnapshotRegistry, SnapshotSource};
 
 /// A fresh directory holding a `geo.pexsnap` tenant snapshot, built with
 /// the same persistence codec the daemon's lazy loader reads.
@@ -155,4 +161,207 @@ fn hot_swap_drops_no_requests_under_concurrent_load() {
     drop(child.stdin.take());
     assert_eq!(wait_exit(child), 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One tenant's books as the clients keep them.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+struct Ledger {
+    sent: u64,
+    ok: u64,
+    degraded: u64,
+    shed: u64,
+    errors: u64,
+    edits_sent: u64,
+    applied: u64,
+    rejected: u64,
+}
+
+impl Ledger {
+    fn add(&mut self, o: &Ledger) {
+        self.sent += o.sent;
+        self.ok += o.ok;
+        self.degraded += o.degraded;
+        self.shed += o.shed;
+        self.errors += o.errors;
+        self.edits_sent += o.edits_sent;
+        self.applied += o.applied;
+        self.rejected += o.rejected;
+    }
+
+    /// Books one answer: an edit as applied or rejected, a query by how
+    /// it resolved.
+    fn record(&mut self, is_edit: bool, doc: &Value) {
+        let flag = |k: &str| doc.get(k) == Some(&Value::Bool(true));
+        let shed = doc.get("error").and_then(Value::as_str) == Some("shed");
+        let slot = match (is_edit, flag("ok")) {
+            (true, true) => &mut self.applied,
+            (true, false) => &mut self.rejected,
+            (false, true) if flag("degraded") => &mut self.degraded,
+            (false, true) => &mut self.ok,
+            (false, false) if shed => &mut self.shed,
+            (false, false) => &mut self.errors,
+        };
+        *slot += 1;
+        *if is_edit {
+            &mut self.edits_sent
+        } else {
+            &mut self.sent
+        } += 1;
+    }
+
+    fn assert_closed(&self, who: &str) {
+        assert_eq!(
+            self.sent,
+            self.ok + self.degraded + self.shed + self.errors,
+            "{who}: every query resolves exactly once: {self:?}"
+        );
+        assert_eq!(
+            self.edits_sent,
+            self.applied + self.rejected,
+            "{who}: every update is applied or rejected: {self:?}"
+        );
+    }
+}
+
+const TENANTS: [&str; 3] = ["default", "t1", "t2"];
+
+/// The query mix, all valid against the paint snapshot.
+const QUERIES: [&str; 3] = ["?({img, size})", "img.?f", "?"];
+
+/// The edit mix: two `DocumentUtils` units that differ only in
+/// `Normalize`'s body (both apply), then one garbled unit (always a
+/// `parse_error`).
+const EDIT_UNITS: [&str; 3] = [
+    "namespace PaintDotNet.Client { class DocumentUtils { \
+     static PaintDotNet.Document Normalize(PaintDotNet.Document d) { return d; } \
+     static System.Drawing.Size Clamp(System.Drawing.Size s) { return s; } } }",
+    "namespace PaintDotNet.Client { class DocumentUtils { \
+     static PaintDotNet.Document Normalize(PaintDotNet.Document d) \
+     { return PaintDotNet.Client.DocumentUtils.Normalize(d); } \
+     static System.Drawing.Size Clamp(System.Drawing.Size s) { return s; } } }",
+    "namespace PaintDotNet.Client { class Broken {",
+];
+
+#[test]
+fn per_tenant_books_close_under_concurrent_queries_and_edits() {
+    const CLIENTS: usize = 4;
+    const LINES: usize = 30;
+    const EDIT_EVERY: usize = 5;
+    let paint = Snapshot::load(&SnapshotSource::Paint).expect("paint snapshot");
+    let registry = Arc::new(SnapshotRegistry::single(Arc::clone(&paint)));
+    for t in &TENANTS[1..] {
+        registry.insert(t, Arc::clone(&paint)).expect("tenant id");
+    }
+    let server = Server::start(
+        registry,
+        ServeConfig {
+            workers: 2,
+            queue_cap: 64,
+            ..ServeConfig::default()
+        },
+    );
+
+    // Closed-loop clients, a fixed number of lines each: the books below
+    // are exact, whatever the scheduling.
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let client = server.client();
+            std::thread::spawn(move || {
+                let (tx, rx) = channel();
+                let mut total = Ledger::default();
+                let mut per_tenant = [Ledger::default(); TENANTS.len()];
+                let mut edits = 0;
+                for k in 0..LINES {
+                    let tenant = (c + k) % TENANTS.len();
+                    // Tenant 0 sends no `project`: the single-tenant path.
+                    let project = match tenant {
+                        0 => String::new(),
+                        t => format!(r#""project":"{}","#, TENANTS[t]),
+                    };
+                    let is_edit = (k + 1) % EDIT_EVERY == 0;
+                    let unit = edits % EDIT_UNITS.len();
+                    let line = if is_edit {
+                        edits += 1;
+                        format!(
+                            r#"{{"id":"c{c}-{k}",{project}"cmd":"update","source":"{}"}}"#,
+                            json::escape(EDIT_UNITS[unit])
+                        )
+                    } else {
+                        let query = QUERIES[(c + k) % QUERIES.len()];
+                        format!(r#"{{"id":"c{c}-{k}",{project}"query":"{query}","limit":5}}"#)
+                    };
+                    client.submit(line, &tx);
+                    let resp = rx
+                        .recv_timeout(Duration::from_secs(60))
+                        .expect("every line is answered");
+                    let doc = json::parse(&resp).expect("response is JSON");
+                    let id = format!("c{c}-{k}");
+                    assert_eq!(doc.get("id").and_then(Value::as_str), Some(&*id), "{resp}");
+                    if is_edit && unit == 2 {
+                        assert_eq!(
+                            doc.get("error").and_then(Value::as_str),
+                            Some("parse_error"),
+                            "a garbled unit is rejected: {resp}"
+                        );
+                    }
+                    total.record(is_edit, &doc);
+                    per_tenant[tenant].record(is_edit, &doc);
+                }
+                (total, per_tenant)
+            })
+        })
+        .collect();
+
+    let mut total = Ledger::default();
+    let mut per_tenant = [Ledger::default(); TENANTS.len()];
+    for handle in clients {
+        let (t, p) = handle.join().expect("client thread");
+        total.add(&t);
+        for (agg, got) in per_tenant.iter_mut().zip(&p) {
+            agg.add(got);
+        }
+    }
+    total.assert_closed("aggregate");
+    assert_eq!(total.sent + total.edits_sent, (CLIENTS * LINES) as u64);
+    assert!(total.applied > 0, "valid edits were applied: {total:?}");
+    let mut summed = Ledger::default();
+    for (name, ledger) in TENANTS.iter().zip(&per_tenant) {
+        ledger.assert_closed(name);
+        summed.add(ledger);
+    }
+    assert_eq!(summed, total, "per-tenant books sum to the aggregate");
+
+    // The daemon's tenant table holds exactly the clients' books.
+    let (tx, rx) = channel();
+    server
+        .client()
+        .submit(r#"{"id":"stats","cmd":"stats"}"#.into(), &tx);
+    let resp = rx.recv_timeout(Duration::from_secs(60)).expect("stats");
+    server.shutdown();
+    let doc = json::parse(&resp).expect("stats is JSON");
+    let Some(Value::Obj(tenants)) = doc.get("stats").and_then(|s| s.get("tenants")) else {
+        panic!("tenant table expected: {resp}")
+    };
+    let names: Vec<&str> = tenants.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(names, TENANTS, "{resp}");
+    for ((name, entry), ledger) in tenants.iter().zip(&per_tenant) {
+        let count = |group: &str, key: &str| {
+            entry
+                .get(group)
+                .and_then(|g| g.get(key))
+                .and_then(Value::as_u64)
+                .unwrap_or_else(|| panic!("{name}.{group}.{key} missing: {resp}"))
+        };
+        let daemon = Ledger {
+            sent: ledger.sent,
+            ok: count("requests", "ok"),
+            degraded: count("requests", "degraded"),
+            shed: count("requests", "shed"),
+            errors: count("requests", "errors"),
+            edits_sent: ledger.edits_sent,
+            applied: count("edits", "applied"),
+            rejected: count("edits", "rejected"),
+        };
+        assert_eq!(&daemon, ledger, "tenant {name}: stats vs clients");
+    }
 }
