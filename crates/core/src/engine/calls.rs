@@ -3,7 +3,8 @@
 //!
 //! Every built call, assignment and comparison is one arena `intern`, and
 //! the placement dedup set holds [`ExprId`]s: two ids are equal exactly
-//! when the expressions are structurally equal.
+//! when the expressions are structurally equal. Each row's score and type
+//! come from one ranking walk ([`scored`]).
 
 use std::collections::HashSet;
 
@@ -12,7 +13,7 @@ use pex_model::{ENode, ExprArena, ExprId, MethodId, ValueTy};
 use crate::rank::Ranker;
 
 use super::index::MethodIndex;
-use super::stream::{IComp, ScoredStream};
+use super::stream::{Scored, ScoredStream};
 
 /// Picks the candidate list of the argument whose index entry is smallest
 /// (paper Section 4.2); `None` when no argument has a known type.
@@ -46,8 +47,8 @@ pub(crate) fn expand_unknown_call(
     ranker: &Ranker<'_>,
     index: &MethodIndex,
     arena: &ExprArena,
-    items: &[IComp],
-) -> Vec<IComp> {
+    items: &[Scored],
+) -> Vec<Scored> {
     let db = ranker.db;
     let candidates = match pick_candidates(ranker, index, items.iter().map(|c| c.ty)) {
         Some(c) => c,
@@ -86,11 +87,11 @@ fn place(
     arena: &ExprArena,
     m: MethodId,
     param_tys: &[pex_types::TypeId],
-    items: &[IComp],
+    items: &[Scored],
     slots: &mut Vec<Option<usize>>, // slot j -> index into items
     i: usize,
     seen: &mut HashSet<ExprId>,
-    out: &mut Vec<IComp>,
+    out: &mut Vec<Scored>,
 ) {
     let db = ranker.db;
     if i == items.len() {
@@ -106,10 +107,7 @@ fn place(
         if !seen.insert(expr) {
             return;
         }
-        if let Some(score) = ranker.score(arena, expr) {
-            let ty = ValueTy::Known(db.method(m).return_type());
-            out.push(IComp { expr, score, ty });
-        }
+        out.extend(scored(ranker, arena, expr));
         return;
     }
     for j in 0..param_tys.len() {
@@ -134,8 +132,8 @@ pub(crate) fn expand_known_call(
     ranker: &Ranker<'_>,
     arena: &ExprArena,
     candidates: &[MethodId],
-    items: &[IComp],
-) -> Vec<IComp> {
+    items: &[Scored],
+) -> Vec<Scored> {
     let db = ranker.db;
     let mut out = Vec::new();
     for &m in candidates {
@@ -148,37 +146,29 @@ pub(crate) fn expand_known_call(
         }
         let args: Vec<ExprId> = items.iter().map(|c| c.expr).collect();
         let expr = arena.call(m, &args);
-        if let Some(score) = ranker.score(arena, expr) {
-            out.push(IComp {
-                expr,
-                score,
-                ty: ValueTy::Known(md.return_type()),
-            });
-        }
+        out.extend(scored(ranker, arena, expr));
     }
     out
 }
 
 /// Expands an assignment combo (`[lhs, rhs]`).
-pub(crate) fn expand_assign(ranker: &Ranker<'_>, arena: &ExprArena, items: &[IComp]) -> Vec<IComp> {
+pub(crate) fn expand_assign(
+    ranker: &Ranker<'_>,
+    arena: &ExprArena,
+    items: &[Scored],
+) -> Vec<Scored> {
     debug_assert_eq!(items.len(), 2);
-    let lhs = &items[0];
+    // Checked before interning, so unassignable pairs never reach the
+    // shared arena.
     let lhs_ok = matches!(
-        arena.read().node(lhs.expr),
+        arena.read().node(items[0].expr),
         ENode::Local(_) | ENode::StaticField(_) | ENode::FieldAccess(..)
     );
     if !lhs_ok {
         return Vec::new();
     }
     let expr = arena.assign(items[0].expr, items[1].expr);
-    match ranker.score(arena, expr) {
-        Some(score) => vec![IComp {
-            expr,
-            score,
-            ty: lhs.ty,
-        }],
-        None => Vec::new(),
-    }
+    scored(ranker, arena, expr).into_iter().collect()
 }
 
 /// Expands a comparison combo (`[lhs, rhs]`).
@@ -186,34 +176,34 @@ pub(crate) fn expand_cmp(
     ranker: &Ranker<'_>,
     arena: &ExprArena,
     op: pex_model::CmpOp,
-    items: &[IComp],
-) -> Vec<IComp> {
+    items: &[Scored],
+) -> Vec<Scored> {
     debug_assert_eq!(items.len(), 2);
     let expr = arena.cmp(op, items[0].expr, items[1].expr);
-    match ranker.score(arena, expr) {
-        Some(score) => vec![IComp {
-            expr,
-            score,
-            ty: ValueTy::Known(ranker.db.types().bool_ty()),
-        }],
-        None => Vec::new(),
-    }
+    scored(ranker, arena, expr).into_iter().collect()
+}
+
+/// The row for `expr` if it type-checks: its score and type from the one
+/// ranking walk.
+pub(crate) fn scored(ranker: &Ranker<'_>, arena: &ExprArena, expr: ExprId) -> Option<Scored> {
+    let (score, ty) = ranker.score(arena, expr)?;
+    Some(Scored { expr, score, ty })
 }
 
 /// A stream filtered by a type predicate (bounds pass through unchanged —
 /// filtering can only remove items, so lower bounds stay valid).
-pub(crate) struct Filtered<'a, E> {
-    pub(crate) inner: Box<dyn ScoredStream<E> + 'a>,
+pub(crate) struct Filtered<'a> {
+    pub(crate) inner: Box<dyn ScoredStream + 'a>,
     pub(crate) db: &'a pex_model::Database,
     pub(crate) filter: super::chains::TypeFilter,
 }
 
-impl<'a, E> ScoredStream<E> for Filtered<'a, E> {
+impl ScoredStream for Filtered<'_> {
     fn bound(&mut self) -> Option<u32> {
         self.inner.bound()
     }
 
-    fn next_item(&mut self) -> Option<super::stream::Scored<E>> {
+    fn next_item(&mut self) -> Option<Scored> {
         loop {
             let c = self.inner.next_item()?;
             if self.filter.passes(self.db, c.ty) {

@@ -17,13 +17,13 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use pex_model::{Context, Database, ExprArena, ExprId, ValueTy};
+use pex_model::{Context, Database, ExprArena, ValueTy};
 use pex_types::TypeId;
 
 use super::budget::Budget;
 use super::memo::{ChainMember, SuccessorMemo};
 use super::reach::{ReachPruner, DIST_UNREACHABLE};
-use super::stream::{IComp, ScoredStream};
+use super::stream::{Scored, ScoredStream};
 use crate::rank::ScoreBound;
 
 /// Hard ceiling on how many links any chain search may append to a root,
@@ -178,7 +178,7 @@ struct HeapState {
     bound: ScoreBound,
     tie: TieKey,
     links: usize,
-    completion: IComp,
+    completion: Scored,
 }
 
 impl HeapState {
@@ -209,7 +209,7 @@ pub(crate) struct ChainStream<'a> {
     db: &'a Database,
     ctx: &'a Context,
     arena: &'a ExprArena,
-    roots: Box<dyn ScoredStream<ExprId> + 'a>,
+    roots: Box<dyn ScoredStream + 'a>,
     links: ChainLink,
     /// Maximum number of links appended to a root (`Some(1)` for non-star
     /// suffixes, `None` — bounded by `max_depth` — for star suffixes).
@@ -258,7 +258,7 @@ impl<'a> ChainStream<'a> {
         db: &'a Database,
         ctx: &'a Context,
         arena: &'a ExprArena,
-        roots: Box<dyn ScoredStream<ExprId> + 'a>,
+        roots: Box<dyn ScoredStream + 'a>,
         links: ChainLink,
         max_links: Option<usize>,
         max_depth: usize,
@@ -396,7 +396,7 @@ impl<'a> ChainStream<'a> {
         }
     }
 
-    fn push(&mut self, links: usize, tie: TieKey, bound: ScoreBound, completion: IComp) {
+    fn push(&mut self, links: usize, tie: TieKey, bound: ScoreBound, completion: Scored) {
         debug_assert_eq!(bound.accrued(), completion.score);
         let bound = bound.with_pending(self.heuristic(completion.ty));
         if let Some(bf) = self.bf {
@@ -469,7 +469,7 @@ impl<'a> ChainStream<'a> {
     }
 
     /// Expands one state's successors into the heap.
-    fn expand(&mut self, links: usize, tie: TieKey, bound: ScoreBound, completion: &IComp) {
+    fn expand(&mut self, links: usize, tie: TieKey, bound: ScoreBound, completion: &Scored) {
         if links >= self.limit() {
             return;
         }
@@ -489,7 +489,7 @@ impl<'a> ChainStream<'a> {
                 ChainMember::Field(f) => self.arena.field(completion.expr, f),
                 ChainMember::Call0(m) => self.arena.call(m, &[completion.expr]),
             };
-            let c = IComp {
+            let c = Scored {
                 expr,
                 score: completion.score + self.link_cost,
                 ty: ValueTy::Known(step.ty),
@@ -504,7 +504,7 @@ impl<'a> ChainStream<'a> {
     }
 }
 
-impl ScoredStream<ExprId> for ChainStream<'_> {
+impl ScoredStream for ChainStream<'_> {
     fn bound(&mut self) -> Option<u32> {
         let heap_bound = self.heap.peek().map(|Reverse(s)| s.key());
         let root_bound = self.roots.bound();
@@ -516,7 +516,7 @@ impl ScoredStream<ExprId> for ChainStream<'_> {
         }
     }
 
-    fn next_item(&mut self) -> Option<IComp> {
+    fn next_item(&mut self) -> Option<Scored> {
         loop {
             if !self.budget.charge() {
                 return None;
@@ -590,8 +590,8 @@ mod tests {
     }
 
     /// A root stream holding the one local, `ln`.
-    fn roots<'a>(arena: &ExprArena, ctx: &Context) -> Box<dyn ScoredStream<ExprId> + 'a> {
-        Box::new(VecStream::new(vec![IComp {
+    fn roots<'a>(arena: &ExprArena, ctx: &Context) -> Box<dyn ScoredStream + 'a> {
+        Box::new(VecStream::new(vec![Scored {
             expr: arena.local(pex_model::LocalId(0)),
             score: 0,
             ty: ValueTy::Known(ctx.locals[0].ty),
@@ -602,7 +602,7 @@ mod tests {
         db: &Database,
         ctx: &Context,
         arena: &ExprArena,
-        stream: &mut dyn ScoredStream<ExprId>,
+        stream: &mut dyn ScoredStream,
         n: usize,
     ) -> Vec<String> {
         let mut out = Vec::new();

@@ -233,33 +233,6 @@ impl MethodIndex {
         out
     }
 
-    /// Exact size of [`MethodIndex::candidates_for`] without materialising
-    /// the method list (same deduplicated walk, counting only). Used by the
-    /// "pick the argument with the smallest candidate set" heuristic of
-    /// paper Section 4.2, which therefore compares true set sizes.
-    pub fn candidate_count(&self, db: &Database, ty: TypeId) -> usize {
-        self.candidate_count_with(db, ty, &mut CandidateScratch::new())
-    }
-
-    /// [`MethodIndex::candidate_count`] with caller-provided scratch.
-    pub fn candidate_count_with(
-        &self,
-        db: &Database,
-        ty: TypeId,
-        scratch: &mut CandidateScratch,
-    ) -> usize {
-        let mut n = 0;
-        scratch.begin(db.method_count());
-        for &(target, _) in db.types().conversion_targets_ref(ty) {
-            for &m in self.exact(target) {
-                if scratch.mark(m.index()) {
-                    n += 1;
-                }
-            }
-        }
-        n
-    }
-
     /// [`MethodIndex::candidates_for`], memoized per type for the lifetime
     /// of the index: the first lookup of each type performs the
     /// deduplicated supertype walk, every later lookup borrows the stored
@@ -305,8 +278,10 @@ impl MethodIndex {
         cell.get_or_init(|| self.candidates_for(db, ty).into_boxed_slice())
     }
 
-    /// [`MethodIndex::candidate_count`] served from the per-type memo:
-    /// exact (deduplicated) and O(1) after the first lookup of `ty`.
+    /// Exact size of [`MethodIndex::candidates_for`], served from the
+    /// per-type memo: deduplicated and O(1) after the first lookup of `ty`.
+    /// The "pick the argument with the smallest candidate set" heuristic of
+    /// paper Section 4.2 therefore compares true set sizes.
     pub fn candidate_count_cached(&self, db: &Database, ty: TypeId) -> usize {
         self.candidates_for_cached(db, ty).len()
     }
@@ -427,20 +402,6 @@ mod tests {
         let animal_cands = idx.candidates_for(&db, animal);
         assert!(!animal_cands.contains(&house));
         assert!(animal_cands.contains(&admit));
-        assert!(idx.candidate_count(&db, dog) >= dog_cands.len());
-    }
-
-    #[test]
-    fn candidate_count_is_exact() {
-        let db = setup();
-        let idx = MethodIndex::build(&db);
-        for ty in db.types().iter() {
-            assert_eq!(
-                idx.candidate_count(&db, ty),
-                idx.candidates_for(&db, ty).len(),
-                "count must equal the deduplicated candidate list for {ty:?}"
-            );
-        }
     }
 
     #[test]
@@ -457,7 +418,7 @@ mod tests {
                 );
                 assert_eq!(
                     idx.candidate_count_cached(&db, ty),
-                    idx.candidate_count(&db, ty)
+                    idx.candidates_for(&db, ty).len()
                 );
             }
         }
@@ -474,10 +435,6 @@ mod tests {
                 assert_eq!(
                     idx.candidates_for_with(&db, ty, &mut scratch),
                     idx.candidates_for(&db, ty)
-                );
-                assert_eq!(
-                    idx.candidate_count_with(&db, ty, &mut scratch),
-                    idx.candidate_count(&db, ty)
                 );
             }
         }

@@ -5,7 +5,7 @@
 //! products plus reorder buffers for calls and operators — and iterates the
 //! root stream, deduplicating, in non-decreasing score order. Every stream
 //! carries interned arena ids; an emitted row is materialized into an
-//! [`Expr`](pex_model::Expr) tree only once it survives dedup.
+//! [`Expr`] tree only once it survives dedup.
 
 pub mod budget;
 pub(crate) mod calls;
@@ -21,10 +21,9 @@ pub use chains::MAX_DEPTH_LIMIT;
 pub use index::{CandidateScratch, MethodIndex};
 pub use invalidate::{refresh_derived, InvalidationStats};
 pub use reach::ReachIndex;
-pub use stream::Completion;
 
 use pex_abstract::AbsTypes;
-use pex_model::{CallStyle, Context, Database, ExprArena, ExprId, GlobalRef, ValueTy};
+use pex_model::{CallStyle, Context, Database, Expr, ExprArena, ExprId, GlobalRef, ValueTy};
 use pex_types::TypeId;
 
 use crate::partial::PartialExpr;
@@ -35,7 +34,7 @@ use calls::Filtered;
 use chains::{BestFirst, ChainLink, ChainStream, TypeFilter};
 use memo::SuccessorMemo;
 use stream::{
-    ExpandStream, IComp, MergeStream, ProductStream, ScoredStream, SliceStream, VecStream,
+    ExpandStream, MergeStream, ProductStream, Scored, ScoredStream, SliceStream, VecStream,
 };
 
 /// Shared, thread-safe engine caches: the hash-consing expression arena and
@@ -163,7 +162,7 @@ pub struct Completer<'a> {
     /// global through the ranker, which dominates the fixed cost of short
     /// queries; repeat queries replay the memo instead. The ids are valid
     /// for this completer's (fixed) arena.
-    hole_roots_memo: std::cell::OnceCell<Vec<IComp>>,
+    hole_roots_memo: std::cell::OnceCell<Vec<Scored>>,
 }
 
 impl<'a> Completer<'a> {
@@ -413,37 +412,30 @@ impl<'a> Completer<'a> {
     }
 
     /// Root completions for a `?` hole: live locals, `this`, and globals.
-    fn hole_roots(&self, arena: &ExprArena) -> SliceStream<'_, ExprId> {
+    fn hole_roots(&self, arena: &ExprArena) -> SliceStream<'_> {
         let roots = self.hole_roots_memo.get_or_init(|| {
             let ranker = self.ranker();
             let mut roots = Vec::new();
             for (i, local) in self.ctx.locals.iter().enumerate() {
-                roots.push(IComp {
+                roots.push(Scored {
                     expr: arena.local(pex_model::LocalId(i as u32)),
                     score: 0,
                     ty: ValueTy::Known(local.ty),
                 });
             }
             if let Some(this_ty) = self.ctx.this_type() {
-                roots.push(IComp {
+                roots.push(Scored {
                     expr: arena.this(),
                     score: 0,
                     ty: ValueTy::Known(this_ty),
                 });
             }
             for g in self.db.globals() {
-                let (expr, ty) = match g {
-                    GlobalRef::Field(f) => {
-                        (arena.static_field(f), ValueTy::Known(self.db.field(f).ty()))
-                    }
-                    GlobalRef::Method(m) => (
-                        arena.call(m, &[]),
-                        ValueTy::Known(self.db.method(m).return_type()),
-                    ),
+                let expr = match g {
+                    GlobalRef::Field(f) => arena.static_field(f),
+                    GlobalRef::Method(m) => arena.call(m, &[]),
                 };
-                if let Some(score) = ranker.score(arena, expr) {
-                    roots.push(IComp { expr, score, ty });
-                }
+                roots.extend(calls::scored(&ranker, arena, expr));
             }
             // Stored pre-sorted in the stream's (descending) emission
             // order, so replays are a borrowing cursor — no sort, no clone.
@@ -472,28 +464,17 @@ impl<'a> Completer<'a> {
         budget: &Budget,
         cache: &'s EngineCache,
         bf: Option<BestFirst>,
-    ) -> Box<dyn ScoredStream<ExprId> + 's> {
+    ) -> Box<dyn ScoredStream + 's> {
         let ranker = self.ranker();
         let arena = &cache.arena;
         let memo = &cache.chains;
         match pe {
             PartialExpr::Known(e) => {
-                let mut items = Vec::new();
-                let id = arena.intern_expr(e);
-                if let (Some(score), Ok(ty)) =
-                    (ranker.score(arena, id), self.db.expr_ty(e, self.ctx))
-                {
-                    if filter.passes(self.db, ty) {
-                        items.push(IComp {
-                            expr: id,
-                            score,
-                            ty,
-                        });
-                    }
-                }
-                Box::new(VecStream::new(items))
+                let row = calls::scored(&ranker, arena, arena.intern_expr(e))
+                    .filter(|c| filter.passes(self.db, c.ty));
+                Box::new(VecStream::new(row.into_iter().collect()))
             }
-            PartialExpr::Hole0 => Box::new(VecStream::new(vec![IComp {
+            PartialExpr::Hole0 => Box::new(VecStream::new(vec![Scored {
                 expr: arena.hole0(),
                 score: 0,
                 ty: ValueTy::Wildcard,
@@ -546,13 +527,13 @@ impl<'a> Completer<'a> {
                 )
             }
             PartialExpr::UnknownCall(args) => {
-                let arg_streams: Vec<Box<dyn ScoredStream<ExprId> + 's>> = args
+                let arg_streams: Vec<Box<dyn ScoredStream + 's>> = args
                     .iter()
                     .map(|a| self.stream_for(a, TypeFilter::any(), budget, cache, None))
                     .collect();
                 let product = ProductStream::new(arg_streams, budget.clone());
                 let index = self.index;
-                let expand = move |combo: &stream::Combo<ExprId>| {
+                let expand = move |combo: &stream::Combo| {
                     calls::expand_unknown_call(&ranker, index, arena, &combo.items)
                 };
                 self.filtered(Box::new(ExpandStream::new(product, expand)), filter)
@@ -566,7 +547,7 @@ impl<'a> Completer<'a> {
                 if viable.is_empty() {
                     return Box::new(VecStream::empty());
                 }
-                let arg_streams: Vec<Box<dyn ScoredStream<ExprId> + 's>> = args
+                let arg_streams: Vec<Box<dyn ScoredStream + 's>> = args
                     .iter()
                     .enumerate()
                     .map(|(i, a)| {
@@ -581,24 +562,23 @@ impl<'a> Completer<'a> {
                     .collect();
                 let product = ProductStream::new(arg_streams, budget.clone());
                 let cands = viable;
-                let expand = move |combo: &stream::Combo<ExprId>| {
+                let expand = move |combo: &stream::Combo| {
                     calls::expand_known_call(&ranker, arena, &cands, &combo.items)
                 };
                 self.filtered(Box::new(ExpandStream::new(product, expand)), filter)
             }
             PartialExpr::Assign(l, r) => {
-                let streams: Vec<Box<dyn ScoredStream<ExprId> + 's>> = vec![
+                let streams: Vec<Box<dyn ScoredStream + 's>> = vec![
                     self.stream_for(l, TypeFilter::any(), budget, cache, None),
                     self.stream_for(r, TypeFilter::any(), budget, cache, None),
                 ];
                 let product = ProductStream::new(streams, budget.clone());
-                let expand = move |combo: &stream::Combo<ExprId>| {
-                    calls::expand_assign(&ranker, arena, &combo.items)
-                };
+                let expand =
+                    move |combo: &stream::Combo| calls::expand_assign(&ranker, arena, &combo.items);
                 self.filtered(Box::new(ExpandStream::new(product, expand)), filter)
             }
             PartialExpr::Alt(alts) => {
-                let streams: Vec<Box<dyn ScoredStream<ExprId> + 's>> = alts
+                let streams: Vec<Box<dyn ScoredStream + 's>> = alts
                     .iter()
                     .map(|a| self.stream_for(a, filter.clone(), budget, cache, None))
                     .collect();
@@ -607,13 +587,13 @@ impl<'a> Completer<'a> {
             PartialExpr::Cmp(op, l, r) => {
                 // Paper Section 4.2: operands of a relational operator can
                 // only have ordered types; narrow both streams up front.
-                let streams: Vec<Box<dyn ScoredStream<ExprId> + 's>> = vec![
+                let streams: Vec<Box<dyn ScoredStream + 's>> = vec![
                     self.stream_for(l, TypeFilter::Ordered, budget, cache, None),
                     self.stream_for(r, TypeFilter::Ordered, budget, cache, None),
                 ];
                 let product = ProductStream::new(streams, budget.clone());
                 let op = *op;
-                let expand = move |combo: &stream::Combo<ExprId>| {
+                let expand = move |combo: &stream::Combo| {
                     calls::expand_cmp(&ranker, arena, op, &combo.items)
                 };
                 self.filtered(Box::new(ExpandStream::new(product, expand)), filter)
@@ -623,9 +603,9 @@ impl<'a> Completer<'a> {
 
     fn filtered<'s>(
         &'s self,
-        inner: Box<dyn ScoredStream<ExprId> + 's>,
+        inner: Box<dyn ScoredStream + 's>,
         filter: TypeFilter,
-    ) -> Box<dyn ScoredStream<ExprId> + 's> {
+    ) -> Box<dyn ScoredStream + 's> {
         if filter.is_any() {
             return inner;
         }
@@ -659,6 +639,18 @@ fn distinct_rows(pe: &PartialExpr) -> bool {
     }
 }
 
+/// A completion as the engine emits it: the materialised expression
+/// (possibly containing `0` holes), its ranking score, and its static type.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Completion {
+    /// The completed expression.
+    pub expr: Expr,
+    /// The ranking score (lower is better).
+    pub score: u32,
+    /// Static type of the expression.
+    pub ty: ValueTy,
+}
+
 /// Iterator over deduplicated completions in score order.
 ///
 /// A best-first iterator ([`Completer::completions_bestfirst`]) stops with
@@ -674,7 +666,7 @@ fn distinct_rows(pe: &PartialExpr) -> bool {
 /// the unbudgeted enumeration — an item produced in the same pull that
 /// tripped the budget is discarded rather than emitted out of order.
 pub struct CompletionIter<'s> {
-    stream: Box<dyn ScoredStream<ExprId> + 's>,
+    stream: Box<dyn ScoredStream + 's>,
     arena: &'s ExprArena,
     /// Ids already emitted; id equality is structural equality.
     seen: std::collections::HashSet<ExprId>,

@@ -16,54 +16,47 @@
 //! Every stream exposes a **lower bound** on its next item's score; bounds
 //! are what make the composition safe.
 //!
-//! The engine runs every combinator over interned [`pex_model::ExprId`]s
-//! ([`IComp`]), where cloning an item is a `u32` copy instead of a tree
-//! clone; the combinators themselves are generic over the payload.
+//! Every combinator carries interned [`ExprId`]s ([`Scored`]), where
+//! copying an item moves a `u32` id instead of cloning a tree.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-use pex_model::{Expr, ExprId, ValueTy};
+use pex_model::{ExprId, ValueTy};
 
 use super::budget::Budget;
 
-/// A scored completion over an arbitrary expression payload: the expression
-/// (possibly containing `0` holes), its ranking score, and its static type.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Scored<E> {
+/// A scored completion over an interned arena id — the enumeration form:
+/// the expression (possibly containing `0` holes), its ranking score, and
+/// its static type.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Scored {
     /// The completed expression.
-    pub expr: E,
+    pub expr: ExprId,
     /// The ranking score (lower is better).
     pub score: u32,
     /// Static type of the expression.
     pub ty: ValueTy,
 }
 
-/// A completion over a materialised [`Expr`] tree — the public form every
-/// emitted row takes.
-pub type Completion = Scored<Expr>;
-
-/// A completion over an interned arena id — the hot enumeration form.
-pub(crate) type IComp = Scored<ExprId>;
-
 /// A lazily evaluated stream of completions in non-decreasing score order.
-pub(crate) trait ScoredStream<E> {
+pub(crate) trait ScoredStream {
     /// A lower bound on the score of the next item; `None` when exhausted.
     fn bound(&mut self) -> Option<u32>;
     /// The next completion.
-    fn next_item(&mut self) -> Option<Scored<E>>;
+    fn next_item(&mut self) -> Option<Scored>;
 }
 
 /// A finite stream over a pre-computed set (sorted at construction).
-pub(crate) struct VecStream<E> {
+pub(crate) struct VecStream {
     // Stored in descending score order so `pop` yields the cheapest. The
     // sort is stable, so among equal scores the *last-constructed* item
     // emits first: tie order follows construction order.
-    items: Vec<Scored<E>>,
+    items: Vec<Scored>,
 }
 
-impl<E> VecStream<E> {
-    pub(crate) fn new(mut items: Vec<Scored<E>>) -> Self {
+impl VecStream {
+    pub(crate) fn new(mut items: Vec<Scored>) -> Self {
         items.sort_by_key(|c| std::cmp::Reverse(c.score));
         VecStream { items }
     }
@@ -73,28 +66,28 @@ impl<E> VecStream<E> {
     }
 }
 
-impl<E> ScoredStream<E> for VecStream<E> {
+impl ScoredStream for VecStream {
     fn bound(&mut self) -> Option<u32> {
         self.items.last().map(|c| c.score)
     }
 
-    fn next_item(&mut self) -> Option<Scored<E>> {
+    fn next_item(&mut self) -> Option<Scored> {
         self.items.pop()
     }
 }
 
 /// A cursor over a borrowed pre-sorted slice (descending score order, the
 /// same layout as [`VecStream`]): replays a memoized completion set
-/// without cloning it up front. Items are cloned lazily as consumed, so a
+/// without copying it up front. Items are copied lazily as consumed, so a
 /// top-k consumer that stops after a few roots never touches the rest.
-pub(crate) struct SliceStream<'a, E> {
-    items: &'a [Scored<E>],
+pub(crate) struct SliceStream<'a> {
+    items: &'a [Scored],
     /// Next emission index + 1, counting down (the cheapest item is last).
     pos: usize,
 }
 
-impl<'a, E> SliceStream<'a, E> {
-    pub(crate) fn new(items: &'a [Scored<E>]) -> Self {
+impl<'a> SliceStream<'a> {
+    pub(crate) fn new(items: &'a [Scored]) -> Self {
         debug_assert!(items.windows(2).all(|w| w[0].score >= w[1].score));
         SliceStream {
             items,
@@ -103,14 +96,14 @@ impl<'a, E> SliceStream<'a, E> {
     }
 }
 
-impl<'a, E: Clone> ScoredStream<E> for SliceStream<'a, E> {
+impl<'a> ScoredStream for SliceStream<'a> {
     fn bound(&mut self) -> Option<u32> {
         self.pos.checked_sub(1).map(|i| self.items[i].score)
     }
 
-    fn next_item(&mut self) -> Option<Scored<E>> {
+    fn next_item(&mut self) -> Option<Scored> {
         self.pos = self.pos.checked_sub(1)?;
-        Some(self.items[self.pos].clone())
+        Some(self.items[self.pos])
     }
 }
 
@@ -122,19 +115,19 @@ impl<'a, E: Clone> ScoredStream<E> for SliceStream<'a, E> {
 /// next item is pulled into a head slot first and released only once its
 /// exact score is no higher than every other stream's key: its pulled
 /// head's score, or else its bound.
-pub(crate) struct MergeStream<'a, E> {
-    streams: Vec<Box<dyn ScoredStream<E> + 'a>>,
-    heads: Vec<Head<E>>,
+pub(crate) struct MergeStream<'a> {
+    streams: Vec<Box<dyn ScoredStream + 'a>>,
+    heads: Vec<Head>,
 }
 
-enum Head<E> {
+enum Head {
     Unpulled,
-    Pulled(Scored<E>),
+    Pulled(Scored),
     Done,
 }
 
-impl<'a, E> MergeStream<'a, E> {
-    pub(crate) fn new(streams: Vec<Box<dyn ScoredStream<E> + 'a>>) -> Self {
+impl<'a> MergeStream<'a> {
+    pub(crate) fn new(streams: Vec<Box<dyn ScoredStream + 'a>>) -> Self {
         let heads = streams.iter().map(|_| Head::Unpulled).collect();
         MergeStream { streams, heads }
     }
@@ -158,12 +151,12 @@ impl<'a, E> MergeStream<'a, E> {
     }
 }
 
-impl<'a, E> ScoredStream<E> for MergeStream<'a, E> {
+impl<'a> ScoredStream for MergeStream<'a> {
     fn bound(&mut self) -> Option<u32> {
         self.min_key().map(|(_, k)| k)
     }
 
-    fn next_item(&mut self) -> Option<Scored<E>> {
+    fn next_item(&mut self) -> Option<Scored> {
         loop {
             let (i, _) = self.min_key()?;
             match std::mem::replace(&mut self.heads[i], Head::Unpulled) {
@@ -181,14 +174,14 @@ impl<'a, E> ScoredStream<E> for MergeStream<'a, E> {
 
 /// A stream materialised on demand, with random access to already-pulled
 /// items (the cache the product search indexes into).
-struct CachedStream<'a, E> {
-    inner: Box<dyn ScoredStream<E> + 'a>,
-    cache: Vec<Scored<E>>,
+struct CachedStream<'a> {
+    inner: Box<dyn ScoredStream + 'a>,
+    cache: Vec<Scored>,
     exhausted: bool,
 }
 
-impl<'a, E> CachedStream<'a, E> {
-    fn new(inner: Box<dyn ScoredStream<E> + 'a>) -> Self {
+impl<'a> CachedStream<'a> {
+    fn new(inner: Box<dyn ScoredStream + 'a>) -> Self {
         CachedStream {
             inner,
             cache: Vec::new(),
@@ -198,7 +191,7 @@ impl<'a, E> CachedStream<'a, E> {
 
     /// Ensures item `i` is materialised; returns it if the stream is long
     /// enough.
-    fn get(&mut self, i: usize) -> Option<&Scored<E>> {
+    fn get(&mut self, i: usize) -> Option<&Scored> {
         while self.cache.len() <= i && !self.exhausted {
             match self.inner.next_item() {
                 Some(c) => self.cache.push(c),
@@ -211,17 +204,17 @@ impl<'a, E> CachedStream<'a, E> {
 
 /// One element of the product: a choice of completion per subexpression.
 #[derive(Debug, Clone)]
-pub(crate) struct Combo<E> {
+pub(crate) struct Combo {
     /// Sum of the chosen completions' scores.
     pub score: u32,
     /// The chosen completion for each subexpression, in order.
-    pub items: Vec<Scored<E>>,
+    pub items: Vec<Scored>,
 }
 
 /// Enumerates choices of one completion per subexpression in score-sum
 /// order, i.e. the sorted product of sorted streams (frontier search).
-pub(crate) struct ProductStream<'a, E> {
-    args: Vec<CachedStream<'a, E>>,
+pub(crate) struct ProductStream<'a> {
+    args: Vec<CachedStream<'a>>,
     heap: BinaryHeap<Reverse<(u32, Vec<u32>)>>,
     seen: HashSet<Vec<u32>>,
     started: bool,
@@ -230,8 +223,8 @@ pub(crate) struct ProductStream<'a, E> {
     budget: Budget,
 }
 
-impl<'a, E: Clone> ProductStream<'a, E> {
-    pub(crate) fn new(args: Vec<Box<dyn ScoredStream<E> + 'a>>, budget: Budget) -> Self {
+impl<'a> ProductStream<'a> {
+    pub(crate) fn new(args: Vec<Box<dyn ScoredStream + 'a>>, budget: Budget) -> Self {
         ProductStream {
             args: args.into_iter().map(CachedStream::new).collect(),
             heap: BinaryHeap::new(),
@@ -273,7 +266,7 @@ impl<'a, E: Clone> ProductStream<'a, E> {
     }
 
     /// The next cheapest combo.
-    pub(crate) fn next_combo(&mut self) -> Option<Combo<E>> {
+    pub(crate) fn next_combo(&mut self) -> Option<Combo> {
         if !self.budget.charge() {
             return None;
         }
@@ -285,10 +278,10 @@ impl<'a, E: Clone> ProductStream<'a, E> {
             succ[i] += 1;
             self.push_state(succ);
         }
-        let items: Vec<Scored<E>> = idx
+        let items: Vec<Scored> = idx
             .iter()
             .enumerate()
-            .map(|(i, &j)| self.args[i].cache[j as usize].clone())
+            .map(|(i, &j)| self.args[i].cache[j as usize])
             .collect();
         Some(Combo { score, items })
     }
@@ -297,49 +290,48 @@ impl<'a, E: Clone> ProductStream<'a, E> {
 /// The reorder buffer: expands combos into candidate completions whose
 /// scores are **at least** the combo's score (extras are non-negative), and
 /// releases a completion only when no unexpanded combo could beat it.
-pub(crate) struct ExpandStream<'a, E, F>
+pub(crate) struct ExpandStream<'a, F>
 where
-    F: FnMut(&Combo<E>) -> Vec<Scored<E>>,
+    F: FnMut(&Combo) -> Vec<Scored>,
 {
-    source: ProductStream<'a, E>,
+    source: ProductStream<'a>,
     expand: F,
-    buffer: BinaryHeap<Reverse<BufItem<E>>>,
+    buffer: BinaryHeap<Reverse<BufItem>>,
     counter: u64,
 }
 
 #[derive(Debug, Clone)]
-struct BufItem<E> {
+struct BufItem {
     score: u32,
     seq: u64,
-    completion: Scored<E>,
+    completion: Scored,
 }
 
-impl<E> PartialEq for BufItem<E> {
+impl PartialEq for BufItem {
     fn eq(&self, other: &Self) -> bool {
         (self.score, self.seq) == (other.score, other.seq)
     }
 }
 
-impl<E> Eq for BufItem<E> {}
+impl Eq for BufItem {}
 
-impl<E> Ord for BufItem<E> {
+impl Ord for BufItem {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.score, self.seq).cmp(&(other.score, other.seq))
     }
 }
 
-impl<E> PartialOrd for BufItem<E> {
+impl PartialOrd for BufItem {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<'a, E, F> ExpandStream<'a, E, F>
+impl<'a, F> ExpandStream<'a, F>
 where
-    E: Clone,
-    F: FnMut(&Combo<E>) -> Vec<Scored<E>>,
+    F: FnMut(&Combo) -> Vec<Scored>,
 {
-    pub(crate) fn new(source: ProductStream<'a, E>, expand: F) -> Self {
+    pub(crate) fn new(source: ProductStream<'a>, expand: F) -> Self {
         ExpandStream {
             source,
             expand,
@@ -379,10 +371,9 @@ where
     }
 }
 
-impl<'a, E, F> ScoredStream<E> for ExpandStream<'a, E, F>
+impl<'a, F> ScoredStream for ExpandStream<'a, F>
 where
-    E: Clone,
-    F: FnMut(&Combo<E>) -> Vec<Scored<E>>,
+    F: FnMut(&Combo) -> Vec<Scored>,
 {
     fn bound(&mut self) -> Option<u32> {
         let buffered = self.buffer.peek().map(|Reverse(b)| b.score);
@@ -395,7 +386,7 @@ where
         }
     }
 
-    fn next_item(&mut self) -> Option<Scored<E>> {
+    fn next_item(&mut self) -> Option<Scored> {
         loop {
             self.settle();
             match self.buffer.pop() {
@@ -413,17 +404,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pex_model::Expr;
 
-    fn c(score: u32) -> Completion {
-        Completion {
-            expr: Expr::IntLit(score as i64),
+    fn c(score: u32) -> Scored {
+        Scored {
+            expr: ExprId(score),
             score,
             ty: ValueTy::Wildcard,
         }
     }
 
-    fn drain(mut s: impl ScoredStream<Expr>) -> Vec<u32> {
+    fn drain(mut s: impl ScoredStream) -> Vec<u32> {
         let mut out = Vec::new();
         while let Some(item) = s.next_item() {
             out.push(item.score);
@@ -450,9 +440,9 @@ mod tests {
     /// item ahead of a cheaper one from another stream.
     #[test]
     fn merge_orders_by_score_not_by_inexact_bounds() {
-        let a: Box<dyn ScoredStream<Expr>> = Box::new(VecStream::new(vec![c(0)]));
+        let a: Box<dyn ScoredStream> = Box::new(VecStream::new(vec![c(0)]));
         let dear = ExpandStream::new(ProductStream::new(vec![a], Budget::unlimited()), |combo| {
-            vec![Completion {
+            vec![Scored {
                 score: combo.score + 5,
                 ..c(0)
             }]
@@ -464,8 +454,8 @@ mod tests {
 
     #[test]
     fn product_enumerates_in_sum_order() {
-        let a: Box<dyn ScoredStream<Expr>> = Box::new(VecStream::new(vec![c(0), c(2)]));
-        let b: Box<dyn ScoredStream<Expr>> = Box::new(VecStream::new(vec![c(0), c(5)]));
+        let a: Box<dyn ScoredStream> = Box::new(VecStream::new(vec![c(0), c(2)]));
+        let b: Box<dyn ScoredStream> = Box::new(VecStream::new(vec![c(0), c(5)]));
         let mut p = ProductStream::new(vec![a, b], Budget::unlimited());
         let mut sums = Vec::new();
         while let Some(combo) = p.next_combo() {
@@ -480,8 +470,8 @@ mod tests {
 
     #[test]
     fn product_of_empty_stream_is_empty() {
-        let a: Box<dyn ScoredStream<Expr>> = Box::new(VecStream::new(vec![c(0)]));
-        let b: Box<dyn ScoredStream<Expr>> = Box::new(VecStream::empty());
+        let a: Box<dyn ScoredStream> = Box::new(VecStream::new(vec![c(0)]));
+        let b: Box<dyn ScoredStream> = Box::new(VecStream::empty());
         let mut p = ProductStream::new(vec![a, b], Budget::unlimited());
         assert!(p.next_combo().is_none());
         assert_eq!(p.bound(), None);
@@ -489,7 +479,7 @@ mod tests {
 
     #[test]
     fn product_of_zero_args_yields_one_empty_combo() {
-        let mut p: ProductStream<'_, Expr> = ProductStream::new(vec![], Budget::unlimited());
+        let mut p: ProductStream<'_> = ProductStream::new(vec![], Budget::unlimited());
         let combo = p.next_combo().unwrap();
         assert_eq!(combo.score, 0);
         assert!(combo.items.is_empty());
@@ -500,15 +490,15 @@ mod tests {
     fn expand_reorders_buffered_items() {
         // Combos score 0 and 1; expansion adds +0 or +10. The item at
         // score 1 (from combo 1) must come out before score 10 (combo 0).
-        let a: Box<dyn ScoredStream<Expr>> = Box::new(VecStream::new(vec![c(0), c(1)]));
+        let a: Box<dyn ScoredStream> = Box::new(VecStream::new(vec![c(0), c(1)]));
         let p = ProductStream::new(vec![a], Budget::unlimited());
         let s = ExpandStream::new(p, |combo| {
             vec![
-                Completion {
+                Scored {
                     score: combo.score + 10,
                     ..c(0)
                 },
-                Completion {
+                Scored {
                     score: combo.score,
                     ..c(0)
                 },
@@ -521,7 +511,7 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        fn boxed(scores: Vec<u32>) -> Box<dyn ScoredStream<Expr> + 'static> {
+        fn boxed(scores: Vec<u32>) -> Box<dyn ScoredStream + 'static> {
             Box::new(VecStream::new(scores.into_iter().map(c).collect()))
         }
 
@@ -537,7 +527,7 @@ mod tests {
                     1..4,
                 )
             ) {
-                let streams: Vec<Box<dyn ScoredStream<Expr>>> =
+                let streams: Vec<Box<dyn ScoredStream>> =
                     lists.iter().cloned().map(boxed).collect();
                 let mut product = ProductStream::new(streams, Budget::unlimited());
                 let mut got = Vec::new();
@@ -591,12 +581,12 @@ mod tests {
                     v
                 };
                 let product = ProductStream::new(vec![boxed(scores)], Budget::unlimited());
-                let mut stream = ExpandStream::new(product, move |combo: &Combo<Expr>| {
+                let mut stream = ExpandStream::new(product, move |combo: &Combo| {
                     extras_for(combo.score)
                         .into_iter()
-                        .map(|e| Completion {
+                        .map(|e| Scored {
                             score: combo.score + e,
-                            expr: Expr::IntLit(0),
+                            expr: ExprId(0),
                             ty: ValueTy::Wildcard,
                         })
                         .collect()
@@ -613,11 +603,11 @@ mod tests {
 
     #[test]
     fn expand_skips_empty_expansions() {
-        let a: Box<dyn ScoredStream<Expr>> = Box::new(VecStream::new(vec![c(0), c(1), c(2)]));
+        let a: Box<dyn ScoredStream> = Box::new(VecStream::new(vec![c(0), c(1), c(2)]));
         let p = ProductStream::new(vec![a], Budget::unlimited());
         let s = ExpandStream::new(p, |combo| {
             if combo.score == 1 {
-                vec![Completion { score: 1, ..c(0) }]
+                vec![Scored { score: 1, ..c(0) }]
             } else {
                 vec![]
             }

@@ -135,7 +135,7 @@ mod tests {
 
             let mut expr = arena.local(LocalId(0));
             let mut ty = ctx.locals[0].ty;
-            let root_score = ranker.score(&arena, expr).expect("locals score");
+            let (root_score, _) = ranker.score(&arena, expr).expect("locals score");
             let mut bounds = vec![ScoreBound::root(root_score)];
             for &pick in &path {
                 let steps = memo.successors(&db, ty, ChainLink::FieldsAndMethods, None);
@@ -152,7 +152,7 @@ mod tests {
                 bounds.push(prev.extend(ranker.link_cost()));
             }
 
-            let final_score = ranker.score(&arena, expr).expect("chains type-check");
+            let (final_score, _) = ranker.score(&arena, expr).expect("chains type-check");
             for (i, b) in bounds.iter().enumerate() {
                 prop_assert!(b.get() <= final_score);
                 // A heuristic counting the links this chain actually still

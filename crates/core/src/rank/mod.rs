@@ -23,10 +23,13 @@
 //! only — because the paper treats them as property sugar; the call-specific
 //! terms apply to calls with declared parameters.
 //!
-//! Scoring and explaining are one walk over interned arena nodes that adds
-//! each term's share into a per-term accumulator: [`Ranker::score`] is the
-//! accumulator's sum and [`Ranker::explain`] the accumulator itself, so the
-//! two cannot disagree.
+//! Typing, scoring and explaining are one bottom-up walk over interned arena
+//! nodes, since every term is read off subexpression types. Each node takes
+//! its type from its children's walk results, rejecting exactly what
+//! [`Database::expr_ty`] rejects, and adds each term's share into a
+//! per-term accumulator. [`Ranker::score`] returns the accumulator's sum
+//! with the type and [`Ranker::explain`] the accumulator itself, so the two
+//! cannot disagree. Typing an expression is linear in its node count.
 
 mod bound;
 
@@ -34,7 +37,7 @@ pub use bound::ScoreBound;
 
 use pex_abstract::AbsTypes;
 use pex_model::{ArenaRead, Context, Database, ENode, ExprArena, ExprId, MethodId, ValueTy};
-use pex_types::TypeId;
+use pex_types::{NamespaceId, TypeId};
 
 /// The individually toggleable ranking terms (paper Table 2's columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -245,8 +248,8 @@ impl ScoreBreakdown {
     }
 }
 
-/// Scores completed, interned expressions (the specification the engine
-/// follows).
+/// Types and scores completed, interned expressions (the specification the
+/// engine follows).
 ///
 /// `abs` is optional: without a solution every abstract type is undefined,
 /// which uniformly penalises all argument positions when the term is on.
@@ -313,14 +316,14 @@ impl<'a> Ranker<'a> {
         true
     }
 
-    /// Scores an interned expression: the sum of its enabled terms. Returns
-    /// `None` if the expression does not type-check in the context
-    /// (type-incorrect completions are never produced, regardless of which
-    /// terms are enabled).
-    pub fn score(&self, arena: &ExprArena, id: ExprId) -> Option<u32> {
+    /// Scores an interned expression: the sum of its enabled terms, with
+    /// the expression's static type. Returns `None` if the expression does
+    /// not type-check in the context — exactly when [`Database::expr_ty`]
+    /// rejects it, regardless of which terms are enabled.
+    pub fn score(&self, arena: &ExprArena, id: ExprId) -> Option<(u32, ValueTy)> {
         let mut acc = [0u32; 6];
-        self.walk(&arena.read(), id, &mut acc)?;
-        Some(acc.iter().sum())
+        let ty = self.walk(&arena.read(), id, &mut acc)?;
+        Some((acc.iter().sum(), ty))
     }
 
     /// Decomposes an interned expression's score into per-term
@@ -333,61 +336,71 @@ impl<'a> Ranker<'a> {
         Some(ScoreBreakdown::from_contributions(acc))
     }
 
-    /// The one walk over the Figure 7 terms: adds each term's share of
-    /// `id`'s score into `acc` (indexed by [`RankTerm::index`]), or returns
-    /// `None` as soon as a node fails to type-check.
-    fn walk(&self, r: &ArenaRead<'_>, id: ExprId, acc: &mut [u32; 6]) -> Option<()> {
+    /// The one walk over the Figure 7 terms, bottom-up: types `id` from its
+    /// children's walk results while adding each term's share of its score
+    /// into `acc` (indexed by [`RankTerm::index`]). Returns the node's type,
+    /// or `None` as soon as a node fails one of [`Database::expr_ty`]'s
+    /// checks.
+    fn walk(&self, r: &ArenaRead<'_>, id: ExprId, acc: &mut [u32; 6]) -> Option<ValueTy> {
         pex_obs::counter!("rank.score.evals", 1);
+        let types = self.db.types();
         match r.node(id) {
-            ENode::Local(l) => (l.index() < self.ctx.locals.len()).then_some(()),
-            ENode::This => self.ctx.this_type().map(|_| ()),
-            ENode::IntLit(_)
-            | ENode::DoubleBits(_)
-            | ENode::BoolLit(_)
-            | ENode::StrLit(_)
-            | ENode::Null
-            | ENode::Hole0
-            | ENode::Opaque { .. } => Some(()),
-            ENode::StaticField(_) => {
+            ENode::Local(l) => self
+                .ctx
+                .locals
+                .get(l.index())
+                .map(|loc| ValueTy::Known(loc.ty)),
+            ENode::This => self.ctx.this_type().map(ValueTy::Known),
+            ENode::IntLit(_) => Some(ValueTy::Known(types.int_ty())),
+            ENode::DoubleBits(_) => Some(ValueTy::Known(types.double_ty())),
+            ENode::BoolLit(_) => Some(ValueTy::Known(types.bool_ty())),
+            ENode::StrLit(_) => Some(ValueTy::Known(types.string_ty())),
+            ENode::Null | ENode::Hole0 => Some(ValueTy::Wildcard),
+            ENode::Opaque { ty, .. } => Some(ValueTy::Known(*ty)),
+            ENode::StaticField(f) => {
+                let fd = self.db.field(*f);
+                if !fd.is_static() {
+                    return None;
+                }
                 acc[RankTerm::Depth.index()] += self.link_cost();
-                Some(())
+                Some(ValueTy::Known(fd.ty()))
             }
             ENode::FieldAccess(base, f) => {
-                let (base, f) = (*base, *f);
-                self.walk(r, base, acc)?;
-                self.receiver_fits(r, base, self.db.field(f).declaring())?;
+                let fd = self.db.field(*f);
+                let base_ty = self.walk(r, *base, acc)?;
+                if fd.is_static() || !self.converts(base_ty, fd.declaring()) {
+                    return None;
+                }
                 acc[RankTerm::Depth.index()] += self.link_cost();
-                Some(())
+                Some(ValueTy::Known(fd.ty()))
             }
             ENode::Call(m, args) => self.walk_call(r, *m, args, acc),
             ENode::Assign(l, rhs) => {
                 let (l, rhs) = (*l, *rhs);
-                self.walk(r, l, acc)?;
-                self.walk(r, rhs, acc)?;
-                let lt = self.node_type(r, l)?;
-                let rt = self.node_type(r, rhs)?;
+                let lt = self.walk(r, l, acc)?;
+                let rt = self.walk(r, rhs, acc)?;
+                if !matches!(
+                    r.node(l),
+                    ENode::Local(_) | ENode::StaticField(_) | ENode::FieldAccess(..)
+                ) {
+                    return None;
+                }
                 let td = match (rt, lt) {
-                    (ValueTy::Known(from), ValueTy::Known(to)) => {
-                        self.db.types().type_distance(from, to)?
-                    }
+                    (ValueTy::Known(from), ValueTy::Known(to)) => types.type_distance(from, to)?,
                     _ => 0,
                 };
                 if self.eval(RankTerm::TypeDistance) {
                     acc[RankTerm::TypeDistance.index()] += td;
                 }
                 self.pair_abs_term(r, l, rhs, acc);
-                Some(())
+                Some(lt)
             }
             ENode::Cmp(_, l, rhs) => {
                 let (l, rhs) = (*l, *rhs);
-                self.walk(r, l, acc)?;
-                self.walk(r, rhs, acc)?;
-                let lt = self.node_type(r, l)?;
-                let rt = self.node_type(r, rhs)?;
+                let lt = self.walk(r, l, acc)?;
+                let rt = self.walk(r, rhs, acc)?;
                 let td = match (lt, rt) {
-                    (ValueTy::Known(a), ValueTy::Known(b)) => {
-                        self.db.types().comparable_pair(a, b)?.distance
-                    }
+                    (ValueTy::Known(a), ValueTy::Known(b)) => types.comparable_pair(a, b)?.distance,
                     _ => 0,
                 };
                 if self.eval(RankTerm::TypeDistance) {
@@ -397,7 +410,7 @@ impl<'a> Ranker<'a> {
                 if self.eval(RankTerm::MatchingName) && !self.same_trailing_name(r, l, rhs) {
                     acc[RankTerm::MatchingName.index()] += 3;
                 }
-                Some(())
+                Some(ValueTy::Known(types.bool_ty()))
             }
         }
     }
@@ -408,27 +421,35 @@ impl<'a> Ranker<'a> {
         m: MethodId,
         args: &[ExprId],
         acc: &mut [u32; 6],
-    ) -> Option<()> {
+    ) -> Option<ValueTy> {
         let md = self.db.method(m);
         if args.len() != md.full_arity() {
             return None;
         }
+        let ret = Some(ValueTy::Known(md.return_type()));
         // Zero-argument calls are lookups: depth cost only.
         if md.params().is_empty() {
             if let Some(&recv) = args.first() {
-                self.walk(r, recv, acc)?;
-                self.receiver_fits(r, recv, md.declaring())?;
+                let recv_ty = self.walk(r, recv, acc)?;
+                if !self.converts(recv_ty, md.declaring()) {
+                    return None;
+                }
             }
             acc[RankTerm::Depth.index()] += self.link_cost();
-            return Some(());
+            return ret;
         }
-        let param_tys = md.full_param_types();
-        for (i, (&arg, want)) in args.iter().zip(&param_tys).enumerate() {
-            self.walk(r, arg, acc)?;
-            if let ValueTy::Known(t) = self.node_type(r, arg)? {
-                let d = self.db.types().type_distance(t, *want)?;
+        let types = self.db.types();
+        // Namespaces of the non-primitive, non-object argument types, for
+        // the common-namespace term.
+        let mut arg_ns = Vec::new();
+        for (i, (&arg, &want)) in args.iter().zip(&md.full_param_types()).enumerate() {
+            if let ValueTy::Known(t) = self.walk(r, arg, acc)? {
+                let d = types.type_distance(t, want)?;
                 if self.eval(RankTerm::TypeDistance) {
                     acc[RankTerm::TypeDistance.index()] += d;
+                }
+                if self.config.namespace && !types.get(t).is_primitive() && t != types.object() {
+                    arg_ns.push(types.get(t).namespace());
                 }
             }
             if self.eval(RankTerm::AbstractTypes) && !self.arg_abs_matches(r, m, i, arg) {
@@ -439,31 +460,22 @@ impl<'a> Ranker<'a> {
             acc[RankTerm::InScopeStatic.index()] += 1;
         }
         if self.eval(RankTerm::Namespace) {
-            acc[RankTerm::Namespace.index()] += self.namespace_term(r, m, args);
+            acc[RankTerm::Namespace.index()] += self.namespace_term(m, arg_ns);
         }
-        Some(())
+        ret
     }
 
-    /// `Some` when the node type-checks and its type (or a wildcard) can
-    /// receive a member declared on `owner`.
-    fn receiver_fits(&self, r: &ArenaRead<'_>, id: ExprId, owner: TypeId) -> Option<()> {
-        match self.node_type(r, id)? {
-            ValueTy::Known(t) if !self.db.types().implicitly_convertible(t, owner) => None,
-            _ => Some(()),
+    /// Whether a value of type `ty` (or a wildcard) converts to `to`.
+    fn converts(&self, ty: ValueTy, to: TypeId) -> bool {
+        match ty {
+            ValueTy::Known(t) => self.db.types().implicitly_convertible(t, to),
+            ValueTy::Wildcard => true,
         }
     }
 
-    /// The common-namespace term: `3 - min(3, p)`.
-    fn namespace_term(&self, r: &ArenaRead<'_>, m: MethodId, args: &[ExprId]) -> u32 {
-        let mut arg_ns = Vec::new();
-        for &arg in args {
-            if let Some(ValueTy::Known(t)) = self.node_type(r, arg) {
-                let def = self.db.types().get(t);
-                if !def.is_primitive() && t != self.db.types().object() {
-                    arg_ns.push(def.namespace());
-                }
-            }
-        }
+    /// The common-namespace term: `3 - min(3, p)`, where `arg_ns` holds
+    /// the namespaces of the call's non-primitive argument types.
+    fn namespace_term(&self, m: MethodId, mut arg_ns: Vec<NamespaceId>) -> u32 {
         let sim = if arg_ns.len() <= 1 {
             0
         } else {
@@ -526,10 +538,6 @@ impl<'a> Ranker<'a> {
             _ => None,
         }
     }
-
-    fn node_type(&self, r: &ArenaRead<'_>, id: ExprId) -> Option<ValueTy> {
-        self.db.expr_ty_interned(r, id, self.ctx).ok()
-    }
 }
 
 #[cfg(test)]
@@ -588,6 +596,7 @@ mod tests {
     fn score(r: &Ranker<'_>, e: &Expr) -> Option<u32> {
         let arena = ExprArena::new();
         r.score(&arena, arena.intern_expr(e))
+            .map(|(score, _)| score)
     }
 
     #[test]
@@ -717,7 +726,7 @@ mod tests {
                 let breakdown = ranker.explain(&arena, id).unwrap();
                 assert_eq!(
                     Some(breakdown.total),
-                    ranker.score(&arena, id),
+                    ranker.score(&arena, id).map(|(score, _)| score),
                     "{src}: terms must sum to the score"
                 );
                 let sum: u32 = breakdown.terms.iter().map(|&(_, v)| v).sum();
@@ -727,7 +736,7 @@ mod tests {
                     // configuration enabling only that term.
                     let solo = Ranker::new(&db, &ctx, None, RankConfig::only(&[term]));
                     let want = if config.enabled(term) {
-                        solo.score(&arena, id).unwrap()
+                        solo.score(&arena, id).unwrap().0
                     } else {
                         0
                     };

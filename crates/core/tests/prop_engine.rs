@@ -24,7 +24,9 @@ use common::{first_site, query_mix, small_db};
 /// The specification score of a boxed expression.
 fn spec_score(ranker: &Ranker<'_>, e: &Expr) -> Option<u32> {
     let arena = ExprArena::new();
-    ranker.score(&arena, arena.intern_expr(e))
+    ranker
+        .score(&arena, arena.intern_expr(e))
+        .map(|(score, _)| score)
 }
 
 /// The reference enumerator: every expression a query derives, built by

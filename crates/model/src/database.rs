@@ -6,7 +6,6 @@ use std::fmt;
 
 use pex_types::{TypeId, TypeTable};
 
-use crate::arena::{ArenaRead, ENode, ExprId};
 use crate::{Body, Context, Expr, Field, FieldId, Method, MethodId, Param, ValueTy, Visibility};
 
 /// Result alias for database operations.
@@ -567,6 +566,10 @@ impl Database {
     /// Returns an error if the expression is ill-formed for the context
     /// (unknown local slot, `this` in a static context, arity mismatch,
     /// inconvertible argument or operand types).
+    ///
+    /// The engine types interned expressions in its ranking walk
+    /// (`pex_core::Ranker::score`), which applies the same checks per node;
+    /// a property test pins that walk to this function.
     pub fn expr_ty(&self, expr: &Expr, ctx: &Context) -> ModelResult<ValueTy> {
         match expr {
             Expr::Local(l) => ctx
@@ -649,100 +652,6 @@ impl Database {
             Expr::StrLit(_) => Ok(ValueTy::Known(self.types.string_ty())),
             Expr::Null | Expr::Hole0 => Ok(ValueTy::Wildcard),
             Expr::Opaque { ty, .. } => Ok(ValueTy::Known(*ty)),
-        }
-    }
-
-    /// The static type of an interned expression — the arena twin of
-    /// [`Database::expr_ty`], walking [`ENode`]s through an [`ArenaRead`]
-    /// guard instead of a boxed tree. Mirrors `expr_ty` arm for arm
-    /// (including every validation) so the two agree on any expression; the
-    /// engine's interned/boxed equivalence property test pins this.
-    pub fn expr_ty_interned(
-        &self,
-        arena: &ArenaRead<'_>,
-        id: ExprId,
-        ctx: &Context,
-    ) -> ModelResult<ValueTy> {
-        match arena.node(id) {
-            ENode::Local(l) => ctx
-                .locals
-                .get(l.index())
-                .map(|loc| ValueTy::Known(loc.ty))
-                .ok_or(ModelError::UnknownLocal { index: l.index() }),
-            ENode::This => ctx
-                .this_type()
-                .map(ValueTy::Known)
-                .ok_or(ModelError::NoThis),
-            ENode::StaticField(f) => {
-                let fd = self.field(*f);
-                if !fd.is_static {
-                    return Err(ModelError::BadMemberAccess {
-                        name: fd.name.clone(),
-                    });
-                }
-                Ok(ValueTy::Known(fd.ty))
-            }
-            ENode::FieldAccess(base, f) => {
-                let fd = self.field(*f);
-                if fd.is_static {
-                    return Err(ModelError::BadMemberAccess {
-                        name: fd.name.clone(),
-                    });
-                }
-                let base_ty = self.expr_ty_interned(arena, *base, ctx)?;
-                self.require_convertible(base_ty, fd.declaring, "receiver of field access")?;
-                Ok(ValueTy::Known(fd.ty))
-            }
-            ENode::Call(m, args) => {
-                let md = self.method(*m);
-                let expected = md.full_arity();
-                if args.len() != expected {
-                    return Err(ModelError::BadArity {
-                        name: md.name.clone(),
-                        expected,
-                        actual: args.len(),
-                    });
-                }
-                let param_tys = md.full_param_types();
-                for (i, (&arg, want)) in args.iter().zip(param_tys.iter()).enumerate() {
-                    let got = self.expr_ty_interned(arena, arg, ctx)?;
-                    self.require_convertible(got, *want, &format!("argument {i}"))?;
-                }
-                Ok(ValueTy::Known(md.ret))
-            }
-            ENode::Assign(lhs, rhs) => {
-                if !matches!(
-                    arena.node(*lhs),
-                    ENode::Local(_) | ENode::StaticField(_) | ENode::FieldAccess(..)
-                ) {
-                    return Err(ModelError::NotAssignable);
-                }
-                let lt = self.expr_ty_interned(arena, *lhs, ctx)?;
-                let rt = self.expr_ty_interned(arena, *rhs, ctx)?;
-                match lt {
-                    ValueTy::Known(t) => {
-                        self.require_convertible(rt, t, "assignment source")?;
-                        Ok(ValueTy::Known(t))
-                    }
-                    ValueTy::Wildcard => Ok(ValueTy::Wildcard),
-                }
-            }
-            ENode::Cmp(_, lhs, rhs) => {
-                let lt = self.expr_ty_interned(arena, *lhs, ctx)?;
-                let rt = self.expr_ty_interned(arena, *rhs, ctx)?;
-                if let (ValueTy::Known(a), ValueTy::Known(b)) = (lt, rt) {
-                    if self.types.comparable_pair(a, b).is_none() {
-                        return Err(ModelError::NotComparable);
-                    }
-                }
-                Ok(ValueTy::Known(self.types.bool_ty()))
-            }
-            ENode::IntLit(_) => Ok(ValueTy::Known(self.types.int_ty())),
-            ENode::DoubleBits(_) => Ok(ValueTy::Known(self.types.double_ty())),
-            ENode::BoolLit(_) => Ok(ValueTy::Known(self.types.bool_ty())),
-            ENode::StrLit(_) => Ok(ValueTy::Known(self.types.string_ty())),
-            ENode::Null | ENode::Hole0 => Ok(ValueTy::Wildcard),
-            ENode::Opaque { ty, .. } => Ok(ValueTy::Known(*ty)),
         }
     }
 

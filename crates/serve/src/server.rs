@@ -139,6 +139,9 @@ impl Answer {
 #[derive(Default)]
 struct Coalescer {
     inflight: Mutex<HashMap<String, Vec<Waiter>>>,
+    /// Notified whenever a twin parks, for [`Coalescer::hold_for_twin`].
+    #[cfg(test)]
+    parked: std::sync::Condvar,
 }
 
 impl Coalescer {
@@ -150,6 +153,8 @@ impl Coalescer {
         match map.entry(key.to_owned()) {
             Entry::Occupied(mut e) => {
                 e.get_mut().push(waiter);
+                #[cfg(test)]
+                self.parked.notify_all();
                 None
             }
             Entry::Vacant(e) => {
@@ -163,7 +168,28 @@ impl Coalescer {
         let mut map = self.inflight.lock().expect("coalescer lock");
         map.remove(key).unwrap_or_default()
     }
+
+    /// Test hook: when [`HOLD_LEADER`] is armed with `key`, holds the
+    /// leader of `key` until a twin has parked behind it, then disarms the
+    /// hook. Tests use it to force the overlap that coalescing shares.
+    #[cfg(test)]
+    fn hold_for_twin(&self, key: &str) {
+        if HOLD_LEADER.lock().expect("hold lock").as_deref() != Some(key) {
+            return;
+        }
+        let map = self.inflight.lock().expect("coalescer lock");
+        drop(
+            self.parked
+                .wait_while(map, |map| map[key].is_empty())
+                .expect("coalescer lock"),
+        );
+        *HOLD_LEADER.lock().expect("hold lock") = None;
+    }
 }
+
+/// The coalesce key whose next leader [`Coalescer::hold_for_twin`] holds.
+#[cfg(test)]
+static HOLD_LEADER: Mutex<Option<String>> = Mutex::new(None);
 
 /// A running worker pool. Call [`Server::shutdown`] to drain and join it;
 /// a `Server` dropped without it leaves its workers parked on the open
@@ -418,7 +444,11 @@ fn handle_job(
         // Parked behind the executing leader, which delivers to it; this
         // worker is free for non-identical work.
         Some(key) => match ctx.coalescer.admit(key, to) {
-            Some(to) => to,
+            Some(to) => {
+                #[cfg(test)]
+                ctx.coalescer.hold_for_twin(key);
+                to
+            }
             None => return,
         },
         None => to,
@@ -950,57 +980,48 @@ mod tests {
     fn identical_inflight_queries_coalesce_into_one_run() {
         let _serial = serial();
         pex_obs::set_enabled(true);
-        // Coalescing needs genuine overlap: a worker must pop a twin while
-        // the leader is mid-run. Under a loaded test host a fast run can
-        // finish before the second worker ever wakes, so burst a few times
-        // and require at least one burst to overlap.
         const N: usize = 32;
-        const ATTEMPTS: usize = 5;
-        let mut coalesced = 0u64;
-        for attempt in 0..ATTEMPTS {
-            let before = pex_obs::registry()
-                .counter("serve.requests.coalesced")
-                .get();
-            // Two workers: one leads the expensive run, the other drains
-            // the queue into the coalescer while the leader executes.
-            let s = server(2, 64);
-            let (tx, rx) = channel();
-            for i in 0..N {
-                // Identical work (same key); distinct ids (not in the key).
-                s.client().submit(
-                    format!("{{\"id\":{i},\"query\":\"?\",\"limit\":400,\"max_steps\":2000000}}"),
-                    &tx,
-                );
-            }
-            let mut bodies = std::collections::HashSet::new();
-            let mut seen = std::collections::HashSet::new();
-            for _ in 0..N {
-                let resp = rx.recv_timeout(std::time::Duration::from_secs(60)).unwrap();
-                let doc = json::parse(&resp).unwrap();
-                assert_eq!(doc.get("ok"), Some(&Value::Bool(true)), "{resp}");
-                seen.insert(doc.get("id").and_then(Value::as_u64).unwrap());
-                // Strip the id prefix: coalesced twins share the body bytes.
-                bodies.insert(resp.split_once(',').unwrap().1.to_owned());
-            }
-            s.shutdown();
-            assert_eq!(seen.len(), N, "every twin answered under its own id");
-            coalesced = pex_obs::registry()
-                .counter("serve.requests.coalesced")
-                .get()
-                - before;
-            assert!(
-                (bodies.len() as u64) <= N as u64 - coalesced,
-                "each coalesced follower shares a leader's body: {} bodies, {coalesced} coalesced",
-                bodies.len()
-            );
-            if coalesced >= 1 {
-                break;
-            }
-            eprintln!("attempt {attempt}: no overlap, retrying");
+        // Identical work (same key); distinct ids (not in the key).
+        let line = |i: usize| format!("{{\"id\":{i},\"query\":\"?\",\"limit\":400}}");
+        let Ok(Request::Query(q)) = proto::parse_request(&line(0)) else {
+            panic!("a query line");
+        };
+        // Coalescing needs genuine overlap: hold the first leader until
+        // the second worker has parked a twin behind it.
+        *HOLD_LEADER.lock().unwrap() = q.coalesce_key();
+        let before = pex_obs::registry()
+            .counter("serve.requests.coalesced")
+            .get();
+        let s = server(2, 64);
+        let (tx, rx) = channel();
+        for i in 0..N {
+            s.client().submit(line(i), &tx);
         }
+        let mut bodies = std::collections::HashSet::new();
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..N {
+            let resp = rx.recv_timeout(std::time::Duration::from_secs(60)).unwrap();
+            let doc = json::parse(&resp).unwrap();
+            assert_eq!(doc.get("ok"), Some(&Value::Bool(true)), "{resp}");
+            seen.insert(doc.get("id").and_then(Value::as_u64).unwrap());
+            // Strip the id prefix: coalesced twins share the body bytes.
+            bodies.insert(resp.split_once(',').unwrap().1.to_owned());
+        }
+        s.shutdown();
+        *HOLD_LEADER.lock().unwrap() = None;
+        assert_eq!(seen.len(), N, "every twin answered under its own id");
+        let coalesced = pex_obs::registry()
+            .counter("serve.requests.coalesced")
+            .get()
+            - before;
         assert!(
             coalesced >= 1,
-            "identical in-flight queries never coalesced in {ATTEMPTS} bursts"
+            "identical in-flight queries never coalesced"
+        );
+        assert!(
+            (bodies.len() as u64) <= N as u64 - coalesced,
+            "each coalesced follower shares a leader's body: {} bodies, {coalesced} coalesced",
+            bodies.len()
         );
     }
 

@@ -80,7 +80,7 @@ fn check_invariants(db: &Database, ctx: &Context, engine: &Completer<'_>, query:
         last = c.score;
         assert_eq!(
             ranker.score(&arena, arena.intern_expr(&c.expr)),
-            Some(c.score),
+            Some((c.score, c.ty)),
             "score mismatch: {}",
             engine.render(c)
         );
