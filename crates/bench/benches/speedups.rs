@@ -1,7 +1,8 @@
 //! Perf-trajectory benchmarks: the memoized type-relation cache vs the
 //! per-query BFS it replaced, best-first vs exhaustive top-k search,
-//! snapshot reuse, boot and incremental update against full rebuilds, and
-//! parallel vs sequential experiment replay.
+//! snapshot reuse, boot and incremental update against full rebuilds,
+//! parallel vs sequential experiment replay, and what the observability
+//! probes cost a replay query.
 //!
 //! Unlike the other benches this one post-processes its results into a
 //! machine-readable `BENCH_results.json` at the workspace root, so future
@@ -86,7 +87,6 @@ fn bench_candidates(c: &mut Criterion) {
             black_box(total)
         })
     });
-    bench_obs_overhead(c, &db, &index, &types);
 
     // Sanity: all three paths agree, so the speedups compare equal work.
     let mut scratch = CandidateScratch::new();
@@ -105,111 +105,95 @@ fn bench_candidates(c: &mut Criterion) {
     }
 }
 
-/// The observability overhead trio, measured with **interleaved** batches.
-///
-/// The engine never looks up candidates without walking the returned slice
-/// and reading each method's signature to build stream states, so the cost
-/// of the `candidates_for_cached` probe is measured on lookup + that
-/// consumption. A bare `.len()` loop would compare one relaxed atomic load
-/// against ~1 ns of work per call, which measures timer noise rather than
-/// instrumentation cost.
-///
-/// Interleaving matters for the same reason: the `<2%` disabled-registry
-/// budget is far below the run-to-run drift of sequential benchmarks
-/// (frequency scaling alone moves medians by ~10% on a shared machine).
-/// Alternating raw/enabled/disabled batches round-robin puts every variant
-/// under the same drift, so the ratios in the derived section are stable.
-fn bench_obs_overhead(c: &mut Criterion, db: &Database, index: &MethodIndex, types: &[TypeId]) {
-    const IDS: [&str; 3] = [
-        "speedups/candidates_consume_raw",
-        "speedups/candidates_consume_cached",
-        "speedups/candidates_consume_obs_off",
-    ];
+/// What one disabled probe costs, in ns: the `counter!`/`histogram!`/
+/// `gauge_max!` check (one inlined relaxed load) and a `span` open (the
+/// same check behind a function call). Each is timed as a loop of disabled
+/// probes against the same loop without them, in **interleaved** rounds
+/// so all three loops see the same frequency drift; the median per-probe
+/// difference is recorded as `speedups/probe_off_{counter,span}`.
+fn bench_probe_cost(c: &mut Criterion) -> Option<ProbeCost> {
+    const IDS: [&str; 2] = ["speedups/probe_off_counter", "speedups/probe_off_span"];
     if c.is_listing() {
-        for id in IDS {
-            if c.filter_allows(id) {
-                println!("{id}: bench");
-            }
+        for id in IDS.into_iter().filter(|id| c.filter_allows(id)) {
+            println!("{id}: bench");
         }
-        return;
+        return None;
     }
     if !IDS.iter().any(|id| c.filter_allows(id)) {
-        return;
+        return None;
     }
-    let consume = |slice: &[pex_model::MethodId]| -> usize {
-        slice
-            .iter()
-            .map(|&m| {
-                let method = db.method(m);
-                method.params().len() + method.return_type().index()
-            })
-            .sum()
-    };
-    // Variant 0 is the probe-free twin; 1 and 2 run the instrumented path
-    // (the kill switch is flipped around variant 2's batches below).
-    let run = |variant: usize| -> usize {
-        let mut total = 0usize;
-        for &ty in types {
-            let slice = match variant {
-                0 => index.candidates_for_cached_raw(db, black_box(ty)),
-                _ => index.candidates_for_cached(db, black_box(ty)),
-            };
-            total += consume(slice);
-        }
-        total
-    };
-    // Calibrate a batch size on the raw twin so one batch clears timer
-    // resolution, mirroring the shim's own calibration loop.
-    let floor = std::time::Duration::from_micros(200);
-    let mut iters = 1u64;
-    loop {
+    const ITERS: u64 = 1 << 22;
+    const ROUNDS: usize = 25;
+    let time = |variant: usize| {
         let t0 = std::time::Instant::now();
-        for _ in 0..iters {
-            black_box(run(0));
+        for i in 0..ITERS {
+            black_box(i);
+            match variant {
+                0 => {}
+                1 => pex_obs::counter!("bench.probe_off.counter", 1),
+                _ => drop(black_box(pex_obs::span("bench.probe_off.span"))),
+            }
         }
-        if t0.elapsed() >= floor || iters >= 1 << 22 {
-            break;
-        }
-        iters = iters.saturating_mul(2);
-    }
-    const ROUNDS: usize = 24;
-    let mut samples: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+        t0.elapsed().as_nanos() as f64 / ITERS as f64
+    };
+    pex_obs::set_enabled(false);
+    let mut samples: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
     for _ in 0..ROUNDS {
+        let base = time(0);
         for (variant, bucket) in samples.iter_mut().enumerate() {
-            if variant == 2 {
-                pex_obs::set_enabled(false);
-            }
-            let t0 = std::time::Instant::now();
-            for _ in 0..iters {
-                black_box(run(variant));
-            }
-            let per_iter = t0.elapsed().as_nanos() as f64 / iters as f64;
-            if variant == 2 {
-                pex_obs::set_enabled(true);
-            }
-            bucket.push(per_iter);
+            bucket.push(time(variant + 1) - base);
         }
     }
-    for (id, mut batch) in IDS.into_iter().zip(samples) {
-        batch.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-        let n = batch.len();
-        let median_ns = if n % 2 == 1 {
+    pex_obs::set_enabled(true);
+    let [counter, span] = samples;
+    let counter = summarize(IDS[0], counter, ITERS);
+    let span = summarize(IDS[1], span, ITERS);
+    let cost = ProbeCost {
+        counter_ns: counter.median_ns,
+        span_ns: span.median_ns,
+    };
+    for result in [counter, span] {
+        if c.filter_allows(&result.id) {
+            c.record(result);
+        }
+    }
+    Some(cost)
+}
+
+/// The result for samples measured outside [`Criterion::bench_function`]
+/// (interleaved rounds): per-iteration ns, `iters` iterations per sample.
+fn summarize(id: &str, mut batch: Vec<f64>, iters: u64) -> BenchResult {
+    batch.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
+    let n = batch.len();
+    BenchResult {
+        id: id.to_owned(),
+        median_ns: if n % 2 == 1 {
             batch[n / 2]
         } else {
             (batch[n / 2 - 1] + batch[n / 2]) / 2.0
-        };
-        if c.filter_allows(id) {
-            c.record(BenchResult {
-                id: id.to_owned(),
-                median_ns,
-                mean_ns: batch.iter().sum::<f64>() / n as f64,
-                min_ns: batch[0],
-                max_ns: batch[n - 1],
-                samples: n,
-                iters_per_sample: iters,
-            });
-        }
+        },
+        mean_ns: batch.iter().sum::<f64>() / n as f64,
+        min_ns: batch[0],
+        max_ns: batch[n - 1],
+        samples: n,
+        iters_per_sample: iters,
     }
+}
+
+/// Per-probe costs with the registry disabled (see [`bench_probe_cost`]).
+struct ProbeCost {
+    counter_ns: f64,
+    span_ns: f64,
+}
+
+/// The probes one sequential replay run executes (see [`bench_replay`]).
+struct ProbeCount {
+    /// Every probe execution, span opens included.
+    probes: u64,
+    /// Span opens among them.
+    spans: u64,
+    /// Engine queries the run answered.
+    queries: u64,
 }
 
 /// Best-first vs exhaustive top-k on a deep, type-filtered chain query —
@@ -518,7 +502,14 @@ fn replay_parallel_skip_reason() -> Option<String> {
     })
 }
 
-fn bench_replay(c: &mut Criterion) {
+/// Methods-experiment replay: sequential with the registry on (the
+/// default) and off, and parallel. Before timing, one sequential run with
+/// the registry on counts the probes it executes — the growth of
+/// [`pex_obs::live_probes_on_this_thread`], since a one-thread replay runs
+/// on this thread — with span opens counted apart from the `span.*`
+/// histograms and queries from `engine.queries`. The on and off legs run
+/// in interleaved rounds, so both see the same frequency drift.
+fn bench_replay(c: &mut Criterion) -> Option<ProbeCount> {
     let projects = load_projects(SCALE);
     let cfg = |threads: usize| ExperimentConfig {
         limit: 40,
@@ -526,17 +517,59 @@ fn bench_replay(c: &mut Criterion) {
         threads: Some(threads),
         ..Default::default()
     };
-    c.bench_function("speedups/methods_replay_sequential", |b| {
-        let cfg = cfg(1);
-        b.iter(|| black_box(methods::run(&projects, &cfg)))
+    let count = (!c.is_listing()).then(|| {
+        let spans = || -> u64 {
+            let snap = pex_obs::registry().snapshot();
+            let opens = snap
+                .histograms
+                .iter()
+                .filter(|(name, _)| name.starts_with("span."));
+            opens.map(|(_, h)| h.count).sum()
+        };
+        let queries = || pex_obs::registry().counter("engine.queries").get();
+        let (probes, spans_before, queries_before) =
+            (pex_obs::live_probes_on_this_thread(), spans(), queries());
+        black_box(methods::run(&projects, &cfg(1)));
+        ProbeCount {
+            probes: pex_obs::live_probes_on_this_thread() - probes,
+            spans: spans() - spans_before,
+            queries: queries() - queries_before,
+        }
     });
-    if replay_parallel_skip_reason().is_some() {
-        return;
+    const IDS: [&str; 2] = [
+        "speedups/methods_replay_sequential",
+        "speedups/methods_replay_obs_off",
+    ];
+    if c.is_listing() {
+        for id in IDS.into_iter().filter(|id| c.filter_allows(id)) {
+            println!("{id}: bench");
+        }
+    } else if IDS.iter().any(|id| c.filter_allows(id)) {
+        const ROUNDS: usize = 12;
+        let sequential = cfg(1);
+        let mut samples: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+        for _ in 0..ROUNDS {
+            for (variant, bucket) in samples.iter_mut().enumerate() {
+                pex_obs::set_enabled(variant == 0);
+                let t0 = std::time::Instant::now();
+                black_box(methods::run(&projects, &sequential));
+                bucket.push(t0.elapsed().as_nanos() as f64);
+            }
+        }
+        pex_obs::set_enabled(true);
+        for (id, batch) in IDS.into_iter().zip(samples) {
+            if c.filter_allows(id) {
+                c.record(summarize(id, batch, 1));
+            }
+        }
     }
-    c.bench_function("speedups/methods_replay_parallel", |b| {
-        let cfg = cfg(replay_threads());
-        b.iter(|| black_box(methods::run(&projects, &cfg)))
-    });
+    if replay_parallel_skip_reason().is_none() {
+        c.bench_function("speedups/methods_replay_parallel", |b| {
+            let cfg = cfg(replay_threads());
+            b.iter(|| black_box(methods::run(&projects, &cfg)))
+        });
+    }
+    count
 }
 
 fn median_of(results: &[BenchResult], id: &str) -> Option<f64> {
@@ -551,7 +584,12 @@ fn json_escape(s: &str) -> String {
 /// overheads, and cache hit rates) as JSON, without any serialization
 /// dependency. `snap` is the global metric registry after the benches ran,
 /// so the cache section reflects the replay benches' real traffic.
-fn render_json(results: &[BenchResult], snap: &pex_obs::MetricsSnapshot) -> String {
+fn render_json(
+    results: &[BenchResult],
+    snap: &pex_obs::MetricsSnapshot,
+    probe_cost: Option<ProbeCost>,
+    probe_count: Option<ProbeCount>,
+) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"pex-bench-speedups/1\",\n");
     out.push_str(&format!(
@@ -594,6 +632,12 @@ fn render_json(results: &[BenchResult], snap: &pex_obs::MetricsSnapshot) -> Stri
         v.map(|x| format!("{x:.2}"))
             .unwrap_or_else(|| "null".into())
     };
+    // Probe overheads sit a few thousandths above 1.0, so they keep four
+    // decimals where the speedups keep two.
+    let probe_ratio = |v: Option<f64>| {
+        v.map(|x| format!("{x:.4}"))
+            .unwrap_or_else(|| "null".into())
+    };
     let idx = obs_report::index_candidates_stats(snap);
     let conv = obs_report::convindex_distance_stats(snap);
     // The negative-lookup bitset makes "no conversion" a memoized answer,
@@ -630,22 +674,41 @@ fn render_json(results: &[BenchResult], snap: &pex_obs::MetricsSnapshot) -> Stri
             "speedups/candidates_for_cached"
         ))
     ));
-    // Instrumentation cost on the hottest cached path (lookup plus
-    // candidate consumption), as ratios over the probe-free twin: the
-    // disabled registry must stay ~1.0x (<2%), enabled records what the
-    // default configuration pays.
+    // What the probes cost a replay query with the registry disabled (the
+    // < 2% budget): probe executions per query, priced at the measured
+    // cost of one disabled probe, over the median query time with the
+    // registry off. Every input is measured on the same code at the same
+    // addresses, so where the linker puts a function cannot move it. A
+    // negative measured cost (noise around a free probe) prices at zero.
+    let replay_off_ns = median_of(results, "speedups/methods_replay_obs_off");
+    let (probes_per_query, disabled_overhead) = match (probe_cost, probe_count, replay_off_ns) {
+        (Some(cost), Some(count), Some(run_ns)) if count.queries > 0 => {
+            let per_query = |n: u64| n as f64 / count.queries as f64;
+            let probe_ns = per_query(count.probes - count.spans) * cost.counter_ns.max(0.0)
+                + per_query(count.spans) * cost.span_ns.max(0.0);
+            let query_ns = per_query(1) * run_ns;
+            (
+                Some(per_query(count.probes)),
+                Some(1.0 + probe_ns / query_ns),
+            )
+        }
+        _ => (None, None),
+    };
     out.push_str(&format!(
-        "    \"obs_disabled_overhead\": {},\n",
-        fmt_opt(speedup(
-            "speedups/candidates_consume_obs_off",
-            "speedups/candidates_consume_raw"
-        ))
+        "    \"obs_probes_per_query\": {},\n",
+        fmt_opt(probes_per_query)
     ));
     out.push_str(&format!(
+        "    \"obs_disabled_overhead\": {},\n",
+        probe_ratio(disabled_overhead)
+    ));
+    // What the default configuration pays: the same replay with the
+    // registry on over the registry off.
+    out.push_str(&format!(
         "    \"obs_enabled_overhead\": {},\n",
-        fmt_opt(speedup(
-            "speedups/candidates_consume_cached",
-            "speedups/candidates_consume_raw"
+        probe_ratio(speedup(
+            "speedups/methods_replay_sequential",
+            "speedups/methods_replay_obs_off"
         ))
     ));
     // Best-first frontier vs exhaustive Dijkstra on the same filtered
@@ -705,17 +768,23 @@ fn main() {
     // this run's traffic (fixture priming plus the benches themselves).
     pex_obs::registry().reset();
     bench_candidates(&mut c);
+    let probe_cost = bench_probe_cost(&mut c);
     bench_bestfirst(&mut c);
     bench_snapshot_reuse(&mut c);
     bench_snapshot_boot(&mut c);
     bench_edit_update(&mut c);
-    bench_replay(&mut c);
+    let probe_count = bench_replay(&mut c);
     let results = c.results();
     if results.is_empty() {
         // `--list` or a filter that matched nothing: no numbers to record.
         return;
     }
-    let json = render_json(results, &pex_obs::registry().snapshot());
+    let json = render_json(
+        results,
+        &pex_obs::registry().snapshot(),
+        probe_cost,
+        probe_count,
+    );
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_results.json");

@@ -8,7 +8,6 @@
 //! [`pex_types::TypeTable::conversion_targets_ref`] lists, so progressively
 //! farther entries correspond to progressively worse type distances.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use pex_model::{Database, MethodId};
@@ -61,7 +60,9 @@ impl CandidateScratch {
 /// Index from parameter type (receiver included) to declaring methods.
 #[derive(Debug, Clone, Default)]
 pub struct MethodIndex {
-    by_param: HashMap<TypeId, Vec<MethodId>>,
+    /// Methods with a parameter (receiver included) of each type, indexed
+    /// by [`TypeId::index`], each method once per list, in id order.
+    by_param: Vec<Vec<MethodId>>,
     /// Methods with at least one argument position (receiver or declared
     /// parameter) — the fallback set when no argument type is known.
     with_args: Vec<MethodId>,
@@ -76,26 +77,29 @@ pub struct MethodIndex {
 impl MethodIndex {
     /// Builds the index over every method in the database.
     pub fn build(db: &Database) -> Self {
-        let mut by_param: HashMap<TypeId, Vec<MethodId>> = HashMap::new();
+        let n_types = db.types().len();
+        let mut by_param = vec![Vec::new(); n_types];
         let mut with_args = Vec::new();
         for m in db.methods() {
-            let tys = db.method(m).full_param_types();
-            if tys.is_empty() {
+            let md = db.method(m);
+            if md.full_arity() == 0 {
                 continue;
             }
             with_args.push(m);
-            let mut seen = Vec::new();
-            for ty in tys {
-                if !seen.contains(&ty) {
-                    seen.push(ty);
-                    by_param.entry(ty).or_default().push(m);
+            let receiver = (!md.is_static()).then(|| md.declaring());
+            for ty in receiver.into_iter().chain(md.params().iter().map(|p| p.ty)) {
+                let list = &mut by_param[ty.index()];
+                // One method's positions are visited together, so a type
+                // it already listed has it as the last entry.
+                if list.last() != Some(&m) {
+                    list.push(m);
                 }
             }
         }
         MethodIndex {
             by_param,
             with_args,
-            memo: (0..db.types().len()).map(|_| OnceLock::new()).collect(),
+            memo: (0..n_types).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -103,14 +107,17 @@ impl MethodIndex {
     /// list — for the persistent snapshot. A loaded snapshot therefore
     /// starts with the same memo contents a prewarmed boot would have,
     /// which is what lets `--load-snapshot` skip the prewarm pass.
-    /// Hash-map entries are written in type-id order so identical indexes
-    /// serialize to identical bytes.
+    /// One entry per type with a non-empty method list, in type-id order.
     pub fn encode_snapshot(&self, w: &mut Writer) {
-        let mut by_param: Vec<(&TypeId, &Vec<MethodId>)> = self.by_param.iter().collect();
-        by_param.sort_unstable_by_key(|(ty, _)| **ty);
-        w.put_len(by_param.len());
-        for (ty, methods) in by_param {
-            w.put_u32(ty.index() as u32);
+        let entries = || {
+            self.by_param
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| !l.is_empty())
+        };
+        w.put_len(entries().count());
+        for (ty, methods) in entries() {
+            w.put_u32(ty as u32);
             w.put_len(methods.len());
             for m in methods {
                 w.put_u32(m.index() as u32);
@@ -137,27 +144,29 @@ impl MethodIndex {
 
     /// Decodes an index written by [`MethodIndex::encode_snapshot`] for a
     /// database with `n_types` types and `n_methods` methods, restoring
-    /// filled memo cells and bounds-checking every id.
+    /// filled memo cells and bounds-checking every id. A type may have at
+    /// most one entry, even an empty one.
     pub fn decode_snapshot(
         r: &mut Reader<'_>,
         n_types: usize,
         n_methods: usize,
     ) -> WireResult<Self> {
         let n_entries = r.get_len("method index entry count")?;
-        let mut by_param = HashMap::with_capacity(n_entries);
+        let mut by_param = vec![Vec::new(); n_types];
+        let mut seen = vec![false; n_types];
         for _ in 0..n_entries {
-            let ty = TypeId::from_index(r.get_id(n_types, "indexed parameter type")?);
+            let ty = r.get_id(n_types, "indexed parameter type")?;
             let n = r.get_len("indexed method count")?;
             let mut methods = Vec::with_capacity(n);
             for _ in 0..n {
                 methods.push(MethodId::from_index(r.get_id(n_methods, "indexed method")?));
             }
-            if by_param.insert(ty, methods).is_some() {
+            if std::mem::replace(&mut seen[ty], true) {
                 return Err(WireError::new(format!(
-                    "duplicate method index entry for type {}",
-                    ty.index()
+                    "duplicate method index entry for type {ty}"
                 )));
             }
+            by_param[ty] = methods;
         }
         let n_with_args = r.get_len("with-args method count")?;
         let mut with_args = Vec::with_capacity(n_with_args);
@@ -196,7 +205,7 @@ impl MethodIndex {
 
     /// Methods with a parameter of *exactly* this type.
     pub fn exact(&self, ty: TypeId) -> &[MethodId] {
-        self.by_param.get(&ty).map(Vec::as_slice).unwrap_or(&[])
+        self.by_param.get(ty.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Methods that can accept an argument of type `ty` in some position:
@@ -258,24 +267,6 @@ impl MethodIndex {
             pex_obs::counter!("index.candidates.fills", 1);
             self.candidates_for(db, ty).into_boxed_slice()
         })
-    }
-
-    /// [`MethodIndex::candidates_for_cached`] without observability probes:
-    /// the baseline for the obs-overhead benchmark (`speedups` measures the
-    /// probed path against this with the registry enabled and disabled).
-    /// Not for production call sites — use the instrumented twin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ty` was declared after this index was built, exactly like
-    /// the instrumented twin: the index is a snapshot and must be rebuilt
-    /// when the database grows.
-    pub fn candidates_for_cached_raw(&self, db: &Database, ty: TypeId) -> &[MethodId] {
-        let cell = self
-            .memo
-            .get(ty.index())
-            .expect("type declared after MethodIndex::build; rebuild the index");
-        cell.get_or_init(|| self.candidates_for(db, ty).into_boxed_slice())
     }
 
     /// Exact size of [`MethodIndex::candidates_for`], served from the
@@ -421,6 +412,72 @@ mod tests {
                     idx.candidates_for(&db, ty).len()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn snapshot_roundtrip_is_byte_identical() {
+        let db = setup();
+        let idx = MethodIndex::build(&db);
+        let dog = db.types().lookup_qualified("G.Dog").unwrap();
+        let _ = idx.candidates_for_cached(&db, dog);
+        let mut w = Writer::new();
+        idx.encode_snapshot(&mut w);
+        let bytes = w.into_bytes();
+        let decoded = MethodIndex::decode_snapshot(
+            &mut Reader::new(&bytes),
+            db.types().len(),
+            db.method_count(),
+        )
+        .unwrap();
+        for ty in db.types().iter() {
+            assert_eq!(decoded.exact(ty), idx.exact(ty));
+        }
+        assert_eq!(decoded.all_with_args(), idx.all_with_args());
+        let mut again = Writer::new();
+        decoded.encode_snapshot(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+    }
+
+    /// An encoded index over two types and two methods with the given
+    /// `(type, methods)` entries, no with-args list and an empty memo.
+    fn encoded(entries: &[(u32, &[u32])]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_len(entries.len());
+        for &(ty, methods) in entries {
+            w.put_u32(ty);
+            w.put_len(methods.len());
+            for &m in methods {
+                w.put_u32(m);
+            }
+        }
+        w.put_len(0);
+        w.put_len(2);
+        w.put_bool(false);
+        w.put_bool(false);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn decode_rejects_repeated_type_entries() {
+        let bytes = encoded(&[(1, &[0, 1]), (0, &[])]);
+        let idx = MethodIndex::decode_snapshot(&mut Reader::new(&bytes), 2, 2).unwrap();
+        let (m0, m1) = (MethodId::from_index(0), MethodId::from_index(1));
+        assert_eq!(idx.exact(TypeId::from_index(1)), &[m0, m1]);
+        assert_eq!(idx.exact(TypeId::from_index(0)), &[]);
+
+        for entries in [
+            &[(1, &[0][..]), (1, &[1][..])][..],
+            &[(1, &[][..]), (1, &[][..])],
+            &[(1, &[][..]), (0, &[0][..]), (1, &[0, 1][..])],
+        ] {
+            let bytes = encoded(entries);
+            let err = MethodIndex::decode_snapshot(&mut Reader::new(&bytes), 2, 2).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("duplicate method index entry for type 1"),
+                "{err}"
+            );
         }
     }
 

@@ -1,6 +1,6 @@
 //! The program database: a type table plus members and bodies.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -107,8 +107,11 @@ pub struct Database {
     types: TypeTable,
     methods: Vec<Method>,
     fields: Vec<Field>,
-    type_methods: HashMap<TypeId, Vec<MethodId>>,
-    type_fields: HashMap<TypeId, Vec<FieldId>>,
+    /// Live methods declared on each type, indexed by [`TypeId::index`];
+    /// types past the end declare none.
+    type_methods: Vec<Vec<MethodId>>,
+    /// Live fields declared on each type, indexed like `type_methods`.
+    type_fields: Vec<Vec<FieldId>>,
     // Member ids are positional and shared by every derived structure
     // (arena nodes, memo keys, index rows), so an incremental update can
     // never compact the arenas. Removal tombstones the id instead: the row
@@ -116,6 +119,16 @@ pub struct Database {
     // every live iteration and lookup skips it.
     removed_methods: HashSet<MethodId>,
     removed_fields: HashSet<FieldId>,
+}
+
+/// The member list of `ty` in a table indexed by [`TypeId::index`],
+/// growing the table to cover `ty`.
+fn per_type<T>(table: &mut Vec<Vec<T>>, ty: TypeId) -> &mut Vec<T> {
+    let i = ty.index();
+    if table.len() <= i {
+        table.resize_with(i + 1, Vec::new);
+    }
+    &mut table[i]
 }
 
 impl Database {
@@ -130,8 +143,8 @@ impl Database {
             types,
             methods: Vec::new(),
             fields: Vec::new(),
-            type_methods: HashMap::new(),
-            type_fields: HashMap::new(),
+            type_methods: Vec::new(),
+            type_fields: Vec::new(),
             removed_methods: HashSet::new(),
             removed_fields: HashSet::new(),
         }
@@ -153,10 +166,10 @@ impl Database {
     }
 
     /// Reassembles a database from decoded parts, rebuilding the per-type
-    /// member maps by pushing members in id order — exactly the order
+    /// member tables by pushing members in id order — exactly the order
     /// [`Database::add_method`] / [`Database::add_field`] produced them in,
     /// so lookups iterate identically to the original database. Tombstoned
-    /// ids keep their arena rows but are left out of the per-type maps.
+    /// ids keep their arena rows but are left out of the per-type tables.
     pub(crate) fn from_parts_with_removed(
         types: TypeTable,
         methods: Vec<Method>,
@@ -164,25 +177,17 @@ impl Database {
         removed_methods: HashSet<MethodId>,
         removed_fields: HashSet<FieldId>,
     ) -> Self {
-        let mut type_methods: HashMap<TypeId, Vec<MethodId>> = HashMap::new();
+        let mut type_methods = Vec::new();
         for (i, m) in methods.iter().enumerate() {
-            if removed_methods.contains(&MethodId(i as u32)) {
-                continue;
+            if !removed_methods.contains(&MethodId(i as u32)) {
+                per_type(&mut type_methods, m.declaring).push(MethodId(i as u32));
             }
-            type_methods
-                .entry(m.declaring)
-                .or_default()
-                .push(MethodId(i as u32));
         }
-        let mut type_fields: HashMap<TypeId, Vec<FieldId>> = HashMap::new();
+        let mut type_fields = Vec::new();
         for (i, f) in fields.iter().enumerate() {
-            if removed_fields.contains(&FieldId(i as u32)) {
-                continue;
+            if !removed_fields.contains(&FieldId(i as u32)) {
+                per_type(&mut type_fields, f.declaring).push(FieldId(i as u32));
             }
-            type_fields
-                .entry(f.declaring)
-                .or_default()
-                .push(FieldId(i as u32));
         }
         Database {
             types,
@@ -221,7 +226,7 @@ impl Database {
             overrides: None,
             body: None,
         });
-        self.type_methods.entry(declaring).or_default().push(id);
+        per_type(&mut self.type_methods, declaring).push(id);
         id
     }
 
@@ -240,10 +245,9 @@ impl Database {
         is_property: bool,
     ) -> ModelResult<FieldId> {
         if self
-            .type_fields
-            .get(&declaring)
-            .map(|fs| fs.iter().any(|f| self.fields[f.index()].name == name))
-            .unwrap_or(false)
+            .fields_of(declaring)
+            .iter()
+            .any(|f| self.fields[f.index()].name == name)
         {
             return Err(ModelError::DuplicateField {
                 name: name.to_owned(),
@@ -258,7 +262,7 @@ impl Database {
             visibility,
             is_property,
         });
-        self.type_fields.entry(declaring).or_default().push(id);
+        per_type(&mut self.type_fields, declaring).push(id);
         Ok(id)
     }
 
@@ -302,7 +306,7 @@ impl Database {
         let m = &mut self.methods[id.index()];
         m.body = None;
         m.overrides = None;
-        if let Some(list) = self.type_methods.get_mut(&m.declaring) {
+        if let Some(list) = self.type_methods.get_mut(m.declaring.index()) {
             list.retain(|&x| x != id);
         }
     }
@@ -313,7 +317,7 @@ impl Database {
             return;
         }
         let declaring = self.fields[id.index()].declaring;
-        if let Some(list) = self.type_fields.get_mut(&declaring) {
+        if let Some(list) = self.type_fields.get_mut(declaring.index()) {
             list.retain(|&x| x != id);
         }
     }
@@ -400,12 +404,12 @@ impl Database {
 
     /// Methods declared directly on a type.
     pub fn methods_of(&self, ty: TypeId) -> &[MethodId] {
-        self.type_methods.get(&ty).map(Vec::as_slice).unwrap_or(&[])
+        self.type_methods.get(ty.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Fields declared directly on a type.
     pub fn fields_of(&self, ty: TypeId) -> &[FieldId] {
-        self.type_fields.get(&ty).map(Vec::as_slice).unwrap_or(&[])
+        self.type_fields.get(ty.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Follows override edges to the root definition of a method.

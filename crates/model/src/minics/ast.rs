@@ -1,23 +1,28 @@
 //! Abstract syntax for the mini-C# language, produced by [`super::parser`].
+//!
+//! The tree borrows every name and path segment from the source text
+//! (`'src`); only string literals are owned, because the lexer unescapes
+//! them. A `String` is made only where the [`crate::Database`] keeps a
+//! name, so neither building nor dropping a tree allocates per identifier.
 
 use crate::CmpOp;
 
 /// A compilation unit: `using` directives followed by namespace declarations.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct File {
+pub struct File<'src> {
     /// Imported namespaces, each as path segments.
-    pub usings: Vec<Vec<String>>,
+    pub usings: Vec<Vec<&'src str>>,
     /// Namespace blocks.
-    pub namespaces: Vec<NsDecl>,
+    pub namespaces: Vec<NsDecl<'src>>,
 }
 
 /// A `namespace A.B { ... }` block.
 #[derive(Debug, Clone, PartialEq)]
-pub struct NsDecl {
+pub struct NsDecl<'src> {
     /// Dotted path segments.
-    pub path: Vec<String>,
+    pub path: Vec<&'src str>,
     /// Types declared in the block.
-    pub types: Vec<TypeDecl>,
+    pub types: Vec<TypeDecl<'src>>,
 }
 
 /// What sort of type a declaration introduces.
@@ -35,19 +40,19 @@ pub enum TypeDeclKind {
 
 /// A type declaration.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TypeDecl {
+pub struct TypeDecl<'src> {
     /// Class, struct, interface or enum.
     pub kind: TypeDeclKind,
     /// Simple name.
-    pub name: String,
+    pub name: &'src str,
     /// Base list: for classes the first class found becomes the base class,
     /// every other entry must be an interface. For interfaces all entries
     /// are extended interfaces.
-    pub bases: Vec<TypeRef>,
+    pub bases: Vec<TypeRef<'src>>,
     /// Fields, properties and methods (empty for enums).
-    pub members: Vec<MemberDecl>,
+    pub members: Vec<MemberDecl<'src>>,
     /// Enum member names (enums only).
-    pub enum_members: Vec<String>,
+    pub enum_members: Vec<&'src str>,
     /// Whether the declaration carried the `[Comparable]` attribute, making
     /// values orderable by the relational operators (the paper's `DateTime`).
     pub comparable: bool,
@@ -59,9 +64,9 @@ pub struct TypeDecl {
 
 /// A (possibly dotted) type reference as written in source.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TypeRef {
+pub struct TypeRef<'src> {
     /// Path segments; a single segment may also be a primitive keyword.
-    pub segments: Vec<String>,
+    pub segments: Vec<&'src str>,
     /// Source line.
     pub line: u32,
     /// Source column.
@@ -70,15 +75,15 @@ pub struct TypeRef {
 
 /// A member of a class/struct/interface.
 #[derive(Debug, Clone, PartialEq)]
-pub enum MemberDecl {
+pub enum MemberDecl<'src> {
     /// `static? Type Name;` or `static? Type Name { get; set? ; }`
     Field {
         /// Whether declared `static`.
         is_static: bool,
         /// Declared type.
-        ty: TypeRef,
+        ty: TypeRef<'src>,
         /// Member name.
-        name: String,
+        name: &'src str,
         /// Whether declared with accessor syntax (a property).
         is_property: bool,
         /// Whether declared `private`.
@@ -89,14 +94,14 @@ pub enum MemberDecl {
         /// Whether declared `static`.
         is_static: bool,
         /// Return type; `None` is `void`.
-        ret: Option<TypeRef>,
+        ret: Option<TypeRef<'src>>,
         /// Method name.
-        name: String,
+        name: &'src str,
         /// `(type, name)` parameter list.
-        params: Vec<(TypeRef, String)>,
+        params: Vec<(TypeRef<'src>, &'src str)>,
         /// Body statements; `None` when declared with `;` (interface or
         /// library surface).
-        body: Option<Vec<Stmt>>,
+        body: Option<Vec<Stmt<'src>>>,
         /// Whether declared `private`.
         is_private: bool,
     },
@@ -104,33 +109,33 @@ pub enum MemberDecl {
 
 /// A statement in a method body.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub enum Stmt<'src> {
     /// `Type name = expr;` or `var name = expr;` (`ty` is `None` for `var`).
     Local {
         /// Declared type, or `None` for `var`.
-        ty: Option<TypeRef>,
+        ty: Option<TypeRef<'src>>,
         /// Local name.
-        name: String,
+        name: &'src str,
         /// Initialiser.
-        init: Expr,
+        init: Expr<'src>,
         /// Source line.
         line: u32,
         /// Source column.
         col: u32,
     },
     /// `expr;`
-    Expr(Expr),
+    Expr(Expr<'src>),
     /// `return expr?;`
-    Return(Option<Expr>, u32, u32),
+    Return(Option<Expr<'src>>, u32, u32),
     /// `if (cond) { ... } else { ... }` — branch bodies may not declare
     /// locals.
     If {
         /// Condition expression.
-        cond: Expr,
+        cond: Expr<'src>,
         /// `then` branch statements.
-        then_body: Vec<Stmt>,
+        then_body: Vec<Stmt<'src>>,
         /// `else` branch statements (empty when absent).
-        else_body: Vec<Stmt>,
+        else_body: Vec<Stmt<'src>>,
         /// Source line of the `if`.
         line: u32,
         /// Source column of the `if`.
@@ -139,9 +144,9 @@ pub enum Stmt {
     /// `while (cond) { ... }` — the body may not declare locals.
     While {
         /// Condition expression.
-        cond: Expr,
+        cond: Expr<'src>,
         /// Loop body statements.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'src>>,
         /// Source line of the `while`.
         line: u32,
         /// Source column of the `while`.
@@ -151,32 +156,32 @@ pub enum Stmt {
 
 /// An expression as written in source; names are unresolved.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub enum Expr<'src> {
     /// A bare identifier.
-    Ident(String, u32, u32),
+    Ident(&'src str, u32, u32),
     /// `this`
     This(u32, u32),
     /// `base.name`
-    Member(Box<Expr>, String, u32, u32),
+    Member(Box<Expr<'src>>, &'src str, u32, u32),
     /// `callee(args)` — the callee must end in a name.
-    Invoke(Box<Expr>, Vec<Expr>, u32, u32),
+    Invoke(Box<Expr<'src>>, Vec<Expr<'src>>, u32, u32),
     /// `lhs = rhs`
-    Assign(Box<Expr>, Box<Expr>),
+    Assign(Box<Expr<'src>>, Box<Expr<'src>>),
     /// `lhs op rhs`
-    Cmp(CmpOp, Box<Expr>, Box<Expr>),
+    Cmp(CmpOp, Box<Expr<'src>>, Box<Expr<'src>>),
     /// Integer literal.
     Int(i64),
     /// Floating literal.
     Double(f64),
     /// `true` / `false`
     Bool(bool),
-    /// String literal.
+    /// String literal (unescaped, so owned).
     Str(String),
     /// `null`
     Null(u32, u32),
 }
 
-impl Expr {
+impl Expr<'_> {
     /// Source position of the expression, when one was recorded.
     pub fn pos(&self) -> (u32, u32) {
         match self {

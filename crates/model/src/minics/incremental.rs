@@ -85,7 +85,7 @@ struct WantMethod<'a> {
     params: Vec<Param>,
     ret: TypeId,
     visibility: Visibility,
-    body: Option<&'a [ast::Stmt]>,
+    body: Option<&'a [ast::Stmt<'a>]>,
     /// Filled during matching: the id this declaration patched or minted.
     id: Option<MethodId>,
 }
@@ -103,14 +103,14 @@ struct WantField<'a> {
 /// to re-resolve its members and bodies.
 struct TypePatch<'a> {
     ty: TypeId,
-    decl: &'a ast::TypeDecl,
+    decl: &'a ast::TypeDecl<'a>,
     scope: Scope,
 }
 
 /// Body work queued until the whole member surface is patched: the method,
 /// its lookup scope, its pre-patch body (for no-op detection), and the
 /// unresolved statements.
-type BodyWork<'a> = (MethodId, &'a Scope, Option<Body>, &'a [ast::Stmt]);
+type BodyWork<'a> = (MethodId, &'a Scope, Option<Body>, &'a [ast::Stmt<'a>]);
 
 /// Re-parses one compilation unit and patches `base` with it.
 ///
@@ -138,7 +138,7 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
         let ns = db.types_mut().namespaces_mut().intern(&ns_decl.path);
         let scope = Scope::new(&db, &ns_decl.path, &file.usings);
         for decl in &ns_decl.types {
-            let existing = db.types().lookup(ns, &decl.name);
+            let existing = db.types().lookup(ns, decl.name);
             let ty = match existing {
                 Some(ty) => {
                     let have = db.types().get(ty);
@@ -175,12 +175,12 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
                 }
                 None => {
                     let declared = match decl.kind {
-                        ast::TypeDeclKind::Class => db.types_mut().declare_class(ns, &decl.name),
-                        ast::TypeDeclKind::Struct => db.types_mut().declare_struct(ns, &decl.name),
+                        ast::TypeDeclKind::Class => db.types_mut().declare_class(ns, decl.name),
+                        ast::TypeDeclKind::Struct => db.types_mut().declare_struct(ns, decl.name),
                         ast::TypeDeclKind::Interface => {
-                            db.types_mut().declare_interface(ns, &decl.name)
+                            db.types_mut().declare_interface(ns, decl.name)
                         }
-                        ast::TypeDeclKind::Enum => db.types_mut().declare_enum(ns, &decl.name),
+                        ast::TypeDeclKind::Enum => db.types_mut().declare_enum(ns, decl.name),
                     };
                     let ty = declared
                         .map_err(|e| MiniCsError::new(decl.line, decl.col, e.to_string()))?;
@@ -284,7 +284,7 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
                     for (tr, pname) in params {
                         let pty = resolve_type_ref(&db, &patch.scope, tr)?;
                         lowered.push(Param {
-                            name: pname.clone(),
+                            name: (*pname).to_owned(),
                             ty: pty,
                         });
                     }

@@ -6,8 +6,9 @@
 //! fields, properties, static and instance methods, and method bodies in the
 //! paper's Figure 5(a) statement/expression language.
 //!
-//! The pipeline is conventional: [`lexer`] → [`parser`] (to the [`ast`]) →
-//! [`resolve`] (name resolution, overload selection and lowering into a
+//! The pipeline is conventional: [`lexer`] → `parser` (to an AST that
+//! borrows its names from the source and never leaves this module) →
+//! `resolve` (name resolution, overload selection and lowering into a
 //! [`crate::Database`]).
 //!
 //! ```
@@ -24,20 +25,20 @@
 //! assert!(db.types().lookup_qualified("Geo.Line").is_some());
 //! ```
 
-pub mod ast;
+mod ast;
 pub mod incremental;
 pub mod lexer;
-pub mod parser;
+mod parser;
 pub mod printer;
-pub mod resolve;
+mod resolve;
 
 use crate::Database;
 
 pub use incremental::{apply_update, ModelDiff};
 pub use lexer::{Lexer, Token, TokenKind};
-pub use parser::parse;
+use parser::parse;
 pub use printer::{print, print_type, PrintOptions};
-pub use resolve::lower;
+use resolve::lower;
 
 use std::error::Error;
 use std::fmt;

@@ -11,7 +11,7 @@ use super::{MiniCsError, MiniCsResult};
 /// # Errors
 ///
 /// Returns the first lexical or syntactic error with its position.
-pub fn parse(source: &str) -> MiniCsResult<File> {
+pub(super) fn parse(source: &str) -> MiniCsResult<File<'_>> {
     let tokens = Lexer::tokenize(source)?;
     Parser {
         tokens,
@@ -127,15 +127,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn dotted_path(&mut self, what: &str) -> MiniCsResult<Vec<String>> {
-        let mut segs = vec![self.ident(what)?.0.to_owned()];
+    fn dotted_path(&mut self, what: &str) -> MiniCsResult<Vec<&'a str>> {
+        let mut segs = vec![self.ident(what)?.0];
         while self.eat(&TokenKind::Dot) {
-            segs.push(self.ident("path segment")?.0.to_owned());
+            segs.push(self.ident("path segment")?.0);
         }
         Ok(segs)
     }
 
-    fn file(&mut self) -> MiniCsResult<File> {
+    fn file(&mut self) -> MiniCsResult<File<'a>> {
         let mut file = File::default();
         while self.eat_keyword("using") {
             file.usings.push(self.dotted_path("namespace name")?);
@@ -157,7 +157,7 @@ impl<'a> Parser<'a> {
         Ok(file)
     }
 
-    fn type_ref(&mut self) -> MiniCsResult<TypeRef> {
+    fn type_ref(&mut self) -> MiniCsResult<TypeRef<'a>> {
         let (line, col) = self.peek_pos();
         let segments = self.dotted_path("type name")?;
         Ok(TypeRef {
@@ -167,7 +167,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn type_decl(&mut self) -> MiniCsResult<TypeDecl> {
+    fn type_decl(&mut self) -> MiniCsResult<TypeDecl<'a>> {
         let mut comparable = false;
         while self.eat(&TokenKind::LBracket) {
             let (attr, line, col) = self.ident("attribute name")?;
@@ -200,7 +200,7 @@ impl<'a> Parser<'a> {
         let (name, ..) = self.ident("type name")?;
         let mut decl = TypeDecl {
             kind,
-            name: name.to_owned(),
+            name,
             bases: Vec::new(),
             members: Vec::new(),
             enum_members: Vec::new(),
@@ -212,8 +212,7 @@ impl<'a> Parser<'a> {
             self.expect(&TokenKind::LBrace, "`{`")?;
             if !self.eat(&TokenKind::RBrace) {
                 loop {
-                    decl.enum_members
-                        .push(self.ident("enum member")?.0.to_owned());
+                    decl.enum_members.push(self.ident("enum member")?.0);
                     if self.eat(&TokenKind::Comma) {
                         if self.eat(&TokenKind::RBrace) {
                             break; // trailing comma
@@ -239,7 +238,7 @@ impl<'a> Parser<'a> {
         Ok(decl)
     }
 
-    fn member_decl(&mut self, owner: TypeDeclKind) -> MiniCsResult<MemberDecl> {
+    fn member_decl(&mut self, owner: TypeDeclKind) -> MiniCsResult<MemberDecl<'a>> {
         let mut is_static = false;
         let mut is_private = false;
         loop {
@@ -268,7 +267,7 @@ impl<'a> Parser<'a> {
                     loop {
                         let pty = self.type_ref()?;
                         let (pname, ..) = self.ident("parameter name")?;
-                        params.push((pty, pname.to_owned()));
+                        params.push((pty, pname));
                         if self.eat(&TokenKind::Comma) {
                             continue;
                         }
@@ -289,7 +288,7 @@ impl<'a> Parser<'a> {
                 Ok(MemberDecl::Method {
                     is_static,
                     ret,
-                    name: name.to_owned(),
+                    name,
                     params,
                     body,
                     is_private,
@@ -330,7 +329,7 @@ impl<'a> Parser<'a> {
                 Ok(MemberDecl::Field {
                     is_static,
                     ty,
-                    name: name.to_owned(),
+                    name,
                     is_property,
                     is_private,
                 })
@@ -374,7 +373,7 @@ impl<'a> Parser<'a> {
             )
     }
 
-    fn block(&mut self) -> MiniCsResult<Vec<Stmt>> {
+    fn block(&mut self) -> MiniCsResult<Vec<Stmt<'a>>> {
         self.expect(&TokenKind::LBrace, "`{`")?;
         self.nested(|p| {
             p.enter()?;
@@ -386,7 +385,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn stmt(&mut self) -> MiniCsResult<Stmt> {
+    fn stmt(&mut self) -> MiniCsResult<Stmt<'a>> {
         if self.at_keyword("if") {
             let (line, col) = self.bump();
             self.expect(&TokenKind::LParen, "`(`")?;
@@ -442,7 +441,7 @@ impl<'a> Parser<'a> {
             self.expect(&TokenKind::Semi, "`;`")?;
             return Ok(Stmt::Local {
                 ty,
-                name: name.to_owned(),
+                name,
                 init,
                 line,
                 col,
@@ -453,14 +452,14 @@ impl<'a> Parser<'a> {
         Ok(Stmt::Expr(e))
     }
 
-    fn expr(&mut self) -> MiniCsResult<Expr> {
+    fn expr(&mut self) -> MiniCsResult<Expr<'a>> {
         self.nested(|p| {
             p.enter()?;
             p.assign_expr()
         })
     }
 
-    fn assign_expr(&mut self) -> MiniCsResult<Expr> {
+    fn assign_expr(&mut self) -> MiniCsResult<Expr<'a>> {
         let lhs = self.cmp_expr()?;
         if self.eat(&TokenKind::Assign) {
             let rhs = self.expr()?; // right-associative
@@ -469,7 +468,7 @@ impl<'a> Parser<'a> {
         Ok(lhs)
     }
 
-    fn cmp_expr(&mut self) -> MiniCsResult<Expr> {
+    fn cmp_expr(&mut self) -> MiniCsResult<Expr<'a>> {
         let lhs = self.postfix()?;
         let op = match self.peek_kind() {
             TokenKind::Lt => Some(CmpOp::Lt),
@@ -489,11 +488,11 @@ impl<'a> Parser<'a> {
     /// A primary followed by `.name` and `(args)` links. Each link nests
     /// the tree one level deeper, so each counts toward [`MAX_DEPTH`] —
     /// including for the arguments parsed inside the chain.
-    fn postfix(&mut self) -> MiniCsResult<Expr> {
+    fn postfix(&mut self) -> MiniCsResult<Expr<'a>> {
         self.nested(Self::postfix_links)
     }
 
-    fn postfix_links(&mut self) -> MiniCsResult<Expr> {
+    fn postfix_links(&mut self) -> MiniCsResult<Expr<'a>> {
         let mut e = self.primary()?;
         loop {
             match self.peek_kind() {
@@ -501,7 +500,7 @@ impl<'a> Parser<'a> {
                     self.enter()?;
                     self.bump();
                     let (name, line, col) = self.ident("member name")?;
-                    e = Expr::Member(Box::new(e), name.to_owned(), line, col);
+                    e = Expr::Member(Box::new(e), name, line, col);
                 }
                 TokenKind::LParen => {
                     self.enter()?;
@@ -524,7 +523,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn primary(&mut self) -> MiniCsResult<Expr> {
+    fn primary(&mut self) -> MiniCsResult<Expr<'a>> {
         let (line, col) = self.peek_pos();
         match self.peek_kind() {
             &TokenKind::Int(v) => {
@@ -565,7 +564,7 @@ impl<'a> Parser<'a> {
                 }
                 _ => {
                     self.bump();
-                    Ok(Expr::Ident(s.to_owned(), line, col))
+                    Ok(Expr::Ident(s, line, col))
                 }
             },
             other => Err(self.err_here(format!("expected an expression, found {other:?}"))),
@@ -595,7 +594,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert_eq!(f.usings, vec![vec!["System".to_string()]]);
+        assert_eq!(f.usings, vec![vec!["System"]]);
         let ns = &f.namespaces[0];
         assert_eq!(ns.path, vec!["A", "B"]);
         assert_eq!(ns.types.len(), 3);
@@ -644,8 +643,22 @@ mod tests {
         else {
             panic!("expected method");
         };
-        assert!(matches!(&stmts[0], Stmt::Local { ty: Some(_), name, .. } if name == "x"));
-        assert!(matches!(&stmts[1], Stmt::Local { ty: None, name, .. } if name == "y"));
+        assert!(matches!(
+            &stmts[0],
+            Stmt::Local {
+                ty: Some(_),
+                name: "x",
+                ..
+            }
+        ));
+        assert!(matches!(
+            &stmts[1],
+            Stmt::Local {
+                ty: None,
+                name: "y",
+                ..
+            }
+        ));
         assert!(matches!(&stmts[2], Stmt::Expr(Expr::Assign(..))));
         assert!(
             matches!(&stmts[3], Stmt::Local { ty: Some(tr), .. } if tr.segments == ["A", "B", "D"])

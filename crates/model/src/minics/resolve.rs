@@ -24,7 +24,7 @@ use super::{MiniCsError, MiniCsResult};
 ///
 /// Returns the first semantic error (unknown name, duplicate declaration,
 /// no matching overload, type mismatch, ...) with its source position.
-pub fn lower(files: &[ast::File]) -> MiniCsResult<Database> {
+pub(super) fn lower(files: &[ast::File<'_>]) -> MiniCsResult<Database> {
     let mut db = Database::new();
     intern_namespaces(&mut db, files.iter().flat_map(|f| &f.namespaces));
 
@@ -36,19 +36,17 @@ pub fn lower(files: &[ast::File]) -> MiniCsResult<Database> {
             let scope = Scope::new(&db, &ns_decl.path, &file.usings);
             for decl in &ns_decl.types {
                 let declared = match decl.kind {
-                    ast::TypeDeclKind::Class => db.types_mut().declare_class(ns, &decl.name),
-                    ast::TypeDeclKind::Struct => db.types_mut().declare_struct(ns, &decl.name),
-                    ast::TypeDeclKind::Interface => {
-                        db.types_mut().declare_interface(ns, &decl.name)
-                    }
-                    ast::TypeDeclKind::Enum => db.types_mut().declare_enum(ns, &decl.name),
+                    ast::TypeDeclKind::Class => db.types_mut().declare_class(ns, decl.name),
+                    ast::TypeDeclKind::Struct => db.types_mut().declare_struct(ns, decl.name),
+                    ast::TypeDeclKind::Interface => db.types_mut().declare_interface(ns, decl.name),
+                    ast::TypeDeclKind::Enum => db.types_mut().declare_enum(ns, decl.name),
                 };
                 let ty =
                     declared.map_err(|e| MiniCsError::new(decl.line, decl.col, e.to_string()))?;
                 if decl.comparable {
                     db.types_mut().set_comparable(ty, true);
                 }
-                for member in &decl.enum_members {
+                for &member in &decl.enum_members {
                     db.add_enum_member(ty, member)
                         .map_err(|e| MiniCsError::new(decl.line, decl.col, e.to_string()))?;
                 }
@@ -96,8 +94,8 @@ pub fn lower(files: &[ast::File]) -> MiniCsResult<Database> {
     type BodyWork<'w> = (
         MethodId,
         &'w TypeWork<'w>,
-        &'w [(ast::TypeRef, String)],
-        &'w [ast::Stmt],
+        &'w [(ast::TypeRef<'w>, &'w str)],
+        &'w [ast::Stmt<'w>],
     );
     let mut method_bodies: Vec<BodyWork<'_>> = Vec::new();
     for work in &works {
@@ -137,7 +135,7 @@ pub fn lower(files: &[ast::File]) -> MiniCsResult<Database> {
                     for (tr, pname) in params {
                         let pty = resolve_type_ref(&db, &work.scope, tr)?;
                         lowered.push(Param {
-                            name: pname.clone(),
+                            name: (*pname).to_owned(),
                             ty: pty,
                         });
                     }
@@ -189,7 +187,7 @@ pub(super) fn visibility(is_private: bool) -> Visibility {
 
 struct TypeWork<'a> {
     ty: TypeId,
-    decl: &'a ast::TypeDecl,
+    decl: &'a ast::TypeDecl<'a>,
     scope: Scope,
 }
 
@@ -197,7 +195,7 @@ struct TypeWork<'a> {
 /// [`Scope`] is built.
 pub(super) fn intern_namespaces<'a>(
     db: &mut Database,
-    ns_decls: impl IntoIterator<Item = &'a ast::NsDecl>,
+    ns_decls: impl IntoIterator<Item = &'a ast::NsDecl<'a>>,
 ) {
     for ns_decl in ns_decls {
         db.types_mut().namespaces_mut().intern(&ns_decl.path);
@@ -214,7 +212,7 @@ pub(super) fn intern_namespaces<'a>(
 pub(super) struct Scope(Vec<NsPrefix>);
 
 impl Scope {
-    pub(super) fn new(db: &Database, ns_path: &[String], usings: &[Vec<String>]) -> Self {
+    pub(super) fn new(db: &Database, ns_path: &[&str], usings: &[Vec<&str>]) -> Self {
         let namespaces = db.types().namespaces();
         let enclosing = (0..=ns_path.len()).rev().map(|i| &ns_path[..i]);
         Scope(
@@ -262,7 +260,7 @@ pub(super) fn link_overrides(db: &mut Database) {
 pub(super) fn resolve_type_ref(
     db: &Database,
     scope: &Scope,
-    tr: &ast::TypeRef,
+    tr: &ast::TypeRef<'_>,
 ) -> MiniCsResult<TypeId> {
     lookup_type(db, scope, &tr.segments).ok_or_else(|| {
         MiniCsError::new(
@@ -296,10 +294,10 @@ fn lookup_type<S: AsRef<str>>(db: &Database, scope: &Scope, segments: &[S]) -> O
 }
 
 /// Intermediate resolution state for dotted chains.
-enum Res {
+enum Res<'a> {
     Value(Expr, ValueTy),
     Type(TypeId),
-    Namespace(Vec<String>),
+    Namespace(Vec<&'a str>),
 }
 
 struct BodyCompiler<'a> {
@@ -307,20 +305,21 @@ struct BodyCompiler<'a> {
     method: MethodId,
     scope: &'a Scope,
     body: Body,
-    local_names: HashMap<String, LocalId>,
+    /// Parameter and local names in scope; a later local shadows.
+    local_names: HashMap<&'a str, LocalId>,
 }
 
-pub(super) fn compile_body(
-    db: &Database,
+pub(super) fn compile_body<'a>(
+    db: &'a Database,
     mid: MethodId,
-    scope: &Scope,
-    stmts: &[ast::Stmt],
+    scope: &'a Scope,
+    stmts: &'a [ast::Stmt<'a>],
 ) -> MiniCsResult<Body> {
     let md = db.method(mid);
     let mut body = Body::default();
     let mut local_names = HashMap::new();
     for p in md.params() {
-        local_names.insert(p.name.clone(), LocalId(body.locals.len() as u32));
+        local_names.insert(p.name.as_str(), LocalId(body.locals.len() as u32));
         body.locals.push((p.name.clone(), p.ty));
     }
     body.param_count = body.locals.len();
@@ -338,7 +337,7 @@ pub(super) fn compile_body(
 }
 
 impl<'a> BodyCompiler<'a> {
-    fn stmt(&mut self, stmt: &ast::Stmt) -> MiniCsResult<()> {
+    fn stmt(&mut self, stmt: &'a ast::Stmt<'a>) -> MiniCsResult<()> {
         let lowered = self.lower_stmt(stmt, false)?;
         self.body.stmts.push(lowered);
         Ok(())
@@ -347,7 +346,7 @@ impl<'a> BodyCompiler<'a> {
     /// Lowers one statement. `nested` statements (inside `if`/`while`
     /// blocks) may not declare locals, keeping the live-local model a
     /// prefix of the slot table.
-    fn lower_stmt(&mut self, stmt: &ast::Stmt, nested: bool) -> MiniCsResult<Stmt> {
+    fn lower_stmt(&mut self, stmt: &'a ast::Stmt<'a>, nested: bool) -> MiniCsResult<Stmt> {
         match stmt {
             ast::Stmt::Local {
                 ty,
@@ -384,8 +383,8 @@ impl<'a> BodyCompiler<'a> {
                     }
                 }
                 let id = LocalId(self.body.locals.len() as u32);
-                self.body.locals.push((name.clone(), declared));
-                self.local_names.insert(name.clone(), id);
+                self.body.locals.push(((*name).to_owned(), declared));
+                self.local_names.insert(name, id);
                 Ok(Stmt::Init(id, e))
             }
             ast::Stmt::Expr(e) => {
@@ -438,7 +437,7 @@ impl<'a> BodyCompiler<'a> {
         }
     }
 
-    fn lower_block(&mut self, stmts: &[ast::Stmt]) -> MiniCsResult<Vec<Stmt>> {
+    fn lower_block(&mut self, stmts: &'a [ast::Stmt<'a>]) -> MiniCsResult<Vec<Stmt>> {
         stmts
             .iter()
             .map(|stmt| self.lower_stmt(stmt, true))
@@ -460,7 +459,7 @@ impl<'a> BodyCompiler<'a> {
         }
     }
 
-    fn value(&mut self, e: &ast::Expr) -> MiniCsResult<(Expr, ValueTy)> {
+    fn value(&mut self, e: &'a ast::Expr<'a>) -> MiniCsResult<(Expr, ValueTy)> {
         let (line, col) = e.pos();
         match self.resolve(e)? {
             Res::Value(expr, ty) => Ok((expr, ty)),
@@ -480,7 +479,7 @@ impl<'a> BodyCompiler<'a> {
         }
     }
 
-    fn resolve(&mut self, e: &ast::Expr) -> MiniCsResult<Res> {
+    fn resolve(&mut self, e: &'a ast::Expr<'a>) -> MiniCsResult<Res<'a>> {
         match e {
             ast::Expr::Int(v) => Ok(Res::Value(
                 Expr::IntLit(*v),
@@ -552,7 +551,7 @@ impl<'a> BodyCompiler<'a> {
         }
     }
 
-    fn resolve_simple_name(&mut self, name: &str, line: u32, col: u32) -> MiniCsResult<Res> {
+    fn resolve_simple_name(&mut self, name: &'a str, line: u32, col: u32) -> MiniCsResult<Res<'a>> {
         // 1. Locals and parameters.
         if let Some(&id) = self.local_names.get(name) {
             let ty = self.body.locals[id.index()].1;
@@ -589,7 +588,7 @@ impl<'a> BodyCompiler<'a> {
         }
         // 4. A namespace root.
         if self.db.types().namespaces().is_prefix([name]) {
-            return Ok(Res::Namespace(vec![name.to_owned()]));
+            return Ok(Res::Namespace(vec![name]));
         }
         Err(MiniCsError::new(
             line,
@@ -598,7 +597,13 @@ impl<'a> BodyCompiler<'a> {
         ))
     }
 
-    fn resolve_member(&mut self, base: Res, name: &str, line: u32, col: u32) -> MiniCsResult<Res> {
+    fn resolve_member(
+        &mut self,
+        base: Res<'a>,
+        name: &'a str,
+        line: u32,
+        col: u32,
+    ) -> MiniCsResult<Res<'a>> {
         let enclosing = Some(self.db.method(self.method).declaring());
         match base {
             Res::Value(expr, ty) => {
@@ -651,7 +656,7 @@ impl<'a> BodyCompiler<'a> {
                         return Ok(Res::Type(ty));
                     }
                 }
-                path.push(name.to_owned());
+                path.push(name);
                 if namespaces.is_prefix(&path) {
                     return Ok(Res::Namespace(path));
                 }
@@ -666,11 +671,11 @@ impl<'a> BodyCompiler<'a> {
 
     fn resolve_invoke(
         &mut self,
-        callee: &ast::Expr,
-        args: &[ast::Expr],
+        callee: &'a ast::Expr<'a>,
+        args: &'a [ast::Expr<'a>],
         line: u32,
         col: u32,
-    ) -> MiniCsResult<Res> {
+    ) -> MiniCsResult<Res<'a>> {
         let mut lowered: Vec<(Expr, ValueTy)> = Vec::with_capacity(args.len());
         for a in args {
             lowered.push(self.value(a)?);
@@ -685,7 +690,7 @@ impl<'a> BodyCompiler<'a> {
                 for owner in self.db.member_lookup_chain(enclosing) {
                     for &m in self.db.methods_of(owner) {
                         let cd = self.db.method(m);
-                        if cd.name() != name
+                        if cd.name() != *name
                             || !self.db.accessible(cd.visibility(), owner, Some(enclosing))
                         {
                             continue;
@@ -697,7 +702,7 @@ impl<'a> BodyCompiler<'a> {
                         }
                     }
                 }
-                (name.as_str(), cands)
+                (*name, cands)
             }
             ast::Expr::Member(base, name, bline, bcol) => {
                 let base_res = self.resolve(base)?;
@@ -710,7 +715,7 @@ impl<'a> BodyCompiler<'a> {
                         for owner in self.db.member_lookup_chain(t) {
                             for &m in self.db.methods_of(owner) {
                                 let cd = self.db.method(m);
-                                if cd.name() == name
+                                if cd.name() == *name
                                     && !cd.is_static()
                                     && self.db.accessible(cd.visibility(), owner, Some(enclosing))
                                 {
@@ -718,14 +723,14 @@ impl<'a> BodyCompiler<'a> {
                                 }
                             }
                         }
-                        (name.as_str(), cands)
+                        (*name, cands)
                     }
                     Res::Type(t) => {
                         let mut cands = Vec::new();
                         for owner in self.db.member_lookup_chain(t) {
                             for &m in self.db.methods_of(owner) {
                                 let cd = self.db.method(m);
-                                if cd.name() == name
+                                if cd.name() == *name
                                     && cd.is_static()
                                     && self.db.accessible(cd.visibility(), owner, Some(enclosing))
                                 {
@@ -733,7 +738,7 @@ impl<'a> BodyCompiler<'a> {
                                 }
                             }
                         }
-                        (name.as_str(), cands)
+                        (*name, cands)
                     }
                     Res::Namespace(path) => {
                         return Err(MiniCsError::new(
@@ -1054,6 +1059,10 @@ mod tests {
         )
     }
 
+    fn strs(path: &[String]) -> Vec<&str> {
+        path.iter().map(String::as_str).collect()
+    }
+
     /// The original resolution: every candidate scope joined to a dotted
     /// string, split back into segments and matched against the interned
     /// paths, then the type found by scanning the table.
@@ -1130,8 +1139,10 @@ mod tests {
             }
             let mut segments = prefix.clone();
             segments.push(name.to_owned());
-            let tr = ast::TypeRef { segments: segments.clone(), line: 1, col: 1 };
-            let scope = Scope::new(&db, &ns_path, &usings);
+            // The AST borrows its segments from the source text.
+            let tr = ast::TypeRef { segments: strs(&segments), line: 1, col: 1 };
+            let usings_src: Vec<Vec<&str>> = usings.iter().map(|u| strs(u)).collect();
+            let scope = Scope::new(&db, &strs(&ns_path), &usings_src);
             prop_assert_eq!(
                 resolve_type_ref(&db, &scope, &tr).ok(),
                 reference_type_ref(&db, &ns_path, &usings, &segments)

@@ -36,8 +36,10 @@
 //! is the `off` cargo feature (probes become dead code); the runtime arm is
 //! [`set_enabled`]. Every probe macro checks [`enabled`] before touching
 //! any metric storage, so a disabled registry costs exactly the one relaxed
-//! load — the `speedups` bench records this on the engine's hottest cached
-//! path.
+//! load. While the registry is on, each such check is tallied per thread
+//! ([`live_probes_on_this_thread`]); the `speedups` bench multiplies that
+//! count for a replay query by the measured cost of one disabled check to
+//! bound what the probes cost a query with the registry off.
 //!
 //! ## Probes
 //!
@@ -74,6 +76,7 @@ pub use sink::{
 pub use span::{marker, span, Span};
 pub use windows::{WindowedHistogram, WINDOW_SLOTS};
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
@@ -85,12 +88,30 @@ pub const COMPILED: bool = cfg!(not(feature = "off"));
 /// metrics without ceremony; benches flip it to measure overhead.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
+thread_local! {
+    /// Calls of [`enabled`] on this thread that found probes live.
+    static LIVE_PROBES: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Whether probes are live. This is the **only** cost a disabled registry
 /// pays per probe site: one relaxed atomic load (or a constant `false`
-/// under the `off` feature).
+/// under the `off` feature). A live answer is tallied on this thread.
 #[inline(always)]
 pub fn enabled() -> bool {
-    COMPILED && ENABLED.load(Ordering::Relaxed)
+    let live = COMPILED && ENABLED.load(Ordering::Relaxed);
+    if live {
+        LIVE_PROBES.with(|n| n.set(n.get() + 1));
+    }
+    live
+}
+
+/// How many times [`enabled`] has answered `true` on this thread. Every
+/// probe — the metric macros, [`span()`], [`marker`], [`scope::begin`] —
+/// checks [`enabled`] once per execution, so the growth of this tally over
+/// a piece of work is the number of relaxed loads the same work pays with
+/// the registry disabled.
+pub fn live_probes_on_this_thread() -> u64 {
+    LIVE_PROBES.with(Cell::get)
 }
 
 /// Flips the runtime kill switch. Takes effect immediately on every thread
@@ -216,6 +237,24 @@ mod tests {
         assert!(!snap.histograms.contains_key("lib.switch.hist"));
         assert!(!snap.gauges.contains_key("lib.switch.gauge"));
         const { assert!(COMPILED, "test build must compile probes in") };
+    }
+
+    #[test]
+    fn live_probes_are_tallied_and_disabled_ones_are_not() {
+        let _guard = crate::sink::test_lock().lock().unwrap();
+        set_enabled(true);
+        let before = live_probes_on_this_thread();
+        counter!("lib.tally.counter", 5);
+        histogram!("lib.tally.hist", 1u64);
+        gauge_max!("lib.tally.gauge", 1u64);
+        drop(span("lib.tally.span"));
+        marker("lib.tally.marker");
+        assert_eq!(live_probes_on_this_thread() - before, 5);
+        set_enabled(false);
+        counter!("lib.tally.counter", 5);
+        drop(span("lib.tally.span"));
+        set_enabled(true);
+        assert_eq!(live_probes_on_this_thread() - before, 5);
     }
 
     #[test]

@@ -60,14 +60,18 @@
 //! snapshot keeps serving), `dirty` (a plain `reload` over unsaved edits;
 //! retry with `"force":true`), `parse_error` (an `update`'s source failed;
 //! carries 1-based `line`/`col`, snapshot untouched), `update_failed`,
-//! `connection_limit` (socket at `--max-connections`) and `shutdown`
-//! (draining). A request is **never** dropped without a response on a
+//! `connection_limit` (socket at `--max-connections`), `shutdown`
+//! (draining) and `internal_error` (an engine fault, such as an `explain`
+//! row whose breakdown does not reproduce its score; carries the request's
+//! `trace_id`). A request is **never** dropped without a response on a
 //! live connection.
 
 use std::time::{Duration, Instant};
 
 use pex_abstract::AbsTypes;
-use pex_core::{CancelToken, CompleteOptions, Completer, QueryBudget, RankConfig};
+use pex_core::{
+    CancelToken, CompleteOptions, Completer, Completion, QueryBudget, RankConfig, ScoreBreakdown,
+};
 
 use crate::json::{self, JsonWriter, Value};
 use crate::snapshot::Snapshot;
@@ -547,6 +551,14 @@ pub(crate) fn execute_rest(
     let (completions, outcome) = completer.complete_with_outcome(&query, limit);
     let report = scope.map(pex_obs::ScopeGuard::finish);
     let latency_us = started.elapsed().as_micros() as u64;
+    let explains = if req.explain {
+        match explain_rows(&completer, &completions, &trace_id) {
+            Ok(explains) => explains,
+            Err(rest) => return (rest, Disposition::Error),
+        }
+    } else {
+        Vec::new()
+    };
     let rest = body(|w| {
         w.field("ok", true)
             .field("trace_id", trace_id.as_str())
@@ -555,18 +567,11 @@ pub(crate) fn execute_rest(
             .field("latency_us", latency_us)
             .key("completions")
             .open('[');
-        for c in &completions {
+        for (i, c) in completions.iter().enumerate() {
             w.open('{')
                 .field("expr", completer.render(c).as_str())
                 .field("score", c.score);
-            if req.explain {
-                let b = completer
-                    .explain(c)
-                    .expect("the engine explains its own completions");
-                assert_eq!(
-                    b.total, c.score,
-                    "per-term breakdown must sum to the emitted score"
-                );
+            if let Some(b) = explains.get(i) {
                 w.key("explain").open('{');
                 for (term, v) in b.terms {
                     w.field(term.code().encode_utf8(&mut [0; 4]), v);
@@ -587,6 +592,36 @@ pub(crate) fn execute_rest(
         Disposition::Ok
     };
     (rest, disposition)
+}
+
+/// Each row's per-term score breakdown, computed before the body streams.
+/// A row the ranking walk cannot explain, or explains to a total other
+/// than its score, is an engine fault: `Err` carries the `internal_error`
+/// body (with the request's `trace_id`) that answers instead.
+fn explain_rows(
+    completer: &Completer<'_>,
+    rows: &[Completion],
+    trace_id: &str,
+) -> Result<Vec<ScoreBreakdown>, String> {
+    rows.iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let fault = match completer.explain(c) {
+                Some(b) if b.total == c.score => return Ok(b),
+                Some(b) => format!(
+                    "row {i}: score breakdown totals {}, not the emitted score {}",
+                    b.total, c.score
+                ),
+                None => format!("row {i}: the ranker cannot explain the emitted completion"),
+            };
+            Err(body(|w| {
+                w.field("ok", false)
+                    .field("error", "internal_error")
+                    .field("message", fault.as_str())
+                    .field("trace_id", trace_id);
+            }))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -826,6 +861,38 @@ mod tests {
             assert_eq!(sum, score, "{c}");
             assert_eq!(explain.get("total").and_then(Value::as_u64), Some(score));
         }
+    }
+
+    #[test]
+    fn unexplainable_rows_answer_internal_error_not_a_panic() {
+        let snap = Snapshot::load(&SnapshotSource::Paint).unwrap();
+        let ctx = snap.context_for(&[]).unwrap();
+        let completer = Completer::new(&snap.db, &ctx, &snap.index, RankConfig::all(), None)
+            .with_reach(&snap.reach)
+            .with_cache(&snap.cache);
+        let query = pex_core::parse_partial(&snap.db, &ctx, "?({img, size})").unwrap();
+        let rows = completer.complete(&query, 3);
+        assert_eq!(rows.len(), 3);
+        let explained = explain_rows(&completer, &rows, "t-ok").unwrap();
+        assert!(explained.iter().zip(&rows).all(|(b, c)| b.total == c.score));
+
+        // A hand-built row whose score the ranking walk does not reproduce.
+        let mut wrong = rows.clone();
+        wrong[1].score += 1;
+        let rest = explain_rows(&completer, &wrong, "t-bad-1").unwrap_err();
+        let doc = json::parse(&assemble_response(Some(&Value::Num(7.0)), &rest)).unwrap();
+        assert_eq!(doc.get("id").and_then(Value::as_u64), Some(7));
+        assert_eq!(doc.get("ok"), Some(&Value::Bool(false)));
+        assert_eq!(
+            doc.get("error").and_then(Value::as_str),
+            Some("internal_error")
+        );
+        assert_eq!(doc.get("trace_id").and_then(Value::as_str), Some("t-bad-1"));
+        let message = doc.get("message").and_then(Value::as_str).unwrap();
+        assert!(
+            message.starts_with("row 1: score breakdown totals"),
+            "{message}"
+        );
     }
 
     #[test]
