@@ -43,9 +43,13 @@ pub struct AbsClass(u32);
 /// Construction allocates one variable per slot and unifies override chains;
 /// constraints are then added body-by-body (or statement-by-statement). All
 /// queries are read-only once the constraints of interest are in.
+///
+/// The solution does not hold the database it was built from: every method
+/// that reads the program takes it as `db`, which must be that same
+/// database. Owning nothing borrowed lets a solution live next to its
+/// database (a serve snapshot keeps its query site's inference).
 #[derive(Debug, Clone)]
-pub struct AbsTypes<'db> {
-    db: &'db Database,
+pub struct AbsTypes {
     uf: UnionFind,
     method_this: Vec<u32>,
     method_param_start: Vec<u32>,
@@ -54,10 +58,10 @@ pub struct AbsTypes<'db> {
     body_local_start: HashMap<MethodId, u32>,
 }
 
-impl<'db> AbsTypes<'db> {
+impl AbsTypes {
     /// Allocates variables for every slot in `db` and links override chains.
     /// No body constraints are added yet.
-    pub fn new(db: &'db Database) -> Self {
+    pub fn new(db: &Database) -> Self {
         let mut uf = UnionFind::new();
         let mut method_this = Vec::with_capacity(db.method_count());
         let mut method_param_start = Vec::with_capacity(db.method_count());
@@ -87,7 +91,6 @@ impl<'db> AbsTypes<'db> {
             }
         }
         let mut this = AbsTypes {
-            db,
             uf,
             method_this,
             method_param_start,
@@ -119,20 +122,16 @@ impl<'db> AbsTypes<'db> {
         this
     }
 
-    /// The database this solution is over.
-    pub fn database(&self) -> &'db Database {
-        self.db
-    }
-
-    fn is_object_method(&self, m: MethodId) -> bool {
-        let root = self.db.root_method(m);
-        self.db.method(root).declaring() == self.db.types().object()
+    fn is_object_method(db: &Database, m: MethodId) -> bool {
+        let root = db.root_method(m);
+        db.method(root).declaring() == db.types().object()
     }
 
     /// Variable of a local slot of `m`'s body (parameters resolve to the
     /// method's parameter slots).
-    fn local_var(&self, m: MethodId, l: LocalId) -> Option<u32> {
-        let md = self.db.method(m);
+    fn local_var(&self, db: &Database, m: MethodId, l: LocalId) -> Option<u32> {
+        debug_assert_eq!(self.method_ret.len(), db.method_count(), "a foreign db");
+        let md = db.method(m);
         let param_count = md.params().len();
         if l.index() < param_count {
             return Some(self.method_param_start[m.index()] + l.index() as u32);
@@ -148,12 +147,12 @@ impl<'db> AbsTypes<'db> {
     /// Variable of the receiver-first argument slot `i` of a call to `m`
     /// (slot 0 of an instance method is the receiver). `None` for methods
     /// declared on `Object`.
-    fn param_var_full(&self, m: MethodId, i: usize) -> Option<u32> {
-        if self.is_object_method(m) {
+    fn param_var_full(&self, db: &Database, m: MethodId, i: usize) -> Option<u32> {
+        if Self::is_object_method(db, m) {
             return None;
         }
-        let root = self.db.root_method(m);
-        let md = self.db.method(root);
+        let root = db.root_method(m);
+        let md = db.method(root);
         if !md.is_static() {
             if i == 0 {
                 return Some(self.method_this[root.index()]);
@@ -171,11 +170,11 @@ impl<'db> AbsTypes<'db> {
         }
     }
 
-    fn ret_var(&self, m: MethodId) -> Option<u32> {
-        if self.is_object_method(m) {
+    fn ret_var(&self, db: &Database, m: MethodId) -> Option<u32> {
+        if Self::is_object_method(db, m) {
             return None;
         }
-        let root = self.db.root_method(m);
+        let root = db.root_method(m);
         Some(self.method_ret[root.index()])
     }
 
@@ -185,42 +184,43 @@ impl<'db> AbsTypes<'db> {
     /// member's), so the walk never descends and needs no materialization.
     pub fn expr_class(
         &self,
+        db: &Database,
         enclosing: Option<MethodId>,
         arena: &ArenaRead<'_>,
         id: ExprId,
     ) -> Option<AbsClass> {
         let v = match arena.node(id) {
-            ENode::Local(l) => self.local_var(enclosing?, *l),
+            ENode::Local(l) => self.local_var(db, enclosing?, *l),
             ENode::This => {
                 let m = enclosing?;
-                let root = self.db.root_method(m);
+                let root = db.root_method(m);
                 Some(self.method_this[root.index()])
             }
             ENode::StaticField(f) | ENode::FieldAccess(_, f) => Some(self.field_vars[f.index()]),
-            ENode::Call(m, _) => self.ret_var(*m),
+            ENode::Call(m, _) => self.ret_var(db, *m),
             _ => None,
         }?;
         Some(AbsClass(self.uf.find(v)))
     }
 
-    fn expr_var(&self, enclosing: Option<MethodId>, e: &Expr) -> Option<u32> {
+    fn expr_var(&self, db: &Database, enclosing: Option<MethodId>, e: &Expr) -> Option<u32> {
         match e {
-            Expr::Local(l) => self.local_var(enclosing?, *l),
+            Expr::Local(l) => self.local_var(db, enclosing?, *l),
             Expr::This => {
                 let m = enclosing?;
-                let root = self.db.root_method(m);
+                let root = db.root_method(m);
                 Some(self.method_this[root.index()])
             }
             Expr::StaticField(f) | Expr::FieldAccess(_, f) => Some(self.field_vars[f.index()]),
-            Expr::Call(m, _) => self.ret_var(*m),
+            Expr::Call(m, _) => self.ret_var(db, *m),
             _ => None,
         }
     }
 
     /// Adds the constraints of one statement of `m`'s body.
-    pub fn add_stmt(&mut self, m: MethodId, stmt: &Stmt) {
+    pub fn add_stmt(&mut self, db: &Database, m: MethodId, stmt: &Stmt) {
         let mut pairs = Vec::new();
-        self.stmt_constraints(m, stmt, &mut pairs);
+        self.stmt_constraints(db, m, stmt, &mut pairs);
         for (a, b) in pairs {
             self.uf.union(a, b);
         }
@@ -230,34 +230,36 @@ impl<'db> AbsTypes<'db> {
     /// applying them. Variable ids are deterministic for a given database,
     /// so collected pairs stay valid for any fresh [`AbsTypes::new`] over
     /// the same database — the basis of [`ConstraintCache`].
-    fn stmt_constraints(&self, m: MethodId, stmt: &Stmt, out: &mut Vec<(u32, u32)>) {
+    fn stmt_constraints(&self, db: &Database, m: MethodId, stmt: &Stmt, out: &mut Vec<(u32, u32)>) {
         match stmt {
             Stmt::Init(l, e) => {
-                self.expr_constraints(m, e, out);
-                if let (Some(lv), Some(ev)) = (self.local_var(m, *l), self.expr_var(Some(m), e)) {
+                self.expr_constraints(db, m, e, out);
+                if let (Some(lv), Some(ev)) =
+                    (self.local_var(db, m, *l), self.expr_var(db, Some(m), e))
+                {
                     out.push((lv, ev));
                 }
             }
-            Stmt::Expr(e) => self.expr_constraints(m, e, out),
+            Stmt::Expr(e) => self.expr_constraints(db, m, e, out),
             Stmt::If {
                 cond,
                 then_body,
                 else_body,
             } => {
-                self.expr_constraints(m, cond, out);
+                self.expr_constraints(db, m, cond, out);
                 for inner in then_body.iter().chain(else_body.iter()) {
-                    self.stmt_constraints(m, inner, out);
+                    self.stmt_constraints(db, m, inner, out);
                 }
             }
             Stmt::While { cond, body } => {
-                self.expr_constraints(m, cond, out);
+                self.expr_constraints(db, m, cond, out);
                 for inner in body {
-                    self.stmt_constraints(m, inner, out);
+                    self.stmt_constraints(db, m, inner, out);
                 }
             }
             Stmt::Return(Some(e)) => {
-                self.expr_constraints(m, e, out);
-                if let (Some(rv), Some(ev)) = (self.ret_var(m), self.expr_var(Some(m), e)) {
+                self.expr_constraints(db, m, e, out);
+                if let (Some(rv), Some(ev)) = (self.ret_var(db, m), self.expr_var(db, Some(m), e)) {
                     out.push((rv, ev));
                 }
             }
@@ -265,59 +267,60 @@ impl<'db> AbsTypes<'db> {
         }
     }
 
-    fn expr_constraints(&self, m: MethodId, e: &Expr, out: &mut Vec<(u32, u32)>) {
+    fn expr_constraints(&self, db: &Database, m: MethodId, e: &Expr, out: &mut Vec<(u32, u32)>) {
         match e {
             Expr::Call(callee, args) => {
                 for a in args {
-                    self.expr_constraints(m, a, out);
+                    self.expr_constraints(db, m, a, out);
                 }
                 for (i, a) in args.iter().enumerate() {
-                    if let (Some(av), Some(pv)) =
-                        (self.expr_var(Some(m), a), self.param_var_full(*callee, i))
-                    {
+                    if let (Some(av), Some(pv)) = (
+                        self.expr_var(db, Some(m), a),
+                        self.param_var_full(db, *callee, i),
+                    ) {
                         out.push((av, pv));
                     }
                 }
             }
             Expr::Assign(l, r) => {
-                self.expr_constraints(m, l, out);
-                self.expr_constraints(m, r, out);
-                if let (Some(lv), Some(rv)) = (self.expr_var(Some(m), l), self.expr_var(Some(m), r))
+                self.expr_constraints(db, m, l, out);
+                self.expr_constraints(db, m, r, out);
+                if let (Some(lv), Some(rv)) =
+                    (self.expr_var(db, Some(m), l), self.expr_var(db, Some(m), r))
                 {
                     out.push((lv, rv));
                 }
             }
-            Expr::FieldAccess(b, _) => self.expr_constraints(m, b, out),
+            Expr::FieldAccess(b, _) => self.expr_constraints(db, m, b, out),
             Expr::Cmp(_, l, r) => {
-                self.expr_constraints(m, l, out);
-                self.expr_constraints(m, r, out);
+                self.expr_constraints(db, m, l, out);
+                self.expr_constraints(db, m, r, out);
             }
             _ => {}
         }
     }
 
     /// Adds the constraints of the first `upto` statements of `m`'s body.
-    pub fn add_body_prefix(&mut self, m: MethodId, upto: usize) {
-        let Some(body) = self.db.method(m).body() else {
+    pub fn add_body_prefix(&mut self, db: &Database, m: MethodId, upto: usize) {
+        let Some(body) = db.method(m).body() else {
             return;
         };
-        let stmts: Vec<Stmt> = body.stmts.iter().take(upto).cloned().collect();
-        for stmt in &stmts {
-            self.add_stmt(m, stmt);
+        for stmt in body.stmts.iter().take(upto) {
+            self.add_stmt(db, m, stmt);
         }
     }
 
     /// Adds the constraints of `m`'s whole body.
-    pub fn add_body(&mut self, m: MethodId) {
-        self.add_body_prefix(m, usize::MAX);
+    pub fn add_body(&mut self, db: &Database, m: MethodId) {
+        self.add_body_prefix(db, m, usize::MAX);
     }
 
     /// Adds every body in the program, optionally skipping one method (the
     /// query's enclosing method, whose prefix is added separately).
-    pub fn add_all_bodies_except(&mut self, skip: Option<MethodId>) {
-        for m in self.db.methods() {
+    pub fn add_all_bodies_except(&mut self, db: &Database, skip: Option<MethodId>) {
+        for m in db.methods() {
             if Some(m) != skip {
-                self.add_body(m);
+                self.add_body(db, m);
             }
         }
     }
@@ -349,16 +352,17 @@ impl<'db> AbsTypes<'db> {
     /// Convenience: the solution the paper's evaluation uses for a query at
     /// statement `stmt_index` of `enclosing` — every other body in full plus
     /// the enclosing body up to (excluding) the query statement.
-    pub fn for_query(db: &'db Database, enclosing: MethodId, stmt_index: usize) -> Self {
+    pub fn for_query(db: &Database, enclosing: MethodId, stmt_index: usize) -> Self {
         let mut abs = AbsTypes::new(db);
-        abs.add_all_bodies_except(Some(enclosing));
-        abs.add_body_prefix(enclosing, stmt_index);
+        abs.add_all_bodies_except(db, Some(enclosing));
+        abs.add_body_prefix(db, enclosing, stmt_index);
         abs
     }
 
     /// Abstract class of the receiver-first argument slot `i` of `m`.
-    pub fn param_class(&self, m: MethodId, i: usize) -> Option<AbsClass> {
-        self.param_var_full(m, i).map(|v| AbsClass(self.uf.find(v)))
+    pub fn param_class(&self, db: &Database, m: MethodId, i: usize) -> Option<AbsClass> {
+        self.param_var_full(db, m, i)
+            .map(|v| AbsClass(self.uf.find(v)))
     }
 
     /// Abstract class of a field slot.
@@ -367,8 +371,8 @@ impl<'db> AbsTypes<'db> {
     }
 
     /// Abstract class of a method's return slot.
-    pub fn return_class(&self, m: MethodId) -> Option<AbsClass> {
-        self.ret_var(m).map(|v| AbsClass(self.uf.find(v)))
+    pub fn return_class(&self, db: &Database, m: MethodId) -> Option<AbsClass> {
+        self.ret_var(db, m).map(|v| AbsClass(self.uf.find(v)))
     }
 
     /// The paper's match predicate: abstract types match only when **both**
@@ -386,9 +390,7 @@ impl<'db> AbsTypes<'db> {
     /// ```
     ///
     /// Classes are ordered by size (largest first), slots lexicographically.
-    pub fn dump_classes(&self) -> Vec<Vec<String>> {
-        use std::collections::HashMap;
-        let db = self.db;
+    pub fn dump_classes(&self, db: &Database) -> Vec<Vec<String>> {
         let mut groups: HashMap<u32, Vec<String>> = HashMap::new();
         let add = |groups: &mut HashMap<u32, Vec<String>>, var: u32, label: String| {
             groups.entry(self.uf.find(var)).or_default().push(label);
@@ -477,7 +479,7 @@ impl ConstraintCache {
             let mut pairs = Vec::new();
             for (si, stmt) in body.stmts.iter().enumerate() {
                 let mut stmt_pairs = Vec::new();
-                scratch.stmt_constraints(m, stmt, &mut stmt_pairs);
+                scratch.stmt_constraints(db, m, stmt, &mut stmt_pairs);
                 pairs.extend(stmt_pairs.into_iter().map(|(a, b)| (si, a, b)));
             }
             per_method.insert(m, pairs);
@@ -505,7 +507,8 @@ impl ConstraintCache {
 /// [`AbsTypes::for_query`] at each statement, but amortised.
 #[derive(Debug)]
 pub struct MethodSweep<'db> {
-    abs: AbsTypes<'db>,
+    db: &'db Database,
+    abs: AbsTypes,
     method: MethodId,
     added: usize,
 }
@@ -515,8 +518,9 @@ impl<'db> MethodSweep<'db> {
     /// `method`'s own statements yet (position 0).
     pub fn new(db: &'db Database, method: MethodId) -> Self {
         let mut abs = AbsTypes::new(db);
-        abs.add_all_bodies_except(Some(method));
+        abs.add_all_bodies_except(db, Some(method));
         MethodSweep {
+            db,
             abs,
             method,
             added: 0,
@@ -530,29 +534,23 @@ impl<'db> MethodSweep<'db> {
         let mut abs = AbsTypes::new(db);
         abs.apply_cached_except(cache, Some(method));
         MethodSweep {
+            db,
             abs,
             method,
             added: 0,
         }
     }
 
-    /// Advances so that statements `0..stmt_index` are included. Positions
-    /// only move forward; calls with a smaller index are no-ops (union-find
-    /// cannot forget).
-    pub fn advance_to(&mut self, stmt_index: usize) {
-        let Some(body) = self.abs.db.method(self.method).body() else {
-            return;
-        };
-        let upto = stmt_index.min(body.stmts.len());
-        while self.added < upto {
-            let stmt = body.stmts[self.added].clone();
-            self.abs.add_stmt(self.method, &stmt);
-            self.added += 1;
+    /// Advances so that statements `0..stmt_index` are included, and
+    /// returns the solution there. Positions only move forward; a smaller
+    /// index leaves the solution as it is (union-find cannot forget).
+    pub fn advance_to(&mut self, stmt_index: usize) -> &AbsTypes {
+        if let Some(body) = self.db.method(self.method).body() {
+            for stmt in body.stmts.iter().take(stmt_index).skip(self.added) {
+                self.abs.add_stmt(self.db, self.method, stmt);
+            }
+            self.added = self.added.max(stmt_index.min(body.stmts.len()));
         }
-    }
-
-    /// The current solution.
-    pub fn abs(&self) -> &AbsTypes<'db> {
         &self.abs
     }
 
@@ -609,7 +607,7 @@ mod tests {
     fn family_show_partitions_paths_from_names() {
         let db = compile(FAMILY_SHOW).unwrap();
         let mut abs = AbsTypes::new(&db);
-        abs.add_all_bodies_except(None);
+        abs.add_all_bodies_except(&db, None);
 
         let combine = method_by_name(&db, "Combine");
         let exists = method_by_name(&db, "Exists");
@@ -617,16 +615,16 @@ mod tests {
         let get_folder = method_by_name(&db, "GetFolderPath");
 
         // First arguments of Combine/Exists/CreateDirectory are one class...
-        let c0 = abs.param_class(combine, 0);
-        assert!(AbsTypes::matches(c0, abs.param_class(exists, 0)));
-        assert!(AbsTypes::matches(c0, abs.param_class(create, 0)));
+        let c0 = abs.param_class(&db, combine, 0);
+        assert!(AbsTypes::matches(c0, abs.param_class(&db, exists, 0)));
+        assert!(AbsTypes::matches(c0, abs.param_class(&db, create, 0)));
         // ... shared with the return of Combine and GetFolderPath ...
-        assert!(AbsTypes::matches(c0, abs.return_class(combine)));
-        assert!(AbsTypes::matches(c0, abs.return_class(get_folder)));
+        assert!(AbsTypes::matches(c0, abs.return_class(&db, combine)));
+        assert!(AbsTypes::matches(c0, abs.return_class(&db, get_folder)));
         // ... but NOT with Combine's second argument (the "name" type).
-        assert!(!AbsTypes::matches(c0, abs.param_class(combine, 1)));
+        assert!(!AbsTypes::matches(c0, abs.param_class(&db, combine, 1)));
         // The two name-like globals share the second argument's class.
-        let name_class = abs.param_class(combine, 1);
+        let name_class = abs.param_class(&db, combine, 1);
         let app_name = db
             .fields()
             .find(|f| db.field(*f).name() == "ApplicationFolderName")
@@ -643,8 +641,8 @@ mod tests {
     fn dump_classes_shows_the_path_partition() {
         let db = compile(FAMILY_SHOW).unwrap();
         let mut abs = AbsTypes::new(&db);
-        abs.add_all_bodies_except(None);
-        let classes = abs.dump_classes();
+        abs.add_all_bodies_except(&db, None);
+        let classes = abs.dump_classes(&db);
         // The "path-like" class holds Combine's first argument, Exists's
         // argument and Combine's return, among others.
         let path_class = classes
@@ -738,15 +736,15 @@ mod tests {
         };
         db.set_body(m, body);
         let mut abs = AbsTypes::new(&db);
-        abs.add_all_bodies_except(None);
-        let pa = abs.param_class(m, 0);
-        let pb = abs.param_class(m, 1);
+        abs.add_all_bodies_except(&db, None);
+        let pa = abs.param_class(&db, m, 0);
+        let pb = abs.param_class(&db, m, 1);
         assert!(pa.is_some() && pb.is_some());
         assert_ne!(pa, pb, "Object-declared methods must not merge receivers");
         // The call expression itself has no abstract type.
         let arena = ExprArena::new();
         let call = arena.intern_expr(&Expr::Call(to_string, vec![Expr::Local(LocalId(0))]));
-        assert_eq!(abs.expr_class(Some(m), &arena.read(), call), None);
+        assert_eq!(abs.expr_class(&db, Some(m), &arena.read(), call), None);
     }
 
     #[test]
@@ -758,13 +756,16 @@ mod tests {
         let exists = method_by_name(&db, "Exists");
         let mut sweep = MethodSweep::new(&db, m);
         for k in 0..=nstmts {
-            sweep.advance_to(k);
+            let swept = sweep.advance_to(k);
             let fresh = AbsTypes::for_query(&db, m, k);
             let a = AbsTypes::matches(
-                sweep.abs().param_class(combine, 0),
-                sweep.abs().param_class(exists, 0),
+                swept.param_class(&db, combine, 0),
+                swept.param_class(&db, exists, 0),
             );
-            let b = AbsTypes::matches(fresh.param_class(combine, 0), fresh.param_class(exists, 0));
+            let b = AbsTypes::matches(
+                fresh.param_class(&db, combine, 0),
+                fresh.param_class(&db, exists, 0),
+            );
             assert_eq!(a, b, "sweep and fresh solutions disagree at stmt {k}");
         }
     }
@@ -780,46 +781,64 @@ mod tests {
         let nstmts = db.method(m).body().unwrap().stmts.len();
         for k in 0..=nstmts {
             let mut fresh = AbsTypes::new(&db);
-            fresh.add_all_bodies_except(Some(m));
-            fresh.add_body_prefix(m, k);
+            fresh.add_all_bodies_except(&db, Some(m));
+            fresh.add_body_prefix(&db, m, k);
             let mut cached = AbsTypes::new(&db);
             cached.apply_cached_except(&cache, Some(m));
             cached.apply_cached_prefix(&cache, m, k);
             // Same partition on the interesting slots.
             for (a, b) in [
                 (
-                    fresh.param_class(combine, 0),
-                    cached.param_class(combine, 0),
+                    fresh.param_class(&db, combine, 0),
+                    cached.param_class(&db, combine, 0),
                 ),
-                (fresh.param_class(exists, 0), cached.param_class(exists, 0)),
-                (fresh.return_class(combine), cached.return_class(combine)),
+                (
+                    fresh.param_class(&db, exists, 0),
+                    cached.param_class(&db, exists, 0),
+                ),
+                (
+                    fresh.return_class(&db, combine),
+                    cached.return_class(&db, combine),
+                ),
             ] {
                 // Classes are instance-relative; compare match-structure.
                 let _ = (a, b);
             }
             assert_eq!(
-                AbsTypes::matches(fresh.param_class(combine, 0), fresh.param_class(exists, 0)),
                 AbsTypes::matches(
-                    cached.param_class(combine, 0),
-                    cached.param_class(exists, 0)
+                    fresh.param_class(&db, combine, 0),
+                    fresh.param_class(&db, exists, 0)
+                ),
+                AbsTypes::matches(
+                    cached.param_class(&db, combine, 0),
+                    cached.param_class(&db, exists, 0)
                 ),
                 "fresh and cached solutions disagree at stmt {k}"
             );
             assert_eq!(
-                AbsTypes::matches(fresh.param_class(combine, 0), fresh.return_class(combine)),
-                AbsTypes::matches(cached.param_class(combine, 0), cached.return_class(combine)),
+                AbsTypes::matches(
+                    fresh.param_class(&db, combine, 0),
+                    fresh.return_class(&db, combine)
+                ),
+                AbsTypes::matches(
+                    cached.param_class(&db, combine, 0),
+                    cached.return_class(&db, combine)
+                ),
             );
         }
         // And the sweep wrapper agrees too.
         let mut sweep = MethodSweep::with_cache(&db, &cache, m);
-        sweep.advance_to(nstmts);
+        let swept = sweep.advance_to(nstmts);
         let full = AbsTypes::for_query(&db, m, nstmts);
         assert_eq!(
             AbsTypes::matches(
-                sweep.abs().param_class(combine, 0),
-                sweep.abs().param_class(exists, 0)
+                swept.param_class(&db, combine, 0),
+                swept.param_class(&db, exists, 0)
             ),
-            AbsTypes::matches(full.param_class(combine, 0), full.param_class(exists, 0)),
+            AbsTypes::matches(
+                full.param_class(&db, combine, 0),
+                full.param_class(&db, exists, 0)
+            ),
         );
     }
 
@@ -833,8 +852,8 @@ mod tests {
         // argument to Exists's argument (no other body mentions them).
         let abs0 = AbsTypes::for_query(&db, m, 0);
         assert!(!AbsTypes::matches(
-            abs0.param_class(combine, 0),
-            abs0.param_class(exists, 0)
+            abs0.param_class(&db, combine, 0),
+            abs0.param_class(&db, exists, 0)
         ));
         // After statement 2 (the Exists call), the *local* appLocation is
         // unified with Exists's parameter, but Combine's first parameter is
@@ -843,17 +862,17 @@ mod tests {
         let arena = ExprArena::new();
         let app_location = arena.local(LocalId(0));
         assert!(AbsTypes::matches(
-            abs2.expr_class(Some(m), &arena.read(), app_location),
-            abs2.param_class(exists, 0)
+            abs2.expr_class(&db, Some(m), &arena.read(), app_location),
+            abs2.param_class(&db, exists, 0)
         ));
         assert!(!AbsTypes::matches(
-            abs2.param_class(combine, 0),
-            abs2.param_class(exists, 0)
+            abs2.param_class(&db, combine, 0),
+            abs2.param_class(&db, exists, 0)
         ));
         let abs_full = AbsTypes::for_query(&db, m, 4);
         assert!(AbsTypes::matches(
-            abs_full.param_class(combine, 0),
-            abs_full.param_class(exists, 0)
+            abs_full.param_class(&db, combine, 0),
+            abs_full.param_class(&db, exists, 0)
         ));
     }
 
@@ -884,16 +903,16 @@ mod tests {
             .unwrap();
         let abs = AbsTypes::new(&db);
         assert!(AbsTypes::matches(
-            abs.param_class(base, 1),
-            abs.param_class(derived, 1)
+            abs.param_class(&db, base, 1),
+            abs.param_class(&db, derived, 1)
         ));
         assert!(AbsTypes::matches(
-            abs.return_class(base),
-            abs.return_class(derived)
+            abs.return_class(&db, base),
+            abs.return_class(&db, derived)
         ));
         assert!(AbsTypes::matches(
-            abs.param_class(base, 0),
-            abs.param_class(derived, 0)
+            abs.param_class(&db, base, 0),
+            abs.param_class(&db, derived, 0)
         ));
     }
 }

@@ -343,11 +343,10 @@ fn bench_snapshot_reuse(c: &mut Criterion) {
     let cancel = pex_core::CancelToken::new();
 
     let warm = Snapshot::load(&SnapshotSource::Paint).expect("builtin snapshot");
-    let warm_abs = warm.abs_for_site();
     // Each variant must produce the same answer for the ratio to compare
     // equal work.
     let (warm_resp, disposition) =
-        proto::execute(&warm, &request, &defaults, &cancel, warm_abs.as_ref());
+        proto::execute(&warm, &request, &defaults, &cancel, warm.site_abs.as_ref());
     assert!(
         disposition == pex_serve::Disposition::Ok && warm_resp.contains("ResizeDocument"),
         "{warm_resp}"
@@ -358,9 +357,13 @@ fn bench_snapshot_reuse(c: &mut Criterion) {
             let db = pex_corpus::builtin::paint_dot_net();
             let (ctx, m) = pex_corpus::builtin::paint_query_site(&db);
             let cold = Snapshot::from_database("paint".into(), db, ctx, Some(m));
-            let abs = cold.abs_for_site();
-            let (resp, disposition) =
-                proto::execute(&cold, black_box(&request), &defaults, &cancel, abs.as_ref());
+            let (resp, disposition) = proto::execute(
+                &cold,
+                black_box(&request),
+                &defaults,
+                &cancel,
+                cold.site_abs.as_ref(),
+            );
             assert!(disposition == pex_serve::Disposition::Ok);
             black_box(resp)
         })
@@ -372,7 +375,7 @@ fn bench_snapshot_reuse(c: &mut Criterion) {
                 black_box(&request),
                 &defaults,
                 &cancel,
-                warm_abs.as_ref(),
+                warm.site_abs.as_ref(),
             );
             assert!(disposition == pex_serve::Disposition::Ok);
             black_box(resp)

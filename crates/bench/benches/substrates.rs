@@ -41,7 +41,7 @@ fn abstract_inference(c: &mut Criterion) {
     c.bench_function("substrates/abs_types_whole_program", |b| {
         b.iter(|| {
             let mut abs = AbsTypes::new(black_box(&db));
-            abs.add_all_bodies_except(None);
+            abs.add_all_bodies_except(&db, None);
             black_box(abs)
         })
     });

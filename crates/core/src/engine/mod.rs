@@ -151,7 +151,7 @@ pub struct Completer<'a> {
     ctx: &'a Context,
     index: &'a MethodIndex,
     config: RankConfig,
-    abs: Option<&'a AbsTypes<'a>>,
+    abs: Option<&'a AbsTypes>,
     options: CompleteOptions,
     reach: Option<&'a ReachIndex>,
     owned_cache: EngineCache,
@@ -172,7 +172,7 @@ impl<'a> Completer<'a> {
         ctx: &'a Context,
         index: &'a MethodIndex,
         config: RankConfig,
-        abs: Option<&'a AbsTypes<'a>>,
+        abs: Option<&'a AbsTypes>,
     ) -> Self {
         Completer {
             db,

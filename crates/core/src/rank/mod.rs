@@ -260,7 +260,7 @@ pub struct Ranker<'a> {
     /// The query context (locals, enclosing type).
     pub ctx: &'a Context,
     /// Abstract-type solution, if available.
-    pub abs: Option<&'a AbsTypes<'a>>,
+    pub abs: Option<&'a AbsTypes>,
     /// Active terms.
     pub config: RankConfig,
 }
@@ -279,7 +279,7 @@ impl<'a> Ranker<'a> {
     pub fn new(
         db: &'a Database,
         ctx: &'a Context,
-        abs: Option<&'a AbsTypes<'a>>,
+        abs: Option<&'a AbsTypes>,
         config: RankConfig,
     ) -> Self {
         Ranker {
@@ -502,8 +502,8 @@ impl<'a> Ranker<'a> {
 
     fn arg_abs_matches(&self, r: &ArenaRead<'_>, m: MethodId, i: usize, arg: ExprId) -> bool {
         let Some(abs) = self.abs else { return false };
-        let a = abs.expr_class(self.ctx.enclosing_method, r, arg);
-        let p = abs.param_class(m, i);
+        let a = abs.expr_class(self.db, self.ctx.enclosing_method, r, arg);
+        let p = abs.param_class(self.db, m, i);
         AbsTypes::matches(a, p)
     }
 
@@ -515,8 +515,8 @@ impl<'a> Ranker<'a> {
         }
         let matched = self.abs.is_some_and(|abs| {
             AbsTypes::matches(
-                abs.expr_class(self.ctx.enclosing_method, r, l),
-                abs.expr_class(self.ctx.enclosing_method, r, rhs),
+                abs.expr_class(self.db, self.ctx.enclosing_method, r, l),
+                abs.expr_class(self.db, self.ctx.enclosing_method, r, rhs),
             )
         });
         acc[RankTerm::AbstractTypes.index()] += u32::from(!matched);

@@ -178,7 +178,7 @@ pub fn for_each_site<S, F>(
     key: fn(&S) -> (MethodId, usize),
     mut f: F,
 ) where
-    F: FnMut(&S, &Context, Option<&AbsTypes<'_>>),
+    F: FnMut(&S, &Context, Option<&AbsTypes>),
 {
     for (m, group) in group_by_method(sites, key) {
         let mut sweep = abs_cache.map(|cache| MethodSweep::with_cache(db, cache, m));
@@ -186,12 +186,7 @@ pub fn for_each_site<S, F>(
             let (method, stmt) = key(site);
             let body = db.method(method).body().expect("sites come from bodies");
             let ctx = Context::at_statement(db, method, body, stmt);
-            if let Some(sweep) = sweep.as_mut() {
-                sweep.advance_to(stmt);
-                f(site, &ctx, Some(sweep.abs()));
-            } else {
-                f(site, &ctx, None);
-            }
+            f(site, &ctx, sweep.as_mut().map(|s| s.advance_to(stmt)));
         }
     }
 }
@@ -223,7 +218,7 @@ pub fn map_sites<S, R, F>(
 where
     S: Sync,
     R: Send,
-    F: Fn(&S, &Context, Option<&AbsTypes<'_>>, &mut Vec<R>) + Sync,
+    F: Fn(&S, &Context, Option<&AbsTypes>, &mut Vec<R>) + Sync,
 {
     let _span = pex_obs::span("replay.map_sites");
     let groups = group_by_method(sites, key);
@@ -240,12 +235,8 @@ where
             let (method, stmt) = key(site);
             let body = db.method(method).body().expect("sites come from bodies");
             let ctx = Context::at_statement(db, method, body, stmt);
-            if let Some(sweep) = sweep.as_mut() {
-                sweep.advance_to(stmt);
-                f(site, &ctx, Some(sweep.abs()), &mut out);
-            } else {
-                f(site, &ctx, None, &mut out);
-            }
+            let abs = sweep.as_mut().map(|s| s.advance_to(stmt));
+            f(site, &ctx, abs, &mut out);
         }
         out
     };
@@ -265,7 +256,7 @@ where
 pub fn completer<'a>(
     project: &'a Project,
     ctx: &'a Context,
-    abs: Option<&'a AbsTypes<'a>>,
+    abs: Option<&'a AbsTypes>,
     cfg: &ExperimentConfig,
     expected: Option<pex_types::TypeId>,
 ) -> Completer<'a> {

@@ -47,6 +47,6 @@ pub mod server;
 pub mod snapshot;
 
 pub use proto::{Disposition, Request, RequestDefaults};
-pub use registry::{DefaultOrigin, SnapshotRegistry, DEFAULT_TENANT};
+pub use registry::{Origin, SnapshotRegistry, DEFAULT_TENANT};
 pub use server::{ServeConfig, Server, ServerClient};
 pub use snapshot::{Snapshot, SnapshotSource};

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pex_serve::proto::RequestDefaults;
-use pex_serve::registry::{self, DefaultOrigin};
+use pex_serve::registry::{self, Origin};
 use pex_serve::{ServeConfig, Server, ServerClient, Snapshot, SnapshotRegistry, SnapshotSource};
 
 struct Options {
@@ -121,18 +121,18 @@ fn main() {
     // The default tenant remembers how it was built, so `{"cmd":"reload"}`
     // can rebuild it the same way and hot-swap the Arc.
     let origin = match &options.load_snapshot {
-        Some(path) => DefaultOrigin::File {
+        Some(path) => Origin::File {
             path: path.clone(),
             locals: options.locals.clone(),
         },
-        None => DefaultOrigin::Source {
+        None => Origin::Source {
             source: options.source.clone(),
             locals: options.locals.clone(),
         },
     };
     let registry = Arc::new(SnapshotRegistry::new(
         snapshot,
-        origin,
+        Some(origin),
         options.snapshot_dir.clone(),
         options.max_snapshot_bytes,
     ));

@@ -235,15 +235,15 @@ fn decode(bytes: &[u8]) -> WireResult<Snapshot> {
         .map_err(|e| e.context("expression arena section"))?;
     r.expect_end("expression arena section")?;
 
-    Ok(Snapshot {
+    Ok(Snapshot::assemble(
+        name,
         db,
         index,
         reach,
         default_ctx,
         enclosing,
-        cache: EngineCache::with_arena(arena),
-        name,
-    })
+        EngineCache::with_arena(arena),
+    ))
 }
 
 /// Deserializes a snapshot from `pex-snapshot/1` bytes, skipping parse,

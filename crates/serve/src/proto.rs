@@ -475,10 +475,10 @@ fn write_trace(w: &mut JsonWriter, report: &pex_obs::ScopeReport) {
 /// trip is reported as `"degraded": true` with the exact [`outcome`] label
 /// — a cut-short enumeration is never passed off as a complete one.
 ///
-/// `abs` is the worker's prewarmed abstract-type inference over the
-/// snapshot's default query site (see [`Snapshot::abs_for_site`]); it only
-/// applies when the request uses the default context — custom `locals`
-/// have no position in the analysed bodies.
+/// `abs` is the abstract-type inference over the snapshot's default query
+/// site (the daemon passes [`Snapshot::site_abs`]); it only applies when
+/// the request uses the default context — custom `locals` have no
+/// position in the analysed bodies.
 ///
 /// [`outcome`]: pex_core::QueryOutcome
 pub fn execute(
@@ -486,7 +486,7 @@ pub fn execute(
     req: &QueryRequest,
     defaults: &RequestDefaults,
     cancel: &CancelToken,
-    abs: Option<&AbsTypes<'_>>,
+    abs: Option<&AbsTypes>,
 ) -> (String, Disposition) {
     let (rest, disposition) = execute_rest(snapshot, req, defaults, cancel, abs);
     (assemble_response(req.id.as_ref(), &rest), disposition)
@@ -500,7 +500,7 @@ pub(crate) fn execute_rest(
     req: &QueryRequest,
     defaults: &RequestDefaults,
     cancel: &CancelToken,
-    abs: Option<&AbsTypes<'_>>,
+    abs: Option<&AbsTypes>,
 ) -> (String, Disposition) {
     let err = |kind, msg: &str| (error_rest(kind, msg), Disposition::Error);
     let ctx = match snapshot.context_for(&req.locals) {
@@ -704,8 +704,8 @@ mod tests {
             trace: false,
             explain: false,
         };
-        let abs = snap.abs_for_site();
-        let (resp, d) = execute(&snap, &req, &defaults(), &CancelToken::new(), abs.as_ref());
+        let abs = snap.site_abs.as_ref();
+        let (resp, d) = execute(&snap, &req, &defaults(), &CancelToken::new(), abs);
         assert_eq!(d, Disposition::Ok, "{resp}");
         let doc = json::parse(&resp).unwrap();
         assert_eq!(doc.get("ok"), Some(&Value::Bool(true)));

@@ -1,32 +1,33 @@
 //! The multi-tenant snapshot registry: many projects, one process.
 //!
 //! A [`SnapshotRegistry`] maps project ids to [`Arc<Snapshot>`]s so a
-//! fleet of independent corpora can share one daemon:
+//! fleet of independent corpora can share one daemon. Every tenant is one
+//! entry in that map, the default tenant included:
 //!
 //! * **Default tenant.** The snapshot the process booted with (corpus
-//!   argument or `--load-snapshot`) serves every request that carries no
-//!   `project` field — the single-tenant protocol is the degenerate case,
-//!   byte-for-byte. The default is pinned: it never counts against the
-//!   byte budget and is never evicted.
+//!   argument or `--load-snapshot`) is the entry `default`, which every
+//!   request without a `project` field resolves to — the single-tenant
+//!   protocol is the degenerate case, byte-for-byte. The entry is
+//!   *pinned*: it is accounted at 0 bytes, never evicted, and listed first.
 //! * **Lazy load.** A request naming a project not yet resident loads
 //!   `<project>.pexsnap` from `--snapshot-dir` on demand (the
 //!   `pex-snapshot/1` format, full validation — see [`crate::persist`]).
 //!   Project ids are validated against a conservative alphabet first, so
 //!   a request can never path-traverse out of the snapshot directory.
-//! * **LRU eviction.** Each resident tenant is accounted at its snapshot
+//! * **LRU eviction.** Each unpinned tenant is accounted at its snapshot
 //!   file's byte length (or [`Snapshot::approx_bytes`] for tenants
-//!   inserted in memory). When residency would exceed
+//!   inserted or edited in memory). When residency would exceed
 //!   `--max-snapshot-bytes`, least-recently-used tenants are dropped
 //!   from the map. In-flight requests keep their own `Arc` clones, so an
 //!   evicted snapshot's memory is actually released when the last request
 //!   against it completes — eviction never interrupts a query.
 //! * **Hot swap.** [`SnapshotRegistry::reload`] rebuilds a tenant from
-//!   its origin (the snapshot file, or the default's corpus source) and
-//!   atomically flips the `Arc` in the map. Requests admitted before the
-//!   flip drain against the old snapshot; requests admitted after see the
-//!   new one. No request is ever dropped or answered from a half-swapped
-//!   state, because a worker resolves its `Arc<Snapshot>` exactly once
-//!   per request.
+//!   its [`Origin`] and atomically flips the `Arc` in the map. Requests
+//!   admitted before the flip drain against the old snapshot; requests
+//!   admitted after see the new one. No request is ever dropped or
+//!   answered from a half-swapped state, because a worker resolves its
+//!   `Arc<Snapshot>` exactly once per request, and the snapshot carries
+//!   everything the request reads (its site inference included).
 //!
 //! Observability: `serve.registry.{loads,evictions,reloads}` counters,
 //! `serve.registry.{resident,resident_bytes}` gauges, and per-tenant
@@ -35,7 +36,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pex_model::minics::MiniCsError;
 
@@ -46,10 +47,10 @@ use crate::snapshot::{Snapshot, SnapshotSource, UpdateStats};
 /// per-tenant metrics and the `stats`/`health` tenant tables.
 pub const DEFAULT_TENANT: &str = "default";
 
-/// Where the default tenant's snapshot came from, so `reload` (without a
-/// `project`) can rebuild it the same way the process booted.
+/// Where a tenant's snapshot came from, so `reload` can rebuild it the
+/// same way. Tenants inserted in memory have none and cannot be reloaded.
 #[derive(Debug, Clone)]
-pub enum DefaultOrigin {
+pub enum Origin {
     /// Built from a corpus source (builtin name or mini-C# file), with the
     /// `--local` declarations applied on top.
     Source {
@@ -58,31 +59,34 @@ pub enum DefaultOrigin {
         /// `--local name:Type` declarations folded into the default context.
         locals: Vec<String>,
     },
-    /// Loaded from a `pex-snapshot/1` file (`--load-snapshot`).
+    /// Loaded from a `pex-snapshot/1` file: `--load-snapshot`, or a
+    /// `.pexsnap` from `--snapshot-dir`.
     File {
-        /// The snapshot file the daemon booted from.
+        /// The snapshot file.
         path: PathBuf,
         /// `--local name:Type` declarations folded into the default context.
         locals: Vec<String>,
     },
-    /// Handed in as an in-memory `Arc` with no rebuildable origin (the
-    /// in-process bench and tests); `reload` of the default is an error.
-    Fixed,
 }
 
-impl DefaultOrigin {
-    /// Rebuilds the default snapshot from its origin.
-    fn rebuild(&self) -> Result<Arc<Snapshot>, String> {
-        let (loaded, locals) = match self {
-            DefaultOrigin::Source { source, locals } => (Snapshot::load(source)?, locals),
-            DefaultOrigin::File { path, locals } => (persist::load(path)?, locals),
-            DefaultOrigin::Fixed => {
-                return Err(
-                    "the default tenant was created in memory and has no reload origin".to_owned(),
-                )
+impl Origin {
+    /// Rebuilds the snapshot and measures it: a snapshot file's byte
+    /// length, or [`Snapshot::approx_bytes`] for a corpus source.
+    fn rebuild(&self) -> Result<(Arc<Snapshot>, u64), String> {
+        let (loaded, bytes, locals) = match self {
+            Origin::Source { source, locals } => {
+                let loaded = Snapshot::load(source)?;
+                let bytes = loaded.approx_bytes();
+                (loaded, bytes, locals)
+            }
+            Origin::File { path, locals } => {
+                let bytes = std::fs::metadata(path)
+                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?
+                    .len();
+                (persist::load(path)?, bytes, locals)
             }
         };
-        apply_locals(loaded, locals)
+        Ok((apply_locals(loaded, locals)?, bytes))
     }
 }
 
@@ -101,26 +105,36 @@ pub fn apply_locals(snapshot: Arc<Snapshot>, locals: &[String]) -> Result<Arc<Sn
     }))
 }
 
-/// One resident tenant: the live snapshot, its byte accounting, and its
-/// LRU clock reading.
-struct TenantEntry {
-    snapshot: Arc<Snapshot>,
-    bytes: u64,
-    last_used: u64,
-    /// The snapshot carries incremental edits not present in its origin
-    /// (`.pexsnap` file or boot source). Dirty tenants are exempt from
-    /// LRU eviction and refuse a plain `reload` — both would silently
-    /// discard the edits.
-    dirty: bool,
+/// Locks `mutex`, recovering it if a thread panicked while holding it.
+/// Recovery is sound: the tenant map is the registry's only state, every
+/// change to it is a single `insert` or `remove` that leaves it whole,
+/// and the update lock guards no data at all.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-struct Inner {
-    default: Arc<Snapshot>,
-    tenants: HashMap<String, TenantEntry>,
-    resident_bytes: u64,
-    /// The default snapshot carries incremental edits; a plain `reload`
-    /// (which rebuilds from the boot origin) refuses without `force`.
-    default_dirty: bool,
+/// One resident tenant: the live snapshot, where it came from, its byte
+/// accounting and its LRU clock reading.
+struct TenantEntry {
+    snapshot: Arc<Snapshot>,
+    origin: Option<Origin>,
+    bytes: u64,
+    last_used: u64,
+    /// The snapshot carries incremental edits not present in its origin.
+    /// Dirty tenants are exempt from LRU eviction and refuse a plain
+    /// `reload` — both would silently discard the edits.
+    dirty: bool,
+    /// The default tenant: accounted at 0 bytes, never evicted, listed
+    /// first, and not among the [`SnapshotRegistry::resident_names`].
+    pinned: bool,
+    /// How many times this entry's snapshot has been swapped (reload or
+    /// update) since the tenant became resident.
+    generation: u64,
+}
+
+/// Total accounted bytes of the tenants in `tenants`.
+fn total_bytes(tenants: &HashMap<String, TenantEntry>) -> u64 {
+    tenants.values().map(|e| e.bytes).sum()
 }
 
 /// What a successful [`SnapshotRegistry::reload`] reports back.
@@ -128,7 +142,7 @@ struct Inner {
 pub struct ReloadInfo {
     /// The tenant that was swapped.
     pub project: String,
-    /// Accounted size of the fresh snapshot, in bytes.
+    /// Size of the fresh snapshot, in bytes.
     pub bytes: u64,
     /// Whether the tenant was already resident (a true hot swap) rather
     /// than a first load.
@@ -175,8 +189,8 @@ pub struct UpdateInfo {
     pub noop: bool,
     /// Accounted size of the edited snapshot, in bytes.
     pub bytes: u64,
-    /// The default-swap generation after the update (0 for named
-    /// tenants, which have no generation counter).
+    /// The tenant's swap count after the update (see
+    /// [`SnapshotRegistry::generation`]).
     pub generation: u64,
     /// Aggregated per-edit statistics: what was invalidated and what
     /// survived.
@@ -227,7 +241,7 @@ impl std::fmt::Display for UpdateError {
 pub struct TenantInfo {
     /// The tenant id (`default` for the pinned default tenant).
     pub project: String,
-    /// Accounted bytes (0 for the exempt default tenant).
+    /// Accounted bytes (0 for the pinned default tenant).
     pub bytes: u64,
     /// Whether this is the pinned, budget-exempt default tenant.
     pub pinned: bool,
@@ -236,23 +250,18 @@ pub struct TenantInfo {
     pub dirty: bool,
 }
 
-/// The tenant map: default snapshot + named tenants with lazy load, LRU
-/// eviction under a byte budget, and atomic hot swap. See the module docs
-/// for the full semantics.
+/// The tenant map: a pinned default tenant plus named tenants with lazy
+/// load, LRU eviction under a byte budget, and atomic hot swap. See the
+/// module docs for the full semantics.
 pub struct SnapshotRegistry {
-    inner: Mutex<Inner>,
+    tenants: Mutex<HashMap<String, TenantEntry>>,
     /// Serializes incremental updates: each edit reads the current
     /// snapshot, patches it, and swaps — holding this across the
     /// read-patch-swap keeps concurrent edits from losing each other.
     /// Queries never take it.
     update_lock: Mutex<()>,
-    origin: DefaultOrigin,
     snapshot_dir: Option<PathBuf>,
     max_bytes: Option<u64>,
-    /// Bumped on every default-tenant swap so workers can cheaply detect
-    /// that their cached per-worker state (the abstract-type inference
-    /// borrowing the default snapshot) is stale.
-    default_generation: AtomicU64,
     /// LRU clock: monotonically increasing tick, one per tenant access.
     clock: AtomicU64,
 }
@@ -262,87 +271,81 @@ impl SnapshotRegistry {
     /// optional tenant directory and byte budget.
     pub fn new(
         default: Arc<Snapshot>,
-        origin: DefaultOrigin,
+        origin: Option<Origin>,
         snapshot_dir: Option<PathBuf>,
         max_bytes: Option<u64>,
     ) -> SnapshotRegistry {
-        SnapshotRegistry {
-            inner: Mutex::new(Inner {
-                default,
-                tenants: HashMap::new(),
-                resident_bytes: 0,
-                default_dirty: false,
-            }),
-            update_lock: Mutex::new(()),
+        let entry = TenantEntry {
+            snapshot: default,
             origin,
+            bytes: 0,
+            last_used: 0,
+            dirty: false,
+            pinned: true,
+            generation: 0,
+        };
+        SnapshotRegistry {
+            tenants: Mutex::new(HashMap::from([(DEFAULT_TENANT.to_owned(), entry)])),
+            update_lock: Mutex::new(()),
             snapshot_dir,
             max_bytes,
-            default_generation: AtomicU64::new(0),
             clock: AtomicU64::new(0),
         }
     }
 
     /// A single-tenant registry with no tenant directory and no reload
-    /// origin — the exact PR 8 daemon shape, for tests and the in-process
-    /// bench.
+    /// origin, for tests and the in-process bench.
     pub fn single(default: Arc<Snapshot>) -> SnapshotRegistry {
-        SnapshotRegistry::new(default, DefaultOrigin::Fixed, None, None)
+        SnapshotRegistry::new(default, None, None, None)
     }
 
     /// The current default snapshot (requests without a `project` field).
     pub fn default_snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.inner.lock().expect("registry lock").default)
+        self.get(None).expect("the default tenant is pinned")
     }
 
-    /// The default-swap generation; changes exactly when
-    /// [`SnapshotRegistry::default_snapshot`] starts returning a new `Arc`.
-    pub fn default_generation(&self) -> u64 {
-        self.default_generation.load(Ordering::Acquire)
+    /// How many times `project`'s snapshot has been swapped (reload or
+    /// update) since it became resident; `None` when it is not resident.
+    /// `None` for `project` is the default tenant.
+    pub fn generation(&self, project: Option<&str>) -> Option<u64> {
+        let tenant = project.unwrap_or(DEFAULT_TENANT);
+        lock(&self.tenants).get(tenant).map(|e| e.generation)
     }
 
-    /// Resolves the snapshot for a request. `None` (or the literal
-    /// `default` id) is the default tenant; anything else is looked up in
-    /// the tenant map and lazily loaded from `--snapshot-dir` on a miss.
+    /// Resolves the snapshot for a request. `None` is the default tenant;
+    /// any id is looked up in the tenant map and lazily loaded from
+    /// `--snapshot-dir` on a miss.
     pub fn get(&self, project: Option<&str>) -> Result<Arc<Snapshot>, String> {
-        let Some(project) = project.filter(|p| *p != DEFAULT_TENANT) else {
-            return Ok(self.default_snapshot());
-        };
-        validate_project_id(project)?;
+        let tenant = project.unwrap_or(DEFAULT_TENANT);
+        validate_project_id(tenant)?;
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        {
-            let mut inner = self.inner.lock().expect("registry lock");
-            if let Some(entry) = inner.tenants.get_mut(project) {
-                entry.last_used = tick;
-                tenant_counter(project, "hits", 1);
-                return Ok(Arc::clone(&entry.snapshot));
+        if let Some(entry) = lock(&self.tenants).get_mut(tenant) {
+            entry.last_used = tick;
+            if !entry.pinned {
+                tenant_counter(tenant, "hits", 1);
             }
+            return Ok(Arc::clone(&entry.snapshot));
         }
         // Miss: load outside the lock so resident tenants keep serving
         // while the file is read and validated. Two racing loaders may
-        // both decode the file; `admit` keeps whichever lands second and
-        // both callers get a working snapshot — wasted work, never a
-        // wrong answer.
-        let (snapshot, bytes) = self.load_from_dir(project)?;
-        self.admit(project, snapshot.clone(), bytes, false);
+        // both decode the file; the second install wins and both callers
+        // get a working snapshot — wasted work, never a wrong answer.
+        let (snapshot, bytes, origin) = self.load_from_dir(tenant)?;
+        self.install(tenant, Arc::clone(&snapshot), bytes, Some(origin), false);
         Ok(snapshot)
     }
 
     /// The tenant per-tenant metrics file `project` under, if the registry
-    /// holds it right now: the default tenant for `None` or `"default"`,
-    /// the id itself for a resident named tenant, and `None` for anything
-    /// else — so a client-chosen `project` string never mints a metric.
+    /// holds it right now (`None` is the default tenant), and `None` for
+    /// anything else — so a client-chosen `project` string never mints a
+    /// metric.
     pub fn resident_tenant<'a>(&self, project: Option<&'a str>) -> Option<&'a str> {
-        match project.filter(|p| *p != DEFAULT_TENANT) {
-            None => Some(DEFAULT_TENANT),
-            Some(p) => {
-                let inner = self.inner.lock().expect("registry lock");
-                inner.tenants.contains_key(p).then_some(p)
-            }
-        }
+        let tenant = project.unwrap_or(DEFAULT_TENANT);
+        lock(&self.tenants).contains_key(tenant).then_some(tenant)
     }
 
     /// Reads and validates `<project>.pexsnap` from the snapshot dir.
-    fn load_from_dir(&self, project: &str) -> Result<(Arc<Snapshot>, u64), String> {
+    fn load_from_dir(&self, project: &str) -> Result<(Arc<Snapshot>, u64, Origin), String> {
         let Some(dir) = &self.snapshot_dir else {
             return Err(format!(
                 "unknown project `{project}` (no --snapshot-dir configured; \
@@ -350,56 +353,61 @@ impl SnapshotRegistry {
                 self.resident_names().join(", ")
             ));
         };
-        let path = dir.join(format!("{project}.pexsnap"));
-        let bytes_len = std::fs::metadata(&path)
-            .map_err(|e| {
-                format!(
-                    "unknown project `{project}`: cannot read {}: {e}",
-                    path.display()
-                )
-            })?
-            .len();
-        let snapshot = persist::load(&path)?;
+        let origin = Origin::File {
+            path: dir.join(format!("{project}.pexsnap")),
+            locals: Vec::new(),
+        };
+        let (snapshot, bytes) = origin
+            .rebuild()
+            .map_err(|e| format!("unknown project `{project}`: {e}"))?;
         pex_obs::counter!("serve.registry.loads", 1);
         tenant_counter(project, "loads", 1);
-        Ok((snapshot, bytes_len))
+        Ok((snapshot, bytes, origin))
     }
 
-    /// Inserts (or replaces) a resident tenant and evicts past the budget.
-    fn admit(&self, project: &str, snapshot: Arc<Snapshot>, bytes: u64, dirty: bool) {
+    /// Installs `snapshot` as `tenant`'s entry and evicts past the budget.
+    /// Replacing an entry is a swap: it keeps the entry's pin and (unless
+    /// `origin` is given) its origin, and counts one more generation.
+    /// Returns the entry's generation.
+    fn install(
+        &self,
+        tenant: &str,
+        snapshot: Arc<Snapshot>,
+        bytes: u64,
+        origin: Option<Origin>,
+        dirty: bool,
+    ) -> u64 {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut inner = self.inner.lock().expect("registry lock");
-        if let Some(old) = inner.tenants.remove(project) {
-            inner.resident_bytes -= old.bytes;
-        }
-        inner.resident_bytes += bytes;
-        inner.tenants.insert(
-            project.to_owned(),
-            TenantEntry {
-                snapshot,
-                bytes,
-                last_used: tick,
-                dirty,
-            },
-        );
+        let mut tenants = lock(&self.tenants);
+        let old = tenants.get(tenant);
+        let pinned = old.is_some_and(|e| e.pinned);
+        let generation = old.map_or(0, |e| e.generation + 1);
+        let entry = TenantEntry {
+            snapshot,
+            origin: origin.or_else(|| old.and_then(|e| e.origin.clone())),
+            bytes: if pinned { 0 } else { bytes },
+            last_used: tick,
+            dirty,
+            pinned,
+            generation,
+        };
+        tenants.insert(tenant.to_owned(), entry);
         // Evict least-recently-used tenants until the budget holds. The
-        // newly admitted tenant is exempt from its own admission round —
+        // newly installed tenant is exempt from its own admission round —
         // refusing a query because one snapshot alone exceeds the budget
         // would turn a tuning knob into an outage. Dirty tenants are
         // likewise exempt: eviction would silently discard unsaved edits
-        // (reload them back from a stale `.pexsnap`), so an edited tenant
+        // (reload them back from a stale origin), so an edited tenant
         // stays resident until it is force-reloaded or persisted.
         if let Some(budget) = self.max_bytes {
-            while inner.resident_bytes > budget && inner.tenants.len() > 1 {
-                let victim = inner
-                    .tenants
+            while total_bytes(&tenants) > budget {
+                let victim = tenants
                     .iter()
-                    .filter(|(name, e)| name.as_str() != project && !e.dirty)
+                    .filter(|(name, e)| name.as_str() != tenant && !e.pinned && !e.dirty)
                     .min_by_key(|(_, e)| e.last_used)
                     .map(|(name, _)| name.clone());
                 let Some(victim) = victim else { break };
-                let entry = inner.tenants.remove(&victim).expect("victim is resident");
-                inner.resident_bytes -= entry.bytes;
+                tenants.remove(&victim);
                 pex_obs::counter!("serve.registry.evictions", 1);
                 tenant_counter(&victim, "evictions", 1);
                 // The Arc drops here; memory is released once in-flight
@@ -410,11 +418,12 @@ impl SnapshotRegistry {
             let registry = pex_obs::registry();
             registry
                 .gauge("serve.registry.resident")
-                .set(inner.tenants.len() as u64);
+                .set(tenants.values().filter(|e| !e.pinned).count() as u64);
             registry
                 .gauge("serve.registry.resident_bytes")
-                .set(inner.resident_bytes);
+                .set(total_bytes(&tenants));
         }
+        generation
     }
 
     /// Registers an in-memory tenant (bench and tests), accounted at
@@ -423,14 +432,14 @@ impl SnapshotRegistry {
     pub fn insert(&self, project: &str, snapshot: Arc<Snapshot>) -> Result<(), String> {
         validate_project_id(project)?;
         let bytes = snapshot.approx_bytes();
-        self.admit(project, snapshot, bytes, false);
+        self.install(project, snapshot, bytes, None, false);
         Ok(())
     }
 
-    /// Hot-swaps a tenant: rebuilds its snapshot from the origin (the
-    /// `--snapshot-dir` file, or the default tenant's boot source) and
-    /// atomically flips the `Arc`. In-flight requests drain against the
-    /// old snapshot; zero requests are dropped.
+    /// Hot-swaps a tenant: rebuilds its snapshot from its [`Origin`] (a
+    /// tenant not yet resident is a first load from the `--snapshot-dir`)
+    /// and atomically flips the `Arc`. In-flight requests drain against
+    /// the old snapshot; zero requests are dropped.
     ///
     /// A tenant carrying incremental edits (see
     /// [`SnapshotRegistry::update`]) refuses a plain reload with
@@ -442,73 +451,49 @@ impl SnapshotRegistry {
         // Hold the update lock so a reload cannot interleave with an
         // in-flight edit's read-patch-swap (the edit would resurrect the
         // pre-reload snapshot).
-        let _edits = self.update_lock.lock().expect("update lock");
-        let named = project.filter(|p| *p != DEFAULT_TENANT);
-        if let Some(project) = named {
-            validate_project_id(project).map_err(ReloadError::Failed)?;
-        }
-        let tenant = named.unwrap_or(DEFAULT_TENANT);
-        let (swapped, was_dirty) = {
-            let inner = self.inner.lock().expect("registry lock");
-            match named {
-                None => (true, inner.default_dirty),
-                Some(project) => inner
-                    .tenants
-                    .get(project)
-                    .map_or((false, false), |e| (true, e.dirty)),
-            }
-        };
-        if was_dirty && !force {
+        let _edits = lock(&self.update_lock);
+        let tenant = project.unwrap_or(DEFAULT_TENANT);
+        validate_project_id(tenant).map_err(ReloadError::Failed)?;
+        let resident = lock(&self.tenants)
+            .get(tenant)
+            .map(|e| (e.dirty, e.origin.clone()));
+        let swapped = resident.is_some();
+        let discarded_edits = resident.as_ref().is_some_and(|(dirty, _)| *dirty);
+        if discarded_edits && !force {
             return Err(ReloadError::Dirty {
                 project: tenant.to_owned(),
             });
         }
-        let bytes = match named {
-            None => {
-                let fresh = self.origin.rebuild().map_err(ReloadError::Failed)?;
-                let bytes = fresh.approx_bytes();
-                self.swap_default(fresh, false);
-                bytes
-            }
-            Some(project) => {
-                let (snapshot, bytes) = self.load_from_dir(project).map_err(ReloadError::Failed)?;
-                self.admit(project, snapshot, bytes, false);
-                bytes
-            }
-        };
+        let (snapshot, bytes, origin) = match resident {
+            None => self.load_from_dir(tenant),
+            Some((_, Some(origin))) => origin.rebuild().map(|(s, bytes)| (s, bytes, origin)),
+            Some((_, None)) => Err(format!(
+                "tenant `{tenant}` was created in memory and has no reload origin"
+            )),
+        }
+        .map_err(ReloadError::Failed)?;
+        self.install(tenant, snapshot, bytes, Some(origin), false);
         pex_obs::counter!("serve.registry.reloads", 1);
         tenant_counter(tenant, "reloads", 1);
         Ok(ReloadInfo {
             project: tenant.to_owned(),
             bytes,
             swapped,
-            discarded_edits: was_dirty,
+            discarded_edits,
         })
-    }
-
-    /// Installs a new default snapshot and bumps the generation so workers
-    /// re-pin; returns the new generation.
-    fn swap_default(&self, snapshot: Arc<Snapshot>, dirty: bool) -> u64 {
-        let mut inner = self.inner.lock().expect("registry lock");
-        inner.default = snapshot;
-        inner.default_dirty = dirty;
-        drop(inner);
-        self.default_generation.fetch_add(1, Ordering::Release) + 1
     }
 
     /// Applies a batch of incremental edits to a tenant and atomically
     /// swaps the patched snapshot in. Each edit is one mini-C# unit that
     /// is re-resolved against the current snapshot; derived state
-    /// (conversion rows, candidate memo cells, successor/reach memos) is
-    /// invalidated surgically — see [`Snapshot::apply_update`].
+    /// (conversion rows, candidate memo cells, successor/reach memos, the
+    /// site inference) is refreshed — see [`Snapshot::apply_update`].
     ///
     /// The batch is atomic: if any edit fails to parse or resolve, the
     /// whole batch is discarded and the tenant's snapshot is untouched.
     /// Edits serialize against each other and against `reload` via the
-    /// update lock; queries never block. For the default tenant the swap
-    /// bumps the generation counter so workers re-pin — in-flight
-    /// requests drain on the pre-edit snapshot with zero drops, exactly
-    /// like a reload.
+    /// update lock; queries never block, and in-flight requests drain on
+    /// the pre-edit snapshot with zero drops, exactly like a reload.
     pub fn update(
         &self,
         project: Option<&str>,
@@ -519,14 +504,14 @@ impl SnapshotRegistry {
                 "update requires a `source` string or a non-empty `edits` array".to_owned(),
             ));
         }
-        let _edits = self.update_lock.lock().expect("update lock");
-        let named = project.filter(|p| *p != DEFAULT_TENANT);
+        let _edits = lock(&self.update_lock);
+        let tenant = project.unwrap_or(DEFAULT_TENANT);
         // `get` lazily loads a named tenant, so an update can target a
         // snapshot-dir tenant that has never served.
-        let base = self.get(named).map_err(UpdateError::Failed)?;
+        let base = self.get(Some(tenant)).map_err(UpdateError::Failed)?;
         let (patched, stats) = apply_edits(&base, sources)?;
         let info = |noop, bytes, generation| UpdateInfo {
-            project: named.unwrap_or(DEFAULT_TENANT).to_owned(),
+            project: tenant.to_owned(),
             applied: sources.len(),
             noop,
             bytes,
@@ -536,65 +521,50 @@ impl SnapshotRegistry {
         let Some(patched) = patched else {
             // Whole batch was a no-op: snapshot untouched, no swap, no
             // generation bump, nothing invalidated.
-            let generation = if named.is_none() {
-                self.default_generation()
-            } else {
-                0
-            };
+            let generation = self.generation(Some(tenant)).unwrap_or(0);
             return Ok(info(true, base.approx_bytes(), generation));
         };
         let patched = Arc::new(patched);
-        // Named tenants are re-accounted at in-memory size: the on-disk
-        // `.pexsnap` length no longer describes them.
+        // Re-accounted at in-memory size: the origin's size no longer
+        // describes the tenant.
         let bytes = patched.approx_bytes();
-        let generation = match named {
-            None => self.swap_default(patched, true),
-            Some(project) => {
-                self.admit(project, patched, bytes, true);
-                0
-            }
-        };
+        let generation = self.install(tenant, patched, bytes, None, true);
         pex_obs::counter!("serve.registry.updates", 1);
-        tenant_counter(named.unwrap_or(DEFAULT_TENANT), "updates", 1);
+        tenant_counter(tenant, "updates", 1);
         Ok(info(false, bytes, generation))
     }
 
-    /// Resident tenant ids, sorted (excluding the default).
+    /// Resident tenant ids, sorted (excluding the pinned default).
     pub fn resident_names(&self) -> Vec<String> {
-        let inner = self.inner.lock().expect("registry lock");
-        let mut names: Vec<String> = inner.tenants.keys().cloned().collect();
+        let mut names: Vec<String> = lock(&self.tenants)
+            .iter()
+            .filter(|(_, e)| !e.pinned)
+            .map(|(name, _)| name.clone())
+            .collect();
         names.sort();
         names
     }
 
-    /// A sorted description of every resident tenant, default first — the
-    /// `stats`/`health` tenant table.
+    /// A description of every resident tenant, pinned first and then by
+    /// id — the `stats`/`health` tenant table.
     pub fn describe(&self) -> Vec<TenantInfo> {
-        let inner = self.inner.lock().expect("registry lock");
-        let mut out = vec![TenantInfo {
-            project: DEFAULT_TENANT.to_owned(),
-            bytes: 0,
-            pinned: true,
-            dirty: inner.default_dirty,
-        }];
-        let mut named: Vec<TenantInfo> = inner
-            .tenants
+        let mut out: Vec<TenantInfo> = lock(&self.tenants)
             .iter()
             .map(|(name, e)| TenantInfo {
                 project: name.clone(),
                 bytes: e.bytes,
-                pinned: false,
+                pinned: e.pinned,
                 dirty: e.dirty,
             })
             .collect();
-        named.sort_by(|a, b| a.project.cmp(&b.project));
-        out.extend(named);
+        out.sort_by(|a, b| (!a.pinned, &a.project).cmp(&(!b.pinned, &b.project)));
         out
     }
 
-    /// Total accounted bytes across resident named tenants.
+    /// Total accounted bytes across resident tenants (the pinned default
+    /// counts 0).
     pub fn resident_bytes(&self) -> u64 {
-        self.inner.lock().expect("registry lock").resident_bytes
+        total_bytes(&lock(&self.tenants))
     }
 
     /// The configured byte budget, if any.
@@ -678,7 +648,7 @@ mod tests {
         let a = registry.get(None).unwrap();
         let b = registry.get(Some(DEFAULT_TENANT)).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "default id aliases the default tenant");
-        assert_eq!(registry.default_generation(), 0);
+        assert_eq!(registry.generation(None), Some(0));
     }
 
     #[test]
@@ -691,8 +661,7 @@ mod tests {
     #[test]
     fn lazy_loads_tenants_from_the_snapshot_dir() {
         let dir = tenant_dir("lazy", &["alpha"]);
-        let registry =
-            SnapshotRegistry::new(paint(), DefaultOrigin::Fixed, Some(dir.clone()), None);
+        let registry = SnapshotRegistry::new(paint(), None, Some(dir.clone()), None);
         assert!(registry.resident_names().is_empty());
         let snap = registry.get(Some("alpha")).unwrap();
         assert_eq!(snap.name, "paint");
@@ -708,8 +677,7 @@ mod tests {
     #[test]
     fn path_traversal_project_ids_are_rejected() {
         let dir = tenant_dir("traversal", &[]);
-        let registry =
-            SnapshotRegistry::new(paint(), DefaultOrigin::Fixed, Some(dir.clone()), None);
+        let registry = SnapshotRegistry::new(paint(), None, Some(dir.clone()), None);
         for bad in ["../alpha", "a/b", ".hidden", "", "a b", &"x".repeat(65)] {
             let err = registry.get(Some(bad)).unwrap_err();
             assert!(err.contains("invalid project id"), "{bad}: {err}");
@@ -722,12 +690,7 @@ mod tests {
         let dir = tenant_dir("lru", &["a", "b", "c"]);
         let one = std::fs::metadata(dir.join("a.pexsnap")).unwrap().len();
         // Room for two resident tenants, not three.
-        let registry = SnapshotRegistry::new(
-            paint(),
-            DefaultOrigin::Fixed,
-            Some(dir.clone()),
-            Some(one * 2),
-        );
+        let registry = SnapshotRegistry::new(paint(), None, Some(dir.clone()), Some(one * 2));
         registry.get(Some("a")).unwrap();
         registry.get(Some("b")).unwrap();
         assert_eq!(registry.resident_names(), vec!["a", "b"]);
@@ -747,7 +710,7 @@ mod tests {
         let dir = tenant_dir("oversize", &["big"]);
         let registry = SnapshotRegistry::new(
             paint(),
-            DefaultOrigin::Fixed,
+            None,
             Some(dir.clone()),
             Some(1), // absurd budget: everything is over it
         );
@@ -758,44 +721,49 @@ mod tests {
     }
 
     #[test]
-    fn reload_swaps_the_arc_and_bumps_the_default_generation() {
+    fn reload_swaps_the_arc_and_bumps_the_tenant_generation() {
         let dir = tenant_dir("reload", &["alpha"]);
         let registry = SnapshotRegistry::new(
             paint(),
-            DefaultOrigin::Source {
+            Some(Origin::Source {
                 source: SnapshotSource::Paint,
                 locals: Vec::new(),
-            },
+            }),
             Some(dir.clone()),
             None,
         );
         // Named tenant: the resident Arc is replaced; old clones live on.
         let before = registry.get(Some("alpha")).unwrap();
+        assert_eq!(registry.generation(Some("alpha")), Some(0));
         let info = registry.reload(Some("alpha"), false).unwrap();
         assert!(info.swapped);
         assert_eq!(info.project, "alpha");
+        assert_eq!(registry.generation(Some("alpha")), Some(1));
         let after = registry.get(Some("alpha")).unwrap();
         assert!(!Arc::ptr_eq(&before, &after), "reload must flip the Arc");
         assert_eq!(before.name, after.name, "old snapshot still answers");
         // Reloading a non-resident tenant is a first load, not a swap.
-        let registry2 =
-            SnapshotRegistry::new(paint(), DefaultOrigin::Fixed, Some(dir.clone()), None);
+        let registry2 = SnapshotRegistry::new(paint(), None, Some(dir.clone()), None);
         assert!(!registry2.reload(Some("alpha"), false).unwrap().swapped);
         // Default tenant: rebuilt from the boot source, generation bumps.
         let d0 = registry.default_snapshot();
-        let gen0 = registry.default_generation();
+        let gen0 = registry.generation(None).unwrap();
         let info = registry.reload(None, false).unwrap();
         assert_eq!(info.project, DEFAULT_TENANT);
         assert!(!info.discarded_edits);
         assert!(!Arc::ptr_eq(&d0, &registry.default_snapshot()));
-        assert_eq!(registry.default_generation(), gen0 + 1);
+        assert_eq!(registry.generation(None), Some(gen0 + 1));
+        assert!(registry.describe()[0].pinned, "a swap keeps the pin");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn fixed_default_origin_cannot_reload() {
+    fn in_memory_tenants_cannot_reload() {
         let registry = SnapshotRegistry::single(paint());
         let err = registry.reload(None, false).unwrap_err();
+        assert!(err.to_string().contains("no reload origin"), "{err}");
+        registry.insert("mem", paint()).unwrap();
+        let err = registry.reload(Some("mem"), false).unwrap_err();
         assert!(err.to_string().contains("no reload origin"), "{err}");
     }
 
@@ -825,22 +793,23 @@ namespace PaintDotNet.Client {
     fn update_marks_dirty_and_gates_reload_behind_force() {
         let registry = SnapshotRegistry::new(
             paint(),
-            DefaultOrigin::Source {
+            Some(Origin::Source {
                 source: SnapshotSource::Paint,
                 locals: Vec::new(),
-            },
+            }),
             None,
             None,
         );
         let before = registry.default_snapshot();
-        let gen0 = registry.default_generation();
+        let gen0 = registry.generation(None).unwrap();
         let info = registry
             .update(None, &[DOCUTILS_BODY_EDIT.to_owned()])
             .unwrap();
         assert!(!info.noop);
         assert_eq!(info.project, DEFAULT_TENANT);
         assert_eq!(info.applied, 1);
-        assert_eq!(registry.default_generation(), gen0 + 1, "workers re-pin");
+        assert_eq!(info.generation, gen0 + 1);
+        assert_eq!(registry.generation(None), Some(gen0 + 1));
         assert!(
             !Arc::ptr_eq(&before, &registry.default_snapshot()),
             "the edit swapped the Arc; in-flight requests drain on `before`"
@@ -864,11 +833,12 @@ namespace PaintDotNet.Client {
     fn noop_updates_touch_nothing() {
         let registry = SnapshotRegistry::single(paint());
         let before = registry.default_snapshot();
-        let gen0 = registry.default_generation();
+        let gen0 = registry.generation(None).unwrap();
         let info = registry.update(None, &[DOCUTILS_NOOP.to_owned()]).unwrap();
         assert!(info.noop);
         assert_eq!(info.stats.invalidated.total(), 0, "zero invalidations");
-        assert_eq!(registry.default_generation(), gen0, "no generation bump");
+        assert_eq!(info.generation, gen0, "no generation bump");
+        assert_eq!(registry.generation(None), Some(gen0));
         assert!(Arc::ptr_eq(&before, &registry.default_snapshot()));
         assert!(!registry.describe()[0].dirty);
     }
@@ -901,12 +871,7 @@ namespace PaintDotNet.Client {
     fn named_tenant_updates_reaccount_bytes_and_resist_eviction() {
         let dir = tenant_dir("update", &["a", "b", "c"]);
         let one = std::fs::metadata(dir.join("a.pexsnap")).unwrap().len();
-        let registry = SnapshotRegistry::new(
-            paint(),
-            DefaultOrigin::Fixed,
-            Some(dir.clone()),
-            Some(one * 2),
-        );
+        let registry = SnapshotRegistry::new(paint(), None, Some(dir.clone()), Some(one * 2));
         registry.get(Some("a")).unwrap();
         let info = registry
             .update(Some("a"), &[DOCUTILS_BODY_EDIT.to_owned()])
@@ -946,8 +911,7 @@ namespace PaintDotNet.Client {
     #[test]
     fn describe_lists_default_first_with_byte_accounting() {
         let dir = tenant_dir("describe", &["alpha"]);
-        let registry =
-            SnapshotRegistry::new(paint(), DefaultOrigin::Fixed, Some(dir.clone()), None);
+        let registry = SnapshotRegistry::new(paint(), None, Some(dir.clone()), None);
         registry.get(Some("alpha")).unwrap();
         let info = registry.describe();
         assert_eq!(info[0].project, DEFAULT_TENANT);
@@ -955,6 +919,50 @@ namespace PaintDotNet.Client {
         assert_eq!(info[1].project, "alpha");
         assert!(info[1].bytes > 0);
         assert!(!info[1].pinned);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_panic_under_the_registry_lock_poisons_nothing() {
+        let dir = tenant_dir("poison", &["alpha"]);
+        let one = std::fs::metadata(dir.join("alpha.pexsnap")).unwrap().len();
+        let registry = Arc::new(SnapshotRegistry::new(
+            paint(),
+            Some(Origin::Source {
+                source: SnapshotSource::Paint,
+                locals: Vec::new(),
+            }),
+            Some(dir.clone()),
+            None,
+        ));
+        registry.get(Some("alpha")).unwrap();
+        for poison_update_lock in [false, true] {
+            let held = Arc::clone(&registry);
+            let panicked = std::thread::spawn(move || {
+                let _tenants = held.tenants.lock();
+                let _edits = poison_update_lock.then(|| held.update_lock.lock());
+                panic!("a panic while holding the registry lock");
+            })
+            .join();
+            assert!(panicked.is_err());
+        }
+        assert!(registry.tenants.is_poisoned() && registry.update_lock.is_poisoned());
+        assert_eq!(registry.resident_bytes(), one);
+        let snap = registry.get(Some("alpha")).unwrap();
+        assert_eq!(snap.name, "paint");
+        let info = registry.describe();
+        assert_eq!(info.len(), 2);
+        assert!(info[0].pinned && info[1].project == "alpha");
+        let edit = registry
+            .update(Some("alpha"), &[DOCUTILS_BODY_EDIT.to_owned()])
+            .unwrap();
+        assert_eq!(edit.generation, 1);
+        assert_eq!(registry.resident_bytes(), edit.bytes);
+        let info = registry.reload(Some("alpha"), true).unwrap();
+        assert!(info.swapped && info.discarded_edits);
+        assert_eq!(registry.resident_bytes(), one, "back to the file length");
+        registry.reload(None, false).unwrap();
+        assert_eq!(registry.generation(None), Some(1));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

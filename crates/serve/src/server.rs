@@ -43,7 +43,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use pex_abstract::AbsTypes;
 use pex_core::CancelToken;
 
 use crate::json::{self, Value};
@@ -51,7 +50,6 @@ use crate::obs_json;
 use crate::proto::{self, Disposition, QueryRequest, Request, RequestDefaults};
 use crate::queue::{Bounded, PushError};
 use crate::registry::{self, ReloadError, SnapshotRegistry, UpdateError, DEFAULT_TENANT};
-use crate::snapshot::Snapshot;
 
 /// Server sizing and per-request defaults.
 #[derive(Debug, Clone)]
@@ -386,44 +384,15 @@ struct WorkerCtx {
 }
 
 fn worker_loop(ctx: &WorkerCtx) {
-    // Per-worker warmed state: the abstract-type inference for the default
-    // tenant's query site borrows its database, so it cannot be stored in
-    // the registry — each worker builds it against its own pinned
-    // `Arc<Snapshot>` and rebuilds both together when the registry's
-    // default generation moves (a `reload`). A job popped after the swap
-    // but before the rebuild is carried across the rebuild, never answered
-    // from mismatched snapshot/inference state.
-    let mut carried: Option<Job> = None;
-    'rebuild: loop {
-        let generation = ctx.registry.default_generation();
-        let default_snapshot = ctx.registry.default_snapshot();
-        let default_abs = default_snapshot.abs_for_site();
-        loop {
-            let job = match carried.take() {
-                Some(job) => job,
-                None => match ctx.queue.pop() {
-                    Some(job) => job,
-                    None => return,
-                },
-            };
-            if ctx.registry.default_generation() != generation {
-                carried = Some(job);
-                continue 'rebuild;
-            }
-            handle_job(ctx, job, &default_snapshot, default_abs.as_ref());
-        }
+    while let Some(job) = ctx.queue.pop() {
+        handle_job(ctx, job);
     }
 }
 
 /// Runs one job: coalesces it with an executing twin when it can,
 /// otherwise dispatches it and delivers the answer to it and to every twin
 /// that parked behind it meanwhile.
-fn handle_job(
-    ctx: &WorkerCtx,
-    job: Job,
-    default_snapshot: &Arc<Snapshot>,
-    default_abs: Option<&AbsTypes<'_>>,
-) {
+fn handle_job(ctx: &WorkerCtx, job: Job) {
     let wait_ns = job.to.admitted.elapsed().as_nanos() as u64;
     pex_obs::histogram!("serve.queue.wait.ns", wait_ns);
     if pex_obs::enabled() {
@@ -453,7 +422,7 @@ fn handle_job(
         },
         None => to,
     };
-    let answer = dispatch(ctx, request, default_snapshot, default_abs);
+    let answer = dispatch(ctx, request);
     if let Some(key) = &key {
         // Collect *after* executing: twins admitted during the run are in
         // the list; twins arriving after this line lead their own run.
@@ -465,12 +434,7 @@ fn handle_job(
 }
 
 /// The one verb dispatch: runs a parsed request and renders its answer.
-fn dispatch(
-    ctx: &WorkerCtx,
-    request: Result<Request, String>,
-    default_snapshot: &Arc<Snapshot>,
-    default_abs: Option<&AbsTypes<'_>>,
-) -> Answer {
+fn dispatch(ctx: &WorkerCtx, request: Result<Request, String>) -> Answer {
     let ok = |body| Answer::control(body, Disposition::Ok);
     let error = |kind, msg: &str| Answer::control(proto::error_rest(kind, msg), Disposition::Error);
     let request = match request {
@@ -478,7 +442,7 @@ fn dispatch(
         Err(msg) => return error("bad_request", &msg),
     };
     match request {
-        Request::Query(q) => query(ctx, &q, default_snapshot, default_abs),
+        Request::Query(q) => query(ctx, &q),
         Request::Ping => ok(proto::ack_rest("pong")),
         Request::Stats => ok(obs_json::stats_rest(ctx.queue.depth(), &ctx.registry)),
         Request::Health => ok(obs_json::health_rest(
@@ -528,42 +492,27 @@ fn dispatch(
 }
 
 /// Resolves a query's tenant and runs the engine against it.
-fn query(
-    ctx: &WorkerCtx,
-    q: &QueryRequest,
-    default_snapshot: &Arc<Snapshot>,
-    default_abs: Option<&AbsTypes<'_>>,
-) -> Answer {
-    let answer = |(body, disposition), tenant: Option<&str>| Answer {
-        body,
-        disposition,
-        verb: Verb::Query,
-        tenant: tenant.map(str::to_owned),
-    };
-    let run = |snapshot: &Snapshot, abs| {
-        proto::execute_rest(snapshot, q, &ctx.defaults, &ctx.cancel, abs)
-    };
+fn query(ctx: &WorkerCtx, q: &QueryRequest) -> Answer {
     // Resolve the snapshot once; everything below (including a concurrent
     // `reload`) works against this Arc, which is what makes the swap
-    // drain-safe. The default tenant uses the worker's pinned snapshot so
-    // the cached inference always matches the database it borrows.
-    let Some(project) = q.project.as_deref().filter(|p| *p != DEFAULT_TENANT) else {
-        return answer(run(default_snapshot, default_abs), Some(DEFAULT_TENANT));
-    };
-    match ctx.registry.get(Some(project)) {
-        // Named tenants build their site inference per request: it is a
-        // unification pass over one method body, small next to the engine
-        // run it sharpens, and caching it per (worker, tenant) would pin
-        // evicted snapshots. The default tenant — the hot path — stays
-        // prewarmed.
+    // drain-safe. The snapshot carries its own site inference.
+    let ((body, disposition), tenant) = match ctx.registry.get(q.project.as_deref()) {
         Ok(snapshot) => {
-            let abs = snapshot.abs_for_site();
-            answer(run(&snapshot, abs.as_ref()), Some(project))
+            let abs = snapshot.site_abs.as_ref();
+            let run = proto::execute_rest(&snapshot, q, &ctx.defaults, &ctx.cancel, abs);
+            let tenant = q.project.as_deref().unwrap_or(DEFAULT_TENANT);
+            (run, Some(tenant.to_owned()))
         }
         Err(msg) => {
             let body = proto::error_rest("unknown_project", &msg);
-            answer((body, Disposition::Error), None)
+            ((body, Disposition::Error), None)
         }
+    };
+    Answer {
+        body,
+        disposition,
+        verb: Verb::Query,
+        tenant,
     }
 }
 
@@ -616,7 +565,7 @@ fn deliver(to: &Waiter, answer: &Answer, coalesced: bool) {
 mod tests {
     use super::*;
     use crate::json::{self, Value};
-    use crate::snapshot::SnapshotSource;
+    use crate::snapshot::{Snapshot, SnapshotSource};
     use std::sync::mpsc::channel;
 
     /// Serialises the tests that submit requests: they share the global
@@ -1026,16 +975,16 @@ mod tests {
     }
 
     #[test]
-    fn default_reload_rebuilds_workers_without_dropping_requests() {
+    fn default_reload_swaps_without_dropping_requests() {
         let _serial = serial();
-        use crate::registry::DefaultOrigin;
+        use crate::registry::Origin;
         // A registry whose default can be rebuilt from its source.
         let registry = Arc::new(SnapshotRegistry::new(
             Snapshot::load(&SnapshotSource::Paint).unwrap(),
-            DefaultOrigin::Source {
+            Some(Origin::Source {
                 source: SnapshotSource::Paint,
                 locals: Vec::new(),
-            },
+            }),
             None,
             None,
         ));
@@ -1090,7 +1039,7 @@ mod tests {
             BEFORE + AFTER,
             "zero requests dropped across the hot swap"
         );
-        assert!(registry.default_generation() >= 1);
+        assert_eq!(registry.generation(None), Some(1));
         s.shutdown();
     }
 

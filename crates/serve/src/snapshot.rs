@@ -1,11 +1,12 @@
 //! The shared, immutable artefact a serve process answers queries from.
 //!
 //! A [`Snapshot`] is loaded **once** at startup — code model, method index,
-//! reachability index, default query context — and then shared by every
-//! worker behind an `Arc`. Loading also *prewarms* the lazily built caches
-//! (the [`pex_types`] conversion index and the per-type candidate memo), so
-//! the first request a client sends pays the same latency as the
-//! thousandth: no cold-cache cliff inside the serving path.
+//! reachability index, default query context and its abstract-type
+//! inference — and then shared by every worker behind an `Arc`. Loading
+//! also *prewarms* the lazily built caches (the [`pex_types`] conversion
+//! index and the per-type candidate memo), so the first request a client
+//! sends pays the same latency as the thousandth: no cold-cache cliff
+//! inside the serving path.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -105,6 +106,10 @@ pub struct Snapshot {
     pub default_ctx: Context,
     /// The enclosing method of the default context, if any.
     pub enclosing: Option<MethodId>,
+    /// The Lackwit-style abstract types for the default query site: every
+    /// body of `db`, `enclosing`'s included (`None` without a site). Built
+    /// with the snapshot, so it always describes this `db`.
+    pub site_abs: Option<AbsTypes>,
     /// Shared engine cache: the hash-consed expression arena and the chain
     /// successor memo. Every request completes through this cache, so
     /// expressions and member walks interned by one request are free for
@@ -168,17 +173,42 @@ impl Snapshot {
         let _span = pex_obs::span("serve.snapshot.load");
         let index = MethodIndex::build(&db);
         let reach = ReachIndex::build(&db);
-        let snapshot = Snapshot {
+        let snapshot = Snapshot::assemble(
+            name,
             db,
             index,
             reach,
             default_ctx,
             enclosing,
-            cache: EngineCache::new(),
-            name,
-        };
+            EngineCache::new(),
+        );
         snapshot.prewarm();
         snapshot
+    }
+
+    /// Assembles a snapshot from its parts and infers the abstract types
+    /// of its default query site. Every snapshot — built, patched or
+    /// decoded — is assembled here, so `site_abs` always matches `db`.
+    pub(crate) fn assemble(
+        name: String,
+        db: Database,
+        index: MethodIndex,
+        reach: ReachIndex,
+        default_ctx: Context,
+        enclosing: Option<MethodId>,
+        cache: EngineCache,
+    ) -> Snapshot {
+        let site_abs = enclosing.map(|m| AbsTypes::for_query(&db, m, usize::MAX));
+        Snapshot {
+            db,
+            index,
+            reach,
+            default_ctx,
+            enclosing,
+            site_abs,
+            cache,
+            name,
+        }
     }
 
     /// Forces the lazily built caches so no request pays for a cold fill:
@@ -237,15 +267,15 @@ impl Snapshot {
             &diff,
         );
         stats.invalidated = invalidated;
-        let snapshot = Snapshot {
+        let snapshot = Snapshot::assemble(
+            self.name.clone(),
             db,
             index,
             reach,
-            default_ctx: self.default_ctx.clone(),
-            enclosing: self.enclosing,
+            self.default_ctx.clone(),
+            self.enclosing,
             cache,
-            name: self.name.clone(),
-        };
+        );
         // Refill only what the edit dropped: carried memo cells hit their
         // OnceLock, so prewarm cost is proportional to the dirty set — and
         // a zero-invalidation edit (body-only) carried everything, so the
@@ -276,16 +306,6 @@ impl Snapshot {
         // and candidate-memo shares; a member signature; a parsed method
         // body; one interned arena node.
         types * 512 + fields * 96 + methods * 768 + arena * 48 + 4096
-    }
-
-    /// Builds the Lackwit-style abstract-type inference for the snapshot's
-    /// default query site, if it has one. The result borrows the
-    /// snapshot's database, so it cannot be stored inside the snapshot
-    /// itself; each worker builds it once at startup and reuses it for
-    /// every request that runs in the default context.
-    pub fn abs_for_site(&self) -> Option<AbsTypes<'_>> {
-        self.enclosing
-            .map(|m| AbsTypes::for_query(&self.db, m, usize::MAX))
     }
 
     /// The context for one request: the default context, or one rebuilt

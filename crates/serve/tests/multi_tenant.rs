@@ -1,7 +1,9 @@
 //! End-to-end tests of the multi-tenant registry through the real
 //! binary: project routing against `--snapshot-dir`, hot swap via
 //! `{"cmd":"reload"}` with zero dropped requests under concurrent load,
-//! and per-tenant accounting in the introspection commands — plus one
+//! a named tenant answering exactly like the default tenant it was saved
+//! from (before and after an edit, with per-tenant `generation`s), and
+//! per-tenant accounting in the introspection commands — plus one
 //! in-process load test that checks the per-tenant books against `stats`.
 //! `pex_obs` counters are process-global, so that test must stay the only
 //! in-process server in this binary.
@@ -157,6 +159,87 @@ fn hot_swap_drops_no_requests_under_concurrent_load() {
     );
     let resp = recv(&mut reader);
     assert!(resp.contains("ResizeDocument(img, size, 0, 0)"), "{resp}");
+
+    drop(child.stdin.take());
+    assert_eq!(wait_exit(child), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The Figure 2 signature edit: `Normalize` now returns a `Size`, which
+/// takes the abstract-type boost away from `ResizeDocument`.
+const NORMALIZE_TO_SIZE: &str = "namespace PaintDotNet.Client { class DocumentUtils { \
+     static System.Drawing.Size Normalize(PaintDotNet.Document d); \
+     static System.Drawing.Size Clamp(System.Drawing.Size s) { return s; } } }";
+
+/// `DocumentUtils` exactly as the paint corpus declares it: undoes
+/// [`NORMALIZE_TO_SIZE`].
+const NORMALIZE_RESTORED: &str = "namespace PaintDotNet.Client { class DocumentUtils { \
+     static PaintDotNet.Document Normalize(PaintDotNet.Document d) { return d; } \
+     static System.Drawing.Size Clamp(System.Drawing.Size s) { return s; } } }";
+
+/// A response with its `id` and the run-dependent fields blanked, so two
+/// tenants' answers compare byte for byte.
+fn answer_body(resp: &str) -> String {
+    let mut doc = json::parse(resp).expect("response is JSON");
+    doc.set("id", Value::Null);
+    doc.set("trace_id", Value::Null);
+    doc.set("latency_us", Value::Null);
+    doc.to_string()
+}
+
+#[test]
+fn a_named_tenant_saved_from_paint_answers_like_the_default() {
+    let dir = std::env::temp_dir().join(format!("pex-mt-paint2-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create snapshot dir");
+    let paint = Snapshot::load(&SnapshotSource::Paint).expect("paint snapshot");
+    persist::save(&paint, &dir.join("paint2.pexsnap")).expect("save paint2.pexsnap");
+    let (mut child, mut reader) = spawn_daemon(&dir);
+    let mut id = 0;
+    let mut ask = |child: &mut Child, project: &str, body: &str| {
+        id += 1;
+        send(child, &format!(r#"{{"id":{id},{project}{body}}}"#));
+        recv(&mut reader)
+    };
+    let query = r#""query":"?({img, size})","limit":5,"explain":true"#;
+    let update = |unit: &str| format!(r#""cmd":"update","source":"{}""#, json::escape(unit));
+    let generation = |resp: &str| {
+        let doc = json::parse(resp).expect("response is JSON");
+        assert_eq!(doc.get("ok"), Some(&Value::Bool(true)), "{resp}");
+        doc.get("generation").and_then(Value::as_u64)
+    };
+
+    // The same snapshot, resolved as the default tenant and by name, must
+    // answer identically: the site inference travels with the snapshot.
+    let before = ask(&mut child, "", query);
+    assert!(
+        before.contains("ResizeDocument(img, size, 0, 0)"),
+        "{before}"
+    );
+    assert!(before.contains("\"explain\""), "{before}");
+    let named = ask(&mut child, r#""project":"paint2","#, query);
+    assert_eq!(answer_body(&named), answer_body(&before));
+
+    // The Figure 2 edit, applied to each tenant: its first swap.
+    let edit = update(NORMALIZE_TO_SIZE);
+    assert_eq!(generation(&ask(&mut child, "", &edit)), Some(1));
+    assert_eq!(
+        generation(&ask(&mut child, r#""project":"paint2","#, &edit)),
+        Some(1)
+    );
+    let after = ask(&mut child, "", query);
+    assert_ne!(answer_body(&after), answer_body(&before), "{after}");
+    let named = ask(&mut child, r#""project":"paint2","#, query);
+    assert_eq!(answer_body(&named), answer_body(&after));
+
+    // A second update to the named tenant is its second swap, and undoing
+    // the edit restores the original answers.
+    let restore = update(NORMALIZE_RESTORED);
+    assert_eq!(
+        generation(&ask(&mut child, r#""project":"paint2","#, &restore)),
+        Some(2)
+    );
+    let named = ask(&mut child, r#""project":"paint2","#, query);
+    assert_eq!(answer_body(&named), answer_body(&before));
 
     drop(child.stdin.take());
     assert_eq!(wait_exit(child), 0);

@@ -58,13 +58,12 @@ fn answer(snapshot: &Snapshot, query: &str) -> String {
         trace: false,
         explain: true,
     };
-    let abs = snapshot.abs_for_site();
     let (response, _) = proto::execute(
         snapshot,
         &req,
         &RequestDefaults::default(),
         &CancelToken::new(),
-        abs.as_ref(),
+        snapshot.site_abs.as_ref(),
     );
     let mut doc = json::parse(&response).expect("responses are valid JSON");
     if doc.get("latency_us").is_some() {

@@ -62,7 +62,11 @@ fn usage_error(msg: &str) -> ! {
 struct Session {
     db: Database,
     ctx: Context,
-    enclosing_method: Option<pex::model::MethodId>,
+    /// The Figure 8 method index, built once per program.
+    index: MethodIndex,
+    /// Abstract types for the context's method: every other body plus the
+    /// statements before the cursor (§5: code after the query is unseen).
+    abs: Option<AbsTypes>,
     config: RankConfig,
     count: usize,
     /// Per-query chain-depth cap (`--max-depth` / `:depth`); deeper costs
@@ -121,9 +125,10 @@ fn main() {
         build_context(&db, &locals_spec)
     };
     let mut session = Session {
+        index: MethodIndex::build(&db),
+        abs: enclosing.map(|m| AbsTypes::for_query(&db, m, usize::MAX)),
         db,
         ctx,
-        enclosing_method: enclosing,
         config: RankConfig::all(),
         count: 10,
         max_depth,
@@ -281,9 +286,9 @@ fn command(s: &mut Session, cmd: &str) -> bool {
             // `:abs [pattern]` — the abstract-type solver's merged classes.
             let pattern = parts.next().unwrap_or("");
             let mut abs = AbsTypes::new(&s.db);
-            abs.add_all_bodies_except(None);
+            abs.add_all_bodies_except(&s.db, None);
             let mut shown = 0;
-            for class in abs.dump_classes() {
+            for class in abs.dump_classes(&s.db) {
                 if !pattern.is_empty() && !class.iter().any(|slot| slot.contains(pattern)) {
                     continue;
                 }
@@ -319,7 +324,7 @@ fn command(s: &mut Session, cmd: &str) -> bool {
                 .unwrap_or(body.stmts.len())
                 .min(body.stmts.len());
             s.ctx = Context::at_statement(&s.db, method, body, stmt);
-            s.enclosing_method = Some(method);
+            s.abs = Some(AbsTypes::for_query(&s.db, method, stmt));
             say!("context: inside {name} before statement {stmt}");
             print_locals(s);
         }
@@ -367,17 +372,19 @@ fn run_query(s: &mut Session, text: &str) {
     run_parsed(s, &query);
 }
 
-fn run_parsed(s: &mut Session, query: &PartialExpr) {
-    let index = MethodIndex::build(&s.db);
-    let abs = s
-        .enclosing_method
-        .map(|m| AbsTypes::for_query(&s.db, m, usize::MAX));
-    let engine = Completer::new(&s.db, &s.ctx, &index, s.config, abs.as_ref()).with_options(
+/// The engine for one query over the session's program, context and
+/// inference.
+fn completer(s: &Session) -> Completer<'_> {
+    Completer::new(&s.db, &s.ctx, &s.index, s.config, s.abs.as_ref()).with_options(
         CompleteOptions {
             max_depth: s.max_depth,
             ..Default::default()
         },
-    );
+    )
+}
+
+fn run_parsed(s: &mut Session, query: &PartialExpr) {
+    let engine = completer(s);
     let results = engine.complete(query, s.count);
     if results.is_empty() {
         say!("(no completions)");
@@ -414,16 +421,7 @@ fn explain_query(s: &Session, text: &str) {
             return;
         }
     };
-    let index = MethodIndex::build(&s.db);
-    let abs = s
-        .enclosing_method
-        .map(|m| AbsTypes::for_query(&s.db, m, usize::MAX));
-    let engine = Completer::new(&s.db, &s.ctx, &index, s.config, abs.as_ref()).with_options(
-        CompleteOptions {
-            max_depth: s.max_depth,
-            ..Default::default()
-        },
-    );
+    let engine = completer(s);
     let results = engine.complete(&query, s.count);
     if results.is_empty() {
         say!("(no completions)");

@@ -123,11 +123,11 @@ fn family_show_abstract_types_separate_paths_from_names() {
         .find(|m| db.method(*m).name() == "Exists")
         .unwrap();
     assert!(AbsTypes::matches(
-        abs.param_class(combine, 0),
-        abs.param_class(exists, 0)
+        abs.param_class(&db, combine, 0),
+        abs.param_class(&db, exists, 0)
     ));
     assert!(!AbsTypes::matches(
-        abs.param_class(combine, 0),
-        abs.param_class(combine, 1)
+        abs.param_class(&db, combine, 0),
+        abs.param_class(&db, combine, 1)
     ));
 }
