@@ -385,7 +385,9 @@ fn bench_snapshot_reuse(c: &mut Criterion) {
 
 /// Boot-path comparison: building a snapshot from its corpus (mini-C#
 /// compile + method/reach index build + prewarm) vs rehydrating the same
-/// snapshot from `pex-snapshot/1` bytes, which skips all three. The
+/// snapshot from `pex-snapshot` bytes, which skips the compile, the
+/// method-index build and the prewarm (the linear reach index is
+/// rebuilt on load). The
 /// derived `snapshot_boot_speedup` is what `--load-snapshot` buys a
 /// restarting daemon.
 fn bench_snapshot_boot(c: &mut Criterion) {

@@ -216,6 +216,7 @@ mod tests {
         assert!(stats.chains > 0, "Shape/Circle chain entries are stale");
         assert!(stats.chains_kept > 0, "unrelated types keep theirs");
         assert!(stats.reach_rebuilt);
+        assert_eq!(new_reach, ReachIndex::build(&new_db));
         // Every surviving and rebuilt answer matches a cold rebuild.
         let cold_index = MethodIndex::build(&new_db);
         for ty in new_db.types().iter() {
@@ -225,20 +226,6 @@ mod tests {
                 "candidates diverge for {}",
                 new_db.types().qualified_name(ty)
             );
-            for other in new_db.types().iter() {
-                assert_eq!(
-                    new_reach.min_lookups(
-                        crate::engine::chains::ChainLink::FieldsAndMethods,
-                        ty,
-                        other
-                    ),
-                    ReachIndex::build(&new_db).min_lookups(
-                        crate::engine::chains::ChainLink::FieldsAndMethods,
-                        ty,
-                        other
-                    )
-                );
-            }
             let fresh = new_cache.chains.successors(
                 &new_db,
                 ty,

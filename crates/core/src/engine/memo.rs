@@ -14,7 +14,7 @@
 //! memoized and direct expansions row-for-row identical.
 
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use pex_model::{Database, FieldId, MethodId};
 use pex_types::TypeId;
@@ -46,7 +46,8 @@ type Key = (TypeId, ChainLink, Option<TypeId>);
 ///
 /// Thread-safe (requests on different workers share one memo through the
 /// snapshot); entries are immutable `Arc` slices so readers never hold the
-/// lock while expanding.
+/// lock while expanding. Each entry is inserted whole in one step, so a
+/// panic under the lock cannot tear one: a poisoned lock is recovered.
 #[derive(Debug, Default)]
 pub(crate) struct SuccessorMemo {
     entries: RwLock<HashMap<Key, Arc<[SuccStep]>>>,
@@ -63,7 +64,12 @@ impl SuccessorMemo {
         from: Option<TypeId>,
     ) -> Arc<[SuccStep]> {
         let key = (ty, links, from);
-        if let Some(hit) = self.entries.read().expect("memo lock").get(&key) {
+        if let Some(hit) = self
+            .entries
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             pex_obs::counter!("engine.chain.memo.hits", 1);
             return Arc::clone(hit);
         }
@@ -84,14 +90,17 @@ impl SuccessorMemo {
         }
         let steps: Arc<[SuccStep]> = steps.into();
         pex_obs::counter!("engine.chain.memo.fills", 1);
-        let mut entries = self.entries.write().expect("memo lock");
+        let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(entries.entry(key).or_insert(steps))
     }
 
     /// Number of filled entries (test/diagnostic aid).
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.entries.read().expect("memo lock").len()
+        self.entries
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Clones the memo for an incrementally patched database, keeping
@@ -110,7 +119,7 @@ impl SuccessorMemo {
         new_db: &Database,
         dirty: &std::collections::HashSet<TypeId>,
     ) -> (SuccessorMemo, usize, usize) {
-        let entries = self.entries.read().expect("memo lock");
+        let entries = self.entries.read().unwrap_or_else(PoisonError::into_inner);
         let mut kept: HashMap<Key, Arc<[SuccStep]>> = HashMap::with_capacity(entries.len());
         let mut dropped = 0usize;
         let chain_hits = |db: &Database, ty: TypeId| {

@@ -5,42 +5,45 @@
 //! > using an index that indicates for each type which types are reachable
 //! > by a `.?*f` or `.?*m` query \[and\] how many lookups are needed."
 //!
-//! [`ReachIndex`] precomputes, for every type and both link kinds, the
-//! minimum number of lookups to every reachable type. During a filtered
-//! chain search the engine can then prune a state whose type cannot reach
-//! any admissible type within the remaining link budget.
+//! [`ReachIndex`] keeps, for both link kinds, each type's deduplicated
+//! predecessors: the types with a `.f` (or `.f`-or-`.m()`) link *into* it.
+//! That is all a filtered chain search needs. For one filter,
+//! `ReachIndex::pruner` runs a single breadth-first search backwards from
+//! every admissible type, which yields each type's minimum number of
+//! lookups to *any* admissible type. The engine then prunes a state whose
+//! type cannot reach an admissible type within the remaining link budget.
+//! The index is linear in the edge count and cheap to derive, so the
+//! persistent snapshot does not store it: a decoded snapshot rebuilds it.
 //!
 //! The index is a **sound over-approximation**: it includes private members
 //! regardless of context, so it never prunes a state the search could
 //! still complete — pruning changes performance, never results (a property
 //! tested in `tests/prop_engine.rs` and enforced by the ablation bench).
 
+use std::collections::HashMap;
+use std::sync::{Arc, PoisonError, RwLock};
+
 use pex_model::Database;
-use pex_types::wire::{Reader, WireError, WireResult, Writer};
 use pex_types::TypeId;
 
 use super::chains::{ChainLink, TypeFilter};
 
-/// Per-type minimum-lookup reachability, for both link kinds.
+/// Per-type predecessor lists for both link kinds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachIndex {
-    fields: Rows,
-    fields_and_methods: Rows,
+    fields: Flat,
+    fields_and_methods: Flat,
 }
 
-/// One list per type, stored flat: list `i` is
+/// One list of type ids per type, stored flat: list `i` is
 /// `items[starts[i]..starts[i + 1]]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Flat<T> {
+struct Flat {
     starts: Vec<usize>,
-    items: Vec<T>,
+    items: Vec<u32>,
 }
 
-/// Per type, every reachable type with its minimum lookup count, sorted by
-/// type id.
-type Rows = Flat<(TypeId, u32)>;
-
-impl<T> Flat<T> {
+impl Flat {
     fn new() -> Self {
         Flat {
             starts: vec![0],
@@ -52,71 +55,46 @@ impl<T> Flat<T> {
         self.starts.len() - 1
     }
 
-    fn row(&self, i: usize) -> &[T] {
+    fn row(&self, i: usize) -> &[u32] {
         &self.items[self.starts[i]..self.starts[i + 1]]
     }
 
-    /// Closes the list being appended and returns it.
-    fn close_row(&mut self) -> &mut [T] {
-        let start = self.starts[self.starts.len() - 1];
+    fn close_row(&mut self) {
         self.starts.push(self.items.len());
-        &mut self.items[start..]
-    }
-}
-
-impl Rows {
-    fn encode(&self, w: &mut Writer) {
-        w.put_len(self.len());
-        for i in 0..self.len() {
-            let row = self.row(i);
-            w.put_len(row.len());
-            for &(ty, d) in row {
-                w.put_u32(ty.index() as u32);
-                w.put_u32(d);
-            }
-        }
     }
 
-    /// Decodes rows written by [`Rows::encode`] (entries in any order)
-    /// for a table of `n_types` types, rejecting a type listed twice in
-    /// one row.
-    fn decode(r: &mut Reader<'_>, n_types: usize, what: &str) -> WireResult<Self> {
-        let n = r.get_len(what)?;
-        if n != n_types {
-            return Err(WireError::new(format!(
-                "{what}: covers {n} types but the table holds {n_types}"
-            )));
+    /// The reversed lists, by one counting pass: `j` is in row `i` of the
+    /// result exactly when `i` is in row `j` here. Rows come out sorted,
+    /// and duplicate-free when these rows are.
+    fn transpose(&self) -> Flat {
+        let n = self.len();
+        let mut starts = vec![0; n + 1];
+        for &to in &self.items {
+            starts[to as usize + 1] += 1;
         }
-        let mut rows = Rows::new();
-        for _ in 0..n {
-            let count = r.get_len("reachability entry count")?;
-            for _ in 0..count {
-                let ty = TypeId::from_index(r.get_id(n_types, "reachable type")?);
-                let d = r.get_u32("lookup distance")?;
-                rows.items.push((ty, d));
-            }
-            let row = rows.close_row();
-            row.sort_unstable_by_key(|&(ty, _)| ty);
-            if let Some(dup) = row.windows(2).find(|w| w[0].0 == w[1].0) {
-                return Err(WireError::new(format!(
-                    "duplicate reachability entry for type {}",
-                    dup[0].0.index()
-                )));
+        for i in 0..n {
+            starts[i + 1] += starts[i];
+        }
+        let mut next = starts.clone();
+        let mut items = vec![0; self.items.len()];
+        for from in 0..n {
+            for &to in self.row(from) {
+                items[next[to as usize]] = from as u32;
+                next[to as usize] += 1;
             }
         }
-        Ok(rows)
+        Flat { starts, items }
     }
 }
 
 impl ReachIndex {
-    /// Builds the index over every type in the database: one breadth-first
-    /// search per type and link kind over deduplicated edge lists, all
-    /// sharing one dense distance array and queue.
+    /// Builds the index over every type in the database: the successor
+    /// lists of both link kinds, transposed.
     pub fn build(db: &Database) -> Self {
         let (fields, fields_and_methods) = Self::edges(db);
         ReachIndex {
-            fields: Self::bfs_rows(&fields),
-            fields_and_methods: Self::bfs_rows(&fields_and_methods),
+            fields: fields.transpose(),
+            fields_and_methods: fields_and_methods.transpose(),
         }
     }
 
@@ -124,7 +102,7 @@ impl ReachIndex {
     /// types) and over `.f`-or-`.m()` edges (those plus zero-argument,
     /// non-void instance-method returns) of every type, inherited members
     /// included.
-    fn edges(db: &Database) -> (Flat<u32>, Flat<u32>) {
+    fn edges(db: &Database) -> (Flat, Flat) {
         let void = db.types().void_ty();
         let mut fields = Flat::new();
         let mut all = Flat::new();
@@ -160,80 +138,13 @@ impl ReachIndex {
         (fields, all)
     }
 
-    /// Shortest lookup counts from every type over `edges`.
-    fn bfs_rows(edges: &Flat<u32>) -> Rows {
-        const UNSEEN: u32 = u32::MAX;
-        let n = edges.len();
-        let mut rows = Rows::new();
-        let mut dist = vec![UNSEEN; n];
-        let mut queue: Vec<u32> = Vec::with_capacity(n);
-        for start in 0..n {
-            dist[start] = 0;
-            queue.push(start as u32);
-            let mut head = 0;
-            while let Some(&t) = queue.get(head) {
-                head += 1;
-                let d = dist[t as usize] + 1;
-                for &next in edges.row(t as usize) {
-                    if dist[next as usize] == UNSEEN {
-                        dist[next as usize] = d;
-                        queue.push(next);
-                    }
-                }
-            }
-            for &t in &queue {
-                rows.items
-                    .push((TypeId::from_index(t as usize), dist[t as usize]));
-                dist[t as usize] = UNSEEN;
-            }
-            queue.clear();
-            rows.close_row().sort_unstable_by_key(|&(ty, _)| ty);
-        }
-        rows
-    }
-
-    /// Serializes the index for the persistent snapshot. Each per-type row
-    /// is already in type-id order, so identical indexes serialize to
-    /// identical bytes.
-    pub fn encode_snapshot(&self, w: &mut Writer) {
-        self.fields.encode(w);
-        self.fields_and_methods.encode(w);
-    }
-
-    /// Decodes an index written by [`ReachIndex::encode_snapshot`] for a
-    /// table of `n_types` types, bounds-checking every id.
-    pub fn decode_snapshot(r: &mut Reader<'_>, n_types: usize) -> WireResult<Self> {
-        let fields = Rows::decode(r, n_types, "field reachability map count")?;
-        let fields_and_methods = Rows::decode(r, n_types, "field+method reachability map count")?;
-        Ok(ReachIndex {
-            fields,
-            fields_and_methods,
-        })
-    }
-
-    /// Minimum lookups from `from` to `to` with the given link kind, if
-    /// reachable at all (`Some(0)` when `from == to`).
-    pub fn min_lookups(&self, kind: ChainLink, from: TypeId, to: TypeId) -> Option<u32> {
-        let row = self.reachable(kind, from);
-        let i = row.binary_search_by_key(&to, |&(ty, _)| ty).ok()?;
-        Some(row[i].1)
-    }
-
-    /// All types reachable from `from` with their minimum lookup counts,
-    /// sorted by type id.
-    pub fn reachable(&self, kind: ChainLink, from: TypeId) -> &[(TypeId, u32)] {
-        let rows = match kind {
-            ChainLink::Fields => &self.fields,
-            ChainLink::FieldsAndMethods => &self.fields_and_methods,
-        };
-        rows.row(from.index())
-    }
-
     /// Builds the pruning table for one `(filter, link kind)` pair:
     /// `admissible` is the set of types whose values pass the filter, and
-    /// `dist` the per-type minimum lookups to any of them. The table
-    /// depends only on the database — never on the query's root
-    /// expressions or scores — so [`ReachMemo`] shares it across queries.
+    /// `dist` the per-type minimum lookups to any of them — one
+    /// breadth-first search over the predecessor lists, starting from
+    /// every admissible type at distance 0. The table depends only on the
+    /// database — never on the query's root expressions or scores — so
+    /// [`ReachMemo`] shares it across queries.
     pub(crate) fn pruner(
         &self,
         db: &Database,
@@ -243,22 +154,32 @@ impl ReachIndex {
         if filter.is_any() {
             return None; // nothing to prune against
         }
-        let mut admissible = vec![false; db.types().len()];
+        let preds = match kind {
+            ChainLink::Fields => &self.fields,
+            ChainLink::FieldsAndMethods => &self.fields_and_methods,
+        };
+        let n = db.types().len();
+        let mut admissible = vec![false; n];
+        let mut dist = vec![DIST_UNREACHABLE; n];
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
         for ty in db.types().iter() {
             if filter.admits(db, ty) {
                 admissible[ty.index()] = true;
+                dist[ty.index()] = 0;
+                queue.push(ty.index() as u32);
             }
         }
-        let dist = (0..db.types().len())
-            .map(|i| {
-                self.reachable(kind, TypeId::from_index(i))
-                    .iter()
-                    .filter(|(t, _)| admissible[t.index()])
-                    .map(|&(_, d)| d)
-                    .min()
-                    .unwrap_or(DIST_UNREACHABLE)
-            })
-            .collect();
+        let mut head = 0;
+        while let Some(&t) = queue.get(head) {
+            head += 1;
+            let d = dist[t as usize] + 1;
+            for &prev in preds.row(t as usize) {
+                if dist[prev as usize] == DIST_UNREACHABLE {
+                    dist[prev as usize] = d;
+                    queue.push(prev);
+                }
+            }
+        }
         Some(ReachPruner { admissible, dist })
     }
 }
@@ -284,7 +205,7 @@ impl ReachPruner {
     }
 
     /// Minimum number of links from `ty` to *any* admissible type, or
-    /// [`DIST_UNREACHABLE`]. Because the index stores shortest distances,
+    /// [`DIST_UNREACHABLE`]. Because the table holds shortest distances,
     /// every admissible completion growing from a `ty` state appends at
     /// least this many links — which makes `link_cost × min_links` an
     /// admissible A* heuristic for the best-first search, and
@@ -332,48 +253,61 @@ impl FilterKey {
 /// [`super::EngineCache`]. Query streams over the same expected type (the
 /// common case for a serve snapshot answering a hot completion site)
 /// share one table instead of re-deriving `filter.admits` for every type
-/// and re-scanning reachable sets per query.
+/// and re-running the backward search per query.
 #[derive(Debug, Default)]
 pub(crate) struct ReachMemo {
-    entries: std::sync::RwLock<
-        std::collections::HashMap<(ChainLink, FilterKey), std::sync::Arc<ReachPruner>>,
-    >,
+    entries: RwLock<HashMap<(ChainLink, FilterKey), Arc<ReachPruner>>>,
 }
 
 impl ReachMemo {
     /// The shared pruning table for this `(kind, filter)` — built on first
     /// request, an `Arc` clone thereafter. `None` for unfiltered queries.
+    ///
+    /// A poisoned lock is recovered, not propagated: each entry is one
+    /// whole `Arc` inserted in one step, so a panic elsewhere cannot leave
+    /// a torn entry behind.
     pub(crate) fn pruner(
         &self,
         index: &ReachIndex,
         db: &Database,
         kind: ChainLink,
         filter: &TypeFilter,
-    ) -> Option<std::sync::Arc<ReachPruner>> {
+    ) -> Option<Arc<ReachPruner>> {
         let key = (kind, FilterKey::of(filter)?);
-        if let Some(hit) = self.entries.read().expect("reach memo lock").get(&key) {
+        if let Some(hit) = self
+            .entries
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             pex_obs::counter!("engine.reach.memo.hits", 1);
-            return Some(std::sync::Arc::clone(hit));
+            return Some(Arc::clone(hit));
         }
-        let table = std::sync::Arc::new(index.pruner(db, kind, filter)?);
+        let table = Arc::new(index.pruner(db, kind, filter)?);
         pex_obs::counter!("engine.reach.memo.fills", 1);
-        let mut entries = self.entries.write().expect("reach memo lock");
-        Some(std::sync::Arc::clone(entries.entry(key).or_insert(table)))
+        let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
+        Some(Arc::clone(entries.entry(key).or_insert(table)))
     }
 
     /// Clones the memo for an incremental update that left reachability
     /// and conversions untouched — every pruner table stays valid, so the
     /// new snapshot shares the `Arc`s instead of re-deriving them.
     pub(crate) fn carry(&self) -> ReachMemo {
+        let entries = self.entries.read().unwrap_or_else(PoisonError::into_inner);
         ReachMemo {
-            entries: std::sync::RwLock::new(self.entries.read().expect("reach memo lock").clone()),
+            entries: RwLock::new(entries.clone()),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
+    use proptest::prelude::*;
+
     use super::*;
+    use pex_corpus::{generate, ClientProfile, LibraryProfile};
     use pex_model::minics::compile;
 
     fn db() -> Database {
@@ -395,10 +329,18 @@ mod tests {
         .unwrap()
     }
 
+    /// Minimum lookups from `from` to a value convertible to `to`, read
+    /// off the pruner for that one-type filter.
+    fn links(db: &Database, kind: ChainLink, from: TypeId, to: TypeId) -> Option<u32> {
+        ReachIndex::build(db)
+            .pruner(db, kind, &TypeFilter::one_of(vec![to]))
+            .expect("filter is narrow")
+            .min_to_admissible(from)
+    }
+
     #[test]
-    fn min_lookups_follow_the_field_graph() {
+    fn pruner_distances_follow_the_field_graph() {
         let db = db();
-        let reach = ReachIndex::build(&db);
         let canvas = db.types().lookup_qualified("N.Canvas").unwrap();
         let line = db.types().lookup_qualified("N.Line").unwrap();
         let point = db.types().lookup_qualified("N.Point").unwrap();
@@ -406,81 +348,31 @@ mod tests {
         let double = db.types().double_ty();
 
         let k = ChainLink::Fields;
-        assert_eq!(reach.min_lookups(k, canvas, canvas), Some(0));
-        assert_eq!(reach.min_lookups(k, canvas, line), Some(1));
-        assert_eq!(reach.min_lookups(k, canvas, point), Some(2));
-        assert_eq!(reach.min_lookups(k, canvas, int), Some(3));
-        // double is only reachable through GetLength(), a method link.
-        assert_eq!(reach.min_lookups(k, canvas, double), None);
+        assert_eq!(links(&db, k, canvas, canvas), Some(0));
+        assert_eq!(links(&db, k, canvas, line), Some(1));
+        assert_eq!(links(&db, k, canvas, point), Some(2));
+        assert_eq!(links(&db, k, canvas, int), Some(3));
+        // Over fields alone, a double is only met by widening `X`; the
+        // method link GetLength() gets there in two.
+        assert_eq!(links(&db, k, canvas, double), Some(3));
         assert_eq!(
-            reach.min_lookups(ChainLink::FieldsAndMethods, canvas, double),
+            links(&db, ChainLink::FieldsAndMethods, canvas, double),
             Some(2)
-        );
-    }
-
-    /// `n` rows of `(type, distance)` entries as `encode_snapshot` lays
-    /// them out, for both link kinds.
-    fn encoded(rows: &[&[(u32, u32)]]) -> Vec<u8> {
-        let mut w = Writer::new();
-        for _ in 0..2 {
-            w.put_len(rows.len());
-            for row in rows {
-                w.put_len(row.len());
-                for &(ty, d) in *row {
-                    w.put_u32(ty);
-                    w.put_u32(d);
-                }
-            }
-        }
-        w.into_bytes()
-    }
-
-    #[test]
-    fn snapshot_round_trip_is_exact() {
-        let db = db();
-        let reach = ReachIndex::build(&db);
-        let mut w = Writer::new();
-        reach.encode_snapshot(&mut w);
-        let bytes = w.into_bytes();
-        let decoded =
-            ReachIndex::decode_snapshot(&mut Reader::new(&bytes), db.types().len()).unwrap();
-        assert_eq!(decoded, reach);
-        let mut again = Writer::new();
-        decoded.encode_snapshot(&mut again);
-        assert_eq!(again.into_bytes(), bytes);
-    }
-
-    #[test]
-    fn decode_sorts_rows_and_rejects_duplicates() {
-        let bytes = encoded(&[&[(1, 1), (0, 0)], &[(1, 0)]]);
-        let reach = ReachIndex::decode_snapshot(&mut Reader::new(&bytes), 2).unwrap();
-        let (t0, t1) = (TypeId::from_index(0), TypeId::from_index(1));
-        assert_eq!(reach.reachable(ChainLink::Fields, t0), &[(t0, 0), (t1, 1)]);
-        assert_eq!(reach.min_lookups(ChainLink::Fields, t0, t1), Some(1));
-        assert_eq!(reach.min_lookups(ChainLink::Fields, t1, t0), None);
-
-        let bytes = encoded(&[&[(1, 1), (0, 0), (1, 2)], &[(1, 0)]]);
-        let err = ReachIndex::decode_snapshot(&mut Reader::new(&bytes), 2).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("duplicate reachability entry for type 1"),
-            "{err}"
         );
     }
 
     #[test]
     fn unreachable_types_are_absent() {
         let db = db();
-        let reach = ReachIndex::build(&db);
         let canvas = db.types().lookup_qualified("N.Canvas").unwrap();
         let island = db.types().lookup_qualified("N.Island").unwrap();
         assert_eq!(
-            reach.min_lookups(ChainLink::FieldsAndMethods, canvas, island),
+            links(&db, ChainLink::FieldsAndMethods, canvas, island),
             None
         );
         // But the island reaches its own bool field.
         assert_eq!(
-            reach.min_lookups(ChainLink::Fields, island, db.types().bool_ty()),
+            links(&db, ChainLink::Fields, island, db.types().bool_ty()),
             Some(1)
         );
     }
@@ -522,5 +414,135 @@ mod tests {
         assert_eq!(pruner.min_to_admissible(line), Some(2));
         assert_eq!(pruner.min_to_admissible(int), Some(0));
         assert_eq!(pruner.min_to_admissible(island), None);
+    }
+
+    #[test]
+    fn a_panic_under_the_memo_lock_poisons_nothing() {
+        let db = db();
+        let reach = ReachIndex::build(&db);
+        let memo = ReachMemo::default();
+        let filter = TypeFilter::one_of(vec![db.types().int_ty()]);
+        let before = memo
+            .pruner(&reach, &db, ChainLink::Fields, &filter)
+            .expect("filter is narrow");
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = memo.entries.write().unwrap();
+                panic!("a worker panics while holding the reach memo lock");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked && memo.entries.is_poisoned());
+        let after = memo
+            .pruner(&reach, &db, ChainLink::Fields, &filter)
+            .expect("the memo still answers");
+        assert!(
+            Arc::ptr_eq(&before, &after),
+            "the same table, not a rebuild"
+        );
+        let carried = memo.carry();
+        let again = carried
+            .pruner(&reach, &db, ChainLink::Fields, &filter)
+            .expect("the carried memo answers");
+        assert!(Arc::ptr_eq(&before, &again));
+    }
+
+    /// Reachability computed the simple way, as the oracle for the
+    /// pruner: per type, one forward breadth-first search into a fresh
+    /// map over the raw (duplicate-bearing) edge lists. Index 0 holds the
+    /// `.f` link kind, index 1 `.f`-or-`.m()`.
+    fn reference_reach(db: &Database) -> [Vec<HashMap<TypeId, u32>>; 2] {
+        let n = db.types().len();
+        let mut field_edges: Vec<Vec<TypeId>> = vec![Vec::new(); n];
+        let mut method_edges: Vec<Vec<TypeId>> = vec![Vec::new(); n];
+        for ty in db.types().iter() {
+            for owner in db.member_lookup_chain(ty) {
+                for &f in db.fields_of(owner) {
+                    let fd = db.field(f);
+                    if !fd.is_static() {
+                        field_edges[ty.index()].push(fd.ty());
+                    }
+                }
+                for &m in db.methods_of(owner) {
+                    let md = db.method(m);
+                    if !md.is_static()
+                        && md.params().is_empty()
+                        && md.return_type() != db.types().void_ty()
+                    {
+                        method_edges[ty.index()].push(md.return_type());
+                    }
+                }
+            }
+        }
+        let bfs = |with_methods: bool| -> Vec<HashMap<TypeId, u32>> {
+            (0..n)
+                .map(|start| {
+                    let start = TypeId::from_index(start);
+                    let mut dist = HashMap::from([(start, 0)]);
+                    let mut queue = VecDeque::from([start]);
+                    while let Some(t) = queue.pop_front() {
+                        let d = dist[&t] + 1;
+                        let methods = if with_methods {
+                            &method_edges[t.index()][..]
+                        } else {
+                            &[]
+                        };
+                        for &next in field_edges[t.index()].iter().chain(methods) {
+                            dist.entry(next).or_insert_with(|| {
+                                queue.push_back(next);
+                                d
+                            });
+                        }
+                    }
+                    dist
+                })
+                .collect()
+        };
+        [bfs(false), bfs(true)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// For random corpora and random narrowing filters, the pruner's
+        /// distance from every type is the oracle's minimum distance to
+        /// any admissible type, and `DIST_UNREACHABLE` exactly where the
+        /// oracle reaches none.
+        #[test]
+        fn reach_index_matches_the_bfs_oracle(
+            seed in 0u64..200,
+            types in 5usize..60,
+            ordered in any::<bool>(),
+            picks in proptest::collection::vec(any::<u32>(), 0..4),
+        ) {
+            let lib = LibraryProfile { types, namespaces: 4, ..Default::default() };
+            let client = ClientProfile { classes: 2, ..Default::default() };
+            let db = generate(&lib, &client, seed);
+            let n = db.types().len();
+            let filter = if ordered {
+                TypeFilter::Ordered
+            } else {
+                TypeFilter::one_of(
+                    picks.iter().map(|&p| TypeId::from_index(p as usize % n)).collect(),
+                )
+            };
+            let admits: Vec<bool> = db.types().iter().map(|t| filter.admits(&db, t)).collect();
+            let reach = ReachIndex::build(&db);
+            let [fields, all] = reference_reach(&db);
+            for (kind, oracle) in [(ChainLink::Fields, &fields), (ChainLink::FieldsAndMethods, &all)] {
+                let pruner = reach.pruner(&db, kind, &filter).expect("filter is narrow");
+                for from in db.types().iter() {
+                    let want = oracle[from.index()]
+                        .iter()
+                        .filter(|(t, _)| admits[t.index()])
+                        .map(|(_, &d)| d)
+                        .min()
+                        .unwrap_or(DIST_UNREACHABLE);
+                    prop_assert_eq!(pruner.min_links(from), want, "{:?} from {:?}", kind, from);
+                    prop_assert_eq!(pruner.is_admissible(from), admits[from.index()]);
+                }
+            }
+        }
     }
 }

@@ -5,16 +5,15 @@
 //! enumerator, built straight from the code model, is the oracle for the
 //! complete set of rows on every query shape.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use pex_abstract::AbsTypes;
 use pex_core::{
-    derives, ChainLink, CompleteOptions, Completer, Completion, MethodIndex, PartialExpr,
-    RankConfig, Ranker, ReachIndex, SuffixKind,
+    derives, CompleteOptions, Completer, Completion, MethodIndex, PartialExpr, RankConfig, Ranker,
+    ReachIndex, SuffixKind,
 };
-use pex_corpus::{generate, ClientProfile, LibraryProfile};
 use pex_model::{Context, Database, Expr, ExprArena, GlobalRef, LocalId, MethodId, Stmt, ValueTy};
 use pex_types::TypeId;
 
@@ -189,60 +188,6 @@ impl BruteForce<'_> {
         self.db
             .accessible(md.visibility(), md.declaring(), self.ctx.enclosing_type)
     }
-}
-
-/// The reachability index built the simple way, as the oracle for the
-/// flat [`ReachIndex`]: per type, one breadth-first search into a fresh
-/// map over the raw (duplicate-bearing) edge lists. Index 0 holds the
-/// `.f` link kind, index 1 `.f`-or-`.m()`.
-fn reference_reach(db: &Database) -> [Vec<HashMap<TypeId, u32>>; 2] {
-    let n = db.types().len();
-    let mut field_edges: Vec<Vec<TypeId>> = vec![Vec::new(); n];
-    let mut method_edges: Vec<Vec<TypeId>> = vec![Vec::new(); n];
-    for ty in db.types().iter() {
-        for owner in db.member_lookup_chain(ty) {
-            for &f in db.fields_of(owner) {
-                let fd = db.field(f);
-                if !fd.is_static() {
-                    field_edges[ty.index()].push(fd.ty());
-                }
-            }
-            for &m in db.methods_of(owner) {
-                let md = db.method(m);
-                if !md.is_static()
-                    && md.params().is_empty()
-                    && md.return_type() != db.types().void_ty()
-                {
-                    method_edges[ty.index()].push(md.return_type());
-                }
-            }
-        }
-    }
-    let bfs = |with_methods: bool| -> Vec<HashMap<TypeId, u32>> {
-        (0..n)
-            .map(|start| {
-                let start = TypeId::from_index(start);
-                let mut dist = HashMap::from([(start, 0)]);
-                let mut queue = VecDeque::from([start]);
-                while let Some(t) = queue.pop_front() {
-                    let d = dist[&t] + 1;
-                    let methods = if with_methods {
-                        &method_edges[t.index()][..]
-                    } else {
-                        &[]
-                    };
-                    for &next in field_edges[t.index()].iter().chain(methods) {
-                        dist.entry(next).or_insert_with(|| {
-                            queue.push_back(next);
-                            d
-                        });
-                    }
-                }
-                dist
-            })
-            .collect()
-    };
-    [bfs(false), bfs(true)]
 }
 
 fn check_stream(
@@ -427,35 +372,6 @@ proptest! {
         a.sort();
         b.sort();
         prop_assert_eq!(a, b);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The flat reachability index answers every `(from, to)` pair of
-    /// both link kinds exactly as the map-per-type oracle does.
-    #[test]
-    fn reach_index_matches_the_bfs_oracle(seed in 0u64..200, types in 5usize..60) {
-        let lib = LibraryProfile { types, namespaces: 4, ..Default::default() };
-        let client = ClientProfile { classes: 2, ..Default::default() };
-        let db = generate(&lib, &client, seed);
-        let reach = ReachIndex::build(&db);
-        let [fields, all] = reference_reach(&db);
-        for (kind, oracle) in [(ChainLink::Fields, &fields), (ChainLink::FieldsAndMethods, &all)] {
-            for from in db.types().iter() {
-                let row = reach.reachable(kind, from);
-                prop_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "rows are id-sorted");
-                prop_assert_eq!(row.len(), oracle[from.index()].len());
-                for to in db.types().iter() {
-                    prop_assert_eq!(
-                        reach.min_lookups(kind, from, to),
-                        oracle[from.index()].get(&to).copied(),
-                        "{:?} from {:?} to {:?}", kind, from, to
-                    );
-                }
-            }
-        }
     }
 }
 

@@ -200,6 +200,21 @@ impl Database {
         }
     }
 
+    /// Reserves room for exactly `methods` more methods and `fields` more
+    /// fields, so a caller that knows its member counts up front leaves
+    /// no growth slack in the member tables.
+    pub(crate) fn reserve_members(&mut self, methods: usize, fields: usize) {
+        self.methods.reserve_exact(methods);
+        self.fields.reserve_exact(fields);
+    }
+
+    /// Drops the member tables' growth slack (after an incremental update
+    /// appended members to a cloned, exactly sized database).
+    pub(crate) fn shrink_members(&mut self) {
+        self.methods.shrink_to_fit();
+        self.fields.shrink_to_fit();
+    }
+
     /// Mutable access to the type table (for declaring new types).
     pub fn types_mut(&mut self) -> &mut TypeTable {
         &mut self.types
@@ -273,7 +288,7 @@ impl Database {
 
     /// Attaches a body to a method (replacing any previous one).
     pub fn set_body(&mut self, method: MethodId, body: Body) {
-        self.methods[method.index()].body = Some(body);
+        self.methods[method.index()].body = Some(Box::new(body));
     }
 
     /// Records that `method` overrides `base` (for abstract-type sharing).
@@ -960,5 +975,37 @@ mod tests {
             .unwrap();
         assert!(!db.instance_fields(line, None).contains(&hidden));
         assert!(db.instance_fields(line, Some(line)).contains(&hidden));
+    }
+
+    #[test]
+    fn member_tables_carry_no_growth_slack() {
+        use pex_types::wire::{Reader, Writer};
+        let exact = |db: &Database| {
+            assert_eq!(db.methods.capacity(), db.methods.len());
+            assert_eq!(db.fields.capacity(), db.fields.len());
+        };
+        let source = r#"
+            namespace Geo {
+                enum Kind { Round, Square, Star }
+                class Shape {
+                    double Scale;
+                    Geo.Kind Kind;
+                    int Rank() { return 1; }
+                }
+            }
+        "#;
+        let db = crate::minics::compile(source).unwrap();
+        exact(&db);
+        let mut w = Writer::new();
+        db.encode_snapshot(&mut w);
+        let bytes = w.into_bytes();
+        exact(&Database::decode_snapshot(&mut Reader::new(&bytes)).unwrap());
+        let edited = source.replace(
+            "int Rank() { return 1; }",
+            "int Rank() { return 1; } int Grade() { return 2; } double Size;",
+        );
+        let (patched, diff) = crate::minics::apply_update(&db, &edited).unwrap();
+        assert_eq!(diff.members_added, 2);
+        exact(&patched);
     }
 }

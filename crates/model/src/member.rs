@@ -40,8 +40,13 @@ pub struct Method {
     pub(crate) ret: TypeId,
     pub(crate) visibility: Visibility,
     pub(crate) overrides: Option<MethodId>,
-    pub(crate) body: Option<Body>,
+    /// Boxed: most methods (library surface) have no body, and an inline
+    /// `Body` would widen every row of the method table.
+    pub(crate) body: Option<Box<Body>>,
 }
+
+// Guards the boxed body: an inline `Option<Body>` makes this 128 bytes.
+const _: () = assert!(std::mem::size_of::<Method>() <= 80);
 
 impl Method {
     /// Method name.
@@ -83,7 +88,7 @@ impl Method {
     /// The method body, when the model includes one (client code does,
     /// library surface usually does not).
     pub fn body(&self) -> Option<&Body> {
-        self.body.as_ref()
+        self.body.as_deref()
     }
 
     /// Number of arguments a call carries: declared parameters plus one for

@@ -543,6 +543,7 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
     };
     diff.body_edited.sort_unstable();
     diff.body_edited.dedup();
+    db.shrink_members();
     Ok((db, diff))
 }
 

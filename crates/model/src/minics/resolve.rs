@@ -27,6 +27,20 @@ use super::{MiniCsError, MiniCsResult};
 pub(super) fn lower(files: &[ast::File<'_>]) -> MiniCsResult<Database> {
     let mut db = Database::new();
     intern_namespaces(&mut db, files.iter().flat_map(|f| &f.namespaces));
+    let decls = || {
+        files
+            .iter()
+            .flat_map(|f| &f.namespaces)
+            .flat_map(|ns| &ns.types)
+    };
+    let n_methods = decls()
+        .flat_map(|d| &d.members)
+        .filter(|m| matches!(m, ast::MemberDecl::Method { .. }))
+        .count();
+    let n_members: usize = decls()
+        .map(|d| d.members.len() + d.enum_members.len())
+        .sum();
+    db.reserve_members(n_methods, n_members - n_methods);
 
     // Pass 1: declare all types (and enum members).
     let mut works: Vec<TypeWork<'_>> = Vec::new();

@@ -367,7 +367,7 @@ fn decode_method(r: &mut Reader<'_>, bounds: Bounds) -> WireResult<Method> {
         None
     };
     let body = if r.get_bool("body presence flag")? {
-        Some(decode_body(r, bounds)?)
+        Some(Box::new(decode_body(r, bounds)?))
     } else {
         None
     };

@@ -9,7 +9,7 @@
 //! over a JSON-lines protocol from a fixed worker pool:
 //!
 //! * [`snapshot`] — the shared immutable artefact and its prewarming;
-//! * [`persist`] — the `pex-snapshot/1` binary format: save a prewarmed
+//! * [`persist`] — the `pex-snapshot` binary format: save a prewarmed
 //!   snapshot to disk, reload it on boot skipping parse + build + prewarm;
 //! * [`proto`] — the request/response schema and query execution, mapping
 //!   per-request `deadline_ms` / `max_steps` / `limit` onto the engine's

@@ -60,7 +60,7 @@ fn write_metrics(path: &std::path::Path) -> std::io::Result<()> {
 
 fn main() {
     let options = parse_args();
-    // `--load-snapshot` rehydrates a saved `pex-snapshot/1` artefact and
+    // `--load-snapshot` rehydrates a saved `pex-snapshot` artefact and
     // skips corpus parsing, index building and prewarming entirely; the
     // normal path builds everything from the named corpus.
     let load_result = match &options.load_snapshot {
@@ -572,7 +572,7 @@ FLAGS:
 SNAPSHOTS:
     --save-snapshot FILE
                        after boot, write the prewarmed snapshot in the
-                       `pex-snapshot/1` binary format (atomic rename)
+                       `pex-snapshot` binary format (atomic rename)
     --load-snapshot FILE
                        boot from a saved snapshot, skipping corpus parsing,
                        index building and prewarming; conflicts with a

@@ -1,18 +1,21 @@
-//! `pex-snapshot/1`: the versioned, dependency-free binary format that
+//! `pex-snapshot/3`: the versioned, dependency-free binary format that
 //! persists a fully prewarmed [`Snapshot`] to disk.
 //!
 //! A daemon boot normally pays corpus parse + index build + prewarm. The
 //! persistent snapshot moves all of that offline: `--save-snapshot` writes
 //! the finished artefact once, `--load-snapshot` maps it back in without
-//! touching the mini-C# frontend, the index builders, or the prewarm pass
-//! — the conversion index, the per-type candidate memos and the interned
-//! expression arena all come back exactly as they were saved.
+//! touching the mini-C# frontend, the method-index build, or the prewarm
+//! pass — the conversion index, the per-type candidate memos and the
+//! interned expression arena all come back exactly as they were saved.
+//! The reachability index is not stored: it is linear in the member
+//! edges, so the decoder rebuilds it, like the name maps and per-type
+//! member lists the database decoder derives.
 //!
 //! ## Layout
 //!
 //! ```text
 //! magic      8 bytes   "pexsnap1"
-//! version    u32 LE    format version (this build reads 1)
+//! version    u32 LE    format version (this build reads 3)
 //! payload_len u64 LE   total payload bytes after the section table
 //! checksum   u64 LE    FNV-1a 64 over the payload
 //! sections   u32 LE    section count
@@ -24,10 +27,11 @@
 //! ```
 //!
 //! Sections hold, in dense-id wire encoding ([`pex_types::wire`]): the
-//! database (types, members, bodies, conversion index), the snapshot
-//! metadata (name, default context, enclosing method), the method index
-//! with its prewarmed candidate memos, the reachability index, and the
-//! hash-consed expression arena with its symbol table.
+//! database (types, members, bodies, conversion index; tag 1), the
+//! snapshot metadata (name, default context, enclosing method; tag 2), the
+//! method index with its prewarmed candidate memos (tag 3), and the
+//! hash-consed expression arena with its symbol table (tag 5). Tag 4,
+//! the reachability index of versions 1 and 2, is retired.
 //!
 //! ## Validation
 //!
@@ -59,19 +63,19 @@ pub const MAGIC: &[u8; 8] = b"pexsnap1";
 
 /// The format version this build writes and reads. Version 2 added the
 /// database's removed-member tombstone sets (incremental updates keep
-/// surviving ids stable by never compacting them); version-1 files are
-/// rejected with a self-describing error rather than misread.
-pub const VERSION: u32 = 2;
+/// surviving ids stable by never compacting them); version 3 dropped the
+/// reachability index section, which the decoder now rebuilds. Older
+/// files are rejected with a self-describing error rather than misread.
+pub const VERSION: u32 = 3;
 
 mod tag {
     pub const DATABASE: u32 = 1;
     pub const META: u32 = 2;
     pub const METHOD_INDEX: u32 = 3;
-    pub const REACH_INDEX: u32 = 4;
     pub const ARENA: u32 = 5;
 }
 
-/// Serializes a snapshot into the `pex-snapshot/1` byte format.
+/// Serializes a snapshot into the `pex-snapshot/3` byte format.
 pub fn to_bytes(snapshot: &Snapshot) -> Vec<u8> {
     let _span = pex_obs::span("serve.snapshot.encode");
     let mut payload = Writer::new();
@@ -92,9 +96,6 @@ pub fn to_bytes(snapshot: &Snapshot) -> Vec<u8> {
     });
     section(tag::METHOD_INDEX, &mut payload, &|w| {
         snapshot.index.encode_snapshot(w)
-    });
-    section(tag::REACH_INDEX, &mut payload, &|w| {
-        snapshot.reach.encode_snapshot(w)
     });
     section(tag::ARENA, &mut payload, &|w| {
         snapshot.cache.arena.encode_snapshot(w)
@@ -221,20 +222,12 @@ fn decode(bytes: &[u8]) -> WireResult<Snapshot> {
         .map_err(|e| e.context("method index section"))?;
     r.expect_end("method index section")?;
 
-    let mut r = Reader::new(find_section(
-        &sections,
-        tag::REACH_INDEX,
-        "reachability index",
-    )?);
-    let reach = ReachIndex::decode_snapshot(&mut r, n_types)
-        .map_err(|e| e.context("reachability index section"))?;
-    r.expect_end("reachability index section")?;
-
     let mut r = Reader::new(find_section(&sections, tag::ARENA, "expression arena")?);
     let arena = ExprArena::decode_snapshot(&mut r, n_types, n_fields, n_methods)
         .map_err(|e| e.context("expression arena section"))?;
     r.expect_end("expression arena section")?;
 
+    let reach = ReachIndex::build(&db);
     Ok(Snapshot::assemble(
         name,
         db,
@@ -246,8 +239,8 @@ fn decode(bytes: &[u8]) -> WireResult<Snapshot> {
     ))
 }
 
-/// Deserializes a snapshot from `pex-snapshot/1` bytes, skipping parse,
-/// index build and prewarm entirely. Every id and offset is validated; a
+/// Deserializes a snapshot from `pex-snapshot/3` bytes, skipping parse,
+/// method-index build and prewarm entirely. Every id and offset is validated; a
 /// corrupted buffer yields a human-readable error, never a panic.
 pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, String> {
     let _span = pex_obs::span("serve.snapshot.decode");

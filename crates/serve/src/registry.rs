@@ -11,7 +11,7 @@
 //!   *pinned*: it is accounted at 0 bytes, never evicted, and listed first.
 //! * **Lazy load.** A request naming a project not yet resident loads
 //!   `<project>.pexsnap` from `--snapshot-dir` on demand (the
-//!   `pex-snapshot/1` format, full validation — see [`crate::persist`]).
+//!   `pex-snapshot` format, full validation — see [`crate::persist`]).
 //!   Project ids are validated against a conservative alphabet first, so
 //!   a request can never path-traverse out of the snapshot directory.
 //! * **LRU eviction.** Each unpinned tenant is accounted at its snapshot
@@ -59,7 +59,7 @@ pub enum Origin {
         /// `--local name:Type` declarations folded into the default context.
         locals: Vec<String>,
     },
-    /// Loaded from a `pex-snapshot/1` file: `--load-snapshot`, or a
+    /// Loaded from a `pex-snapshot` file: `--load-snapshot`, or a
     /// `.pexsnap` from `--snapshot-dir`.
     File {
         /// The snapshot file.

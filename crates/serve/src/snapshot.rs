@@ -294,7 +294,7 @@ impl Snapshot {
     /// members, method bodies, the candidate memo, and the interned
     /// expression arena — not a heap census. It only has to be *monotone*
     /// in corpus size and stable across runs so eviction order is
-    /// deterministic; tenants loaded from a `pex-snapshot/1` file use the
+    /// deterministic; tenants loaded from a `pex-snapshot` file use the
     /// file's exact byte length instead (the file contains the same
     /// arena + index payload this approximates).
     pub fn approx_bytes(&self) -> u64 {

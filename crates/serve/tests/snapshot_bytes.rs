@@ -2,16 +2,20 @@
 //!
 //! Each case builds a snapshot exactly as `pex-serve <corpus> --build-only
 //! --save-snapshot <file>` does (compile the mini-C# corpus, build the
-//! method and reach indexes, prewarm) and hashes its encoded bytes. A
+//! method index, prewarm) and hashes its encoded bytes. A
 //! front-end or index change that claims "same model" proves it here: any
 //! difference in types, members, bodies, override links, index rows,
 //! memoized candidate lists or interned arena nodes moves the hash.
+//! The per-section hashes pin the model apart from the file format, so
+//! a format change (version 3 dropped the reachability index section)
+//! can re-pin the whole-file constants while proving the model unmoved.
 //!
-//! The constants were taken from `pex-serve` builds whose `.pexsnap` files
-//! have these SHA-256 prefixes: paint `d43e4aa6`, geometry `3f3cb707`,
-//! familyshow `90dcb236`.
+//! The whole-file constants were taken from `pex-serve` builds whose
+//! version-3 `.pexsnap` files have these SHA-256 prefixes: paint
+//! `a1517b68`, geometry `92ab416f`, familyshow `0412ba8f`.
 
 use pex_serve::{persist, Snapshot, SnapshotSource};
+use pex_types::wire::Writer;
 
 /// 64-bit FNV-1a over `bytes`.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -26,6 +30,25 @@ fn snapshot_hash(source: SnapshotSource) -> (usize, u64) {
     (bytes.len(), fnv1a64(&bytes))
 }
 
+/// FNV-1a hashes of the database, method-index and arena sections as
+/// their own encoders write them. These pin the model independently of
+/// the file format: a change to the container (a section added or
+/// dropped, a version bump) re-pins the whole-file constants below but
+/// must leave these alone.
+fn section_hashes(source: SnapshotSource) -> [u64; 3] {
+    let snapshot = Snapshot::load(&source).expect("builtin corpus builds");
+    let hash = |encode: &dyn Fn(&mut Writer)| {
+        let mut w = Writer::new();
+        encode(&mut w);
+        fnv1a64(&w.into_bytes())
+    };
+    [
+        hash(&|w| snapshot.db.encode_snapshot(w)),
+        hash(&|w| snapshot.index.encode_snapshot(w)),
+        hash(&|w| snapshot.cache.arena.encode_snapshot(w)),
+    ]
+}
+
 #[test]
 fn fnv1a64_matches_the_reference_vectors() {
     assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
@@ -37,7 +60,7 @@ fn fnv1a64_matches_the_reference_vectors() {
 fn paint_snapshot_bytes_are_pinned() {
     assert_eq!(
         snapshot_hash(SnapshotSource::Paint),
-        (6202, 0x049e_6914_6ec4_1d13)
+        (5262, 0x8d42_08eb_cb69_bc22)
     );
 }
 
@@ -45,7 +68,7 @@ fn paint_snapshot_bytes_are_pinned() {
 fn geometry_snapshot_bytes_are_pinned() {
     assert_eq!(
         snapshot_hash(SnapshotSource::Geometry),
-        (3473, 0xe681_078e_2613_5299)
+        (2541, 0x1472_c588_6781_e4a1)
     );
 }
 
@@ -53,6 +76,42 @@ fn geometry_snapshot_bytes_are_pinned() {
 fn familyshow_snapshot_bytes_are_pinned() {
     assert_eq!(
         snapshot_hash(SnapshotSource::FamilyShow),
-        (2926, 0x1345_f91f_ab69_ffc7)
+        (2338, 0x0acb_6e54_bcff_f2de)
+    );
+}
+
+#[test]
+fn paint_model_sections_are_pinned() {
+    assert_eq!(
+        section_hashes(SnapshotSource::Paint),
+        [
+            0xab4b_02e7_393c_f68c,
+            0x4788_81a4_666e_380e,
+            0xa8c7_f832_281a_39c5
+        ]
+    );
+}
+
+#[test]
+fn geometry_model_sections_are_pinned() {
+    assert_eq!(
+        section_hashes(SnapshotSource::Geometry),
+        [
+            0x06e0_f55c_8ad2_d943,
+            0x451b_d26f_8ce0_b222,
+            0xa8c7_f832_281a_39c5
+        ]
+    );
+}
+
+#[test]
+fn familyshow_model_sections_are_pinned() {
+    assert_eq!(
+        section_hashes(SnapshotSource::FamilyShow),
+        [
+            0x1fd3_f569_b6a3_669a,
+            0x31a8_c03f_a507_5919,
+            0xa8c7_f832_281a_39c5
+        ]
     );
 }

@@ -1,4 +1,4 @@
-//! Hostile-input suite for the `pex-snapshot/1` loader: a snapshot file
+//! Hostile-input suite for the `pex-snapshot` loader: a snapshot file
 //! is untrusted bytes, and the daemon is `forbid(unsafe_code)` — every
 //! truncation, bit-flip and header forgery must surface as a clean,
 //! human-readable `Err`, never a panic, a hang, or a silently wrong
@@ -48,6 +48,21 @@ fn future_versions_are_rejected_with_guidance() {
     let err = persist::from_bytes(&bytes).unwrap_err();
     assert!(
         err.contains(&format!("unsupported snapshot version {future}")),
+        "{err}"
+    );
+    assert!(err.contains("--save-snapshot"), "{err}");
+}
+
+#[test]
+fn previous_versions_are_rejected_with_guidance() {
+    let mut bytes = paint_bytes();
+    // A file from the previous format (it still carried the reachability
+    // index section) must be turned away, not misread.
+    let previous = persist::VERSION - 1;
+    bytes[8..12].copy_from_slice(&previous.to_le_bytes());
+    let err = persist::from_bytes(&bytes).unwrap_err();
+    assert!(
+        err.contains(&format!("unsupported snapshot version {previous}")),
         "{err}"
     );
     assert!(err.contains("--save-snapshot"), "{err}");

@@ -1,5 +1,5 @@
 //! Dependency-free binary wire primitives for the persistent snapshot
-//! format (`pex-snapshot/1`).
+//! format (`pex-snapshot`).
 //!
 //! Every integer is little-endian and fixed-width; strings are
 //! length-prefixed UTF-8. [`Reader`] is fully bounds-checked: every read
