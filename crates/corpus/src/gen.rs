@@ -288,7 +288,7 @@ fn gen_library(
             for i in 0..arity {
                 let ty = member_type(db, t, p, &info, rng);
                 params.push(Param {
-                    name: NameFactory::local_name(rng, i),
+                    name: NameFactory::local_name(rng, i).into(),
                     ty,
                 });
             }
@@ -469,7 +469,7 @@ fn gen_clients(
                     *pick(rng, &library.object_types).expect("nonempty")
                 };
                 params.push(Param {
-                    name: NameFactory::local_name(rng, i),
+                    name: NameFactory::local_name(rng, i).into(),
                     ty,
                 });
             }
@@ -499,7 +499,7 @@ fn gen_body(
         locals: md
             .params()
             .iter()
-            .map(|pr| (pr.name.clone(), pr.ty))
+            .map(|pr| (pr.name.to_string(), pr.ty))
             .collect(),
         param_count: md.params().len(),
         stmts: Vec::new(),

@@ -6,7 +6,9 @@ use std::fmt;
 
 use pex_types::{TypeId, TypeTable};
 
-use crate::{Body, Context, Expr, Field, FieldId, Method, MethodId, Param, ValueTy, Visibility};
+use crate::{
+    Body, Context, Expr, Field, FieldId, Method, MethodId, Name, Param, ValueTy, Visibility,
+};
 
 /// Result alias for database operations.
 pub type ModelResult<T> = Result<T, ModelError>;
@@ -232,10 +234,10 @@ impl Database {
     ) -> MethodId {
         let id = MethodId(self.methods.len() as u32);
         self.methods.push(Method {
-            name: name.to_owned(),
+            name: Name::new(name),
             declaring,
             is_static,
-            params,
+            params: params.into_boxed_slice(),
             ret,
             visibility,
             overrides: None,
@@ -270,7 +272,7 @@ impl Database {
         }
         let id = FieldId(self.fields.len() as u32);
         self.fields.push(Field {
-            name: name.to_owned(),
+            name: Name::new(name),
             declaring,
             is_static,
             ty,
@@ -350,7 +352,7 @@ impl Database {
     ) {
         let m = &mut self.methods[id.index()];
         m.is_static = is_static;
-        m.params = params;
+        m.params = params.into_boxed_slice();
         m.ret = ret;
         m.visibility = visibility;
         m.body = None;
@@ -604,7 +606,7 @@ impl Database {
                 let fd = self.field(*f);
                 if !fd.is_static {
                     return Err(ModelError::BadMemberAccess {
-                        name: fd.name.clone(),
+                        name: fd.name.to_string(),
                     });
                 }
                 Ok(ValueTy::Known(fd.ty))
@@ -613,7 +615,7 @@ impl Database {
                 let fd = self.field(*f);
                 if fd.is_static {
                     return Err(ModelError::BadMemberAccess {
-                        name: fd.name.clone(),
+                        name: fd.name.to_string(),
                     });
                 }
                 let base_ty = self.expr_ty(base, ctx)?;
@@ -625,7 +627,7 @@ impl Database {
                 let expected = md.full_arity();
                 if args.len() != expected {
                     return Err(ModelError::BadArity {
-                        name: md.name.clone(),
+                        name: md.name.to_string(),
                         expected,
                         actual: args.len(),
                     });

@@ -28,6 +28,7 @@ mod expr;
 mod ids;
 mod member;
 pub mod minics;
+mod name;
 mod pretty;
 mod snap;
 
@@ -37,6 +38,7 @@ pub use database::{Database, GlobalRef, ModelError, ModelResult};
 pub use expr::{Body, CmpOp, Expr, ExprKindName, LastMember, Stmt, ValueTy};
 pub use ids::{FieldId, LocalId, MethodId};
 pub use member::{Field, Method, Param, Visibility};
+pub use name::Name;
 pub use pretty::{render_expr, CallStyle};
 
 pub use pex_types::{

@@ -2,7 +2,7 @@
 
 use pex_types::TypeId;
 
-use crate::{Body, MethodId};
+use crate::{Body, MethodId, Name};
 
 /// Member visibility. The model keeps only the distinction the completion
 /// engine needs: `Private` members are visible only inside their declaring
@@ -16,11 +16,12 @@ pub enum Visibility {
     Private,
 }
 
-/// A formal parameter of a [`Method`].
+/// A formal parameter of a [`Method`]: 24 bytes, its name inline when
+/// short (see [`Name`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Param {
     /// Parameter name (used for rendering and corpus realism).
-    pub name: String,
+    pub name: Name,
     /// Declared parameter type.
     pub ty: TypeId,
 }
@@ -31,12 +32,15 @@ pub struct Param {
 /// first argument when completing unknown-method queries; the model keeps the
 /// receiver implicit (`is_static == false`) and [`Method::full_param_types`]
 /// exposes the receiver-first view.
+///
+/// A row is 64 bytes: the name is a [`Name`], the parameters an exactly
+/// sized `Box<[Param]>`, and the rare body is boxed.
 #[derive(Debug, Clone)]
 pub struct Method {
-    pub(crate) name: String,
+    pub(crate) name: Name,
     pub(crate) declaring: TypeId,
     pub(crate) is_static: bool,
-    pub(crate) params: Vec<Param>,
+    pub(crate) params: Box<[Param]>,
     pub(crate) ret: TypeId,
     pub(crate) visibility: Visibility,
     pub(crate) overrides: Option<MethodId>,
@@ -45,8 +49,12 @@ pub struct Method {
     pub(crate) body: Option<Box<Body>>,
 }
 
-// Guards the boxed body: an inline `Option<Body>` makes this 128 bytes.
-const _: () = assert!(std::mem::size_of::<Method>() <= 80);
+// Row sizes of the member tables. A `String` name makes each row 8 bytes
+// wider (`Param` 32, `Field` 40), a `Vec<Param>` widens `Method` by 8 more
+// (80), and an inline `Option<Body>` would make it 128.
+const _: () = assert!(std::mem::size_of::<Param>() <= 24);
+const _: () = assert!(std::mem::size_of::<Field>() <= 32);
+const _: () = assert!(std::mem::size_of::<Method>() <= 64);
 
 impl Method {
     /// Method name.
@@ -115,10 +123,11 @@ impl Method {
 ///
 /// The paper treats C# properties as syntactic sugar for fields, so the model
 /// stores both in one table with an [`Field::is_property`] flag (kept for
-/// rendering fidelity; the engine treats them identically).
+/// rendering fidelity; the engine treats them identically). A row is 32
+/// bytes, its name a [`Name`].
 #[derive(Debug, Clone)]
 pub struct Field {
-    pub(crate) name: String,
+    pub(crate) name: Name,
     pub(crate) declaring: TypeId,
     pub(crate) is_static: bool,
     pub(crate) ty: TypeId,

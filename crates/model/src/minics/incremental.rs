@@ -25,7 +25,7 @@ use std::collections::HashSet;
 
 use pex_types::TypeId;
 
-use crate::{Body, Database, FieldId, MethodId, Param, Visibility};
+use crate::{Body, Database, FieldId, MethodId, Name, Param, Visibility};
 
 use super::ast;
 use super::resolve::{
@@ -284,7 +284,7 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
                     for (tr, pname) in params {
                         let pty = resolve_type_ref(&db, &patch.scope, tr)?;
                         lowered.push(Param {
-                            name: (*pname).to_owned(),
+                            name: Name::new(pname),
                             ty: pty,
                         });
                     }

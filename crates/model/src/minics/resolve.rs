@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use pex_types::{NsPrefix, PrimKind, TypeId};
 
-use crate::{Body, Database, Expr, LocalId, MethodId, Param, Stmt, ValueTy, Visibility};
+use crate::{Body, Database, Expr, LocalId, MethodId, Name, Param, Stmt, ValueTy, Visibility};
 
 use super::ast;
 use super::{MiniCsError, MiniCsResult};
@@ -149,7 +149,7 @@ pub(super) fn lower(files: &[ast::File<'_>]) -> MiniCsResult<Database> {
                     for (tr, pname) in params {
                         let pty = resolve_type_ref(&db, &work.scope, tr)?;
                         lowered.push(Param {
-                            name: (*pname).to_owned(),
+                            name: Name::new(pname),
                             ty: pty,
                         });
                     }
@@ -334,7 +334,7 @@ pub(super) fn compile_body<'a>(
     let mut local_names = HashMap::new();
     for p in md.params() {
         local_names.insert(p.name.as_str(), LocalId(body.locals.len() as u32));
-        body.locals.push((p.name.clone(), p.ty));
+        body.locals.push((p.name.to_string(), p.ty));
     }
     body.param_count = body.locals.len();
     let mut compiler = BodyCompiler {

@@ -13,8 +13,8 @@ use pex_types::wire::{Reader, WireError, WireResult, Writer};
 use pex_types::{TypeId, TypeTable};
 
 use crate::{
-    Body, CmpOp, Context, Database, Expr, Field, FieldId, Local, LocalId, Method, MethodId, Param,
-    Stmt, Visibility,
+    Body, CmpOp, Context, Database, Expr, Field, FieldId, Local, LocalId, Method, MethodId, Name,
+    Param, Stmt, Visibility,
 };
 
 /// Maximum nesting depth accepted when decoding expression trees and
@@ -167,12 +167,12 @@ fn decode_expr(
         7 => Expr::IntLit(r.get_i64("integer literal")?),
         8 => Expr::DoubleLit(f64::from_bits(r.get_u64("double literal bits")?)),
         9 => Expr::BoolLit(r.get_bool("bool literal")?),
-        10 => Expr::StrLit(r.get_str("string literal")?),
+        10 => Expr::StrLit(r.get_str("string literal")?.to_owned()),
         11 => Expr::Null,
         12 => Expr::Hole0,
         13 => {
             let ty = TypeId::from_index(r.get_id(bounds.types, "opaque expression type")?);
-            let label = r.get_str("opaque expression label")?;
+            let label = r.get_str("opaque expression label")?.to_owned();
             Expr::Opaque { ty, label }
         }
         t => return Err(WireError::new(format!("unknown expression tag {t}"))),
@@ -299,7 +299,7 @@ fn decode_body(r: &mut Reader<'_>, bounds: Bounds) -> WireResult<Body> {
     let n_locals = r.get_len("local slot count")?;
     let mut locals = Vec::with_capacity(n_locals);
     for _ in 0..n_locals {
-        let name = r.get_str("local name")?;
+        let name = r.get_str("local name")?.to_owned();
         let ty = TypeId::from_index(r.get_id(bounds.types, "local type")?);
         locals.push((name, ty));
     }
@@ -341,13 +341,13 @@ fn encode_method(m: &Method, w: &mut Writer) {
 }
 
 fn decode_method(r: &mut Reader<'_>, bounds: Bounds) -> WireResult<Method> {
-    let name = r.get_str("method name")?;
+    let name = Name::new(r.get_str("method name")?);
     let declaring = TypeId::from_index(r.get_id(bounds.types, "method declaring type")?);
     let is_static = r.get_bool("method static flag")?;
     let n_params = r.get_len("parameter count")?;
     let mut params = Vec::with_capacity(n_params);
     for _ in 0..n_params {
-        let name = r.get_str("parameter name")?;
+        let name = Name::new(r.get_str("parameter name")?);
         let ty = TypeId::from_index(r.get_id(bounds.types, "parameter type")?);
         params.push(Param { name, ty });
     }
@@ -375,7 +375,7 @@ fn decode_method(r: &mut Reader<'_>, bounds: Bounds) -> WireResult<Method> {
         name,
         declaring,
         is_static,
-        params,
+        params: params.into_boxed_slice(),
         ret,
         visibility,
         overrides,
@@ -394,7 +394,7 @@ fn encode_field(f: &Field, w: &mut Writer) {
 
 fn decode_field(r: &mut Reader<'_>, bounds: Bounds) -> WireResult<Field> {
     Ok(Field {
-        name: r.get_str("field name")?,
+        name: Name::new(r.get_str("field name")?),
         declaring: TypeId::from_index(r.get_id(bounds.types, "field declaring type")?),
         is_static: r.get_bool("field static flag")?,
         ty: TypeId::from_index(r.get_id(bounds.types, "field type")?),
@@ -527,7 +527,7 @@ impl Context {
         let n_locals = r.get_len("context local count")?;
         let mut locals = Vec::with_capacity(n_locals);
         for _ in 0..n_locals {
-            let name = r.get_str("context local name")?;
+            let name = r.get_str("context local name")?.to_owned();
             let ty = TypeId::from_index(r.get_id(n_types, "context local type")?);
             locals.push(Local { name, ty });
         }

@@ -96,7 +96,7 @@ fn build(recipe: &Recipe) -> Database {
             };
             let params: Vec<Param> = (0..m % 3)
                 .map(|p| Param {
-                    name: format!("p{p}"),
+                    name: format!("p{p}").into(),
                     ty: db.types().prim(prims[p % prims.len()]),
                 })
                 .collect();

@@ -46,7 +46,19 @@ pub mod registry;
 pub mod server;
 pub mod snapshot;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub use proto::{Disposition, Request, RequestDefaults};
 pub use registry::{Origin, SnapshotRegistry, DEFAULT_TENANT};
 pub use server::{ServeConfig, Server, ServerClient};
 pub use snapshot::{Snapshot, SnapshotSource};
+
+/// Locks `mutex`, recovering it if a thread panicked while holding it.
+///
+/// Recovery is sound only for data that every critical section leaves
+/// whole at each step, so a panic cannot tear it; each mutex locked this
+/// way says at its declaration why its data qualifies. A panicking worker
+/// then costs its own request, not every later one.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

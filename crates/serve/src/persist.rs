@@ -199,7 +199,7 @@ fn decode(bytes: &[u8]) -> WireResult<Snapshot> {
     let (n_types, n_fields, n_methods) = (db.types().len(), db.field_count(), db.method_count());
 
     let mut r = Reader::new(find_section(&sections, tag::META, "metadata")?);
-    let name = r.get_str("snapshot name")?;
+    let name = r.get_str("snapshot name")?.to_owned();
     let has_enclosing = r.get_bool("enclosing method presence flag")?;
     let raw_enclosing = r.get_u32("enclosing method id")?;
     let enclosing = if has_enclosing {

@@ -10,7 +10,9 @@
 //! a one-line policy in the server.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
+
+use crate::lock;
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -25,11 +27,18 @@ pub enum PushError<T> {
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Times a consumer blocked in [`Bounded::pop`]. Test hook: a test that
+    /// reads it under the lock knows the consumer is parked in the wait.
+    #[cfg(test)]
+    waits: usize,
 }
 
 /// A bounded FIFO shared between transports (producers) and the worker
 /// pool (consumers).
 pub struct Bounded<T> {
+    /// Locked with [`lock`], which recovers it after a panic: every change
+    /// is one `push_back`, one `pop_front` or one flag store, each of which
+    /// leaves the state whole.
     state: Mutex<State<T>>,
     not_empty: Condvar,
     cap: usize,
@@ -42,6 +51,8 @@ impl<T> Bounded<T> {
             state: Mutex::new(State {
                 items: VecDeque::new(),
                 closed: false,
+                #[cfg(test)]
+                waits: 0,
             }),
             not_empty: Condvar::new(),
             cap: cap.max(1),
@@ -52,7 +63,7 @@ impl<T> Bounded<T> {
     /// [`PushError::Closed`]. On success returns the queue depth *after*
     /// the push, for the caller's depth gauge.
     pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
-        let mut s = self.state.lock().expect("queue lock");
+        let mut s = lock(&self.state);
         if s.closed {
             return Err(PushError::Closed(item));
         }
@@ -69,7 +80,7 @@ impl<T> Bounded<T> {
     /// Takes the next item, blocking while the queue is open and empty.
     /// Returns `None` only when the queue is closed **and** drained.
     pub fn pop(&self) -> Option<T> {
-        let mut s = self.state.lock().expect("queue lock");
+        let mut s = lock(&self.state);
         loop {
             if let Some(item) = s.items.pop_front() {
                 return Some(item);
@@ -77,20 +88,27 @@ impl<T> Bounded<T> {
             if s.closed {
                 return None;
             }
-            s = self.not_empty.wait(s).expect("queue lock");
+            #[cfg(test)]
+            {
+                s.waits += 1;
+            }
+            s = self
+                .not_empty
+                .wait(s)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Closes admission. Already-queued items remain poppable; blocked
     /// consumers wake up. Idempotent.
     pub fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
+        lock(&self.state).closed = true;
         self.not_empty.notify_all();
     }
 
     /// Current number of queued items.
     pub fn depth(&self) -> usize {
-        self.state.lock().expect("queue lock").items.len()
+        lock(&self.state).items.len()
     }
 }
 
@@ -162,5 +180,39 @@ mod tests {
         }
         q.close();
         assert_eq!(consumer.join().unwrap(), (0..50).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_panic_under_the_queue_lock_poisons_nothing() {
+        let q = Arc::new(Bounded::new(2));
+        q.try_push(1).unwrap();
+        let held = Arc::clone(&q);
+        let panicked = std::thread::spawn(move || {
+            let _state = held.state.lock();
+            panic!("a panic while holding the queue lock");
+        })
+        .join();
+        assert!(panicked.is_err() && q.state.is_poisoned());
+        assert_eq!(q.try_push(2), Ok(2));
+        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
+        assert_eq!(q.depth(), 2);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        // Every wait on a poisoned mutex wakes with an error, so a blocked
+        // consumer must recover the guard there too. The consumer counts
+        // its wait under the lock and releases the lock only inside the
+        // wait, so once the count shows, it is parked.
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || (q.pop(), q.pop()))
+        };
+        while lock(&q.state).waits == 0 {
+            std::thread::yield_now();
+        }
+        q.try_push(4).unwrap();
+        q.close();
+        assert_eq!(consumer.join().unwrap(), (Some(4), None));
+        assert_eq!(q.try_push(5), Err(PushError::Closed(5)));
+        assert_eq!(q.depth(), 0);
     }
 }

@@ -36,12 +36,12 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use pex_model::minics::MiniCsError;
 
-use crate::persist;
 use crate::snapshot::{Snapshot, SnapshotSource, UpdateStats};
+use crate::{lock, persist};
 
 /// The tenant id requests without a `project` field resolve to, used in
 /// per-tenant metrics and the `stats`/`health` tenant tables.
@@ -103,14 +103,6 @@ pub fn apply_locals(snapshot: Arc<Snapshot>, locals: &[String]) -> Result<Arc<Sn
         default_ctx: ctx,
         ..inner
     }))
-}
-
-/// Locks `mutex`, recovering it if a thread panicked while holding it.
-/// Recovery is sound: the tenant map is the registry's only state, every
-/// change to it is a single `insert` or `remove` that leaves it whole,
-/// and the update lock guards no data at all.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One resident tenant: the live snapshot, where it came from, its byte
@@ -254,11 +246,14 @@ pub struct TenantInfo {
 /// load, LRU eviction under a byte budget, and atomic hot swap. See the
 /// module docs for the full semantics.
 pub struct SnapshotRegistry {
+    /// Locked with [`lock`], which recovers it after a panic: the tenant
+    /// map is the registry's only state, and every change to it is a
+    /// single `insert` or `remove` that leaves it whole.
     tenants: Mutex<HashMap<String, TenantEntry>>,
     /// Serializes incremental updates: each edit reads the current
     /// snapshot, patches it, and swaps — holding this across the
     /// read-patch-swap keeps concurrent edits from losing each other.
-    /// Queries never take it.
+    /// Queries never take it. It guards no data, so [`lock`] recovers it.
     update_lock: Mutex<()>,
     snapshot_dir: Option<PathBuf>,
     max_bytes: Option<u64>,

@@ -46,6 +46,7 @@ use std::time::Instant;
 use pex_core::CancelToken;
 
 use crate::json::{self, Value};
+use crate::lock;
 use crate::obs_json;
 use crate::proto::{self, Disposition, QueryRequest, Request, RequestDefaults};
 use crate::queue::{Bounded, PushError};
@@ -136,6 +137,8 @@ impl Answer {
 /// shares work that is genuinely concurrent.
 #[derive(Default)]
 struct Coalescer {
+    /// Locked with [`lock`], which recovers it after a panic: every change
+    /// is one `insert`, `remove` or `push` that leaves the map whole.
     inflight: Mutex<HashMap<String, Vec<Waiter>>>,
     /// Notified whenever a twin parks, for [`Coalescer::hold_for_twin`].
     #[cfg(test)]
@@ -147,7 +150,7 @@ impl Coalescer {
     /// no twin is executing, registers the caller as leader and hands the
     /// waiter back. A leader must [`Coalescer::collect`] after its run.
     fn admit(&self, key: &str, waiter: Waiter) -> Option<Waiter> {
-        let mut map = self.inflight.lock().expect("coalescer lock");
+        let mut map = lock(&self.inflight);
         match map.entry(key.to_owned()) {
             Entry::Occupied(mut e) => {
                 e.get_mut().push(waiter);
@@ -163,7 +166,7 @@ impl Coalescer {
     }
 
     fn collect(&self, key: &str) -> Vec<Waiter> {
-        let mut map = self.inflight.lock().expect("coalescer lock");
+        let mut map = lock(&self.inflight);
         map.remove(key).unwrap_or_default()
     }
 
@@ -175,11 +178,11 @@ impl Coalescer {
         if HOLD_LEADER.lock().expect("hold lock").as_deref() != Some(key) {
             return;
         }
-        let map = self.inflight.lock().expect("coalescer lock");
+        let map = lock(&self.inflight);
         drop(
             self.parked
                 .wait_while(map, |map| map[key].is_empty())
-                .expect("coalescer lock"),
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
         );
         *HOLD_LEADER.lock().expect("hold lock") = None;
     }
@@ -1198,5 +1201,28 @@ mod tests {
             sent,
             "every update, shed or not, is the tenant's applied or rejected"
         );
+    }
+
+    #[test]
+    fn a_panic_under_the_coalescer_lock_poisons_nothing() {
+        let coalescer = Arc::new(Coalescer::default());
+        let (tx, _rx) = channel();
+        let waiter = || Waiter {
+            id: None,
+            reply: tx.clone(),
+            admitted: Instant::now(),
+        };
+        assert!(coalescer.admit("k", waiter()).is_some(), "the first leads");
+        let held = Arc::clone(&coalescer);
+        let panicked = std::thread::spawn(move || {
+            let _map = held.inflight.lock();
+            panic!("a panic while holding the coalescer lock");
+        })
+        .join();
+        assert!(panicked.is_err() && coalescer.inflight.is_poisoned());
+        assert!(coalescer.admit("k", waiter()).is_none(), "a twin parks");
+        assert_eq!(coalescer.collect("k").len(), 1);
+        assert!(coalescer.admit("k", waiter()).is_some(), "the next leads");
+        assert!(coalescer.collect("k").is_empty());
     }
 }

@@ -253,7 +253,7 @@ impl Namespaces {
             let segs = r.get_len("namespace segment count")?;
             let mut path = Vec::with_capacity(segs);
             for _ in 0..segs {
-                path.push(r.get_str("namespace segment")?);
+                path.push(r.get_str("namespace segment")?.to_owned());
             }
             if i == 0 && !path.is_empty() {
                 return Err(WireError::new(

@@ -436,7 +436,7 @@ impl TypeTable {
         let mut types = Vec::with_capacity(count);
         let mut by_name = Vec::new();
         for i in 0..count {
-            let name = r.get_str("type name")?;
+            let name = r.get_str("type name")?.to_owned();
             let namespace = NamespaceId(r.get_id(namespaces.len(), "type namespace id")? as u32);
             let kind = match r.get_u8("type kind tag")? {
                 0 => {

@@ -247,11 +247,12 @@ impl<'a> Reader<'a> {
         Ok(v)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self, what: &str) -> WireResult<String> {
+    /// Reads a length-prefixed UTF-8 string, borrowed from the buffer; a
+    /// caller that keeps the text copies it.
+    pub fn get_str(&mut self, what: &str) -> WireResult<&'a str> {
         let n = self.get_len(what)?;
         let bytes = self.take(n, what)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|_| WireError::new(format!("{what}: string is not valid UTF-8")))
     }
 }
