@@ -8,74 +8,85 @@
 
 use std::collections::HashSet;
 
-use pex_model::{ENode, ExprArena, ExprId, MethodId, ValueTy};
+use pex_model::{Database, ENode, ExprArena, ExprId, MethodId, ValueTy};
+use pex_types::TypeId;
 
 use crate::rank::Ranker;
 
-use super::index::MethodIndex;
+use super::index::{CandidateScratch, MethodIndex};
 use super::stream::{Scored, ScoredStream};
 
-/// Picks the candidate list of the argument whose index entry is smallest
-/// (paper Section 4.2); `None` when no argument has a known type.
-fn pick_candidates<'i>(
-    ranker: &Ranker<'_>,
-    index: &'i MethodIndex,
+/// Per-query scratch for [`expand_unknown_call`]: the candidate walk's
+/// dedupe marks plus one parameter and one slot buffer, reused by every
+/// candidate of every argument combo the query expands.
+#[derive(Debug, Default)]
+pub(crate) struct CallScratch {
+    candidates: CandidateScratch,
+    params: Vec<TypeId>,
+    slots: Vec<Option<usize>>,
+}
+
+/// The argument type whose index entry is smallest (paper Section 4.2),
+/// the first such on ties; `None` when no argument has a known type.
+fn pick_type(
+    db: &Database,
+    index: &MethodIndex,
+    scratch: &mut CandidateScratch,
     types: impl Iterator<Item = ValueTy>,
-) -> Option<&'i [MethodId]> {
-    let db = ranker.db;
-    let mut best: Option<(pex_types::TypeId, usize)> = None;
+) -> Option<TypeId> {
+    let mut best: Option<(TypeId, usize)> = None;
     for ty in types {
         if let ValueTy::Known(t) = ty {
-            let count = index.candidate_count_cached(db, t);
+            let count = index.candidate_count(db, t, scratch);
             if best.map(|(_, c)| count < c).unwrap_or(true) {
                 best = Some((t, count));
             }
         }
     }
-    best.map(|(t, _)| index.candidates_for_cached(db, t))
+    best.map(|(t, _)| t)
 }
 
 /// Expands a `?({...})` combo: finds candidate methods via the index, places
 /// the arguments injectively into argument positions (receiver included),
 /// fills the rest with `0`, and scores each resulting call.
 ///
-/// Candidate lists and counts come from the index's per-type memo
-/// ([`MethodIndex::candidates_for_cached`]), so argument combos that repeat
-/// a type — within one query or across queries against the same index —
-/// never repeat the supertype walk.
+/// Candidate counts come from the index's per-type memo; the candidates
+/// themselves from one walk over the chosen type's exact rows
+/// ([`MethodIndex::candidates_for_with`]), through the query's `scratch`.
 pub(crate) fn expand_unknown_call(
     ranker: &Ranker<'_>,
     index: &MethodIndex,
     arena: &ExprArena,
+    scratch: &mut CallScratch,
     items: &[Scored],
 ) -> Vec<Scored> {
     let db = ranker.db;
-    let candidates = match pick_candidates(ranker, index, items.iter().map(|c| c.ty)) {
-        Some(c) => c,
-        None => index.all_with_args(),
-    };
     let mut out = Vec::new();
     let mut seen = HashSet::new();
-    for &m in candidates.iter() {
+    let CallScratch {
+        candidates,
+        params,
+        slots,
+    } = scratch;
+    let visit = |m: MethodId| {
         let md = db.method(m);
         if !db.accessible(md.visibility(), md.declaring(), ranker.ctx.enclosing_type) {
-            continue;
+            return;
         }
-        let param_tys = md.full_param_types();
-        if param_tys.len() < items.len() {
-            continue;
+        if md.full_arity() < items.len() {
+            return;
         }
+        params.clear();
+        params.extend(md.full_param_types_iter());
+        slots.clear();
+        slots.resize(params.len(), None);
         place(
-            ranker,
-            arena,
-            m,
-            &param_tys,
-            items,
-            &mut vec![None; param_tys.len()],
-            0,
-            &mut seen,
-            &mut out,
+            ranker, arena, m, params, items, slots, 0, &mut seen, &mut out,
         );
+    };
+    match pick_type(db, index, candidates, items.iter().map(|c| c.ty)) {
+        Some(t) => index.candidates_for_with(db, t, candidates).for_each(visit),
+        None => index.all_with_args().iter().copied().for_each(visit),
     }
     out
 }
@@ -86,9 +97,9 @@ fn place(
     ranker: &Ranker<'_>,
     arena: &ExprArena,
     m: MethodId,
-    param_tys: &[pex_types::TypeId],
+    param_tys: &[TypeId],
     items: &[Scored],
-    slots: &mut Vec<Option<usize>>, // slot j -> index into items
+    slots: &mut [Option<usize>], // slot j -> index into items
     i: usize,
     seen: &mut HashSet<ExprId>,
     out: &mut Vec<Scored>,

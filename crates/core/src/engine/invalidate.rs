@@ -7,7 +7,7 @@
 //! - the [`ConversionIndex`] is partially
 //!   rebuilt (rows whose target walk avoids the dirty types are reused)
 //!   and only when a hierarchy edge moved at all;
-//! - [`MethodIndex`] candidate-memo cells survive unless their
+//! - [`MethodIndex`] candidate-count cells survive unless their
 //!   conversion-target walk intersects the dirty parameter/type set;
 //! - successor-memo entries survive unless
 //!   the keyed type's member-lookup chain (in either database) touches a
@@ -167,8 +167,8 @@ mod tests {
         let cache = EngineCache::new();
         // Warm every per-type cell and successor entry so retention has
         // something to keep or drop.
+        index.prewarm(db);
         for ty in db.types().iter() {
-            let _ = index.candidates_for_cached(db, ty);
             let _ = cache.chains.successors(
                 db,
                 ty,
@@ -193,11 +193,12 @@ mod tests {
         assert_eq!(stats.conversions, 0, "{stats:?}");
         assert!(!stats.reach_rebuilt);
         assert!(stats.candidates_kept > 0);
-        // Carried cells still answer exactly like a fresh walk.
+        // Carried cells still count exactly what a fresh walk yields.
+        let mut scratch = crate::CandidateScratch::new();
         for ty in new_db.types().iter() {
             assert_eq!(
-                new_index.candidates_for_cached(&new_db, ty),
-                new_index.candidates_for(&new_db, ty).as_slice()
+                new_index.candidate_count(&new_db, ty, &mut scratch),
+                new_index.candidates_for(&new_db, ty).len()
             );
         }
     }
@@ -219,11 +220,12 @@ mod tests {
         assert_eq!(new_reach, ReachIndex::build(&new_db));
         // Every surviving and rebuilt answer matches a cold rebuild.
         let cold_index = MethodIndex::build(&new_db);
+        let mut scratch = crate::CandidateScratch::new();
         for ty in new_db.types().iter() {
             assert_eq!(
-                new_index.candidates_for_cached(&new_db, ty),
-                cold_index.candidates_for(&new_db, ty).as_slice(),
-                "candidates diverge for {}",
+                new_index.candidate_count(&new_db, ty, &mut scratch),
+                cold_index.candidates_for(&new_db, ty).len(),
+                "candidate counts diverge for {}",
                 new_db.types().qualified_name(ty)
             );
             let fresh = new_cache.chains.successors(

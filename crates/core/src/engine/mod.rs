@@ -532,8 +532,9 @@ impl<'a> Completer<'a> {
                     .collect();
                 let product = ProductStream::new(arg_streams, budget.clone());
                 let index = self.index;
+                let mut scratch = calls::CallScratch::default();
                 let expand = move |combo: &stream::Combo| {
-                    calls::expand_unknown_call(&ranker, index, arena, &combo.items)
+                    calls::expand_unknown_call(&ranker, index, arena, &mut scratch, &combo.items)
                 };
                 self.filtered(Box::new(ExpandStream::new(product, expand)), filter)
             }

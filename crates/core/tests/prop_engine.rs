@@ -11,11 +11,13 @@ use proptest::prelude::*;
 
 use pex_abstract::AbsTypes;
 use pex_core::{
-    derives, CompleteOptions, Completer, Completion, MethodIndex, PartialExpr, RankConfig, Ranker,
-    ReachIndex, SuffixKind,
+    derives, refresh_derived, CandidateScratch, CompleteOptions, Completer, Completion,
+    EngineCache, MethodIndex, PartialExpr, RankConfig, Ranker, ReachIndex, SuffixKind,
 };
+use pex_model::minics::{self, PrintOptions};
 use pex_model::{Context, Database, Expr, ExprArena, GlobalRef, LocalId, MethodId, Stmt, ValueTy};
-use pex_types::TypeId;
+use pex_types::{TypeId, TypeKind};
+use rand::SeedableRng;
 
 mod common;
 use common::{first_site, query_mix, small_db};
@@ -414,4 +416,203 @@ fn random_corpora_have_assignments_and_comparisons() {
     }
     assert!(assigns > 0);
     assert!(cmps > 0);
+}
+
+// ---------------------------------------------------------------------------
+// The Figure 8 index against independent oracles.
+
+/// A generated corpus rich in interfaces and structs, printed and compiled
+/// back so incremental updates can patch it as the daemon patches a
+/// tenant.
+fn hierarchy_db(seed: u64) -> Database {
+    let lib = pex_corpus::LibraryProfile {
+        types: 30,
+        namespaces: 3,
+        interface_frac: 0.25,
+        struct_frac: 0.25,
+        subclass_frac: 0.6,
+        ..Default::default()
+    };
+    let client = pex_corpus::ClientProfile {
+        classes: 2,
+        ..Default::default()
+    };
+    let db = pex_corpus::generate(&lib, &client, seed);
+    minics::compile(&minics::print(&db, PrintOptions::default()))
+        .expect("a printed corpus compiles")
+}
+
+/// The walk by definition: every method with an argument position, keyed
+/// by the nearest of its receiver/parameter types `p` that `ty` converts
+/// to — `(distance, p)`, distances from the uncached BFS — then by id.
+fn reference_walk(db: &Database, ty: TypeId) -> Vec<MethodId> {
+    let types = db.types();
+    let mut keyed: Vec<((u32, TypeId), MethodId)> = db
+        .methods()
+        .filter_map(|m| {
+            let key = db
+                .method(m)
+                .full_param_types()
+                .into_iter()
+                .filter_map(|p| types.type_distance_bfs(ty, p).map(|d| (d, p)))
+                .min()?;
+            Some((key, m))
+        })
+        .collect();
+    keyed.sort();
+    keyed.into_iter().map(|(_, m)| m).collect()
+}
+
+/// The exact rows as the index used to build them: one pushed list per
+/// type, a method skipped when it already ends the list.
+fn pushed_rows(db: &Database) -> Vec<Vec<MethodId>> {
+    let mut rows = vec![Vec::new(); db.types().len()];
+    for m in db.methods() {
+        for ty in db.method(m).full_param_types() {
+            let row: &mut Vec<MethodId> = &mut rows[ty.index()];
+            if row.last() != Some(&m) {
+                row.push(m);
+            }
+        }
+    }
+    rows
+}
+
+/// How `ty` is spelled in mini-C# source, if it can be.
+fn type_ref(db: &Database, ty: TypeId) -> Option<String> {
+    let def = db.types().get(ty);
+    if def.is_primitive() {
+        return Some(def.name().to_owned());
+    }
+    match def.kind() {
+        TypeKind::Void => None,
+        _ if ty == db.types().object() => Some("object".to_owned()),
+        _ => Some(db.types().qualified_name(ty)),
+    }
+}
+
+/// One random edit of a declared type's printed unit: add a method over
+/// random parameter types, drop a bodiless method, or (for a class)
+/// implement a further interface. `None` when the pick does not apply.
+fn random_edit(db: &Database, rng: &mut impl rand::Rng) -> Option<String> {
+    let types: Vec<TypeId> = db
+        .types()
+        .iter()
+        .filter(|&t| {
+            matches!(
+                db.types().get(t).kind(),
+                TypeKind::Class { .. } | TypeKind::Struct | TypeKind::Interface
+            ) && t != db.types().object()
+        })
+        .collect();
+    let nameable: Vec<String> = db.types().iter().filter_map(|t| type_ref(db, t)).collect();
+    let ty = types[rng.gen_range(0..types.len())];
+    let unit = minics::print_type(db, ty, PrintOptions::default());
+    let mut lines: Vec<String> = unit.lines().map(str::to_owned).collect();
+    let header = lines.iter().position(|l| {
+        l.trim_end().ends_with('{') && l.starts_with("    ") && !l.starts_with("     ")
+    })?;
+    match rng.gen_range(0..3) {
+        0 => {
+            let params: Vec<String> = (0..rng.gen_range(1..=3))
+                .map(|i| format!("{} p{i}", nameable[rng.gen_range(0..nameable.len())]))
+                .collect();
+            lines.insert(
+                header + 1,
+                format!("        void AddedByEdit({});", params.join(", ")),
+            );
+        }
+        1 => {
+            let decls: Vec<usize> = (0..lines.len())
+                .filter(|&i| {
+                    let l = lines[i].trim();
+                    l.ends_with(");") && l.contains('(') && !l.contains('{') && !l.contains('=')
+                })
+                .collect();
+            if decls.is_empty() {
+                return None;
+            }
+            lines.remove(decls[rng.gen_range(0..decls.len())]);
+        }
+        _ => {
+            if !matches!(db.types().get(ty).kind(), TypeKind::Class { .. }) {
+                return None;
+            }
+            let ifaces: Vec<TypeId> = db
+                .types()
+                .iter()
+                .filter(|&t| matches!(db.types().get(t).kind(), TypeKind::Interface))
+                .filter(|t| !db.types().get(ty).interfaces().contains(t))
+                .collect();
+            if ifaces.is_empty() {
+                return None;
+            }
+            let iface = db
+                .types()
+                .qualified_name(ifaces[rng.gen_range(0..ifaces.len())]);
+            let head = lines[header]
+                .trim_end()
+                .trim_end_matches('{')
+                .trim_end()
+                .to_owned();
+            let joiner = if head.contains(" : ") { ", " } else { " : " };
+            lines[header] = format!("{head}{joiner}{iface} {{");
+        }
+    }
+    Some(lines.join("\n"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn method_index_matches_its_oracles(seed in 0u64..1000, edit_seed in 0u64..1000) {
+        let db = hierarchy_db(seed);
+        let index = MethodIndex::build(&db);
+
+        // Flat rows equal the push-built lists; the fallback set is every
+        // method with an argument position.
+        let rows = pushed_rows(&db);
+        for ty in db.types().iter() {
+            prop_assert_eq!(index.exact(ty), rows[ty.index()].as_slice());
+        }
+        let with_args: Vec<MethodId> =
+            db.methods().filter(|&m| db.method(m).full_arity() > 0).collect();
+        prop_assert_eq!(index.all_with_args(), with_args.as_slice());
+
+        // The walk equals the reference order; each count is its length,
+        // on the filling lookup and on the memoized one.
+        let mut scratch = CandidateScratch::new();
+        for ty in db.types().iter() {
+            let walk: Vec<MethodId> = index.candidates_for_with(&db, ty, &mut scratch).collect();
+            prop_assert_eq!(&walk, &reference_walk(&db, ty), "walk of {}", db.types().qualified_name(ty));
+            prop_assert_eq!(index.candidate_count(&db, ty, &mut scratch), walk.len());
+            prop_assert_eq!(index.candidate_count(&db, ty, &mut scratch), walk.len());
+        }
+
+        // After a random edit, carried and refilled counts equal a fresh
+        // build's.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(edit_seed);
+        let Some(unit) = random_edit(&db, &mut rng) else {
+            return Ok(());
+        };
+        let (mut new_db, diff) = minics::apply_update(&db, &unit)
+            .map_err(|e| TestCaseError::fail(format!("{e}\n{unit}")))?;
+        let reach = ReachIndex::build(&db);
+        let (new_index, _, _, stats) =
+            refresh_derived(&db, &mut new_db, &index, &reach, &EngineCache::new(), &diff);
+        prop_assert_eq!(stats.candidates + stats.candidates_kept, db.types().len());
+        let fresh = MethodIndex::build(&new_db);
+        for ty in new_db.types().iter() {
+            let want = fresh.candidate_count(&new_db, ty, &mut scratch);
+            prop_assert_eq!(want, reference_walk(&new_db, ty).len());
+            prop_assert_eq!(
+                new_index.candidate_count(&new_db, ty, &mut scratch),
+                want,
+                "count of {} after\n{}",
+                new_db.types().qualified_name(ty),
+                unit
+            );
+        }
+    }
 }

@@ -33,8 +33,8 @@ impl CacheStats {
     }
 }
 
-/// `MethodIndex::candidates_for_cached` memo statistics: fills are counted
-/// inside the `OnceLock` initialiser, so `lookups - fills` = memo hits.
+/// `MethodIndex::candidate_count` memo statistics: a fill is counted only
+/// by the lookup whose store lands, so `lookups - fills` = memo hits.
 pub fn index_candidates_stats(snap: &MetricsSnapshot) -> CacheStats {
     CacheStats {
         lookups: counter(snap, "index.candidates.lookups"),

@@ -4,8 +4,8 @@
 //!
 //! Counter probes use relaxed `fetch_add`, which commutes, so totals are
 //! schedule-independent as long as every site fires the same probes. The
-//! one subtlety is the `candidates_for` memo: fills are counted inside the
-//! `OnceLock` initialiser (exactly once per cell), so each side of the
+//! one subtlety is the candidate-count memo: a fill is counted only by the
+//! lookup whose store lands (exactly once per cell), so each side of the
 //! comparison loads its own fresh corpus — sharing one corpus would let
 //! the first run warm the memos and zero the second run's fill counts.
 

@@ -110,12 +110,14 @@ impl Method {
     /// type followed by the declared parameter types; for static methods just
     /// the declared parameter types.
     pub fn full_param_types(&self) -> Vec<TypeId> {
-        let mut out = Vec::with_capacity(self.full_arity());
-        if !self.is_static {
-            out.push(self.declaring);
-        }
-        out.extend(self.params.iter().map(|p| p.ty));
-        out
+        self.full_param_types_iter().collect()
+    }
+
+    /// [`Method::full_param_types`] without the allocation, for loops that
+    /// visit many methods and keep one buffer.
+    pub fn full_param_types_iter(&self) -> impl Iterator<Item = TypeId> + '_ {
+        let receiver = (!self.is_static).then_some(self.declaring);
+        receiver.into_iter().chain(self.params.iter().map(|p| p.ty))
     }
 }
 

@@ -11,7 +11,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::metrics::json_escape;
 
@@ -117,7 +117,19 @@ pub trait EventSink: Send + Sync {
     fn flush(&self) {}
 }
 
+/// The installed sink. A panicking emitter poisons this lock, and the
+/// slot recovers (see [`slot`]): it only ever changes by a whole
+/// `replace` or `take`, so a panic while it is held leaves one intact
+/// sink or none, never a torn one.
 static SINK: Mutex<Option<Box<dyn EventSink>>> = Mutex::new(None);
+
+/// Locks the sink slot, recovering it from poisoning. Sound because of
+/// the slot's invariant above; what a sink keeps *inside* itself is its
+/// own to recover (as [`JsonLinesSink`] does). One panicking emitter then
+/// costs its own event, not every later probe.
+fn slot() -> MutexGuard<'static, Option<Box<dyn EventSink>>> {
+    SINK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Cached `wants_spans` of the installed sink, readable without the lock so
 /// span sites pay one relaxed load when no trace is being collected.
@@ -127,14 +139,14 @@ static WANTS_SPANS: AtomicBool = AtomicBool::new(false);
 /// one (if any) so callers can restore or flush it.
 pub fn set_sink(sink: Box<dyn EventSink>) -> Option<Box<dyn EventSink>> {
     WANTS_SPANS.store(sink.wants_spans(), Ordering::Relaxed);
-    self::SINK.lock().expect("sink poisoned").replace(sink)
+    slot().replace(sink)
 }
 
 /// Removes and returns the installed sink, reverting to the `eprintln!`
 /// fallback for messages.
 pub fn take_sink() -> Option<Box<dyn EventSink>> {
     WANTS_SPANS.store(false, Ordering::Relaxed);
-    SINK.lock().expect("sink poisoned").take()
+    slot().take()
 }
 
 /// Whether span-end events should be constructed and delivered at all.
@@ -145,7 +157,7 @@ pub(crate) fn sink_wants_spans() -> bool {
 
 /// Flushes the installed sink's buffers. A no-op with no sink installed.
 pub fn flush_sink() {
-    if let Some(sink) = SINK.lock().expect("sink poisoned").as_ref() {
+    if let Some(sink) = slot().as_ref() {
         sink.flush();
     }
 }
@@ -153,8 +165,7 @@ pub fn flush_sink() {
 /// Sends a diagnostic line through the sink; with none installed, prints it
 /// to stderr verbatim (exactly what the replaced `eprintln!` did).
 pub fn emit_message(text: &str) {
-    let guard = SINK.lock().expect("sink poisoned");
-    match guard.as_ref() {
+    match slot().as_ref() {
         Some(sink) => sink.emit(&Event::Message {
             text: text.to_owned(),
         }),
@@ -164,7 +175,7 @@ pub fn emit_message(text: &str) {
 
 /// Delivers a span-end event to the sink if one wants spans.
 pub(crate) fn emit_span(event: Event) {
-    if let Some(sink) = SINK.lock().expect("sink poisoned").as_ref() {
+    if let Some(sink) = slot().as_ref() {
         if sink.wants_spans() {
             sink.emit(&event);
         }
@@ -209,23 +220,49 @@ impl EventSink for StderrPrettySink {
 /// Serialises every event as one JSON object per line — the `--trace FILE`
 /// format. Wants spans.
 pub struct JsonLinesSink {
-    out: Mutex<BufWriter<File>>,
+    out: Mutex<TraceOut>,
+}
+
+/// The trace file and whether its last line may be unfinished.
+struct TraceOut {
+    file: BufWriter<File>,
+    /// Set while a line is being written and left set if the write failed
+    /// or panicked: the next event closes that line before its own.
+    torn: bool,
 }
 
 impl JsonLinesSink {
     /// Creates (truncating) `path` and buffers writes to it.
     pub fn create(path: &Path) -> std::io::Result<Self> {
         Ok(JsonLinesSink {
-            out: Mutex::new(BufWriter::new(File::create(path)?)),
+            out: Mutex::new(TraceOut {
+                file: BufWriter::new(File::create(path)?),
+                torn: false,
+            }),
         })
+    }
+
+    /// Locks the writer, recovering it from poisoning. Sound because the
+    /// writer's one invariant — every event on a line of its own — is what
+    /// `torn` tracks, and `emit` checks `torn` before it writes: a line a
+    /// panic cut short is closed, never continued.
+    fn out(&self) -> MutexGuard<'_, TraceOut> {
+        self.out.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl EventSink for JsonLinesSink {
     fn emit(&self, event: &Event) {
-        let mut out = self.out.lock().expect("trace writer poisoned");
-        // Trace output is best-effort: a full disk must not abort a run.
-        let _ = writeln!(out, "{}", event.to_json());
+        let mut line = event.to_json();
+        line.push('\n');
+        let mut out = self.out();
+        // Trace output is best-effort: a full disk must not abort a run,
+        // but the line it cut short must not swallow the next event.
+        if out.torn && out.file.write_all(b"\n").is_err() {
+            return;
+        }
+        out.torn = true;
+        out.torn = out.file.write_all(line.as_bytes()).is_err();
     }
 
     fn wants_spans(&self) -> bool {
@@ -233,7 +270,7 @@ impl EventSink for JsonLinesSink {
     }
 
     fn flush(&self) {
-        let _ = self.out.lock().expect("trace writer poisoned").flush();
+        let _ = self.out().file.flush();
     }
 }
 
@@ -309,6 +346,99 @@ pub(crate) mod tests {
                 },
             ]
         );
+    }
+
+    /// A capturing sink whose first `emit` panics (poisoning the slot).
+    struct PanicOnceSink {
+        panicked: std::sync::atomic::AtomicBool,
+        inner: CaptureSink,
+    }
+
+    impl EventSink for PanicOnceSink {
+        fn emit(&self, event: &Event) {
+            if !self.panicked.swap(true, Ordering::Relaxed) {
+                panic!("emitter fails once");
+            }
+            self.inner.emit(event);
+        }
+
+        fn wants_spans(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn a_panicking_emitter_costs_only_its_own_event() {
+        let _guard = test_lock().lock().unwrap();
+        let events = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let prev = set_sink(Box::new(PanicOnceSink {
+            panicked: AtomicBool::new(false),
+            inner: CaptureSink(events.clone()),
+        }));
+        assert!(prev.is_none(), "tests must restore the sink slot");
+        let lost = std::panic::catch_unwind(|| emit_message("lost"));
+        assert!(
+            lost.is_err(),
+            "the first emit panics while holding the slot"
+        );
+        assert!(SINK.is_poisoned());
+        crate::message!("after {}", 1);
+        {
+            let _span = crate::span("after.span");
+        }
+        flush_sink();
+        assert!(take_sink().is_some());
+        SINK.clear_poison();
+        let got = events.lock().unwrap();
+        assert_eq!(
+            got[0],
+            Event::Message {
+                text: "after 1".into()
+            }
+        );
+        assert!(
+            matches!(
+                got[1],
+                Event::SpanEnd {
+                    name: "after.span",
+                    ..
+                }
+            ),
+            "{got:?}"
+        );
+        assert_eq!(got.len(), 2);
+    }
+
+    #[test]
+    fn json_lines_sink_closes_a_torn_line_before_the_next_event() {
+        let _guard = test_lock().lock().unwrap();
+        let dir = std::env::temp_dir().join("pex-obs-torn-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.jsonl");
+        let sink = JsonLinesSink::create(&path).unwrap();
+        // A writer cut short mid-line by a panic that poisons its lock.
+        let cut = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut out = sink.out.lock().unwrap();
+            out.torn = true;
+            out.file.write_all(b"{\"type\":\"mess").unwrap();
+            panic!("cut mid-line");
+        }));
+        assert!(cut.is_err());
+        sink.emit(&Event::Message {
+            text: "after".into(),
+        });
+        sink.emit(&Event::Message {
+            text: "again".into(),
+        });
+        sink.flush();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            text,
+            "{\"type\":\"mess\n\
+             {\"type\":\"message\",\"text\":\"after\"}\n\
+             {\"type\":\"message\",\"text\":\"again\"}\n"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

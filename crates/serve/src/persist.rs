@@ -1,11 +1,11 @@
-//! `pex-snapshot/3`: the versioned, dependency-free binary format that
+//! `pex-snapshot/4`: the versioned, dependency-free binary format that
 //! persists a fully prewarmed [`Snapshot`] to disk.
 //!
 //! A daemon boot normally pays corpus parse + index build + prewarm. The
 //! persistent snapshot moves all of that offline: `--save-snapshot` writes
 //! the finished artefact once, `--load-snapshot` maps it back in without
 //! touching the mini-C# frontend, the method-index build, or the prewarm
-//! pass — the conversion index, the per-type candidate memos and the
+//! pass — the conversion index, the per-type candidate counts and the
 //! interned expression arena all come back exactly as they were saved.
 //! The reachability index is not stored: it is linear in the member
 //! edges, so the decoder rebuilds it, like the name maps and per-type
@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! magic      8 bytes   "pexsnap1"
-//! version    u32 LE    format version (this build reads 3)
+//! version    u32 LE    format version (this build reads 4)
 //! payload_len u64 LE   total payload bytes after the section table
 //! checksum   u64 LE    FNV-1a 64 over the payload
 //! sections   u32 LE    section count
@@ -29,7 +29,8 @@
 //! Sections hold, in dense-id wire encoding ([`pex_types::wire`]): the
 //! database (types, members, bodies, conversion index; tag 1), the
 //! snapshot metadata (name, default context, enclosing method; tag 2), the
-//! method index with its prewarmed candidate memos (tag 3), and the
+//! method index — its exact rows and the prewarmed per-type candidate
+//! *counts*, not the candidate lists, which queries walk (tag 3) — and the
 //! hash-consed expression arena with its symbol table (tag 5). Tag 4,
 //! the reachability index of versions 1 and 2, is retired.
 //!
@@ -64,9 +65,11 @@ pub const MAGIC: &[u8; 8] = b"pexsnap1";
 /// The format version this build writes and reads. Version 2 added the
 /// database's removed-member tombstone sets (incremental updates keep
 /// surviving ids stable by never compacting them); version 3 dropped the
-/// reachability index section, which the decoder now rebuilds. Older
-/// files are rejected with a self-describing error rather than misread.
-pub const VERSION: u32 = 3;
+/// reachability index section, which the decoder now rebuilds; version 4
+/// stores each type's candidate count instead of its candidate list, and
+/// the index rows in strictly increasing type order. Older files are
+/// rejected with a self-describing error rather than misread.
+pub const VERSION: u32 = 4;
 
 mod tag {
     pub const DATABASE: u32 = 1;
@@ -75,7 +78,7 @@ mod tag {
     pub const ARENA: u32 = 5;
 }
 
-/// Serializes a snapshot into the `pex-snapshot/3` byte format.
+/// Serializes a snapshot into the `pex-snapshot/4` byte format.
 pub fn to_bytes(snapshot: &Snapshot) -> Vec<u8> {
     let _span = pex_obs::span("serve.snapshot.encode");
     let mut payload = Writer::new();
@@ -239,7 +242,7 @@ fn decode(bytes: &[u8]) -> WireResult<Snapshot> {
     ))
 }
 
-/// Deserializes a snapshot from `pex-snapshot/3` bytes, skipping parse,
+/// Deserializes a snapshot from `pex-snapshot/4` bytes, skipping parse,
 /// method-index build and prewarm entirely. Every id and offset is validated; a
 /// corrupted buffer yields a human-readable error, never a panic.
 pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, String> {
@@ -293,13 +296,15 @@ mod tests {
         );
         assert_eq!(loaded.cache.arena.len(), built.cache.arena.len());
         // The prewarmed caches came back filled: answering a query must
-        // not rebuild the conversion index or refill candidate memos.
-        for ty in loaded.db.types().iter() {
-            assert_eq!(
-                loaded.index.candidates_for_cached(&loaded.db, ty),
-                built.index.candidates_for_cached(&built.db, ty),
-            );
-        }
+        // not rebuild the conversion index or refill candidate counts. A
+        // built snapshot has every count cell filled, so equal encodings
+        // (which carry each cell's presence) prove the loaded one does too.
+        let encode = |index: &MethodIndex| {
+            let mut w = Writer::new();
+            index.encode_snapshot(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(encode(&loaded.index), encode(&built.index));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! reachability index, default query context and its abstract-type
 //! inference — and then shared by every worker behind an `Arc`. Loading
 //! also *prewarms* the lazily built caches (the [`pex_types`] conversion
-//! index and the per-type candidate memo), so the first request a client
+//! index and the per-type candidate-count memo), so the first request a client
 //! sends pays the same latency as the thousandth: no cold-cache cliff
 //! inside the serving path.
 
@@ -213,13 +213,11 @@ impl Snapshot {
 
     /// Forces the lazily built caches so no request pays for a cold fill:
     /// the conversion index (one Dijkstra over the conversion graph) and
-    /// the per-type candidate memo (one entry per type).
+    /// the per-type candidate-count memo (one cell per type).
     fn prewarm(&self) {
         let _span = pex_obs::span("serve.snapshot.prewarm");
         let _ = self.db.types().conversion_index();
-        for ty in self.db.types().iter() {
-            let _ = self.index.candidates_for_cached(&self.db, ty);
-        }
+        self.index.prewarm(&self.db);
         pex_obs::counter!("serve.snapshot.prewarmed", 1);
     }
 
@@ -276,8 +274,8 @@ impl Snapshot {
             self.enclosing,
             cache,
         );
-        // Refill only what the edit dropped: carried memo cells hit their
-        // OnceLock, so prewarm cost is proportional to the dirty set — and
+        // Refill only what the edit dropped: carried count cells are
+        // already filled, so prewarm cost is proportional to the dirty set — and
         // a zero-invalidation edit (body-only) carried everything, so the
         // sweep itself can be skipped.
         if stats.invalidated.total() > 0 || stats.invalidated.reach_rebuilt {

@@ -5,14 +5,17 @@
 //! method index, prewarm) and hashes its encoded bytes. A
 //! front-end or index change that claims "same model" proves it here: any
 //! difference in types, members, bodies, override links, index rows,
-//! memoized candidate lists or interned arena nodes moves the hash.
+//! memoized candidate counts or interned arena nodes moves the hash.
 //! The per-section hashes pin the model apart from the file format, so
 //! a format change (version 3 dropped the reachability index section)
 //! can re-pin the whole-file constants while proving the model unmoved.
+//! Version 4 changed the method-index section itself (candidate counts
+//! instead of candidate lists), so its pin moved with the whole-file
+//! ones while the database and arena pins stayed.
 //!
 //! The whole-file constants were taken from `pex-serve` builds whose
-//! version-3 `.pexsnap` files have these SHA-256 prefixes: paint
-//! `a1517b68`, geometry `92ab416f`, familyshow `0412ba8f`.
+//! version-4 `.pexsnap` files have these SHA-256 prefixes: paint
+//! `c7d3514c`, geometry `1fa3f31b`, familyshow `044af07c`.
 
 use pex_serve::{persist, Snapshot, SnapshotSource};
 use pex_types::wire::Writer;
@@ -60,7 +63,7 @@ fn fnv1a64_matches_the_reference_vectors() {
 fn paint_snapshot_bytes_are_pinned() {
     assert_eq!(
         snapshot_hash(SnapshotSource::Paint),
-        (5262, 0x8d42_08eb_cb69_bc22)
+        (4118, 0x3782_9883_8fa9_9a55)
     );
 }
 
@@ -68,7 +71,7 @@ fn paint_snapshot_bytes_are_pinned() {
 fn geometry_snapshot_bytes_are_pinned() {
     assert_eq!(
         snapshot_hash(SnapshotSource::Geometry),
-        (2541, 0x1472_c588_6781_e4a1)
+        (2529, 0xc022_d6e9_a3a3_39c4)
     );
 }
 
@@ -76,7 +79,7 @@ fn geometry_snapshot_bytes_are_pinned() {
 fn familyshow_snapshot_bytes_are_pinned() {
     assert_eq!(
         snapshot_hash(SnapshotSource::FamilyShow),
-        (2338, 0x0acb_6e54_bcff_f2de)
+        (2318, 0x8a76_3acc_be2b_f6c9)
     );
 }
 
@@ -86,7 +89,7 @@ fn paint_model_sections_are_pinned() {
         section_hashes(SnapshotSource::Paint),
         [
             0xab4b_02e7_393c_f68c,
-            0x4788_81a4_666e_380e,
+            0x0f37_303b_e65c_f483,
             0xa8c7_f832_281a_39c5
         ]
     );
@@ -98,7 +101,7 @@ fn geometry_model_sections_are_pinned() {
         section_hashes(SnapshotSource::Geometry),
         [
             0x06e0_f55c_8ad2_d943,
-            0x451b_d26f_8ce0_b222,
+            0xe344_14ba_6fa6_9a97,
             0xa8c7_f832_281a_39c5
         ]
     );
@@ -110,7 +113,7 @@ fn familyshow_model_sections_are_pinned() {
         section_hashes(SnapshotSource::FamilyShow),
         [
             0x1fd3_f569_b6a3_669a,
-            0x31a8_c03f_a507_5919,
+            0xd02f_4711_a60a_0a15,
             0xa8c7_f832_281a_39c5
         ]
     );
