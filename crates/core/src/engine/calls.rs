@@ -77,7 +77,7 @@ pub(crate) fn expand_unknown_call(
             return;
         }
         params.clear();
-        params.extend(md.full_param_types_iter());
+        params.extend(md.full_param_types());
         slots.clear();
         slots.resize(params.len(), None);
         place(

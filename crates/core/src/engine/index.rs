@@ -109,7 +109,7 @@ fn offset(n: usize) -> u32 {
 fn for_each_entry(db: &Database, last: &mut [u32], mut f: impl FnMut(usize, MethodId)) {
     last.fill(u32::MAX);
     for m in db.methods() {
-        for ty in db.method(m).full_param_types_iter() {
+        for ty in db.method(m).full_param_types() {
             let seen = &mut last[ty.index()];
             if *seen != m.index() as u32 {
                 *seen = m.index() as u32;

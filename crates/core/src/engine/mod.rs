@@ -555,7 +555,13 @@ impl<'a> Completer<'a> {
                         // this position by some viable overload.
                         let wanted: Vec<TypeId> = viable
                             .iter()
-                            .map(|m| self.db.method(*m).full_param_types()[i])
+                            .map(|m| {
+                                self.db
+                                    .method(*m)
+                                    .full_param_types()
+                                    .nth(i)
+                                    .expect("arity checked")
+                            })
                             .collect();
                         self.stream_for(a, TypeFilter::one_of(wanted), budget, cache, None)
                     })

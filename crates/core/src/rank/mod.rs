@@ -442,7 +442,7 @@ impl<'a> Ranker<'a> {
         // Namespaces of the non-primitive, non-object argument types, for
         // the common-namespace term.
         let mut arg_ns = Vec::new();
-        for (i, (&arg, &want)) in args.iter().zip(&md.full_param_types()).enumerate() {
+        for (i, (&arg, want)) in args.iter().zip(md.full_param_types()).enumerate() {
             if let ValueTy::Known(t) = self.walk(r, arg, acc)? {
                 let d = types.type_distance(t, want)?;
                 if self.eval(RankTerm::TypeDistance) {

@@ -70,7 +70,7 @@ impl BruteForce<'_> {
                 let mut out = Vec::new();
                 for items in self.product(args) {
                     for m in self.db.methods().filter(|&m| self.accessible(m)) {
-                        let params = self.db.method(m).full_param_types();
+                        let params: Vec<_> = self.db.method(m).full_param_types().collect();
                         self.place(m, &params, &items, &mut vec![None; params.len()], &mut out);
                     }
                 }
@@ -453,7 +453,6 @@ fn reference_walk(db: &Database, ty: TypeId) -> Vec<MethodId> {
             let key = db
                 .method(m)
                 .full_param_types()
-                .into_iter()
                 .filter_map(|p| types.type_distance_bfs(ty, p).map(|d| (d, p)))
                 .min()?;
             Some((key, m))

@@ -52,7 +52,7 @@ pub fn run(projects: &[Project], cfg: &ExperimentConfig) -> Vec<BaselineOutcome>
             |c: &CallSite| (c.enclosing, c.stmt),
             |site, ctx, abs| {
                 let db = &project.db;
-                let param_tys = db.method(site.target).full_param_types();
+                let param_tys: Vec<_> = db.method(site.target).full_param_types().collect();
                 for (i, arg) in site.args.iter().enumerate() {
                     let Some(chain_len) = local_chain_len(db, arg) else {
                         continue;

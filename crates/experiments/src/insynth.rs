@@ -192,7 +192,7 @@ impl<'a> InSynth<'a> {
                 {
                     continue;
                 }
-                let param_tys = md.full_param_types();
+                let param_tys: Vec<_> = md.full_param_types().collect();
                 if param_tys.is_empty() {
                     continue;
                 }

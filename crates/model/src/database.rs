@@ -632,10 +632,9 @@ impl Database {
                         actual: args.len(),
                     });
                 }
-                let param_tys = md.full_param_types();
-                for (i, (arg, want)) in args.iter().zip(param_tys.iter()).enumerate() {
+                for (i, (arg, want)) in args.iter().zip(md.full_param_types()).enumerate() {
                     let got = self.expr_ty(arg, ctx)?;
-                    self.require_convertible(got, *want, &format!("argument {i}"))?;
+                    self.require_convertible(got, want, &format!("argument {i}"))?;
                 }
                 Ok(ValueTy::Known(md.ret))
             }

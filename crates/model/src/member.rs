@@ -109,13 +109,7 @@ impl Method {
     /// Receiver-first parameter types: for instance methods the declaring
     /// type followed by the declared parameter types; for static methods just
     /// the declared parameter types.
-    pub fn full_param_types(&self) -> Vec<TypeId> {
-        self.full_param_types_iter().collect()
-    }
-
-    /// [`Method::full_param_types`] without the allocation, for loops that
-    /// visit many methods and keep one buffer.
-    pub fn full_param_types_iter(&self) -> impl Iterator<Item = TypeId> + '_ {
+    pub fn full_param_types(&self) -> impl Iterator<Item = TypeId> + '_ {
         let receiver = (!self.is_static).then_some(self.declaring);
         receiver.into_iter().chain(self.params.iter().map(|p| p.ty))
     }

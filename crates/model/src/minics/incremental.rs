@@ -1,12 +1,14 @@
-//! Edit-scoped re-resolution: patch an existing [`Database`] from one
-//! re-parsed compilation unit instead of rebuilding the world.
+//! The one lowering from parsed mini-C# units to a [`Database`]: a cold
+//! compile and a live edit run the same passes.
 //!
-//! [`apply_update`] parses a mini-C# unit, matches every declared type
-//! against the current database by qualified name, and patches the model
-//! **in id-stable fashion**: matched types and members keep their
-//! positional ids (interned expressions, memo keys and index rows that
-//! mention them stay valid), removed members are tombstoned rather than
-//! compacted, and only genuinely new declarations mint fresh ids. The
+//! `apply_units` matches every declared type against a base database by
+//! qualified name and patches a clone of it **in id-stable fashion**:
+//! matched types and members keep their positional ids (interned
+//! expressions, memo keys and index rows that mention them stay valid),
+//! removed members are tombstoned rather than compacted, and only
+//! genuinely new declarations mint fresh ids. [`super::compile`] applies
+//! its units to `Database::new()`, where every declaration is new;
+//! [`apply_update`] applies one re-parsed unit to a live model. The
 //! returned [`ModelDiff`] is the exact dirty set the derived caches need:
 //! a signature-identical body edit dirties nothing, an unchanged unit is
 //! reported as a no-op.
@@ -21,16 +23,12 @@
 //! parse or resolution error leaves the caller's model byte-identical
 //! (the protocol layer relies on this for its atomic-update guarantee).
 
-use std::collections::HashSet;
+use pex_types::{TypeError, TypeId};
 
-use pex_types::TypeId;
-
-use crate::{Body, Database, FieldId, MethodId, Name, Param, Visibility};
+use crate::{Database, FieldId, MethodId, Name, Param, Visibility};
 
 use super::ast;
-use super::resolve::{
-    compile_body, intern_namespaces, link_overrides, resolve_type_ref, visibility, Scope,
-};
+use super::resolve::{compile_body, link_overrides, resolve_type_ref, visibility, Scope};
 use super::{MiniCsError, MiniCsResult};
 
 /// What an incremental update changed, phrased as the dirty sets the
@@ -82,25 +80,29 @@ impl ModelDiff {
 struct WantMethod<'a> {
     name: &'a str,
     is_static: bool,
+    /// Moved into the model once the declaration is matched or minted.
     params: Vec<Param>,
     ret: TypeId,
     visibility: Visibility,
     body: Option<&'a [ast::Stmt<'a>]>,
-    /// Filled during matching: the id this declaration patched or minted.
+    /// Filled during matching: the id this declaration patched.
     id: Option<MethodId>,
 }
 
-/// The desired signature of one field/property declaration.
+/// The desired signature of one field/property declaration, with the
+/// source position a rejected declaration is reported at.
 struct WantField<'a> {
     name: &'a str,
     is_static: bool,
     ty: TypeId,
     visibility: Visibility,
     is_property: bool,
+    line: u32,
+    col: u32,
 }
 
-/// One matched (or new) type from the update unit, with everything needed
-/// to re-resolve its members and bodies.
+/// One matched (or new) type from the units, with everything needed to
+/// resolve its members and bodies.
 struct TypePatch<'a> {
     ty: TypeId,
     decl: &'a ast::TypeDecl<'a>,
@@ -108,9 +110,8 @@ struct TypePatch<'a> {
 }
 
 /// Body work queued until the whole member surface is patched: the method,
-/// its lookup scope, its pre-patch body (for no-op detection), and the
-/// unresolved statements.
-type BodyWork<'a> = (MethodId, &'a Scope, Option<Body>, &'a [ast::Stmt<'a>]);
+/// its lookup scope and the unresolved statements.
+type BodyWork<'a> = (MethodId, &'a Scope, &'a [ast::Stmt<'a>]);
 
 /// Re-parses one compilation unit and patches `base` with it.
 ///
@@ -123,87 +124,136 @@ type BodyWork<'a> = (MethodId, &'a Scope, Option<Body>, &'a [ast::Stmt<'a>]);
 /// # Errors
 ///
 /// Any parse or resolution error is returned with its source position and
-/// `base` is left untouched (the patch runs on a clone).
+/// `base` is left untouched (the patch runs on a clone). Declaring a
+/// built-in type (`System.Object`, `void`, a primitive) or one type twice
+/// is an error, as it is for [`super::compile`].
 pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, ModelDiff)> {
-    let file = super::parse(source)?;
+    apply_units(base, &[super::parse(source)?])
+}
+
+/// Patches a clone of `base` with parsed units (see [`apply_update`]).
+/// Pass 1 declares or matches the types of every unit before any base list
+/// or signature is resolved, so units may reference each other in either
+/// direction, like C# compilation units.
+pub(super) fn apply_units(
+    base: &Database,
+    files: &[ast::File<'_>],
+) -> MiniCsResult<(Database, ModelDiff)> {
     let mut db = base.clone();
     let mut diff = ModelDiff::default();
-    let mut dirty_types: HashSet<TypeId> = HashSet::new();
-    let mut dirty_params: HashSet<TypeId> = HashSet::new();
+    let base_types = db.types().len();
 
-    // Pass 1: declare or match types.
-    intern_namespaces(&mut db, &file.namespaces);
+    // Pass 1: declare or match types. A fresh type is declared with its
+    // enum members, and its member count sizes the member tables. Every
+    // namespace is interned first, since a `Scope` drops the paths no
+    // interned namespace starts with.
+    for ns_decl in files.iter().flat_map(|f| &f.namespaces) {
+        db.types_mut().namespaces_mut().intern(&ns_decl.path);
+    }
+    let mut matched = vec![false; base_types];
+    let mut dirty_types = vec![false; base_types];
+    let (mut new_methods, mut new_members) = (0, 0);
     let mut patches: Vec<TypePatch<'_>> = Vec::new();
-    for ns_decl in &file.namespaces {
-        let ns = db.types_mut().namespaces_mut().intern(&ns_decl.path);
-        let scope = Scope::new(&db, &ns_decl.path, &file.usings);
-        for decl in &ns_decl.types {
-            let existing = db.types().lookup(ns, decl.name);
-            let ty = match existing {
-                Some(ty) => {
-                    let have = db.types().get(ty);
-                    let same_kind = match decl.kind {
-                        ast::TypeDeclKind::Class => have.is_class(),
-                        ast::TypeDeclKind::Interface => have.is_interface(),
-                        ast::TypeDeclKind::Struct => {
-                            have.is_value_type()
-                                && !matches!(have.kind(), pex_types::TypeKind::Enum)
-                        }
-                        ast::TypeDeclKind::Enum => {
-                            matches!(have.kind(), pex_types::TypeKind::Enum)
-                        }
-                    };
-                    if !same_kind {
-                        return Err(MiniCsError::new(
-                            decl.line,
-                            decl.col,
-                            format!(
-                                "update cannot change the kind of `{}`",
-                                db.types().qualified_name(ty)
-                            ),
-                        ));
+    for file in files {
+        for ns_decl in &file.namespaces {
+            let ns = db.types_mut().namespaces_mut().intern(&ns_decl.path);
+            let scope = Scope::new(&db, &ns_decl.path, &file.usings);
+            for decl in &ns_decl.types {
+                let ty = match db.types().lookup(ns, decl.name) {
+                    // Built-in types, and types these units already
+                    // declared or matched, cannot be declared again.
+                    Some(ty)
+                        if ty.index() >= base_types
+                            || matched[ty.index()]
+                            || db.types().is_builtin(ty) =>
+                    {
+                        let dup = TypeError::DuplicateType {
+                            name: decl.name.to_owned(),
+                        };
+                        return Err(MiniCsError::new(decl.line, decl.col, dup.to_string()));
                     }
-                    if have.is_comparable() != decl.comparable {
-                        db.types_mut().set_comparable(ty, decl.comparable);
-                        // Comparability feeds the ordered-filter pruners
-                        // and comparison legality; treat like a hierarchy
-                        // edit so every ordering-sensitive cache resets.
+                    Some(ty) => {
+                        matched[ty.index()] = true;
+                        let have = db.types().get(ty);
+                        let same_kind = match decl.kind {
+                            ast::TypeDeclKind::Class => have.is_class(),
+                            ast::TypeDeclKind::Interface => have.is_interface(),
+                            ast::TypeDeclKind::Struct => {
+                                have.is_value_type()
+                                    && !matches!(have.kind(), pex_types::TypeKind::Enum)
+                            }
+                            ast::TypeDeclKind::Enum => {
+                                matches!(have.kind(), pex_types::TypeKind::Enum)
+                            }
+                        };
+                        if !same_kind {
+                            return Err(MiniCsError::new(
+                                decl.line,
+                                decl.col,
+                                format!(
+                                    "update cannot change the kind of `{}`",
+                                    db.types().qualified_name(ty)
+                                ),
+                            ));
+                        }
+                        if have.is_comparable() != decl.comparable {
+                            db.types_mut().set_comparable(ty, decl.comparable);
+                            // Comparability feeds the ordered-filter
+                            // pruners and comparison legality; treat like
+                            // a hierarchy edit so every ordering-sensitive
+                            // cache resets.
+                            diff.hierarchy_changed = true;
+                            dirty_types[ty.index()] = true;
+                        }
+                        ty
+                    }
+                    None => {
+                        let types = db.types_mut();
+                        let declared = match decl.kind {
+                            ast::TypeDeclKind::Class => types.declare_class(ns, decl.name),
+                            ast::TypeDeclKind::Struct => types.declare_struct(ns, decl.name),
+                            ast::TypeDeclKind::Interface => types.declare_interface(ns, decl.name),
+                            ast::TypeDeclKind::Enum => types.declare_enum(ns, decl.name),
+                        };
+                        let ty = declared
+                            .map_err(|e| MiniCsError::new(decl.line, decl.col, e.to_string()))?;
+                        if decl.comparable {
+                            db.types_mut().set_comparable(ty, true);
+                        }
+                        for &member in &decl.enum_members {
+                            db.add_enum_member(ty, member).map_err(|e| {
+                                MiniCsError::new(decl.line, decl.col, e.to_string())
+                            })?;
+                        }
+                        diff.members_added += decl.enum_members.len();
+                        new_methods += decl
+                            .members
+                            .iter()
+                            .filter(|m| matches!(m, ast::MemberDecl::Method { .. }))
+                            .count();
+                        new_members += decl.members.len();
+                        diff.types_added += 1;
                         diff.hierarchy_changed = true;
-                        dirty_types.insert(ty);
+                        ty
                     }
-                    ty
-                }
-                None => {
-                    let declared = match decl.kind {
-                        ast::TypeDeclKind::Class => db.types_mut().declare_class(ns, decl.name),
-                        ast::TypeDeclKind::Struct => db.types_mut().declare_struct(ns, decl.name),
-                        ast::TypeDeclKind::Interface => {
-                            db.types_mut().declare_interface(ns, decl.name)
-                        }
-                        ast::TypeDeclKind::Enum => db.types_mut().declare_enum(ns, decl.name),
-                    };
-                    let ty = declared
-                        .map_err(|e| MiniCsError::new(decl.line, decl.col, e.to_string()))?;
-                    if decl.comparable {
-                        db.types_mut().set_comparable(ty, true);
-                    }
-                    diff.types_added += 1;
-                    diff.hierarchy_changed = true;
-                    ty
-                }
-            };
-            patches.push(TypePatch {
-                ty,
-                decl,
-                scope: scope.clone(),
-            });
+                };
+                patches.push(TypePatch {
+                    ty,
+                    decl,
+                    scope: scope.clone(),
+                });
+            }
         }
     }
+    db.reserve_members(new_methods, new_members - new_methods);
+    // Dirty sets, indexed by type id; pass 1 declared every type.
+    dirty_types.resize(db.types().len(), false);
+    let mut dirty_params = vec![false; db.types().len()];
 
-    // Pass 2: re-resolve base lists and diff them against the hierarchy.
+    // Pass 2: resolve base lists and diff them against the hierarchy.
     for patch in &patches {
-        let mut want_base: Option<TypeId> = None;
-        let mut want_ifaces: Vec<TypeId> = Vec::new();
+        let mut want_base: Option<(TypeId, &ast::TypeRef<'_>)> = None;
+        let mut want_ifaces: Vec<(TypeId, &ast::TypeRef<'_>)> = Vec::new();
         for base_ref in &patch.decl.bases {
             let b = resolve_type_ref(&db, &patch.scope, base_ref)?;
             let base_is_class = db.types().get(b).is_class();
@@ -215,57 +265,66 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
                         "classes can have only one base class",
                     ));
                 }
-                want_base = Some(b);
-            } else if !want_ifaces.contains(&b) {
-                want_ifaces.push(b);
+                want_base = Some((b, base_ref));
+            } else if !want_ifaces.iter().any(|&(i, _)| i == b) {
+                want_ifaces.push((b, base_ref));
             }
         }
-        let have_base = db.types().declared_base(patch.ty);
-        let have_ifaces = db.types().get(patch.ty).interfaces().to_vec();
-        if have_base == want_base && have_ifaces == want_ifaces {
+        let types = db.types();
+        if types.declared_base(patch.ty) == want_base.map(|(b, _)| b)
+            && types
+                .get(patch.ty)
+                .interfaces()
+                .iter()
+                .copied()
+                .eq(want_ifaces.iter().map(|&(i, _)| i))
+        {
             continue;
         }
+        let at =
+            |r: &ast::TypeRef<'_>, e: TypeError| MiniCsError::new(r.line, r.col, e.to_string());
         db.types_mut().clear_supertypes(patch.ty);
-        if let Some(b) = want_base {
-            db.types_mut()
-                .set_base(patch.ty, b)
-                .map_err(|e| MiniCsError::new(patch.decl.line, patch.decl.col, e.to_string()))?;
+        if let Some((b, r)) = want_base {
+            db.types_mut().set_base(patch.ty, b).map_err(|e| at(r, e))?;
         }
-        for i in want_ifaces {
+        for (i, r) in want_ifaces {
             db.types_mut()
                 .add_interface_impl(patch.ty, i)
-                .map_err(|e| MiniCsError::new(patch.decl.line, patch.decl.col, e.to_string()))?;
+                .map_err(|e| at(r, e))?;
         }
         diff.hierarchy_changed = true;
-        dirty_types.insert(patch.ty);
+        dirty_types[patch.ty.index()] = true;
     }
 
-    // Pass 3: member surface. Re-resolve desired signatures, match them to
+    // Pass 3: member surface. Resolve desired signatures, match them to
     // existing ids (exact signature, then name + parameter types, then
     // name + arity, then unique name), overwrite mismatches in place,
     // tombstone leftovers, append genuinely new members.
     let mut member_surface_changed = false;
     let mut bodies: Vec<BodyWork<'_>> = Vec::new();
+    let mut want_methods: Vec<WantMethod<'_>> = Vec::new();
+    let mut want_fields: Vec<WantField<'_>> = Vec::new();
     for patch in &patches {
-        let decl = patch.decl;
-        let mut want_methods: Vec<WantMethod<'_>> = Vec::new();
-        let mut want_fields: Vec<WantField<'_>> = Vec::new();
+        let (ty, decl) = (patch.ty, patch.decl);
+        want_methods.clear();
+        want_fields.clear();
         for member in &decl.members {
             match member {
                 ast::MemberDecl::Field {
                     is_static,
-                    ty,
+                    ty: tr,
                     name,
                     is_property,
                     is_private,
                 } => {
-                    let fty = resolve_type_ref(&db, &patch.scope, ty)?;
                     want_fields.push(WantField {
                         name,
                         is_static: *is_static,
-                        ty: fty,
+                        ty: resolve_type_ref(&db, &patch.scope, tr)?,
                         visibility: visibility(*is_private),
                         is_property: *is_property,
+                        line: tr.line,
+                        col: tr.col,
                     });
                 }
                 ast::MemberDecl::Method {
@@ -282,10 +341,9 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
                     };
                     let mut lowered = Vec::with_capacity(params.len());
                     for (tr, pname) in params {
-                        let pty = resolve_type_ref(&db, &patch.scope, tr)?;
                         lowered.push(Param {
                             name: Name::new(pname),
-                            ty: pty,
+                            ty: resolve_type_ref(&db, &patch.scope, tr)?,
                         });
                     }
                     want_methods.push(WantMethod {
@@ -300,123 +358,101 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
                 }
             }
         }
-        // Enum members are modeled as public static fields of the enum.
+        // Enum members are modeled as public static fields of the enum
+        // (a fresh enum already holds them from pass 1, so they match).
         for member in &decl.enum_members {
             want_fields.push(WantField {
                 name: member,
                 is_static: true,
-                ty: patch.ty,
+                ty,
                 visibility: Visibility::Public,
                 is_property: false,
+                line: decl.line,
+                col: decl.col,
             });
         }
 
-        let ty = patch.ty;
         let mut type_dirty = false;
 
         // --- methods ---
         let old_methods: Vec<MethodId> = db.methods_of(ty).to_vec();
         let mut taken: Vec<bool> = vec![false; old_methods.len()];
-        // Round 1: full-signature matches (these may still be body edits).
-        for want in &mut want_methods {
-            for (i, &old) in old_methods.iter().enumerate() {
-                if taken[i] {
-                    continue;
-                }
-                let md = db.method(old);
-                if md.name() == want.name
-                    && md.is_static() == want.is_static
-                    && md.return_type() == want.ret
-                    && md.visibility() == want.visibility
-                    && md.params().len() == want.params.len()
-                    && md
-                        .params()
-                        .iter()
-                        .zip(&want.params)
-                        .all(|(a, b)| a.ty == b.ty)
-                {
-                    taken[i] = true;
-                    want.id = Some(old);
-                    break;
-                }
-            }
-        }
-        // Rounds 2-4: progressively looser matches; every hit is a
-        // signature overwrite in place.
-        for pass in 0..3 {
-            for want in &mut want_methods {
-                if want.id.is_some() {
-                    continue;
-                }
-                for (i, &old) in old_methods.iter().enumerate() {
-                    if taken[i] {
-                        continue;
-                    }
+        let same_param_types = |params: &[Param], want: &[Param]| {
+            params.len() == want.len() && params.iter().zip(want).all(|(a, b)| a.ty == b.ty)
+        };
+        // Match declarations to existing ids in four rounds: the full
+        // signature (the id survives as is; only its body may change), then
+        // ever looser keys (name + parameter types, name + arity, the name
+        // alone), where every hit overwrites the signature in place.
+        for round in 0..4 {
+            for want in want_methods.iter_mut().filter(|w| w.id.is_none()) {
+                let hit = old_methods.iter().enumerate().find(|&(i, &old)| {
                     let md = db.method(old);
-                    if md.name() != want.name {
-                        continue;
-                    }
-                    let ok = match pass {
-                        0 => {
-                            md.params().len() == want.params.len()
-                                && md
-                                    .params()
-                                    .iter()
-                                    .zip(&want.params)
-                                    .all(|(a, b)| a.ty == b.ty)
+                    !taken[i]
+                        && md.name() == want.name
+                        && match round {
+                            0 => {
+                                md.is_static() == want.is_static
+                                    && md.return_type() == want.ret
+                                    && md.visibility() == want.visibility
+                                    && same_param_types(md.params(), &want.params)
+                            }
+                            1 => same_param_types(md.params(), &want.params),
+                            2 => md.params().len() == want.params.len(),
+                            _ => true,
                         }
-                        1 => md.params().len() == want.params.len(),
-                        _ => true,
-                    };
-                    if ok {
-                        taken[i] = true;
-                        want.id = Some(old);
-                        for p in md.full_param_types() {
-                            dirty_params.insert(p);
-                        }
-                        db.replace_method_signature(
-                            old,
-                            want.is_static,
-                            want.params.clone(),
-                            want.ret,
-                            want.visibility,
-                        );
-                        let md = db.method(old);
-                        for p in md.full_param_types() {
-                            dirty_params.insert(p);
-                        }
-                        diff.signatures_changed += 1;
-                        type_dirty = true;
-                        break;
-                    }
+                });
+                let Some((i, &old)) = hit else { continue };
+                taken[i] = true;
+                want.id = Some(old);
+                if round > 0 {
+                    mark(&mut dirty_params, db.method(old).full_param_types());
+                    db.replace_method_signature(
+                        old,
+                        want.is_static,
+                        std::mem::take(&mut want.params),
+                        want.ret,
+                        want.visibility,
+                    );
+                    mark(&mut dirty_params, db.method(old).full_param_types());
+                    diff.signatures_changed += 1;
+                    type_dirty = true;
                 }
             }
         }
-        // Leftover declarations mint fresh ids; leftover ids tombstone.
+        // Leftover declarations mint fresh ids, and every declaration
+        // with a body queues it; leftover ids tombstone.
         for want in &mut want_methods {
-            if want.id.is_some() {
-                continue;
+            let id = match want.id {
+                Some(id) => id,
+                None => {
+                    dirty_params[ty.index()] |= !want.is_static;
+                    mark(&mut dirty_params, want.params.iter().map(|p| p.ty));
+                    let id = db.add_method(
+                        ty,
+                        want.name,
+                        want.is_static,
+                        std::mem::take(&mut want.params),
+                        want.ret,
+                        want.visibility,
+                    );
+                    diff.members_added += 1;
+                    type_dirty = true;
+                    id
+                }
+            };
+            if let Some(stmts) = want.body {
+                bodies.push((id, &patch.scope, stmts));
+            } else if db.method(id).body().is_some() {
+                // Declaration went bodiless while the model has a body —
+                // a body removal (the signature may be untouched).
+                db.clear_body(id);
+                diff.body_edited.push(id);
             }
-            let id = db.add_method(
-                ty,
-                want.name,
-                want.is_static,
-                want.params.clone(),
-                want.ret,
-                want.visibility,
-            );
-            want.id = Some(id);
-            for p in db.method(id).full_param_types() {
-                dirty_params.insert(p);
-            }
-            diff.members_added += 1;
-            type_dirty = true;
         }
         for (i, &old) in old_methods.iter().enumerate() {
             if !taken[i] {
-                for p in db.method(old).full_param_types() {
-                    dirty_params.insert(p);
-                }
+                mark(&mut dirty_params, db.method(old).full_param_types());
                 db.remove_method(old);
                 diff.members_removed += 1;
                 type_dirty = true;
@@ -426,33 +462,41 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
         // --- fields (matched by name; names are unique per type) ---
         let old_fields: Vec<FieldId> = db.fields_of(ty).to_vec();
         let mut field_taken: Vec<bool> = vec![false; old_fields.len()];
-        let mut new_fields: Vec<&WantField<'_>> = Vec::new();
         for want in &want_fields {
             let hit = old_fields
                 .iter()
                 .enumerate()
-                .find(|(i, &old)| !field_taken[*i] && db.field(old).name() == want.name);
-            match hit {
-                Some((i, &old)) => {
-                    field_taken[i] = true;
-                    let fd = db.field(old);
-                    if fd.is_static() != want.is_static
-                        || fd.ty() != want.ty
-                        || fd.visibility() != want.visibility
-                        || fd.is_property() != want.is_property
-                    {
-                        db.replace_field_signature(
-                            old,
-                            want.is_static,
-                            want.ty,
-                            want.visibility,
-                            want.is_property,
-                        );
-                        diff.signatures_changed += 1;
-                        type_dirty = true;
-                    }
-                }
-                None => new_fields.push(want),
+                .find(|&(i, &old)| !field_taken[i] && db.field(old).name() == want.name);
+            let Some((i, &old)) = hit else {
+                db.add_field(
+                    ty,
+                    want.name,
+                    want.is_static,
+                    want.ty,
+                    want.visibility,
+                    want.is_property,
+                )
+                .map_err(|e| MiniCsError::new(want.line, want.col, e.to_string()))?;
+                diff.members_added += 1;
+                type_dirty = true;
+                continue;
+            };
+            field_taken[i] = true;
+            let fd = db.field(old);
+            if fd.is_static() != want.is_static
+                || fd.ty() != want.ty
+                || fd.visibility() != want.visibility
+                || fd.is_property() != want.is_property
+            {
+                db.replace_field_signature(
+                    old,
+                    want.is_static,
+                    want.ty,
+                    want.visibility,
+                    want.is_property,
+                );
+                diff.signatures_changed += 1;
+                type_dirty = true;
             }
         }
         for (i, &old) in old_fields.iter().enumerate() {
@@ -462,38 +506,10 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
                 type_dirty = true;
             }
         }
-        for want in new_fields {
-            db.add_field(
-                ty,
-                want.name,
-                want.is_static,
-                want.ty,
-                want.visibility,
-                want.is_property,
-            )
-            .map_err(|e| MiniCsError::new(decl.line, decl.col, e.to_string()))?;
-            diff.members_added += 1;
-            type_dirty = true;
-        }
 
         if type_dirty {
             member_surface_changed = true;
-            dirty_types.insert(ty);
-        }
-
-        // Collect body work: every method declaration with a body, plus
-        // the old body (if the id survived untouched) for no-op detection.
-        for want in &want_methods {
-            let id = want.id.expect("every declaration matched or minted");
-            if let Some(stmts) = want.body {
-                let old_body = db.method(id).body().cloned();
-                bodies.push((id, &patch.scope, old_body, stmts));
-            } else if db.method(id).body().is_some() {
-                // Declaration went bodiless while the model has a body —
-                // a body removal (the signature may be untouched).
-                db.clear_body(id);
-                diff.body_edited.push(id);
-            }
+            dirty_types[ty.index()] = true;
         }
     }
 
@@ -503,18 +519,20 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
         link_overrides(&mut db);
     }
 
-    // Pass 5: compile bodies against the patched model.
-    for (mid, scope, old_body, stmts) in bodies {
+    // Pass 5: compile bodies against the patched model. A method keeps its
+    // pre-patch body until here (a re-signatured one has none), so an
+    // equal body is no edit.
+    for (mid, scope, stmts) in bodies {
         let body = compile_body(&db, mid, scope, stmts)?;
         if let Err(e) = db.check_body(mid, &body) {
             let (line, col) = stmts.first().map(stmt_pos).unwrap_or((0, 0));
             return Err(MiniCsError::new(line, col, e.to_string()));
         }
-        if old_body.as_ref() != Some(&body) {
+        if db.method(mid).body() != Some(&body) {
             // Only count as a pure body edit when the member surface of
             // the declaring type survived; re-signatured and new methods
             // are already in the dirty accounting.
-            let signature_untouched = !dirty_types.contains(&db.method(mid).declaring());
+            let signature_untouched = !dirty_types[db.method(mid).declaring().index()];
             db.set_body(mid, body);
             if signature_untouched {
                 diff.body_edited.push(mid);
@@ -522,29 +540,36 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
         }
     }
 
+    diff.dirty_types = flagged(&dirty_types);
+    diff.dirty_param_types = flagged(&dirty_params);
     // Reachability edges: recompute the per-type local contribution for
     // every dirty type and compare against the base model. Hierarchy
     // edits and new types always change the edge universe.
     diff.reach_changed = diff.hierarchy_changed
         || diff.types_added > 0
-        || dirty_types
+        || diff
+            .dirty_types
             .iter()
             .any(|&ty| reach_contribution(base, ty) != reach_contribution(&db, ty));
-
-    diff.dirty_types = {
-        let mut v: Vec<TypeId> = dirty_types.into_iter().collect();
-        v.sort_unstable();
-        v
-    };
-    diff.dirty_param_types = {
-        let mut v: Vec<TypeId> = dirty_params.into_iter().collect();
-        v.sort_unstable();
-        v
-    };
     diff.body_edited.sort_unstable();
     diff.body_edited.dedup();
     db.shrink_members();
     Ok((db, diff))
+}
+
+/// Flags every type in `tys` in a set indexed by type id.
+fn mark(set: &mut [bool], tys: impl Iterator<Item = TypeId>) {
+    for ty in tys {
+        set[ty.index()] = true;
+    }
+}
+
+/// The flagged ids of a set indexed by type id, in id order.
+fn flagged(set: &[bool]) -> Vec<TypeId> {
+    (0..set.len())
+        .filter(|&i| set[i])
+        .map(TypeId::from_index)
+        .collect()
 }
 
 /// A type's locally declared reachability edges: instance-field types and
@@ -703,5 +728,68 @@ mod tests {
         let grade = patched.find_method("Geo.Shape.Grade").unwrap();
         assert_eq!(grade.index(), db.method_count());
         assert!(patched.method(grade).body().is_some());
+    }
+
+    fn encoded(db: &Database) -> Vec<u8> {
+        let mut w = pex_types::wire::Writer::new();
+        db.encode_snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn compile_is_an_update_of_the_empty_model() {
+        // Enum members of a fresh type are minted with the type, before
+        // any other type's fields.
+        let src = "namespace N { class A { int X; } enum E { P, Q } class B { int Y; } }";
+        let db = compile(src).unwrap();
+        let names: Vec<&str> = db.fields().map(|f| db.field(f).name()).collect();
+        assert_eq!(names, ["P", "Q", "X", "Y"]);
+        let (updated, diff) = apply_update(&Database::new(), src).unwrap();
+        assert!(
+            encoded(&updated) == encoded(&db),
+            "ids differ from compile's"
+        );
+        assert_eq!(diff.types_added, 3);
+        assert_eq!(diff.members_added, 4);
+    }
+
+    #[test]
+    fn builtin_types_cannot_be_redeclared() {
+        let db = compile(BASE).unwrap();
+        for src in [
+            "namespace System { class Object { int Hidden; } }",
+            "namespace System { struct Void { } }",
+        ] {
+            let err = apply_update(&db, src).unwrap_err();
+            assert!(err.msg.contains("already declared"), "{err}");
+            let err = compile(src).unwrap_err();
+            assert!(err.msg.contains("already declared"), "{err}");
+        }
+        let object = db.types().object();
+        assert!(db.fields_of(object).is_empty());
+    }
+
+    #[test]
+    fn a_type_declared_twice_is_rejected() {
+        let db = compile(BASE).unwrap();
+        // Twice in one unit, for a type the model has and for a new one.
+        for src in [
+            "namespace Geo { class Shape { int A; } class Shape { int B; } }",
+            "namespace Geo { class Fresh { } class Fresh { } }",
+        ] {
+            let err = apply_update(&db, src).unwrap_err();
+            assert!(err.msg.contains("already declared"), "{err}");
+            // Reported at the second declaration.
+            let second = src.rfind("class").unwrap() as u32 + 1;
+            assert_eq!((err.line, err.col), (1, second), "{err}");
+            assert!(compile(src).is_err());
+        }
+        // Once in each of two units.
+        let err = crate::minics::compile_many(&[
+            "namespace N { class C { } }",
+            "namespace N { class C { } }",
+        ])
+        .unwrap_err();
+        assert!(err.msg.contains("already declared"), "{err}");
     }
 }

@@ -6,10 +6,13 @@
 //! fields, properties, static and instance methods, and method bodies in the
 //! paper's Figure 5(a) statement/expression language.
 //!
-//! The pipeline is conventional: [`lexer`] → `parser` (to an AST that
-//! borrows its names from the source and never leaves this module) →
-//! `resolve` (name resolution, overload selection and lowering into a
-//! [`crate::Database`]).
+//! The pipeline is [`lexer`] → `parser` (to an AST that borrows its names
+//! from the source and never leaves this module) → one lowering,
+//! [`incremental`], which patches a base [`crate::Database`] with parsed
+//! units using `resolve` for name resolution, overload selection and
+//! bodies. [`compile`] is an update of the empty model; [`apply_update`]
+//! patches a live one, so an edit and a rebuild of the same text build the
+//! same model.
 //!
 //! ```
 //! let source = r#"
@@ -38,7 +41,6 @@ pub use incremental::{apply_update, ModelDiff};
 pub use lexer::{Lexer, Token, TokenKind};
 use parser::parse;
 pub use printer::{print, print_type, PrintOptions};
-use resolve::lower;
 
 use std::error::Error;
 use std::fmt;
@@ -82,13 +84,14 @@ pub type MiniCsResult<T> = Result<T, MiniCsError>;
 /// Returns the first lexical, syntactic or semantic error encountered, with
 /// its source position.
 pub fn compile(source: &str) -> MiniCsResult<Database> {
-    let file = parse(source)?;
-    lower(&[file])
+    compile_many(&[source])
 }
 
 /// Compiles several mini-C# sources into one [`Database`] (cross-source
-/// references are allowed in either direction, like C# compilation units).
+/// references are allowed in either direction, like C# compilation units):
+/// the sources are one update of the empty model.
 pub fn compile_many(sources: &[&str]) -> MiniCsResult<Database> {
     let files: MiniCsResult<Vec<_>> = sources.iter().map(|s| parse(s)).collect();
-    lower(&files?)
+    let (db, _) = incremental::apply_units(&Database::new(), &files?)?;
+    Ok(db)
 }

@@ -39,18 +39,13 @@ impl Default for PrintOptions {
 /// Renders the whole database as mini-C# source.
 pub fn print(db: &Database, options: PrintOptions) -> String {
     let mut out = String::new();
-    // Group types by namespace, skipping built-ins (namespace-less
-    // primitives and System.Object/Void which every table has).
+    // Group types by namespace, skipping the built-ins every table has.
     let mut by_ns: BTreeMap<NamespaceId, Vec<TypeId>> = BTreeMap::new();
-    for ty in db.types().iter() {
-        let def = db.types().get(ty);
-        if matches!(def.kind(), TypeKind::Primitive(_) | TypeKind::Void) {
-            continue;
-        }
-        if db.types().qualified_name(ty) == "System.Object" {
-            continue;
-        }
-        by_ns.entry(def.namespace()).or_default().push(ty);
+    for ty in db.types().iter().filter(|&ty| !db.types().is_builtin(ty)) {
+        by_ns
+            .entry(db.types().get(ty).namespace())
+            .or_default()
+            .push(ty);
     }
     for (ns, types) in by_ns {
         let path = db.types().namespaces().dotted(ns);

@@ -1,4 +1,5 @@
-//! Name resolution and lowering from the mini-C# AST to a [`Database`].
+//! Name resolution for the lowering in [`super::incremental`]: scopes,
+//! type references, override links and method bodies.
 //!
 //! Resolution follows the C# shape the paper's examples rely on:
 //!
@@ -13,184 +14,12 @@ use std::collections::HashMap;
 
 use pex_types::{NsPrefix, PrimKind, TypeId};
 
-use crate::{Body, Database, Expr, LocalId, MethodId, Name, Param, Stmt, ValueTy, Visibility};
+use crate::{Body, Database, Expr, LocalId, MethodId, Stmt, ValueTy, Visibility};
 
 use super::ast;
 use super::{MiniCsError, MiniCsResult};
 
-/// Lowers parsed files into a fresh [`Database`].
-///
-/// # Errors
-///
-/// Returns the first semantic error (unknown name, duplicate declaration,
-/// no matching overload, type mismatch, ...) with its source position.
-pub(super) fn lower(files: &[ast::File<'_>]) -> MiniCsResult<Database> {
-    let mut db = Database::new();
-    intern_namespaces(&mut db, files.iter().flat_map(|f| &f.namespaces));
-    let decls = || {
-        files
-            .iter()
-            .flat_map(|f| &f.namespaces)
-            .flat_map(|ns| &ns.types)
-    };
-    let n_methods = decls()
-        .flat_map(|d| &d.members)
-        .filter(|m| matches!(m, ast::MemberDecl::Method { .. }))
-        .count();
-    let n_members: usize = decls()
-        .map(|d| d.members.len() + d.enum_members.len())
-        .sum();
-    db.reserve_members(n_methods, n_members - n_methods);
-
-    // Pass 1: declare all types (and enum members).
-    let mut works: Vec<TypeWork<'_>> = Vec::new();
-    for file in files {
-        for ns_decl in &file.namespaces {
-            let ns = db.types_mut().namespaces_mut().intern(&ns_decl.path);
-            let scope = Scope::new(&db, &ns_decl.path, &file.usings);
-            for decl in &ns_decl.types {
-                let declared = match decl.kind {
-                    ast::TypeDeclKind::Class => db.types_mut().declare_class(ns, decl.name),
-                    ast::TypeDeclKind::Struct => db.types_mut().declare_struct(ns, decl.name),
-                    ast::TypeDeclKind::Interface => db.types_mut().declare_interface(ns, decl.name),
-                    ast::TypeDeclKind::Enum => db.types_mut().declare_enum(ns, decl.name),
-                };
-                let ty =
-                    declared.map_err(|e| MiniCsError::new(decl.line, decl.col, e.to_string()))?;
-                if decl.comparable {
-                    db.types_mut().set_comparable(ty, true);
-                }
-                for &member in &decl.enum_members {
-                    db.add_enum_member(ty, member)
-                        .map_err(|e| MiniCsError::new(decl.line, decl.col, e.to_string()))?;
-                }
-                works.push(TypeWork {
-                    ty,
-                    decl,
-                    scope: scope.clone(),
-                });
-            }
-        }
-    }
-
-    // Pass 2: resolve base lists.
-    for work in &works {
-        let mut base_set = false;
-        for base_ref in &work.decl.bases {
-            let base = resolve_type_ref(&db, &work.scope, base_ref)?;
-            let base_is_class = db.types().get(base).is_class();
-            match work.decl.kind {
-                ast::TypeDeclKind::Class if base_is_class => {
-                    if base_set {
-                        return Err(MiniCsError::new(
-                            base_ref.line,
-                            base_ref.col,
-                            "classes can have only one base class",
-                        ));
-                    }
-                    db.types_mut().set_base(work.ty, base).map_err(|e| {
-                        MiniCsError::new(base_ref.line, base_ref.col, e.to_string())
-                    })?;
-                    base_set = true;
-                }
-                _ => {
-                    db.types_mut()
-                        .add_interface_impl(work.ty, base)
-                        .map_err(|e| {
-                            MiniCsError::new(base_ref.line, base_ref.col, e.to_string())
-                        })?;
-                }
-            }
-        }
-    }
-
-    // Pass 3: declare members (signatures only).
-    type BodyWork<'w> = (
-        MethodId,
-        &'w TypeWork<'w>,
-        &'w [(ast::TypeRef<'w>, &'w str)],
-        &'w [ast::Stmt<'w>],
-    );
-    let mut method_bodies: Vec<BodyWork<'_>> = Vec::new();
-    for work in &works {
-        for member in &work.decl.members {
-            match member {
-                ast::MemberDecl::Field {
-                    is_static,
-                    ty,
-                    name,
-                    is_property,
-                    is_private,
-                } => {
-                    let fty = resolve_type_ref(&db, &work.scope, ty)?;
-                    db.add_field(
-                        work.ty,
-                        name,
-                        *is_static,
-                        fty,
-                        visibility(*is_private),
-                        *is_property,
-                    )
-                    .map_err(|e| MiniCsError::new(ty.line, ty.col, e.to_string()))?;
-                }
-                ast::MemberDecl::Method {
-                    is_static,
-                    ret,
-                    name,
-                    params,
-                    body,
-                    is_private,
-                } => {
-                    let ret_ty = match ret {
-                        None => db.types().void_ty(),
-                        Some(tr) => resolve_type_ref(&db, &work.scope, tr)?,
-                    };
-                    let mut lowered = Vec::with_capacity(params.len());
-                    for (tr, pname) in params {
-                        let pty = resolve_type_ref(&db, &work.scope, tr)?;
-                        lowered.push(Param {
-                            name: Name::new(pname),
-                            ty: pty,
-                        });
-                    }
-                    let mid = db.add_method(
-                        work.ty,
-                        name,
-                        *is_static,
-                        lowered,
-                        ret_ty,
-                        visibility(*is_private),
-                    );
-                    if let Some(stmts) = body {
-                        method_bodies.push((mid, work, params, stmts));
-                    }
-                }
-            }
-        }
-    }
-
-    // Pass 4: override detection (nearest matching signature up the chain).
-    link_overrides(&mut db);
-
-    // Pass 5: compile bodies.
-    for (mid, work, _params, stmts) in method_bodies {
-        let body = compile_body(&db, mid, &work.scope, stmts)?;
-        let check = db.check_body(mid, &body);
-        if let Err(e) = check {
-            // Positions were already validated stmt-by-stmt; this is a
-            // safety net for constructs the incremental checks missed.
-            return Err(MiniCsError::new(
-                work.decl.line,
-                work.decl.col,
-                e.to_string(),
-            ));
-        }
-        db.set_body(mid, body);
-    }
-
-    Ok(db)
-}
-
+/// The visibility a member declaration's `private` flag stands for.
 pub(super) fn visibility(is_private: bool) -> Visibility {
     if is_private {
         Visibility::Private
@@ -199,29 +28,12 @@ pub(super) fn visibility(is_private: bool) -> Visibility {
     }
 }
 
-struct TypeWork<'a> {
-    ty: TypeId,
-    decl: &'a ast::TypeDecl<'a>,
-    scope: Scope,
-}
-
-/// Interns every declared namespace, in declaration order, before any
-/// [`Scope`] is built.
-pub(super) fn intern_namespaces<'a>(
-    db: &mut Database,
-    ns_decls: impl IntoIterator<Item = &'a ast::NsDecl<'a>>,
-) {
-    for ns_decl in ns_decls {
-        db.types_mut().namespaces_mut().intern(&ns_decl.path);
-    }
-}
-
 /// Where names are looked up from inside one `namespace` block, in
 /// priority order: the enclosing namespaces innermost first, then each
 /// `using`. Each path is walked down the namespace trie once, here;
 /// a path no interned namespace starts with is dropped, since nothing can
 /// resolve under it — so build scopes only after every namespace of the
-/// compilation is interned ([`intern_namespaces`]).
+/// compilation is interned.
 #[derive(Debug, Clone)]
 pub(super) struct Scope(Vec<NsPrefix>);
 
@@ -243,24 +55,33 @@ impl Scope {
 /// share abstract-type slots (paper Section 4.1).
 pub(super) fn link_overrides(db: &mut Database) {
     let mut links = Vec::new();
-    for m in db.methods() {
-        let md = db.method(m);
-        if md.is_static() {
+    for ty in db.types().iter() {
+        let methods = db.methods_of(ty);
+        if methods.iter().all(|&m| db.method(m).is_static()) {
             continue;
         }
-        let sig: Vec<TypeId> = md.params().iter().map(|p| p.ty).collect();
-        let chain = db.member_lookup_chain(md.declaring());
-        'search: for owner in chain.into_iter().skip(1) {
-            for &cand in db.methods_of(owner) {
-                let cd = db.method(cand);
-                if !cd.is_static()
-                    && cd.name() == md.name()
-                    && cd.params().len() == sig.len()
-                    && cd.params().iter().zip(&sig).all(|(p, s)| p.ty == *s)
-                {
-                    links.push((m, cand));
-                    break 'search;
-                }
+        // One lookup chain per declaring type, not per method.
+        let chain = db.member_lookup_chain(ty);
+        for &m in methods {
+            let md = db.method(m);
+            if md.is_static() {
+                continue;
+            }
+            let overridden = chain[1..].iter().find_map(|&owner| {
+                db.methods_of(owner).iter().copied().find(|&cand| {
+                    let cd = db.method(cand);
+                    !cd.is_static()
+                        && cd.name() == md.name()
+                        && cd.params().len() == md.params().len()
+                        && cd
+                            .params()
+                            .iter()
+                            .zip(md.params())
+                            .all(|(p, q)| p.ty == q.ty)
+                })
+            });
+            if let Some(base) = overridden {
+                links.push((m, base));
             }
         }
     }

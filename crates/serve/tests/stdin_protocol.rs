@@ -117,6 +117,38 @@ fn over_deep_update_source_is_a_parse_error_not_a_crash() {
 }
 
 #[test]
+fn update_cannot_redeclare_a_builtin_or_declare_a_type_twice() {
+    let (mut child, mut reader) = spawn(&["paint", "--workers", "1"]);
+    for (id, source) in [
+        (1, "namespace System { class Object { int Hidden; } }"),
+        (
+            2,
+            "namespace PaintDotNet { class Twice { } class Twice { } }",
+        ),
+    ] {
+        send(
+            &mut child,
+            &format!(r#"{{"id":{id},"cmd":"update","source":"{source}"}}"#),
+        );
+        let resp = recv(&mut reader);
+        assert!(resp.contains("\"ok\":false"), "{resp}");
+        assert!(resp.contains("is already declared"), "{resp}");
+    }
+    // Neither rejected update moved the tenant: the next accepted edit
+    // is its first generation.
+    let source = "namespace PaintDotNet { class Fresh { int X; } }";
+    send(
+        &mut child,
+        &format!(r#"{{"id":3,"cmd":"update","source":"{source}"}}"#),
+    );
+    let resp = recv(&mut reader);
+    assert!(resp.contains("\"ok\":true"), "{resp}");
+    assert!(resp.contains("\"generation\":1"), "{resp}");
+    drop(child.stdin.take());
+    assert_eq!(wait_exit(child), 0);
+}
+
+#[test]
 fn over_long_lines_answer_request_too_large_and_resync() {
     let (mut child, mut reader) = spawn(&["paint", "--workers", "1"]);
     // Twice the daemon's 1 MiB line cap: one error line, no id (the line

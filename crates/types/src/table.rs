@@ -313,6 +313,13 @@ impl TypeTable {
         }
     }
 
+    /// Whether `id` is one of the types every table holds from birth
+    /// (`Object`, `void` and the primitives), which no source declares.
+    pub fn is_builtin(&self, id: TypeId) -> bool {
+        id == self.well_known.object
+            || matches!(self.get(id).kind, TypeKind::Primitive(_) | TypeKind::Void)
+    }
+
     /// Number of types in the table.
     pub fn len(&self) -> usize {
         self.types.len()
