@@ -15,8 +15,10 @@ use criterion::{black_box, BenchResult, Criterion};
 
 use pex_core::{CandidateScratch, MethodIndex};
 use pex_corpus::table1_projects;
-use pex_experiments::{load_projects, methods, obs_report, ExperimentConfig};
+use pex_experiments::obs_report::{self, rounded};
+use pex_experiments::{load_projects, methods, ExperimentConfig};
 use pex_model::Database;
+use pex_obs::json::JsonWriter;
 use pex_types::TypeId;
 
 /// The scale the acceptance numbers are pinned to (Table 1 at 0.02).
@@ -586,68 +588,54 @@ fn median_of(results: &[BenchResult], id: &str) -> Option<f64> {
     results.iter().find(|r| r.id == id).map(|r| r.median_ns)
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Renders the collected results (plus derived speedups, observability
-/// overheads, and cache hit rates) as JSON, without any serialization
-/// dependency. `snap` is the global metric registry after the benches ran,
-/// so the cache section reflects the replay benches' real traffic.
+/// overheads, and cache hit rates) as JSON through the workspace's one
+/// writer. `snap` is the global metric registry after the benches ran, so
+/// the cache section reflects the replay benches' real traffic.
 fn render_json(
     results: &[BenchResult],
     snap: &pex_obs::MetricsSnapshot,
     probe_cost: Option<ProbeCost>,
     probe_count: Option<ProbeCount>,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"pex-bench-speedups/1\",\n");
-    out.push_str(&format!(
-        "  \"config\": {{ \"scale\": {SCALE}, \"replay_threads\": {} }},\n",
-        replay_threads()
-    ));
-    out.push_str("  \"benchmarks\": [\n");
-    let mut entries: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{ \"id\": \"{}\", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}, \"samples\": {}, \"iters_per_sample\": {} }}",
-                json_escape(&r.id),
-                r.median_ns,
-                r.mean_ns,
-                r.min_ns,
-                r.max_ns,
-                r.samples,
-                r.iters_per_sample,
-            )
-        })
-        .collect();
+    let mut w = JsonWriter::default();
+    w.open('{')
+        .field("schema", "pex-bench-speedups/1")
+        .key("config")
+        .open('{')
+        .field("scale", SCALE)
+        .field("replay_threads", replay_threads())
+        .close('}')
+        .key("benchmarks")
+        .open('[');
+    for r in results {
+        w.open('{')
+            .field("id", r.id.as_str())
+            .field("median_ns", rounded(r.median_ns, 1))
+            .field("mean_ns", rounded(r.mean_ns, 1))
+            .field("min_ns", rounded(r.min_ns, 1))
+            .field("max_ns", rounded(r.max_ns, 1))
+            .field("samples", r.samples)
+            .field("iters_per_sample", r.iters_per_sample)
+            .close('}');
+    }
     // A skipped leg still gets a row, so consumers see *why* the number
     // (and its derived speedup) is absent rather than a silent hole.
     if let Some(reason) = replay_parallel_skip_reason() {
-        entries.push(format!(
-            "    {{ \"id\": \"speedups/methods_replay_parallel\", \"skipped\": true, \"reason\": \"{}\" }}",
-            json_escape(&reason)
-        ));
+        w.open('{')
+            .field("id", "speedups/methods_replay_parallel")
+            .field("skipped", true)
+            .field("reason", reason.as_str())
+            .close('}');
     }
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  ],\n");
-    let speedup = |num: &str, den: &str| -> Option<f64> {
+    w.close(']');
+    let ratio = |num: &str, den: &str| -> Option<f64> {
         match (median_of(results, num), median_of(results, den)) {
             (Some(a), Some(b)) if b > 0.0 => Some(a / b),
             _ => None,
         }
     };
-    let fmt_opt = |v: Option<f64>| {
-        v.map(|x| format!("{x:.2}"))
-            .unwrap_or_else(|| "null".into())
-    };
-    // Probe overheads sit a few thousandths above 1.0, so they keep four
-    // decimals where the speedups keep two.
-    let probe_ratio = |v: Option<f64>| {
-        v.map(|x| format!("{x:.4}"))
-            .unwrap_or_else(|| "null".into())
-    };
+    let speedup = |num: &str, den: &str| ratio(num, den).map(|x| rounded(x, 2));
     let idx = obs_report::index_candidates_stats(snap);
     let conv = obs_report::convindex_distance_stats(snap);
     // The negative-lookup bitset makes "no conversion" a memoized answer,
@@ -662,28 +650,47 @@ fn render_json(
         );
     }
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    out.push_str(&format!(
-        "  \"cache\": {{\n    \"index_candidates_lookups\": {},\n    \"index_candidates_fills\": {},\n    \"index_candidates_hit_rate\": {:.6},\n    \"convindex_distance_lookups\": {},\n    \"convindex_distance_misses\": {},\n    \"convindex_distance_negative\": {},\n    \"convindex_distance_hit_rate\": {:.6},\n    \"engine.bestfirst.expanded\": {},\n    \"engine.bestfirst.pruned_bound\": {},\n    \"engine.bestfirst.pruned_dominated\": {},\n    \"engine.bestfirst.frontier.max\": {}\n  }},\n",
-        idx.lookups,
-        idx.misses,
-        idx.rate(),
-        conv.lookups,
-        conv.misses,
-        obs_report::convindex_negative_lookups(snap),
-        conv.rate(),
-        counter("engine.bestfirst.expanded"),
-        counter("engine.bestfirst.pruned_bound"),
-        counter("engine.bestfirst.pruned_dominated"),
-        snap.gauges.get("engine.bestfirst.frontier.max").copied().unwrap_or(0),
-    ));
-    out.push_str("  \"derived\": {\n");
-    out.push_str(&format!(
-        "    \"candidates_walk_speedup\": {},\n",
-        fmt_opt(speedup(
-            "speedups/candidates_for_cold_bfs",
-            "speedups/candidates_for_counted_walk"
-        ))
-    ));
+    w.key("cache")
+        .open('{')
+        .field("index_candidates_lookups", idx.lookups)
+        .field("index_candidates_fills", idx.misses)
+        .field("index_candidates_hit_rate", rounded(idx.rate(), 6))
+        .field("convindex_distance_lookups", conv.lookups)
+        .field("convindex_distance_misses", conv.misses)
+        .field(
+            "convindex_distance_negative",
+            obs_report::convindex_negative_lookups(snap),
+        )
+        .field("convindex_distance_hit_rate", rounded(conv.rate(), 6))
+        .field(
+            "engine.bestfirst.expanded",
+            counter("engine.bestfirst.expanded"),
+        )
+        .field(
+            "engine.bestfirst.pruned_bound",
+            counter("engine.bestfirst.pruned_bound"),
+        )
+        .field(
+            "engine.bestfirst.pruned_dominated",
+            counter("engine.bestfirst.pruned_dominated"),
+        )
+        .field(
+            "engine.bestfirst.frontier.max",
+            snap.gauges
+                .get("engine.bestfirst.frontier.max")
+                .copied()
+                .unwrap_or(0),
+        )
+        .close('}')
+        .key("derived")
+        .open('{')
+        .field(
+            "candidates_walk_speedup",
+            speedup(
+                "speedups/candidates_for_cold_bfs",
+                "speedups/candidates_for_counted_walk",
+            ),
+        );
     // What the probes cost a replay query with the registry disabled (the
     // < 2% budget): probe executions per query, priced at the measured
     // cost of one disabled probe, over the median query time with the
@@ -704,72 +711,69 @@ fn render_json(
         }
         _ => (None, None),
     };
-    out.push_str(&format!(
-        "    \"obs_probes_per_query\": {},\n",
-        fmt_opt(probes_per_query)
-    ));
-    out.push_str(&format!(
-        "    \"obs_disabled_overhead\": {},\n",
-        probe_ratio(disabled_overhead)
-    ));
+    // Probe overheads sit a few thousandths above 1.0, so they keep four
+    // decimals where the speedups keep two.
+    w.field(
+        "obs_probes_per_query",
+        probes_per_query.map(|x| rounded(x, 2)),
+    )
+    .field(
+        "obs_disabled_overhead",
+        disabled_overhead.map(|x| rounded(x, 4)),
+    )
     // What the default configuration pays: the same replay with the
     // registry on over the registry off.
-    out.push_str(&format!(
-        "    \"obs_enabled_overhead\": {},\n",
-        probe_ratio(speedup(
+    .field(
+        "obs_enabled_overhead",
+        ratio(
             "speedups/methods_replay_sequential",
-            "speedups/methods_replay_obs_off"
-        ))
-    ));
+            "speedups/methods_replay_obs_off",
+        )
+        .map(|x| rounded(x, 4)),
+    );
     // Best-first frontier vs exhaustive Dijkstra on the same filtered
     // query, per depth — the deeper the chains, the more the admissible
     // bound prunes, so these ratios should grow with depth.
     for depth in [2usize, 3, 4] {
-        out.push_str(&format!(
-            "    \"bestfirst_depth{depth}_speedup\": {},\n",
-            fmt_opt(speedup(
+        w.field(
+            &format!("bestfirst_depth{depth}_speedup"),
+            speedup(
                 &format!("speedups/complete_exhaustive_depth{depth}"),
-                &format!("speedups/complete_bestfirst_depth{depth}")
-            ))
-        ));
+                &format!("speedups/complete_bestfirst_depth{depth}"),
+            ),
+        );
     }
     // What pex-serve buys by keeping the snapshot resident: same query,
     // cold model-compile + index build vs the prewarmed snapshot.
-    out.push_str(&format!(
-        "    \"snapshot_reuse_speedup\": {},\n",
-        fmt_opt(speedup(
-            "speedups/query_cold_index",
-            "speedups/query_snapshot_reuse"
-        ))
-    ));
+    w.field(
+        "snapshot_reuse_speedup",
+        speedup("speedups/query_cold_index", "speedups/query_snapshot_reuse"),
+    )
     // What `--load-snapshot` buys a restarting daemon: rehydrating the
     // prewarmed artefact vs compiling the corpus and rebuilding + warming
     // every index from scratch.
-    out.push_str(&format!(
-        "    \"snapshot_boot_speedup\": {},\n",
-        fmt_opt(speedup(
-            "speedups/boot_cold_build",
-            "speedups/boot_snapshot_load"
-        ))
-    ));
+    .field(
+        "snapshot_boot_speedup",
+        speedup("speedups/boot_cold_build", "speedups/boot_snapshot_load"),
+    )
     // What the `update` protocol verb buys an editing client: the same
     // single-method body edit, surgical invalidation vs full re-derive.
-    out.push_str(&format!(
-        "    \"incremental_update_speedup\": {},\n",
-        fmt_opt(speedup(
-            "speedups/edit_full_rebuild",
-            "speedups/edit_incremental"
-        ))
-    ));
-    out.push_str(&format!(
-        "    \"methods_replay_speedup\": {}\n",
-        fmt_opt(speedup(
+    .field(
+        "incremental_update_speedup",
+        speedup("speedups/edit_full_rebuild", "speedups/edit_incremental"),
+    )
+    .field(
+        "methods_replay_speedup",
+        speedup(
             "speedups/methods_replay_sequential",
-            "speedups/methods_replay_parallel"
-        ))
-    ));
-    out.push_str("  }\n}\n");
-    out
+            "speedups/methods_replay_parallel",
+        ),
+    )
+    .close('}')
+    .close('}');
+    let mut doc = w.finish();
+    doc.push('\n');
+    doc
 }
 
 fn main() {

@@ -488,13 +488,13 @@ impl<'a> Parser<'a> {
                 ))
             }
             St::Ns(mut path) => {
-                if let Some(ns) = self.db.types().namespaces().lookup_dotted(&path.join(".")) {
+                if let Some(ns) = self.db.types().namespaces().lookup(&path) {
                     if let Some(ty) = self.db.types().lookup(ns, &name) {
                         return Ok(St::Type(ty));
                     }
                 }
                 path.push(name);
-                if self.is_ns_prefix(&path) {
+                if self.db.types().namespaces().is_prefix(&path) {
                     return Ok(St::Ns(path));
                 }
                 Err(ParseError::new(
@@ -652,13 +652,6 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn is_ns_prefix(&self, path: &[String]) -> bool {
-        self.db.types().namespaces().iter().any(|id| {
-            let segs = self.db.types().namespaces().segments(id);
-            segs.len() >= path.len() && segs[..path.len()] == *path
-        })
-    }
-
     fn primary(&mut self) -> Result<St, ParseError> {
         let at = self.at();
         match self.bump() {
@@ -724,9 +717,8 @@ impl<'a> Parser<'a> {
         if let Some(t) = self.lookup_type_simple(name) {
             return Ok(St::Type(t));
         }
-        let path = vec![name.to_owned()];
-        if self.is_ns_prefix(&path) {
-            return Ok(St::Ns(path));
+        if self.db.types().namespaces().is_prefix([name]) {
+            return Ok(St::Ns(vec![name.to_owned()]));
         }
         Err(ParseError::new(at, format!("unknown name `{name}`")))
     }

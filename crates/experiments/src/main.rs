@@ -50,18 +50,10 @@ fn finish(command: &str, cfg: &ExperimentConfig, metrics_out: Option<&Path>) {
         pex_obs::message!("{}", obs_report::render_summary(&snap).trim_end());
     }
     if let Some(path) = metrics_out {
-        let config = format!(
-            "{{ \"command\": \"{}\", \"scale\": {}, \"limit\": {}, \"threads\": {}, \"deadline_ms\": {} }}",
-            command,
-            cfg.scale,
-            cfg.limit,
-            cfg.threads.map_or("null".to_owned(), |n| n.to_string()),
-            cfg.deadline_ms.map_or("null".to_owned(), |n| n.to_string())
-        );
         io_or_exit(
             "write --metrics-out file",
             path,
-            std::fs::write(path, obs_report::metrics_json(&snap, &config)),
+            std::fs::write(path, obs_report::metrics_json(&snap, command, cfg)),
         );
         pex_obs::message!("wrote {}", path.display());
     }

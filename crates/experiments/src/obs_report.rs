@@ -5,8 +5,10 @@
 //! pure and testable against locally built registries; the CLI feeds them
 //! `pex_obs::registry().snapshot()`.
 
-use pex_obs::metrics::json_escape;
+use pex_obs::json::JsonWriter;
 use pex_obs::{HistogramSnapshot, MetricsSnapshot};
+
+use crate::ExperimentConfig;
 
 /// `hits / total` as a fraction in `[0, 1]`; 0 when nothing was counted.
 pub fn hit_rate(hits: u64, total: u64) -> f64 {
@@ -112,60 +114,72 @@ fn phase_histograms(snap: &MetricsSnapshot) -> Vec<(&String, &HistogramSnapshot)
         .collect()
 }
 
-/// Renders the full `--metrics-out` document: schema tag, run
-/// configuration, the raw metric snapshot, and derived cache hit rates and
-/// per-phase latency percentiles. `config` is a pre-rendered JSON object
-/// describing the run (scale, threads, command).
-pub fn metrics_json(snap: &MetricsSnapshot, config: &str) -> String {
-    let mut derived = String::new();
+/// `x` rounded to `decimals` places exactly as `format!("{x:.decimals$}")`
+/// rounds it, for documents that state a figure to a fixed precision.
+pub fn rounded(x: f64, decimals: usize) -> f64 {
+    format!("{x:.decimals$}")
+        .parse()
+        .expect("a formatted f64 parses back")
+}
+
+/// Renders the full `--metrics-out` document: schema tag, the run's
+/// `command` and configuration, derived cache hit rates and per-phase
+/// latency percentiles, and the raw metric snapshot.
+pub fn metrics_json(snap: &MetricsSnapshot, command: &str, cfg: &ExperimentConfig) -> String {
     let idx = index_candidates_stats(snap);
     let conv = convindex_distance_stats(snap);
-    derived.push_str(&format!(
-        "    \"index_candidates_hit_rate\": {:.6},\n    \"index_candidates_lookups\": {},\n    \"index_candidates_fills\": {},\n",
-        idx.rate(),
-        idx.lookups,
-        idx.misses
-    ));
-    derived.push_str(&format!(
-        "    \"convindex_distance_hit_rate\": {:.6},\n    \"convindex_distance_lookups\": {},\n    \"convindex_distance_misses\": {},\n    \"convindex_distance_negative\": {},\n",
-        conv.rate(),
-        conv.lookups,
-        conv.misses,
-        convindex_negative_lookups(snap)
-    ));
     let outcomes = query_outcome_stats(snap);
-    derived.push_str(&format!(
-        "    \"query_outcomes\": {{ \"exhausted\": {}, \"limit\": {}, \"step_budget\": {}, \"deadline\": {}, \"cancelled\": {}, \"degraded\": {} }},\n",
-        outcomes.exhausted,
-        outcomes.limit,
-        outcomes.step_budget,
-        outcomes.deadline,
-        outcomes.cancelled,
-        outcomes.degraded()
-    ));
-    let phases: Vec<String> = phase_histograms(snap)
-        .into_iter()
-        .map(|(name, h)| {
-            format!(
-                "      \"{}\": {{ \"count\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"mean_ns\": {:.1} }}",
-                json_escape(name),
-                h.count,
-                h.percentile(50.0),
-                h.percentile(90.0),
-                h.percentile(99.0),
-                h.max,
-                h.mean()
-            )
-        })
-        .collect();
-    derived.push_str(&format!(
-        "    \"phases\": {{\n{}\n    }}",
-        phases.join(",\n")
-    ));
-    format!(
-        "{{\n  \"schema\": \"pex-metrics/1\",\n  \"config\": {config},\n  \"derived\": {{\n{derived}\n  }},\n  \"metrics\": {}\n}}\n",
-        snap.to_json()
-    )
+    let mut w = JsonWriter::default();
+    w.open('{')
+        .field("schema", "pex-metrics/1")
+        .key("config")
+        .open('{')
+        .field("command", command)
+        .field("scale", cfg.scale)
+        .field("limit", cfg.limit)
+        .field("threads", cfg.threads)
+        .field("deadline_ms", cfg.deadline_ms)
+        .close('}')
+        .key("derived")
+        .open('{')
+        .field("index_candidates_hit_rate", rounded(idx.rate(), 6))
+        .field("index_candidates_lookups", idx.lookups)
+        .field("index_candidates_fills", idx.misses)
+        .field("convindex_distance_hit_rate", rounded(conv.rate(), 6))
+        .field("convindex_distance_lookups", conv.lookups)
+        .field("convindex_distance_misses", conv.misses)
+        .field(
+            "convindex_distance_negative",
+            convindex_negative_lookups(snap),
+        )
+        .key("query_outcomes")
+        .open('{')
+        .field("exhausted", outcomes.exhausted)
+        .field("limit", outcomes.limit)
+        .field("step_budget", outcomes.step_budget)
+        .field("deadline", outcomes.deadline)
+        .field("cancelled", outcomes.cancelled)
+        .field("degraded", outcomes.degraded())
+        .close('}')
+        .key("phases")
+        .open('{');
+    for (name, h) in phase_histograms(snap) {
+        w.key(name)
+            .open('{')
+            .field("count", h.count)
+            .field("p50_ns", h.percentile(50.0))
+            .field("p90_ns", h.percentile(90.0))
+            .field("p99_ns", h.percentile(99.0))
+            .field("max_ns", h.max)
+            .field("mean_ns", rounded(h.mean(), 1))
+            .close('}');
+    }
+    w.close('}').close('}').key("metrics");
+    snap.write_json(&mut w);
+    w.close('}');
+    let mut doc = w.finish();
+    doc.push('\n');
+    doc
 }
 
 /// The human-readable summary printed at the end of `all`/`speed` runs:
@@ -257,6 +271,7 @@ pub fn render_summary(snap: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pex_obs::json::{self, Value};
     use pex_obs::Registry;
 
     fn fake_snapshot() -> MetricsSnapshot {
@@ -317,24 +332,51 @@ mod tests {
     #[test]
     fn metrics_json_has_schema_config_and_derived_sections() {
         let snap = fake_snapshot();
-        let json = metrics_json(&snap, "{ \"scale\": 0.02 }");
-        assert!(json.contains("\"schema\": \"pex-metrics/1\""));
-        assert!(json.contains("\"scale\": 0.02"));
-        assert!(json.contains("\"index_candidates_hit_rate\": 0.900000"));
-        assert!(json.contains("\"query_outcomes\""));
-        assert!(json.contains("\"deadline\": 1"));
-        assert!(json.contains("\"convindex_distance_hit_rate\": 1.000000"));
-        assert!(json.contains("\"convindex_distance_negative\": 25"));
-        assert!(json.contains("\"span.query\""));
-        assert!(json.contains("\"p99_ns\""));
-        assert!(json.contains("\"rank.term.depth.evals\": 9"));
+        let cfg = ExperimentConfig::default();
+        let json = metrics_json(&snap, "speed \"quoted\"", &cfg);
+        assert!(json.ends_with("}\n"));
+        let doc = json::parse(&json).unwrap();
+        let num = |v: &Value, k: &str| v.get(k).and_then(Value::as_f64);
+        assert_eq!(
+            doc.get("schema").and_then(Value::as_str),
+            Some("pex-metrics/1")
+        );
+        let config = doc.get("config").unwrap();
+        assert_eq!(
+            config.get("command").and_then(Value::as_str),
+            Some("speed \"quoted\""),
+            "the command is escaped, not spliced"
+        );
+        assert_eq!(num(config, "scale"), Some(0.02));
+        assert_eq!(config.get("threads"), Some(&Value::Null));
+        let derived = doc.get("derived").unwrap();
+        assert_eq!(num(derived, "index_candidates_hit_rate"), Some(0.9));
+        assert_eq!(num(derived, "convindex_distance_hit_rate"), Some(1.0));
+        assert_eq!(num(derived, "convindex_distance_negative"), Some(25.0));
+        let outcomes = derived.get("query_outcomes").unwrap();
+        assert_eq!(num(outcomes, "deadline"), Some(1.0));
         // Phase list excludes histograms outside span.*/site.*.
-        let derived_end = json.find("\"metrics\"").unwrap();
-        assert!(!json[..derived_end].contains("unrelated.hist"));
-        // Balanced braces (cheap well-formedness check).
-        let open = json.matches('{').count();
-        let close = json.matches('}').count();
-        assert_eq!(open, close);
+        let Some(Value::Obj(phases)) = derived.get("phases") else {
+            panic!("phases object expected: {json}")
+        };
+        let names: Vec<&str> = phases.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, ["site.methods.ns", "span.query"]);
+        let query = derived.get("phases").and_then(|p| p.get("span.query"));
+        assert_eq!(query.and_then(|q| num(q, "p99_ns")), Some(300.0));
+        assert_eq!(query.and_then(|q| num(q, "mean_ns")), Some(200.0));
+        let counters = doc.get("metrics").and_then(|m| m.get("counters"));
+        assert_eq!(
+            counters.and_then(|c| num(c, "rank.term.depth.evals")),
+            Some(9.0)
+        );
+    }
+
+    #[test]
+    fn rounding_matches_fixed_point_formatting() {
+        for (x, decimals) in [(2.0 / 3.0, 6), (0.125, 2), (1234.56789, 1), (1.0, 4)] {
+            let text = format!("{x:.decimals$}");
+            assert_eq!(rounded(x, decimals), text.parse::<f64>().unwrap());
+        }
     }
 
     #[test]

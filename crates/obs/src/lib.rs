@@ -26,6 +26,10 @@
 //! * [`scope`] — request-scoped telemetry: a thread-local context carrying
 //!   a trace id that captures the span tree and per-request counter deltas
 //!   for one logical request (the serve daemon's `"trace": true` mode).
+//! * [`json`] — the workspace's one JSON reader ([`json::parse`]) and
+//!   writer ([`json::JsonWriter`]): metric snapshots, trace events, the
+//!   serve protocol and the `--metrics-out` documents are all written
+//!   through it.
 //! * [`windows`] — rolling per-second histogram windows with lazy
 //!   rotate-on-record, for live last-1s/10s/60s percentiles and rates
 //!   (the serve daemon's `stats`/`health` commands).
@@ -59,6 +63,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod metrics;
 pub mod scope;
 pub mod sink;

@@ -10,6 +10,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::json::JsonWriter;
+
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -391,82 +393,49 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Renders the snapshot as a deterministic JSON object with `counters`,
-    /// `gauges`, and `histograms` keys; each histogram carries exact
-    /// count/sum/max, derived p50/p90/p99, and its non-empty buckets as
-    /// `[inclusive upper bound, count]` pairs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        push_map(
-            &mut out,
-            self.counters.iter().map(|(k, v)| (k, v.to_string())),
-        );
-        out.push_str("},\n  \"gauges\": {");
-        push_map(
-            &mut out,
-            self.gauges.iter().map(|(k, v)| (k, v.to_string())),
-        );
-        out.push_str("},\n  \"histograms\": {");
-        push_map(
-            &mut out,
-            self.histograms.iter().map(|(k, h)| {
-                let buckets: Vec<String> = h
-                    .buckets
-                    .iter()
-                    .map(|&(i, c)| format!("[{}, {}]", Histogram::bucket_upper(i), c))
-                    .collect();
-                let body = format!(
-                    "{{ \"count\": {}, \"sum\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [{}] }}",
-                    h.count,
-                    h.sum,
-                    h.max,
-                    h.percentile(50.0),
-                    h.percentile(90.0),
-                    h.percentile(99.0),
-                    buckets.join(", ")
-                );
-                (k, body)
-            }),
-        );
-        out.push_str("}\n}");
-        out
-    }
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    /// Writes the snapshot as one deterministic JSON object with
+    /// `counters`, `gauges` and `histograms` keys, each name-sorted. A
+    /// histogram carries exact count/sum/max, bucket-bound p50/p90/p99, and
+    /// its non-empty buckets as `[inclusive upper bound, count]` pairs.
+    /// This is the only renderer of a snapshot: `stats`, both
+    /// `--metrics-out` documents and `BENCH_results.json` embed it.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.open('{').key("counters").open('{');
+        for (k, v) in &self.counters {
+            w.field(k, *v);
         }
-    }
-    out
-}
-
-fn push_map<'a>(out: &mut String, entries: impl Iterator<Item = (&'a String, String)>) {
-    let mut first = true;
-    for (k, v) in entries {
-        if !first {
-            out.push(',');
+        w.close('}').key("gauges").open('{');
+        for (k, v) in &self.gauges {
+            w.field(k, *v);
         }
-        first = false;
-        out.push_str(&format!("\n    \"{}\": {}", json_escape(k), v));
-    }
-    if !first {
-        out.push_str("\n  ");
+        w.close('}').key("histograms").open('{');
+        for (k, h) in &self.histograms {
+            w.key(k)
+                .open('{')
+                .field("count", h.count)
+                .field("sum", h.sum)
+                .field("max", h.max)
+                .field("p50", h.percentile(50.0))
+                .field("p90", h.percentile(90.0))
+                .field("p99", h.percentile(99.0))
+                .key("buckets")
+                .open('[');
+            for &(i, c) in &h.buckets {
+                w.open('[')
+                    .value(Histogram::bucket_upper(i))
+                    .value(c)
+                    .close(']');
+            }
+            w.close(']').close('}');
+        }
+        w.close('}').close('}');
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
 
     #[test]
     fn bucket_index_covers_the_u64_range() {
@@ -592,16 +561,26 @@ mod tests {
         let r = Registry::new();
         r.counter("z.last").add(1);
         r.counter("a.first").add(2);
+        r.counter("a\"b\\c\nd").add(4);
         r.histogram("lat").record(3);
-        let json = r.snapshot().to_json();
-        assert!(json.contains("\"a.first\": 2"));
-        assert!(
-            json.find("a.first").unwrap() < json.find("z.last").unwrap(),
-            "name-sorted"
-        );
-        assert!(json.contains("\"p50\": 3"));
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(r.snapshot().to_json(), json, "stable across reads");
+        let render = || {
+            let mut w = JsonWriter::default();
+            r.snapshot().write_json(&mut w);
+            w.finish()
+        };
+        let json = render();
+        let doc = crate::json::parse(&json).unwrap();
+        let counters = doc.get("counters").unwrap();
+        assert_eq!(counters.get("a.first").and_then(Value::as_u64), Some(2));
+        let Value::Obj(entries) = counters else {
+            panic!("counters object expected: {json}")
+        };
+        let names: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, ["a\"b\\c\nd", "a.first", "z.last"], "name-sorted");
+        let lat = doc.get("histograms").and_then(|h| h.get("lat")).unwrap();
+        assert_eq!(lat.get("p50").and_then(Value::as_u64), Some(3));
+        assert_eq!(render(), json, "stable across reads");
+        assert_eq!(crate::json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

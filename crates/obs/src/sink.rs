@@ -13,7 +13,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::metrics::json_escape;
+use crate::json::JsonWriter;
 
 /// One record flowing through the sink.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,12 +54,11 @@ pub enum Event {
 impl Event {
     /// Renders the event as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::default();
+        w.open('{');
         match self {
             Event::Message { text } => {
-                format!(
-                    "{{\"type\":\"message\",\"text\":\"{}\"}}",
-                    json_escape(text)
-                )
+                w.field("type", "message").field("text", text.as_str());
             }
             Event::SpanEnd {
                 name,
@@ -69,33 +68,27 @@ impl Event {
                 start_ns,
                 duration_ns,
             } => {
-                let parent = match parent {
-                    Some(p) => format!("\"{}\"", json_escape(p)),
-                    None => "null".to_owned(),
-                };
-                format!(
-                    "{{\"type\":\"span\",\"name\":\"{}\",\"parent\":{},\"depth\":{},\"thread\":{},\"start_ns\":{},\"dur_ns\":{}}}",
-                    json_escape(name),
-                    parent,
-                    depth,
-                    thread,
-                    start_ns,
-                    duration_ns
-                )
+                w.field("type", "span")
+                    .field("name", *name)
+                    .field("parent", *parent)
+                    .field("depth", *depth)
+                    .field("thread", *thread)
+                    .field("start_ns", *start_ns)
+                    .field("dur_ns", *duration_ns);
             }
             Event::Marker {
                 name,
                 thread,
                 at_ns,
             } => {
-                format!(
-                    "{{\"type\":\"marker\",\"name\":\"{}\",\"thread\":{},\"at_ns\":{}}}",
-                    json_escape(name),
-                    thread,
-                    at_ns
-                )
+                w.field("type", "marker")
+                    .field("name", *name)
+                    .field("thread", *thread)
+                    .field("at_ns", *at_ns);
             }
         }
+        w.close('}');
+        w.finish()
     }
 }
 

@@ -23,7 +23,8 @@
 //! * [`obs_json`] — live introspection: the `stats`/`health` command
 //!   bodies (rolling-window percentiles, shed rate, SLO burn) and the
 //!   `--metrics-out` document, built from the `pex-obs` registry;
-//! * [`json`] — the dependency-free JSON reader/writer the protocol uses.
+//! * [`json`] — the dependency-free JSON reader/writer the protocol uses,
+//!   re-exported from [`pex_obs::json`].
 //!
 //! The `pex-serve` binary fronts this with two transports: stdin/stdout
 //! framing (one request per line, one response per line) and an optional
@@ -37,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod obs_json;
 pub mod persist;
 pub mod proto;
@@ -48,6 +48,7 @@ pub mod snapshot;
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+pub use pex_obs::json;
 pub use proto::{Disposition, Request, RequestDefaults};
 pub use registry::{Origin, SnapshotRegistry, DEFAULT_TENANT};
 pub use server::{ServeConfig, Server, ServerClient};

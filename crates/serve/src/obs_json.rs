@@ -11,8 +11,6 @@
 //! the `stats` command reads the last-1s/10s/60s merges with interpolated
 //! percentiles — a live view the lifetime histograms cannot give.
 
-use pex_obs::MetricsSnapshot;
-
 use crate::json::JsonWriter;
 use crate::proto::body;
 use crate::registry::SnapshotRegistry;
@@ -29,43 +27,6 @@ pub const SHED_WINDOW: &str = "serve.requests.shed.window";
 
 /// The window (seconds) health checks evaluate shed rate and SLO burn over.
 pub const HEALTH_WINDOW_S: u64 = 10;
-
-/// Writes a lifetime [`MetricsSnapshot`] as a
-/// `{"counters","gauges","histograms"}` object. Histograms carry exact
-/// count/sum/max, bucket-bound p50/p90/p99, and their non-empty buckets as
-/// `[upper bound, count]` pairs — the same shape
-/// [`MetricsSnapshot::to_json`] renders.
-fn write_metrics(w: &mut JsonWriter, snap: &MetricsSnapshot) {
-    w.open('{').key("counters").open('{');
-    for (k, v) in &snap.counters {
-        w.field(k, *v);
-    }
-    w.close('}').key("gauges").open('{');
-    for (k, v) in &snap.gauges {
-        w.field(k, *v);
-    }
-    w.close('}').key("histograms").open('{');
-    for (k, h) in &snap.histograms {
-        w.key(k)
-            .open('{')
-            .field("count", h.count)
-            .field("sum", h.sum)
-            .field("max", h.max)
-            .field("p50", h.percentile(50.0))
-            .field("p90", h.percentile(90.0))
-            .field("p99", h.percentile(99.0))
-            .key("buckets")
-            .open('[');
-        for &(i, c) in &h.buckets {
-            w.open('[')
-                .value(pex_obs::Histogram::bucket_upper(i))
-                .value(c)
-                .close(']');
-        }
-        w.close(']').close('}');
-    }
-    w.close('}').close('}');
-}
 
 /// Writes the per-tenant table embedded in `stats` and `health`: one
 /// entry per resident tenant (default first) with its byte accounting and
@@ -140,7 +101,7 @@ pub(crate) fn stats_rest(queue_depth: usize, registry: &SnapshotRegistry) -> Str
             .key("tenants");
         write_tenants(w, registry);
         w.key("metrics");
-        write_metrics(w, &pex_obs::registry().snapshot());
+        pex_obs::registry().snapshot().write_json(w);
         w.close('}');
     })
 }
@@ -218,7 +179,7 @@ pub fn metrics_document() -> String {
     w.open('{')
         .field("schema", "pex-serve-metrics/1")
         .key("metrics");
-    write_metrics(&mut w, &pex_obs::registry().snapshot());
+    pex_obs::registry().snapshot().write_json(&mut w);
     w.close('}');
     let mut doc = w.finish();
     doc.push('\n');
@@ -242,7 +203,7 @@ mod tests {
         registry.counter("obsjson.hits").add(3);
         registry.histogram("obsjson.lat").record(100);
         let mut w = JsonWriter::default();
-        write_metrics(&mut w, &registry.snapshot());
+        registry.snapshot().write_json(&mut w);
         let parsed = json::parse(&w.finish()).unwrap();
         assert_eq!(
             parsed

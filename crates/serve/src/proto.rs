@@ -135,8 +135,8 @@ pub enum Request {
     },
 }
 
-/// How a handled request resolved — the worker pool's accounting signal
-/// for the `serve.requests.{ok,degraded,error}` counters.
+/// How a request resolved — the worker pool's accounting signal for the
+/// `serve.requests.{ok,degraded,error,shed}` counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Disposition {
     /// Answered successfully, with a complete (non-degraded) result.
@@ -146,6 +146,8 @@ pub enum Disposition {
     Degraded,
     /// Answered with an error response.
     Error,
+    /// Refused at admission with a `shed` error: the queue was full.
+    Shed,
 }
 
 /// The payload of a [`Request::Query`].

@@ -15,8 +15,9 @@
 //!    the request resolved and which resident tenant it ran against.
 //! 3. **Delivery.** `deliver` addresses the body to the request under its
 //!    own `id` and is the only place that records `serve.request.ns`, the
-//!    `serve.requests.{ok,degraded,error,coalesced}` counters, the
-//!    per-tenant counters and the query latency window. Per-tenant
+//!    `serve.requests.{ok,degraded,error,shed,coalesced}` counters, the
+//!    shed window, the per-tenant counters and the query latency window.
+//!    A shed line is answered through it like any other. Per-tenant
 //!    counters exist only for tenants the registry holds, so a client's
 //!    `project` string can never grow the metric registry.
 //!
@@ -266,41 +267,36 @@ impl ServerClient {
             Err(PushError::Closed(job)) => (job, false),
         };
         // Refused: the line never reaches a worker, so it is parsed once,
-        // here, for its id and tenant.
+        // here, for its id, verb and tenant.
         let doc = json::parse(&job.line).ok();
         let field = |k: &str| doc.as_ref().and_then(|d| d.get(k));
         job.to.id = field("id").cloned();
-        if !shed {
-            let err = proto::error_rest("shutdown", "server is shutting down");
-            return deliver(&job.to, &Answer::control(err, Disposition::Error), false);
-        }
-        // Shedding is an admission outcome, so it is counted here rather
-        // than in `deliver`.
-        pex_obs::counter!("serve.requests.shed", 1);
-        if pex_obs::enabled() {
-            pex_obs::registry()
-                .windowed(obs_json::SHED_WINDOW)
-                .record(1);
-        }
-        // A shed query is the tenant's `requests.shed`; a shed edit is one
-        // of its `edits.rejected`, so both per-tenant ledgers still close.
-        let books = match field("cmd").map(Value::as_str) {
-            None => Some("requests.shed"),
-            Some(Some("update")) => Some("edits.rejected"),
-            Some(_) => None,
-        };
-        if let Some(suffix) = books {
-            let project = field("project").and_then(Value::as_str);
-            if let Some(tenant) = self.registry.resident_tenant(project) {
-                registry::tenant_counter(tenant, suffix, 1);
+        let answer = if shed {
+            // A shed query is the tenant's `requests.shed`; a shed edit is
+            // one of its `edits.rejected`, so both per-tenant ledgers close.
+            let verb = match field("cmd").map(Value::as_str) {
+                None => Verb::Query,
+                Some(Some("update")) => Verb::Edit,
+                Some(_) => Verb::Control,
+            };
+            let tenant = match verb {
+                Verb::Control => None,
+                _ => self
+                    .registry
+                    .resident_tenant(field("project").and_then(Value::as_str))
+                    .map(str::to_owned),
+            };
+            Answer {
+                body: proto::error_rest("shed", "server overloaded: request queue is full"),
+                disposition: Disposition::Shed,
+                verb,
+                tenant,
             }
-        }
-        let response = proto::error_response(
-            job.to.id.as_ref(),
-            "shed",
-            "server overloaded: request queue is full",
-        );
-        let _ = job.to.reply.send(response);
+        } else {
+            let err = proto::error_rest("shutdown", "server is shutting down");
+            Answer::control(err, Disposition::Error)
+        };
+        deliver(&job.to, &answer, false);
     }
 
     /// Answers a line the transport could not hand over whole — one past
@@ -521,38 +517,50 @@ fn query(ctx: &WorkerCtx, q: &QueryRequest) -> Answer {
 
 /// Addresses an answer to one request, records that request's
 /// resolution, and sends it. This is the only place `serve.request.ns`,
-/// `serve.requests.{ok,degraded,error,coalesced}`, the per-tenant
-/// resolution counters and the query latency window are recorded: every
-/// answered line — solo, coalescing leader or follower, or answered at
-/// admission — resolves through here exactly once, which keeps the
-/// accounting identity immune to coalescing.
+/// `serve.requests.{ok,degraded,error,shed,coalesced}`, the shed window,
+/// the per-tenant resolution counters and the query latency window are
+/// recorded: every answered line — solo, coalescing leader or follower,
+/// or answered at admission — resolves through here exactly once, which
+/// keeps the accounting identity immune to coalescing. A shed line never
+/// ran, so it stays out of `serve.request.ns` and the latency window.
 fn deliver(to: &Waiter, answer: &Answer, coalesced: bool) {
     let response = proto::assemble_response(to.id.as_ref(), &answer.body);
-    let total_ns = to.admitted.elapsed().as_nanos() as u64;
-    pex_obs::histogram!("serve.request.ns", total_ns);
     match answer.disposition {
         Disposition::Ok => pex_obs::counter!("serve.requests.ok", 1),
         Disposition::Degraded => pex_obs::counter!("serve.requests.degraded", 1),
         Disposition::Error => pex_obs::counter!("serve.requests.error", 1),
+        Disposition::Shed => {
+            pex_obs::counter!("serve.requests.shed", 1);
+            if pex_obs::enabled() {
+                pex_obs::registry()
+                    .windowed(obs_json::SHED_WINDOW)
+                    .record(1);
+            }
+        }
+    }
+    if answer.disposition != Disposition::Shed {
+        let total_ns = to.admitted.elapsed().as_nanos() as u64;
+        pex_obs::histogram!("serve.request.ns", total_ns);
+        if matches!(answer.verb, Verb::Query) && pex_obs::enabled() {
+            // Admission-to-response in µs — the same interval a client
+            // measures, so the `stats` window percentiles cross-check
+            // against client-side tallies.
+            pex_obs::registry()
+                .windowed(obs_json::REQUEST_WINDOW)
+                .record(total_ns / 1_000);
+        }
     }
     if coalesced {
         pex_obs::counter!("serve.requests.coalesced", 1);
     }
-    if matches!(answer.verb, Verb::Query) && pex_obs::enabled() {
-        // Admission-to-response in µs — the same interval a client
-        // measures, so the `stats` window percentiles cross-check against
-        // client-side tallies.
-        pex_obs::registry()
-            .windowed(obs_json::REQUEST_WINDOW)
-            .record(total_ns / 1_000);
-    }
     if let Some(tenant) = &answer.tenant {
         let suffix = match (answer.verb, answer.disposition) {
-            (Verb::Edit, Disposition::Error) => "edits.rejected",
+            (Verb::Edit, Disposition::Error | Disposition::Shed) => "edits.rejected",
             (Verb::Edit, _) => "edits.applied",
             (_, Disposition::Ok) => "requests.ok",
             (_, Disposition::Degraded) => "requests.degraded",
             (_, Disposition::Error) => "requests.error",
+            (_, Disposition::Shed) => "requests.shed",
         };
         registry::tenant_counter(tenant, suffix, 1);
         if coalesced {
