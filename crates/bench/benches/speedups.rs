@@ -1,8 +1,8 @@
 //! Perf-trajectory benchmarks: the memoized type-relation cache vs the
 //! per-query BFS it replaced, best-first vs exhaustive top-k search,
 //! snapshot reuse, boot and incremental update against full rebuilds,
-//! parallel vs sequential experiment replay, and what the observability
-//! probes cost a replay query.
+//! parallel vs sequential experiment replay, what the observability
+//! probes cost a replay query, and the mini-C# front end's compile.
 //!
 //! Unlike the other benches this one post-processes its results into a
 //! machine-readable `BENCH_results.json` at the workspace root, so future
@@ -776,6 +776,26 @@ fn render_json(
     doc
 }
 
+/// The mini-C# front end alone: lexing, parsing and lowering the
+/// generated Paint.NET@0.5 project (383 KB of source) into a fresh model,
+/// the text the daemon's Paint.NET@0.5 tenant is built from and the one
+/// `crates/corpus/tests/frontend_allocs.rs` counts allocations on.
+fn bench_minics_compile(c: &mut Criterion) {
+    use pex_model::minics::{self, PrintOptions};
+
+    let paint = table1_projects()
+        .into_iter()
+        .find(|p| p.name == "Paint.NET")
+        .expect("Paint.NET is a Table 1 project");
+    let source = minics::print(&paint.generate(0.5), PrintOptions::default());
+    c.bench_function("speedups/minics_compile", |b| {
+        b.iter(|| {
+            let db = minics::compile(black_box(&source)).expect("generated source compiles");
+            black_box(db.method_count())
+        })
+    });
+}
+
 fn main() {
     let mut c = Criterion::default().sample_size(12);
     // Start the registry from zero so the cache section reflects exactly
@@ -787,6 +807,7 @@ fn main() {
     bench_snapshot_reuse(&mut c);
     bench_snapshot_boot(&mut c);
     bench_edit_update(&mut c);
+    bench_minics_compile(&mut c);
     let probe_count = bench_replay(&mut c);
     let results = c.results();
     if results.is_empty() {

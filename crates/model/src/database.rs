@@ -210,6 +210,14 @@ impl Database {
         self.fields.reserve_exact(fields);
     }
 
+    /// Reserves room for exactly `methods` more methods and `fields` more
+    /// fields declared on `ty`, so a caller that knows a type's member
+    /// counts leaves no growth slack in its lists.
+    pub(crate) fn reserve_type_members(&mut self, ty: TypeId, methods: usize, fields: usize) {
+        per_type(&mut self.type_methods, ty).reserve_exact(methods);
+        per_type(&mut self.type_fields, ty).reserve_exact(fields);
+    }
+
     /// Drops the member tables' growth slack (after an incremental update
     /// appended members to a cloned, exactly sized database).
     pub(crate) fn shrink_members(&mut self) {

@@ -4,23 +4,81 @@
 //! (`'src`); only string literals are owned, because the lexer unescapes
 //! them. A `String` is made only where the [`crate::Database`] keeps a
 //! name, so neither building nor dropping a tree allocates per identifier.
+//! The segments of every dotted path in a file sit back to back in one
+//! arena, [`File::segments`], and a [`Path`] is a range of it; parameter
+//! lists share [`File::params`] the same way. So no path or parameter
+//! list costs a heap block of its own either.
 
 use crate::CmpOp;
 
 /// A compilation unit: `using` directives followed by namespace declarations.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct File<'src> {
-    /// Imported namespaces, each as path segments.
-    pub usings: Vec<Vec<&'src str>>,
+    /// Imported namespaces.
+    pub usings: Vec<Path>,
     /// Namespace blocks.
     pub namespaces: Vec<NsDecl<'src>>,
+    /// The segments of every path in the file, in source order.
+    pub segments: Vec<&'src str>,
+    /// The `(type, name)` parameters of every method in the file, in
+    /// source order.
+    pub params: Vec<(TypeRef, &'src str)>,
+    /// The source text the tree borrows from.
+    pub source: &'src str,
+}
+
+impl<'src> File<'src> {
+    /// The segments of one of this file's paths.
+    pub fn path(&self, path: Path) -> &[&'src str] {
+        &self.segments[path.start as usize..][..path.len as usize]
+    }
+
+    /// One of this file's parameter lists.
+    pub fn params(&self, list: ParamList) -> &[(TypeRef, &'src str)] {
+        &self.params[list.start as usize..][..list.len as usize]
+    }
+
+    /// A path's text as written, when that is exactly its segments
+    /// joined by dots (no space or comment between them), so that equal
+    /// texts are equal paths.
+    pub fn dotted(&self, path: Path) -> Option<&'src str> {
+        let segments = self.path(path);
+        if let [only] = segments {
+            return Some(only);
+        }
+        let (first, last) = (segments.first()?, segments.last()?);
+        let offset = |s: &str| (s.as_ptr() as usize).checked_sub(self.source.as_ptr() as usize);
+        let text = self
+            .source
+            .get(offset(first)?..offset(last)? + last.len())?;
+        let joined = segments.iter().map(|s| s.len() + 1).sum::<usize>() - 1;
+        (text.len() == joined).then_some(text)
+    }
+}
+
+/// A dotted path: a range of its file's [`File::segments`], never empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Path {
+    /// Index of the first segment.
+    pub start: u32,
+    /// Number of segments.
+    pub len: u32,
+}
+
+/// A method's parameters: a range of its file's [`File::params`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParamList {
+    /// Index of the first parameter.
+    pub start: u32,
+    /// Number of parameters.
+    pub len: u32,
 }
 
 /// A `namespace A.B { ... }` block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NsDecl<'src> {
-    /// Dotted path segments.
-    pub path: Vec<&'src str>,
+    /// The namespace's path.
+    pub path: Path,
     /// Types declared in the block.
     pub types: Vec<TypeDecl<'src>>,
 }
@@ -48,7 +106,7 @@ pub struct TypeDecl<'src> {
     /// Base list: for classes the first class found becomes the base class,
     /// every other entry must be an interface. For interfaces all entries
     /// are extended interfaces.
-    pub bases: Vec<TypeRef<'src>>,
+    pub bases: Vec<TypeRef>,
     /// Fields, properties and methods (empty for enums).
     pub members: Vec<MemberDecl<'src>>,
     /// Enum member names (enums only).
@@ -63,10 +121,10 @@ pub struct TypeDecl<'src> {
 }
 
 /// A (possibly dotted) type reference as written in source.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TypeRef<'src> {
-    /// Path segments; a single segment may also be a primitive keyword.
-    pub segments: Vec<&'src str>,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TypeRef {
+    /// The path; a single segment may also be a primitive keyword.
+    pub path: Path,
     /// Source line.
     pub line: u32,
     /// Source column.
@@ -81,7 +139,7 @@ pub enum MemberDecl<'src> {
         /// Whether declared `static`.
         is_static: bool,
         /// Declared type.
-        ty: TypeRef<'src>,
+        ty: TypeRef,
         /// Member name.
         name: &'src str,
         /// Whether declared with accessor syntax (a property).
@@ -94,11 +152,11 @@ pub enum MemberDecl<'src> {
         /// Whether declared `static`.
         is_static: bool,
         /// Return type; `None` is `void`.
-        ret: Option<TypeRef<'src>>,
+        ret: Option<TypeRef>,
         /// Method name.
         name: &'src str,
         /// `(type, name)` parameter list.
-        params: Vec<(TypeRef<'src>, &'src str)>,
+        params: ParamList,
         /// Body statements; `None` when declared with `;` (interface or
         /// library surface).
         body: Option<Vec<Stmt<'src>>>,
@@ -113,7 +171,7 @@ pub enum Stmt<'src> {
     /// `Type name = expr;` or `var name = expr;` (`ty` is `None` for `var`).
     Local {
         /// Declared type, or `None` for `var`.
-        ty: Option<TypeRef<'src>>,
+        ty: Option<TypeRef>,
         /// Local name.
         name: &'src str,
         /// Initialiser.

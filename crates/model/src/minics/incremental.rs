@@ -28,7 +28,7 @@ use pex_types::{TypeError, TypeId};
 use crate::{Database, FieldId, MethodId, Name, Param, Visibility};
 
 use super::ast;
-use super::resolve::{compile_body, link_overrides, resolve_type_ref, visibility, Scope};
+use super::resolve::{compile_body, link_overrides, visibility, ScopeId, Scopes};
 use super::{MiniCsError, MiniCsResult};
 
 /// What an incremental update changed, phrased as the dirty sets the
@@ -106,12 +106,12 @@ struct WantField<'a> {
 struct TypePatch<'a> {
     ty: TypeId,
     decl: &'a ast::TypeDecl<'a>,
-    scope: Scope,
+    scope: ScopeId,
 }
 
 /// Body work queued until the whole member surface is patched: the method,
 /// its lookup scope and the unresolved statements.
-type BodyWork<'a> = (MethodId, &'a Scope, &'a [ast::Stmt<'a>]);
+type BodyWork<'a> = (MethodId, ScopeId, &'a [ast::Stmt<'a>]);
 
 /// Re-parses one compilation unit and patches `base` with it.
 ///
@@ -135,9 +135,9 @@ pub fn apply_update(base: &Database, source: &str) -> MiniCsResult<(Database, Mo
 /// Pass 1 declares or matches the types of every unit before any base list
 /// or signature is resolved, so units may reference each other in either
 /// direction, like C# compilation units.
-pub(super) fn apply_units(
+pub(super) fn apply_units<'a>(
     base: &Database,
-    files: &[ast::File<'_>],
+    files: &'a [ast::File<'a>],
 ) -> MiniCsResult<(Database, ModelDiff)> {
     let mut db = base.clone();
     let mut diff = ModelDiff::default();
@@ -145,19 +145,27 @@ pub(super) fn apply_units(
 
     // Pass 1: declare or match types. A fresh type is declared with its
     // enum members, and its member count sizes the member tables. Every
-    // namespace is interned first, since a `Scope` drops the paths no
+    // namespace is interned first, since a scope drops the paths no
     // interned namespace starts with.
-    for ns_decl in files.iter().flat_map(|f| &f.namespaces) {
-        db.types_mut().namespaces_mut().intern(&ns_decl.path);
+    for file in files {
+        for ns_decl in &file.namespaces {
+            db.types_mut()
+                .namespaces_mut()
+                .intern(file.path(ns_decl.path));
+        }
     }
     let mut matched = vec![false; base_types];
     let mut dirty_types = vec![false; base_types];
     let (mut new_methods, mut new_members) = (0, 0);
     let mut patches: Vec<TypePatch<'_>> = Vec::new();
+    let mut scopes = Scopes::new();
     for file in files {
         for ns_decl in &file.namespaces {
-            let ns = db.types_mut().namespaces_mut().intern(&ns_decl.path);
-            let scope = Scope::new(&db, &ns_decl.path, &file.usings);
+            let ns = db
+                .types_mut()
+                .namespaces_mut()
+                .intern(file.path(ns_decl.path));
+            let scope = scopes.add(&db, file, ns_decl.path);
             for decl in &ns_decl.types {
                 let ty = match db.types().lookup(ns, decl.name) {
                     // Built-in types, and types these units already
@@ -220,28 +228,27 @@ pub(super) fn apply_units(
                         if decl.comparable {
                             db.types_mut().set_comparable(ty, true);
                         }
+                        let methods = decl
+                            .members
+                            .iter()
+                            .filter(|m| matches!(m, ast::MemberDecl::Method { .. }))
+                            .count();
+                        let fields = decl.members.len() - methods + decl.enum_members.len();
+                        db.reserve_type_members(ty, methods, fields);
                         for &member in &decl.enum_members {
                             db.add_enum_member(ty, member).map_err(|e| {
                                 MiniCsError::new(decl.line, decl.col, e.to_string())
                             })?;
                         }
                         diff.members_added += decl.enum_members.len();
-                        new_methods += decl
-                            .members
-                            .iter()
-                            .filter(|m| matches!(m, ast::MemberDecl::Method { .. }))
-                            .count();
+                        new_methods += methods;
                         new_members += decl.members.len();
                         diff.types_added += 1;
                         diff.hierarchy_changed = true;
                         ty
                     }
                 };
-                patches.push(TypePatch {
-                    ty,
-                    decl,
-                    scope: scope.clone(),
-                });
+                patches.push(TypePatch { ty, decl, scope });
             }
         }
     }
@@ -252,10 +259,10 @@ pub(super) fn apply_units(
 
     // Pass 2: resolve base lists and diff them against the hierarchy.
     for patch in &patches {
-        let mut want_base: Option<(TypeId, &ast::TypeRef<'_>)> = None;
-        let mut want_ifaces: Vec<(TypeId, &ast::TypeRef<'_>)> = Vec::new();
+        let mut want_base: Option<(TypeId, &ast::TypeRef)> = None;
+        let mut want_ifaces: Vec<(TypeId, &ast::TypeRef)> = Vec::new();
         for base_ref in &patch.decl.bases {
-            let b = resolve_type_ref(&db, &patch.scope, base_ref)?;
+            let b = scopes.type_ref(&db, patch.scope, base_ref)?;
             let base_is_class = db.types().get(b).is_class();
             if matches!(patch.decl.kind, ast::TypeDeclKind::Class) && base_is_class {
                 if want_base.is_some() {
@@ -281,8 +288,7 @@ pub(super) fn apply_units(
         {
             continue;
         }
-        let at =
-            |r: &ast::TypeRef<'_>, e: TypeError| MiniCsError::new(r.line, r.col, e.to_string());
+        let at = |r: &ast::TypeRef, e: TypeError| MiniCsError::new(r.line, r.col, e.to_string());
         db.types_mut().clear_supertypes(patch.ty);
         if let Some((b, r)) = want_base {
             db.types_mut().set_base(patch.ty, b).map_err(|e| at(r, e))?;
@@ -320,7 +326,7 @@ pub(super) fn apply_units(
                     want_fields.push(WantField {
                         name,
                         is_static: *is_static,
-                        ty: resolve_type_ref(&db, &patch.scope, tr)?,
+                        ty: scopes.type_ref(&db, patch.scope, tr)?,
                         visibility: visibility(*is_private),
                         is_property: *is_property,
                         line: tr.line,
@@ -337,13 +343,14 @@ pub(super) fn apply_units(
                 } => {
                     let ret_ty = match ret {
                         None => db.types().void_ty(),
-                        Some(tr) => resolve_type_ref(&db, &patch.scope, tr)?,
+                        Some(tr) => scopes.type_ref(&db, patch.scope, tr)?,
                     };
+                    let params = scopes.file(patch.scope).params(*params);
                     let mut lowered = Vec::with_capacity(params.len());
                     for (tr, pname) in params {
                         lowered.push(Param {
                             name: Name::new(pname),
-                            ty: resolve_type_ref(&db, &patch.scope, tr)?,
+                            ty: scopes.type_ref(&db, patch.scope, tr)?,
                         });
                     }
                     want_methods.push(WantMethod {
@@ -389,7 +396,7 @@ pub(super) fn apply_units(
                 let hit = old_methods.iter().enumerate().find(|&(i, &old)| {
                     let md = db.method(old);
                     !taken[i]
-                        && md.name() == want.name
+                        && md.name == want.name
                         && match round {
                             0 => {
                                 md.is_static() == want.is_static
@@ -442,7 +449,7 @@ pub(super) fn apply_units(
                 }
             };
             if let Some(stmts) = want.body {
-                bodies.push((id, &patch.scope, stmts));
+                bodies.push((id, patch.scope, stmts));
             } else if db.method(id).body().is_some() {
                 // Declaration went bodiless while the model has a body —
                 // a body removal (the signature may be untouched).
@@ -466,7 +473,7 @@ pub(super) fn apply_units(
             let hit = old_fields
                 .iter()
                 .enumerate()
-                .find(|&(i, &old)| !field_taken[i] && db.field(old).name() == want.name);
+                .find(|&(i, &old)| !field_taken[i] && db.field(old).name == want.name);
             let Some((i, &old)) = hit else {
                 db.add_field(
                     ty,
@@ -523,7 +530,7 @@ pub(super) fn apply_units(
     // pre-patch body until here (a re-signatured one has none), so an
     // equal body is no edit.
     for (mid, scope, stmts) in bodies {
-        let body = compile_body(&db, mid, scope, stmts)?;
+        let body = compile_body(&db, mid, &mut scopes, scope, stmts)?;
         if let Err(e) = db.check_body(mid, &body) {
             let (line, col) = stmts.first().map(stmt_pos).unwrap_or((0, 0));
             return Err(MiniCsError::new(line, col, e.to_string()));

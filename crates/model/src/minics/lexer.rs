@@ -1,19 +1,26 @@
 //! Hand-written lexer for the mini-C# language.
+//!
+//! The parser pulls tokens one at a time, so no token array is built. One
+//! pass over the bytes: the line number changes only at a newline, and a
+//! token's column is its distance from the start of its line, so ordinary
+//! bytes cost a class test and nothing else.
+
+use std::fmt;
 
 use super::{MiniCsError, MiniCsResult};
 
 /// Kinds of tokens the parser consumes. Identifiers borrow their text
 /// from the source.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind<'a> {
-    /// Identifier or keyword (the parser distinguishes keywords by text).
-    Ident(&'a str),
+pub(super) enum TokenKind<'a> {
+    /// Identifier, keywords included.
+    Ident(Word<'a>),
     /// Integer literal.
     Int(i64),
     /// Floating literal.
     Double(f64),
     /// String literal (already unescaped).
-    Str(String),
+    Str(Box<str>),
     /// `{`
     LBrace,
     /// `}`
@@ -50,58 +57,135 @@ pub enum TokenKind<'a> {
 
 impl<'a> TokenKind<'a> {
     /// The identifier text, if this is an identifier.
-    pub fn ident(&self) -> Option<&'a str> {
+    pub(super) fn ident(&self) -> Option<&'a str> {
         match *self {
-            TokenKind::Ident(s) => Some(s),
+            TokenKind::Ident(w) => Some(w.text),
+            _ => None,
+        }
+    }
+
+    /// The keyword an identifier spells, if any.
+    pub(super) fn kw(&self) -> Option<Kw> {
+        match *self {
+            TokenKind::Ident(w) => w.kw,
             _ => None,
         }
     }
 }
 
-/// A token with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token<'a> {
-    /// Kind and payload.
-    pub kind: TokenKind<'a>,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
+/// An identifier's text and the keyword it spells, if any. It prints as
+/// its text, so error messages read `Ident("x")`.
+#[derive(Clone, Copy, PartialEq)]
+pub(super) struct Word<'a> {
+    pub(super) text: &'a str,
+    pub(super) kw: Option<Kw>,
 }
 
-/// Streaming lexer. Most users call [`Lexer::tokenize`].
-#[derive(Debug)]
-pub struct Lexer<'a> {
+impl fmt::Debug for Word<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.text, f)
+    }
+}
+
+/// The words the parser gives a meaning, classified once per identifier
+/// so the parser compares a tag, not text. They stay identifiers too:
+/// the parser treats a word as a keyword only where its grammar expects
+/// one (a field may be named `get`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Kw {
+    Using,
+    Namespace,
+    Public,
+    Private,
+    Static,
+    Class,
+    Struct,
+    Interface,
+    Enum,
+    Void,
+    Get,
+    Set,
+    Var,
+    This,
+    Return,
+    True,
+    False,
+    Null,
+    If,
+    While,
+    Else,
+}
+
+impl Kw {
+    /// The keyword `word` spells; `word` is a whole, non-empty identifier.
+    fn of(word: &str) -> Option<Kw> {
+        // Most identifiers are capitalized type and member names.
+        if !word.as_bytes()[0].is_ascii_lowercase() {
+            return None;
+        }
+        Some(match word {
+            "using" => Kw::Using,
+            "namespace" => Kw::Namespace,
+            "public" => Kw::Public,
+            "private" => Kw::Private,
+            "static" => Kw::Static,
+            "class" => Kw::Class,
+            "struct" => Kw::Struct,
+            "interface" => Kw::Interface,
+            "enum" => Kw::Enum,
+            "void" => Kw::Void,
+            "get" => Kw::Get,
+            "set" => Kw::Set,
+            "var" => Kw::Var,
+            "this" => Kw::This,
+            "return" => Kw::Return,
+            "true" => Kw::True,
+            "false" => Kw::False,
+            "null" => Kw::Null,
+            "if" => Kw::If,
+            "while" => Kw::While,
+            "else" => Kw::Else,
+            _ => return None,
+        })
+    }
+}
+
+/// A token with its source position.
+#[derive(Debug, Clone, PartialEq)]
+pub(super) struct Token<'a> {
+    /// Kind and payload.
+    pub(super) kind: TokenKind<'a>,
+    /// 1-based line.
+    pub(super) line: u32,
+    /// 1-based column, in bytes.
+    pub(super) col: u32,
+}
+
+// The parser moves tokens through a small lookahead queue.
+const _: () = assert!(std::mem::size_of::<Token<'_>>() == 32);
+
+/// The token stream over one source text.
+pub(super) struct Lexer<'a> {
     source: &'a str,
     src: &'a [u8],
     pos: usize,
     line: u32,
-    col: u32,
+    /// Byte offset where the current line starts.
+    line_start: usize,
+}
+
+fn is_ident_byte(c: u8) -> bool {
+    c.is_ascii_alphanumeric() || c == b'_'
 }
 
 impl<'a> Lexer<'a> {
-    /// Creates a lexer over source text.
-    pub fn new(source: &'a str) -> Self {
+    pub(super) fn new(source: &'a str) -> Self {
         Lexer {
             source,
             src: source.as_bytes(),
             pos: 0,
             line: 1,
-            col: 1,
-        }
-    }
-
-    /// Lexes the entire input, appending a trailing [`TokenKind::Eof`].
-    pub fn tokenize(source: &'a str) -> MiniCsResult<Vec<Token<'a>>> {
-        let mut lexer = Lexer::new(source);
-        let mut out = Vec::new();
-        loop {
-            let tok = lexer.next_token()?;
-            let done = tok.kind == TokenKind::Eof;
-            out.push(tok);
-            if done {
-                return Ok(out);
-            }
+            line_start: 0,
         }
     }
 
@@ -113,173 +197,105 @@ impl<'a> Lexer<'a> {
         self.src.get(self.pos + 1).copied()
     }
 
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek()?;
-        self.pos += 1;
-        if c == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
+    /// Records that a line starts at the current position (just past a
+    /// consumed `\n`).
+    fn newline(&mut self) {
+        self.line += 1;
+        self.line_start = self.pos;
+    }
+
+    /// The line and column of the current position.
+    fn here(&self) -> (u32, u32) {
+        (self.line, (self.pos - self.line_start + 1) as u32)
     }
 
     fn err(&self, msg: impl Into<String>) -> MiniCsError {
-        MiniCsError::new(self.line, self.col, msg)
+        let (line, col) = self.here();
+        MiniCsError::new(line, col, msg)
+    }
+
+    fn skip_while(&mut self, pred: impl Fn(u8) -> bool) {
+        let rest = &self.src[self.pos..];
+        self.pos += rest.iter().position(|&c| !pred(c)).unwrap_or(rest.len());
     }
 
     fn skip_trivia(&mut self) -> MiniCsResult<()> {
         loop {
+            self.skip_while(|c| c.is_ascii_whitespace() && c != b'\n');
             match self.peek() {
-                Some(c) if c.is_ascii_whitespace() => {
-                    self.bump();
+                Some(b'\n') => {
+                    self.pos += 1;
+                    self.newline();
                 }
-                Some(b'/') if self.peek2() == Some(b'/') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
+                Some(b'/') if self.peek2() == Some(b'/') => self.skip_while(|c| c != b'\n'),
                 Some(b'/') if self.peek2() == Some(b'*') => {
-                    let (line, col) = (self.line, self.col);
-                    self.bump();
-                    self.bump();
-                    loop {
-                        match self.peek() {
-                            None => {
-                                return Err(MiniCsError::new(
-                                    line,
-                                    col,
-                                    "unterminated block comment",
-                                ))
-                            }
-                            Some(b'*') if self.peek2() == Some(b'/') => {
-                                self.bump();
-                                self.bump();
-                                break;
-                            }
-                            _ => {
-                                self.bump();
-                            }
+                    let (line, col) = self.here();
+                    let body = self.pos + 2;
+                    let Some(len) = self.src[body..].windows(2).position(|w| w == b"*/") else {
+                        return Err(MiniCsError::new(line, col, "unterminated block comment"));
+                    };
+                    for (i, &c) in self.src[body..body + len].iter().enumerate() {
+                        if c == b'\n' {
+                            self.line += 1;
+                            self.line_start = body + i + 1;
                         }
                     }
+                    self.pos = body + len + 2;
                 }
                 _ => return Ok(()),
             }
         }
     }
 
-    /// Produces the next token.
-    pub fn next_token(&mut self) -> MiniCsResult<Token<'a>> {
+    /// Produces the next token; at the end of the text, [`TokenKind::Eof`]
+    /// every time.
+    pub(super) fn next_token(&mut self) -> MiniCsResult<Token<'a>> {
         self.skip_trivia()?;
-        let (line, col) = (self.line, self.col);
-        let mk = |kind| Token { kind, line, col };
-        let c = match self.peek() {
-            None => return Ok(mk(TokenKind::Eof)),
-            Some(c) => c,
+        let (line, col) = self.here();
+        let start = self.pos;
+        let Some(c) = self.peek() else {
+            return Ok(Token {
+                kind: TokenKind::Eof,
+                line,
+                col,
+            });
         };
+        self.pos += 1;
         let kind = match c {
-            b'{' => {
-                self.bump();
-                TokenKind::LBrace
-            }
-            b'}' => {
-                self.bump();
-                TokenKind::RBrace
-            }
-            b'(' => {
-                self.bump();
-                TokenKind::LParen
-            }
-            b')' => {
-                self.bump();
-                TokenKind::RParen
-            }
-            b'[' => {
-                self.bump();
-                TokenKind::LBracket
-            }
-            b']' => {
-                self.bump();
-                TokenKind::RBracket
-            }
-            b';' => {
-                self.bump();
-                TokenKind::Semi
-            }
-            b',' => {
-                self.bump();
-                TokenKind::Comma
-            }
-            b'.' => {
-                self.bump();
-                TokenKind::Dot
-            }
-            b':' => {
-                self.bump();
-                TokenKind::Colon
-            }
+            b'{' => TokenKind::LBrace,
+            b'}' => TokenKind::RBrace,
+            b'(' => TokenKind::LParen,
+            b')' => TokenKind::RParen,
+            b'[' => TokenKind::LBracket,
+            b']' => TokenKind::RBracket,
+            b';' => TokenKind::Semi,
+            b',' => TokenKind::Comma,
+            b'.' => TokenKind::Dot,
+            b':' => TokenKind::Colon,
             b'=' => {
-                self.bump();
                 if self.peek() == Some(b'=') {
                     return Err(self.err("`==` is not part of the mini-C# language"));
                 }
                 TokenKind::Assign
             }
-            b'<' => {
-                self.bump();
-                if self.peek() == Some(b'=') {
-                    self.bump();
-                    TokenKind::Le
-                } else {
-                    TokenKind::Lt
+            b'<' | b'>' => {
+                let or_equal = self.peek() == Some(b'=');
+                self.pos += usize::from(or_equal);
+                match (c, or_equal) {
+                    (b'<', false) => TokenKind::Lt,
+                    (b'<', true) => TokenKind::Le,
+                    (_, false) => TokenKind::Gt,
+                    (_, true) => TokenKind::Ge,
                 }
             }
-            b'>' => {
-                self.bump();
-                if self.peek() == Some(b'=') {
-                    self.bump();
-                    TokenKind::Ge
-                } else {
-                    TokenKind::Gt
-                }
-            }
-            b'"' => {
-                self.bump();
-                let mut s = String::new();
-                loop {
-                    match self.bump() {
-                        None | Some(b'\n') => {
-                            return Err(MiniCsError::new(line, col, "unterminated string literal"))
-                        }
-                        Some(b'"') => break,
-                        Some(b'\\') => match self.bump() {
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            _ => return Err(self.err("unknown escape sequence")),
-                        },
-                        Some(other) => s.push(other as char),
-                    }
-                }
-                TokenKind::Str(s)
-            }
+            b'"' => TokenKind::Str(self.string_body(line, col)?.into_boxed_str()),
             c if c.is_ascii_digit() => {
-                let start = self.pos;
-                while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    self.bump();
-                }
-                let mut is_double = false;
-                if self.peek() == Some(b'.') && self.peek2().is_some_and(|c| c.is_ascii_digit()) {
-                    is_double = true;
-                    self.bump();
-                    while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                        self.bump();
-                    }
+                self.skip_while(|c| c.is_ascii_digit());
+                let is_double =
+                    self.peek() == Some(b'.') && self.peek2().is_some_and(|c| c.is_ascii_digit());
+                if is_double {
+                    self.pos += 1;
+                    self.skip_while(|c| c.is_ascii_digit());
                 }
                 let text = &self.source[start..self.pos];
                 if is_double {
@@ -295,31 +311,89 @@ impl<'a> Lexer<'a> {
                 }
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
-                let start = self.pos;
-                while self
-                    .peek()
-                    .is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_')
-                {
-                    self.bump();
-                }
-                TokenKind::Ident(&self.source[start..self.pos])
+                self.skip_while(is_ident_byte);
+                let text = &self.source[start..self.pos];
+                TokenKind::Ident(Word {
+                    text,
+                    kw: Kw::of(text),
+                })
             }
-            other => return Err(self.err(format!("unexpected character `{}`", other as char))),
+            other => {
+                return Err(MiniCsError::new(
+                    line,
+                    col,
+                    format!("unexpected character `{}`", other as char),
+                ))
+            }
         };
         Ok(Token { kind, line, col })
+    }
+
+    /// The unescaped text of a string literal whose opening quote at
+    /// `line:col` was just consumed.
+    fn string_body(&mut self, line: u32, col: u32) -> MiniCsResult<String> {
+        let mut s = String::new();
+        loop {
+            let c = match self.peek() {
+                None | Some(b'\n') => {
+                    return Err(MiniCsError::new(line, col, "unterminated string literal"))
+                }
+                Some(c) => c,
+            };
+            self.pos += 1;
+            match c {
+                b'"' => return Ok(s),
+                b'\\' => {
+                    let escaped = self.peek();
+                    if let Some(e) = escaped {
+                        self.pos += 1;
+                        if e == b'\n' {
+                            self.newline();
+                        }
+                    }
+                    match escaped {
+                        Some(b'n') => s.push('\n'),
+                        Some(b't') => s.push('\t'),
+                        Some(b'"') => s.push('"'),
+                        Some(b'\\') => s.push('\\'),
+                        _ => return Err(self.err("unknown escape sequence")),
+                    }
+                }
+                other => s.push(other as char),
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
+    /// Every token of `source`, the final `Eof` included.
+    fn tokenize(source: &str) -> MiniCsResult<Vec<Token<'_>>> {
+        let mut lexer = Lexer::new(source);
+        let mut out = Vec::new();
+        loop {
+            let tok = lexer.next_token()?;
+            let done = tok.kind == TokenKind::Eof;
+            out.push(tok);
+            if done {
+                return Ok(out);
+            }
+        }
+    }
+
+    fn ident(text: &str) -> TokenKind<'_> {
+        TokenKind::Ident(Word {
+            text,
+            kw: Kw::of(text),
+        })
+    }
+
     fn kinds(src: &str) -> Vec<TokenKind<'_>> {
-        Lexer::tokenize(src)
-            .unwrap()
-            .into_iter()
-            .map(|t| t.kind)
-            .collect()
+        tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
@@ -353,7 +427,7 @@ mod tests {
                 TokenKind::Int(42),
                 TokenKind::Double(3.25),
                 TokenKind::Str("hi\n".into()),
-                TokenKind::Ident("true"),
+                ident("true"),
                 TokenKind::Eof,
             ]
         );
@@ -365,12 +439,12 @@ mod tests {
         assert_eq!(
             kinds("x.Y 1.Z"),
             vec![
-                TokenKind::Ident("x"),
+                ident("x"),
                 TokenKind::Dot,
-                TokenKind::Ident("Y"),
+                ident("Y"),
                 TokenKind::Int(1),
                 TokenKind::Dot,
-                TokenKind::Ident("Z"),
+                ident("Z"),
                 TokenKind::Eof,
             ]
         );
@@ -380,28 +454,180 @@ mod tests {
     fn comments_are_trivia() {
         assert_eq!(
             kinds("a // line\n b /* block\n more */ c"),
-            vec![
-                TokenKind::Ident("a"),
-                TokenKind::Ident("b"),
-                TokenKind::Ident("c"),
-                TokenKind::Eof,
-            ]
+            vec![ident("a"), ident("b"), ident("c"), TokenKind::Eof,]
         );
     }
 
     #[test]
     fn positions_are_tracked() {
-        let toks = Lexer::tokenize("a\n  b").unwrap();
+        let toks = tokenize("a\n  b").unwrap();
         assert_eq!((toks[0].line, toks[0].col), (1, 1));
         assert_eq!((toks[1].line, toks[1].col), (2, 3));
     }
 
+    /// The line and column of byte `offset`, counted the slow way: lines
+    /// end at `\n`, columns count bytes.
+    fn naive_pos(source: &str, offset: usize) -> (u32, u32) {
+        let before = &source.as_bytes()[..offset];
+        let line = 1 + before.iter().filter(|&&c| c == b'\n').count();
+        let line_start = before
+            .iter()
+            .rposition(|&c| c == b'\n')
+            .map_or(0, |i| i + 1);
+        (line as u32, (offset - line_start + 1) as u32)
+    }
+
+    /// The byte offset of a line and column: the inverse of [`naive_pos`].
+    fn naive_offset(source: &str, (line, col): (u32, u32)) -> usize {
+        let newlines = source.bytes().enumerate().filter(|&(_, c)| c == b'\n');
+        let line_start = match line {
+            1 => 0,
+            _ => newlines.map(|(i, _)| i + 1).nth(line as usize - 2).unwrap(),
+        };
+        line_start + col as usize - 1
+    }
+
+    /// Token spellings and, for the ones that fail, how far past the
+    /// token's start the error is reported.
+    const SPELLINGS: &[(&str, Option<usize>)] = &[
+        ("namespace", None),
+        ("x", None),
+        ("_y2", None),
+        ("Foo", None),
+        ("get", None),
+        ("{", None),
+        ("}", None),
+        ("(", None),
+        (")", None),
+        ("[", None),
+        ("]", None),
+        (";", None),
+        (",", None),
+        (".", None),
+        (":", None),
+        ("=", None),
+        ("<", None),
+        ("<=", None),
+        (">", None),
+        (">=", None),
+        ("42", None),
+        ("3.25", None),
+        ("\"s\"", None),
+        ("\"a\\t\u{e9}\"", None),
+        ("@", Some(0)),
+        ("\u{e9}", Some(0)),
+        ("==", Some(1)),
+        ("99999999999999999999", Some(20)),
+    ];
+
+    /// What may separate two tokens: never empty, so tokens never merge.
+    const TRIVIA: &[&str] = &[
+        " ",
+        "\n",
+        "\t",
+        "\r\n",
+        "  \n\t ",
+        " // c \u{e9}\n",
+        " /* a\n \u{e9} */ ",
+        "\n\n",
+    ];
+
+    /// A source of `pieces` (trivia index, spelling index), with the byte
+    /// offset where each token starts.
+    fn assemble(pieces: &[(usize, usize)]) -> (String, Vec<usize>) {
+        let mut source = String::new();
+        let mut starts = Vec::new();
+        for &(trivia, spelling) in pieces {
+            source.push_str(TRIVIA[trivia]);
+            starts.push(source.len());
+            source.push_str(SPELLINGS[spelling].0);
+        }
+        source.push(' ');
+        (source, starts)
+    }
+
+    fn pieces() -> impl Strategy<Value = Vec<(usize, usize)>> {
+        proptest::collection::vec((0..TRIVIA.len(), 0..SPELLINGS.len()), 0..40)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every token's line and column, and the first error's, are the
+        /// naive recount of its byte offset, whatever newlines, tabs,
+        /// comments and multi-byte text come before it.
+        #[test]
+        fn positions_are_naive_recounts_of_byte_offsets(pieces in pieces()) {
+            let (source, starts) = assemble(&pieces);
+            let mut lexer = Lexer::new(&source);
+            for (&(_, spelling), &start) in pieces.iter().zip(&starts) {
+                match (lexer.next_token(), SPELLINGS[spelling].1) {
+                    (Ok(token), None) => {
+                        prop_assert_eq!((token.line, token.col), naive_pos(&source, start));
+                    }
+                    (Err(e), Some(past)) => {
+                        prop_assert_eq!((e.line, e.col), naive_pos(&source, start + past));
+                        return Ok(());
+                    }
+                    (got, _) => prop_assert!(false, "{:?} for {:?}", got, SPELLINGS[spelling].0),
+                }
+            }
+            let end = lexer.next_token().unwrap();
+            prop_assert_eq!(end.kind, TokenKind::Eof);
+            prop_assert_eq!((end.line, end.col), naive_pos(&source, source.len()));
+        }
+
+        /// Cut anywhere, a source still lexes to tokens that stand where
+        /// their text does, and an error, or the end, is reported at a
+        /// real position of the cut text.
+        #[test]
+        fn truncated_sources_report_real_positions(pieces in pieces(), cut in any::<usize>()) {
+            let (source, _) = assemble(&pieces);
+            let mut cut = cut % (source.len() + 1);
+            while !source.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            let text = &source[..cut];
+            let mut lexer = Lexer::new(text);
+            loop {
+                let (line, col, spelling, failed) = match lexer.next_token() {
+                    Ok(Token { kind: TokenKind::Eof, line, col }) => {
+                        prop_assert_eq!((line, col), naive_pos(text, text.len()));
+                        break;
+                    }
+                    Ok(token) => {
+                        let spelling = match &token.kind {
+                            TokenKind::Ident(w) => w.text.to_owned(),
+                            TokenKind::Int(v) => v.to_string(),
+                            TokenKind::Double(_) | TokenKind::Str(_) => String::new(),
+                            punct => SPELLINGS
+                                .iter()
+                                .map(|&(s, _)| s)
+                                .find(|s| kinds(s)[0] == *punct)
+                                .expect("a spelling of every punctuation token")
+                                .to_owned(),
+                        };
+                        (token.line, token.col, spelling, false)
+                    }
+                    Err(e) => (e.line, e.col, String::new(), true),
+                };
+                let offset = naive_offset(text, (line, col));
+                prop_assert!(offset <= text.len());
+                prop_assert_eq!(naive_pos(text, offset), (line, col));
+                prop_assert!(text[offset..].starts_with(&spelling), "{:?} at {}:{}", spelling, line, col);
+                if failed {
+                    break;
+                }
+            }
+        }
+    }
+
     #[test]
     fn errors_have_positions() {
-        let err = Lexer::tokenize("\n  @").unwrap_err();
+        let err = tokenize("\n  @").unwrap_err();
         assert_eq!((err.line, err.col), (2, 3));
-        let err = Lexer::tokenize("\"abc").unwrap_err();
+        let err = tokenize("\"abc").unwrap_err();
         assert_eq!(err.line, 1);
-        assert!(Lexer::tokenize("a == b").is_err());
+        assert!(tokenize("a == b").is_err());
     }
 }

@@ -6,7 +6,7 @@
 //! fields, properties, static and instance methods, and method bodies in the
 //! paper's Figure 5(a) statement/expression language.
 //!
-//! The pipeline is [`lexer`] → `parser` (to an AST that borrows its names
+//! The pipeline is `lexer` → `parser` (to an AST that borrows its names
 //! from the source and never leaves this module) → one lowering,
 //! [`incremental`], which patches a base [`crate::Database`] with parsed
 //! units using `resolve` for name resolution, overload selection and
@@ -30,7 +30,7 @@
 
 mod ast;
 pub mod incremental;
-pub mod lexer;
+mod lexer;
 mod parser;
 pub mod printer;
 mod resolve;
@@ -38,7 +38,6 @@ mod resolve;
 use crate::Database;
 
 pub use incremental::{apply_update, ModelDiff};
-pub use lexer::{Lexer, Token, TokenKind};
 use parser::parse;
 pub use printer::{print, print_type, PrintOptions};
 

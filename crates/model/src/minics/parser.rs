@@ -1,24 +1,63 @@
 //! Recursive-descent parser for the mini-C# language.
 
+use std::collections::VecDeque;
+
 use crate::CmpOp;
 
-use super::ast::{Expr, File, MemberDecl, NsDecl, Stmt, TypeDecl, TypeDeclKind, TypeRef};
-use super::lexer::{Lexer, Token, TokenKind};
+use super::ast::{
+    Expr, File, MemberDecl, NsDecl, ParamList, Path, Stmt, TypeDecl, TypeDeclKind, TypeRef,
+};
+use super::lexer::{Kw, Lexer, Token, TokenKind};
 use super::{MiniCsError, MiniCsResult};
 
 /// Parses a compilation unit.
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error with its position.
+/// Returns the first lexical error in the text if there is one, else the
+/// first syntactic error, with its position.
 pub(super) fn parse(source: &str) -> MiniCsResult<File<'_>> {
-    let tokens = Lexer::tokenize(source)?;
-    Parser {
-        tokens,
-        pos: 0,
+    let mut lexer = Lexer::new(source);
+    let mut lex_error = None;
+    let first = lex(&mut lexer, &mut lex_error);
+    let mut parser = Parser {
+        lexer,
+        current: first,
+        ahead: VecDeque::new(),
+        lex_error,
         depth: 0,
+        file: File {
+            source,
+            ..File::default()
+        },
+    };
+    let parsed = parser.unit();
+    // Tokens are lexed as the parser reads them, but a lexical error
+    // anywhere in the text outranks a syntax error before it.
+    parser.lex_rest()?;
+    parsed.map(|()| parser.file)
+}
+
+/// An arena index or length as stored in the tree.
+fn index(n: usize) -> u32 {
+    u32::try_from(n).expect("a file holds under 2^32 path segments and parameters")
+}
+
+/// The lexer's next token. A lexical error is kept in `error` and read as
+/// the end of the text from there on.
+fn lex<'a>(lexer: &mut Lexer<'a>, error: &mut Option<MiniCsError>) -> Token<'a> {
+    match lexer.next_token() {
+        Ok(token) => token,
+        Err(e) => {
+            let end = Token {
+                kind: TokenKind::Eof,
+                line: e.line,
+                col: e.col,
+            };
+            *error = Some(e);
+            end
+        }
     }
-    .file()
 }
 
 /// Nesting bound for the recursive productions (expressions, member and
@@ -31,15 +70,47 @@ const MAX_DEPTH: usize = 128;
 type Pos = (u32, u32);
 
 struct Parser<'a> {
-    tokens: Vec<Token<'a>>,
-    pos: usize,
+    lexer: Lexer<'a>,
+    current: Token<'a>,
+    /// Tokens after the current one, lexed for lookahead. Nothing is
+    /// lexed past an [`TokenKind::Eof`].
+    ahead: VecDeque<Token<'a>>,
+    /// The lexical error that ended the token stream, if one did.
+    lex_error: Option<MiniCsError>,
     /// Current nesting of the recursive productions (see [`MAX_DEPTH`]).
     depth: usize,
+    /// The tree so far; its arenas fill as paths and parameters parse.
+    file: File<'a>,
 }
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> &Token<'a> {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+        &self.current
+    }
+
+    /// The token `k` places after the current one (`Eof` past the end).
+    fn nth(&mut self, k: usize) -> &Token<'a> {
+        while self.ahead.len() < k && !self.at_end_of_stream() {
+            let token = lex(&mut self.lexer, &mut self.lex_error);
+            self.ahead.push_back(token);
+        }
+        match k.min(self.ahead.len()) {
+            0 => &self.current,
+            k => &self.ahead[k - 1],
+        }
+    }
+
+    fn at_end_of_stream(&self) -> bool {
+        self.ahead.back().unwrap_or(&self.current).kind == TokenKind::Eof
+    }
+
+    /// The first lexical error in the text, lexing what the parser left.
+    fn lex_rest(&mut self) -> MiniCsResult<()> {
+        while !self.at_end_of_stream() {
+            let token = lex(&mut self.lexer, &mut self.lex_error);
+            self.ahead.push_back(token);
+        }
+        self.lex_error.take().map_or(Ok(()), Err)
     }
 
     fn peek_kind(&self) -> &TokenKind<'a> {
@@ -54,8 +125,10 @@ impl<'a> Parser<'a> {
     /// Consumes the current token, returning its position.
     fn bump(&mut self) -> Pos {
         let pos = self.peek_pos();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+        if let Some(next) = self.ahead.pop_front() {
+            self.current = next;
+        } else if self.current.kind != TokenKind::Eof {
+            self.current = lex(&mut self.lexer, &mut self.lex_error);
         }
         pos
     }
@@ -106,19 +179,19 @@ impl<'a> Parser<'a> {
 
     fn ident(&mut self, what: &str) -> MiniCsResult<(&'a str, u32, u32)> {
         match *self.peek_kind() {
-            TokenKind::Ident(s) => {
+            TokenKind::Ident(w) => {
                 let (line, col) = self.bump();
-                Ok((s, line, col))
+                Ok((w.text, line, col))
             }
             ref other => Err(self.err_here(format!("expected {what}, found {other:?}"))),
         }
     }
 
-    fn at_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek_kind(), TokenKind::Ident(s) if *s == kw)
+    fn at_keyword(&self, kw: Kw) -> bool {
+        self.peek_kind().kw() == Some(kw)
     }
 
-    fn eat_keyword(&mut self, kw: &str) -> bool {
+    fn eat_keyword(&mut self, kw: Kw) -> bool {
         if self.at_keyword(kw) {
             self.bump();
             true
@@ -127,22 +200,30 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn dotted_path(&mut self, what: &str) -> MiniCsResult<Vec<&'a str>> {
-        let mut segs = vec![self.ident(what)?.0];
+    /// Parses a dotted path into the file's segment arena.
+    fn dotted_path(&mut self, what: &str) -> MiniCsResult<Path> {
+        let start = self.file.segments.len();
+        let first = self.ident(what)?.0;
+        self.file.segments.push(first);
         while self.eat(&TokenKind::Dot) {
-            segs.push(self.ident("path segment")?.0);
+            let seg = self.ident("path segment")?.0;
+            self.file.segments.push(seg);
         }
-        Ok(segs)
+        Ok(Path {
+            start: index(start),
+            len: index(self.file.segments.len() - start),
+        })
     }
 
-    fn file(&mut self) -> MiniCsResult<File<'a>> {
-        let mut file = File::default();
-        while self.eat_keyword("using") {
-            file.usings.push(self.dotted_path("namespace name")?);
+    /// The compilation unit, parsed into `self.file`.
+    fn unit(&mut self) -> MiniCsResult<()> {
+        while self.eat_keyword(Kw::Using) {
+            let using = self.dotted_path("namespace name")?;
+            self.file.usings.push(using);
             self.expect(&TokenKind::Semi, "`;`")?;
         }
         while !matches!(self.peek_kind(), TokenKind::Eof) {
-            if !self.at_keyword("namespace") {
+            if !self.at_keyword(Kw::Namespace) {
                 return Err(self.err_here("expected `namespace`"));
             }
             self.bump();
@@ -152,19 +233,15 @@ impl<'a> Parser<'a> {
             while !self.eat(&TokenKind::RBrace) {
                 types.push(self.type_decl()?);
             }
-            file.namespaces.push(NsDecl { path, types });
+            self.file.namespaces.push(NsDecl { path, types });
         }
-        Ok(file)
+        Ok(())
     }
 
-    fn type_ref(&mut self) -> MiniCsResult<TypeRef<'a>> {
+    fn type_ref(&mut self) -> MiniCsResult<TypeRef> {
         let (line, col) = self.peek_pos();
-        let segments = self.dotted_path("type name")?;
-        Ok(TypeRef {
-            segments,
-            line,
-            col,
-        })
+        let path = self.dotted_path("type name")?;
+        Ok(TypeRef { path, line, col })
     }
 
     fn type_decl(&mut self) -> MiniCsResult<TypeDecl<'a>> {
@@ -184,19 +261,16 @@ impl<'a> Parser<'a> {
             self.expect(&TokenKind::RBracket, "`]`")?;
         }
         // `public` on types is accepted and ignored (everything is public).
-        self.eat_keyword("public");
+        self.eat_keyword(Kw::Public);
         let (line, col) = self.peek_pos();
-        let kind = if self.eat_keyword("class") {
-            TypeDeclKind::Class
-        } else if self.eat_keyword("struct") {
-            TypeDeclKind::Struct
-        } else if self.eat_keyword("interface") {
-            TypeDeclKind::Interface
-        } else if self.eat_keyword("enum") {
-            TypeDeclKind::Enum
-        } else {
-            return Err(self.err_here("expected `class`, `struct`, `interface` or `enum`"));
+        let kind = match self.peek_kind().kw() {
+            Some(Kw::Class) => TypeDeclKind::Class,
+            Some(Kw::Struct) => TypeDeclKind::Struct,
+            Some(Kw::Interface) => TypeDeclKind::Interface,
+            Some(Kw::Enum) => TypeDeclKind::Enum,
+            _ => return Err(self.err_here("expected `class`, `struct`, `interface` or `enum`")),
         };
+        self.bump();
         let (name, ..) = self.ident("type name")?;
         let mut decl = TypeDecl {
             kind,
@@ -242,17 +316,15 @@ impl<'a> Parser<'a> {
         let mut is_static = false;
         let mut is_private = false;
         loop {
-            if self.eat_keyword("static") {
-                is_static = true;
-            } else if self.eat_keyword("private") {
-                is_private = true;
-            } else if self.eat_keyword("public") {
-                // accepted and ignored
-            } else {
-                break;
+            match self.peek_kind().kw() {
+                Some(Kw::Static) => is_static = true,
+                Some(Kw::Private) => is_private = true,
+                Some(Kw::Public) => {} // accepted and ignored
+                _ => break,
             }
+            self.bump();
         }
-        let is_void = self.eat_keyword("void");
+        let is_void = self.eat_keyword(Kw::Void);
         let ret = if is_void {
             None
         } else {
@@ -262,12 +334,12 @@ impl<'a> Parser<'a> {
         match self.peek_kind() {
             TokenKind::LParen => {
                 self.bump();
-                let mut params = Vec::new();
+                let start = self.file.params.len();
                 if !self.eat(&TokenKind::RParen) {
                     loop {
                         let pty = self.type_ref()?;
                         let (pname, ..) = self.ident("parameter name")?;
-                        params.push((pty, pname));
+                        self.file.params.push((pty, pname));
                         if self.eat(&TokenKind::Comma) {
                             continue;
                         }
@@ -275,6 +347,10 @@ impl<'a> Parser<'a> {
                         break;
                     }
                 }
+                let params = ParamList {
+                    start: index(start),
+                    len: index(self.file.params.len() - start),
+                };
                 let body = if self.eat(&TokenKind::Semi) {
                     None
                 } else {
@@ -316,11 +392,11 @@ impl<'a> Parser<'a> {
                     false
                 } else {
                     self.bump(); // `{`
-                    if !self.eat_keyword("get") {
+                    if !self.eat_keyword(Kw::Get) {
                         return Err(self.err_here("expected `get` in property accessor list"));
                     }
                     self.expect(&TokenKind::Semi, "`;`")?;
-                    if self.eat_keyword("set") {
+                    if self.eat_keyword(Kw::Set) {
                         self.expect(&TokenKind::Semi, "`;`")?;
                     }
                     self.expect(&TokenKind::RBrace, "`}`")?;
@@ -340,37 +416,34 @@ impl<'a> Parser<'a> {
 
     /// Lookahead test: does a local-variable declaration start here?
     /// Matches `var name =` and `Dotted.Type name =`.
-    fn at_local_decl(&self) -> bool {
-        let mut i = self.pos;
-        let ident_at = |i: usize| self.tokens.get(i)?.kind.ident();
-        let Some(first) = ident_at(i) else {
-            return false;
-        };
-        if first == "var" {
-            return ident_at(i + 1).is_some()
-                && matches!(
-                    self.tokens.get(i + 2).map(|t| &t.kind),
-                    Some(TokenKind::Assign)
-                );
-        }
-        if matches!(
-            first,
-            "this" | "return" | "true" | "false" | "null" | "if" | "while" | "else"
-        ) {
+    fn at_local_decl(&mut self) -> bool {
+        let is_ident = |p: &mut Self, k: usize| p.nth(k).kind.ident().is_some();
+        let is_assign = |p: &mut Self, k: usize| p.nth(k).kind == TokenKind::Assign;
+        if !is_ident(self, 0) {
             return false;
         }
-        i += 1;
-        while matches!(self.tokens.get(i).map(|t| &t.kind), Some(TokenKind::Dot)) {
-            if ident_at(i + 1).is_none() {
+        match self.peek_kind().kw() {
+            Some(Kw::Var) => return is_ident(self, 1) && is_assign(self, 2),
+            Some(
+                Kw::This
+                | Kw::Return
+                | Kw::True
+                | Kw::False
+                | Kw::Null
+                | Kw::If
+                | Kw::While
+                | Kw::Else,
+            ) => return false,
+            _ => {}
+        }
+        let mut k = 1;
+        while self.nth(k).kind == TokenKind::Dot {
+            if !is_ident(self, k + 1) {
                 return false;
             }
-            i += 2;
+            k += 2;
         }
-        ident_at(i).is_some()
-            && matches!(
-                self.tokens.get(i + 1).map(|t| &t.kind),
-                Some(TokenKind::Assign)
-            )
+        is_ident(self, k) && is_assign(self, k + 1)
     }
 
     fn block(&mut self) -> MiniCsResult<Vec<Stmt<'a>>> {
@@ -386,13 +459,13 @@ impl<'a> Parser<'a> {
     }
 
     fn stmt(&mut self) -> MiniCsResult<Stmt<'a>> {
-        if self.at_keyword("if") {
+        if self.at_keyword(Kw::If) {
             let (line, col) = self.bump();
             self.expect(&TokenKind::LParen, "`(`")?;
             let cond = self.expr()?;
             self.expect(&TokenKind::RParen, "`)`")?;
             let then_body = self.block()?;
-            let else_body = if self.eat_keyword("else") {
+            let else_body = if self.eat_keyword(Kw::Else) {
                 self.block()?
             } else {
                 Vec::new()
@@ -405,7 +478,7 @@ impl<'a> Parser<'a> {
                 col,
             });
         }
-        if self.at_keyword("while") {
+        if self.at_keyword(Kw::While) {
             let (line, col) = self.bump();
             self.expect(&TokenKind::LParen, "`(`")?;
             let cond = self.expr()?;
@@ -418,7 +491,7 @@ impl<'a> Parser<'a> {
                 col,
             });
         }
-        if self.at_keyword("return") {
+        if self.at_keyword(Kw::Return) {
             let (line, col) = self.bump();
             if self.eat(&TokenKind::Semi) {
                 return Ok(Stmt::Return(None, line, col));
@@ -429,8 +502,7 @@ impl<'a> Parser<'a> {
         }
         if self.at_local_decl() {
             let (line, col) = self.peek_pos();
-            let ty = if self.at_keyword("var") {
-                self.bump();
+            let ty = if self.eat_keyword(Kw::Var) {
                 None
             } else {
                 Some(self.type_ref()?)
@@ -525,17 +597,18 @@ impl<'a> Parser<'a> {
 
     fn primary(&mut self) -> MiniCsResult<Expr<'a>> {
         let (line, col) = self.peek_pos();
-        match self.peek_kind() {
-            &TokenKind::Int(v) => {
+        match &mut self.current.kind {
+            &mut TokenKind::Int(v) => {
                 self.bump();
                 Ok(Expr::Int(v))
             }
-            &TokenKind::Double(v) => {
+            &mut TokenKind::Double(v) => {
                 self.bump();
                 Ok(Expr::Double(v))
             }
             TokenKind::Str(s) => {
-                let s = s.clone();
+                // The parser never looks back at a consumed token.
+                let s = std::mem::take(s).into_string();
                 self.bump();
                 Ok(Expr::Str(s))
             }
@@ -545,29 +618,20 @@ impl<'a> Parser<'a> {
                 self.expect(&TokenKind::RParen, "`)`")?;
                 Ok(e)
             }
-            &TokenKind::Ident(s) => match s {
-                "this" => {
-                    self.bump();
-                    Ok(Expr::This(line, col))
-                }
-                "true" => {
-                    self.bump();
-                    Ok(Expr::Bool(true))
-                }
-                "false" => {
-                    self.bump();
-                    Ok(Expr::Bool(false))
-                }
-                "null" => {
-                    self.bump();
-                    Ok(Expr::Null(line, col))
-                }
-                _ => {
-                    self.bump();
-                    Ok(Expr::Ident(s, line, col))
-                }
-            },
-            other => Err(self.err_here(format!("expected an expression, found {other:?}"))),
+            &mut TokenKind::Ident(w) => {
+                self.bump();
+                Ok(match w.kw {
+                    Some(Kw::This) => Expr::This(line, col),
+                    Some(Kw::True) => Expr::Bool(true),
+                    Some(Kw::False) => Expr::Bool(false),
+                    Some(Kw::Null) => Expr::Null(line, col),
+                    _ => Expr::Ident(w.text, line, col),
+                })
+            }
+            other => {
+                let msg = format!("expected an expression, found {other:?}");
+                Err(self.err_here(msg))
+            }
         }
     }
 }
@@ -594,9 +658,10 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert_eq!(f.usings, vec![vec!["System"]]);
+        assert_eq!(f.usings.len(), 1);
+        assert_eq!(f.path(f.usings[0]), ["System"]);
         let ns = &f.namespaces[0];
-        assert_eq!(ns.path, vec!["A", "B"]);
+        assert_eq!(f.path(ns.path), ["A", "B"]);
         assert_eq!(ns.types.len(), 3);
         let c = &ns.types[0];
         assert_eq!(c.kind, TypeDeclKind::Class);
@@ -661,7 +726,7 @@ mod tests {
         ));
         assert!(matches!(&stmts[2], Stmt::Expr(Expr::Assign(..))));
         assert!(
-            matches!(&stmts[3], Stmt::Local { ty: Some(tr), .. } if tr.segments == ["A", "B", "D"])
+            matches!(&stmts[3], Stmt::Local { ty: Some(tr), .. } if f.path(tr.path) == ["A", "B", "D"])
         );
     }
 

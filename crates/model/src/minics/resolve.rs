@@ -28,57 +28,162 @@ pub(super) fn visibility(is_private: bool) -> Visibility {
     }
 }
 
-/// Where names are looked up from inside one `namespace` block, in
-/// priority order: the enclosing namespaces innermost first, then each
-/// `using`. Each path is walked down the namespace trie once, here;
-/// a path no interned namespace starts with is dropped, since nothing can
-/// resolve under it — so build scopes only after every namespace of the
-/// compilation is interned.
-#[derive(Debug, Clone)]
-pub(super) struct Scope(Vec<NsPrefix>);
+/// A lookup scope: an index into [`Scopes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(super) struct ScopeId(u32);
 
-impl Scope {
-    pub(super) fn new(db: &Database, ns_path: &[&str], usings: &[Vec<&str>]) -> Self {
+/// The lookup scopes of one compile or update, one per `namespace` block,
+/// and every type path resolved from them so far.
+///
+/// A scope lists where names are looked up from inside its block, in
+/// priority order: the enclosing namespaces innermost first, then each
+/// `using`. Each of those paths is walked down the namespace trie once,
+/// when the scope is added; a path no interned namespace starts with is
+/// dropped, since nothing can resolve under it.
+///
+/// Each distinct (scope, path) pair is resolved once per compile. The
+/// namespaces and types a path can name are all declared before the first
+/// lookup and do not change after it, so a remembered answer never goes
+/// stale. A path is remembered by its dotted text, so asking again costs
+/// one hash of one string, where the walk hashed each segment under each
+/// scope node; the rare path written with spaces or comments between its
+/// segments is resolved afresh each time. The keys are source text, which
+/// a client chooses, so the memo keeps std's keyed hasher: with a fixed
+/// hash, one `update` could pile its paths into one bucket.
+pub(super) struct Scopes<'a> {
+    /// Per scope: the trie nodes names are looked up under, in priority
+    /// order, and the file the scope's block is in.
+    scopes: Vec<(Vec<NsPrefix>, &'a ast::File<'a>)>,
+    /// (scope, dotted path text) → the type the path names from there.
+    resolved: HashMap<(ScopeId, &'a str), Option<TypeId>>,
+}
+
+impl<'a> Scopes<'a> {
+    pub(super) fn new() -> Self {
+        Scopes {
+            scopes: Vec::new(),
+            resolved: HashMap::new(),
+        }
+    }
+
+    /// Adds the scope of the block declaring namespace `ns_path` in
+    /// `file`. Call it only once every namespace of the compilation is
+    /// interned, since the scope keeps only paths that exist by then.
+    pub(super) fn add(
+        &mut self,
+        db: &Database,
+        file: &'a ast::File<'a>,
+        ns_path: ast::Path,
+    ) -> ScopeId {
         let namespaces = db.types().namespaces();
+        let ns_path = file.path(ns_path);
         let enclosing = (0..=ns_path.len()).rev().map(|i| &ns_path[..i]);
-        Scope(
-            enclosing
-                .chain(usings.iter().map(Vec::as_slice))
-                .filter_map(|path| namespaces.descend(NsPrefix::ROOT, path))
-                .collect(),
-        )
+        let usings = file.usings.iter().map(|&u| file.path(u));
+        let prefixes = enclosing
+            .chain(usings)
+            .filter_map(|path| namespaces.descend(NsPrefix::ROOT, path))
+            .collect();
+        self.scopes.push((prefixes, file));
+        ScopeId(u32::try_from(self.scopes.len() - 1).expect("under 2^32 namespace blocks"))
+    }
+
+    /// The file `scope`'s block is in.
+    pub(super) fn file(&self, scope: ScopeId) -> &'a ast::File<'a> {
+        self.scopes[scope.0 as usize].1
+    }
+
+    /// Resolves a type reference written in `scope`'s block.
+    pub(super) fn type_ref(
+        &mut self,
+        db: &Database,
+        scope: ScopeId,
+        tr: &ast::TypeRef,
+    ) -> MiniCsResult<TypeId> {
+        let file = self.file(scope);
+        let path = file.path(tr.path);
+        self.lookup(db, scope, path, || file.dotted(tr.path))
+            .ok_or_else(|| {
+                MiniCsError::new(
+                    tr.line,
+                    tr.col,
+                    format!("unknown type `{}`", path.join(".")),
+                )
+            })
+    }
+
+    /// The type `path` names from inside `scope`: a primitive keyword or
+    /// `object`, else `prefix.name` declared under the first scope path
+    /// that has it. `dotted` gives the path's text, the memo key, if it
+    /// has one.
+    fn lookup(
+        &mut self,
+        db: &Database,
+        scope: ScopeId,
+        path: &[&str],
+        dotted: impl FnOnce() -> Option<&'a str>,
+    ) -> Option<TypeId> {
+        let types = db.types();
+        let (&name, prefix) = path.split_last().expect("paths are non-empty");
+        // Primitive keywords and `object` are lowercase, unlike the type
+        // names most paths end in.
+        if prefix.is_empty() && name.starts_with(|c: char| c.is_ascii_lowercase()) {
+            if let Some(p) = PrimKind::from_keyword(name) {
+                return Some(types.prim(p));
+            }
+            if name == "object" {
+                return Some(types.object());
+            }
+        }
+        let namespaces = types.namespaces();
+        let walk = || {
+            self.scopes[scope.0 as usize].0.iter().find_map(|&at| {
+                let ns = namespaces.namespace_at(namespaces.descend(at, prefix)?)?;
+                types.lookup(ns, name)
+            })
+        };
+        match dotted() {
+            Some(text) => *self.resolved.entry((scope, text)).or_insert_with(walk),
+            None => walk(),
+        }
     }
 }
 
 /// Links each instance method to the nearest method it overrides: same name,
 /// same parameter types, declared on a strict supertype. Override chains
 /// share abstract-type slots (paper Section 4.1).
+///
+/// Instance methods are sorted by signature once, so a method is compared
+/// only with the few that share its signature, never with every method of
+/// every supertype.
 pub(super) fn link_overrides(db: &mut Database) {
+    let params = |m: MethodId| db.method(m).params().iter().map(|p| p.ty);
+    // Per-type lists are in declaration order, which is id order.
+    let mut by_signature: Vec<(&str, MethodId)> = db
+        .types()
+        .iter()
+        .flat_map(|ty| db.methods_of(ty))
+        .map(|&m| (db.method(m), m))
+        .filter(|(md, _)| !md.is_static())
+        .map(|(md, m)| (md.name(), m))
+        .collect();
+    by_signature.sort_unstable_by(|&(x, a), &(y, b)| {
+        x.cmp(y)
+            .then_with(|| params(a).cmp(params(b)))
+            .then(a.cmp(&b))
+    });
+    let same =
+        |&(x, a): &(&str, MethodId), &(y, b): &(&str, MethodId)| x == y && params(a).eq(params(b));
     let mut links = Vec::new();
-    for ty in db.types().iter() {
-        let methods = db.methods_of(ty);
-        if methods.iter().all(|&m| db.method(m).is_static()) {
-            continue;
-        }
-        // One lookup chain per declaring type, not per method.
-        let chain = db.member_lookup_chain(ty);
-        for &m in methods {
-            let md = db.method(m);
-            if md.is_static() {
-                continue;
-            }
+    for group in by_signature.chunk_by(same).filter(|g| g.len() > 1) {
+        for &(_, m) in group {
+            let chain = db.member_lookup_chain(db.method(m).declaring());
+            // The nearest supertype declaring the signature, and its first
+            // such method (the group is in id order).
             let overridden = chain[1..].iter().find_map(|&owner| {
-                db.methods_of(owner).iter().copied().find(|&cand| {
-                    let cd = db.method(cand);
-                    !cd.is_static()
-                        && cd.name() == md.name()
-                        && cd.params().len() == md.params().len()
-                        && cd
-                            .params()
-                            .iter()
-                            .zip(md.params())
-                            .all(|(p, q)| p.ty == q.ty)
-                })
+                group
+                    .iter()
+                    .map(|&(_, cand)| cand)
+                    .find(|&cand| db.method(cand).declaring() == owner)
             });
             if let Some(base) = overridden {
                 links.push((m, base));
@@ -90,44 +195,6 @@ pub(super) fn link_overrides(db: &mut Database) {
     }
 }
 
-/// Resolves a source type reference against a block's [`Scope`] (the
-/// enclosing namespace chain, the `using` list and absolute paths).
-pub(super) fn resolve_type_ref(
-    db: &Database,
-    scope: &Scope,
-    tr: &ast::TypeRef<'_>,
-) -> MiniCsResult<TypeId> {
-    lookup_type(db, scope, &tr.segments).ok_or_else(|| {
-        MiniCsError::new(
-            tr.line,
-            tr.col,
-            format!("unknown type `{}`", tr.segments.join(".")),
-        )
-    })
-}
-
-/// The type a dotted path names from inside `scope`: a primitive keyword
-/// or `object`, else `prefix.name` declared under the first scope path
-/// that has it. Allocates nothing.
-fn lookup_type<S: AsRef<str>>(db: &Database, scope: &Scope, segments: &[S]) -> Option<TypeId> {
-    let types = db.types();
-    let (name, prefix) = segments.split_last().expect("paths are non-empty");
-    let name = name.as_ref();
-    if prefix.is_empty() {
-        if let Some(p) = PrimKind::from_keyword(name) {
-            return Some(types.prim(p));
-        }
-        if name == "object" {
-            return Some(types.object());
-        }
-    }
-    let namespaces = types.namespaces();
-    scope.0.iter().find_map(|&at| {
-        let ns = namespaces.namespace_at(namespaces.descend(at, prefix)?)?;
-        types.lookup(ns, name)
-    })
-}
-
 /// Intermediate resolution state for dotted chains.
 enum Res<'a> {
     Value(Expr, ValueTy),
@@ -135,19 +202,22 @@ enum Res<'a> {
     Namespace(Vec<&'a str>),
 }
 
-struct BodyCompiler<'a> {
-    db: &'a Database,
+/// Lowers one body: `'a` borrows the syntax tree, `'s` the model.
+struct BodyCompiler<'a, 's> {
+    db: &'s Database,
     method: MethodId,
-    scope: &'a Scope,
+    scopes: &'s mut Scopes<'a>,
+    scope: ScopeId,
     body: Body,
     /// Parameter and local names in scope; a later local shadows.
-    local_names: HashMap<&'a str, LocalId>,
+    local_names: HashMap<&'s str, LocalId>,
 }
 
-pub(super) fn compile_body<'a>(
-    db: &'a Database,
+pub(super) fn compile_body<'a: 's, 's>(
+    db: &'s Database,
     mid: MethodId,
-    scope: &'a Scope,
+    scopes: &'s mut Scopes<'a>,
+    scope: ScopeId,
     stmts: &'a [ast::Stmt<'a>],
 ) -> MiniCsResult<Body> {
     let md = db.method(mid);
@@ -161,6 +231,7 @@ pub(super) fn compile_body<'a>(
     let mut compiler = BodyCompiler {
         db,
         method: mid,
+        scopes,
         scope,
         body,
         local_names,
@@ -171,7 +242,7 @@ pub(super) fn compile_body<'a>(
     Ok(compiler.body)
 }
 
-impl<'a> BodyCompiler<'a> {
+impl<'a: 's, 's> BodyCompiler<'a, 's> {
     fn stmt(&mut self, stmt: &'a ast::Stmt<'a>) -> MiniCsResult<()> {
         let lowered = self.lower_stmt(stmt, false)?;
         self.body.stmts.push(lowered);
@@ -199,7 +270,7 @@ impl<'a> BodyCompiler<'a> {
                 }
                 let (e, ety) = self.value(init)?;
                 let declared = match ty {
-                    Some(tr) => resolve_type_ref(self.db, self.scope, tr)?,
+                    Some(tr) => self.scopes.type_ref(self.db, self.scope, tr)?,
                     None => ety.known().ok_or_else(|| {
                         MiniCsError::new(*line, *col, "cannot infer the type of `var` from `null`")
                     })?,
@@ -398,8 +469,7 @@ impl<'a> BodyCompiler<'a> {
         for owner in self.db.member_lookup_chain(enclosing) {
             for &f in self.db.fields_of(owner) {
                 let fd = self.db.field(f);
-                if fd.name() == name && self.db.accessible(fd.visibility(), owner, Some(enclosing))
-                {
+                if fd.name == name && self.db.accessible(fd.visibility(), owner, Some(enclosing)) {
                     return if fd.is_static() {
                         Ok(Res::Value(Expr::StaticField(f), ValueTy::Known(fd.ty())))
                     } else if md.is_static() {
@@ -418,7 +488,10 @@ impl<'a> BodyCompiler<'a> {
             }
         }
         // 3. A type.
-        if let Some(ty) = lookup_type(self.db, self.scope, &[name]) {
+        if let Some(ty) = self
+            .scopes
+            .lookup(self.db, self.scope, &[name], || Some(name))
+        {
             return Ok(Res::Type(ty));
         }
         // 4. A namespace root.
@@ -448,7 +521,7 @@ impl<'a> BodyCompiler<'a> {
                 for owner in self.db.member_lookup_chain(t) {
                     for &f in self.db.fields_of(owner) {
                         let fd = self.db.field(f);
-                        if fd.name() == name
+                        if fd.name == name
                             && !fd.is_static()
                             && self.db.accessible(fd.visibility(), owner, enclosing)
                         {
@@ -468,7 +541,7 @@ impl<'a> BodyCompiler<'a> {
             Res::Type(t) => {
                 for &f in self.db.fields_of(t) {
                     let fd = self.db.field(f);
-                    if fd.name() == name
+                    if fd.name == name
                         && fd.is_static()
                         && self.db.accessible(fd.visibility(), t, enclosing)
                     {
@@ -519,25 +592,28 @@ impl<'a> BodyCompiler<'a> {
         let enclosing = md.declaring();
 
         // Determine the candidate set and the receiver expression.
-        let (name, candidates): (&str, Vec<(MethodId, Option<Expr>)>) = match callee {
+        // Each candidate says whether it takes the receiver, which is
+        // lowered once and moved into the chosen call.
+        let (name, receiver, candidates): (&str, Option<Expr>, Vec<(MethodId, bool)>) = match callee
+        {
             ast::Expr::Ident(name, ..) => {
                 let mut cands = Vec::new();
                 for owner in self.db.member_lookup_chain(enclosing) {
                     for &m in self.db.methods_of(owner) {
                         let cd = self.db.method(m);
-                        if cd.name() != *name
+                        if cd.name != *name
                             || !self.db.accessible(cd.visibility(), owner, Some(enclosing))
                         {
                             continue;
                         }
                         if cd.is_static() {
-                            cands.push((m, None));
+                            cands.push((m, false));
                         } else if !md.is_static() {
-                            cands.push((m, Some(Expr::This)));
+                            cands.push((m, true));
                         }
                     }
                 }
-                (*name, cands)
+                (*name, Some(Expr::This), cands)
             }
             ast::Expr::Member(base, name, bline, bcol) => {
                 let base_res = self.resolve(base)?;
@@ -550,30 +626,30 @@ impl<'a> BodyCompiler<'a> {
                         for owner in self.db.member_lookup_chain(t) {
                             for &m in self.db.methods_of(owner) {
                                 let cd = self.db.method(m);
-                                if cd.name() == *name
+                                if cd.name == *name
                                     && !cd.is_static()
                                     && self.db.accessible(cd.visibility(), owner, Some(enclosing))
                                 {
-                                    cands.push((m, Some(expr.clone())));
+                                    cands.push((m, true));
                                 }
                             }
                         }
-                        (*name, cands)
+                        (*name, Some(expr), cands)
                     }
                     Res::Type(t) => {
                         let mut cands = Vec::new();
                         for owner in self.db.member_lookup_chain(t) {
                             for &m in self.db.methods_of(owner) {
                                 let cd = self.db.method(m);
-                                if cd.name() == *name
+                                if cd.name == *name
                                     && cd.is_static()
                                     && self.db.accessible(cd.visibility(), owner, Some(enclosing))
                                 {
-                                    cands.push((m, None));
+                                    cands.push((m, false));
                                 }
                             }
                         }
-                        (*name, cands)
+                        (*name, None, cands)
                     }
                     Res::Namespace(path) => {
                         return Err(MiniCsError::new(
@@ -595,10 +671,9 @@ impl<'a> BodyCompiler<'a> {
         };
 
         // Overload selection: arity + convertibility, then min total distance.
-        let mut best: Option<(u32, MethodId, Option<&Expr>)> = None;
-        let mut best_recv: Option<Option<Expr>> = None;
-        for (m, recv) in &candidates {
-            let cd = self.db.method(*m);
+        let mut best: Option<(u32, MethodId, bool)> = None;
+        for &(m, takes_receiver) in &candidates {
+            let cd = self.db.method(m);
             if cd.params().len() != lowered.len() {
                 continue;
             }
@@ -620,11 +695,10 @@ impl<'a> BodyCompiler<'a> {
                 continue;
             }
             if best.as_ref().map(|(b, ..)| total < *b).unwrap_or(true) {
-                best = Some((total, *m, None));
-                best_recv = Some(recv.clone());
+                best = Some((total, m, takes_receiver));
             }
         }
-        let (Some((_, m, _)), Some(recv)) = (best, best_recv) else {
+        let Some((_, m, takes_receiver)) = best else {
             return Err(MiniCsError::new(
                 line,
                 col,
@@ -632,8 +706,8 @@ impl<'a> BodyCompiler<'a> {
             ));
         };
         let mut call_args: Vec<Expr> = Vec::with_capacity(lowered.len() + 1);
-        if let Some(r) = recv {
-            call_args.push(r);
+        if takes_receiver {
+            call_args.push(receiver.expect("receiver-taking candidates come with a receiver"));
         }
         call_args.extend(lowered.into_iter().map(|(e, _)| e));
         let ret = self.db.method(m).return_type();
@@ -646,7 +720,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::super::{ast, compile};
-    use super::{resolve_type_ref, PrimKind, Scope, TypeId};
+    use super::{PrimKind, Scopes, TypeId};
     use crate::{CallStyle, Context, Database, Expr, Stmt};
 
     const GEO: &str = r#"
@@ -948,10 +1022,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Trie-walking resolution agrees with the join/split reference
-        /// on random namespace sets (leaves interned without their
-        /// prefixes, types in the global namespace too), `using` lists
-        /// and type references; so does the namespace-prefix test.
+        /// Trie-walking, memoized resolution agrees with the join/split
+        /// reference on random namespace sets (leaves interned without
+        /// their prefixes, types in the global namespace too), `using`
+        /// lists and several type references resolved twice from one
+        /// scope, written with or without spaces around the dots; so does
+        /// the namespace-prefix test.
         #[test]
         fn type_refs_resolve_as_the_join_split_reference(
             namespaces in proptest::collection::vec(path(1..=3), 0..10),
@@ -961,8 +1037,14 @@ mod tests {
             ),
             ns_path in path(0..=3),
             usings in proptest::collection::vec(path(1..=2), 0..3),
-            prefix in path(0..=2),
-            name in proptest::sample::select(vec!["A", "T", "U", "int", "object", "Object"]),
+            refs in proptest::collection::vec(
+                (
+                    path(0..=2),
+                    proptest::sample::select(vec!["A", "T", "U", "int", "object", "Object"]),
+                ),
+                1..5,
+            ),
+            spaced in any::<bool>(),
         ) {
             let mut db = Database::new();
             let mut ns_ids = vec![pex_types::NamespaceId::GLOBAL];
@@ -972,19 +1054,50 @@ mod tests {
             for (ns, ty) in types {
                 let _ = db.types_mut().declare_class(ns_ids[ns % ns_ids.len()], ty);
             }
-            let mut segments = prefix.clone();
-            segments.push(name.to_owned());
-            // The AST borrows its segments from the source text.
-            let tr = ast::TypeRef { segments: strs(&segments), line: 1, col: 1 };
-            let usings_src: Vec<Vec<&str>> = usings.iter().map(|u| strs(u)).collect();
-            let scope = Scope::new(&db, &strs(&ns_path), &usings_src);
-            prop_assert_eq!(
-                resolve_type_ref(&db, &scope, &tr).ok(),
-                reference_type_ref(&db, &ns_path, &usings, &segments)
-            );
+            let refs: Vec<Vec<String>> = refs
+                .into_iter()
+                .map(|(mut prefix, name)| {
+                    prefix.push(name.to_owned());
+                    prefix
+                })
+                .collect();
+            // A file's paths are ranges of its segment arena, whose
+            // segments are slices of the source text.
+            let all: Vec<&Vec<String>> = [&ns_path].into_iter().chain(&usings).chain(&refs).collect();
+            let dot = if spaced { " . " } else { "." };
+            let source = all.iter().map(|p| p.join(dot)).collect::<Vec<_>>().join(" ");
+            let mut file = ast::File { source: &source, ..Default::default() };
+            let mut paths = Vec::new();
+            let mut at = 0;
+            for p in &all {
+                paths.push(ast::Path { start: file.segments.len() as u32, len: p.len() as u32 });
+                for seg in p.iter() {
+                    file.segments.push(&source[at..at + seg.len()]);
+                    at += seg.len() + dot.len();
+                }
+                // Paths are separated by a space, not a dot.
+                at = at + 1 - if p.is_empty() { 0 } else { dot.len() };
+            }
+            let tr_paths = paths.split_off(1 + usings.len());
+            file.usings = paths.split_off(1);
+            let mut scopes = Scopes::new();
+            let scope = scopes.add(&db, &file, paths[0]);
+            for _ in 0..2 {
+                for (&path, segments) in tr_paths.iter().zip(&refs) {
+                    let expected_segments = strs(segments);
+                    prop_assert_eq!(file.path(path), expected_segments.as_slice());
+                    prop_assert_eq!(file.dotted(path).is_some(), !spaced || segments.len() == 1);
+                    let tr = ast::TypeRef { path, line: 1, col: 1 };
+                    prop_assert_eq!(
+                        scopes.type_ref(&db, scope, &tr).ok(),
+                        reference_type_ref(&db, &ns_path, &usings, segments)
+                    );
+                }
+            }
+            let prefix = &refs[0][..refs[0].len() - 1];
             let nss = db.types().namespaces();
-            let reference_prefix = nss.iter().any(|id| nss.segments(id).starts_with(&prefix));
-            prop_assert_eq!(nss.is_prefix(&prefix), reference_prefix);
+            let reference_prefix = nss.iter().any(|id| nss.segments(id).starts_with(prefix));
+            prop_assert_eq!(nss.is_prefix(prefix), reference_prefix);
         }
     }
 

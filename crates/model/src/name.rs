@@ -91,6 +91,15 @@ impl Name {
         Some(Name(Repr::Inline(bytes, len)))
     }
 
+    /// The name's text as bytes, without the UTF-8 check of
+    /// [`Name::as_str`]: enough to compare.
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline(bytes, len) => &bytes[..*len as usize],
+            Repr::Heap(s) => s.as_bytes(),
+        }
+    }
+
     /// The name's text.
     pub fn as_str(&self) -> &str {
         match &self.0 {
@@ -123,13 +132,13 @@ impl From<String> for Name {
 
 impl PartialEq<str> for Name {
     fn eq(&self, other: &str) -> bool {
-        self.as_str() == other
+        self.as_bytes() == other.as_bytes()
     }
 }
 
 impl PartialEq<&str> for Name {
     fn eq(&self, other: &&str) -> bool {
-        self.as_str() == *other
+        self.as_bytes() == other.as_bytes()
     }
 }
 

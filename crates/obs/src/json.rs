@@ -465,12 +465,15 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                // RFC 8259 §7: U+0000 through U+001F must be escaped.
+                Some(0x00..=0x1f) => return Err(self.err("unescaped control character in string")),
                 Some(_) => {
-                    // Copy the run up to the next quote or escape in one go
-                    // (the input is a &str, so the slice is valid UTF-8).
+                    // Copy the run up to the next quote, escape or control
+                    // character in one go (the input is a &str, so the
+                    // slice is valid UTF-8).
                     let start = self.pos;
                     while let Some(b) = self.peek() {
-                        if b == b'"' || b == b'\\' {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
                             break;
                         }
                         self.pos += 1;
@@ -566,6 +569,25 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected_where_they_stand() {
+        // RFC 8259 §7: U+0000 through U+001F must be escaped in a string.
+        for (doc, pos) in [
+            ("\"a\tb\"", 2),
+            ("\"\u{0}\"", 1),
+            ("{\"k\":\"x\ny\"}", 7),
+            ("[\"ok\",\"\u{1f}\"]", 7),
+            ("{\"a\r\":1}", 3),
+        ] {
+            let err = parse(doc).expect_err(doc);
+            assert_eq!(err.msg, "unescaped control character in string", "{doc:?}");
+            assert_eq!(err.pos, pos, "{doc:?}");
+        }
+        // Escaped, they parse; U+007F and non-ASCII need no escape.
+        let v = parse("\"\\t\\u0000\u{7f}\u{e9}\"").unwrap();
+        assert_eq!(v.as_str(), Some("\t\u{0}\u{7f}\u{e9}"));
     }
 
     #[test]

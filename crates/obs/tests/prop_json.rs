@@ -33,9 +33,9 @@ const EXACT: u64 = 1 << 53;
 
 /// Whether a compact document is free of raw control characters. The
 /// writer puts no whitespace between tokens, so any character below
-/// U+0020 would sit unescaped inside a string: invalid JSON that
-/// [`json::parse`] tolerates but stricter readers reject, and a line break
-/// that would split a JSON-lines record.
+/// U+0020 would sit unescaped inside a string: invalid JSON, which
+/// [`json::parse`] rejects too, and a line break that would split a
+/// JSON-lines record.
 fn strict(doc: &str) -> bool {
     !doc.chars().any(|c| c < ' ')
 }

@@ -89,6 +89,26 @@ fn over_deep_json_is_a_bad_request_not_a_crash() {
 }
 
 #[test]
+fn raw_control_character_in_a_string_is_one_bad_request() {
+    let (mut child, mut reader) = spawn(&["paint", "--workers", "1"]);
+    // RFC 8259 requires a tab inside a JSON string to be escaped.
+    send(
+        &mut child,
+        "{\"id\":1,\"query\":\"?({img,\tsize})\",\"limit\":3}",
+    );
+    let resp = recv(&mut reader);
+    assert!(resp.contains("\"error\":\"bad_request\""), "{resp}");
+    assert!(resp.contains("unescaped control character"), "{resp}");
+    // Exactly one error line, then the next line is answered.
+    send(&mut child, r#"{"id":2,"cmd":"ping"}"#);
+    let resp = recv(&mut reader);
+    assert!(resp.contains("\"id\":2"), "{resp}");
+    assert!(resp.contains("\"pong\":true"), "{resp}");
+    drop(child.stdin.take());
+    assert_eq!(wait_exit(child), 0);
+}
+
+#[test]
 fn over_deep_update_source_is_a_parse_error_not_a_crash() {
     let (mut child, mut reader) = spawn(&["paint", "--workers", "1"]);
     send(&mut child, r#"{"id":1,"query":"?({img, size})","limit":3}"#);

@@ -290,7 +290,6 @@ impl ConversionIndex {
     /// `(distance, id)` — identical to
     /// [`TypeTable::conversion_targets_bfs`].
     pub fn targets(&self, from: TypeId) -> &[(TypeId, u32)] {
-        pex_obs::counter!("convindex.targets.lookups", 1);
         &self.targets[from.index()]
     }
 
