@@ -2,7 +2,8 @@
 //! per-query BFS it replaced, best-first vs exhaustive top-k search,
 //! snapshot reuse, boot and incremental update against full rebuilds,
 //! parallel vs sequential experiment replay, what the observability
-//! probes cost a replay query, and the mini-C# front end's compile.
+//! probes cost a replay query, the mini-C# front end's compile and the
+//! decode of a Paint.NET-scale snapshot.
 //!
 //! Unlike the other benches this one post-processes its results into a
 //! machine-readable `BENCH_results.json` at the workspace root, so future
@@ -776,22 +777,46 @@ fn render_json(
     doc
 }
 
-/// The mini-C# front end alone: lexing, parsing and lowering the
-/// generated Paint.NET@0.5 project (383 KB of source) into a fresh model,
+/// The printed source of the generated Paint.NET@0.5 project (383 KB),
 /// the text the daemon's Paint.NET@0.5 tenant is built from and the one
 /// `crates/corpus/tests/frontend_allocs.rs` counts allocations on.
-fn bench_minics_compile(c: &mut Criterion) {
+fn paint_net_source() -> String {
     use pex_model::minics::{self, PrintOptions};
 
     let paint = table1_projects()
         .into_iter()
         .find(|p| p.name == "Paint.NET")
         .expect("Paint.NET is a Table 1 project");
-    let source = minics::print(&paint.generate(0.5), PrintOptions::default());
+    minics::print(&paint.generate(0.5), PrintOptions::default())
+}
+
+/// The mini-C# front end alone: lexing, parsing and lowering the
+/// generated Paint.NET@0.5 project into a fresh model.
+fn bench_minics_compile(c: &mut Criterion, source: &str) {
+    use pex_model::minics;
+
     c.bench_function("speedups/minics_compile", |b| {
         b.iter(|| {
-            let db = minics::compile(black_box(&source)).expect("generated source compiles");
+            let db = minics::compile(black_box(source)).expect("generated source compiles");
             black_box(db.method_count())
+        })
+    });
+}
+
+/// Decoding the `pex-snapshot` file of the Paint.NET@0.5 project — the
+/// socket tenant's scale — into a ready snapshot: what a
+/// `--load-snapshot` boot, a tenant miss in the registry and a `reload`
+/// pay before the first answer.
+fn bench_snapshot_load_paintnet(c: &mut Criterion, source: &str) {
+    use pex_serve::{persist, Snapshot};
+
+    let db = pex_model::minics::compile(source).expect("generated source compiles");
+    let built = Snapshot::from_database("paintnet".into(), db, pex_model::Context::empty(), None);
+    let bytes = persist::to_bytes(&built);
+    c.bench_function("speedups/snapshot_load_paintnet", |b| {
+        b.iter(|| {
+            let snap = persist::from_bytes(black_box(&bytes)).expect("snapshot decodes");
+            black_box(snap.db.method_count())
         })
     });
 }
@@ -807,7 +832,9 @@ fn main() {
     bench_snapshot_reuse(&mut c);
     bench_snapshot_boot(&mut c);
     bench_edit_update(&mut c);
-    bench_minics_compile(&mut c);
+    let paint_net = paint_net_source();
+    bench_minics_compile(&mut c, &paint_net);
+    bench_snapshot_load_paintnet(&mut c, &paint_net);
     let probe_count = bench_replay(&mut c);
     let results = c.results();
     if results.is_empty() {

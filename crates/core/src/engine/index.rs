@@ -20,7 +20,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use pex_model::{Database, MethodId};
-use pex_types::wire::{Reader, WireError, WireResult, Writer};
+use pex_types::wire::{check_id, Reader, WireError, WireResult, Writer};
 use pex_types::TypeId;
 
 /// Dedupe scratch for [`MethodIndex::candidates_for_with`]: one mark per
@@ -198,6 +198,17 @@ impl MethodIndex {
         n_types: usize,
         n_methods: usize,
     ) -> WireResult<Self> {
+        let push_methods = |out: &mut Vec<MethodId>, rows: &[[u8; 4]], what: &str| {
+            out.reserve(rows.len());
+            for id in rows {
+                out.push(MethodId::from_index(check_id(
+                    u32::from_le_bytes(*id),
+                    n_methods,
+                    what,
+                )?));
+            }
+            WireResult::Ok(())
+        };
         let n_entries = r.get_len("method index entry count")?;
         let mut offsets = vec![0u32; n_types + 1];
         let mut rows = Vec::new();
@@ -211,21 +222,16 @@ impl MethodIndex {
             }
             // Rows between the previous entry and this one are empty.
             offsets[next_ty..=ty].fill(offset(rows.len()));
-            let n = r.get_len("indexed method count")?;
-            rows.reserve(n);
-            for _ in 0..n {
-                rows.push(MethodId::from_index(r.get_id(n_methods, "indexed method")?));
-            }
+            push_methods(&mut rows, r.get_rows("indexed methods")?, "indexed method")?;
             next_ty = ty + 1;
         }
         offsets[next_ty..].fill(offset(rows.len()));
-        let n_with_args = r.get_len("with-args method count")?;
-        let mut with_args = Vec::with_capacity(n_with_args);
-        for _ in 0..n_with_args {
-            with_args.push(MethodId::from_index(
-                r.get_id(n_methods, "with-args method")?,
-            ));
-        }
+        let mut with_args = Vec::new();
+        push_methods(
+            &mut with_args,
+            r.get_rows("with-args methods")?,
+            "with-args method",
+        )?;
         let n_memo = r.get_len("candidate memo count")?;
         if n_memo != n_types {
             return Err(WireError::new(format!(

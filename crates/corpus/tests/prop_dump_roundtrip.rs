@@ -8,11 +8,13 @@ use proptest::prelude::*;
 use pex_corpus::{builtin, generate, table1_projects, ClientProfile, LibraryProfile};
 use pex_model::minics::{compile, compile_many, print, PrintOptions};
 use pex_model::Database;
-use pex_types::wire::Writer;
+use pex_types::wire::{StringTable, Writer};
 
 fn encoded(db: &Database) -> Vec<u8> {
+    let mut strings = StringTable::new();
     let mut w = Writer::new();
-    db.encode_snapshot(&mut w);
+    db.encode_snapshot(&mut strings, &mut w);
+    strings.encode(&mut w);
     w.into_bytes()
 }
 

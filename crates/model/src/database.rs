@@ -988,7 +988,7 @@ mod tests {
 
     #[test]
     fn member_tables_carry_no_growth_slack() {
-        use pex_types::wire::{Reader, Writer};
+        use pex_types::wire::{Reader, StringTable, Strings, Writer};
         let exact = |db: &Database| {
             assert_eq!(db.methods.capacity(), db.methods.len());
             assert_eq!(db.fields.capacity(), db.fields.len());
@@ -1005,10 +1005,14 @@ mod tests {
         "#;
         let db = crate::minics::compile(source).unwrap();
         exact(&db);
-        let mut w = Writer::new();
-        db.encode_snapshot(&mut w);
+        let (mut strings, mut w) = (StringTable::new(), Writer::new());
+        db.encode_snapshot(&mut strings, &mut w);
         let bytes = w.into_bytes();
-        exact(&Database::decode_snapshot(&mut Reader::new(&bytes)).unwrap());
+        let mut table = Writer::new();
+        strings.encode(&mut table);
+        let table = table.into_bytes();
+        let strings = Strings::decode(&table).unwrap();
+        exact(&Database::decode_snapshot(&strings, &mut Reader::new(&bytes)).unwrap());
         let edited = source.replace(
             "int Rank() { return 1; }",
             "int Rank() { return 1; } int Grade() { return 2; } double Size;",

@@ -738,8 +738,10 @@ mod tests {
     }
 
     fn encoded(db: &Database) -> Vec<u8> {
+        let mut strings = pex_types::wire::StringTable::new();
         let mut w = pex_types::wire::Writer::new();
-        db.encode_snapshot(&mut w);
+        db.encode_snapshot(&mut strings, &mut w);
+        strings.encode(&mut w);
         w.into_bytes()
     }
 

@@ -318,12 +318,14 @@ impl<'a> Lexer<'a> {
                     kw: Kw::of(text),
                 })
             }
-            other => {
+            _ => {
+                // Name the whole character, not its first byte.
+                let ch = self.source[start..].chars().next().unwrap_or('\u{fffd}');
                 return Err(MiniCsError::new(
                     line,
                     col,
-                    format!("unexpected character `{}`", other as char),
-                ))
+                    format!("unexpected character `{ch}`"),
+                ));
             }
         };
         Ok(Token { kind, line, col })
@@ -340,6 +342,7 @@ impl<'a> Lexer<'a> {
                 }
                 Some(c) => c,
             };
+            let run = self.pos;
             self.pos += 1;
             match c {
                 b'"' => return Ok(s),
@@ -359,7 +362,13 @@ impl<'a> Lexer<'a> {
                         _ => return Err(self.err("unknown escape sequence")),
                     }
                 }
-                other => s.push(other as char),
+                _ => {
+                    // A run of plain text is copied as UTF-8: the bytes that
+                    // end it (`"`, `\\`, a newline) are ASCII, so the run
+                    // starts and ends on character boundaries.
+                    self.skip_while(|c| !matches!(c, b'"' | b'\\' | b'\n'));
+                    s.push_str(&self.source[run..self.pos]);
+                }
             }
         }
     }

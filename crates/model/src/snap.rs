@@ -4,12 +4,17 @@
 //! Everything here follows the persistent-snapshot contract: encoding
 //! walks the in-memory structures in dense-id order, decoding
 //! bounds-checks every id against the arena it points into and rejects
-//! malformed tags or impossible lengths with a clean [`WireError`]. The
-//! member lookup maps (`type_methods` / `type_fields`) are not
-//! serialized; they are rebuilt by pushing members back in id order,
-//! which reproduces the exact per-type ordering the builder produced.
+//! malformed tags, unknown flag bits or impossible lengths with a clean
+//! [`WireError`]. The database section keeps its text in the snapshot's
+//! string table and stores methods, parameters and fields as fixed-width
+//! rows (see [`Database::encode_snapshot`]). The member lookup maps
+//! (`type_methods` / `type_fields`) are not serialized; they are rebuilt
+//! by pushing members back in id order, which reproduces the exact
+//! per-type ordering the builder produced.
 
-use pex_types::wire::{Reader, WireError, WireResult, Writer};
+use pex_types::wire::{
+    check_id, decode_rows, row_u32, Reader, StringTable, Strings, WireError, WireResult, Writer,
+};
 use pex_types::{TypeId, TypeTable};
 
 use crate::{
@@ -22,12 +27,35 @@ use crate::{
 /// a maliciously deep file into an error instead of a stack overflow.
 const MAX_DECODE_DEPTH: usize = 256;
 
+/// Flag bits of a method row.
+mod method_flag {
+    pub const STATIC: u32 = 1;
+    pub const PRIVATE: u32 = 1 << 1;
+    pub const OVERRIDES: u32 = 1 << 2;
+    pub const BODY: u32 = 1 << 3;
+    pub const ALL: u32 = STATIC | PRIVATE | OVERRIDES | BODY;
+}
+
+/// Flag bits of a field row.
+mod field_flag {
+    pub const STATIC: u32 = 1;
+    pub const PRIVATE: u32 = 1 << 1;
+    pub const PROPERTY: u32 = 1 << 2;
+    pub const ALL: u32 = STATIC | PRIVATE | PROPERTY;
+}
+
 /// Id bounds the model decoders validate against.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Bounds {
     pub types: usize,
     pub fields: usize,
     pub methods: usize,
+}
+
+/// What the body decoder reads against: id bounds and the string table.
+struct BodyDecoder<'s, 'a> {
+    bounds: Bounds,
+    strings: &'s Strings<'a>,
 }
 
 pub(crate) fn cmp_tag(op: CmpOp) -> u8 {
@@ -51,19 +79,24 @@ pub(crate) fn cmp_from_tag(tag: u8) -> WireResult<CmpOp> {
     }
 }
 
-fn encode_visibility(v: Visibility, w: &mut Writer) {
-    w.put_bool(matches!(v, Visibility::Private));
+/// `flag` when `on`, else no bits.
+fn bit(on: bool, flag: u32) -> u32 {
+    if on {
+        flag
+    } else {
+        0
+    }
 }
 
-fn decode_visibility(r: &mut Reader<'_>) -> WireResult<Visibility> {
-    Ok(if r.get_bool("visibility flag")? {
+fn visibility(flags: u32, private: u32) -> Visibility {
+    if flags & private != 0 {
         Visibility::Private
     } else {
         Visibility::Public
-    })
+    }
 }
 
-fn encode_expr(e: &Expr, w: &mut Writer) {
+fn encode_expr<'a>(e: &'a Expr, strings: &mut StringTable<'a>, w: &mut Writer) {
     match e {
         Expr::Local(l) => {
             w.put_u8(0);
@@ -76,7 +109,7 @@ fn encode_expr(e: &Expr, w: &mut Writer) {
         }
         Expr::FieldAccess(base, f) => {
             w.put_u8(3);
-            encode_expr(base, w);
+            encode_expr(base, strings, w);
             w.put_u32(f.0);
         }
         Expr::Call(m, args) => {
@@ -84,19 +117,19 @@ fn encode_expr(e: &Expr, w: &mut Writer) {
             w.put_u32(m.0);
             w.put_len(args.len());
             for a in args {
-                encode_expr(a, w);
+                encode_expr(a, strings, w);
             }
         }
         Expr::Assign(l, r) => {
             w.put_u8(5);
-            encode_expr(l, w);
-            encode_expr(r, w);
+            encode_expr(l, strings, w);
+            encode_expr(r, strings, w);
         }
         Expr::Cmp(op, l, r) => {
             w.put_u8(6);
             w.put_u8(cmp_tag(*op));
-            encode_expr(l, w);
-            encode_expr(r, w);
+            encode_expr(l, strings, w);
+            encode_expr(r, strings, w);
         }
         Expr::IntLit(v) => {
             w.put_u8(7);
@@ -112,89 +145,171 @@ fn encode_expr(e: &Expr, w: &mut Writer) {
         }
         Expr::StrLit(s) => {
             w.put_u8(10);
-            w.put_str(s);
+            strings.put(w, s);
         }
         Expr::Null => w.put_u8(11),
         Expr::Hole0 => w.put_u8(12),
         Expr::Opaque { ty, label } => {
             w.put_u8(13);
             w.put_u32(ty.index() as u32);
-            w.put_str(label);
+            strings.put(w, label);
         }
     }
 }
 
-fn decode_expr(
-    r: &mut Reader<'_>,
-    bounds: Bounds,
-    n_locals: usize,
-    depth: usize,
-) -> WireResult<Expr> {
-    if depth > MAX_DECODE_DEPTH {
-        return Err(WireError::new(format!(
-            "expression nests deeper than {MAX_DECODE_DEPTH} levels"
-        )));
-    }
-    Ok(match r.get_u8("expression tag")? {
-        0 => Expr::Local(LocalId(r.get_id(n_locals, "local slot")? as u32)),
-        1 => Expr::This,
-        2 => Expr::StaticField(FieldId(r.get_id(bounds.fields, "static field id")? as u32)),
-        3 => {
-            let base = decode_expr(r, bounds, n_locals, depth + 1)?;
-            let f = FieldId(r.get_id(bounds.fields, "field id")? as u32);
-            Expr::FieldAccess(Box::new(base), f)
+impl<'a> BodyDecoder<'_, 'a> {
+    fn expr(&self, r: &mut Reader<'a>, n_locals: usize, depth: usize) -> WireResult<Expr> {
+        if depth > MAX_DECODE_DEPTH {
+            return Err(WireError::new(format!(
+                "expression nests deeper than {MAX_DECODE_DEPTH} levels"
+            )));
         }
-        4 => {
-            let m = MethodId(r.get_id(bounds.methods, "method id")? as u32);
-            let n = r.get_len("call argument count")?;
-            let mut args = Vec::with_capacity(n);
-            for _ in 0..n {
-                args.push(decode_expr(r, bounds, n_locals, depth + 1)?);
+        let bounds = self.bounds;
+        Ok(match r.get_u8("expression tag")? {
+            0 => Expr::Local(LocalId(r.get_id(n_locals, "local slot")? as u32)),
+            1 => Expr::This,
+            2 => Expr::StaticField(FieldId(r.get_id(bounds.fields, "static field id")? as u32)),
+            3 => {
+                let base = self.expr(r, n_locals, depth + 1)?;
+                let f = FieldId(r.get_id(bounds.fields, "field id")? as u32);
+                Expr::FieldAccess(Box::new(base), f)
             }
-            Expr::Call(m, args)
+            4 => {
+                let m = MethodId(r.get_id(bounds.methods, "method id")? as u32);
+                let n = r.get_len("call argument count")?;
+                let mut args = Vec::with_capacity(n);
+                for _ in 0..n {
+                    args.push(self.expr(r, n_locals, depth + 1)?);
+                }
+                Expr::Call(m, args)
+            }
+            5 => {
+                let l = self.expr(r, n_locals, depth + 1)?;
+                let rhs = self.expr(r, n_locals, depth + 1)?;
+                Expr::assign(l, rhs)
+            }
+            6 => {
+                let op = cmp_from_tag(r.get_u8("comparison operator tag")?)?;
+                let l = self.expr(r, n_locals, depth + 1)?;
+                let rhs = self.expr(r, n_locals, depth + 1)?;
+                Expr::cmp(op, l, rhs)
+            }
+            7 => Expr::IntLit(r.get_i64("integer literal")?),
+            8 => Expr::DoubleLit(f64::from_bits(r.get_u64("double literal bits")?)),
+            9 => Expr::BoolLit(r.get_bool("bool literal")?),
+            10 => Expr::StrLit(r.get_string(self.strings, "string literal")?.to_owned()),
+            11 => Expr::Null,
+            12 => Expr::Hole0,
+            13 => {
+                let ty = TypeId::from_index(r.get_id(bounds.types, "opaque expression type")?);
+                let label = r
+                    .get_string(self.strings, "opaque expression label")?
+                    .to_owned();
+                Expr::Opaque { ty, label }
+            }
+            t => return Err(WireError::new(format!("unknown expression tag {t}"))),
+        })
+    }
+
+    fn stmts(
+        &self,
+        r: &mut Reader<'a>,
+        n_locals: usize,
+        depth: usize,
+        what: &str,
+    ) -> WireResult<Vec<Stmt>> {
+        let n = r.get_len(what)?;
+        let mut stmts = Vec::with_capacity(n);
+        for _ in 0..n {
+            stmts.push(self.stmt(r, n_locals, depth)?);
         }
-        5 => {
-            let l = decode_expr(r, bounds, n_locals, depth + 1)?;
-            let rhs = decode_expr(r, bounds, n_locals, depth + 1)?;
-            Expr::assign(l, rhs)
+        Ok(stmts)
+    }
+
+    fn stmt(&self, r: &mut Reader<'a>, n_locals: usize, depth: usize) -> WireResult<Stmt> {
+        if depth > MAX_DECODE_DEPTH {
+            return Err(WireError::new(format!(
+                "statements nest deeper than {MAX_DECODE_DEPTH} levels"
+            )));
         }
-        6 => {
-            let op = cmp_from_tag(r.get_u8("comparison operator tag")?)?;
-            let l = decode_expr(r, bounds, n_locals, depth + 1)?;
-            let rhs = decode_expr(r, bounds, n_locals, depth + 1)?;
-            Expr::cmp(op, l, rhs)
+        Ok(match r.get_u8("statement tag")? {
+            0 => {
+                let l = LocalId(r.get_id(n_locals, "initialised local slot")? as u32);
+                let e = self.expr(r, n_locals, depth + 1)?;
+                Stmt::Init(l, e)
+            }
+            1 => Stmt::Expr(self.expr(r, n_locals, depth + 1)?),
+            2 => {
+                let has = r.get_bool("return value flag")?;
+                let e = if has {
+                    Some(self.expr(r, n_locals, depth + 1)?)
+                } else {
+                    None
+                };
+                Stmt::Return(e)
+            }
+            3 => {
+                let cond = self.expr(r, n_locals, depth + 1)?;
+                let then_body =
+                    self.stmts(r, n_locals, depth + 1, "then-branch statement count")?;
+                let else_body =
+                    self.stmts(r, n_locals, depth + 1, "else-branch statement count")?;
+                Stmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                }
+            }
+            4 => {
+                let cond = self.expr(r, n_locals, depth + 1)?;
+                let body = self.stmts(r, n_locals, depth + 1, "loop body statement count")?;
+                Stmt::While { cond, body }
+            }
+            t => return Err(WireError::new(format!("unknown statement tag {t}"))),
+        })
+    }
+
+    /// A body: its local slots as `(name id, type id)` rows, the
+    /// parameter count, then the statements.
+    fn body(&self, r: &mut Reader<'a>) -> WireResult<Body> {
+        let rows: &[[u8; 8]] = r.get_rows("local slot table")?;
+        let locals = decode_rows(rows, |row| {
+            let name = self.strings.get(row_u32(row, 0), "local name")?.to_owned();
+            let ty = check_id(row_u32(row, 1), self.bounds.types, "local type")?;
+            Ok((name, TypeId::from_index(ty)))
+        })?;
+        let n_locals = locals.len();
+        let param_count = r.get_u32("parameter count")? as usize;
+        if param_count > n_locals {
+            return Err(WireError::new(format!(
+                "parameter count {param_count} exceeds the {n_locals} local slots"
+            )));
         }
-        7 => Expr::IntLit(r.get_i64("integer literal")?),
-        8 => Expr::DoubleLit(f64::from_bits(r.get_u64("double literal bits")?)),
-        9 => Expr::BoolLit(r.get_bool("bool literal")?),
-        10 => Expr::StrLit(r.get_str("string literal")?.to_owned()),
-        11 => Expr::Null,
-        12 => Expr::Hole0,
-        13 => {
-            let ty = TypeId::from_index(r.get_id(bounds.types, "opaque expression type")?);
-            let label = r.get_str("opaque expression label")?.to_owned();
-            Expr::Opaque { ty, label }
-        }
-        t => return Err(WireError::new(format!("unknown expression tag {t}"))),
-    })
+        let stmts = self.stmts(r, n_locals, 0, "statement count")?;
+        Ok(Body {
+            locals,
+            param_count,
+            stmts,
+        })
+    }
 }
 
-fn encode_stmt(s: &Stmt, w: &mut Writer) {
+fn encode_stmt<'a>(s: &'a Stmt, strings: &mut StringTable<'a>, w: &mut Writer) {
     match s {
         Stmt::Init(l, e) => {
             w.put_u8(0);
             w.put_u32(l.0);
-            encode_expr(e, w);
+            encode_expr(e, strings, w);
         }
         Stmt::Expr(e) => {
             w.put_u8(1);
-            encode_expr(e, w);
+            encode_expr(e, strings, w);
         }
         Stmt::Return(e) => {
             w.put_u8(2);
             w.put_bool(e.is_some());
             if let Some(e) = e {
-                encode_expr(e, w);
+                encode_expr(e, strings, w);
             }
         }
         Stmt::If {
@@ -203,222 +318,92 @@ fn encode_stmt(s: &Stmt, w: &mut Writer) {
             else_body,
         } => {
             w.put_u8(3);
-            encode_expr(cond, w);
-            w.put_len(then_body.len());
-            for s in then_body {
-                encode_stmt(s, w);
-            }
-            w.put_len(else_body.len());
-            for s in else_body {
-                encode_stmt(s, w);
-            }
+            encode_expr(cond, strings, w);
+            encode_stmts(then_body, strings, w);
+            encode_stmts(else_body, strings, w);
         }
         Stmt::While { cond, body } => {
             w.put_u8(4);
-            encode_expr(cond, w);
-            w.put_len(body.len());
-            for s in body {
-                encode_stmt(s, w);
-            }
+            encode_expr(cond, strings, w);
+            encode_stmts(body, strings, w);
         }
     }
 }
 
-fn decode_stmt(
-    r: &mut Reader<'_>,
-    bounds: Bounds,
-    n_locals: usize,
-    depth: usize,
-) -> WireResult<Stmt> {
-    if depth > MAX_DECODE_DEPTH {
-        return Err(WireError::new(format!(
-            "statements nest deeper than {MAX_DECODE_DEPTH} levels"
-        )));
+fn encode_stmts<'a>(stmts: &'a [Stmt], strings: &mut StringTable<'a>, w: &mut Writer) {
+    w.put_len(stmts.len());
+    for s in stmts {
+        encode_stmt(s, strings, w);
     }
-    Ok(match r.get_u8("statement tag")? {
-        0 => {
-            let l = LocalId(r.get_id(n_locals, "initialised local slot")? as u32);
-            let e = decode_expr(r, bounds, n_locals, depth + 1)?;
-            Stmt::Init(l, e)
-        }
-        1 => Stmt::Expr(decode_expr(r, bounds, n_locals, depth + 1)?),
-        2 => {
-            let has = r.get_bool("return value flag")?;
-            let e = if has {
-                Some(decode_expr(r, bounds, n_locals, depth + 1)?)
-            } else {
-                None
-            };
-            Stmt::Return(e)
-        }
-        3 => {
-            let cond = decode_expr(r, bounds, n_locals, depth + 1)?;
-            let n_then = r.get_len("then-branch statement count")?;
-            let mut then_body = Vec::with_capacity(n_then);
-            for _ in 0..n_then {
-                then_body.push(decode_stmt(r, bounds, n_locals, depth + 1)?);
-            }
-            let n_else = r.get_len("else-branch statement count")?;
-            let mut else_body = Vec::with_capacity(n_else);
-            for _ in 0..n_else {
-                else_body.push(decode_stmt(r, bounds, n_locals, depth + 1)?);
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            }
-        }
-        4 => {
-            let cond = decode_expr(r, bounds, n_locals, depth + 1)?;
-            let n = r.get_len("loop body statement count")?;
-            let mut body = Vec::with_capacity(n);
-            for _ in 0..n {
-                body.push(decode_stmt(r, bounds, n_locals, depth + 1)?);
-            }
-            Stmt::While { cond, body }
-        }
-        t => return Err(WireError::new(format!("unknown statement tag {t}"))),
-    })
 }
 
-fn encode_body(b: &Body, w: &mut Writer) {
+fn encode_body<'a>(b: &'a Body, strings: &mut StringTable<'a>, w: &mut Writer) {
     w.put_len(b.locals.len());
     for (name, ty) in &b.locals {
-        w.put_str(name);
+        strings.put(w, name);
         w.put_u32(ty.index() as u32);
     }
     w.put_len(b.param_count);
-    w.put_len(b.stmts.len());
-    for s in &b.stmts {
-        encode_stmt(s, w);
-    }
-}
-
-fn decode_body(r: &mut Reader<'_>, bounds: Bounds) -> WireResult<Body> {
-    let n_locals = r.get_len("local slot count")?;
-    let mut locals = Vec::with_capacity(n_locals);
-    for _ in 0..n_locals {
-        let name = r.get_str("local name")?.to_owned();
-        let ty = TypeId::from_index(r.get_id(bounds.types, "local type")?);
-        locals.push((name, ty));
-    }
-    let param_count = r.get_u32("parameter count")? as usize;
-    if param_count > n_locals {
-        return Err(WireError::new(format!(
-            "parameter count {param_count} exceeds the {n_locals} local slots"
-        )));
-    }
-    let n_stmts = r.get_len("statement count")?;
-    let mut stmts = Vec::with_capacity(n_stmts);
-    for _ in 0..n_stmts {
-        stmts.push(decode_stmt(r, bounds, n_locals, 0)?);
-    }
-    Ok(Body {
-        locals,
-        param_count,
-        stmts,
-    })
-}
-
-fn encode_method(m: &Method, w: &mut Writer) {
-    w.put_str(&m.name);
-    w.put_u32(m.declaring.index() as u32);
-    w.put_bool(m.is_static);
-    w.put_len(m.params.len());
-    for p in &m.params {
-        w.put_str(&p.name);
-        w.put_u32(p.ty.index() as u32);
-    }
-    w.put_u32(m.ret.index() as u32);
-    encode_visibility(m.visibility, w);
-    w.put_bool(m.overrides.is_some());
-    w.put_u32(m.overrides.map_or(0, |o| o.0));
-    w.put_bool(m.body.is_some());
-    if let Some(b) = &m.body {
-        encode_body(b, w);
-    }
-}
-
-fn decode_method(r: &mut Reader<'_>, bounds: Bounds) -> WireResult<Method> {
-    let name = Name::new(r.get_str("method name")?);
-    let declaring = TypeId::from_index(r.get_id(bounds.types, "method declaring type")?);
-    let is_static = r.get_bool("method static flag")?;
-    let n_params = r.get_len("parameter count")?;
-    let mut params = Vec::with_capacity(n_params);
-    for _ in 0..n_params {
-        let name = Name::new(r.get_str("parameter name")?);
-        let ty = TypeId::from_index(r.get_id(bounds.types, "parameter type")?);
-        params.push(Param { name, ty });
-    }
-    let ret = TypeId::from_index(r.get_id(bounds.types, "return type")?);
-    let visibility = decode_visibility(r)?;
-    let has_override = r.get_bool("override presence flag")?;
-    let raw_override = r.get_u32("overridden method id")?;
-    let overrides = if has_override {
-        if raw_override as usize >= bounds.methods {
-            return Err(WireError::new(format!(
-                "overridden method id {raw_override} out of range (database holds {})",
-                bounds.methods
-            )));
-        }
-        Some(MethodId(raw_override))
-    } else {
-        None
-    };
-    let body = if r.get_bool("body presence flag")? {
-        Some(Box::new(decode_body(r, bounds)?))
-    } else {
-        None
-    };
-    Ok(Method {
-        name,
-        declaring,
-        is_static,
-        params: params.into_boxed_slice(),
-        ret,
-        visibility,
-        overrides,
-        body,
-    })
-}
-
-fn encode_field(f: &Field, w: &mut Writer) {
-    w.put_str(&f.name);
-    w.put_u32(f.declaring.index() as u32);
-    w.put_bool(f.is_static);
-    w.put_u32(f.ty.index() as u32);
-    encode_visibility(f.visibility, w);
-    w.put_bool(f.is_property);
-}
-
-fn decode_field(r: &mut Reader<'_>, bounds: Bounds) -> WireResult<Field> {
-    Ok(Field {
-        name: Name::new(r.get_str("field name")?),
-        declaring: TypeId::from_index(r.get_id(bounds.types, "field declaring type")?),
-        is_static: r.get_bool("field static flag")?,
-        ty: TypeId::from_index(r.get_id(bounds.types, "field type")?),
-        visibility: decode_visibility(r)?,
-        is_property: r.get_bool("property flag")?,
-    })
+    encode_stmts(&b.stmts, strings, w);
 }
 
 impl Database {
     /// Serializes the whole program database — type table, methods
-    /// (including bodies) and fields — for the persistent snapshot.
-    pub fn encode_snapshot(&self, w: &mut Writer) {
-        self.types().encode(w);
+    /// (including bodies) and fields — for the persistent snapshot, with
+    /// every string it holds put into `strings`.
+    ///
+    /// After the type table come the method, field, parameter and
+    /// override counts and then four tables of fixed-width little-endian
+    /// `u32` rows:
+    ///
+    /// ```text
+    /// method    name id, declaring type, return type, parameter count, flags
+    /// parameter name id, type        (every method's parameters, in method order)
+    /// override  overridden method    (one per method with the override flag)
+    /// field     name id, declaring type, type, flags
+    /// ```
+    ///
+    /// The bodies of the methods whose body flag is set follow as one
+    /// stream in method order, then the removal tombstones. The counts
+    /// precede the members so bodies can reference any member id (method
+    /// calls and field lookups are unordered cross-references) and still
+    /// be validated in one pass.
+    pub fn encode_snapshot<'a>(&'a self, strings: &mut StringTable<'a>, w: &mut Writer) {
+        self.types().encode(strings, w);
         let (methods, fields) = self.members();
-        // Both counts precede the members so bodies can reference any
-        // member id (method calls and field lookups are unordered
-        // cross-references) and still be validated in one streaming pass.
         w.put_len(methods.len());
         w.put_len(fields.len());
+        w.put_len(methods.iter().map(|m| m.params.len()).sum());
+        w.put_len(methods.iter().filter(|m| m.overrides.is_some()).count());
         for m in methods {
-            encode_method(m, w);
+            strings.put(w, &m.name);
+            w.put_u32(m.declaring.index() as u32);
+            w.put_u32(m.ret.index() as u32);
+            w.put_len(m.params.len());
+            let flags = bit(m.is_static, method_flag::STATIC)
+                | bit(m.visibility == Visibility::Private, method_flag::PRIVATE)
+                | bit(m.overrides.is_some(), method_flag::OVERRIDES)
+                | bit(m.body.is_some(), method_flag::BODY);
+            w.put_u32(flags);
+        }
+        for p in methods.iter().flat_map(|m| m.params.iter()) {
+            strings.put(w, &p.name);
+            w.put_u32(p.ty.index() as u32);
+        }
+        for base in methods.iter().filter_map(|m| m.overrides) {
+            w.put_u32(base.0);
         }
         for f in fields {
-            encode_field(f, w);
+            strings.put(w, &f.name);
+            w.put_u32(f.declaring.index() as u32);
+            w.put_u32(f.ty.index() as u32);
+            let flags = bit(f.is_static, field_flag::STATIC)
+                | bit(f.visibility == Visibility::Private, field_flag::PRIVATE)
+                | bit(f.is_property, field_flag::PROPERTY);
+            w.put_u32(flags);
+        }
+        for body in methods.iter().filter_map(|m| m.body.as_deref()) {
+            encode_body(body, strings, w);
         }
         // Removal tombstones (present only after incremental updates):
         // sorted so the encoding is deterministic.
@@ -427,52 +412,153 @@ impl Database {
         let mut rf: Vec<u32> = removed_fields.iter().map(|f| f.0).collect();
         rm.sort_unstable();
         rf.sort_unstable();
-        w.put_len(rm.len());
-        for id in rm {
-            w.put_u32(id);
-        }
-        w.put_len(rf.len());
-        for id in rf {
-            w.put_u32(id);
+        for ids in [rm, rf] {
+            w.put_len(ids.len());
+            for id in ids {
+                w.put_u32(id);
+            }
         }
     }
 
     /// Decodes a database written by [`Database::encode_snapshot`],
-    /// bounds-checking every type, member and local-slot id and rebuilding
-    /// the per-type member lookup maps.
-    pub fn decode_snapshot(r: &mut Reader<'_>) -> WireResult<Database> {
-        let types = TypeTable::decode(r).map_err(|e| e.context("type table"))?;
-        let n_methods = r.get_len("method count")?;
-        let n_fields = r.get_len("field count")?;
-        let bounds = Bounds {
-            types: types.len(),
-            fields: n_fields,
-            methods: n_methods,
-        };
+    /// resolving names through `strings`, bounds-checking every type,
+    /// member, name and local-slot id, and rebuilding the per-type member
+    /// lookup maps.
+    pub fn decode_snapshot<'a>(strings: &Strings<'a>, r: &mut Reader<'a>) -> WireResult<Database> {
+        let types = TypeTable::decode(strings, r).map_err(|e| e.context("type table"))?;
+        let n_types = types.len();
+        let n_methods = r.get_u32("method count")? as usize;
+        let n_fields = r.get_u32("field count")? as usize;
+        let n_params = r.get_u32("parameter count")? as usize;
+        let n_overrides = r.get_u32("override count")? as usize;
+        let method_rows: &[[u8; 20]] = r.take_rows(n_methods, "method table")?;
+        let param_rows: &[[u8; 8]] = r.take_rows(n_params, "parameter table")?;
+        let override_rows: &[[u8; 4]] = r.take_rows(n_overrides, "override table")?;
+        let field_rows: &[[u8; 16]] = r.take_rows(n_fields, "field table")?;
+        // A name is built from the validated table per use: `Name` keeps
+        // short text inline, so a copy costs what a clone of a prebuilt
+        // name would, without a table of names left behind in the heap.
+        let name = |id: u32, what: &str| strings.get(id, what).map(Name::new);
+
+        let mut params = param_rows.iter();
+        let mut bases = override_rows.iter();
         let mut methods = Vec::with_capacity(n_methods);
-        for _ in 0..n_methods {
-            methods.push(decode_method(r, bounds)?);
+        for (i, row) in method_rows.iter().enumerate() {
+            let flags = row_u32(row, 4);
+            if flags & !method_flag::ALL != 0 {
+                return Err(WireError::new(format!(
+                    "method {i}: unknown flag bits {:#x}",
+                    flags & !method_flag::ALL
+                )));
+            }
+            let n = row_u32(row, 3) as usize;
+            if n > params.len() {
+                return Err(WireError::new(format!(
+                    "method {i}: parameter count {n} runs past the parameter table \
+                     ({} of {n_params} rows left)",
+                    params.len()
+                )));
+            }
+            let mut method_params = Vec::with_capacity(n);
+            for p in params.by_ref().take(n) {
+                method_params.push(Param {
+                    name: name(row_u32(p, 0), "parameter name")?,
+                    ty: TypeId::from_index(check_id(row_u32(p, 1), n_types, "parameter type")?),
+                });
+            }
+            let overrides = if flags & method_flag::OVERRIDES != 0 {
+                let base = bases.next().ok_or_else(|| {
+                    WireError::new(format!(
+                        "method {i}: override flag past the {n_overrides}-row override table"
+                    ))
+                })?;
+                let base = check_id(u32::from_le_bytes(*base), n_methods, "overridden method id")?;
+                Some(MethodId(base as u32))
+            } else {
+                None
+            };
+            methods.push(Method {
+                name: name(row_u32(row, 0), "method name")?,
+                declaring: TypeId::from_index(check_id(
+                    row_u32(row, 1),
+                    n_types,
+                    "method declaring type",
+                )?),
+                is_static: flags & method_flag::STATIC != 0,
+                params: method_params.into_boxed_slice(),
+                ret: TypeId::from_index(check_id(row_u32(row, 2), n_types, "return type")?),
+                visibility: visibility(flags, method_flag::PRIVATE),
+                overrides,
+                body: None,
+            });
         }
+        if params.len() != 0 {
+            return Err(WireError::new(format!(
+                "parameter table holds {n_params} rows but the methods claim {}",
+                n_params - params.len()
+            )));
+        }
+        if bases.len() != 0 {
+            return Err(WireError::new(format!(
+                "override table holds {n_overrides} rows but {} methods carry the override flag",
+                n_overrides - bases.len()
+            )));
+        }
+
         let mut fields = Vec::with_capacity(n_fields);
-        for _ in 0..n_fields {
-            fields.push(decode_field(r, bounds)?);
+        for (i, row) in field_rows.iter().enumerate() {
+            let flags = row_u32(row, 3);
+            if flags & !field_flag::ALL != 0 {
+                return Err(WireError::new(format!(
+                    "field {i}: unknown flag bits {:#x}",
+                    flags & !field_flag::ALL
+                )));
+            }
+            fields.push(Field {
+                name: name(row_u32(row, 0), "field name")?,
+                declaring: TypeId::from_index(check_id(
+                    row_u32(row, 1),
+                    n_types,
+                    "field declaring type",
+                )?),
+                is_static: flags & field_flag::STATIC != 0,
+                ty: TypeId::from_index(check_id(row_u32(row, 2), n_types, "field type")?),
+                visibility: visibility(flags, field_flag::PRIVATE),
+                is_property: flags & field_flag::PROPERTY != 0,
+            });
         }
-        let n_removed_m = r.get_len("removed method count")?;
-        let mut removed_methods = std::collections::HashSet::with_capacity(n_removed_m);
-        for _ in 0..n_removed_m {
-            removed_methods.insert(MethodId(r.get_id(n_methods, "removed method id")? as u32));
+
+        let bodies = BodyDecoder {
+            bounds: Bounds {
+                types: n_types,
+                fields: n_fields,
+                methods: n_methods,
+            },
+            strings,
+        };
+        for (m, row) in methods.iter_mut().zip(method_rows) {
+            if row_u32(row, 4) & method_flag::BODY != 0 {
+                m.body =
+                    Some(Box::new(bodies.body(r).map_err(|e| {
+                        e.context(&format!("body of method {}", m.name))
+                    })?));
+            }
         }
-        let n_removed_f = r.get_len("removed field count")?;
-        let mut removed_fields = std::collections::HashSet::with_capacity(n_removed_f);
-        for _ in 0..n_removed_f {
-            removed_fields.insert(FieldId(r.get_id(n_fields, "removed field id")? as u32));
-        }
+
+        let removed_methods = decode_rows(r.get_rows("removed method table")?, |id| {
+            let id = check_id(u32::from_le_bytes(*id), n_methods, "removed method id")?;
+            Ok(MethodId(id as u32))
+        })?;
+        let removed_fields = decode_rows(r.get_rows("removed field table")?, |id| {
+            let id = check_id(u32::from_le_bytes(*id), n_fields, "removed field id")?;
+            Ok(FieldId(id as u32))
+        })?;
         Ok(Database::from_parts_with_removed(
             types,
             methods,
             fields,
-            removed_methods,
-            removed_fields,
+            removed_methods.into_iter().collect(),
+            removed_fields.into_iter().collect(),
         ))
     }
 }

@@ -134,7 +134,7 @@ const CASES: &[(&str, u32, u32, &str)] = &[
         "// \u{e9}t\u{e9}\nnamespace N { class C { void M() { \u{e9}; } } }",
         2,
         36,
-        "unexpected character `\u{c3}`",
+        "unexpected character `\u{e9}`",
     ),
     (
         "namespace N { class C { void M() { if (true) { int x = 1; } } } }",

@@ -139,3 +139,24 @@ proptest! {
         }
     }
 }
+
+/// A non-ASCII string literal compiles to the text written, not to one
+/// Latin-1 character per UTF-8 byte, and survives print → compile
+/// unchanged.
+#[test]
+fn non_ascii_string_literals_survive_compile_print_compile() {
+    use pex_model::{Expr, Stmt};
+
+    let literal = |db: &Database| {
+        let m = db.find_method("N.C.M").expect("method M");
+        match &db.method(m).body().expect("body").stmts[..] {
+            [Stmt::Return(Some(Expr::StrLit(s)))] => s.clone(),
+            other => panic!("unexpected body {other:?}"),
+        }
+    };
+    let source = "namespace N { class C { string M() { return \"é \\\"ü\\\" 日本 \\\\ ok\"; } } }";
+    let db = compile(source).expect("source compiles");
+    assert_eq!(literal(&db), "é \"ü\" 日本 \\ ok");
+    let again = compile(&print(&db, PrintOptions::default())).expect("printed source compiles");
+    assert_eq!(literal(&again), literal(&db));
+}

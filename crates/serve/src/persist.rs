@@ -1,4 +1,4 @@
-//! `pex-snapshot/4`: the versioned, dependency-free binary format that
+//! `pex-snapshot/5`: the versioned, dependency-free binary format that
 //! persists a fully prewarmed [`Snapshot`] to disk.
 //!
 //! A daemon boot normally pays corpus parse + index build + prewarm. The
@@ -15,9 +15,9 @@
 //!
 //! ```text
 //! magic      8 bytes   "pexsnap1"
-//! version    u32 LE    format version (this build reads 4)
+//! version    u32 LE    format version (this build reads 5)
 //! payload_len u64 LE   total payload bytes after the section table
-//! checksum   u64 LE    FNV-1a 64 over the payload
+//! checksum   u64 LE    payload checksum (below)
 //! sections   u32 LE    section count
 //! per section:
 //!   tag      u32 LE    section id (see `tag` constants)
@@ -26,21 +26,42 @@
 //! payload    payload_len bytes
 //! ```
 //!
-//! Sections hold, in dense-id wire encoding ([`pex_types::wire`]): the
-//! database (types, members, bodies, conversion index; tag 1), the
-//! snapshot metadata (name, default context, enclosing method; tag 2), the
-//! method index — its exact rows and the prewarmed per-type candidate
-//! *counts*, not the candidate lists, which queries walk (tag 3) — and the
-//! hash-consed expression arena with its symbol table (tag 5). Tag 4,
-//! the reachability index of versions 1 and 2, is retired.
+//! The checksum is FNV-1a 64 taken over the payload as little-endian
+//! `u64` words, then over the 0–7 tail bytes one at a time
+//! ([`pex_types::wire::checksum`]). Each step is a bijection, so any
+//! change confined to one word, every single-bit flip included, changes
+//! it.
+//!
+//! Sections hold, in dense-id wire encoding ([`pex_types::wire`]):
+//!
+//! * the string table (tag 6): every string the database section uses —
+//!   namespace segments, type, method, parameter, field and local names,
+//!   string literals and opaque labels — deduplicated, with ids in
+//!   first-use order: the count, each string's end offset, then one UTF-8
+//!   text blob validated once;
+//! * the database (tag 1): the type table (namespaces, fixed-width type
+//!   rows, interfaces, conversion index), then fixed-width method,
+//!   parameter, override and field rows that name their strings by id,
+//!   then the bodies of the methods flagged as having one, then the
+//!   removal tombstones (see `Database::encode_snapshot`);
+//! * the snapshot metadata (name, default context, enclosing method;
+//!   tag 2);
+//! * the method index — its exact rows and the prewarmed per-type
+//!   candidate *counts*, not the candidate lists, which queries walk
+//!   (tag 3);
+//! * the hash-consed expression arena with its symbol table (tag 5).
+//!
+//! Tag 4, the reachability index of versions 1 and 2, is retired.
 //!
 //! ## Validation
 //!
 //! Loading never trusts the file: the magic, version, payload length and
 //! checksum gate the header; every section range is checked against the
-//! payload; every decoder bounds-checks every id and rejects unknown tags,
-//! impossible lengths and trailing bytes. A truncated, bit-flipped or
-//! version-bumped file produces a clean human-readable error — the daemon
+//! payload; every decoder bounds-checks every id (string ids included)
+//! and rejects unknown tags and flag bits, row tables whose length is not
+//! a whole number of rows, counts that disagree, impossible lengths and
+//! trailing bytes. A truncated, bit-flipped or version-bumped file
+//! produces a clean human-readable error naming the section — the daemon
 //! is `forbid(unsafe_code)` and must never panic mid-boot.
 //!
 //! ## Compatibility policy
@@ -55,7 +76,7 @@ use std::sync::Arc;
 
 use pex_core::{EngineCache, MethodIndex, ReachIndex};
 use pex_model::{Context, Database, ExprArena, MethodId};
-use pex_types::wire::{checksum, Reader, WireError, WireResult, Writer};
+use pex_types::wire::{checksum, Reader, StringTable, Strings, WireError, WireResult, Writer};
 
 use crate::snapshot::Snapshot;
 
@@ -67,20 +88,28 @@ pub const MAGIC: &[u8; 8] = b"pexsnap1";
 /// surviving ids stable by never compacting them); version 3 dropped the
 /// reachability index section, which the decoder now rebuilds; version 4
 /// stores each type's candidate count instead of its candidate list, and
-/// the index rows in strictly increasing type order. Older files are
-/// rejected with a self-describing error rather than misread.
-pub const VERSION: u32 = 4;
+/// the index rows in strictly increasing type order; version 5 moves the
+/// database's text into a deduplicated string table section, stores
+/// methods, parameters and fields as fixed-width rows and checksums the
+/// payload a word at a time. Older files are rejected with a
+/// self-describing error rather than misread.
+pub const VERSION: u32 = 5;
 
 mod tag {
     pub const DATABASE: u32 = 1;
     pub const META: u32 = 2;
     pub const METHOD_INDEX: u32 = 3;
     pub const ARENA: u32 = 5;
+    pub const STRINGS: u32 = 6;
 }
 
-/// Serializes a snapshot into the `pex-snapshot/4` byte format.
+/// Serializes a snapshot into the `pex-snapshot/5` byte format.
 pub fn to_bytes(snapshot: &Snapshot) -> Vec<u8> {
     let _span = pex_obs::span("serve.snapshot.encode");
+    let mut strings = StringTable::new();
+    let mut db = Writer::new();
+    snapshot.db.encode_snapshot(&mut strings, &mut db);
+    let db = db.into_bytes();
     let mut payload = Writer::new();
     let mut sections: Vec<(u32, u64, u64)> = Vec::new();
     let mut section = |t: u32, payload: &mut Writer, f: &dyn Fn(&mut Writer)| {
@@ -88,9 +117,8 @@ pub fn to_bytes(snapshot: &Snapshot) -> Vec<u8> {
         f(payload);
         sections.push((t, start, payload.len() as u64 - start));
     };
-    section(tag::DATABASE, &mut payload, &|w| {
-        snapshot.db.encode_snapshot(w)
-    });
+    section(tag::STRINGS, &mut payload, &|w| strings.encode(w));
+    section(tag::DATABASE, &mut payload, &|w| w.put_bytes(&db));
     section(tag::META, &mut payload, &|w| {
         w.put_str(&snapshot.name);
         w.put_bool(snapshot.enclosing.is_some());
@@ -154,7 +182,10 @@ fn parse_sections(bytes: &[u8]) -> WireResult<Vec<Section<'_>>> {
     }
     let payload = r.take(payload_len, "payload")?;
     r.expect_end("snapshot file")?;
-    let actual = checksum(payload);
+    let actual = {
+        let _span = pex_obs::span("serve.snapshot.decode.checksum");
+        checksum(payload)
+    };
     if actual != declared_checksum {
         return Err(WireError::new(format!(
             "payload checksum mismatch (file says {declared_checksum:#018x}, \
@@ -196,9 +227,20 @@ fn find_section<'a>(sections: &'a [Section<'a>], t: u32, name: &str) -> WireResu
 fn decode(bytes: &[u8]) -> WireResult<Snapshot> {
     let sections = parse_sections(bytes)?;
 
-    let mut r = Reader::new(find_section(&sections, tag::DATABASE, "database")?);
-    let db = Database::decode_snapshot(&mut r).map_err(|e| e.context("database section"))?;
-    r.expect_end("database section")?;
+    let strings = {
+        let _span = pex_obs::span("serve.snapshot.decode.strings");
+        Strings::decode(find_section(&sections, tag::STRINGS, "string table")?)
+            .map_err(|e| e.context("string table section"))?
+    };
+
+    let db = {
+        let _span = pex_obs::span("serve.snapshot.decode.database");
+        let mut r = Reader::new(find_section(&sections, tag::DATABASE, "database")?);
+        let db = Database::decode_snapshot(&strings, &mut r)
+            .map_err(|e| e.context("database section"))?;
+        r.expect_end("database section")?;
+        db
+    };
     let (n_types, n_fields, n_methods) = (db.types().len(), db.field_count(), db.method_count());
 
     let mut r = Reader::new(find_section(&sections, tag::META, "metadata")?);
@@ -220,17 +262,28 @@ fn decode(bytes: &[u8]) -> WireResult<Snapshot> {
         .map_err(|e| e.context("metadata section"))?;
     r.expect_end("metadata section")?;
 
-    let mut r = Reader::new(find_section(&sections, tag::METHOD_INDEX, "method index")?);
-    let index = MethodIndex::decode_snapshot(&mut r, n_types, n_methods)
-        .map_err(|e| e.context("method index section"))?;
-    r.expect_end("method index section")?;
+    let index = {
+        let _span = pex_obs::span("serve.snapshot.decode.method_index");
+        let mut r = Reader::new(find_section(&sections, tag::METHOD_INDEX, "method index")?);
+        let index = MethodIndex::decode_snapshot(&mut r, n_types, n_methods)
+            .map_err(|e| e.context("method index section"))?;
+        r.expect_end("method index section")?;
+        index
+    };
 
-    let mut r = Reader::new(find_section(&sections, tag::ARENA, "expression arena")?);
-    let arena = ExprArena::decode_snapshot(&mut r, n_types, n_fields, n_methods)
-        .map_err(|e| e.context("expression arena section"))?;
-    r.expect_end("expression arena section")?;
+    let arena = {
+        let _span = pex_obs::span("serve.snapshot.decode.arena");
+        let mut r = Reader::new(find_section(&sections, tag::ARENA, "expression arena")?);
+        let arena = ExprArena::decode_snapshot(&mut r, n_types, n_fields, n_methods)
+            .map_err(|e| e.context("expression arena section"))?;
+        r.expect_end("expression arena section")?;
+        arena
+    };
 
-    let reach = ReachIndex::build(&db);
+    let reach = {
+        let _span = pex_obs::span("serve.snapshot.decode.reach");
+        ReachIndex::build(&db)
+    };
     Ok(Snapshot::assemble(
         name,
         db,
@@ -242,7 +295,7 @@ fn decode(bytes: &[u8]) -> WireResult<Snapshot> {
     ))
 }
 
-/// Deserializes a snapshot from `pex-snapshot/4` bytes, skipping parse,
+/// Deserializes a snapshot from `pex-snapshot/5` bytes, skipping parse,
 /// method-index build and prewarm entirely. Every id and offset is validated; a
 /// corrupted buffer yields a human-readable error, never a panic.
 pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, String> {

@@ -115,3 +115,172 @@ fn missing_file_errors_cleanly() {
     let err = persist::load(std::path::Path::new("/nonexistent/dir/x.pexsnap")).unwrap_err();
     assert!(err.contains("cannot read"), "{err}");
 }
+
+// Forged files: the sections are rewritten and the checksum recomputed,
+// so only the structural validation of the decoders can reject them.
+
+const STRINGS: u32 = 6;
+const DATABASE: u32 = 1;
+
+/// The sections of a snapshot file as `(tag, bytes)`, in file order.
+fn sections(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let n = u32_at(28) as usize;
+    let payload = 32 + 20 * n;
+    (0..n)
+        .map(|i| {
+            let entry = 32 + 20 * i;
+            let (offset, len) = (u64_at(entry + 4), u64_at(entry + 12));
+            (
+                u32_at(entry),
+                bytes[payload + offset..payload + offset + len].to_vec(),
+            )
+        })
+        .collect()
+}
+
+/// A snapshot file holding `sections`, with a valid header and checksum.
+fn assemble(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let payload: Vec<u8> = sections
+        .iter()
+        .flat_map(|(_, b)| b.iter().copied())
+        .collect();
+    let mut out = b"pexsnap1".to_vec();
+    out.extend(persist::VERSION.to_le_bytes());
+    out.extend((payload.len() as u64).to_le_bytes());
+    out.extend(pex_types::wire::checksum(&payload).to_le_bytes());
+    out.extend((sections.len() as u32).to_le_bytes());
+    let mut offset = 0u64;
+    for (tag, bytes) in sections {
+        out.extend(tag.to_le_bytes());
+        out.extend(offset.to_le_bytes());
+        out.extend((bytes.len() as u64).to_le_bytes());
+        offset += bytes.len() as u64;
+    }
+    out.extend(payload);
+    out
+}
+
+/// The paint snapshot with the section tagged `tag` rewritten by `edit`.
+fn forged(tag: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut parts = sections(&paint_bytes());
+    let section = &mut parts.iter_mut().find(|(t, _)| *t == tag).unwrap().1;
+    edit(section);
+    assemble(&parts)
+}
+
+/// Decodes a forged file and checks it fails with one clean line that
+/// names `section` and says `what`.
+fn rejects(bytes: &[u8], section: &str, what: &str) {
+    let err = persist::from_bytes(bytes).unwrap_err();
+    assert!(err.starts_with(section), "{err}");
+    assert!(err.contains(what), "{err}");
+    assert!(!err.contains('\n'), "{err}");
+}
+
+/// Byte offset of method 0's row (name id, declaring type, return type,
+/// parameter count, flags) inside the database section, found by its
+/// contents.
+fn first_method_row(strings: &[u8], database: &[u8]) -> usize {
+    let snapshot = Snapshot::load(&SnapshotSource::Paint).unwrap();
+    let m = snapshot.db.method(pex_model::MethodId::from_index(0));
+    let strings = pex_types::wire::Strings::decode(strings).unwrap();
+    let name = strings.iter().position(|s| s == m.name()).unwrap() as u32;
+    let flags = u32::from(m.is_static())
+        | u32::from(m.visibility() == pex_model::Visibility::Private) << 1
+        | u32::from(m.overrides().is_some()) << 2
+        | u32::from(m.body().is_some()) << 3;
+    let row: Vec<u8> = [
+        name,
+        m.declaring().index() as u32,
+        m.return_type().index() as u32,
+        m.params().len() as u32,
+        flags,
+    ]
+    .iter()
+    .flat_map(|v| v.to_le_bytes())
+    .collect();
+    let at = database.windows(row.len()).position(|w| w == row).unwrap();
+    assert_eq!(
+        database[at + row.len()..]
+            .windows(row.len())
+            .position(|w| w == row),
+        None,
+        "method 0's row is unique"
+    );
+    at
+}
+
+/// Rewrites word `field` of method 0's row in the database section.
+fn forge_method_row(field: usize, edit: impl Fn(u32) -> u32) -> Vec<u8> {
+    let parts = sections(&paint_bytes());
+    let part = |tag: u32| &parts.iter().find(|(t, _)| *t == tag).unwrap().1;
+    let at = first_method_row(part(STRINGS), part(DATABASE)) + 4 * field;
+    forged(DATABASE, |db| {
+        let old = u32::from_le_bytes(db[at..at + 4].try_into().unwrap());
+        db[at..at + 4].copy_from_slice(&edit(old).to_le_bytes());
+    })
+}
+
+#[test]
+fn forged_sections_still_decode_when_unchanged() {
+    // The forging helpers alone produce a file the loader accepts.
+    let bytes = paint_bytes();
+    assert_eq!(assemble(&sections(&bytes)), bytes);
+    assert!(persist::from_bytes(&forged(DATABASE, |_| {})).is_ok());
+}
+
+#[test]
+fn name_id_out_of_range_is_a_clean_error() {
+    let bytes = forge_method_row(0, |_| 1_000_000);
+    rejects(
+        &bytes,
+        "database section: ",
+        "method name: name id 1000000 out of range (string table holds",
+    );
+}
+
+#[test]
+fn invalid_utf8_in_the_string_table_is_a_clean_error() {
+    let bytes = forged(STRINGS, |table| {
+        let last = table.len() - 1;
+        table[last] = 0xff;
+    });
+    rejects(&bytes, "string table section: ", "not valid UTF-8");
+}
+
+#[test]
+fn a_row_table_cut_mid_row_is_a_clean_error() {
+    // The string table's end-offset rows are 4 bytes wide; cut the
+    // section two bytes into its last row.
+    let bytes = forged(STRINGS, |table| {
+        let n = u32::from_le_bytes(table[..4].try_into().unwrap()) as usize;
+        table.truncate(4 + 4 * n - 2);
+    });
+    rejects(
+        &bytes,
+        "string table section: ",
+        "rows of 4 bytes run past the end",
+    );
+}
+
+#[test]
+fn parameter_counts_past_the_parameter_table_are_a_clean_error() {
+    let bytes = forge_method_row(3, |n| n + 1_000_000);
+    rejects(
+        &bytes,
+        "database section: ",
+        "runs past the parameter table",
+    );
+}
+
+#[test]
+fn unknown_flag_bits_are_a_clean_error() {
+    let bytes = forge_method_row(4, |flags| flags | 1 << 20);
+    rejects(
+        &bytes,
+        "database section: ",
+        "method 0: unknown flag bits 0x100000",
+    );
+}

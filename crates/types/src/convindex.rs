@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use crate::wire::{Reader, WireError, WireResult, Writer};
+use crate::wire::{check_id, decode_rows, row_u32, Reader, WireError, WireResult, Writer};
 use crate::{TypeId, TypeKind, TypeTable};
 
 /// Precomputed conversion relations for every type of one [`TypeTable`]
@@ -222,13 +222,11 @@ impl ConversionIndex {
         }
         let mut targets = Vec::with_capacity(n);
         for _ in 0..n {
-            let len = r.get_len("conversion target count")?;
-            let mut list = Vec::with_capacity(len);
-            for _ in 0..len {
-                let ty = r.get_id(n_types, "conversion target type id")?;
-                let d = r.get_u32("conversion distance")?;
-                list.push((TypeId(ty as u32), d));
-            }
+            let rows: &[[u8; 8]] = r.get_rows("conversion targets")?;
+            let list = decode_rows(rows, |row| {
+                let ty = check_id(row_u32(row, 0), n_types, "conversion target type id")?;
+                Ok((TypeId(ty as u32), row_u32(row, 1)))
+            })?;
             targets.push(list);
         }
         let by_id: Vec<Vec<(TypeId, u32)>> = targets

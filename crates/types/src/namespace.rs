@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::wire::{Reader, WireError, WireResult, Writer};
+use crate::wire::{Reader, StringTable, Strings, WireError, WireResult, Writer};
 use crate::NamespaceId;
 
 /// Arena of interned namespace paths.
@@ -224,13 +224,14 @@ impl Namespaces {
     }
 
     /// Serializes the arena for the persistent snapshot: paths in id
-    /// order. The lookup trie is rebuilt on decode.
-    pub fn encode(&self, w: &mut Writer) {
+    /// order, each a segment count and the segments' string-table ids.
+    /// The lookup trie is rebuilt on decode.
+    pub fn encode<'a>(&'a self, strings: &mut StringTable<'a>, w: &mut Writer) {
         w.put_len(self.paths.len());
         for path in &self.paths {
             w.put_len(path.len());
             for seg in path {
-                w.put_str(seg);
+                strings.put(w, seg);
             }
         }
     }
@@ -238,7 +239,7 @@ impl Namespaces {
     /// Decodes an arena written by [`Namespaces::encode`], rebuilding the
     /// path lookup trie and validating that id 0 is the global namespace
     /// and that no path appears twice.
-    pub fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
+    pub fn decode<'a>(strings: &Strings<'a>, r: &mut Reader<'a>) -> WireResult<Self> {
         let count = r.get_len("namespace count")?;
         if count == 0 {
             return Err(WireError::new(
@@ -249,11 +250,11 @@ impl Namespaces {
             paths: Vec::with_capacity(count),
             trie: vec![TrieNode::default()],
         };
+        let mut path = Vec::new();
         for i in 0..count {
-            let segs = r.get_len("namespace segment count")?;
-            let mut path = Vec::with_capacity(segs);
-            for _ in 0..segs {
-                path.push(r.get_str("namespace segment")?.to_owned());
+            path.clear();
+            for seg in r.get_rows::<4>("namespace segments")? {
+                path.push(strings.get(u32::from_le_bytes(*seg), "namespace segment")?);
             }
             if i == 0 && !path.is_empty() {
                 return Err(WireError::new(

@@ -3,7 +3,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use crate::wire::{Reader, WireError, WireResult, Writer};
+use crate::wire::{
+    check_id, decode_rows, row_u32, Reader, StringTable, Strings, WireError, WireResult, Writer,
+};
 use crate::{
     ConversionIndex, NamespaceId, Namespaces, PrimKind, TypeDef, TypeError, TypeId, TypeKind,
     TypeResult,
@@ -385,37 +387,50 @@ impl TypeTable {
 
     /// Serializes the table (namespaces, type definitions, well-known ids,
     /// and — when already built — the conversion index) for the persistent
-    /// snapshot. The name lookup map is rebuilt on decode.
-    pub fn encode(&self, w: &mut Writer) {
-        self.namespaces.encode(w);
+    /// snapshot; names go into `strings`. The name lookup map is rebuilt
+    /// on decode.
+    ///
+    /// Each type is one fixed-width row — name id, namespace id, kind
+    /// word, base class id, interface count — and every type's interfaces
+    /// follow in one flat id table. The kind word holds the kind tag in
+    /// bits 0–7, a primitive's kind index in bits 8–15, "has an explicit
+    /// base" in bit 16 and "comparable" in bit 17.
+    pub fn encode<'a>(&'a self, strings: &mut StringTable<'a>, w: &mut Writer) {
+        self.namespaces.encode(strings, w);
         w.put_len(self.types.len());
         for def in &self.types {
-            w.put_str(&def.name);
+            strings.put(w, &def.name);
             w.put_u32(def.namespace.0);
-            match &def.kind {
-                TypeKind::Class { base } => {
-                    w.put_u8(0);
-                    w.put_bool(base.is_some());
-                    w.put_u32(base.map_or(0, |b| b.0));
-                }
-                TypeKind::Interface => w.put_u8(1),
-                TypeKind::Struct => w.put_u8(2),
-                TypeKind::Enum => w.put_u8(3),
+            let (tag, prim, base) = match &def.kind {
+                TypeKind::Class { base } => (0, 0, *base),
+                TypeKind::Interface => (1, 0, None),
+                TypeKind::Struct => (2, 0, None),
+                TypeKind::Enum => (3, 0, None),
                 TypeKind::Primitive(p) => {
-                    w.put_u8(4);
                     let idx = PrimKind::ALL
                         .iter()
                         .position(|q| q == p)
                         .expect("all kinds listed");
-                    w.put_u8(idx as u8);
+                    (4, idx as u32, None)
                 }
-                TypeKind::Void => w.put_u8(5),
+                TypeKind::Void => (5, 0, None),
+            };
+            let mut word = tag | (prim << 8);
+            if base.is_some() {
+                word |= kind::HAS_BASE;
             }
+            if def.comparable {
+                word |= kind::COMPARABLE;
+            }
+            w.put_u32(word);
+            w.put_u32(base.map_or(0, |b| b.0));
             w.put_len(def.interfaces.len());
+        }
+        w.put_len(self.types.iter().map(|d| d.interfaces.len()).sum());
+        for def in &self.types {
             for i in &def.interfaces {
                 w.put_u32(i.0);
             }
-            w.put_bool(def.comparable);
         }
         w.put_u32(self.well_known.object.0);
         w.put_u32(self.well_known.void.0);
@@ -429,61 +444,81 @@ impl TypeTable {
         }
     }
 
-    /// Decodes a table written by [`TypeTable::encode`].
+    /// Decodes a table written by [`TypeTable::encode`], resolving names
+    /// through `strings`.
     ///
-    /// Every namespace, base, interface, well-known and primitive id is
-    /// bounds-checked; the well-known entries are verified to have the
+    /// Every name, namespace, base, interface, well-known and primitive id
+    /// is bounds-checked, and kind words with unknown bits are rejected;
+    /// the well-known entries are verified to have the
     /// kinds a freshly-built table guarantees (`Object` a baseless class,
     /// `void` the void pseudo-type, each primitive slot the matching
     /// [`PrimKind`]), so downstream code can keep relying on those
     /// invariants without re-checking.
-    pub fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        let namespaces = Namespaces::decode(r)?;
-        let count = r.get_len("type count")?;
+    pub fn decode<'a>(strings: &Strings<'a>, r: &mut Reader<'a>) -> WireResult<Self> {
+        let namespaces = Namespaces::decode(strings, r)?;
+        let rows: &[[u8; 20]] = r.get_rows("type table")?;
+        let count = rows.len();
+        let mut ifaces: &[[u8; 4]] = r.get_rows("interface table")?;
         let mut types = Vec::with_capacity(count);
         let mut by_name = Vec::new();
-        for i in 0..count {
-            let name = r.get_str("type name")?.to_owned();
-            let namespace = NamespaceId(r.get_id(namespaces.len(), "type namespace id")? as u32);
-            let kind = match r.get_u8("type kind tag")? {
-                0 => {
-                    let has_base = r.get_bool("base presence flag")?;
-                    let raw = r.get_u32("base class id")?;
-                    let base = if has_base {
-                        if raw as usize >= count {
-                            return Err(WireError::new(format!(
-                                "base class id {raw} out of range (table holds {count})"
-                            )));
-                        }
-                        Some(TypeId(raw))
+        for (i, row) in rows.iter().enumerate() {
+            let name = strings.get(row_u32(row, 0), "type name")?.to_owned();
+            let namespace =
+                NamespaceId(
+                    check_id(row_u32(row, 1), namespaces.len(), "type namespace id")? as u32,
+                );
+            let word = row_u32(row, 2);
+            let raw_base = row_u32(row, 3);
+            if word & !kind::KNOWN_BITS != 0 {
+                return Err(WireError::new(format!(
+                    "type {i}: unknown kind flag bits {:#x}",
+                    word & !kind::KNOWN_BITS
+                )));
+            }
+            let prim = (word >> 8) & 0xff;
+            let has_base = word & kind::HAS_BASE != 0;
+            let kind = match word & 0xff {
+                0 => TypeKind::Class {
+                    base: if has_base {
+                        Some(TypeId(check_id(raw_base, count, "base class id")? as u32))
                     } else {
                         None
-                    };
-                    TypeKind::Class { base }
-                }
+                    },
+                },
                 1 => TypeKind::Interface,
                 2 => TypeKind::Struct,
                 3 => TypeKind::Enum,
-                4 => {
-                    let idx = r.get_u8("primitive kind index")? as usize;
-                    match PrimKind::ALL.get(idx) {
-                        Some(p) => TypeKind::Primitive(*p),
-                        None => {
-                            return Err(WireError::new(format!(
-                                "primitive kind index {idx} out of range"
-                            )))
-                        }
+                4 => match PrimKind::ALL.get(prim as usize) {
+                    Some(p) => TypeKind::Primitive(*p),
+                    None => {
+                        return Err(WireError::new(format!(
+                            "primitive kind index {prim} out of range"
+                        )))
                     }
-                }
+                },
                 5 => TypeKind::Void,
                 t => return Err(WireError::new(format!("unknown type kind tag {t}"))),
             };
-            let n_ifaces = r.get_len("interface count")?;
-            let mut interfaces = Vec::with_capacity(n_ifaces);
-            for _ in 0..n_ifaces {
-                interfaces.push(TypeId(r.get_id(count, "interface id")? as u32));
+            let is_class = matches!(kind, TypeKind::Class { .. });
+            let is_prim = matches!(kind, TypeKind::Primitive(_));
+            if (has_base && !is_class) || (!has_base && raw_base != 0) || (prim != 0 && !is_prim) {
+                return Err(WireError::new(format!(
+                    "type {i}: kind word {word:#x} and base id {raw_base} disagree"
+                )));
             }
-            let comparable = r.get_bool("comparable flag")?;
+            let n_ifaces = row_u32(row, 4) as usize;
+            if n_ifaces > ifaces.len() {
+                return Err(WireError::new(format!(
+                    "type {i}: {n_ifaces} interfaces run past the interface table"
+                )));
+            }
+            let (own, rest) = ifaces.split_at(n_ifaces);
+            ifaces = rest;
+            let interfaces = decode_rows(own, |id| {
+                Ok(TypeId(
+                    check_id(u32::from_le_bytes(*id), count, "interface id")? as u32,
+                ))
+            })?;
             if insert_name(&mut by_name, namespace, name.clone(), TypeId(i as u32)).is_some() {
                 return Err(WireError::new(format!("duplicate type name '{name}'")));
             }
@@ -492,8 +527,14 @@ impl TypeTable {
                 namespace,
                 kind,
                 interfaces,
-                comparable,
+                comparable: word & kind::COMPARABLE != 0,
             });
+        }
+        if !ifaces.is_empty() {
+            return Err(WireError::new(format!(
+                "interface table holds {} ids no type claims",
+                ifaces.len()
+            )));
         }
         let object = TypeId(r.get_id(count, "well-known Object id")? as u32);
         let void = TypeId(r.get_id(count, "well-known void id")? as u32);
@@ -538,6 +579,14 @@ impl TypeTable {
         self.conv
             .get_or_init(|| Arc::new(ConversionIndex::build(self)))
     }
+}
+
+/// Flag bits of a type row's kind word (see [`TypeTable::encode`]).
+mod kind {
+    pub const HAS_BASE: u32 = 1 << 16;
+    pub const COMPARABLE: u32 = 1 << 17;
+    /// Tag, primitive index and the two flags.
+    pub const KNOWN_BITS: u32 = 0x3_ffff;
 }
 
 /// Inserts `name` into `namespace`'s simple-name map, growing the
