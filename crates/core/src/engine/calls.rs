@@ -170,7 +170,7 @@ pub(crate) fn expand_assign(
 ) -> Vec<Scored> {
     debug_assert_eq!(items.len(), 2);
     // Checked before interning, so unassignable pairs never reach the
-    // shared arena.
+    // arena.
     let lhs_ok = matches!(
         arena.read().node(items[0].expr),
         ENode::Local(_) | ENode::StaticField(_) | ENode::FieldAccess(..)

@@ -15,9 +15,10 @@
 //! - the [`ReachIndex`] and its pruner memo are rebuilt only when the
 //!   reachability edge universe changed (reach is transitive, so any edge
 //!   edit may move distances arbitrarily far away — partial rebuild is
-//!   not sound there);
-//! - the hash-consing arena is carried over wholesale: positional ids are
-//!   stable across updates, so every interned expression stays valid.
+//!   not sound there).
+//!
+//! Expressions are not part of any of these: each query interns into its
+//! own arena, which dies with the query, so an update copies none.
 //!
 //! A signature-identical body edit therefore invalidates nothing, and the
 //! per-call [`InvalidationStats`] lets the protocol layer prove it (the
@@ -125,9 +126,9 @@ pub fn refresh_derived(
     };
 
     let cache = EngineCache {
-        arena: old_cache.arena.clone(),
         chains,
         reach: reach_memo,
+        ..EngineCache::default()
     };
 
     pex_obs::counter!("engine.invalidate.chains", stats.chains as u64);

@@ -4,8 +4,8 @@
 //! scored streams — chain closures for holes and `.?` suffixes,
 //! products plus reorder buffers for calls and operators — and iterates the
 //! root stream, deduplicating, in non-decreasing score order. Every stream
-//! carries interned arena ids; an emitted row is materialized into an
-//! [`Expr`] tree only once it survives dedup.
+//! carries ids interned in the completer's own arena; an emitted row is
+//! materialized into an [`Expr`] tree only once it survives dedup.
 
 pub mod budget;
 pub(crate) mod calls;
@@ -22,6 +22,8 @@ pub use index::{CandidateScratch, MethodIndex};
 pub use invalidate::{refresh_derived, InvalidationStats};
 pub use reach::ReachIndex;
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use pex_abstract::AbsTypes;
 use pex_model::{CallStyle, Context, Database, Expr, ExprArena, ExprId, GlobalRef, ValueTy};
 use pex_types::TypeId;
@@ -37,18 +39,19 @@ use stream::{
     ExpandStream, MergeStream, ProductStream, Scored, ScoredStream, SliceStream, VecStream,
 };
 
-/// Shared, thread-safe engine caches: the hash-consing expression arena and
-/// the chain-successor memo.
+/// Shared, thread-safe engine caches, all keyed by types: the
+/// chain-successor memo and the reachability pruning tables.
 ///
 /// Every [`Completer`] owns a private cache, so single queries work with no
 /// setup. A long-lived cache — e.g. one living in a serve snapshot — can be
 /// shared across queries (and across threads) with
-/// [`Completer::with_cache`], so concurrent requests reuse interned chains
-/// and memoized member walks instead of re-building them per query.
+/// [`Completer::with_cache`], so concurrent requests reuse memoized member
+/// walks instead of re-building them per query. Expressions are not
+/// shared: each completer interns into its own [`ExprArena`].
 #[derive(Debug, Default)]
 pub struct EngineCache {
-    /// The hash-consed expression arena interned completions live in.
-    pub arena: ExprArena,
+    /// The largest arena one query against this cache has built.
+    pub arena: ArenaPeak,
     pub(crate) chains: SuccessorMemo,
     /// Reachability pruning tables per `(link kind, filter)`, shared by
     /// every query against the same expected type.
@@ -60,16 +63,28 @@ impl EngineCache {
     pub fn new() -> Self {
         EngineCache::default()
     }
+}
 
-    /// Rehydrates a cache around an arena decoded from a persistent
-    /// snapshot. The successor and reachability memos start empty — they
-    /// are pure per-query accelerators that refill lazily without
-    /// affecting any answer, so they are not serialized.
-    pub fn with_arena(arena: ExprArena) -> Self {
-        EngineCache {
-            arena,
-            ..EngineCache::default()
-        }
+/// The largest node count any single completer's [`ExprArena`] reached,
+/// recorded as each of its [`CompletionIter`]s drops. Arenas die with
+/// their completers, so this is the one arena figure a shared cache can
+/// give.
+#[derive(Debug, Default)]
+pub struct ArenaPeak(AtomicUsize);
+
+impl ArenaPeak {
+    /// The largest node count one query's arena has reached.
+    pub fn len(&self) -> usize {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// Whether no query has interned a node yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn record(&self, nodes: usize) {
+        self.0.fetch_max(nodes, Ordering::Relaxed);
     }
 }
 
@@ -156,12 +171,13 @@ pub struct Completer<'a> {
     reach: Option<&'a ReachIndex>,
     owned_cache: EngineCache,
     shared_cache: Option<&'a EngineCache>,
+    /// The expressions this completer's queries intern; they die with it.
+    arena: ExprArena,
     /// Hole-query roots, scored and sorted once per completer. Root scores
     /// depend only on construction-time state (`db`/`ctx`/`abs`/`config` —
     /// never on [`CompleteOptions`]), and scoring walks every visible
     /// global through the ranker, which dominates the fixed cost of short
-    /// queries; repeat queries replay the memo instead. The ids are valid
-    /// for this completer's (fixed) arena.
+    /// queries; repeat queries replay the memo instead.
     hole_roots_memo: std::cell::OnceCell<Vec<Scored>>,
 }
 
@@ -184,6 +200,7 @@ impl<'a> Completer<'a> {
             reach: None,
             owned_cache: EngineCache::default(),
             shared_cache: None,
+            arena: ExprArena::new(),
             hole_roots_memo: std::cell::OnceCell::new(),
         }
     }
@@ -205,13 +222,10 @@ impl<'a> Completer<'a> {
 
     /// Shares a long-lived [`EngineCache`] with this completer in place of
     /// its private one. Sound for any sequence of queries against the same
-    /// database: cached successor lists depend only on the code model, and
-    /// interned ids are stable for the cache's lifetime.
+    /// database: cached successor lists and pruning tables depend only on
+    /// the code model. The completer's arena stays its own.
     pub fn with_cache(mut self, cache: &'a EngineCache) -> Self {
         self.shared_cache = Some(cache);
-        // Interned root ids belong to the previous cache's arena; drop any
-        // memoized set so they are re-interned into the shared arena.
-        self.hole_roots_memo = std::cell::OnceCell::new();
         self
     }
 
@@ -273,10 +287,10 @@ impl<'a> Completer<'a> {
             None => TypeFilter::any(),
         };
         let budget = Budget::start(&self.options.budget);
-        let cache = self.cache();
         CompletionIter {
-            stream: self.stream_for(pe, filter, &budget, cache, bf),
-            arena: &cache.arena,
+            stream: self.stream_for(pe, filter, &budget, bf),
+            arena: &self.arena,
+            peak: &self.cache().arena,
             seen: std::collections::HashSet::new(),
             remaining: cap,
             budget,
@@ -381,16 +395,17 @@ impl<'a> Completer<'a> {
 
     /// Per-term score breakdown for a completion this engine produced.
     ///
-    /// Re-interning the materialized expression is a hash-cons hit (the
-    /// enumeration already interned every node). The breakdown comes from
-    /// the same ranking walk as the score, so it counts toward the
-    /// `rank.*.evals` counters like any score. Returns `None` only for
+    /// Re-interning the materialized expression is a hash-cons hit when
+    /// this completer emitted it (the enumeration interned every node in
+    /// its arena). The breakdown comes from the same ranking walk as the
+    /// score, so it counts toward the `rank.*.evals` counters like any
+    /// score. Returns `None` only for
     /// expressions this engine's ranker cannot score — never for a
     /// completion it just emitted, whose `score` the breakdown's `total`
     /// reproduces (callers holding rows from elsewhere compare the two).
     pub fn explain(&self, c: &Completion) -> Option<crate::rank::ScoreBreakdown> {
-        let id = self.cache().arena.intern_expr(&c.expr);
-        self.ranker().explain(&self.cache().arena, id)
+        let id = self.arena.intern_expr(&c.expr);
+        self.ranker().explain(&self.arena, id)
     }
 
     fn link_cost(&self) -> u32 {
@@ -411,7 +426,8 @@ impl<'a> Completer<'a> {
     }
 
     /// Root completions for a `?` hole: live locals, `this`, and globals.
-    fn hole_roots(&self, arena: &ExprArena) -> SliceStream<'_> {
+    fn hole_roots(&self) -> SliceStream<'_> {
+        let arena = &self.arena;
         let roots = self.hole_roots_memo.get_or_init(|| {
             let ranker = self.ranker();
             let mut roots = Vec::new();
@@ -461,12 +477,11 @@ impl<'a> Completer<'a> {
         pe: &PartialExpr,
         filter: TypeFilter,
         budget: &Budget,
-        cache: &'s EngineCache,
         bf: Option<BestFirst>,
     ) -> Box<dyn ScoredStream + 's> {
         let ranker = self.ranker();
-        let arena = &cache.arena;
-        let memo = &cache.chains;
+        let arena = &self.arena;
+        let memo = &self.cache().chains;
         match pe {
             PartialExpr::Known(e) => {
                 let row = calls::scored(&ranker, arena, arena.intern_expr(e))
@@ -485,7 +500,7 @@ impl<'a> Completer<'a> {
                         self.db,
                         self.ctx,
                         arena,
-                        Box::new(self.hole_roots(arena)),
+                        Box::new(self.hole_roots()),
                         ChainLink::FieldsAndMethods,
                         None,
                         self.options.max_depth,
@@ -499,7 +514,7 @@ impl<'a> Completer<'a> {
                 )
             }
             PartialExpr::Suffix(base, kind) => {
-                let roots = self.stream_for(base, TypeFilter::any(), budget, cache, None);
+                let roots = self.stream_for(base, TypeFilter::any(), budget, None);
                 let links = if kind.allows_methods() {
                     ChainLink::FieldsAndMethods
                 } else {
@@ -528,7 +543,7 @@ impl<'a> Completer<'a> {
             PartialExpr::UnknownCall(args) => {
                 let arg_streams: Vec<Box<dyn ScoredStream + 's>> = args
                     .iter()
-                    .map(|a| self.stream_for(a, TypeFilter::any(), budget, cache, None))
+                    .map(|a| self.stream_for(a, TypeFilter::any(), budget, None))
                     .collect();
                 let product = ProductStream::new(arg_streams, budget.clone());
                 let index = self.index;
@@ -563,7 +578,7 @@ impl<'a> Completer<'a> {
                                     .expect("arity checked")
                             })
                             .collect();
-                        self.stream_for(a, TypeFilter::one_of(wanted), budget, cache, None)
+                        self.stream_for(a, TypeFilter::one_of(wanted), budget, None)
                     })
                     .collect();
                 let product = ProductStream::new(arg_streams, budget.clone());
@@ -575,8 +590,8 @@ impl<'a> Completer<'a> {
             }
             PartialExpr::Assign(l, r) => {
                 let streams: Vec<Box<dyn ScoredStream + 's>> = vec![
-                    self.stream_for(l, TypeFilter::any(), budget, cache, None),
-                    self.stream_for(r, TypeFilter::any(), budget, cache, None),
+                    self.stream_for(l, TypeFilter::any(), budget, None),
+                    self.stream_for(r, TypeFilter::any(), budget, None),
                 ];
                 let product = ProductStream::new(streams, budget.clone());
                 let expand =
@@ -586,7 +601,7 @@ impl<'a> Completer<'a> {
             PartialExpr::Alt(alts) => {
                 let streams: Vec<Box<dyn ScoredStream + 's>> = alts
                     .iter()
-                    .map(|a| self.stream_for(a, filter.clone(), budget, cache, None))
+                    .map(|a| self.stream_for(a, filter.clone(), budget, None))
                     .collect();
                 Box::new(MergeStream::new(streams))
             }
@@ -594,8 +609,8 @@ impl<'a> Completer<'a> {
                 // Paper Section 4.2: operands of a relational operator can
                 // only have ordered types; narrow both streams up front.
                 let streams: Vec<Box<dyn ScoredStream + 's>> = vec![
-                    self.stream_for(l, TypeFilter::Ordered, budget, cache, None),
-                    self.stream_for(r, TypeFilter::Ordered, budget, cache, None),
+                    self.stream_for(l, TypeFilter::Ordered, budget, None),
+                    self.stream_for(r, TypeFilter::Ordered, budget, None),
                 ];
                 let product = ProductStream::new(streams, budget.clone());
                 let op = *op;
@@ -674,6 +689,8 @@ pub struct Completion {
 pub struct CompletionIter<'s> {
     stream: Box<dyn ScoredStream + 's>,
     arena: &'s ExprArena,
+    /// Where the arena's size is recorded on drop.
+    peak: &'s ArenaPeak,
     /// Ids already emitted; id equality is structural equality.
     seen: std::collections::HashSet<ExprId>,
     /// Distinct rows still to emit before the iterator stops with
@@ -774,6 +791,7 @@ impl Drop for CompletionIter<'_> {
         // query charged against its budget — the honest cost metric the
         // per-candidate counters above cannot see.
         pex_obs::counter!("engine.query.steps", self.budget.steps_used());
+        self.peak.record(self.arena.len());
         // `self.span` drops after this body, closing the query span last.
         let _ = &self.span;
     }

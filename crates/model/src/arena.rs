@@ -18,20 +18,17 @@
 //!   itself, `0.0` and `-0.0` differ), so an id set deduplicates
 //!   expressions exactly.
 //!
-//! The arena is `Sync` (interior `RwLock`): one arena can be shared by
-//! concurrent queries — `pex-serve` keeps one in its snapshot so requests
-//! reuse each other's interned chains. Reads take the lock once per
-//! [`ExprArena::read`] guard; do **not** call an interning method while
-//! holding a guard on the same thread (a read-then-write upgrade on
-//! `std::sync::RwLock` may deadlock).
+//! An arena belongs to one query: the engine's `Completer`, which every
+//! caller builds per query, owns it and drops it with the query, so a
+//! request's nodes never outlive the request. It is single-threaded (interior `RefCell`, so `!Sync`).
+//! Reads borrow it once per [`ExprArena::read`] guard; interning while a
+//! guard is alive on the same arena panics with a `RefCell` borrow error.
 
+use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
-use std::sync::{RwLock, RwLockReadGuard};
 
-use pex_types::wire::{Reader, WireError, WireResult, Writer};
 use pex_types::TypeId;
 
-use crate::snap::{cmp_from_tag, cmp_tag};
 use crate::{CmpOp, Expr, FieldId, LocalId, MethodId};
 
 /// Dense handle of an interned expression node. Equality is structural
@@ -90,7 +87,7 @@ pub enum ENode {
     },
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct Inner {
     nodes: Vec<ENode>,
     ids: HashMap<ENode, u32>,
@@ -101,25 +98,13 @@ struct Inner {
 /// The hash-consed interner. See the module docs.
 #[derive(Debug, Default)]
 pub struct ExprArena {
-    inner: RwLock<Inner>,
-}
-
-impl Clone for ExprArena {
-    /// Snapshots the interned state into an independent arena. Ids minted
-    /// by the original remain valid in the clone (entries are purely
-    /// structural and append-only), which is what lets an incrementally
-    /// updated snapshot keep every expression the old one interned.
-    fn clone(&self) -> Self {
-        ExprArena {
-            inner: RwLock::new(self.inner.read().expect("arena lock poisoned").clone()),
-        }
-    }
+    inner: RefCell<Inner>,
 }
 
 /// A read guard over an [`ExprArena`], giving borrow access to nodes and
-/// symbols without per-access locking. Hold it for the duration of a walk
-/// (scoring, typing); drop it before interning anything.
-pub struct ArenaRead<'a>(RwLockReadGuard<'a, Inner>);
+/// symbols without a per-access borrow check. Hold it for the duration of
+/// a walk (scoring, typing); drop it before interning anything.
+pub struct ArenaRead<'a>(Ref<'a, Inner>);
 
 impl ArenaRead<'_> {
     /// The node behind an id.
@@ -154,9 +139,9 @@ impl ExprArena {
     }
 
     /// Takes a read guard for walk-heavy consumers (scoring, typing,
-    /// materialization helpers). Do not intern while holding it.
+    /// materialization helpers). Interning while it is alive panics.
     pub fn read(&self) -> ArenaRead<'_> {
-        ArenaRead(self.inner.read().expect("arena lock poisoned"))
+        ArenaRead(self.inner.borrow())
     }
 
     /// Number of distinct nodes interned so far.
@@ -172,42 +157,28 @@ impl ExprArena {
     /// Interns one node, returning the existing id when the node was seen
     /// before (`arena.hits`) and a fresh one otherwise (`arena.interned`).
     pub fn intern(&self, node: ENode) -> ExprId {
-        {
-            let r = self.inner.read().expect("arena lock poisoned");
-            if let Some(&i) = r.ids.get(&node) {
-                pex_obs::counter!("arena.hits", 1);
-                return ExprId(i);
-            }
-        }
-        let mut w = self.inner.write().expect("arena lock poisoned");
-        if let Some(&i) = w.ids.get(&node) {
-            // Another thread interned it between our read and write locks.
+        let mut inner = self.inner.borrow_mut();
+        if let Some(&i) = inner.ids.get(&node) {
             pex_obs::counter!("arena.hits", 1);
             return ExprId(i);
         }
-        let i = w.nodes.len() as u32;
-        w.nodes.push(node.clone());
-        w.ids.insert(node, i);
+        let i = inner.nodes.len() as u32;
+        inner.nodes.push(node.clone());
+        inner.ids.insert(node, i);
         pex_obs::counter!("arena.interned", 1);
         ExprId(i)
     }
 
     /// Interns a string, deduplicated.
     pub fn sym(&self, s: &str) -> Sym {
-        {
-            let r = self.inner.read().expect("arena lock poisoned");
-            if let Some(&i) = r.sym_ids.get(s) {
-                return Sym(i);
-            }
-        }
-        let mut w = self.inner.write().expect("arena lock poisoned");
-        if let Some(&i) = w.sym_ids.get(s) {
+        let mut inner = self.inner.borrow_mut();
+        if let Some(&i) = inner.sym_ids.get(s) {
             return Sym(i);
         }
-        let i = w.syms.len() as u32;
+        let i = inner.syms.len() as u32;
         let boxed: Box<str> = s.into();
-        w.syms.push(boxed.clone());
-        w.sym_ids.insert(boxed, i);
+        inner.syms.push(boxed.clone());
+        inner.sym_ids.insert(boxed, i);
         Sym(i)
     }
 
@@ -289,165 +260,6 @@ impl ExprArena {
         }
     }
 
-    /// Serializes the arena for the persistent snapshot: the symbol table
-    /// then every node in id order. Children are encoded as raw ids; the
-    /// hash-consing maps are rebuilt on decode.
-    pub fn encode_snapshot(&self, w: &mut Writer) {
-        let inner = self.inner.read().expect("arena lock poisoned");
-        w.put_len(inner.syms.len());
-        for s in &inner.syms {
-            w.put_str(s);
-        }
-        w.put_len(inner.nodes.len());
-        for node in &inner.nodes {
-            match node {
-                ENode::Local(l) => {
-                    w.put_u8(0);
-                    w.put_u32(l.0);
-                }
-                ENode::This => w.put_u8(1),
-                ENode::StaticField(f) => {
-                    w.put_u8(2);
-                    w.put_u32(f.index() as u32);
-                }
-                ENode::FieldAccess(base, f) => {
-                    w.put_u8(3);
-                    w.put_u32(base.0);
-                    w.put_u32(f.index() as u32);
-                }
-                ENode::Call(m, args) => {
-                    w.put_u8(4);
-                    w.put_u32(m.index() as u32);
-                    w.put_len(args.len());
-                    for a in args.iter() {
-                        w.put_u32(a.0);
-                    }
-                }
-                ENode::Assign(l, r) => {
-                    w.put_u8(5);
-                    w.put_u32(l.0);
-                    w.put_u32(r.0);
-                }
-                ENode::Cmp(op, l, r) => {
-                    w.put_u8(6);
-                    w.put_u8(cmp_tag(*op));
-                    w.put_u32(l.0);
-                    w.put_u32(r.0);
-                }
-                ENode::IntLit(v) => {
-                    w.put_u8(7);
-                    w.put_i64(*v);
-                }
-                ENode::DoubleBits(b) => {
-                    w.put_u8(8);
-                    w.put_u64(*b);
-                }
-                ENode::BoolLit(v) => {
-                    w.put_u8(9);
-                    w.put_bool(*v);
-                }
-                ENode::StrLit(s) => {
-                    w.put_u8(10);
-                    w.put_u32(s.0);
-                }
-                ENode::Null => w.put_u8(11),
-                ENode::Hole0 => w.put_u8(12),
-                ENode::Opaque { ty, label } => {
-                    w.put_u8(13);
-                    w.put_u32(ty.index() as u32);
-                    w.put_u32(label.0);
-                }
-            }
-        }
-    }
-
-    /// Decodes an arena written by [`ExprArena::encode_snapshot`].
-    ///
-    /// Interning is bottom-up, so a valid arena's children always have
-    /// smaller ids than their parents; the decoder enforces exactly that
-    /// (`child id < own index`), plus symbol interning uniqueness and
-    /// bounds checks of every type/field/method id against the owning
-    /// database's arena sizes. The hash-consing maps are rebuilt, and a
-    /// duplicate node — which would break the "equal ids iff equal trees"
-    /// contract — is rejected.
-    pub fn decode_snapshot(
-        r: &mut Reader<'_>,
-        n_types: usize,
-        n_fields: usize,
-        n_methods: usize,
-    ) -> WireResult<ExprArena> {
-        let n_syms = r.get_len("symbol count")?;
-        let mut syms: Vec<Box<str>> = Vec::with_capacity(n_syms);
-        let mut sym_ids = HashMap::with_capacity(n_syms);
-        for i in 0..n_syms {
-            let s: Box<str> = r.get_str("symbol")?.into();
-            if sym_ids.insert(s.clone(), i as u32).is_some() {
-                return Err(WireError::new(format!("duplicate interned symbol '{s}'")));
-            }
-            syms.push(s);
-        }
-        let n_nodes = r.get_len("node count")?;
-        let mut nodes = Vec::with_capacity(n_nodes);
-        let mut ids = HashMap::with_capacity(n_nodes);
-        for i in 0..n_nodes {
-            let child = |r: &mut Reader<'_>| -> WireResult<ExprId> {
-                Ok(ExprId(r.get_id(i, "child expression id")? as u32))
-            };
-            let node = match r.get_u8("node tag")? {
-                0 => ENode::Local(LocalId(r.get_u32("local slot")?)),
-                1 => ENode::This,
-                2 => {
-                    ENode::StaticField(FieldId::from_index(r.get_id(n_fields, "static field id")?))
-                }
-                3 => {
-                    let base = child(r)?;
-                    let f = FieldId::from_index(r.get_id(n_fields, "field id")?);
-                    ENode::FieldAccess(base, f)
-                }
-                4 => {
-                    let m = MethodId::from_index(r.get_id(n_methods, "method id")?);
-                    let n_args = r.get_len("call argument count")?;
-                    let mut args = Vec::with_capacity(n_args);
-                    for _ in 0..n_args {
-                        args.push(child(r)?);
-                    }
-                    ENode::Call(m, args.into())
-                }
-                5 => ENode::Assign(child(r)?, child(r)?),
-                6 => {
-                    let op = cmp_from_tag(r.get_u8("comparison operator tag")?)?;
-                    ENode::Cmp(op, child(r)?, child(r)?)
-                }
-                7 => ENode::IntLit(r.get_i64("integer literal")?),
-                8 => ENode::DoubleBits(r.get_u64("double literal bits")?),
-                9 => ENode::BoolLit(r.get_bool("bool literal")?),
-                10 => ENode::StrLit(Sym(r.get_id(n_syms, "string literal symbol")? as u32)),
-                11 => ENode::Null,
-                12 => ENode::Hole0,
-                13 => {
-                    let ty = TypeId::from_index(r.get_id(n_types, "opaque node type")?);
-                    let label = Sym(r.get_id(n_syms, "opaque node label symbol")? as u32);
-                    ENode::Opaque { ty, label }
-                }
-                t => return Err(WireError::new(format!("unknown node tag {t}"))),
-            };
-            if ids.insert(node.clone(), i as u32).is_some() {
-                return Err(WireError::new(format!(
-                    "arena node {i} duplicates an earlier node"
-                )));
-            }
-            nodes.push(node);
-        }
-        Ok(ExprArena {
-            inner: RwLock::new(Inner {
-                nodes,
-                ids,
-                syms,
-                sym_ids,
-            }),
-        })
-    }
-
     /// Rebuilds the boxed [`Expr`] tree behind an id — the materialization
     /// step at the query boundary. O(size of the expression), paid only for
     /// survivors the caller actually receives.
@@ -479,8 +291,7 @@ impl ExprArena {
                 },
             }
         }
-        let inner = self.inner.read().expect("arena lock poisoned");
-        mat(&inner, id)
+        mat(&self.inner.borrow(), id)
     }
 }
 
@@ -621,25 +432,6 @@ mod tests {
             panic!("string literal expected");
         };
         assert_eq!(read.sym(*s), "s");
-    }
-
-    #[test]
-    fn arena_is_shareable_across_threads() {
-        let arena = ExprArena::new();
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let arena = &arena;
-                scope.spawn(move || {
-                    for i in 0..50 {
-                        let l = arena.local(LocalId(i % 5));
-                        let f = arena.field(l, FieldId(t));
-                        assert_eq!(f, arena.field(l, FieldId(t)));
-                    }
-                });
-            }
-        });
-        // 5 locals + 4 fields each over 5 bases = at most 25 field nodes.
-        assert!(arena.len() <= 30, "no duplicate nodes under contention");
     }
 
     #[test]

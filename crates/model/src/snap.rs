@@ -58,7 +58,7 @@ struct BodyDecoder<'s, 'a> {
     strings: &'s Strings<'a>,
 }
 
-pub(crate) fn cmp_tag(op: CmpOp) -> u8 {
+fn cmp_tag(op: CmpOp) -> u8 {
     match op {
         CmpOp::Lt => 0,
         CmpOp::Le => 1,
@@ -67,7 +67,7 @@ pub(crate) fn cmp_tag(op: CmpOp) -> u8 {
     }
 }
 
-pub(crate) fn cmp_from_tag(tag: u8) -> WireResult<CmpOp> {
+fn cmp_from_tag(tag: u8) -> WireResult<CmpOp> {
     match tag {
         0 => Ok(CmpOp::Lt),
         1 => Ok(CmpOp::Le),

@@ -1,12 +1,13 @@
-//! `pex-snapshot/5`: the versioned, dependency-free binary format that
+//! `pex-snapshot/6`: the versioned, dependency-free binary format that
 //! persists a fully prewarmed [`Snapshot`] to disk.
 //!
 //! A daemon boot normally pays corpus parse + index build + prewarm. The
 //! persistent snapshot moves all of that offline: `--save-snapshot` writes
 //! the finished artefact once, `--load-snapshot` maps it back in without
 //! touching the mini-C# frontend, the method-index build, or the prewarm
-//! pass — the conversion index, the per-type candidate counts and the
-//! interned expression arena all come back exactly as they were saved.
+//! pass — the conversion index and the per-type candidate counts come
+//! back exactly as they were saved. No expressions are stored: queries
+//! intern into arenas of their own, which die with them.
 //! The reachability index is not stored: it is linear in the member
 //! edges, so the decoder rebuilds it, like the name maps and per-type
 //! member lists the database decoder derives.
@@ -15,7 +16,7 @@
 //!
 //! ```text
 //! magic      8 bytes   "pexsnap1"
-//! version    u32 LE    format version (this build reads 5)
+//! version    u32 LE    format version (this build reads 6)
 //! payload_len u64 LE   total payload bytes after the section table
 //! checksum   u64 LE    payload checksum (below)
 //! sections   u32 LE    section count
@@ -48,19 +49,20 @@
 //!   tag 2);
 //! * the method index — its exact rows and the prewarmed per-type
 //!   candidate *counts*, not the candidate lists, which queries walk
-//!   (tag 3);
-//! * the hash-consed expression arena with its symbol table (tag 5).
+//!   (tag 3).
 //!
-//! Tag 4, the reachability index of versions 1 and 2, is retired.
+//! Tags 4 (the reachability index of versions 1 and 2) and 5 (the
+//! expression arena of versions 1 to 5) are retired; a section with
+//! either tag, or any other tag this build does not read, is refused.
 //!
 //! ## Validation
 //!
 //! Loading never trusts the file: the magic, version, payload length and
 //! checksum gate the header; every section range is checked against the
-//! payload; every decoder bounds-checks every id (string ids included)
-//! and rejects unknown tags and flag bits, row tables whose length is not
-//! a whole number of rows, counts that disagree, impossible lengths and
-//! trailing bytes. A truncated, bit-flipped or version-bumped file
+//! payload and every section tag against the four above; every decoder
+//! bounds-checks every id (string ids included) and rejects unknown tags
+//! and flag bits, row tables whose length is not a whole number of rows,
+//! counts that disagree, impossible lengths and trailing bytes. A truncated, bit-flipped or version-bumped file
 //! produces a clean human-readable error naming the section — the daemon
 //! is `forbid(unsafe_code)` and must never panic mid-boot.
 //!
@@ -75,7 +77,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use pex_core::{EngineCache, MethodIndex, ReachIndex};
-use pex_model::{Context, Database, ExprArena, MethodId};
+use pex_model::{Context, Database, MethodId};
 use pex_types::wire::{checksum, Reader, StringTable, Strings, WireError, WireResult, Writer};
 
 use crate::snapshot::Snapshot;
@@ -91,19 +93,21 @@ pub const MAGIC: &[u8; 8] = b"pexsnap1";
 /// the index rows in strictly increasing type order; version 5 moves the
 /// database's text into a deduplicated string table section, stores
 /// methods, parameters and fields as fixed-width rows and checksums the
-/// payload a word at a time. Older files are rejected with a
-/// self-describing error rather than misread.
-pub const VERSION: u32 = 5;
+/// payload a word at a time; version 6 drops the expression arena
+/// section. Older files are rejected with a self-describing error rather
+/// than misread.
+pub const VERSION: u32 = 6;
 
 mod tag {
     pub const DATABASE: u32 = 1;
     pub const META: u32 = 2;
     pub const METHOD_INDEX: u32 = 3;
-    pub const ARENA: u32 = 5;
     pub const STRINGS: u32 = 6;
+    /// Every tag this build reads; any other is refused.
+    pub const KNOWN: [u32; 4] = [DATABASE, META, METHOD_INDEX, STRINGS];
 }
 
-/// Serializes a snapshot into the `pex-snapshot/5` byte format.
+/// Serializes a snapshot into the `pex-snapshot/6` byte format.
 pub fn to_bytes(snapshot: &Snapshot) -> Vec<u8> {
     let _span = pex_obs::span("serve.snapshot.encode");
     let mut strings = StringTable::new();
@@ -127,9 +131,6 @@ pub fn to_bytes(snapshot: &Snapshot) -> Vec<u8> {
     });
     section(tag::METHOD_INDEX, &mut payload, &|w| {
         snapshot.index.encode_snapshot(w)
-    });
-    section(tag::ARENA, &mut payload, &|w| {
-        snapshot.cache.arena.encode_snapshot(w)
     });
 
     let payload = payload.into_bytes();
@@ -194,6 +195,12 @@ fn parse_sections(bytes: &[u8]) -> WireResult<Vec<Section<'_>>> {
     }
     let mut sections = Vec::with_capacity(table.len());
     for (tag, offset, len) in table {
+        if !tag::KNOWN.contains(&tag) {
+            return Err(WireError::new(format!(
+                "unknown section tag {tag} (this build reads tags {:?})",
+                tag::KNOWN
+            )));
+        }
         let end = offset
             .checked_add(len)
             .ok_or_else(|| WireError::new(format!("section {tag}: offset + length overflows")))?;
@@ -241,7 +248,7 @@ fn decode(bytes: &[u8]) -> WireResult<Snapshot> {
         r.expect_end("database section")?;
         db
     };
-    let (n_types, n_fields, n_methods) = (db.types().len(), db.field_count(), db.method_count());
+    let (n_types, n_methods) = (db.types().len(), db.method_count());
 
     let mut r = Reader::new(find_section(&sections, tag::META, "metadata")?);
     let name = r.get_str("snapshot name")?.to_owned();
@@ -271,15 +278,6 @@ fn decode(bytes: &[u8]) -> WireResult<Snapshot> {
         index
     };
 
-    let arena = {
-        let _span = pex_obs::span("serve.snapshot.decode.arena");
-        let mut r = Reader::new(find_section(&sections, tag::ARENA, "expression arena")?);
-        let arena = ExprArena::decode_snapshot(&mut r, n_types, n_fields, n_methods)
-            .map_err(|e| e.context("expression arena section"))?;
-        r.expect_end("expression arena section")?;
-        arena
-    };
-
     let reach = {
         let _span = pex_obs::span("serve.snapshot.decode.reach");
         ReachIndex::build(&db)
@@ -291,11 +289,11 @@ fn decode(bytes: &[u8]) -> WireResult<Snapshot> {
         reach,
         default_ctx,
         enclosing,
-        EngineCache::with_arena(arena),
+        EngineCache::new(),
     ))
 }
 
-/// Deserializes a snapshot from `pex-snapshot/5` bytes, skipping parse,
+/// Deserializes a snapshot from `pex-snapshot/6` bytes, skipping parse,
 /// method-index build and prewarm entirely. Every id and offset is validated; a
 /// corrupted buffer yields a human-readable error, never a panic.
 pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, String> {
@@ -347,7 +345,6 @@ mod tests {
             loaded.default_ctx.locals.len(),
             built.default_ctx.locals.len()
         );
-        assert_eq!(loaded.cache.arena.len(), built.cache.arena.len());
         // The prewarmed caches came back filled: answering a query must
         // not rebuild the conversion index or refill candidate counts. A
         // built snapshot has every count cell filled, so equal encodings

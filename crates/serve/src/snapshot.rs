@@ -110,10 +110,11 @@ pub struct Snapshot {
     /// body of `db`, `enclosing`'s included (`None` without a site). Built
     /// with the snapshot, so it always describes this `db`.
     pub site_abs: Option<AbsTypes>,
-    /// Shared engine cache: the hash-consed expression arena and the chain
-    /// successor memo. Every request completes through this cache, so
-    /// expressions and member walks interned by one request are free for
-    /// the next — including concurrent requests on other workers.
+    /// Shared engine cache: the type-keyed chain successor memo and
+    /// reachability pruning tables. Every request completes through this
+    /// cache, so member walks done by one request are free for the next —
+    /// including concurrent requests on other workers. Expressions are
+    /// not shared: each request interns into an arena of its own.
     pub cache: EngineCache,
     /// Human-readable source label.
     pub name: String,
@@ -289,21 +290,21 @@ impl Snapshot {
     /// the registry's `--max-snapshot-bytes` LRU accounting.
     ///
     /// The estimate is structural — per-entry costs for the type table,
-    /// members, method bodies, the candidate memo, and the interned
-    /// expression arena — not a heap census. It only has to be *monotone*
-    /// in corpus size and stable across runs so eviction order is
-    /// deterministic; tenants loaded from a `pex-snapshot` file use the
-    /// file's exact byte length instead (the file contains the same
-    /// arena + index payload this approximates).
+    /// members, method bodies and the candidate memo — not a heap census.
+    /// It only has to be *monotone* in corpus size and stable across runs
+    /// so eviction order is deterministic; it does not grow with traffic,
+    /// since no query's expressions outlive the query. Tenants loaded
+    /// from a `pex-snapshot` file use the file's exact byte length
+    /// instead (the file contains the same model + index payload this
+    /// approximates).
     pub fn approx_bytes(&self) -> u64 {
         let types = self.db.types().len() as u64;
         let fields = self.db.field_count() as u64;
         let methods = self.db.method_count() as u64;
-        let arena = self.cache.arena.len() as u64;
         // Rough per-entry footprints: a type row plus its conversion-index
         // and candidate-memo shares; a member signature; a parsed method
-        // body; one interned arena node.
-        types * 512 + fields * 96 + methods * 768 + arena * 48 + 4096
+        // body.
+        types * 512 + fields * 96 + methods * 768 + 4096
     }
 
     /// The context for one request: the default context, or one rebuilt

@@ -76,7 +76,7 @@ fn every_response_shape_is_byte_stable() {
         ),
         (
             &update,
-            r#"{"id":7,"ok":true,"updated":"default","applied":1,"noop":false,"invalidated":{"chains":1,"candidates":2,"conversions":0,"reach":0},"bytes":35936,"generation":1}"#,
+            r#"{"id":7,"ok":true,"updated":"default","applied":1,"noop":false,"invalidated":{"chains":1,"candidates":2,"conversions":0,"reach":0},"bytes":33344,"generation":1}"#,
         ),
         (
             r#"{"id":8,"cmd":"update","source":"namespace X { class Broken {"}"#,

@@ -4,8 +4,8 @@
 //! --save-snapshot <file>` does (compile the mini-C# corpus, build the
 //! method index, prewarm) and hashes its encoded bytes. A
 //! front-end or index change that claims "same model" proves it here: any
-//! difference in types, members, bodies, override links, index rows,
-//! memoized candidate counts or interned arena nodes moves the hash.
+//! difference in types, members, bodies, override links, index rows or
+//! memoized candidate counts moves the hash.
 //!
 //! Three layers of pins, from the format outwards:
 //! * the model digest, a canonical walk through public accessors that no
@@ -15,18 +15,19 @@
 //!   (version 3 dropped the reachability index section and moved none;
 //!   version 4 changed the method-index section; version 5 moved the
 //!   database's text into the new string-table section and its members
-//!   into fixed-width rows, and left the method-index and arena pins);
+//!   into fixed-width rows, and left the method-index pins; version 6
+//!   dropped the always-empty expression arena section and moved none);
 //! * the whole-file constants, which move with any format change.
 //!
 //! The whole-file constants were taken from `pex-serve` builds whose
-//! version-5 `.pexsnap` files have these SHA-256 prefixes: paint
-//! `ac6f3874`, geometry `8beea48d`, familyshow `b07a55d7`. The model
+//! version-6 `.pexsnap` files have these SHA-256 prefixes: paint
+//! `31f14b36`, geometry `717b5a00`, familyshow `6908d9db`. The model
 //! digests were pinned at version 4 and did not move.
 
 use std::fmt::Write as _;
 
 use pex_core::CandidateScratch;
-use pex_model::{ENode, ExprId, TypeId};
+use pex_model::TypeId;
 use pex_serve::{persist, Snapshot, SnapshotSource};
 use pex_types::wire::{StringTable, Writer};
 
@@ -43,11 +44,11 @@ fn snapshot_hash(source: SnapshotSource) -> (usize, u64) {
     (bytes.len(), fnv1a64(&bytes))
 }
 
-/// FNV-1a hashes of the string-table, database, method-index and arena
-/// sections as their own encoders write them. A change to the container
+/// FNV-1a hashes of the string-table, database and method-index sections
+/// as their own encoders write them. A change to the container
 /// alone (a section added or dropped, a version bump) re-pins the
 /// whole-file constants below but leaves these alone.
-fn section_hashes(source: SnapshotSource) -> [u64; 4] {
+fn section_hashes(source: SnapshotSource) -> [u64; 3] {
     let snapshot = Snapshot::load(&source).expect("builtin corpus builds");
     let hash = |encode: &dyn Fn(&mut Writer)| {
         let mut w = Writer::new();
@@ -61,15 +62,14 @@ fn section_hashes(source: SnapshotSource) -> [u64; 4] {
         hash(&|w| strings.encode(w)),
         fnv1a64(&db.into_bytes()),
         hash(&|w| snapshot.index.encode_snapshot(w)),
-        hash(&|w| snapshot.cache.arena.encode_snapshot(w)),
     ]
 }
 
 /// A format-independent digest of a snapshot's model: a canonical text
 /// walk through public accessors only — namespaces, types and their
 /// hierarchy, conversion targets, methods (parameters, bodies, override
-/// links), fields, tombstones, index rows, candidate counts, the interned
-/// arena and the default query site — hashed with FNV-1a. No byte of the
+/// links), fields, tombstones, index rows, candidate counts and the
+/// default query site — hashed with FNV-1a. No byte of the
 /// snapshot format enters it, so a format change must leave it alone.
 fn model_digest(snapshot: &Snapshot) -> u64 {
     let db = &snapshot.db;
@@ -150,15 +150,6 @@ fn model_digest(snapshot: &Snapshot) -> u64 {
         .unwrap();
     }
     writeln!(out, "with-args {:?}", snapshot.index.all_with_args()).unwrap();
-    let arena = snapshot.cache.arena.read();
-    for i in 0..arena.len() {
-        let node = arena.node(ExprId(i as u32));
-        let text = match node {
-            ENode::StrLit(s) | ENode::Opaque { label: s, .. } => arena.sym(*s),
-            _ => "",
-        };
-        writeln!(out, "node {i} {node:?} {text:?}").unwrap();
-    }
     writeln!(
         out,
         "site {} {:?} {:?}",
@@ -187,7 +178,7 @@ fn fnv1a64_matches_the_reference_vectors() {
 fn paint_snapshot_bytes_are_pinned() {
     assert_eq!(
         snapshot_hash(SnapshotSource::Paint),
-        (4513, 0xa10f_501a_a9e2_99ab)
+        (4485, 0x4295_75a6_379b_92be)
     );
 }
 
@@ -195,7 +186,7 @@ fn paint_snapshot_bytes_are_pinned() {
 fn geometry_snapshot_bytes_are_pinned() {
     assert_eq!(
         snapshot_hash(SnapshotSource::Geometry),
-        (2807, 0x3153_aced_75f8_391c)
+        (2779, 0x31b2_551b_e3b8_8d8e)
     );
 }
 
@@ -203,7 +194,7 @@ fn geometry_snapshot_bytes_are_pinned() {
 fn familyshow_snapshot_bytes_are_pinned() {
     assert_eq!(
         snapshot_hash(SnapshotSource::FamilyShow),
-        (2588, 0xa62e_1c60_8ae0_e245)
+        (2560, 0x675e_f2ec_0ad2_3c93)
     );
 }
 
@@ -214,8 +205,7 @@ fn paint_model_sections_are_pinned() {
         [
             0xcbdc_c468_ae51_4f53,
             0x758c_9258_5348_1d53,
-            0x0f37_303b_e65c_f483,
-            0xa8c7_f832_281a_39c5
+            0x0f37_303b_e65c_f483
         ]
     );
 }
@@ -227,8 +217,7 @@ fn geometry_model_sections_are_pinned() {
         [
             0xfd54_7f85_563b_eab8,
             0xf50b_ea39_5ecb_7e70,
-            0xe344_14ba_6fa6_9a97,
-            0xa8c7_f832_281a_39c5
+            0xe344_14ba_6fa6_9a97
         ]
     );
 }
@@ -240,8 +229,7 @@ fn familyshow_model_sections_are_pinned() {
         [
             0xe6f5_5321_91f0_4537,
             0x9c42_cae4_a45a_c62f,
-            0xd02f_4711_a60a_0a15,
-            0xa8c7_f832_281a_39c5
+            0xd02f_4711_a60a_0a15
         ]
     );
 }

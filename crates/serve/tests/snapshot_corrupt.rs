@@ -56,8 +56,8 @@ fn future_versions_are_rejected_with_guidance() {
 #[test]
 fn previous_versions_are_rejected_with_guidance() {
     let mut bytes = paint_bytes();
-    // A file from the previous format (it still carried the reachability
-    // index section) must be turned away, not misread.
+    // A file from the previous format (it still carried the expression
+    // arena section) must be turned away, not misread.
     let previous = persist::VERSION - 1;
     bytes[8..12].copy_from_slice(&previous.to_le_bytes());
     let err = persist::from_bytes(&bytes).unwrap_err();
@@ -229,6 +229,21 @@ fn forged_sections_still_decode_when_unchanged() {
     let bytes = paint_bytes();
     assert_eq!(assemble(&sections(&bytes)), bytes);
     assert!(persist::from_bytes(&forged(DATABASE, |_| {})).is_ok());
+}
+
+#[test]
+fn unknown_and_retired_section_tags_are_clean_errors() {
+    // Version 5's empty expression arena (tag 5: no symbols, no nodes)
+    // and a tag no version has written, each appended to a valid file.
+    for (tag, bytes) in [(5, vec![0; 8]), (99, b"unknown".to_vec())] {
+        let mut parts = sections(&paint_bytes());
+        parts.push((tag, bytes));
+        rejects(
+            &assemble(&parts),
+            &format!("unknown section tag {tag} "),
+            "this build reads tags [1, 2, 3, 6]",
+        );
+    }
 }
 
 #[test]
