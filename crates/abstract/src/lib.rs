@@ -61,25 +61,27 @@ pub struct AbsTypes {
 impl AbsTypes {
     /// Allocates variables for every slot in `db` and links override chains.
     /// No body constraints are added yet.
+    ///
+    /// The slot tables are sized and filled by raw member id, tombstones
+    /// included, because every lookup indexes them by raw id. A
+    /// tombstone's slots stay inert: it has no body and no override edge,
+    /// so nothing unifies them.
     pub fn new(db: &Database) -> Self {
         let mut uf = UnionFind::new();
         let mut method_this = Vec::with_capacity(db.method_count());
         let mut method_param_start = Vec::with_capacity(db.method_count());
         let mut method_ret = Vec::with_capacity(db.method_count());
-        for m in db.methods() {
-            let md = db.method(m);
+        for i in 0..db.method_count() {
+            let md = db.method(MethodId::from_index(i));
             method_this.push(uf.push());
             let start = uf.len() as u32;
             method_param_start.push(start);
-            for _ in md.params() {
+            for _ in 0..md.params().len() {
                 uf.push();
             }
             method_ret.push(uf.push());
         }
-        let mut field_vars = Vec::with_capacity(db.field_count());
-        for _ in db.fields() {
-            field_vars.push(uf.push());
-        }
+        let field_vars = (0..db.field_count()).map(|_| uf.push()).collect();
         let mut body_local_start = HashMap::new();
         for m in db.methods() {
             if let Some(body) = db.method(m).body() {
@@ -696,7 +698,7 @@ mod tests {
             obj,
             "ToString",
             false,
-            vec![],
+            &[],
             string,
             pex_model::Visibility::Public,
         );
@@ -713,13 +715,13 @@ mod tests {
             host,
             "M2",
             true,
-            vec![
+            &[
                 pex_model::Param {
-                    name: "a".into(),
+                    name: "a",
                     ty: a_ty,
                 },
                 pex_model::Param {
-                    name: "b".into(),
+                    name: "b",
                     ty: b_ty,
                 },
             ],

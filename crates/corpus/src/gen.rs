@@ -287,10 +287,7 @@ fn gen_library(
             let mut params = Vec::with_capacity(arity);
             for i in 0..arity {
                 let ty = member_type(db, t, p, &info, rng);
-                params.push(Param {
-                    name: NameFactory::local_name(rng, i).into(),
-                    ty,
-                });
+                params.push((NameFactory::local_name(rng, i), ty));
             }
             let ret = if zero_arg {
                 // Zero-argument methods are chain links; they must return.
@@ -300,7 +297,14 @@ fn gen_library(
             } else {
                 member_type(db, t, p, &info, rng)
             };
-            let m = db.add_method(t, &name, is_static, params, ret, Visibility::Public);
+            let m = db.add_method(
+                t,
+                &name,
+                is_static,
+                &borrowed(&params),
+                ret,
+                Visibility::Public,
+            );
             info.methods.push(m);
         }
     }
@@ -314,7 +318,12 @@ fn gen_library(
         let original = info.methods[mi];
         let (params, ret, is_static) = {
             let md = db.method(original);
-            (md.params().to_vec(), md.return_type(), md.is_static())
+            let params: Vec<(String, TypeId)> = md
+                .params()
+                .iter()
+                .map(|p| (p.name.to_owned(), p.ty))
+                .collect();
+            (params, md.return_type(), md.is_static())
         };
         if params.is_empty() {
             continue;
@@ -336,7 +345,7 @@ fn gen_library(
                 host,
                 &name,
                 is_static,
-                params.clone(),
+                &borrowed(&params),
                 ret,
                 Visibility::Public,
             );
@@ -350,11 +359,20 @@ fn gen_library(
         for _ in 0..rng.gen_range(1..=3usize) {
             let name = names.method_name(rng, &owner);
             let ret = member_type(db, t, p, &info, rng);
-            let m = db.add_method(t, &name, false, Vec::new(), ret, Visibility::Public);
+            let m = db.add_method(t, &name, false, &[], ret, Visibility::Public);
             info.methods.push(m);
         }
     }
     info
+}
+
+/// Generated `(name, type)` parameters as [`Database::add_method`] takes
+/// them.
+fn borrowed(params: &[(String, TypeId)]) -> Vec<Param<'_>> {
+    params
+        .iter()
+        .map(|(name, ty)| Param { name, ty: *ty })
+        .collect()
 }
 
 const NOUN_CASES: &[&str] = &[
@@ -468,16 +486,13 @@ fn gen_clients(
                 } else {
                     *pick(rng, &library.object_types).expect("nonempty")
                 };
-                params.push(Param {
-                    name: NameFactory::local_name(rng, i).into(),
-                    ty,
-                });
+                params.push((NameFactory::local_name(rng, i), ty));
             }
             let m = db.add_method(
                 class,
                 &format!("Run{mi}"),
                 is_static,
-                params,
+                &borrowed(&params),
                 db.types().void_ty(),
                 Visibility::Public,
             );

@@ -71,13 +71,13 @@ impl<'a> Prospector<'a> {
             // Unary static conversion methods ("jungloid steps").
             for m in self.db.methods() {
                 let md = self.db.method(m);
+                let params = md.params();
                 if md.is_static()
-                    && md.params().len() == 1
+                    && params.len() == 1
                     && md.return_type() != self.db.types().void_ty()
-                    && self
-                        .db
-                        .types()
-                        .implicitly_convertible(ty, md.params()[0].ty)
+                    && params
+                        .get(0)
+                        .is_some_and(|p| self.db.types().implicitly_convertible(ty, p.ty))
                     && self
                         .db
                         .accessible(md.visibility(), md.declaring(), ctx.enclosing_type)

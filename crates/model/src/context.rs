@@ -116,10 +116,7 @@ mod tests {
             c,
             "M",
             false,
-            vec![crate::Param {
-                name: "p".into(),
-                ty: int,
-            }],
+            &[crate::Param { name: "p", ty: int }],
             db.types().void_ty(),
             Visibility::Public,
         );

@@ -1,13 +1,13 @@
 //! The program database: a type table plus members and bodies.
 
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
 use pex_types::{TypeId, TypeTable};
 
+use crate::member::{bit, flag, FieldRow, MethodRow, Names, ParamRow, NO_OVERRIDE};
 use crate::{
-    Body, Context, Expr, Field, FieldId, Method, MethodId, Name, Param, ValueTy, Visibility,
+    Body, Context, Expr, Field, FieldId, Method, MethodId, Param, Stmt, ValueTy, Visibility,
 };
 
 /// Result alias for database operations.
@@ -104,23 +104,42 @@ pub enum GlobalRef {
 /// A `Database` is built either programmatically (`add_*` methods) or from
 /// mini-C# source via [`crate::minics::compile`]. It is immutable during
 /// completion; the engine and the abstract-type inference only read it.
+///
+/// Members are stored as the snapshot stores them: fixed-width method and
+/// field rows, one parameter table holding every method's parameters as
+/// a run of rows, and one name table every row's name id points into (see
+/// the `member` module). [`Database::method`] and [`Database::field`]
+/// return `Copy` views over a row.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     types: TypeTable,
-    methods: Vec<Method>,
-    fields: Vec<Field>,
+    names: Names,
+    /// Member ids are positional and shared by every derived structure
+    /// (memo keys, index rows), so an incremental update never compacts
+    /// the rows. Removal sets a row's `REMOVED` flag instead: the row
+    /// stays (a stale id keeps resolving to a frozen signature) but
+    /// every live iteration and lookup skips it.
+    methods: Vec<MethodRow>,
+    params: Vec<ParamRow>,
+    fields: Vec<FieldRow>,
     /// Live methods declared on each type, indexed by [`TypeId::index`];
     /// types past the end declare none.
     type_methods: Vec<Vec<MethodId>>,
     /// Live fields declared on each type, indexed like `type_methods`.
     type_fields: Vec<Vec<FieldId>>,
-    // Member ids are positional and shared by every derived structure
-    // (arena nodes, memo keys, index rows), so an incremental update can
-    // never compact the arenas. Removal tombstones the id instead: the row
-    // stays (stale references keep resolving to a frozen signature) but
-    // every live iteration and lookup skips it.
-    removed_methods: HashSet<MethodId>,
-    removed_fields: HashSet<FieldId>,
+    /// Removals and signature replacements since the tables were last
+    /// checked for dead entries: nothing else leaves any.
+    released: usize,
+}
+
+/// Sizes of a database's name and parameter tables, dead entries
+/// included (see [`Database::table_sizes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableSizes {
+    /// Name-table bytes: the text plus one `u32` end offset per name.
+    pub name_bytes: usize,
+    /// Parameter-table rows.
+    pub param_rows: usize,
 }
 
 /// The member list of `ty` in a table indexed by [`TypeId::index`],
@@ -133,7 +152,92 @@ fn per_type<T>(table: &mut Vec<Vec<T>>, ty: TypeId) -> &mut Vec<T> {
     &mut table[i]
 }
 
+/// Exactly sized per-type lists of the ids whose row `declaring` maps
+/// to a type (`None`: a tombstone), in id order.
+fn type_lists<T>(
+    n_types: usize,
+    declaring: impl Iterator<Item = Option<TypeId>> + Clone,
+    id: impl Fn(u32) -> T,
+) -> Vec<Vec<T>> {
+    let mut counts = vec![0; n_types];
+    for ty in declaring.clone().flatten() {
+        counts[ty.index()] += 1;
+    }
+    let mut lists: Vec<Vec<T>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for (i, ty) in declaring.enumerate() {
+        if let Some(ty) = ty {
+            lists[ty.index()].push(id(i as u32));
+        }
+    }
+    lists
+}
+
+/// The member rows a table compaction keeps whole: every live row, and
+/// every tombstone a live method's body still calls or reads. An update
+/// re-resolves only the types it names, so a body elsewhere can keep a
+/// removed member's id; that call keeps resolving to the frozen
+/// signature.
+struct Kept {
+    methods: Vec<bool>,
+    fields: Vec<bool>,
+}
+
+impl Kept {
+    fn of(db: &Database) -> Kept {
+        let mut kept = Kept {
+            methods: db.methods.iter().map(|m| !m.is_removed()).collect(),
+            fields: db.fields.iter().map(|f| !f.is_removed()).collect(),
+        };
+        if kept.methods.contains(&false) || kept.fields.contains(&false) {
+            for m in db.methods.iter().filter(|m| !m.is_removed()) {
+                for stmt in m.body.iter().flat_map(|b| &b.stmts) {
+                    kept.stmt(stmt);
+                }
+            }
+        }
+        kept
+    }
+
+    fn stmt(&mut self, stmt: &Stmt) {
+        if let Some(e) = stmt.expr() {
+            self.expr(e);
+        }
+        match stmt {
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => then_body.iter().chain(else_body).for_each(|s| self.stmt(s)),
+            Stmt::While { body, .. } => body.iter().for_each(|s| self.stmt(s)),
+            Stmt::Init(..) | Stmt::Expr(_) | Stmt::Return(_) => {}
+        }
+    }
+
+    fn expr(&mut self, e: &Expr) {
+        match e {
+            Expr::Call(m, args) => {
+                self.methods[m.index()] = true;
+                args.iter().for_each(|a| self.expr(a));
+            }
+            Expr::StaticField(f) => self.fields[f.index()] = true,
+            Expr::FieldAccess(base, f) => {
+                self.fields[f.index()] = true;
+                self.expr(base);
+            }
+            Expr::Assign(l, r) | Expr::Cmp(_, l, r) => {
+                self.expr(l);
+                self.expr(r);
+            }
+            _ => {}
+        }
+    }
+}
+
 impl Database {
+    /// The most parameters a method can declare: a method row counts them
+    /// in a `u16`, as ECMA-335 numbers parameters.
+    pub const MAX_PARAMS: usize = u16::MAX as usize;
+
     /// Creates an empty database over a fresh [`TypeTable`].
     pub fn new() -> Self {
         Database::with_types(TypeTable::new())
@@ -143,12 +247,13 @@ impl Database {
     pub fn with_types(types: TypeTable) -> Self {
         Database {
             types,
+            names: Names::default(),
             methods: Vec::new(),
+            params: Vec::new(),
             fields: Vec::new(),
             type_methods: Vec::new(),
             type_fields: Vec::new(),
-            removed_methods: HashSet::new(),
-            removed_fields: HashSet::new(),
+            released: 0,
         }
     }
 
@@ -157,57 +262,63 @@ impl Database {
         &self.types
     }
 
-    /// The raw member arenas, for the snapshot encoder.
-    pub(crate) fn members(&self) -> (&[Method], &[Field]) {
+    /// The name table every member row points into.
+    pub(crate) fn names(&self) -> &Names {
+        &self.names
+    }
+
+    /// The parameter table.
+    pub(crate) fn param_rows(&self) -> &[ParamRow] {
+        &self.params
+    }
+
+    /// The raw member rows, for the snapshot encoder.
+    pub(crate) fn rows(&self) -> (&[MethodRow], &[FieldRow]) {
         (&self.methods, &self.fields)
     }
 
-    /// The removal tombstone sets, for the snapshot encoder.
-    pub(crate) fn removed_members(&self) -> (&HashSet<MethodId>, &HashSet<FieldId>) {
-        (&self.removed_methods, &self.removed_fields)
-    }
-
-    /// Reassembles a database from decoded parts, rebuilding the per-type
-    /// member tables by pushing members in id order — exactly the order
-    /// [`Database::add_method`] / [`Database::add_field`] produced them in,
-    /// so lookups iterate identically to the original database. Tombstoned
-    /// ids keep their arena rows but are left out of the per-type tables.
-    pub(crate) fn from_parts_with_removed(
+    /// Reassembles a database from decoded tables, rebuilding the
+    /// per-type member lists by pushing members in id order — exactly the
+    /// order [`Database::add_method`] / [`Database::add_field`] produced
+    /// them in, so lookups iterate identically to the original database.
+    /// Tombstoned rows are left out of the per-type lists.
+    pub(crate) fn from_tables(
         types: TypeTable,
-        methods: Vec<Method>,
-        fields: Vec<Field>,
-        removed_methods: HashSet<MethodId>,
-        removed_fields: HashSet<FieldId>,
+        names: Names,
+        methods: Vec<MethodRow>,
+        params: Vec<ParamRow>,
+        fields: Vec<FieldRow>,
     ) -> Self {
-        let mut type_methods = Vec::new();
-        for (i, m) in methods.iter().enumerate() {
-            if !removed_methods.contains(&MethodId(i as u32)) {
-                per_type(&mut type_methods, m.declaring).push(MethodId(i as u32));
-            }
-        }
-        let mut type_fields = Vec::new();
-        for (i, f) in fields.iter().enumerate() {
-            if !removed_fields.contains(&FieldId(i as u32)) {
-                per_type(&mut type_fields, f.declaring).push(FieldId(i as u32));
-            }
-        }
+        let n_types = types.len();
+        let live = |removed: bool, ty: TypeId| (!removed).then_some(ty);
         Database {
+            type_methods: type_lists(
+                n_types,
+                methods.iter().map(|m| live(m.is_removed(), m.declaring)),
+                MethodId,
+            ),
+            type_fields: type_lists(
+                n_types,
+                fields.iter().map(|f| live(f.is_removed(), f.declaring)),
+                FieldId,
+            ),
             types,
+            names,
             methods,
+            params,
             fields,
-            type_methods,
-            type_fields,
-            removed_methods,
-            removed_fields,
+            released: 0,
         }
     }
 
-    /// Reserves room for exactly `methods` more methods and `fields` more
-    /// fields, so a caller that knows its member counts up front leaves
-    /// no growth slack in the member tables.
-    pub(crate) fn reserve_members(&mut self, methods: usize, fields: usize) {
+    /// Reserves room for exactly `methods` more methods, `fields` more
+    /// fields and `params` more parameters, so a caller that knows its
+    /// member counts up front leaves no growth slack in the member
+    /// tables.
+    pub(crate) fn reserve_members(&mut self, methods: usize, fields: usize, params: usize) {
         self.methods.reserve_exact(methods);
         self.fields.reserve_exact(fields);
+        self.params.reserve_exact(params);
     }
 
     /// Reserves room for exactly `methods` more methods and `fields` more
@@ -218,11 +329,98 @@ impl Database {
         per_type(&mut self.type_fields, ty).reserve_exact(fields);
     }
 
-    /// Drops the member tables' growth slack (after an incremental update
-    /// appended members to a cloned, exactly sized database).
+    /// Ends a batch of edits: compacts the parameter and name tables once
+    /// their dead part outweighs the live part (see
+    /// [`Database::compact_tables`]), drops the name table's interning
+    /// index and every table's growth slack.
     pub(crate) fn shrink_members(&mut self) {
+        self.compact_tables();
         self.methods.shrink_to_fit();
+        self.params.shrink_to_fit();
         self.fields.shrink_to_fit();
+        self.names.shrink();
+    }
+
+    /// Rewrites the parameter and name tables with only what the kept
+    /// rows reference, when the dead parameter rows outnumber the kept
+    /// ones or the unreferenced names (text plus end offset) outweigh the
+    /// referenced ones. Dead rows are left by signature replacements and
+    /// removals, dead names by removals and renames (a rename is a removal
+    /// plus an addition), so without this the tables would grow with the
+    /// number of updates. Only removals and signature replacements leave
+    /// dead entries, so the check runs only after one. Kept rows are the
+    /// live ones and the tombstones a
+    /// live body still calls or reads (see [`Kept`]); they keep their
+    /// relative order in both tables, as a fresh compile lays them out. Any
+    /// other tombstone loses its frozen parameters and its name becomes the
+    /// empty name.
+    fn compact_tables(&mut self) {
+        if std::mem::take(&mut self.released) == 0 {
+            return;
+        }
+        let kept = Kept::of(self);
+        let kept_methods = || {
+            self.methods
+                .iter()
+                .zip(&kept.methods)
+                .filter_map(|(m, &k)| k.then_some(m))
+        };
+        let kept_params: usize = kept_methods().map(|m| usize::from(m.n_params)).sum();
+        let mut live = vec![false; self.names.len()];
+        for m in kept_methods() {
+            live[m.name as usize] = true;
+            for p in &self.params[m.param_range()] {
+                live[p.name as usize] = true;
+            }
+        }
+        for (f, _) in self.fields.iter().zip(&kept.fields).filter(|(_, &k)| k) {
+            live[f.name as usize] = true;
+        }
+        let live_bytes: usize = (0..live.len())
+            .filter(|&i| live[i])
+            .map(|i| 4 + self.names.get(i as u32).len())
+            .sum();
+        if self.params.len() - kept_params <= kept_params
+            && self.names.bytes() - live_bytes <= live_bytes
+        {
+            return;
+        }
+        let mut names = Names::default();
+        let remap: Vec<u32> = (0..live.len())
+            .map(|i| {
+                if live[i] {
+                    names.intern(self.names.get(i as u32))
+                } else {
+                    u32::MAX
+                }
+            })
+            .collect();
+        let mut empty = None;
+        let mut params = Vec::with_capacity(kept_params);
+        for (m, &k) in self.methods.iter_mut().zip(&kept.methods) {
+            if !k {
+                m.name = *empty.get_or_insert_with(|| names.intern(""));
+                m.first_param = 0;
+                m.n_params = 0;
+                continue;
+            }
+            m.name = remap[m.name as usize];
+            let range = m.param_range();
+            m.first_param = params.len() as u32;
+            params.extend(self.params[range].iter().map(|p| ParamRow {
+                name: remap[p.name as usize],
+                ty: p.ty,
+            }));
+        }
+        for (f, &k) in self.fields.iter_mut().zip(&kept.fields) {
+            f.name = if k {
+                remap[f.name as usize]
+            } else {
+                *empty.get_or_insert_with(|| names.intern(""))
+            };
+        }
+        self.names = names;
+        self.params = params;
     }
 
     /// Mutable access to the type table (for declaring new types).
@@ -230,26 +428,57 @@ impl Database {
         &mut self.types
     }
 
+    /// Appends `params` to the parameter table (or overwrites `reuse`, a
+    /// dead run at least as long) and returns the run's first row.
+    fn put_params(&mut self, params: &[Param<'_>], reuse: Option<usize>) -> u32 {
+        assert!(
+            params.len() <= Self::MAX_PARAMS,
+            "a method declares at most {} parameters, got {}",
+            Self::MAX_PARAMS,
+            params.len()
+        );
+        let first = reuse.unwrap_or(self.params.len());
+        for (i, p) in params.iter().enumerate() {
+            let row = ParamRow {
+                name: self.names.intern(p.name),
+                ty: p.ty,
+            };
+            if reuse.is_some() {
+                self.params[first + i] = row;
+            } else {
+                self.params.push(row);
+            }
+        }
+        first as u32
+    }
+
     /// Adds a method. Overloads (same name, same type) are allowed.
+    ///
+    /// # Panics
+    ///
+    /// If `params` is longer than [`Database::MAX_PARAMS`].
     pub fn add_method(
         &mut self,
         declaring: TypeId,
         name: &str,
         is_static: bool,
-        params: Vec<Param>,
+        params: &[Param<'_>],
         ret: TypeId,
         visibility: Visibility,
     ) -> MethodId {
         let id = MethodId(self.methods.len() as u32);
-        self.methods.push(Method {
-            name: Name::new(name),
-            declaring,
-            is_static,
-            params: params.into_boxed_slice(),
-            ret,
-            visibility,
-            overrides: None,
+        let first_param = self.put_params(params, None);
+        let name = self.names.intern(name);
+        self.methods.push(MethodRow {
             body: None,
+            name,
+            declaring,
+            ret,
+            first_param,
+            overrides: NO_OVERRIDE,
+            n_params: params.len() as u16,
+            flags: bit(is_static, flag::STATIC)
+                | bit(visibility == Visibility::Private, flag::PRIVATE),
         });
         per_type(&mut self.type_methods, declaring).push(id);
         id
@@ -269,23 +498,25 @@ impl Database {
         visibility: Visibility,
         is_property: bool,
     ) -> ModelResult<FieldId> {
+        // Each text is interned once, so equal ids mean equal names.
+        let name_id = self.names.intern(name);
         if self
             .fields_of(declaring)
             .iter()
-            .any(|f| self.fields[f.index()].name == name)
+            .any(|f| self.fields[f.index()].name == name_id)
         {
             return Err(ModelError::DuplicateField {
                 name: name.to_owned(),
             });
         }
         let id = FieldId(self.fields.len() as u32);
-        self.fields.push(Field {
-            name: Name::new(name),
+        self.fields.push(FieldRow {
+            name: name_id,
             declaring,
-            is_static,
             ty,
-            visibility,
-            is_property,
+            flags: bit(is_static, flag::STATIC)
+                | bit(visibility == Visibility::Private, flag::PRIVATE)
+                | bit(is_property, flag::PROPERTY),
         });
         per_type(&mut self.type_fields, declaring).push(id);
         Ok(id)
@@ -303,14 +534,14 @@ impl Database {
 
     /// Records that `method` overrides `base` (for abstract-type sharing).
     pub fn set_overrides(&mut self, method: MethodId, base: MethodId) {
-        self.methods[method.index()].overrides = Some(base);
+        self.methods[method.index()].overrides = base.0;
     }
 
     /// Clears every override edge, so an incremental update can re-link
     /// them after member signatures changed.
     pub(crate) fn clear_all_overrides(&mut self) {
         for m in &mut self.methods {
-            m.overrides = None;
+            m.overrides = NO_OVERRIDE;
         }
     }
 
@@ -321,16 +552,19 @@ impl Database {
     }
 
     /// Tombstones a method: drops it from its type's lookup list and from
-    /// the live iterators while keeping the arena row, so stale references
-    /// (interned expressions, old memo rows) stay resolvable. The body and
-    /// override edge are cleared; the signature is frozen as-is.
+    /// the live iterators while keeping the row, so a stale id stays
+    /// resolvable. The body and override edge are cleared; the signature
+    /// is frozen as-is until a compaction finds no live body referencing
+    /// the id (see [`Database::compact_tables`]).
     pub(crate) fn remove_method(&mut self, id: MethodId) {
-        if !self.removed_methods.insert(id) {
+        let m = &mut self.methods[id.index()];
+        if m.is_removed() {
             return;
         }
-        let m = &mut self.methods[id.index()];
+        m.flags |= flag::REMOVED;
         m.body = None;
-        m.overrides = None;
+        self.released += 1;
+        m.overrides = NO_OVERRIDE;
         if let Some(list) = self.type_methods.get_mut(m.declaring.index()) {
             list.retain(|&x| x != id);
         }
@@ -338,33 +572,47 @@ impl Database {
 
     /// Tombstones a field (see [`Database::remove_method`]).
     pub(crate) fn remove_field(&mut self, id: FieldId) {
-        if !self.removed_fields.insert(id) {
+        let f = &mut self.fields[id.index()];
+        if f.is_removed() {
             return;
         }
-        let declaring = self.fields[id.index()].declaring;
-        if let Some(list) = self.type_fields.get_mut(declaring.index()) {
+        f.flags |= flag::REMOVED;
+        self.released += 1;
+        if let Some(list) = self.type_fields.get_mut(f.declaring.index()) {
             list.retain(|&x| x != id);
         }
     }
 
     /// Overwrites a method's signature in place, keeping its id (and its
-    /// position in the declaring type's lookup list). The body is dropped;
-    /// the caller recompiles it against the new signature.
+    /// position in the declaring type's lookup list). The new parameters
+    /// overwrite the old run when they fit in it and are appended
+    /// otherwise. The body is dropped; the caller recompiles it against
+    /// the new signature.
+    ///
+    /// # Panics
+    ///
+    /// If `params` is longer than [`Database::MAX_PARAMS`].
     pub(crate) fn replace_method_signature(
         &mut self,
         id: MethodId,
         is_static: bool,
-        params: Vec<Param>,
+        params: &[Param<'_>],
         ret: TypeId,
         visibility: Visibility,
     ) {
+        let m = &self.methods[id.index()];
+        let reuse = (params.len() <= usize::from(m.n_params)).then_some(m.first_param as usize);
+        self.released += 1;
+        let first_param = self.put_params(params, reuse);
         let m = &mut self.methods[id.index()];
-        m.is_static = is_static;
-        m.params = params.into_boxed_slice();
+        m.first_param = first_param;
+        m.n_params = params.len() as u16;
         m.ret = ret;
-        m.visibility = visibility;
+        m.flags = (m.flags & flag::REMOVED)
+            | bit(is_static, flag::STATIC)
+            | bit(visibility == Visibility::Private, flag::PRIVATE);
         m.body = None;
-        m.overrides = None;
+        m.overrides = NO_OVERRIDE;
     }
 
     /// Overwrites a field's signature in place, keeping its id.
@@ -377,20 +625,21 @@ impl Database {
         is_property: bool,
     ) {
         let f = &mut self.fields[id.index()];
-        f.is_static = is_static;
         f.ty = ty;
-        f.visibility = visibility;
-        f.is_property = is_property;
+        f.flags = (f.flags & flag::REMOVED)
+            | bit(is_static, flag::STATIC)
+            | bit(visibility == Visibility::Private, flag::PRIVATE)
+            | bit(is_property, flag::PROPERTY);
     }
 
     /// The method behind an id.
-    pub fn method(&self, id: MethodId) -> &Method {
-        &self.methods[id.index()]
+    pub fn method(&self, id: MethodId) -> Method<'_> {
+        Method::new(self, &self.methods[id.index()])
     }
 
     /// The field behind an id.
-    pub fn field(&self, id: FieldId) -> &Field {
-        &self.fields[id.index()]
+    pub fn field(&self, id: FieldId) -> Field<'_> {
+        Field::new(self, &self.fields[id.index()])
     }
 
     /// Number of methods.
@@ -407,24 +656,34 @@ impl Database {
     pub fn methods(&self) -> impl Iterator<Item = MethodId> + '_ {
         (0..self.methods.len() as u32)
             .map(MethodId)
-            .filter(move |m| !self.removed_methods.contains(m))
+            .filter(move |m| !self.methods[m.index()].is_removed())
     }
 
     /// All live field ids (tombstoned ids are skipped).
     pub fn fields(&self) -> impl Iterator<Item = FieldId> + '_ {
         (0..self.fields.len() as u32)
             .map(FieldId)
-            .filter(move |f| !self.removed_fields.contains(f))
+            .filter(move |f| !self.fields[f.index()].is_removed())
+    }
+
+    /// Sizes of the name and parameter tables. Updates leave dead entries
+    /// behind; each batch of edits compacts them once they outweigh the
+    /// live ones, so neither table grows with the number of updates.
+    pub fn table_sizes(&self) -> TableSizes {
+        TableSizes {
+            name_bytes: self.names.bytes(),
+            param_rows: self.params.len(),
+        }
     }
 
     /// Whether a method id has been tombstoned by an incremental update.
     pub fn method_removed(&self, id: MethodId) -> bool {
-        self.removed_methods.contains(&id)
+        self.methods[id.index()].is_removed()
     }
 
     /// Whether a field id has been tombstoned by an incremental update.
     pub fn field_removed(&self, id: FieldId) -> bool {
-        self.removed_fields.contains(&id)
+        self.fields[id.index()].is_removed()
     }
 
     /// Methods declared directly on a type.
@@ -439,7 +698,7 @@ impl Database {
 
     /// Follows override edges to the root definition of a method.
     pub fn root_method(&self, mut id: MethodId) -> MethodId {
-        while let Some(base) = self.methods[id.index()].overrides {
+        while let Some(base) = self.method(id).overrides() {
             id = base;
         }
         id
@@ -484,8 +743,8 @@ impl Database {
         let mut out = Vec::new();
         for owner in self.member_lookup_chain(ty) {
             for &f in self.fields_of(owner) {
-                let fd = &self.fields[f.index()];
-                if !fd.is_static && self.accessible(fd.visibility, owner, from) {
+                let fd = self.field(f);
+                if !fd.is_static() && self.accessible(fd.visibility(), owner, from) {
                     out.push(f);
                 }
             }
@@ -499,11 +758,11 @@ impl Database {
         let mut out = Vec::new();
         for owner in self.member_lookup_chain(ty) {
             for &m in self.methods_of(owner) {
-                let md = &self.methods[m.index()];
-                if !md.is_static
-                    && md.params.is_empty()
-                    && md.ret != self.types.void_ty()
-                    && self.accessible(md.visibility, owner, from)
+                let md = self.method(m);
+                if !md.is_static()
+                    && md.params().is_empty()
+                    && md.return_type() != self.types.void_ty()
+                    && self.accessible(md.visibility(), owner, from)
                 {
                     out.push(m);
                 }
@@ -519,8 +778,8 @@ impl Database {
             .iter()
             .copied()
             .filter(|&f| {
-                let fd = &self.fields[f.index()];
-                fd.is_static && self.accessible(fd.visibility, ty, from)
+                let fd = self.field(f);
+                fd.is_static() && self.accessible(fd.visibility(), ty, from)
             })
             .collect()
     }
@@ -530,17 +789,17 @@ impl Database {
     pub fn globals(&self) -> Vec<GlobalRef> {
         let mut out = Vec::new();
         for f in self.fields() {
-            let fd = &self.fields[f.index()];
-            if fd.is_static && fd.visibility == Visibility::Public {
+            let fd = self.field(f);
+            if fd.is_static() && fd.visibility() == Visibility::Public {
                 out.push(GlobalRef::Field(f));
             }
         }
         for m in self.methods() {
-            let md = &self.methods[m.index()];
-            if md.is_static
-                && md.visibility == Visibility::Public
-                && md.params.is_empty()
-                && md.ret != self.types.void_ty()
+            let md = self.method(m);
+            if md.is_static()
+                && md.visibility() == Visibility::Public
+                && md.params().is_empty()
+                && md.return_type() != self.types.void_ty()
             {
                 out.push(GlobalRef::Method(m));
             }
@@ -579,13 +838,13 @@ impl Database {
     /// Renders a method as `Namespace.Type.Name`.
     pub fn qualified_method_name(&self, id: MethodId) -> String {
         let m = self.method(id);
-        format!("{}.{}", self.types.qualified_name(m.declaring), m.name)
+        format!("{}.{}", self.types.qualified_name(m.declaring()), m.name())
     }
 
     /// Renders a field as `Namespace.Type.Name`.
     pub fn qualified_field_name(&self, id: FieldId) -> String {
         let f = self.field(id);
-        format!("{}.{}", self.types.qualified_name(f.declaring), f.name)
+        format!("{}.{}", self.types.qualified_name(f.declaring()), f.name())
     }
 
     /// The static type of an expression in a context.
@@ -612,30 +871,30 @@ impl Database {
                 .ok_or(ModelError::NoThis),
             Expr::StaticField(f) => {
                 let fd = self.field(*f);
-                if !fd.is_static {
+                if !fd.is_static() {
                     return Err(ModelError::BadMemberAccess {
-                        name: fd.name.to_string(),
+                        name: fd.name().to_owned(),
                     });
                 }
-                Ok(ValueTy::Known(fd.ty))
+                Ok(ValueTy::Known(fd.ty()))
             }
             Expr::FieldAccess(base, f) => {
                 let fd = self.field(*f);
-                if fd.is_static {
+                if fd.is_static() {
                     return Err(ModelError::BadMemberAccess {
-                        name: fd.name.to_string(),
+                        name: fd.name().to_owned(),
                     });
                 }
                 let base_ty = self.expr_ty(base, ctx)?;
-                self.require_convertible(base_ty, fd.declaring, "receiver of field access")?;
-                Ok(ValueTy::Known(fd.ty))
+                self.require_convertible(base_ty, fd.declaring(), "receiver of field access")?;
+                Ok(ValueTy::Known(fd.ty()))
             }
             Expr::Call(m, args) => {
                 let md = self.method(*m);
                 let expected = md.full_arity();
                 if args.len() != expected {
                     return Err(ModelError::BadArity {
-                        name: md.name.to_string(),
+                        name: md.name().to_owned(),
                         expected,
                         actual: args.len(),
                     });
@@ -644,7 +903,7 @@ impl Database {
                     let got = self.expr_ty(arg, ctx)?;
                     self.require_convertible(got, want, &format!("argument {i}"))?;
                 }
-                Ok(ValueTy::Known(md.ret))
+                Ok(ValueTy::Known(md.return_type()))
             }
             Expr::Assign(lhs, rhs) => {
                 if !matches!(
@@ -700,7 +959,7 @@ impl Database {
     /// instance call (receiver only) or a zero-argument static call.
     pub fn is_zero_arg_call(&self, m: MethodId, argc: usize) -> bool {
         let md = self.method(m);
-        md.params.is_empty() && argc == usize::from(!md.is_static)
+        md.params().is_empty() && argc == usize::from(!md.is_static())
     }
 
     /// Convenience for tests and corpora: type of a comparison's general
@@ -725,28 +984,28 @@ impl Database {
         &self,
         method: MethodId,
         body: &Body,
-        stmt: &crate::Stmt,
+        stmt: &Stmt,
         ctx: &Context,
         nested: bool,
     ) -> ModelResult<()> {
         let md = self.method(method);
         match stmt {
-            crate::Stmt::Init(l, e) => {
+            Stmt::Init(l, e) => {
                 if nested || l.index() < body.param_count || l.index() >= body.locals.len() {
                     return Err(ModelError::UnknownLocal { index: l.index() });
                 }
                 let got = self.expr_ty(e, ctx)?;
                 self.require_convertible(got, body.locals[l.index()].1, "initialiser")?;
             }
-            crate::Stmt::Expr(e) => {
+            Stmt::Expr(e) => {
                 self.expr_ty(e, ctx)?;
             }
-            crate::Stmt::Return(Some(e)) => {
+            Stmt::Return(Some(e)) => {
                 let got = self.expr_ty(e, ctx)?;
-                self.require_convertible(got, md.ret, "return value")?;
+                self.require_convertible(got, md.return_type(), "return value")?;
             }
-            crate::Stmt::Return(None) => {}
-            crate::Stmt::If {
+            Stmt::Return(None) => {}
+            Stmt::If {
                 cond,
                 then_body,
                 else_body,
@@ -757,7 +1016,7 @@ impl Database {
                     self.check_stmt(method, body, inner, ctx, true)?;
                 }
             }
-            crate::Stmt::While {
+            Stmt::While {
                 cond,
                 body: loop_body,
             } => {
@@ -793,7 +1052,7 @@ mod tests {
             line,
             "GetLength",
             false,
-            vec![],
+            &[],
             db.types().double_ty(),
             Visibility::Public,
         );
@@ -940,7 +1199,7 @@ mod tests {
         let f = db
             .add_field(line, "Origin", true, point, Visibility::Public, false)
             .unwrap();
-        let m = db.add_method(line, "MakeUnit", true, vec![], line, Visibility::Public);
+        let m = db.add_method(line, "MakeUnit", true, &[], line, Visibility::Public);
         let hidden = db
             .add_field(line, "secret", true, point, Visibility::Private, false)
             .unwrap();
@@ -948,7 +1207,7 @@ mod tests {
             line,
             "Reset",
             true,
-            vec![],
+            &[],
             db.types().void_ty(),
             Visibility::Public,
         );
@@ -987,11 +1246,45 @@ mod tests {
     }
 
     #[test]
+    fn compaction_keeps_the_tombstones_a_live_body_calls() {
+        let mut db = crate::minics::compile(
+            "namespace N {
+                class A {
+                    static int Called(int count);
+                    static int AnotherRatherLongMethodName(int anotherRatherLongParameter);
+                }
+                class B { static int G() { return N.A.Called(1); } }
+            }",
+        )
+        .unwrap();
+        let called = db.find_method("N.A.Called").unwrap();
+        let other = db.find_method("N.A.AnotherRatherLongMethodName").unwrap();
+        db.remove_method(called);
+        db.remove_method(other);
+        let before = db.table_sizes();
+        db.shrink_members();
+        // The unreferenced names outweighed the referenced ones, so the
+        // tables were rewritten and the uncalled tombstone released.
+        assert!(db.table_sizes().name_bytes < before.name_bytes);
+        assert_eq!(db.table_sizes().param_rows, 1);
+        assert_eq!(db.method(other).name(), "");
+        assert!(db.method(other).params().is_empty());
+        // `B.G` still calls the other tombstone: it keeps its signature.
+        assert_eq!(db.method(called).name(), "Called");
+        let params: Vec<Param> = db.method(called).params().iter().collect();
+        assert_eq!(params.len(), 1);
+        assert_eq!(params[0].name, "count");
+        assert!(db.names.is_exact());
+    }
+
+    #[test]
     fn member_tables_carry_no_growth_slack() {
         use pex_types::wire::{Reader, StringTable, Strings, Writer};
         let exact = |db: &Database| {
             assert_eq!(db.methods.capacity(), db.methods.len());
             assert_eq!(db.fields.capacity(), db.fields.len());
+            assert_eq!(db.params.capacity(), db.params.len());
+            assert!(db.names.is_exact(), "{:?}", db.names);
         };
         let source = r#"
             namespace Geo {
@@ -1000,6 +1293,7 @@ mod tests {
                     double Scale;
                     Geo.Kind Kind;
                     int Rank() { return 1; }
+                    void Fit(double scale, Geo.Kind kind);
                 }
             }
         "#;
@@ -1015,10 +1309,15 @@ mod tests {
         exact(&Database::decode_snapshot(&strings, &mut Reader::new(&bytes)).unwrap());
         let edited = source.replace(
             "int Rank() { return 1; }",
-            "int Rank() { return 1; } int Grade() { return 2; } double Size;",
+            "int Rank() { return 1; } int Grade(int bonus) { return 2; } double Size;",
         );
         let (patched, diff) = crate::minics::apply_update(&db, &edited).unwrap();
         assert_eq!(diff.members_added, 2);
+        exact(&patched);
+        // A signature edit that outgrows its parameter run appends a new one.
+        let edited = source.replace("Fit(double scale,", "Fit(double scale, int times,");
+        let (patched, diff) = crate::minics::apply_update(&db, &edited).unwrap();
+        assert_eq!(diff.signatures_changed, 1);
         exact(&patched);
     }
 }

@@ -28,17 +28,15 @@ mod expr;
 mod ids;
 mod member;
 pub mod minics;
-mod name;
 mod pretty;
 mod snap;
 
 pub use arena::{ArenaRead, ENode, ExprArena, ExprId, Sym};
 pub use context::{Context, Local};
-pub use database::{Database, GlobalRef, ModelError, ModelResult};
+pub use database::{Database, GlobalRef, ModelError, ModelResult, TableSizes};
 pub use expr::{Body, CmpOp, Expr, ExprKindName, LastMember, Stmt, ValueTy};
 pub use ids::{FieldId, LocalId, MethodId};
-pub use member::{Field, Method, Param, Visibility};
-pub use name::Name;
+pub use member::{Field, Method, Param, ParamIter, Params, Visibility};
 pub use pretty::{render_expr, CallStyle};
 
 pub use pex_types::{

@@ -1,8 +1,21 @@
-//! Methods, parameters and fields/properties.
+//! Methods, parameters and fields/properties: the fixed-width member rows
+//! a [`Database`] stores, its name table, and the `Copy` views
+//! [`Database::method`] and [`Database::field`] hand out.
+//!
+//! The layout is the snapshot's database section held in memory, as .NET
+//! metadata keeps MethodDef, Param and Field rows: every member name is a
+//! `u32` id into one per-database [`Names`] table, every method's
+//! parameters are a run of 8-byte rows in one parameter table, and the
+//! method and field rows are fixed-width.
+
+use std::collections::hash_map::{Entry, RandomState};
+use std::collections::HashMap;
+use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 use pex_types::TypeId;
 
-use crate::{Body, MethodId, Name};
+use crate::{Body, Database, MethodId};
 
 /// Member visibility. The model keeps only the distinction the completion
 /// engine needs: `Private` members are visible only inside their declaring
@@ -16,150 +29,524 @@ pub enum Visibility {
     Private,
 }
 
-/// A formal parameter of a [`Method`]: 24 bytes, its name inline when
-/// short (see [`Name`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Param {
+/// Flag bits of a member row. `STATIC`, `PRIVATE` and `PROPERTY` have the
+/// values the snapshot's rows give them; `REMOVED` never reaches a row of
+/// the file, which lists tombstones separately.
+pub(crate) mod flag {
+    pub const STATIC: u8 = 1;
+    pub const PRIVATE: u8 = 1 << 1;
+    /// Field rows only.
+    pub const PROPERTY: u8 = 1 << 2;
+    /// A tombstone left by an incremental update.
+    pub const REMOVED: u8 = 1 << 4;
+}
+
+/// `flag` when `on`, else no bits.
+pub(crate) fn bit(on: bool, flag: u8) -> u8 {
+    if on {
+        flag
+    } else {
+        0
+    }
+}
+
+fn visibility(flags: u8) -> Visibility {
+    if flags & flag::PRIVATE != 0 {
+        Visibility::Private
+    } else {
+        Visibility::Public
+    }
+}
+
+/// `overrides` of a method row that overrides nothing.
+pub(crate) const NO_OVERRIDE: u32 = u32::MAX;
+
+/// A method row: 32 bytes. The name is an id into the database's
+/// [`Names`], the parameters the rows `first_param..first_param +
+/// n_params` of its parameter table (a `u16` count, as ECMA-335 numbers
+/// parameters), and the rare body is boxed.
+#[derive(Debug, Clone)]
+pub(crate) struct MethodRow {
+    /// Boxed: most methods (library surface) have no body, and an inline
+    /// `Body` would widen every row of the method table.
+    pub body: Option<Box<Body>>,
+    pub name: u32,
+    pub declaring: TypeId,
+    pub ret: TypeId,
+    pub first_param: u32,
+    /// The overridden method's id, or [`NO_OVERRIDE`].
+    pub overrides: u32,
+    pub n_params: u16,
+    pub flags: u8,
+}
+
+/// A parameter row: a name id and the declared type.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ParamRow {
+    pub name: u32,
+    pub ty: TypeId,
+}
+
+/// A field or property row.
+#[derive(Debug, Clone)]
+pub(crate) struct FieldRow {
+    pub name: u32,
+    pub declaring: TypeId,
+    pub ty: TypeId,
+    pub flags: u8,
+}
+
+// Row sizes of the member tables, pinned. The snapshot's rows are 20,
+// 8 and 16 bytes; a method row adds the boxed body, its first parameter
+// row and the override id, which the file derives or keeps in side
+// tables.
+const _: () = assert!(std::mem::size_of::<MethodRow>() <= 32);
+const _: () = assert!(std::mem::size_of::<ParamRow>() == 8);
+const _: () = assert!(std::mem::size_of::<FieldRow>() <= 16);
+
+impl MethodRow {
+    pub fn is_removed(&self) -> bool {
+        self.flags & flag::REMOVED != 0
+    }
+
+    pub fn param_range(&self) -> std::ops::Range<usize> {
+        let first = self.first_param as usize;
+        first..first + usize::from(self.n_params)
+    }
+}
+
+impl FieldRow {
+    pub fn is_removed(&self) -> bool {
+        self.flags & flag::REMOVED != 0
+    }
+}
+
+/// The member-name table of one database: every name once, as `u32` end
+/// offsets into one text blob, the shape of the snapshot's string table.
+///
+/// Interning goes through a transient index that [`Names::shrink`]
+/// frees and a clone does not copy, so a resident table is the two
+/// vectors alone.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Names {
+    ends: Vec<u32>,
+    text: String,
+    index: NameIndex,
+}
+
+impl Names {
+    /// A table holding the strings of a validated snapshot string table,
+    /// under the same ids.
+    pub fn from_parts(ends: Vec<u32>, text: String) -> Self {
+        Names {
+            ends,
+            text,
+            index: NameIndex::default(),
+        }
+    }
+
+    /// Number of names.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Text bytes plus four per end offset.
+    pub fn bytes(&self) -> usize {
+        self.text.len() + 4 * self.ends.len()
+    }
+
+    /// The text of name `id`.
+    #[inline]
+    pub fn get(&self, id: u32) -> &str {
+        name_at(&self.ends, &self.text, id)
+    }
+
+    /// The id of `s`, appending it on first use.
+    pub fn intern(&mut self, s: &str) -> u32 {
+        let Names { ends, text, index } = self;
+        // Catch up with names added without the index (a decoded or
+        // cloned table).
+        index.ids.reserve(ends.len() - index.covered);
+        while index.covered < ends.len() {
+            let id = index.covered as u32;
+            index.find_or_insert(ends, text, name_at(ends, text, id), id);
+            index.covered += 1;
+        }
+        let new = ends.len() as u32;
+        let id = index.find_or_insert(ends, text, s, new);
+        if id == new {
+            text.push_str(s);
+            ends.push(text.len() as u32);
+            index.covered += 1;
+        }
+        id
+    }
+
+    /// Frees the interning index and the tables' growth slack.
+    pub fn shrink(&mut self) {
+        self.index = NameIndex::default();
+        self.ends.shrink_to_fit();
+        self.text.shrink_to_fit();
+    }
+
+    /// Whether the table holds no growth slack and no index.
+    #[cfg(test)]
+    pub fn is_exact(&self) -> bool {
+        self.ends.capacity() == self.ends.len()
+            && self.text.capacity() == self.text.len()
+            && self.index.ids.capacity() == 0
+    }
+}
+
+#[inline]
+fn name_at<'t>(ends: &[u32], text: &'t str, id: u32) -> &'t str {
+    let i = id as usize;
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    &text[start..ends[i] as usize]
+}
+
+/// The interning index of a [`Names`] table: each name's keyed hash
+/// (std's `RandomState`, since update text comes from clients) maps to
+/// its id. Equal hashes of different texts probe the next key, so no
+/// text is copied out of the table and no collision is lost.
+#[derive(Debug, Default)]
+struct NameIndex {
+    keys: RandomState,
+    ids: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    /// Names `0..covered` of the table are in `ids`.
+    covered: usize,
+}
+
+impl NameIndex {
+    /// The id the index holds for text `s` of the table `ends`/`text`, or
+    /// `new`, recorded as `s`'s id, when it holds none.
+    fn find_or_insert(&mut self, ends: &[u32], text: &str, s: &str, new: u32) -> u32 {
+        let mut key = self.keys.hash_one(s);
+        loop {
+            match self.ids.entry(key) {
+                Entry::Occupied(e) if name_at(ends, text, *e.get()) == s => return *e.get(),
+                Entry::Occupied(_) => key = key.wrapping_add(1),
+                Entry::Vacant(e) => return *e.insert(new),
+            }
+        }
+    }
+}
+
+/// The map hasher of a [`NameIndex`]: its keys are keyed hashes already,
+/// so hashing them again would only cost time.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys reach this hasher; fold other input all the same.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A clone starts without an index: the clone's table rebuilds one on its
+/// first [`Names::intern`], and a clone that never interns costs none.
+impl Clone for NameIndex {
+    fn clone(&self) -> Self {
+        NameIndex::default()
+    }
+}
+
+/// A formal parameter: its name and declared type. [`Method::params`]
+/// yields these with the name borrowed from the model's name table, and
+/// [`Database::add_method`] takes them and interns the name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Param<'a> {
     /// Parameter name (used for rendering and corpus realism).
-    pub name: Name,
+    pub name: &'a str,
     /// Declared parameter type.
     pub ty: TypeId,
 }
 
-/// A method definition.
+fn param<'a>(names: &'a Names, row: &ParamRow) -> Param<'a> {
+    Param {
+        name: names.get(row.name),
+        ty: row.ty,
+    }
+}
+
+/// The parameters of one method: its run of the parameter table.
+#[derive(Clone, Copy)]
+pub struct Params<'a> {
+    names: &'a Names,
+    rows: &'a [ParamRow],
+}
+
+impl<'a> Params<'a> {
+    /// Number of parameters.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the method takes no declared parameters.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Parameter `i`, if there is one.
+    pub fn get(&self, i: usize) -> Option<Param<'a>> {
+        self.rows.get(i).map(|row| self.param(row))
+    }
+
+    /// The parameters in declaration order.
+    pub fn iter(&self) -> ParamIter<'a> {
+        ParamIter {
+            names: self.names,
+            rows: self.rows.iter(),
+        }
+    }
+
+    /// The declared types in order, without reading the name table.
+    pub fn types(&self) -> impl ExactSizeIterator<Item = TypeId> + 'a {
+        self.rows.iter().map(|row| row.ty)
+    }
+
+    fn param(&self, row: &ParamRow) -> Param<'a> {
+        param(self.names, row)
+    }
+}
+
+impl<'a> IntoIterator for Params<'a> {
+    type Item = Param<'a>;
+    type IntoIter = ParamIter<'a>;
+
+    fn into_iter(self) -> ParamIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a method's [`Params`].
+#[derive(Clone)]
+pub struct ParamIter<'a> {
+    names: &'a Names,
+    rows: std::slice::Iter<'a, ParamRow>,
+}
+
+impl<'a> Iterator for ParamIter<'a> {
+    type Item = Param<'a>;
+
+    fn next(&mut self) -> Option<Param<'a>> {
+        self.rows.next().map(|row| param(self.names, row))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rows.size_hint()
+    }
+}
+
+impl ExactSizeIterator for ParamIter<'_> {}
+
+impl fmt::Debug for Params<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A method definition: a `Copy` view of one method row.
 ///
 /// Following the paper, the receiver of an instance method is treated as its
 /// first argument when completing unknown-method queries; the model keeps the
 /// receiver implicit (`is_static == false`) and [`Method::full_param_types`]
 /// exposes the receiver-first view.
-///
-/// A row is 64 bytes: the name is a [`Name`], the parameters an exactly
-/// sized `Box<[Param]>`, and the rare body is boxed.
-#[derive(Debug, Clone)]
-pub struct Method {
-    pub(crate) name: Name,
-    pub(crate) declaring: TypeId,
-    pub(crate) is_static: bool,
-    pub(crate) params: Box<[Param]>,
-    pub(crate) ret: TypeId,
-    pub(crate) visibility: Visibility,
-    pub(crate) overrides: Option<MethodId>,
-    /// Boxed: most methods (library surface) have no body, and an inline
-    /// `Body` would widen every row of the method table.
-    pub(crate) body: Option<Box<Body>>,
+#[derive(Clone, Copy)]
+pub struct Method<'a> {
+    db: &'a Database,
+    row: &'a MethodRow,
 }
 
-// Row sizes of the member tables. A `String` name makes each row 8 bytes
-// wider (`Param` 32, `Field` 40), a `Vec<Param>` widens `Method` by 8 more
-// (80), and an inline `Option<Body>` would make it 128.
-const _: () = assert!(std::mem::size_of::<Param>() <= 24);
-const _: () = assert!(std::mem::size_of::<Field>() <= 32);
-const _: () = assert!(std::mem::size_of::<Method>() <= 64);
+impl<'a> Method<'a> {
+    pub(crate) fn new(db: &'a Database, row: &'a MethodRow) -> Self {
+        Method { db, row }
+    }
 
-impl Method {
     /// Method name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        self.db.names().get(self.row.name)
     }
 
     /// Type declaring this method.
     pub fn declaring(&self) -> TypeId {
-        self.declaring
+        self.row.declaring
     }
 
     /// Whether the method is static.
     pub fn is_static(&self) -> bool {
-        self.is_static
+        self.row.flags & flag::STATIC != 0
     }
 
     /// Declared (explicit) parameters, excluding any receiver.
-    pub fn params(&self) -> &[Param] {
-        &self.params
+    pub fn params(&self) -> Params<'a> {
+        Params {
+            names: self.db.names(),
+            rows: self.param_rows(),
+        }
+    }
+
+    fn param_rows(&self) -> &'a [ParamRow] {
+        &self.db.param_rows()[self.row.param_range()]
     }
 
     /// Declared return type (`void` for none).
     pub fn return_type(&self) -> TypeId {
-        self.ret
+        self.row.ret
     }
 
     /// Member visibility.
     pub fn visibility(&self) -> Visibility {
-        self.visibility
+        visibility(self.row.flags)
     }
 
     /// The base-class method this one overrides, if any. Override chains
     /// share abstract-type slots (paper Section 4.1).
     pub fn overrides(&self) -> Option<MethodId> {
-        self.overrides
+        (self.row.overrides != NO_OVERRIDE).then_some(MethodId(self.row.overrides))
     }
 
     /// The method body, when the model includes one (client code does,
     /// library surface usually does not).
-    pub fn body(&self) -> Option<&Body> {
-        self.body.as_deref()
+    pub fn body(&self) -> Option<&'a Body> {
+        self.row.body.as_deref()
     }
 
     /// Number of arguments a call carries: declared parameters plus one for
     /// the receiver of instance methods. This is the paper's notion of
     /// "arguments (including the receiver)".
     pub fn full_arity(&self) -> usize {
-        self.params.len() + usize::from(!self.is_static)
+        usize::from(self.row.n_params) + usize::from(!self.is_static())
     }
 
     /// Receiver-first parameter types: for instance methods the declaring
     /// type followed by the declared parameter types; for static methods just
     /// the declared parameter types.
-    pub fn full_param_types(&self) -> impl Iterator<Item = TypeId> + '_ {
-        let receiver = (!self.is_static).then_some(self.declaring);
-        receiver.into_iter().chain(self.params.iter().map(|p| p.ty))
+    pub fn full_param_types(&self) -> impl Iterator<Item = TypeId> + 'a {
+        let receiver = (!self.is_static()).then_some(self.row.declaring);
+        receiver
+            .into_iter()
+            .chain(self.param_rows().iter().map(|p| p.ty))
     }
 }
 
-/// A field or property definition.
+impl fmt::Debug for Method<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Method")
+            .field("name", &self.name())
+            .field("declaring", &self.declaring())
+            .field("is_static", &self.is_static())
+            .field("params", &self.params())
+            .field("ret", &self.return_type())
+            .field("visibility", &self.visibility())
+            .field("overrides", &self.overrides())
+            .field("body", &self.body())
+            .finish()
+    }
+}
+
+/// A field or property definition: a `Copy` view of one field row.
 ///
 /// The paper treats C# properties as syntactic sugar for fields, so the model
 /// stores both in one table with an [`Field::is_property`] flag (kept for
-/// rendering fidelity; the engine treats them identically). A row is 32
-/// bytes, its name a [`Name`].
-#[derive(Debug, Clone)]
-pub struct Field {
-    pub(crate) name: Name,
-    pub(crate) declaring: TypeId,
-    pub(crate) is_static: bool,
-    pub(crate) ty: TypeId,
-    pub(crate) visibility: Visibility,
-    pub(crate) is_property: bool,
+/// rendering fidelity; the engine treats them identically).
+#[derive(Clone, Copy)]
+pub struct Field<'a> {
+    db: &'a Database,
+    row: &'a FieldRow,
 }
 
-impl Field {
+impl<'a> Field<'a> {
+    pub(crate) fn new(db: &'a Database, row: &'a FieldRow) -> Self {
+        Field { db, row }
+    }
+
     /// Field or property name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        self.db.names().get(self.row.name)
     }
 
     /// Type declaring this member.
     pub fn declaring(&self) -> TypeId {
-        self.declaring
+        self.row.declaring
     }
 
     /// Whether the member is static. Enum members are modelled as static
     /// fields of the enum type.
     pub fn is_static(&self) -> bool {
-        self.is_static
+        self.row.flags & flag::STATIC != 0
     }
 
     /// Declared type of the stored value.
     pub fn ty(&self) -> TypeId {
-        self.ty
+        self.row.ty
     }
 
     /// Member visibility.
     pub fn visibility(&self) -> Visibility {
-        self.visibility
+        visibility(self.row.flags)
     }
 
     /// Whether the member was declared as a property.
     pub fn is_property(&self) -> bool {
-        self.is_property
+        self.row.flags & flag::PROPERTY != 0
+    }
+}
+
+impl fmt::Debug for Field<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Field")
+            .field("name", &self.name())
+            .field("declaring", &self.declaring())
+            .field("is_static", &self.is_static())
+            .field("ty", &self.ty())
+            .field("visibility", &self.visibility())
+            .field("is_property", &self.is_property())
+            .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_are_interned_once_and_read_back() {
+        let mut names = Names::default();
+        let words = ["", "x", "size", "x", "é", "GetBounds", "size", ""];
+        let ids: Vec<u32> = words.iter().map(|w| names.intern(w)).collect();
+        assert_eq!(ids, [0, 1, 2, 1, 3, 4, 2, 0]);
+        for (w, id) in words.iter().zip(&ids) {
+            assert_eq!(names.get(*id), *w);
+        }
+        // A clone has no index; it rebuilds one and finds the same ids.
+        let mut copy = names.clone();
+        assert_eq!(copy.intern("GetBounds"), 4);
+        assert_eq!(copy.intern("new"), 5);
+        assert_eq!(names.len(), 5);
+    }
+
+    #[test]
+    fn colliding_hashes_probe_past_each_other() {
+        let mut names = Names::default();
+        let a = names.intern("a");
+        // Occupy the key "b" hashes to with "a"'s id, as a collision would.
+        let key = names.index.keys.hash_one("b");
+        names.index.ids.insert(key, a);
+        let b = names.intern("b");
+        assert_ne!(a, b);
+        assert_eq!((names.intern("a"), names.intern("b")), (a, b));
+        assert_eq!(names.get(b), "b");
     }
 }

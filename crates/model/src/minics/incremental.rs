@@ -23,9 +23,11 @@
 //! parse or resolution error leaves the caller's model byte-identical
 //! (the protocol layer relies on this for its atomic-update guarantee).
 
+use std::ops::Range;
+
 use pex_types::{TypeError, TypeId};
 
-use crate::{Database, FieldId, MethodId, Name, Param, Visibility};
+use crate::{Database, FieldId, MethodId, Param, Params, Visibility};
 
 use super::ast;
 use super::resolve::{compile_body, link_overrides, visibility, ScopeId, Scopes};
@@ -80,8 +82,9 @@ impl ModelDiff {
 struct WantMethod<'a> {
     name: &'a str,
     is_static: bool,
-    /// Moved into the model once the declaration is matched or minted.
-    params: Vec<Param>,
+    /// The declaration's run of the type's parameter list (names borrow
+    /// the source text).
+    params: Range<usize>,
     ret: TypeId,
     visibility: Visibility,
     body: Option<&'a [ast::Stmt<'a>]>,
@@ -156,7 +159,7 @@ pub(super) fn apply_units<'a>(
     }
     let mut matched = vec![false; base_types];
     let mut dirty_types = vec![false; base_types];
-    let (mut new_methods, mut new_members) = (0, 0);
+    let (mut new_methods, mut new_members, mut new_params) = (0, 0, 0);
     let mut patches: Vec<TypePatch<'_>> = Vec::new();
     let mut scopes = Scopes::new();
     for file in files {
@@ -228,11 +231,13 @@ pub(super) fn apply_units<'a>(
                         if decl.comparable {
                             db.types_mut().set_comparable(ty, true);
                         }
-                        let methods = decl
-                            .members
-                            .iter()
-                            .filter(|m| matches!(m, ast::MemberDecl::Method { .. }))
-                            .count();
+                        let (mut methods, mut params) = (0, 0);
+                        for member in &decl.members {
+                            if let ast::MemberDecl::Method { params: list, .. } = member {
+                                methods += 1;
+                                params += file.params(*list).len();
+                            }
+                        }
                         let fields = decl.members.len() - methods + decl.enum_members.len();
                         db.reserve_type_members(ty, methods, fields);
                         for &member in &decl.enum_members {
@@ -243,6 +248,7 @@ pub(super) fn apply_units<'a>(
                         diff.members_added += decl.enum_members.len();
                         new_methods += methods;
                         new_members += decl.members.len();
+                        new_params += params;
                         diff.types_added += 1;
                         diff.hierarchy_changed = true;
                         ty
@@ -252,7 +258,7 @@ pub(super) fn apply_units<'a>(
             }
         }
     }
-    db.reserve_members(new_methods, new_members - new_methods);
+    db.reserve_members(new_methods, new_members - new_methods, new_params);
     // Dirty sets, indexed by type id; pass 1 declared every type.
     dirty_types.resize(db.types().len(), false);
     let mut dirty_params = vec![false; db.types().len()];
@@ -309,10 +315,12 @@ pub(super) fn apply_units<'a>(
     let mut member_surface_changed = false;
     let mut bodies: Vec<BodyWork<'_>> = Vec::new();
     let mut want_methods: Vec<WantMethod<'_>> = Vec::new();
+    let mut want_params: Vec<Param<'_>> = Vec::new();
     let mut want_fields: Vec<WantField<'_>> = Vec::new();
     for patch in &patches {
         let (ty, decl) = (patch.ty, patch.decl);
         want_methods.clear();
+        want_params.clear();
         want_fields.clear();
         for member in &decl.members {
             match member {
@@ -346,17 +354,29 @@ pub(super) fn apply_units<'a>(
                         Some(tr) => scopes.type_ref(&db, patch.scope, tr)?,
                     };
                     let params = scopes.file(patch.scope).params(*params);
-                    let mut lowered = Vec::with_capacity(params.len());
+                    // Reported at the first parameter past the limit.
+                    if let Some((extra, _)) = params.get(Database::MAX_PARAMS) {
+                        return Err(MiniCsError::new(
+                            extra.line,
+                            extra.col,
+                            format!(
+                                "method `{name}` declares {} parameters; at most {} are supported",
+                                params.len(),
+                                Database::MAX_PARAMS
+                            ),
+                        ));
+                    }
+                    let first = want_params.len();
                     for (tr, pname) in params {
-                        lowered.push(Param {
-                            name: Name::new(pname),
+                        want_params.push(Param {
+                            name: pname,
                             ty: scopes.type_ref(&db, patch.scope, tr)?,
                         });
                     }
                     want_methods.push(WantMethod {
                         name,
                         is_static: *is_static,
-                        params: lowered,
+                        params: first..want_params.len(),
                         ret: ret_ty,
                         visibility: visibility(*is_private),
                         body: body.as_deref(),
@@ -384,8 +404,8 @@ pub(super) fn apply_units<'a>(
         // --- methods ---
         let old_methods: Vec<MethodId> = db.methods_of(ty).to_vec();
         let mut taken: Vec<bool> = vec![false; old_methods.len()];
-        let same_param_types = |params: &[Param], want: &[Param]| {
-            params.len() == want.len() && params.iter().zip(want).all(|(a, b)| a.ty == b.ty)
+        let same_param_types = |params: Params, want: &[Param]| {
+            params.len() == want.len() && params.types().zip(want).all(|(a, b)| a == b.ty)
         };
         // Match declarations to existing ids in four rounds: the full
         // signature (the id survives as is; only its body may change), then
@@ -396,15 +416,18 @@ pub(super) fn apply_units<'a>(
                 let hit = old_methods.iter().enumerate().find(|&(i, &old)| {
                     let md = db.method(old);
                     !taken[i]
-                        && md.name == want.name
+                        && md.name() == want.name
                         && match round {
                             0 => {
                                 md.is_static() == want.is_static
                                     && md.return_type() == want.ret
                                     && md.visibility() == want.visibility
-                                    && same_param_types(md.params(), &want.params)
+                                    && same_param_types(
+                                        md.params(),
+                                        &want_params[want.params.clone()],
+                                    )
                             }
-                            1 => same_param_types(md.params(), &want.params),
+                            1 => same_param_types(md.params(), &want_params[want.params.clone()]),
                             2 => md.params().len() == want.params.len(),
                             _ => true,
                         }
@@ -417,7 +440,7 @@ pub(super) fn apply_units<'a>(
                     db.replace_method_signature(
                         old,
                         want.is_static,
-                        std::mem::take(&mut want.params),
+                        &want_params[want.params.clone()],
                         want.ret,
                         want.visibility,
                     );
@@ -434,12 +457,13 @@ pub(super) fn apply_units<'a>(
                 Some(id) => id,
                 None => {
                     dirty_params[ty.index()] |= !want.is_static;
-                    mark(&mut dirty_params, want.params.iter().map(|p| p.ty));
+                    let params = &want_params[want.params.clone()];
+                    mark(&mut dirty_params, params.iter().map(|p| p.ty));
                     let id = db.add_method(
                         ty,
                         want.name,
                         want.is_static,
-                        std::mem::take(&mut want.params),
+                        params,
                         want.ret,
                         want.visibility,
                     );
@@ -473,7 +497,7 @@ pub(super) fn apply_units<'a>(
             let hit = old_fields
                 .iter()
                 .enumerate()
-                .find(|&(i, &old)| !field_taken[i] && db.field(old).name == want.name);
+                .find(|&(i, &old)| !field_taken[i] && db.field(old).name() == want.name);
             let Some((i, &old)) = hit else {
                 db.add_field(
                     ty,
@@ -760,6 +784,26 @@ mod tests {
         );
         assert_eq!(diff.types_added, 3);
         assert_eq!(diff.members_added, 4);
+    }
+
+    #[test]
+    fn a_method_past_the_parameter_limit_is_rejected() {
+        let params = |n: usize| {
+            let list: Vec<String> = (0..n).map(|i| format!("int p{i}")).collect();
+            format!(
+                "namespace N {{ class C {{ void M({}); }} }}",
+                list.join(", ")
+            )
+        };
+        let db = compile(&params(Database::MAX_PARAMS)).unwrap();
+        let m = db.find_method("N.C.M").unwrap();
+        assert_eq!(db.method(m).params().len(), Database::MAX_PARAMS);
+        let src = params(Database::MAX_PARAMS + 1);
+        let err = apply_update(&db, &src).unwrap_err();
+        assert!(err.msg.contains("declares 65536 parameters"), "{err}");
+        // Reported at the first parameter past the limit.
+        let col = src.find(&format!("int p{}", Database::MAX_PARAMS)).unwrap() as u32 + 1;
+        assert_eq!((err.line, err.col), (1, col), "{err}");
     }
 
     #[test]

@@ -415,7 +415,7 @@ mod tests {
             shape,
             "WithOpaque",
             false,
-            vec![],
+            &[],
             db.types().int_ty(),
             Visibility::Public,
         );

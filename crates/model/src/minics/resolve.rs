@@ -156,7 +156,7 @@ impl<'a> Scopes<'a> {
 /// only with the few that share its signature, never with every method of
 /// every supertype.
 pub(super) fn link_overrides(db: &mut Database) {
-    let params = |m: MethodId| db.method(m).params().iter().map(|p| p.ty);
+    let params = |m: MethodId| db.method(m).params().types();
     // Per-type lists are in declaration order, which is id order.
     let mut by_signature: Vec<(&str, MethodId)> = db
         .types()
@@ -224,8 +224,8 @@ pub(super) fn compile_body<'a: 's, 's>(
     let mut body = Body::default();
     let mut local_names = HashMap::new();
     for p in md.params() {
-        local_names.insert(p.name.as_str(), LocalId(body.locals.len() as u32));
-        body.locals.push((p.name.to_string(), p.ty));
+        local_names.insert(p.name, LocalId(body.locals.len() as u32));
+        body.locals.push((p.name.to_owned(), p.ty));
     }
     body.param_count = body.locals.len();
     let mut compiler = BodyCompiler {
@@ -469,7 +469,8 @@ impl<'a: 's, 's> BodyCompiler<'a, 's> {
         for owner in self.db.member_lookup_chain(enclosing) {
             for &f in self.db.fields_of(owner) {
                 let fd = self.db.field(f);
-                if fd.name == name && self.db.accessible(fd.visibility(), owner, Some(enclosing)) {
+                if fd.name() == name && self.db.accessible(fd.visibility(), owner, Some(enclosing))
+                {
                     return if fd.is_static() {
                         Ok(Res::Value(Expr::StaticField(f), ValueTy::Known(fd.ty())))
                     } else if md.is_static() {
@@ -521,7 +522,7 @@ impl<'a: 's, 's> BodyCompiler<'a, 's> {
                 for owner in self.db.member_lookup_chain(t) {
                     for &f in self.db.fields_of(owner) {
                         let fd = self.db.field(f);
-                        if fd.name == name
+                        if fd.name() == name
                             && !fd.is_static()
                             && self.db.accessible(fd.visibility(), owner, enclosing)
                         {
@@ -541,7 +542,7 @@ impl<'a: 's, 's> BodyCompiler<'a, 's> {
             Res::Type(t) => {
                 for &f in self.db.fields_of(t) {
                     let fd = self.db.field(f);
-                    if fd.name == name
+                    if fd.name() == name
                         && fd.is_static()
                         && self.db.accessible(fd.visibility(), t, enclosing)
                     {
@@ -601,7 +602,7 @@ impl<'a: 's, 's> BodyCompiler<'a, 's> {
                 for owner in self.db.member_lookup_chain(enclosing) {
                     for &m in self.db.methods_of(owner) {
                         let cd = self.db.method(m);
-                        if cd.name != *name
+                        if cd.name() != *name
                             || !self.db.accessible(cd.visibility(), owner, Some(enclosing))
                         {
                             continue;
@@ -626,7 +627,7 @@ impl<'a: 's, 's> BodyCompiler<'a, 's> {
                         for owner in self.db.member_lookup_chain(t) {
                             for &m in self.db.methods_of(owner) {
                                 let cd = self.db.method(m);
-                                if cd.name == *name
+                                if cd.name() == *name
                                     && !cd.is_static()
                                     && self.db.accessible(cd.visibility(), owner, Some(enclosing))
                                 {
@@ -641,7 +642,7 @@ impl<'a: 's, 's> BodyCompiler<'a, 's> {
                         for owner in self.db.member_lookup_chain(t) {
                             for &m in self.db.methods_of(owner) {
                                 let cd = self.db.method(m);
-                                if cd.name == *name
+                                if cd.name() == *name
                                     && cd.is_static()
                                     && self.db.accessible(cd.visibility(), owner, Some(enclosing))
                                 {
@@ -679,10 +680,10 @@ impl<'a: 's, 's> BodyCompiler<'a, 's> {
             }
             let mut total = 0u32;
             let mut ok = true;
-            for ((_, at), p) in lowered.iter().zip(cd.params()) {
+            for ((_, at), ty) in lowered.iter().zip(cd.params().types()) {
                 match at {
                     ValueTy::Wildcard => {}
-                    ValueTy::Known(t) => match self.db.types().type_distance(*t, p.ty) {
+                    ValueTy::Known(t) => match self.db.types().type_distance(*t, ty) {
                         Some(d) => total += d,
                         None => {
                             ok = false;
@@ -840,7 +841,7 @@ mod tests {
             panic!()
         };
         assert_eq!(
-            db.method(*m).params()[0].name,
+            db.method(*m).params().get(0).unwrap().name,
             "d",
             "picked the Derived overload"
         );

@@ -129,20 +129,20 @@ mod tests {
             action,
             "ResizeDocument",
             true,
-            vec![
+            &[
                 Param {
-                    name: "document".into(),
+                    name: "document",
                     ty: doc,
                 },
                 Param {
-                    name: "newSize".into(),
+                    name: "newSize",
                     ty: size,
                 },
             ],
             doc,
             Visibility::Public,
         );
-        db.add_method(doc, "Flatten", false, vec![], doc, Visibility::Public);
+        db.add_method(doc, "Flatten", false, &[], doc, Visibility::Public);
         let ctx = Context::with_locals(
             None,
             vec![

@@ -17,31 +17,32 @@ use pex_types::wire::{
 };
 use pex_types::{TypeId, TypeTable};
 
-use crate::{
-    Body, CmpOp, Context, Database, Expr, Field, FieldId, Local, LocalId, Method, MethodId, Name,
-    Param, Stmt, Visibility,
-};
+use crate::member::{flag, FieldRow, MethodRow, Names, ParamRow, NO_OVERRIDE};
+use crate::{Body, CmpOp, Context, Database, Expr, FieldId, Local, LocalId, MethodId, Stmt};
 
 /// Maximum nesting depth accepted when decoding expression trees and
 /// statement bodies. Real corpora nest a handful of levels; the cap turns
 /// a maliciously deep file into an error instead of a stack overflow.
 const MAX_DECODE_DEPTH: usize = 256;
 
-/// Flag bits of a method row.
+/// Flag bits of a method row in the file. `STATIC` and `PRIVATE` are the
+/// in-memory row's bits; the other two say which side tables hold a row
+/// for the method.
 mod method_flag {
-    pub const STATIC: u32 = 1;
-    pub const PRIVATE: u32 = 1 << 1;
+    use crate::member::flag;
+
+    pub const ROW: u8 = flag::STATIC | flag::PRIVATE;
     pub const OVERRIDES: u32 = 1 << 2;
     pub const BODY: u32 = 1 << 3;
-    pub const ALL: u32 = STATIC | PRIVATE | OVERRIDES | BODY;
+    pub const ALL: u32 = ROW as u32 | OVERRIDES | BODY;
 }
 
-/// Flag bits of a field row.
+/// Flag bits of a field row in the file: the in-memory row's bits but
+/// the tombstone.
 mod field_flag {
-    pub const STATIC: u32 = 1;
-    pub const PRIVATE: u32 = 1 << 1;
-    pub const PROPERTY: u32 = 1 << 2;
-    pub const ALL: u32 = STATIC | PRIVATE | PROPERTY;
+    use crate::member::flag;
+
+    pub const ALL: u8 = flag::STATIC | flag::PRIVATE | flag::PROPERTY;
 }
 
 /// Id bounds the model decoders validate against.
@@ -76,23 +77,6 @@ fn cmp_from_tag(tag: u8) -> WireResult<CmpOp> {
         t => Err(WireError::new(format!(
             "unknown comparison operator tag {t}"
         ))),
-    }
-}
-
-/// `flag` when `on`, else no bits.
-fn bit(on: bool, flag: u32) -> u32 {
-    if on {
-        flag
-    } else {
-        0
-    }
-}
-
-fn visibility(flags: u32, private: u32) -> Visibility {
-    if flags & private != 0 {
-        Visibility::Private
-    } else {
-        Visibility::Public
     }
 }
 
@@ -370,48 +354,59 @@ impl Database {
     /// be validated in one pass.
     pub fn encode_snapshot<'a>(&'a self, strings: &mut StringTable<'a>, w: &mut Writer) {
         self.types().encode(strings, w);
-        let (methods, fields) = self.members();
+        let (methods, fields) = self.rows();
+        let (names, params) = (self.names(), self.param_rows());
         w.put_len(methods.len());
         w.put_len(fields.len());
-        w.put_len(methods.iter().map(|m| m.params.len()).sum());
-        w.put_len(methods.iter().filter(|m| m.overrides.is_some()).count());
+        w.put_len(methods.iter().map(|m| usize::from(m.n_params)).sum());
+        w.put_len(
+            methods
+                .iter()
+                .filter(|m| m.overrides != NO_OVERRIDE)
+                .count(),
+        );
         for m in methods {
-            strings.put(w, &m.name);
+            strings.put(w, names.get(m.name));
             w.put_u32(m.declaring.index() as u32);
             w.put_u32(m.ret.index() as u32);
-            w.put_len(m.params.len());
-            let flags = bit(m.is_static, method_flag::STATIC)
-                | bit(m.visibility == Visibility::Private, method_flag::PRIVATE)
-                | bit(m.overrides.is_some(), method_flag::OVERRIDES)
-                | bit(m.body.is_some(), method_flag::BODY);
+            w.put_u32(u32::from(m.n_params));
+            let mut flags = u32::from(m.flags & method_flag::ROW);
+            if m.overrides != NO_OVERRIDE {
+                flags |= method_flag::OVERRIDES;
+            }
+            if m.body.is_some() {
+                flags |= method_flag::BODY;
+            }
             w.put_u32(flags);
         }
-        for p in methods.iter().flat_map(|m| m.params.iter()) {
-            strings.put(w, &p.name);
+        for p in methods.iter().flat_map(|m| &params[m.param_range()]) {
+            strings.put(w, names.get(p.name));
             w.put_u32(p.ty.index() as u32);
         }
-        for base in methods.iter().filter_map(|m| m.overrides) {
-            w.put_u32(base.0);
+        for m in methods.iter().filter(|m| m.overrides != NO_OVERRIDE) {
+            w.put_u32(m.overrides);
         }
         for f in fields {
-            strings.put(w, &f.name);
+            strings.put(w, names.get(f.name));
             w.put_u32(f.declaring.index() as u32);
             w.put_u32(f.ty.index() as u32);
-            let flags = bit(f.is_static, field_flag::STATIC)
-                | bit(f.visibility == Visibility::Private, field_flag::PRIVATE)
-                | bit(f.is_property, field_flag::PROPERTY);
-            w.put_u32(flags);
+            w.put_u32(u32::from(f.flags & field_flag::ALL));
         }
         for body in methods.iter().filter_map(|m| m.body.as_deref()) {
             encode_body(body, strings, w);
         }
-        // Removal tombstones (present only after incremental updates):
-        // sorted so the encoding is deterministic.
-        let (removed_methods, removed_fields) = self.removed_members();
-        let mut rm: Vec<u32> = removed_methods.iter().map(|m| m.0).collect();
-        let mut rf: Vec<u32> = removed_fields.iter().map(|f| f.0).collect();
-        rm.sort_unstable();
-        rf.sort_unstable();
+        // Removal tombstones (present only after incremental updates), in
+        // id order.
+        let rm: Vec<u32> = (0..)
+            .zip(methods)
+            .filter(|(_, m)| m.is_removed())
+            .map(|(i, _)| i)
+            .collect();
+        let rf: Vec<u32> = (0..)
+            .zip(fields)
+            .filter(|(_, f)| f.is_removed())
+            .map(|(i, _)| i)
+            .collect();
         for ids in [rm, rf] {
             w.put_len(ids.len());
             for id in ids {
@@ -420,10 +415,12 @@ impl Database {
         }
     }
 
-    /// Decodes a database written by [`Database::encode_snapshot`],
-    /// resolving names through `strings`, bounds-checking every type,
-    /// member, name and local-slot id, and rebuilding the per-type member
-    /// lookup maps.
+    /// Decodes a database written by [`Database::encode_snapshot`]. The
+    /// snapshot's string table becomes the database's name table as it
+    /// is, so the decoder validates each row and copies its ids: member
+    /// and parameter name ids are checked against the table, type, member
+    /// and local-slot ids against their bounds. The per-type member
+    /// lookup lists are rebuilt.
     pub fn decode_snapshot<'a>(strings: &Strings<'a>, r: &mut Reader<'a>) -> WireResult<Database> {
         let types = TypeTable::decode(strings, r).map_err(|e| e.context("type table"))?;
         let n_types = types.len();
@@ -435,12 +432,15 @@ impl Database {
         let param_rows: &[[u8; 8]] = r.take_rows(n_params, "parameter table")?;
         let override_rows: &[[u8; 4]] = r.take_rows(n_overrides, "override table")?;
         let field_rows: &[[u8; 16]] = r.take_rows(n_fields, "field table")?;
-        // A name is built from the validated table per use: `Name` keeps
-        // short text inline, so a copy costs what a clone of a prebuilt
-        // name would, without a table of names left behind in the heap.
-        let name = |id: u32, what: &str| strings.get(id, what).map(Name::new);
+        let ty = |id: u32, what: &str| check_id(id, n_types, what).map(TypeId::from_index);
 
-        let mut params = param_rows.iter();
+        let params = decode_rows(param_rows, |row| {
+            Ok(ParamRow {
+                name: strings.check(row_u32(row, 0), "parameter name")?,
+                ty: ty(row_u32(row, 1), "parameter type")?,
+            })
+        })?;
+        let mut first_param = 0;
         let mut bases = override_rows.iter();
         let mut methods = Vec::with_capacity(n_methods);
         for (i, row) in method_rows.iter().enumerate() {
@@ -452,50 +452,44 @@ impl Database {
                 )));
             }
             let n = row_u32(row, 3) as usize;
-            if n > params.len() {
+            if n > n_params - first_param {
                 return Err(WireError::new(format!(
                     "method {i}: parameter count {n} runs past the parameter table \
                      ({} of {n_params} rows left)",
-                    params.len()
+                    n_params - first_param
                 )));
             }
-            let mut method_params = Vec::with_capacity(n);
-            for p in params.by_ref().take(n) {
-                method_params.push(Param {
-                    name: name(row_u32(p, 0), "parameter name")?,
-                    ty: TypeId::from_index(check_id(row_u32(p, 1), n_types, "parameter type")?),
-                });
-            }
+            let n_method_params = u16::try_from(n).map_err(|_| {
+                WireError::new(format!(
+                    "method {i}: parameter count {n} exceeds the {} a method can declare",
+                    Database::MAX_PARAMS
+                ))
+            })?;
             let overrides = if flags & method_flag::OVERRIDES != 0 {
                 let base = bases.next().ok_or_else(|| {
                     WireError::new(format!(
                         "method {i}: override flag past the {n_overrides}-row override table"
                     ))
                 })?;
-                let base = check_id(u32::from_le_bytes(*base), n_methods, "overridden method id")?;
-                Some(MethodId(base as u32))
+                check_id(u32::from_le_bytes(*base), n_methods, "overridden method id")? as u32
             } else {
-                None
+                NO_OVERRIDE
             };
-            methods.push(Method {
-                name: name(row_u32(row, 0), "method name")?,
-                declaring: TypeId::from_index(check_id(
-                    row_u32(row, 1),
-                    n_types,
-                    "method declaring type",
-                )?),
-                is_static: flags & method_flag::STATIC != 0,
-                params: method_params.into_boxed_slice(),
-                ret: TypeId::from_index(check_id(row_u32(row, 2), n_types, "return type")?),
-                visibility: visibility(flags, method_flag::PRIVATE),
-                overrides,
+            methods.push(MethodRow {
                 body: None,
+                name: strings.check(row_u32(row, 0), "method name")?,
+                declaring: ty(row_u32(row, 1), "method declaring type")?,
+                ret: ty(row_u32(row, 2), "return type")?,
+                first_param: first_param as u32,
+                overrides,
+                n_params: n_method_params,
+                flags: (flags & method_flag::ROW as u32) as u8,
             });
+            first_param += n;
         }
-        if params.len() != 0 {
+        if first_param != n_params {
             return Err(WireError::new(format!(
-                "parameter table holds {n_params} rows but the methods claim {}",
-                n_params - params.len()
+                "parameter table holds {n_params} rows but the methods claim {first_param}"
             )));
         }
         if bases.len() != 0 {
@@ -508,23 +502,17 @@ impl Database {
         let mut fields = Vec::with_capacity(n_fields);
         for (i, row) in field_rows.iter().enumerate() {
             let flags = row_u32(row, 3);
-            if flags & !field_flag::ALL != 0 {
+            if flags & !u32::from(field_flag::ALL) != 0 {
                 return Err(WireError::new(format!(
                     "field {i}: unknown flag bits {:#x}",
-                    flags & !field_flag::ALL
+                    flags & !u32::from(field_flag::ALL)
                 )));
             }
-            fields.push(Field {
-                name: name(row_u32(row, 0), "field name")?,
-                declaring: TypeId::from_index(check_id(
-                    row_u32(row, 1),
-                    n_types,
-                    "field declaring type",
-                )?),
-                is_static: flags & field_flag::STATIC != 0,
-                ty: TypeId::from_index(check_id(row_u32(row, 2), n_types, "field type")?),
-                visibility: visibility(flags, field_flag::PRIVATE),
-                is_property: flags & field_flag::PROPERTY != 0,
+            fields.push(FieldRow {
+                name: strings.check(row_u32(row, 0), "field name")?,
+                declaring: ty(row_u32(row, 1), "field declaring type")?,
+                ty: ty(row_u32(row, 2), "field type")?,
+                flags: flags as u8,
             });
         }
 
@@ -538,28 +526,24 @@ impl Database {
         };
         for (m, row) in methods.iter_mut().zip(method_rows) {
             if row_u32(row, 4) & method_flag::BODY != 0 {
-                m.body =
-                    Some(Box::new(bodies.body(r).map_err(|e| {
-                        e.context(&format!("body of method {}", m.name))
-                    })?));
+                let body = bodies.body(r).map_err(|e| {
+                    let name = strings.get(m.name, "method name").unwrap_or_default();
+                    e.context(&format!("body of method {name}"))
+                })?;
+                m.body = Some(Box::new(body));
             }
         }
 
-        let removed_methods = decode_rows(r.get_rows("removed method table")?, |id| {
+        for id in r.get_rows::<4>("removed method table")? {
             let id = check_id(u32::from_le_bytes(*id), n_methods, "removed method id")?;
-            Ok(MethodId(id as u32))
-        })?;
-        let removed_fields = decode_rows(r.get_rows("removed field table")?, |id| {
+            methods[id].flags |= flag::REMOVED;
+        }
+        for id in r.get_rows::<4>("removed field table")? {
             let id = check_id(u32::from_le_bytes(*id), n_fields, "removed field id")?;
-            Ok(FieldId(id as u32))
-        })?;
-        Ok(Database::from_parts_with_removed(
-            types,
-            methods,
-            fields,
-            removed_methods.into_iter().collect(),
-            removed_fields.into_iter().collect(),
-        ))
+            fields[id].flags |= flag::REMOVED;
+        }
+        let names = Names::from_parts(strings.end_offsets().collect(), strings.text().to_owned());
+        Ok(Database::from_tables(types, names, methods, params, fields))
     }
 }
 

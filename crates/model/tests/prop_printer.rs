@@ -94,9 +94,11 @@ fn build(recipe: &Recipe) -> Database {
             } else {
                 classes[m % classes.len()]
             };
-            let params: Vec<Param> = (0..m % 3)
-                .map(|p| Param {
-                    name: format!("p{p}").into(),
+            let params: Vec<Param> = ["p0", "p1", "p2"][..m % 3]
+                .iter()
+                .enumerate()
+                .map(|(p, name)| Param {
+                    name,
                     ty: db.types().prim(prims[p % prims.len()]),
                 })
                 .collect();
@@ -105,7 +107,7 @@ fn build(recipe: &Recipe) -> Database {
                 class,
                 &format!("M{m}"),
                 is_static,
-                params,
+                &params,
                 ret,
                 Visibility::Public,
             );

@@ -105,7 +105,7 @@ fn model_digest(snapshot: &Snapshot) -> u64 {
     for i in 0..db.method_count() {
         let id = pex_model::MethodId::from_index(i);
         let m = db.method(id);
-        let params: Vec<(&str, TypeId)> = m.params().iter().map(|p| (&*p.name, p.ty)).collect();
+        let params: Vec<(&str, TypeId)> = m.params().iter().map(|p| (p.name, p.ty)).collect();
         writeln!(
             out,
             "method {i} {} on={:?} static={} params={params:?} ret={:?} {:?} overrides={:?} \

@@ -415,6 +415,28 @@ impl<'a> Strings<'a> {
         Ok(Strings { text, ends })
     }
 
+    /// Checks a string id against the table, for a caller that keeps the
+    /// id rather than the text.
+    #[inline]
+    pub fn check(&self, id: u32, what: &str) -> WireResult<u32> {
+        if (id as usize) < self.ends.len() {
+            Ok(id)
+        } else {
+            Err(string_id_out_of_range(id, self.ends.len(), what))
+        }
+    }
+
+    /// Each string's end offset in [`Strings::text`], in id order: with
+    /// the text, the whole table in its own layout.
+    pub fn end_offsets(&self) -> impl ExactSizeIterator<Item = u32> + 'a {
+        self.ends.iter().map(|end| u32::from_le_bytes(*end))
+    }
+
+    /// Every string's text back to back.
+    pub fn text(&self) -> &'a str {
+        self.text
+    }
+
     /// Every string in id order.
     pub fn iter(&self) -> impl Iterator<Item = &'a str> + '_ {
         (0..self.ends.len()).filter_map(|i| self.text.get(self.span(i)))
