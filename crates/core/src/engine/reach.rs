@@ -24,67 +24,38 @@ use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
 
 use pex_model::Database;
-use pex_types::TypeId;
+use pex_types::{RowTable, TypeId};
 
 use super::chains::{ChainLink, TypeFilter};
 
 /// Per-type predecessor lists for both link kinds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachIndex {
-    fields: Flat,
-    fields_and_methods: Flat,
+    fields: RowTable<u32>,
+    fields_and_methods: RowTable<u32>,
 }
 
-/// One list of type ids per type, stored flat: list `i` is
-/// `items[starts[i]..starts[i + 1]]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Flat {
-    starts: Vec<usize>,
-    items: Vec<u32>,
-}
-
-impl Flat {
-    fn new() -> Self {
-        Flat {
-            starts: vec![0],
-            items: Vec::new(),
+/// The reversed lists, by one counting pass: `j` is in row `i` of the
+/// result exactly when `i` is in row `j` of `rows`. Rows come out sorted,
+/// and duplicate-free when the given rows are.
+fn transpose(rows: &RowTable<u32>) -> RowTable<u32> {
+    let n = rows.len();
+    let mut starts = vec![0u32; n + 1];
+    for &to in rows.items() {
+        starts[to as usize + 1] += 1;
+    }
+    for i in 0..n {
+        starts[i + 1] += starts[i];
+    }
+    let mut next = starts.clone();
+    let mut items = vec![0; rows.items().len()];
+    for from in 0..n {
+        for &to in rows.row(from) {
+            items[next[to as usize] as usize] = from as u32;
+            next[to as usize] += 1;
         }
     }
-
-    fn len(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    fn row(&self, i: usize) -> &[u32] {
-        &self.items[self.starts[i]..self.starts[i + 1]]
-    }
-
-    fn close_row(&mut self) {
-        self.starts.push(self.items.len());
-    }
-
-    /// The reversed lists, by one counting pass: `j` is in row `i` of the
-    /// result exactly when `i` is in row `j` here. Rows come out sorted,
-    /// and duplicate-free when these rows are.
-    fn transpose(&self) -> Flat {
-        let n = self.len();
-        let mut starts = vec![0; n + 1];
-        for &to in &self.items {
-            starts[to as usize + 1] += 1;
-        }
-        for i in 0..n {
-            starts[i + 1] += starts[i];
-        }
-        let mut next = starts.clone();
-        let mut items = vec![0; self.items.len()];
-        for from in 0..n {
-            for &to in self.row(from) {
-                items[next[to as usize]] = from as u32;
-                next[to as usize] += 1;
-            }
-        }
-        Flat { starts, items }
-    }
+    RowTable::from_parts(starts, items)
 }
 
 impl ReachIndex {
@@ -93,8 +64,8 @@ impl ReachIndex {
     pub fn build(db: &Database) -> Self {
         let (fields, fields_and_methods) = Self::edges(db);
         ReachIndex {
-            fields: fields.transpose(),
-            fields_and_methods: fields_and_methods.transpose(),
+            fields: transpose(&fields),
+            fields_and_methods: transpose(&fields_and_methods),
         }
     }
 
@@ -102,10 +73,10 @@ impl ReachIndex {
     /// types) and over `.f`-or-`.m()` edges (those plus zero-argument,
     /// non-void instance-method returns) of every type, inherited members
     /// included.
-    fn edges(db: &Database) -> (Flat, Flat) {
+    fn edges(db: &Database) -> (RowTable<u32>, RowTable<u32>) {
         let void = db.types().void_ty();
-        let mut fields = Flat::new();
-        let mut all = Flat::new();
+        let mut fields = RowTable::new();
+        let mut all = RowTable::new();
         let mut row = Vec::new();
         for ty in db.types().iter() {
             let chain = db.member_lookup_chain(ty);
@@ -120,8 +91,7 @@ impl ReachIndex {
             }
             row.sort_unstable();
             row.dedup();
-            fields.items.extend_from_slice(&row);
-            fields.close_row();
+            fields.push_row(&row);
             for &owner in &chain {
                 for &m in db.methods_of(owner) {
                     let md = db.method(m);
@@ -132,8 +102,7 @@ impl ReachIndex {
             }
             row.sort_unstable();
             row.dedup();
-            all.items.extend_from_slice(&row);
-            all.close_row();
+            all.push_row(&row);
         }
         (fields, all)
     }

@@ -331,14 +331,18 @@ impl Database {
 
     /// Ends a batch of edits: compacts the parameter and name tables once
     /// their dead part outweighs the live part (see
-    /// [`Database::compact_tables`]), drops the name table's interning
-    /// index and every table's growth slack.
+    /// [`Database::compact_tables`]) and the type table's interface runs,
+    /// drops the name table's interning index and every table's growth
+    /// slack.
     pub(crate) fn shrink_members(&mut self) {
         self.compact_tables();
         self.methods.shrink_to_fit();
         self.params.shrink_to_fit();
         self.fields.shrink_to_fit();
+        self.type_methods.shrink_to_fit();
+        self.type_fields.shrink_to_fit();
         self.names.shrink();
+        self.types.shrink_to_fit();
     }
 
     /// Rewrites the parameter and name tables with only what the kept
@@ -1284,17 +1288,23 @@ mod tests {
             assert_eq!(db.methods.capacity(), db.methods.len());
             assert_eq!(db.fields.capacity(), db.fields.len());
             assert_eq!(db.params.capacity(), db.params.len());
+            assert_eq!(db.type_methods.capacity(), db.type_methods.len());
+            assert_eq!(db.type_fields.capacity(), db.type_fields.len());
             assert!(db.names.is_exact(), "{:?}", db.names);
+            assert_eq!(db.types.slack(), 0, "{:?}", db.types);
         };
         let source = r#"
             namespace Geo {
+                interface IShape { double Area(); }
+                interface IScaled { double Factor(); }
                 enum Kind { Round, Square, Star }
-                class Shape {
+                class Shape : Geo.IShape {
                     double Scale;
                     Geo.Kind Kind;
                     int Rank() { return 1; }
                     void Fit(double scale, Geo.Kind kind);
                 }
+                class Tile : Geo.Shape, Geo.IScaled { }
             }
         "#;
         let db = crate::minics::compile(source).unwrap();
@@ -1319,5 +1329,18 @@ mod tests {
         let (patched, diff) = crate::minics::apply_update(&db, &edited).unwrap();
         assert_eq!(diff.signatures_changed, 1);
         exact(&patched);
+        // An interface list that grows moves its run to the end of the
+        // interface table; a new type adds a row.
+        let edited = source
+            .replace(
+                "class Shape : Geo.IShape",
+                "class Shape : Geo.IShape, Geo.IScaled",
+            )
+            .replace("class Tile", "struct Dot { } class Tile");
+        let (patched, diff) = crate::minics::apply_update(&db, &edited).unwrap();
+        assert!(diff.hierarchy_changed && diff.types_added == 1, "{diff:?}");
+        exact(&patched);
+        let shape = patched.types().lookup_qualified("Geo.Shape").unwrap();
+        assert_eq!(patched.types().get(shape).interfaces().len(), 2);
     }
 }

@@ -8,11 +8,9 @@
 //! parameters are a run of 8-byte rows in one parameter table, and the
 //! method and field rows are fixed-width.
 
-use std::collections::hash_map::{Entry, RandomState};
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
+use pex_types::text::{KeyIndex, Text};
 use pex_types::TypeId;
 
 use crate::{Body, Database, MethodId};
@@ -121,17 +119,31 @@ impl FieldRow {
     }
 }
 
-/// The member-name table of one database: every name once, as `u32` end
-/// offsets into one text blob, the shape of the snapshot's string table.
+/// The member-name table of one database: every name once, in a
+/// [`Text`] table, the shape of the snapshot's string table.
 ///
 /// Interning goes through a transient index that [`Names::shrink`]
-/// frees and a clone does not copy, so a resident table is the two
-/// vectors alone.
-#[derive(Debug, Clone, Default)]
+/// frees and a clone does not copy, so a resident table is the text
+/// table alone.
+#[derive(Debug, Default)]
 pub(crate) struct Names {
-    ends: Vec<u32>,
-    text: String,
-    index: NameIndex,
+    text: Text,
+    /// Each name's keyed hash (std's `RandomState`, since update text
+    /// comes from clients) to its id.
+    index: KeyIndex,
+    /// Names `0..covered` of the table are in `index`.
+    covered: usize,
+}
+
+/// A clone starts without an index: the clone's table rebuilds one on its
+/// first [`Names::intern`], and a clone that never interns costs none.
+impl Clone for Names {
+    fn clone(&self) -> Self {
+        Names {
+            text: self.text.clone(),
+            ..Names::default()
+        }
+    }
 }
 
 impl Names {
@@ -139,126 +151,63 @@ impl Names {
     /// under the same ids.
     pub fn from_parts(ends: Vec<u32>, text: String) -> Self {
         Names {
-            ends,
-            text,
-            index: NameIndex::default(),
+            text: Text::from_parts(ends, text),
+            ..Names::default()
         }
     }
 
     /// Number of names.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.text.len()
     }
 
     /// Text bytes plus four per end offset.
     pub fn bytes(&self) -> usize {
-        self.text.len() + 4 * self.ends.len()
+        self.text.bytes()
     }
 
     /// The text of name `id`.
     #[inline]
     pub fn get(&self, id: u32) -> &str {
-        name_at(&self.ends, &self.text, id)
+        self.text.get(id)
     }
 
     /// The id of `s`, appending it on first use.
     pub fn intern(&mut self, s: &str) -> u32 {
-        let Names { ends, text, index } = self;
+        let Names {
+            text,
+            index,
+            covered,
+        } = self;
         // Catch up with names added without the index (a decoded or
         // cloned table).
-        index.ids.reserve(ends.len() - index.covered);
-        while index.covered < ends.len() {
-            let id = index.covered as u32;
-            index.find_or_insert(ends, text, name_at(ends, text, id), id);
-            index.covered += 1;
+        index.reserve(text.len() - *covered);
+        while *covered < text.len() {
+            let id = *covered as u32;
+            let name = text.get(id);
+            index.find_or_insert(name, |i| text.get(i) == name, id);
+            *covered += 1;
         }
-        let new = ends.len() as u32;
-        let id = index.find_or_insert(ends, text, s, new);
+        let new = text.len() as u32;
+        let id = index.find_or_insert(s, |i| text.get(i) == s, new);
         if id == new {
-            text.push_str(s);
-            ends.push(text.len() as u32);
-            index.covered += 1;
+            text.push(s);
+            *covered += 1;
         }
         id
     }
 
-    /// Frees the interning index and the tables' growth slack.
+    /// Frees the interning index and the table's growth slack.
     pub fn shrink(&mut self) {
-        self.index = NameIndex::default();
-        self.ends.shrink_to_fit();
+        self.index = KeyIndex::default();
+        self.covered = 0;
         self.text.shrink_to_fit();
     }
 
     /// Whether the table holds no growth slack and no index.
     #[cfg(test)]
     pub fn is_exact(&self) -> bool {
-        self.ends.capacity() == self.ends.len()
-            && self.text.capacity() == self.text.len()
-            && self.index.ids.capacity() == 0
-    }
-}
-
-#[inline]
-fn name_at<'t>(ends: &[u32], text: &'t str, id: u32) -> &'t str {
-    let i = id as usize;
-    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
-    &text[start..ends[i] as usize]
-}
-
-/// The interning index of a [`Names`] table: each name's keyed hash
-/// (std's `RandomState`, since update text comes from clients) maps to
-/// its id. Equal hashes of different texts probe the next key, so no
-/// text is copied out of the table and no collision is lost.
-#[derive(Debug, Default)]
-struct NameIndex {
-    keys: RandomState,
-    ids: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
-    /// Names `0..covered` of the table are in `ids`.
-    covered: usize,
-}
-
-impl NameIndex {
-    /// The id the index holds for text `s` of the table `ends`/`text`, or
-    /// `new`, recorded as `s`'s id, when it holds none.
-    fn find_or_insert(&mut self, ends: &[u32], text: &str, s: &str, new: u32) -> u32 {
-        let mut key = self.keys.hash_one(s);
-        loop {
-            match self.ids.entry(key) {
-                Entry::Occupied(e) if name_at(ends, text, *e.get()) == s => return *e.get(),
-                Entry::Occupied(_) => key = key.wrapping_add(1),
-                Entry::Vacant(e) => return *e.insert(new),
-            }
-        }
-    }
-}
-
-/// The map hasher of a [`NameIndex`]: its keys are keyed hashes already,
-/// so hashing them again would only cost time.
-#[derive(Default)]
-struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn write(&mut self, bytes: &[u8]) {
-        // Only `u64` keys reach this hasher; fold other input all the same.
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A clone starts without an index: the clone's table rebuilds one on its
-/// first [`Names::intern`], and a clone that never interns costs none.
-impl Clone for NameIndex {
-    fn clone(&self) -> Self {
-        NameIndex::default()
+        self.text.slack() == 0 && self.index.capacity() == 0
     }
 }
 
@@ -535,18 +484,5 @@ mod tests {
         assert_eq!(copy.intern("GetBounds"), 4);
         assert_eq!(copy.intern("new"), 5);
         assert_eq!(names.len(), 5);
-    }
-
-    #[test]
-    fn colliding_hashes_probe_past_each_other() {
-        let mut names = Names::default();
-        let a = names.intern("a");
-        // Occupy the key "b" hashes to with "a"'s id, as a collision would.
-        let key = names.index.keys.hash_one("b");
-        names.index.ids.insert(key, a);
-        let b = names.intern("b");
-        assert_ne!(a, b);
-        assert_eq!((names.intern("a"), names.intern("b")), (a, b));
-        assert_eq!(names.get(b), "b");
     }
 }

@@ -1010,10 +1010,12 @@ mod tests {
             } else {
                 dotted.split('.').map(str::to_owned).collect()
             };
-            let ns = types
-                .namespaces()
-                .iter()
-                .find(|&id| types.namespaces().segments(id) == key.as_slice())?;
+            let ns = types.namespaces().iter().find(|&id| {
+                types
+                    .namespaces()
+                    .segments(id)
+                    .eq(key.iter().map(String::as_str))
+            })?;
             types
                 .iter()
                 .find(|&t| types.get(t).namespace() == ns && types.get(t).name() == name)
@@ -1097,7 +1099,10 @@ mod tests {
             }
             let prefix = &refs[0][..refs[0].len() - 1];
             let nss = db.types().namespaces();
-            let reference_prefix = nss.iter().any(|id| nss.segments(id).starts_with(prefix));
+            let reference_prefix = nss.iter().any(|id| {
+                let segments: Vec<&str> = nss.segments(id).collect();
+                segments.len() >= prefix.len() && segments.iter().zip(prefix).all(|(s, p)| s == p)
+            });
             prop_assert_eq!(nss.is_prefix(prefix), reference_prefix);
         }
     }

@@ -299,3 +299,110 @@ fn unknown_flag_bits_are_a_clean_error() {
         "method 0: unknown flag bits 0x100000",
     );
 }
+
+/// The paint snapshot with its type rows (name id, namespace id, kind
+/// word, base id, interface count) and per-type interface lists rewritten
+/// by `edit`. The database section opens with the namespace arena (a
+/// count, then per namespace a segment count and that many string ids),
+/// then the row count, the rows, and the flat interface table; each row's
+/// interface count is rewritten from its edited list.
+fn forge_types(edit: impl FnOnce(&mut [[u32; 5]], &mut [Vec<u32>])) -> Vec<u8> {
+    forged(DATABASE, |db| {
+        let word = |at: usize| u32::from_le_bytes(db[at..at + 4].try_into().unwrap());
+        let mut at = 4;
+        for _ in 0..word(0) {
+            at += 4 + 4 * word(at) as usize;
+        }
+        let (rows_at, n) = (at + 4, word(at) as usize);
+        let mut rows: Vec<[u32; 5]> = (0..n)
+            .map(|t| std::array::from_fn(|f| word(rows_at + 20 * t + 4 * f)))
+            .collect();
+        let table_at = rows_at + 20 * n;
+        let total = word(table_at) as usize;
+        let mut flat = (0..total).map(|k| word(table_at + 4 + 4 * k));
+        let mut lists: Vec<Vec<u32>> = rows
+            .iter()
+            .map(|r| flat.by_ref().take(r[4] as usize).collect())
+            .collect();
+        edit(&mut rows, &mut lists);
+        let mut out = db[..rows_at].to_vec();
+        for (row, list) in rows.iter_mut().zip(&lists) {
+            row[4] = list.len() as u32;
+            out.extend(row.iter().flat_map(|v| v.to_le_bytes()));
+        }
+        out.extend((lists.iter().map(Vec::len).sum::<usize>() as u32).to_le_bytes());
+        out.extend(lists.iter().flatten().flat_map(|v| v.to_le_bytes()));
+        out.extend(&db[table_at + 4 + 4 * total..]);
+        *db = out;
+    })
+}
+
+/// Kind-word values of a type row: the interface tag and the "has an
+/// explicit base" flag.
+const INTERFACE: u32 = 1;
+const HAS_BASE: u32 = 1 << 16;
+
+/// Two classes of the paint model that no type names as its base, and the
+/// id of `int`.
+fn leaf_classes() -> (usize, usize, u32) {
+    let snapshot = Snapshot::load(&SnapshotSource::Paint).unwrap();
+    let types = snapshot.db.types();
+    let leaves: Vec<usize> = types
+        .iter()
+        .filter(|&t| types.get(t).is_class() && !types.is_builtin(t))
+        .filter(|&t| types.iter().all(|u| types.declared_base(u) != Some(t)))
+        .map(|t| t.index())
+        .collect();
+    (leaves[0], leaves[1], types.int_ty().index() as u32)
+}
+
+#[test]
+fn a_cycle_of_base_classes_is_a_clean_error() {
+    let (a, b, _) = leaf_classes();
+    let bytes = forge_types(|rows, _| {
+        rows[a][2] |= HAS_BASE;
+        rows[a][3] = b as u32;
+        rows[b][2] |= HAS_BASE;
+        rows[b][3] = a as u32;
+    });
+    rejects(&bytes, "database section: ", "inheritance cycle");
+}
+
+#[test]
+fn a_base_that_is_not_a_class_is_a_clean_error() {
+    let (a, _, int) = leaf_classes();
+    let bytes = forge_types(|rows, _| {
+        rows[a][2] |= HAS_BASE;
+        rows[a][3] = int;
+    });
+    rejects(
+        &bytes,
+        "database section: ",
+        &format!("base type {int} is not a class"),
+    );
+}
+
+#[test]
+fn an_interface_entry_that_is_not_an_interface_is_a_clean_error() {
+    let (a, b, _) = leaf_classes();
+    let bytes = forge_types(|_, lists| lists[a].push(b as u32));
+    rejects(
+        &bytes,
+        "database section: ",
+        &format!("interface entry {b} is not an interface"),
+    );
+}
+
+#[test]
+fn a_cycle_of_interface_extensions_is_a_clean_error() {
+    // Turn two leaf classes into interfaces that extend each other.
+    let (a, b, _) = leaf_classes();
+    let bytes = forge_types(|rows, lists| {
+        for (t, other) in [(a, b), (b, a)] {
+            rows[t][2] = INTERFACE;
+            rows[t][3] = 0;
+            lists[t] = vec![other as u32];
+        }
+    });
+    rejects(&bytes, "database section: ", "inheritance cycle");
+}

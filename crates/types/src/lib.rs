@@ -45,7 +45,9 @@ mod error;
 mod ids;
 mod namespace;
 mod primitive;
+mod rows;
 mod table;
+pub mod text;
 pub mod wire;
 
 pub use convindex::ConversionIndex;
@@ -53,6 +55,7 @@ pub use def::{TypeDef, TypeKind};
 pub use distance::ComparablePair;
 pub use error::{TypeError, TypeResult};
 pub use ids::{NamespaceId, TypeId};
-pub use namespace::{Namespaces, NsPrefix};
+pub use namespace::{Namespaces, NsPrefix, Segments};
 pub use primitive::PrimKind;
+pub use rows::RowTable;
 pub use table::{TypeTable, WellKnown};

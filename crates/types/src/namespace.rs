@@ -1,29 +1,37 @@
 //! Interned namespace paths and the common-prefix computation used by the
 //! ranking function's *common namespace* term (paper Section 4.1).
 
-use std::collections::HashMap;
 use std::fmt;
 
+use crate::text::{KeyIndex, Text};
 use crate::wire::{Reader, StringTable, Strings, WireError, WireResult, Writer};
 use crate::NamespaceId;
 
 /// Arena of interned namespace paths.
 ///
-/// A namespace is a dotted path such as `System.Collections`, stored as a
-/// list of segments. The empty path is the global namespace and is always
-/// present with id [`NamespaceId::GLOBAL`].
+/// A namespace is a dotted path such as `System.Collections`, a list of
+/// segments. The empty path is the global namespace and is always present
+/// with id [`NamespaceId::GLOBAL`].
 ///
 /// The paper's ranking function treats namespaces as lists of strings and
 /// scores method calls by the length of the common prefix of the namespaces
 /// of all participating non-primitive types; [`Namespaces::common_prefix_len`]
 /// implements that computation.
+///
+/// Paths are held as a segment trie of fixed-width nodes over one text
+/// table, which the owning [`crate::TypeTable`] shares for its type names;
+/// a child is found through one keyed index over `(parent, segment)`.
 #[derive(Debug, Clone)]
 pub struct Namespaces {
-    paths: Vec<Vec<String>>,
-    /// Segment trie over every interned path. Node 0 is the empty path; a
-    /// node exists exactly when some interned path starts with the node's
-    /// path, and carries an id only if that path itself was interned.
-    trie: Vec<TrieNode>,
+    text: Text,
+    /// Node 0 is the empty path; a node exists exactly when some
+    /// interned path starts with the node's path, and carries an id only
+    /// if that path itself was interned.
+    nodes: Vec<Node>,
+    /// Each namespace's node, by id.
+    paths: Vec<u32>,
+    /// `(parent node, segment)` to child node.
+    children: KeyIndex,
 }
 
 /// A node of the [`Namespaces`] path trie: a segment path that some
@@ -39,11 +47,27 @@ impl NsPrefix {
     pub const ROOT: NsPrefix = NsPrefix(0);
 }
 
-#[derive(Debug, Clone, Default)]
-struct TrieNode {
-    id: Option<NamespaceId>,
-    children: HashMap<String, u32>,
+/// A trie node: 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// The parent node ([`NO_ID`] for the root).
+    parent: u32,
+    /// The last segment's text id ([`NO_ID`] for the root).
+    segment: u32,
+    /// Number of segments.
+    depth: u32,
+    /// The namespace interned at this path, or [`NO_ID`].
+    namespace: u32,
 }
+
+const NO_ID: u32 = u32::MAX;
+
+const ROOT: Node = Node {
+    parent: NO_ID,
+    segment: NO_ID,
+    depth: 0,
+    namespace: NO_ID,
+};
 
 impl Default for Namespaces {
     fn default() -> Self {
@@ -54,13 +78,23 @@ impl Default for Namespaces {
 impl Namespaces {
     /// Creates an arena containing only the global namespace.
     pub fn new() -> Self {
-        let mut ns = Namespaces {
-            paths: Vec::new(),
-            trie: vec![TrieNode::default()],
-        };
+        let mut ns = Namespaces::with_capacity(1, 0);
         let id = ns.intern(&[] as &[&str]);
         debug_assert_eq!(id, NamespaceId::GLOBAL);
         ns
+    }
+
+    /// An arena of no paths, with room for `paths` paths over `nodes`
+    /// trie nodes besides the root.
+    fn with_capacity(paths: usize, nodes: usize) -> Self {
+        let mut trie = Vec::with_capacity(nodes + 1);
+        trie.push(ROOT);
+        Namespaces {
+            text: Text::default(),
+            nodes: trie,
+            paths: Vec::with_capacity(paths),
+            children: KeyIndex::with_capacity(nodes),
+        }
     }
 
     /// Interns a namespace path given as segments, returning its id.
@@ -77,26 +111,40 @@ impl Namespaces {
         let mut node = 0;
         for seg in segments {
             let seg = seg.as_ref();
-            node = match self.trie[node].children.get(seg) {
-                Some(&child) => child as usize,
-                None => {
-                    let child = self.trie.len();
-                    self.trie.push(TrieNode::default());
-                    self.trie[node]
-                        .children
-                        .insert(seg.to_owned(), child as u32);
-                    child
-                }
-            };
+            let Namespaces {
+                text,
+                nodes,
+                children,
+                ..
+            } = self;
+            let new = nodes.len() as u32;
+            let child = children.find_or_insert((node, seg), is_child(nodes, text, node, seg), new);
+            if child == new {
+                let depth = nodes[node as usize].depth + 1;
+                nodes.push(Node {
+                    parent: node,
+                    segment: text.push(seg),
+                    depth,
+                    namespace: NO_ID,
+                });
+            }
+            node = child;
         }
-        if let Some(id) = self.trie[node].id {
-            return Err(id);
+        let at = &mut self.nodes[node as usize];
+        if at.namespace != NO_ID {
+            return Err(NamespaceId(at.namespace));
         }
         let id = NamespaceId(self.paths.len() as u32);
-        self.paths
-            .push(segments.iter().map(|s| s.as_ref().to_owned()).collect());
-        self.trie[node].id = Some(id);
+        at.namespace = id.0;
+        self.paths.push(node);
         Ok(id)
+    }
+
+    /// The child of trie node `node` along segment `seg`.
+    #[inline]
+    fn child(&self, node: u32, seg: &str) -> Option<u32> {
+        self.children
+            .find((node, seg), is_child(&self.nodes, &self.text, node, seg))
     }
 
     /// Interns a dotted path such as `"System.Collections"`. The empty string
@@ -121,15 +169,19 @@ impl Namespaces {
         S: AsRef<str>,
     {
         let mut node = from.0;
+        assert!((node as usize) < self.nodes.len(), "a foreign trie node");
         for seg in segments {
-            node = *self.trie[node as usize].children.get(seg.as_ref())?;
+            node = self.child(node, seg.as_ref())?;
         }
         Some(NsPrefix(node))
     }
 
     /// The namespace interned at exactly this trie node, if any.
     pub fn namespace_at(&self, prefix: NsPrefix) -> Option<NamespaceId> {
-        self.trie[prefix.0 as usize].id
+        match self.nodes[prefix.0 as usize].namespace {
+            NO_ID => None,
+            id => Some(NamespaceId(id)),
+        }
     }
 
     /// Looks up a previously interned path given as segments, without
@@ -160,23 +212,36 @@ impl Namespaces {
         self.lookup(dotted.split('.'))
     }
 
-    /// The segments of a namespace path.
+    /// The segments of a namespace path, outermost first.
     ///
     /// # Panics
     ///
     /// Panics if `id` was not issued by this arena.
-    pub fn segments(&self, id: NamespaceId) -> &[String] {
-        &self.paths[id.index()]
+    pub fn segments(&self, id: NamespaceId) -> Segments<'_> {
+        let node = self.paths[id.index()];
+        Segments {
+            ns: self,
+            node,
+            next: 0,
+            depth: self.nodes[node as usize].depth,
+        }
     }
 
     /// Renders a namespace as a dotted string (empty for the global one).
     pub fn dotted(&self, id: NamespaceId) -> String {
-        self.segments(id).join(".")
+        let mut out = String::new();
+        for (i, seg) in self.segments(id).enumerate() {
+            if i > 0 {
+                out.push('.');
+            }
+            out.push_str(seg);
+        }
+        out
     }
 
     /// Depth (number of segments) of a namespace path.
     pub fn depth(&self, id: NamespaceId) -> usize {
-        self.segments(id).len()
+        self.nodes[self.paths[id.index()] as usize].depth as usize
     }
 
     /// Number of interned namespaces, including the global one.
@@ -194,10 +259,23 @@ impl Namespaces {
         (0..self.paths.len() as u32).map(NamespaceId)
     }
 
-    /// Length of the longest common prefix of the paths of two namespaces.
+    /// Length of the longest common prefix of the paths of two namespaces:
+    /// the depth of the deepest trie node both paths pass through.
     pub fn common_prefix_len2(&self, a: NamespaceId, b: NamespaceId) -> usize {
-        let (pa, pb) = (self.segments(a), self.segments(b));
-        pa.iter().zip(pb.iter()).take_while(|(x, y)| x == y).count()
+        let (mut x, mut y) = (self.paths[a.index()], self.paths[b.index()]);
+        let depth = |n: u32| self.nodes[n as usize].depth;
+        let parent = |n: u32| self.nodes[n as usize].parent;
+        while depth(x) > depth(y) {
+            x = parent(x);
+        }
+        while depth(y) > depth(x) {
+            y = parent(y);
+        }
+        while x != y {
+            x = parent(x);
+            y = parent(y);
+        }
+        depth(x) as usize
     }
 
     /// Length of the longest common prefix over a set of namespaces.
@@ -223,14 +301,37 @@ impl Namespaces {
         len
     }
 
+    /// The text table: segments, and the owning table's type names.
+    pub(crate) fn text(&self) -> &Text {
+        &self.text
+    }
+
+    pub(crate) fn text_mut(&mut self) -> &mut Text {
+        &mut self.text
+    }
+
+    /// Unused capacity of the arena's vectors, in elements.
+    pub(crate) fn slack(&self) -> usize {
+        self.text.slack() + self.nodes.capacity() - self.nodes.len() + self.paths.capacity()
+            - self.paths.len()
+    }
+
+    /// Drops the arena's growth slack.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.text.shrink_to_fit();
+        self.nodes.shrink_to_fit();
+        self.paths.shrink_to_fit();
+    }
+
     /// Serializes the arena for the persistent snapshot: paths in id
     /// order, each a segment count and the segments' string-table ids.
     /// The lookup trie is rebuilt on decode.
     pub fn encode<'a>(&'a self, strings: &mut StringTable<'a>, w: &mut Writer) {
         w.put_len(self.paths.len());
-        for path in &self.paths {
-            w.put_len(path.len());
-            for seg in path {
+        for id in self.iter() {
+            let segments = self.segments(id);
+            w.put_len(segments.len());
+            for seg in segments {
                 strings.put(w, seg);
             }
         }
@@ -246,14 +347,26 @@ impl Namespaces {
                 "namespace arena is empty (the global namespace must exist)",
             ));
         }
-        let mut ns = Namespaces {
-            paths: Vec::with_capacity(count),
-            trie: vec![TrieNode::default()],
-        };
+        let mut paths = Vec::with_capacity(count);
+        let (mut segments, mut bytes) = (0, 0);
+        for _ in 0..count {
+            let path: &[[u8; 4]] = r.get_rows("namespace segments")?;
+            for seg in path {
+                bytes += strings
+                    .get(u32::from_le_bytes(*seg), "namespace segment")?
+                    .len();
+            }
+            segments += path.len();
+            paths.push(path);
+        }
+        // Shared prefixes make the trie smaller than the paths' segment
+        // count: reserve for that many, then drop what is left over.
+        let mut ns = Namespaces::with_capacity(count, segments);
+        ns.text.reserve_exact(segments, bytes);
         let mut path = Vec::new();
-        for i in 0..count {
+        for (i, ids) in paths.into_iter().enumerate() {
             path.clear();
-            for seg in r.get_rows::<4>("namespace segments")? {
+            for seg in ids {
                 path.push(strings.get(u32::from_le_bytes(*seg), "namespace segment")?);
             }
             if i == 0 && !path.is_empty() {
@@ -268,17 +381,71 @@ impl Namespaces {
                 )));
             }
         }
+        ns.shrink_to_fit();
         Ok(ns)
     }
 
     /// Parent namespace (path with the last segment removed), if any is
     /// interned. The global namespace has no parent.
     pub fn parent(&self, id: NamespaceId) -> Option<NamespaceId> {
-        let segs = self.segments(id);
-        if segs.is_empty() {
+        match self.nodes[self.paths[id.index()] as usize].parent {
+            NO_ID => None,
+            parent => self.namespace_at(NsPrefix(parent)),
+        }
+    }
+}
+
+/// Whether trie node `c` is the child of `parent` along `seg`.
+fn is_child<'a>(
+    nodes: &'a [Node],
+    text: &'a Text,
+    parent: u32,
+    seg: &'a str,
+) -> impl Fn(u32) -> bool + 'a {
+    move |c| {
+        let n = &nodes[c as usize];
+        n.parent == parent && text.get(n.segment) == seg
+    }
+}
+
+/// The segments of one namespace path, outermost first (see
+/// [`Namespaces::segments`]). Debug-formats as a list of strings.
+#[derive(Clone)]
+pub struct Segments<'a> {
+    ns: &'a Namespaces,
+    /// The path's trie node.
+    node: u32,
+    /// Depth of the next segment to yield, and of the path.
+    next: u32,
+    depth: u32,
+}
+
+impl<'a> Iterator for Segments<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        if self.next == self.depth {
             return None;
         }
-        self.lookup(&segs[..segs.len() - 1])
+        self.next += 1;
+        let mut node = &self.ns.nodes[self.node as usize];
+        while node.depth > self.next {
+            node = &self.ns.nodes[node.parent as usize];
+        }
+        Some(self.ns.text.get(node.segment))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = (self.depth - self.next) as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Segments<'_> {}
+
+impl fmt::Debug for Segments<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
     }
 }
 

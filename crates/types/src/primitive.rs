@@ -61,6 +61,11 @@ impl PrimKind {
         PrimKind::String,
     ];
 
+    /// Position of this kind in [`PrimKind::ALL`].
+    pub(crate) fn index(self) -> u32 {
+        self as u32
+    }
+
     /// The C# keyword naming this primitive.
     pub fn keyword(self) -> &'static str {
         match self {
@@ -141,8 +146,9 @@ mod tests {
 
     #[test]
     fn keyword_round_trips() {
-        for p in PrimKind::ALL {
+        for (i, p) in PrimKind::ALL.into_iter().enumerate() {
             assert_eq!(PrimKind::from_keyword(p.keyword()), Some(p));
+            assert_eq!(p.index() as usize, i);
         }
         assert_eq!(PrimKind::from_keyword("object"), None);
     }

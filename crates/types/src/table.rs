@@ -1,11 +1,10 @@
-//! The type table: an arena of type definitions plus hierarchy maintenance.
+//! The type table: fixed-width type rows plus hierarchy maintenance.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use crate::wire::{
-    check_id, decode_rows, row_u32, Reader, StringTable, Strings, WireError, WireResult, Writer,
-};
+use crate::def::{kind, TypeRow};
+use crate::text::{KeyIndex, Text};
+use crate::wire::{check_id, row_u32, Reader, StringTable, Strings, WireError, WireResult, Writer};
 use crate::{
     ConversionIndex, NamespaceId, Namespaces, PrimKind, TypeDef, TypeError, TypeId, TypeKind,
     TypeResult,
@@ -29,13 +28,23 @@ pub struct WellKnown {
 /// C# keywords). User types are added with the `declare_*` methods and wired
 /// up with [`TypeTable::set_base`] / [`TypeTable::add_interface_impl`], which
 /// enforce acyclicity.
+///
+/// The layout is the snapshot's type section held in memory, as .NET
+/// metadata keeps TypeDef and InterfaceImpl rows: each type is one
+/// fixed-width row whose name is an id into the namespace arena's text
+/// table, and every type's interfaces are a run of one flat interface
+/// table. [`TypeTable::get`] returns a `Copy` view over a row.
 #[derive(Debug, Clone)]
 pub struct TypeTable {
     namespaces: Namespaces,
-    types: Vec<TypeDef>,
-    /// Simple-name maps, indexed by namespace id (absent past the last
-    /// namespace that holds a type).
-    by_name: Vec<HashMap<String, TypeId>>,
+    rows: Vec<TypeRow>,
+    ifaces: Vec<TypeId>,
+    /// Interface-table entries no run covers: left by
+    /// [`TypeTable::clear_supertypes`] and by runs moved to the end to
+    /// grow, until [`TypeTable::shrink_to_fit`] compacts the table.
+    dead_ifaces: usize,
+    /// `(namespace, simple name)` to type id.
+    by_name: KeyIndex,
     well_known: WellKnown,
     prims: [TypeId; PrimKind::ALL.len()],
     /// Lazily built conversion cache; cleared by every hierarchy mutator
@@ -59,8 +68,10 @@ impl TypeTable {
         let system = namespaces.intern(&["System"]);
         let mut table = TypeTable {
             namespaces,
-            types: Vec::new(),
-            by_name: Vec::new(),
+            rows: Vec::new(),
+            ifaces: Vec::new(),
+            dead_ifaces: 0,
+            by_name: KeyIndex::default(),
             // Placeholder ids, fixed up immediately below.
             well_known: WellKnown {
                 object: TypeId(0),
@@ -97,22 +108,22 @@ impl TypeTable {
         kind: TypeKind,
         comparable: bool,
     ) -> TypeResult<TypeId> {
-        if self.lookup(namespace, name).is_some() {
+        let new = self.rows.len() as u32;
+        let found = self.by_name.find_or_insert(
+            (namespace.0, name),
+            is_named(&self.rows, self.namespaces.text(), namespace, name),
+            new,
+        );
+        if found != new {
             return Err(TypeError::DuplicateType {
                 name: name.to_owned(),
             });
         }
         self.conv.take();
-        let id = TypeId(self.types.len() as u32);
-        insert_name(&mut self.by_name, namespace, name.to_owned(), id);
-        self.types.push(TypeDef {
-            name: name.to_owned(),
-            namespace,
-            kind,
-            interfaces: Vec::new(),
-            comparable,
-        });
-        Ok(id)
+        let text = self.namespaces.text_mut().push(name);
+        self.rows
+            .push(TypeRow::new(text, namespace, kind, comparable));
+        Ok(TypeId(new))
     }
 
     /// The namespace arena.
@@ -142,10 +153,7 @@ impl TypeTable {
 
     /// The table id of a primitive kind.
     pub fn prim(&self, kind: PrimKind) -> TypeId {
-        self.prims[PrimKind::ALL
-            .iter()
-            .position(|p| *p == kind)
-            .expect("all kinds listed")]
+        self.prims[kind.index() as usize]
     }
 
     /// Shorthand for [`TypeTable::prim`] with [`PrimKind::Int`].
@@ -195,19 +203,20 @@ impl TypeTable {
     /// Fails if `class` is not a class, is `Object`, if `base` is not a
     /// class, or if the edge would create a cycle.
     pub fn set_base(&mut self, class: TypeId, base: TypeId) -> TypeResult<()> {
+        let name = |t: &Self, id: TypeId| t.get(id).name().to_owned();
         if class == self.well_known.object {
             return Err(TypeError::BaseNotAllowed {
-                name: self.get(class).name.clone(),
+                name: name(self, class),
             });
         }
         if !self.get(class).is_class() {
             return Err(TypeError::NotAClass {
-                name: self.get(class).name.clone(),
+                name: name(self, class),
             });
         }
         if !self.get(base).is_class() {
             return Err(TypeError::NotAClass {
-                name: self.get(base).name.clone(),
+                name: name(self, base),
             });
         }
         // Walk up from `base`; reaching `class` means a cycle.
@@ -215,15 +224,12 @@ impl TypeTable {
         while let Some(t) = cur {
             if t == class {
                 return Err(TypeError::InheritanceCycle {
-                    name: self.get(class).name.clone(),
+                    name: name(self, class),
                 });
             }
             cur = self.declared_base(t);
         }
-        match &mut self.types[class.index()].kind {
-            TypeKind::Class { base: b } => *b = Some(base),
-            _ => unreachable!("checked is_class above"),
-        }
+        self.rows[class.index()].set_base(Some(base));
         self.conv.take();
         Ok(())
     }
@@ -237,47 +243,59 @@ impl TypeTable {
     pub fn add_interface_impl(&mut self, ty: TypeId, iface: TypeId) -> TypeResult<()> {
         if !self.get(iface).is_interface() {
             return Err(TypeError::NotAnInterface {
-                name: self.get(iface).name.clone(),
+                name: self.get(iface).name().to_owned(),
             });
         }
         if self.get(ty).is_interface() {
             // Cycle check through interface-extends edges.
             let mut stack = vec![iface];
-            let mut seen = vec![false; self.types.len()];
+            let mut seen = vec![false; self.rows.len()];
             while let Some(t) = stack.pop() {
                 if t == ty {
                     return Err(TypeError::InheritanceCycle {
-                        name: self.get(ty).name.clone(),
+                        name: self.get(ty).name().to_owned(),
                     });
                 }
                 if std::mem::replace(&mut seen[t.index()], true) {
                     continue;
                 }
-                stack.extend(self.get(t).interfaces.iter().copied());
+                stack.extend_from_slice(self.get(t).interfaces());
             }
         }
-        let list = &mut self.types[ty.index()].interfaces;
-        if !list.contains(&iface) {
-            list.push(iface);
-            self.conv.take();
+        if self.get(ty).interfaces().contains(&iface) {
+            return Ok(());
         }
+        // A run grows in place at the end of the table; elsewhere it moves
+        // there, leaving its old entries dead.
+        let row = self.rows[ty.index()];
+        let run = row.iface_range();
+        if run.end != self.ifaces.len() || run.is_empty() {
+            self.ifaces.extend_from_within(run.clone());
+            self.dead_ifaces += run.len();
+            self.rows[ty.index()].first_iface = (self.ifaces.len() - run.len()) as u32;
+        }
+        self.ifaces.push(iface);
+        self.rows[ty.index()].n_ifaces += 1;
+        self.conv.take();
         Ok(())
     }
 
     /// Marks a non-primitive type as ordered by the relational operators
     /// (the paper's `DateTime` example).
     pub fn set_comparable(&mut self, ty: TypeId, comparable: bool) {
-        self.types[ty.index()].comparable = comparable;
+        self.rows[ty.index()].set_comparable(comparable);
     }
 
     /// Drops a type's declared base class and interface list so an
     /// incremental update can re-apply a changed base list from scratch.
     /// Clears the memoized conversion index like every hierarchy mutator.
     pub fn clear_supertypes(&mut self, ty: TypeId) {
-        if let TypeKind::Class { base } = &mut self.types[ty.index()].kind {
-            *base = None;
+        let row = &mut self.rows[ty.index()];
+        if row.tag() == kind::CLASS {
+            row.set_base(None);
         }
-        self.types[ty.index()].interfaces.clear();
+        self.dead_ifaces += row.n_ifaces as usize;
+        row.n_ifaces = 0;
         self.conv.take();
     }
 
@@ -289,18 +307,56 @@ impl TypeTable {
         let _ = self.conv.set(Arc::new(index));
     }
 
+    /// Ends a batch of edits: rewrites the interface table without the
+    /// entries no run covers, each run in type order as a decoded table
+    /// holds them, and drops every table's growth slack.
+    pub fn shrink_to_fit(&mut self) {
+        if self.dead_ifaces > 0 {
+            let mut ifaces = Vec::with_capacity(self.ifaces.len() - self.dead_ifaces);
+            for row in &mut self.rows {
+                let run = row.iface_range();
+                row.first_iface = ifaces.len() as u32;
+                ifaces.extend_from_slice(&self.ifaces[run]);
+            }
+            self.ifaces = ifaces;
+            self.dead_ifaces = 0;
+        }
+        self.rows.shrink_to_fit();
+        self.ifaces.shrink_to_fit();
+        self.namespaces.shrink_to_fit();
+    }
+
+    /// Unused capacity and dead interface entries in the table's vectors
+    /// and its namespace arena, in elements: zero after
+    /// [`TypeTable::shrink_to_fit`] and after a decode.
+    pub fn slack(&self) -> usize {
+        self.rows.capacity() - self.rows.len() + self.ifaces.capacity() - self.ifaces.len()
+            + self.dead_ifaces
+            + self.namespaces.slack()
+    }
+
     /// The definition behind an id.
     ///
     /// # Panics
     ///
     /// Panics if `id` was not issued by this table.
-    pub fn get(&self, id: TypeId) -> &TypeDef {
-        &self.types[id.index()]
+    #[inline]
+    pub fn get(&self, id: TypeId) -> TypeDef<'_> {
+        TypeDef::new(self, &self.rows[id.index()])
+    }
+
+    /// The interfaces of a row of this table.
+    pub(crate) fn interface_run(&self, row: &TypeRow) -> &[TypeId] {
+        &self.ifaces[row.iface_range()]
     }
 
     /// Looks up a type by namespace and simple name.
     pub fn lookup(&self, ns: NamespaceId, name: &str) -> Option<TypeId> {
-        self.by_name.get(ns.index())?.get(name).copied()
+        let id = self.by_name.find(
+            (ns.0, name),
+            is_named(&self.rows, self.namespaces.text(), ns, name),
+        )?;
+        Some(TypeId(id))
     }
 
     /// Looks up a type by fully qualified dotted name (e.g.
@@ -319,12 +375,12 @@ impl TypeTable {
     /// (`Object`, `void` and the primitives), which no source declares.
     pub fn is_builtin(&self, id: TypeId) -> bool {
         id == self.well_known.object
-            || matches!(self.get(id).kind, TypeKind::Primitive(_) | TypeKind::Void)
+            || matches!(self.get(id).kind(), TypeKind::Primitive(_) | TypeKind::Void)
     }
 
     /// Number of types in the table.
     pub fn len(&self) -> usize {
-        self.types.len()
+        self.rows.len()
     }
 
     /// A table is never empty (well-known types are always present).
@@ -334,26 +390,23 @@ impl TypeTable {
 
     /// Iterates over all type ids in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = TypeId> + '_ {
-        (0..self.types.len() as u32).map(TypeId)
+        (0..self.rows.len() as u32).map(TypeId)
     }
 
     /// Fully qualified dotted name of a type (primitives by keyword).
     pub fn qualified_name(&self, id: TypeId) -> String {
         let def = self.get(id);
-        let ns = self.namespaces.dotted(def.namespace);
+        let ns = self.namespaces.dotted(def.namespace());
         if ns.is_empty() {
-            def.name.clone()
+            def.name().to_owned()
         } else {
-            format!("{ns}.{}", def.name)
+            format!("{ns}.{}", def.name())
         }
     }
 
     /// The declared base class edge, without the implicit `Object` fallback.
     pub fn declared_base(&self, id: TypeId) -> Option<TypeId> {
-        match self.get(id).kind {
-            TypeKind::Class { base } => base,
-            _ => None,
-        }
+        self.rows[id.index()].base()
     }
 
     /// The effective base in the conversion graph: the declared base for
@@ -364,7 +417,7 @@ impl TypeTable {
         if id == self.well_known.object || id == self.well_known.void {
             return None;
         }
-        match self.get(id).kind {
+        match self.get(id).kind() {
             TypeKind::Class { base } => Some(base.unwrap_or(self.well_known.object)),
             TypeKind::Void => None,
             TypeKind::Interface | TypeKind::Struct | TypeKind::Enum | TypeKind::Primitive(_) => {
@@ -376,19 +429,58 @@ impl TypeTable {
     /// Immediate declared supertypes in the conversion graph: the effective
     /// base plus declared interfaces. This is the `s(α)` of the paper's type
     /// distance definition.
-    pub fn immediate_supertypes(&self, id: TypeId) -> Vec<TypeId> {
-        let mut out = Vec::new();
-        if let Some(b) = self.base_of(id) {
-            out.push(b);
-        }
-        out.extend(self.get(id).interfaces.iter().copied());
-        out
+    pub fn immediate_supertypes(&self, id: TypeId) -> impl Iterator<Item = TypeId> + '_ {
+        self.base_of(id)
+            .into_iter()
+            .chain(self.get(id).interfaces().iter().copied())
     }
 
-    /// Serializes the table (namespaces, type definitions, well-known ids,
-    /// and — when already built — the conversion index) for the persistent
-    /// snapshot; names go into `strings`. The name lookup map is rebuilt
-    /// on decode.
+    /// Every type, each after all of its immediate supertypes, by one
+    /// depth-first walk; `Err` with a type on a cycle if the hierarchy has
+    /// one. Takes three heap blocks whatever the table's size.
+    pub(crate) fn supertypes_first(&self) -> Result<Vec<TypeId>, TypeId> {
+        const NEW: u8 = 0;
+        const OPEN: u8 = 1;
+        const DONE: u8 = 2;
+        let n = self.len();
+        let mut order = Vec::with_capacity(n);
+        let mut state = vec![NEW; n];
+        // Each type is pushed once, so the stack never outgrows `n`.
+        let mut stack: Vec<(TypeId, usize)> = Vec::with_capacity(n);
+        for root in self.iter() {
+            if state[root.index()] != NEW {
+                continue;
+            }
+            state[root.index()] = OPEN;
+            stack.push((root, 0));
+            while let Some(&mut (t, ref mut next)) = stack.last_mut() {
+                match self.immediate_supertypes(t).nth(*next) {
+                    Some(s) => {
+                        *next += 1;
+                        match state[s.index()] {
+                            NEW => {
+                                state[s.index()] = OPEN;
+                                stack.push((s, 0));
+                            }
+                            OPEN => return Err(s),
+                            _ => {}
+                        }
+                    }
+                    None => {
+                        state[t.index()] = DONE;
+                        order.push(t);
+                        stack.pop();
+                    }
+                }
+            }
+        }
+        Ok(order)
+    }
+
+    /// Serializes the table (namespaces, type rows, well-known ids, and —
+    /// when already built — the conversion index) for the persistent
+    /// snapshot; names go into `strings`. The name index is rebuilt on
+    /// decode.
     ///
     /// Each type is one fixed-width row — name id, namespace id, kind
     /// word, base class id, interface count — and every type's interfaces
@@ -397,38 +489,17 @@ impl TypeTable {
     /// base" in bit 16 and "comparable" in bit 17.
     pub fn encode<'a>(&'a self, strings: &mut StringTable<'a>, w: &mut Writer) {
         self.namespaces.encode(strings, w);
-        w.put_len(self.types.len());
-        for def in &self.types {
-            strings.put(w, &def.name);
-            w.put_u32(def.namespace.0);
-            let (tag, prim, base) = match &def.kind {
-                TypeKind::Class { base } => (0, 0, *base),
-                TypeKind::Interface => (1, 0, None),
-                TypeKind::Struct => (2, 0, None),
-                TypeKind::Enum => (3, 0, None),
-                TypeKind::Primitive(p) => {
-                    let idx = PrimKind::ALL
-                        .iter()
-                        .position(|q| q == p)
-                        .expect("all kinds listed");
-                    (4, idx as u32, None)
-                }
-                TypeKind::Void => (5, 0, None),
-            };
-            let mut word = tag | (prim << 8);
-            if base.is_some() {
-                word |= kind::HAS_BASE;
-            }
-            if def.comparable {
-                word |= kind::COMPARABLE;
-            }
-            w.put_u32(word);
-            w.put_u32(base.map_or(0, |b| b.0));
-            w.put_len(def.interfaces.len());
+        w.put_len(self.rows.len());
+        for row in &self.rows {
+            strings.put(w, self.namespaces.text().get(row.name));
+            w.put_u32(row.namespace.0);
+            w.put_u32(row.word);
+            w.put_u32(row.base);
+            w.put_u32(row.n_ifaces);
         }
-        w.put_len(self.types.iter().map(|d| d.interfaces.len()).sum());
-        for def in &self.types {
-            for i in &def.interfaces {
+        w.put_len(self.ifaces.len() - self.dead_ifaces);
+        for row in &self.rows {
+            for i in self.interface_run(row) {
                 w.put_u32(i.0);
             }
         }
@@ -453,16 +524,25 @@ impl TypeTable {
     /// kinds a freshly-built table guarantees (`Object` a baseless class,
     /// `void` the void pseudo-type, each primitive slot the matching
     /// [`PrimKind`]), so downstream code can keep relying on those
-    /// invariants without re-checking.
+    /// invariants without re-checking. The hierarchy is held to what the
+    /// mutators allow: every base is a class, every interface entry an
+    /// interface, and no chain of bases or interface extensions returns
+    /// to where it started.
     pub fn decode<'a>(strings: &Strings<'a>, r: &mut Reader<'a>) -> WireResult<Self> {
-        let namespaces = Namespaces::decode(strings, r)?;
-        let rows: &[[u8; 20]] = r.get_rows("type table")?;
-        let count = rows.len();
-        let mut ifaces: &[[u8; 4]] = r.get_rows("interface table")?;
-        let mut types = Vec::with_capacity(count);
-        let mut by_name = Vec::new();
-        for (i, row) in rows.iter().enumerate() {
-            let name = strings.get(row_u32(row, 0), "type name")?.to_owned();
+        let mut namespaces = Namespaces::decode(strings, r)?;
+        let file_rows: &[[u8; 20]] = r.get_rows("type table")?;
+        let count = file_rows.len();
+        let file_ifaces: &[[u8; 4]] = r.get_rows("interface table")?;
+        let mut name_bytes = 0;
+        for row in file_rows {
+            name_bytes += strings.get(row_u32(row, 0), "type name")?.len();
+        }
+        namespaces.text_mut().reserve_exact(count, name_bytes);
+        let mut rows = Vec::with_capacity(count);
+        let mut by_name = KeyIndex::with_capacity(count);
+        let mut first_iface = 0;
+        for (i, row) in file_rows.iter().enumerate() {
+            let name = strings.get(row_u32(row, 0), "type name")?;
             let namespace =
                 NamespaceId(
                     check_id(row_u32(row, 1), namespaces.len(), "type namespace id")? as u32,
@@ -475,79 +555,80 @@ impl TypeTable {
                     word & !kind::KNOWN_BITS
                 )));
             }
-            let prim = (word >> 8) & 0xff;
+            let prim = (word >> kind::PRIM_SHIFT) & 0xff;
             let has_base = word & kind::HAS_BASE != 0;
-            let kind = match word & 0xff {
-                0 => TypeKind::Class {
-                    base: if has_base {
-                        Some(TypeId(check_id(raw_base, count, "base class id")? as u32))
-                    } else {
-                        None
-                    },
-                },
-                1 => TypeKind::Interface,
-                2 => TypeKind::Struct,
-                3 => TypeKind::Enum,
-                4 => match PrimKind::ALL.get(prim as usize) {
-                    Some(p) => TypeKind::Primitive(*p),
-                    None => {
-                        return Err(WireError::new(format!(
-                            "primitive kind index {prim} out of range"
-                        )))
-                    }
-                },
-                5 => TypeKind::Void,
+            match word & kind::TAG {
+                kind::CLASS if has_base => {
+                    check_id(raw_base, count, "base class id")?;
+                }
+                kind::PRIMITIVE if prim as usize >= PrimKind::ALL.len() => {
+                    return Err(WireError::new(format!(
+                        "primitive kind index {prim} out of range"
+                    )))
+                }
+                kind::CLASS..=kind::VOID => {}
                 t => return Err(WireError::new(format!("unknown type kind tag {t}"))),
-            };
-            let is_class = matches!(kind, TypeKind::Class { .. });
-            let is_prim = matches!(kind, TypeKind::Primitive(_));
+            }
+            let is_class = word & kind::TAG == kind::CLASS;
+            let is_prim = word & kind::TAG == kind::PRIMITIVE;
             if (has_base && !is_class) || (!has_base && raw_base != 0) || (prim != 0 && !is_prim) {
                 return Err(WireError::new(format!(
                     "type {i}: kind word {word:#x} and base id {raw_base} disagree"
                 )));
             }
-            let n_ifaces = row_u32(row, 4) as usize;
-            if n_ifaces > ifaces.len() {
+            let n_ifaces = row_u32(row, 4);
+            if n_ifaces as usize > file_ifaces.len() - first_iface as usize {
                 return Err(WireError::new(format!(
                     "type {i}: {n_ifaces} interfaces run past the interface table"
                 )));
             }
-            let (own, rest) = ifaces.split_at(n_ifaces);
-            ifaces = rest;
-            let interfaces = decode_rows(own, |id| {
-                Ok(TypeId(
-                    check_id(u32::from_le_bytes(*id), count, "interface id")? as u32,
-                ))
-            })?;
-            if insert_name(&mut by_name, namespace, name.clone(), TypeId(i as u32)).is_some() {
+            let is = is_named(&rows, namespaces.text(), namespace, name);
+            if by_name.find_or_insert((namespace.0, name), is, i as u32) != i as u32 {
                 return Err(WireError::new(format!("duplicate type name '{name}'")));
             }
-            types.push(TypeDef {
-                name,
+            rows.push(TypeRow {
+                name: namespaces.text_mut().push(name),
                 namespace,
-                kind,
-                interfaces,
-                comparable: word & kind::COMPARABLE != 0,
+                word,
+                base: raw_base,
+                first_iface,
+                n_ifaces,
             });
+            first_iface += n_ifaces;
         }
-        if !ifaces.is_empty() {
+        if first_iface as usize != file_ifaces.len() {
             return Err(WireError::new(format!(
                 "interface table holds {} ids no type claims",
-                ifaces.len()
+                file_ifaces.len() - first_iface as usize
             )));
+        }
+        let mut ifaces = Vec::with_capacity(file_ifaces.len());
+        for id in file_ifaces {
+            let id = check_id(u32::from_le_bytes(*id), count, "interface id")?;
+            ifaces.push(TypeId(id as u32));
         }
         let object = TypeId(r.get_id(count, "well-known Object id")? as u32);
         let void = TypeId(r.get_id(count, "well-known void id")? as u32);
-        if !matches!(types[object.index()].kind, TypeKind::Class { base: None }) {
+        let mut table = TypeTable {
+            namespaces,
+            rows,
+            ifaces,
+            dead_ifaces: 0,
+            by_name,
+            well_known: WellKnown { object, void },
+            prims: [TypeId(0); PrimKind::ALL.len()],
+            conv: OnceLock::new(),
+        };
+        if !matches!(table.get(object).kind(), TypeKind::Class { base: None }) {
             return Err(WireError::new("well-known Object is not a baseless class"));
         }
-        if !matches!(types[void.index()].kind, TypeKind::Void) {
+        if !matches!(table.get(void).kind(), TypeKind::Void) {
             return Err(WireError::new("well-known void id does not name void"));
         }
         let mut prims = [TypeId(0); PrimKind::ALL.len()];
         for (i, slot) in prims.iter_mut().enumerate() {
             let id = TypeId(r.get_id(count, "primitive type id")? as u32);
-            if types[id.index()].kind != TypeKind::Primitive(PrimKind::ALL[i]) {
+            if table.get(id).kind() != TypeKind::Primitive(PrimKind::ALL[i]) {
                 return Err(WireError::new(format!(
                     "primitive slot {i} does not name {}",
                     PrimKind::ALL[i].keyword()
@@ -555,19 +636,52 @@ impl TypeTable {
             }
             *slot = id;
         }
-        let conv = OnceLock::new();
+        table.prims = prims;
+        table.check_hierarchy()?;
         if r.get_bool("conversion index presence flag")? {
             let index = ConversionIndex::decode(r, count)?;
-            let _ = conv.set(Arc::new(index));
+            let _ = table.conv.set(Arc::new(index));
         }
-        Ok(TypeTable {
-            namespaces,
-            types,
-            by_name,
-            well_known: WellKnown { object, void },
-            prims,
-            conv,
-        })
+        Ok(table)
+    }
+
+    /// Refuses the edges the mutators refuse: a base that is not a class,
+    /// an interface entry that is not an interface, and a cycle of bases
+    /// or of interface extensions.
+    fn check_hierarchy(&self) -> WireResult<()> {
+        for ty in self.iter() {
+            let def = self.get(ty);
+            if let Some(base) = self.declared_base(ty) {
+                if !self.get(base).is_class() {
+                    return Err(WireError::new(format!(
+                        "type {} '{}': base type {} is not a class",
+                        ty.0,
+                        def.name(),
+                        base.0
+                    )));
+                }
+            }
+            if let Some(iface) = def
+                .interfaces()
+                .iter()
+                .find(|&&i| !self.get(i).is_interface())
+            {
+                return Err(WireError::new(format!(
+                    "type {} '{}': interface entry {} is not an interface",
+                    ty.0,
+                    def.name(),
+                    iface.0
+                )));
+            }
+        }
+        match self.supertypes_first() {
+            Ok(_) => Ok(()),
+            Err(t) => Err(WireError::new(format!(
+                "inheritance cycle through type {} '{}'",
+                t.0,
+                self.get(t).name()
+            ))),
+        }
     }
 
     /// The memoized conversion cache for the current hierarchy, built on
@@ -581,26 +695,17 @@ impl TypeTable {
     }
 }
 
-/// Flag bits of a type row's kind word (see [`TypeTable::encode`]).
-mod kind {
-    pub const HAS_BASE: u32 = 1 << 16;
-    pub const COMPARABLE: u32 = 1 << 17;
-    /// Tag, primitive index and the two flags.
-    pub const KNOWN_BITS: u32 = 0x3_ffff;
-}
-
-/// Inserts `name` into `namespace`'s simple-name map, growing the
-/// per-namespace index as needed; returns the id it displaced, if any.
-fn insert_name(
-    by_name: &mut Vec<HashMap<String, TypeId>>,
+/// Whether row `id` declares `name` in `namespace`.
+fn is_named<'a>(
+    rows: &'a [TypeRow],
+    text: &'a Text,
     namespace: NamespaceId,
-    name: String,
-    id: TypeId,
-) -> Option<TypeId> {
-    if by_name.len() <= namespace.index() {
-        by_name.resize_with(namespace.index() + 1, HashMap::new);
+    name: &'a str,
+) -> impl Fn(u32) -> bool + 'a {
+    move |id| {
+        let row = &rows[id as usize];
+        row.namespace == namespace && text.get(row.name) == name
     }
-    by_name[namespace.index()].insert(name, id)
 }
 
 #[cfg(test)]

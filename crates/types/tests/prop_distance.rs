@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 
-use pex_types::{NamespaceId, PrimKind, TypeId, TypeTable};
+use pex_types::wire::Writer;
+use pex_types::{ConversionIndex, NamespaceId, PrimKind, TypeId, TypeTable};
 
 /// A recipe for a random hierarchy: per class, an optional base among the
 /// earlier classes; per class, optional interface links.
@@ -83,8 +84,125 @@ fn build(recipe: &Recipe) -> (TypeTable, Vec<TypeId>, Vec<TypeId>) {
     (table, classes, ifaces)
 }
 
+/// One hierarchy edit of the kinds an incremental update makes. Indexes
+/// pick among the classes, interfaces or all types at the time of the
+/// edit, modulo their count.
+#[derive(Debug, Clone)]
+enum Edit {
+    SetBase(usize, usize),
+    Implement(usize, usize),
+    Clear(usize),
+    DeclareClass(Option<usize>),
+    DeclareInterface(Option<usize>),
+}
+
+fn edit() -> impl Strategy<Value = Edit> {
+    (0..5u8, 0..64usize, 0..64usize, any::<bool>()).prop_map(|(kind, a, b, some)| match kind {
+        0 => Edit::SetBase(a, b),
+        1 => Edit::Implement(a, b),
+        2 => Edit::Clear(a),
+        3 => Edit::DeclareClass(some.then_some(a)),
+        _ => Edit::DeclareInterface(some.then_some(a)),
+    })
+}
+
+/// Applies `edits` to the table built from a recipe and returns the types
+/// whose supertype edges changed, as an update reports them. Edits the
+/// table refuses (cycles) change nothing and are not reported.
+fn apply(
+    table: &mut TypeTable,
+    classes: &mut Vec<TypeId>,
+    ifaces: &mut Vec<TypeId>,
+    edits: &[Edit],
+) -> Vec<TypeId> {
+    let mut dirty = Vec::new();
+    for (k, edit) in edits.iter().enumerate() {
+        let all: Vec<TypeId> = classes.iter().chain(ifaces.iter()).copied().collect();
+        match *edit {
+            Edit::SetBase(a, b) => {
+                let (c, base) = (classes[a % classes.len()], classes[b % classes.len()]);
+                if table.set_base(c, base).is_ok() {
+                    dirty.push(c);
+                }
+            }
+            Edit::Implement(a, b) => {
+                let (ty, iface) = (all[a % all.len()], ifaces[b % ifaces.len()]);
+                if table.add_interface_impl(ty, iface).is_ok() {
+                    dirty.push(ty);
+                }
+            }
+            Edit::Clear(a) => {
+                let ty = all[a % all.len()];
+                table.clear_supertypes(ty);
+                dirty.push(ty);
+            }
+            Edit::DeclareClass(base) => {
+                let c = table
+                    .declare_class(NamespaceId::GLOBAL, &format!("New{k}"))
+                    .expect("unique names");
+                if let Some(b) = base {
+                    table
+                        .set_base(c, classes[b % classes.len()])
+                        .expect("a new class has no subclasses");
+                    dirty.push(c);
+                }
+                classes.push(c);
+            }
+            Edit::DeclareInterface(ext) => {
+                let i = table
+                    .declare_interface(NamespaceId::GLOBAL, &format!("New{k}"))
+                    .expect("unique names");
+                if let Some(e) = ext {
+                    table
+                        .add_interface_impl(i, ifaces[e % ifaces.len()])
+                        .expect("a new interface has no extenders");
+                    dirty.push(i);
+                }
+                ifaces.push(i);
+            }
+        }
+    }
+    dirty
+}
+
+fn encoded(index: &ConversionIndex) -> Vec<u8> {
+    let mut w = Writer::new();
+    index.encode(&mut w);
+    w.into_bytes()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn partial_rebuild_equals_a_fresh_build(
+        recipe in recipe(10, 5),
+        edits in proptest::collection::vec(edit(), 1..8),
+    ) {
+        // A partial rebuild reuses the old rows whose closure avoids every
+        // edited type; whatever it reuses, the result is the index a cold
+        // build of the edited table gives, row for row and byte for byte.
+        let (mut table, mut classes, mut ifaces) = build(&recipe);
+        let old = table.conversion_index().clone();
+        let dirty = apply(&mut table, &mut classes, &mut ifaces, &edits);
+        let (partial, recomputed) = ConversionIndex::rebuild_partial(&table, &old, &dirty);
+        let fresh = ConversionIndex::build(&table);
+        prop_assert_eq!(partial.len(), table.len());
+        prop_assert!(recomputed >= table.len() - old.len());
+        prop_assert!(recomputed <= table.len());
+        for from in table.iter() {
+            prop_assert_eq!(partial.targets(from), fresh.targets(from), "row of {:?}", from);
+            for to in table.iter() {
+                prop_assert_eq!(
+                    partial.distance(from, to),
+                    fresh.distance(from, to),
+                    "distance {:?} -> {:?}", from, to
+                );
+            }
+        }
+        prop_assert_eq!(encoded(&partial), encoded(&fresh));
+        prop_assert_eq!(&partial, &fresh);
+    }
 
     #[test]
     fn distance_laws_hold(recipe in recipe(10, 5)) {
