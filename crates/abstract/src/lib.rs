@@ -83,14 +83,12 @@ impl AbsTypes {
         }
         let field_vars = (0..db.field_count()).map(|_| uf.push()).collect();
         let mut body_local_start = HashMap::new();
-        for m in db.methods() {
-            if let Some(body) = db.method(m).body() {
-                let start = uf.len() as u32;
-                for _ in body.param_count..body.locals.len() {
-                    uf.push();
-                }
-                body_local_start.insert(m, start);
+        for (m, body) in db.bodies() {
+            let start = uf.len() as u32;
+            for _ in body.param_count..body.locals.len() {
+                uf.push();
             }
+            body_local_start.insert(m, start);
         }
         let mut this = AbsTypes {
             uf,
@@ -474,10 +472,7 @@ impl ConstraintCache {
     pub fn build(db: &Database) -> Self {
         let scratch = AbsTypes::new(db);
         let mut per_method = HashMap::new();
-        for m in db.methods() {
-            let Some(body) = db.method(m).body() else {
-                continue;
-            };
+        for (m, body) in db.bodies() {
             let mut pairs = Vec::new();
             for (si, stmt) in body.stmts.iter().enumerate() {
                 let mut stmt_pairs = Vec::new();

@@ -39,23 +39,13 @@ pub struct ReachIndex {
 /// result exactly when `i` is in row `j` of `rows`. Rows come out sorted,
 /// and duplicate-free when the given rows are.
 fn transpose(rows: &RowTable<u32>) -> RowTable<u32> {
-    let n = rows.len();
-    let mut starts = vec![0u32; n + 1];
-    for &to in rows.items() {
-        starts[to as usize + 1] += 1;
-    }
-    for i in 0..n {
-        starts[i + 1] += starts[i];
-    }
-    let mut next = starts.clone();
-    let mut items = vec![0; rows.items().len()];
-    for from in 0..n {
-        for &to in rows.row(from) {
-            items[next[to as usize] as usize] = from as u32;
-            next[to as usize] += 1;
-        }
-    }
-    RowTable::from_parts(starts, items)
+    RowTable::group(rows.len(), || {
+        (0..rows.len()).flat_map(|from| {
+            rows.row(from)
+                .iter()
+                .map(move |&to| (to as usize, from as u32))
+        })
+    })
 }
 
 impl ReachIndex {

@@ -6,7 +6,9 @@
 //! metadata keeps MethodDef, Param and Field rows: every member name is a
 //! `u32` id into one per-database [`Names`] table, every method's
 //! parameters are a run of 8-byte rows in one parameter table, and the
-//! method and field rows are fixed-width.
+//! method and field rows are fixed-width. A method reaches its body as a
+//! MethodDef row reaches its IL through an RVA: outside the row, in the
+//! database's body table.
 
 use std::fmt;
 
@@ -27,14 +29,16 @@ pub enum Visibility {
     Private,
 }
 
-/// Flag bits of a member row. `STATIC`, `PRIVATE` and `PROPERTY` have the
-/// values the snapshot's rows give them; `REMOVED` never reaches a row of
-/// the file, which lists tombstones separately.
+/// Flag bits of a member row. `STATIC`, `PRIVATE`, `PROPERTY` and
+/// `BODY` have the values the snapshot's rows give them; `REMOVED` never
+/// reaches a row of the file, which lists tombstones separately.
 pub(crate) mod flag {
     pub const STATIC: u8 = 1;
     pub const PRIVATE: u8 = 1 << 1;
     /// Field rows only.
     pub const PROPERTY: u8 = 1 << 2;
+    /// Method rows only: the body table holds the method's body.
+    pub const BODY: u8 = 1 << 3;
     /// A tombstone left by an incremental update.
     pub const REMOVED: u8 = 1 << 4;
 }
@@ -59,15 +63,13 @@ fn visibility(flags: u8) -> Visibility {
 /// `overrides` of a method row that overrides nothing.
 pub(crate) const NO_OVERRIDE: u32 = u32::MAX;
 
-/// A method row: 32 bytes. The name is an id into the database's
+/// A method row: 24 bytes. The name is an id into the database's
 /// [`Names`], the parameters the rows `first_param..first_param +
 /// n_params` of its parameter table (a `u16` count, as ECMA-335 numbers
-/// parameters), and the rare body is boxed.
+/// parameters). The rare body is in the database's body table, which
+/// the row's `BODY` flag says to search.
 #[derive(Debug, Clone)]
 pub(crate) struct MethodRow {
-    /// Boxed: most methods (library surface) have no body, and an inline
-    /// `Body` would widen every row of the method table.
-    pub body: Option<Box<Body>>,
     pub name: u32,
     pub declaring: TypeId,
     pub ret: TypeId,
@@ -95,10 +97,9 @@ pub(crate) struct FieldRow {
 }
 
 // Row sizes of the member tables, pinned. The snapshot's rows are 20,
-// 8 and 16 bytes; a method row adds the boxed body, its first parameter
-// row and the override id, which the file derives or keeps in side
-// tables.
-const _: () = assert!(std::mem::size_of::<MethodRow>() <= 32);
+// 8 and 16 bytes; a method row adds its first parameter row and the
+// override id, which the file derives or keeps in a side table.
+const _: () = assert!(std::mem::size_of::<MethodRow>() == 24);
 const _: () = assert!(std::mem::size_of::<ParamRow>() == 8);
 const _: () = assert!(std::mem::size_of::<FieldRow>() <= 16);
 
@@ -316,16 +317,23 @@ impl fmt::Debug for Params<'_> {
 pub struct Method<'a> {
     db: &'a Database,
     row: &'a MethodRow,
+    id: MethodId,
 }
 
 impl<'a> Method<'a> {
-    pub(crate) fn new(db: &'a Database, row: &'a MethodRow) -> Self {
-        Method { db, row }
+    pub(crate) fn new(db: &'a Database, row: &'a MethodRow, id: MethodId) -> Self {
+        Method { db, row, id }
     }
 
     /// Method name.
     pub fn name(&self) -> &'a str {
         self.db.names().get(self.row.name)
+    }
+
+    /// The name's id in the database's name table: equal ids are equal
+    /// names.
+    pub(crate) fn name_id(&self) -> u32 {
+        self.row.name
     }
 
     /// Type declaring this method.
@@ -367,9 +375,13 @@ impl<'a> Method<'a> {
     }
 
     /// The method body, when the model includes one (client code does,
-    /// library surface usually does not).
+    /// library surface usually does not). A method without one costs a
+    /// flag test; one with a body, a binary search of the body table.
     pub fn body(&self) -> Option<&'a Body> {
-        self.row.body.as_deref()
+        if self.row.flags & flag::BODY == 0 {
+            return None;
+        }
+        self.db.body_of(self.id)
     }
 
     /// Number of arguments a call carries: declared parameters plus one for

@@ -157,26 +157,29 @@ impl<'a> Scopes<'a> {
 /// every supertype.
 pub(super) fn link_overrides(db: &mut Database) {
     let params = |m: MethodId| db.method(m).params().types();
-    // Per-type lists are in declaration order, which is id order.
-    let mut by_signature: Vec<(&str, MethodId)> = db
-        .types()
-        .iter()
-        .flat_map(|ty| db.methods_of(ty))
-        .map(|&m| (db.method(m), m))
-        .filter(|(md, _)| !md.is_static())
-        .map(|(md, m)| (md.name(), m))
-        .collect();
+    // Names are interned, so equal name ids are equal names. Per-type
+    // lists are in declaration order, which is id order.
+    let mut by_signature: Vec<(u32, MethodId)> = Vec::with_capacity(db.method_count());
+    by_signature.extend(
+        db.types()
+            .iter()
+            .flat_map(|ty| db.methods_of(ty))
+            .map(|&m| (db.method(m), m))
+            .filter(|(md, _)| !md.is_static())
+            .map(|(md, m)| (md.name_id(), m)),
+    );
     by_signature.sort_unstable_by(|&(x, a), &(y, b)| {
-        x.cmp(y)
+        x.cmp(&y)
             .then_with(|| params(a).cmp(params(b)))
             .then(a.cmp(&b))
     });
     let same =
-        |&(x, a): &(&str, MethodId), &(y, b): &(&str, MethodId)| x == y && params(a).eq(params(b));
-    let mut links = Vec::new();
+        |&(x, a): &(u32, MethodId), &(y, b): &(u32, MethodId)| x == y && params(a).eq(params(b));
+    let mut links = Vec::with_capacity(by_signature.len());
+    let mut chain = Vec::new();
     for group in by_signature.chunk_by(same).filter(|g| g.len() > 1) {
         for &(_, m) in group {
-            let chain = db.member_lookup_chain(db.method(m).declaring());
+            db.member_lookup_chain_into(db.method(m).declaring(), &mut chain);
             // The nearest supertype declaring the signature, and its first
             // such method (the group is in id order).
             let overridden = chain[1..].iter().find_map(|&owner| {

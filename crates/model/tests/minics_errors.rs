@@ -176,3 +176,27 @@ fn malformed_sources_report_their_exact_error_and_position() {
         assert_eq!((err.line, err.col, err.msg.as_str()), (line, col, msg));
     }
 }
+
+#[test]
+fn a_second_field_or_enum_member_of_one_name_is_rejected() {
+    let dup = "field `X` is already declared on this type";
+    for (source, col) in [
+        ("namespace N { class A { int X; int X; } }", 32),
+        (
+            "namespace N { class A { int X; double X { get; set; } } }",
+            32,
+        ),
+    ] {
+        let err = compile(source).expect_err(source);
+        assert_eq!((err.line, err.col, err.msg.as_str()), (1, col, dup));
+    }
+    let err = compile("namespace N { enum E { P, Q, P } }").expect_err("duplicate member");
+    assert_eq!(
+        (err.line, err.col, err.msg.as_str()),
+        (1, 15, "field `P` is already declared on this type")
+    );
+    // An update that re-declares an existing type checks the same way.
+    let db = compile("namespace N { class A { int X; } }").unwrap();
+    let err = apply_update(&db, "namespace N { class A { int X; int X; } }").unwrap_err();
+    assert_eq!((err.line, err.col, err.msg.as_str()), (1, 32, dup));
+}

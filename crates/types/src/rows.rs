@@ -5,8 +5,8 @@
 ///
 /// Rows are appended one at a time: [`RowTable::push`] adds items to the
 /// open row and [`RowTable::close_row`] ends it. A table built to a known
-/// size (see [`RowTable::with_capacity`]) takes two heap blocks whatever
-/// its row count.
+/// size (see [`RowTable::with_capacity`] and [`RowTable::group`]) takes
+/// two heap blocks whatever its row count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowTable<T> {
     starts: Vec<u32>,
@@ -82,6 +82,30 @@ impl<T> RowTable<T> {
         self.items.push(item);
     }
 
+    /// Appends `item` to row `row`, first closing empty rows up to it.
+    /// Appending to the last row is amortized O(1); an earlier row moves
+    /// the items of every row after it.
+    pub fn push_to(&mut self, row: usize, item: T) {
+        while self.len() <= row {
+            self.close_row();
+        }
+        self.items.insert(self.starts[row + 1] as usize, item);
+        for end in &mut self.starts[row + 1..] {
+            *end += 1;
+        }
+    }
+
+    /// Drops the growth slack of both vectors.
+    pub fn shrink_to_fit(&mut self) {
+        self.starts.shrink_to_fit();
+        self.items.shrink_to_fit();
+    }
+
+    /// Unused capacity of both vectors, in elements.
+    pub fn slack(&self) -> usize {
+        self.starts.capacity() - self.starts.len() + self.items.capacity() - self.items.len()
+    }
+
     /// Ends the open row.
     ///
     /// # Panics
@@ -98,5 +122,67 @@ impl<T: Copy> RowTable<T> {
     pub fn push_row(&mut self, items: &[T]) {
         self.items.extend_from_slice(items);
         self.close_row();
+    }
+
+    /// A table of `rows` rows where row `r` holds the items of the pairs
+    /// `(r, item)` that `pairs` yields, in the order it yields them. One
+    /// pass over `pairs` counts the rows, a second places the items, so
+    /// both vectors are exact: two heap blocks whatever the row count.
+    ///
+    /// `pairs` must yield the same pairs each time it is called.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair names a row past `rows`.
+    pub fn group<I: Iterator<Item = (usize, T)>>(rows: usize, pairs: impl Fn() -> I) -> Self {
+        let mut starts = vec![0u32; rows + 1];
+        let mut fill = None;
+        for (row, item) in pairs() {
+            starts[row + 1] += 1;
+            fill.get_or_insert(item);
+        }
+        for row in 0..rows {
+            starts[row + 1] += starts[row];
+        }
+        let mut items = fill.map_or_else(Vec::new, |fill| vec![fill; starts[rows] as usize]);
+        // Each row's start is its cursor while the items are placed, and
+        // ends as its end, which is the next row's start.
+        for (row, item) in pairs() {
+            items[starts[row] as usize] = item;
+            starts[row] += 1;
+        }
+        starts.pop();
+        starts.insert(0, 0);
+        RowTable::from_parts(starts, items)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn grouping_keeps_each_rows_order_and_appending_extends_rows() {
+        let pairs = [(2, 'a'), (0, 'b'), (2, 'c'), (0, 'd')];
+        let mut table = RowTable::group(4, || pairs.iter().copied());
+        assert_eq!(table.len(), 4);
+        assert_eq!(
+            [table.row(0), table.row(1), table.row(2), table.row(3)],
+            [&['b', 'd'][..], &[], &['a', 'c'], &[]]
+        );
+        assert_eq!(table.slack(), 0);
+        table.push_to(1, 'e');
+        table.push_to(5, 'f');
+        assert_eq!(table.len(), 6);
+        assert_eq!(table.items(), ['b', 'd', 'e', 'a', 'c', 'f']);
+        assert_eq!(
+            (table.row(1), table.row(2), table.row(5)),
+            (&['e'][..], &['a', 'c'][..], &['f'][..])
+        );
+        table.shrink_to_fit();
+        assert_eq!(table.slack(), 0);
+        assert!(RowTable::<u32>::group(3, std::iter::empty)
+            .items()
+            .is_empty());
     }
 }
