@@ -254,10 +254,12 @@ fn gen_library(
         }
     }
 
-    // Members.
+    // Members, listed once at the end: struct members follow every
+    // class's, and family copies land on any type.
+    let mut batch = db.member_batch();
     let concrete: Vec<TypeId> = classes.iter().chain(structs.iter()).copied().collect();
     for &t in &concrete {
-        let owner = db.types().qualified_name(t);
+        let owner = batch.db().types().qualified_name(t);
         let nfields = pick_range(rng, p.fields_per_type);
         for _ in 0..nfields {
             let is_static = rng.gen_bool(p.static_field_frac);
@@ -265,14 +267,15 @@ fn gen_library(
             if rng.gen_bool(p.concept_field_frac) {
                 let c: &Concept = &CONCEPTS[rng.gen_range(0..CONCEPTS.len())];
                 if names.reserve_concept(&owner, c) {
-                    let ty = db.types().prim(c.prim);
-                    let _ = db.add_field(t, c.name, is_static, ty, Visibility::Public, is_property);
+                    let ty = batch.db().types().prim(c.prim);
+                    let _ =
+                        batch.add_field(t, c.name, is_static, ty, Visibility::Public, is_property);
                 }
                 continue;
             }
             let name = names.field_name(rng, &owner);
-            let ty = member_type(db, t, p, &info, rng);
-            let _ = db.add_field(t, &name, is_static, ty, Visibility::Public, is_property);
+            let ty = member_type(batch.db(), t, p, &info, rng);
+            let _ = batch.add_field(t, &name, is_static, ty, Visibility::Public, is_property);
         }
         let nmethods = pick_range(rng, p.methods_per_type);
         for _ in 0..nmethods {
@@ -286,18 +289,18 @@ fn gen_library(
             };
             let mut params = Vec::with_capacity(arity);
             for i in 0..arity {
-                let ty = member_type(db, t, p, &info, rng);
+                let ty = member_type(batch.db(), t, p, &info, rng);
                 params.push((NameFactory::local_name(rng, i), ty));
             }
             let ret = if zero_arg {
                 // Zero-argument methods are chain links; they must return.
-                member_type(db, t, p, &info, rng)
+                member_type(batch.db(), t, p, &info, rng)
             } else if rng.gen_bool(p.void_frac) {
-                db.types().void_ty()
+                batch.db().types().void_ty()
             } else {
-                member_type(db, t, p, &info, rng)
+                member_type(batch.db(), t, p, &info, rng)
             };
-            let m = db.add_method(
+            let m = batch.add_method(
                 t,
                 &name,
                 is_static,
@@ -317,7 +320,7 @@ fn gen_library(
         }
         let original = info.methods[mi];
         let (params, ret, is_static) = {
-            let md = db.method(original);
+            let md = batch.db().method(original);
             let params: Vec<(String, TypeId)> = md
                 .params()
                 .iter()
@@ -339,9 +342,9 @@ fn gen_library(
             let Some(&host) = pick(rng, &concrete) else {
                 break;
             };
-            let owner = db.types().qualified_name(host);
+            let owner = batch.db().types().qualified_name(host);
             let name = names.method_name(rng, &owner);
-            let m = db.add_method(
+            let m = batch.add_method(
                 host,
                 &name,
                 is_static,
@@ -355,14 +358,15 @@ fn gen_library(
 
     // Interface methods (no bodies, instance, non-void).
     for &t in &interfaces {
-        let owner = db.types().qualified_name(t);
+        let owner = batch.db().types().qualified_name(t);
         for _ in 0..rng.gen_range(1..=3usize) {
             let name = names.method_name(rng, &owner);
-            let ret = member_type(db, t, p, &info, rng);
-            let m = db.add_method(t, &name, false, &[], ret, Visibility::Public);
+            let ret = member_type(batch.db(), t, p, &info, rng);
+            let m = batch.add_method(t, &name, false, &[], ret, Visibility::Public);
             info.methods.push(m);
         }
     }
+    drop(batch);
     info
 }
 

@@ -33,7 +33,7 @@ mod snap;
 
 pub use arena::{ArenaRead, ENode, ExprArena, ExprId, Sym};
 pub use context::{Context, Local};
-pub use database::{Database, GlobalRef, ModelError, ModelResult, TableSizes};
+pub use database::{Database, GlobalRef, MemberBatch, ModelError, ModelResult, TableSizes};
 pub use expr::{Body, CmpOp, Expr, ExprKindName, LastMember, Stmt, ValueTy};
 pub use ids::{FieldId, LocalId, MethodId};
 pub use member::{Field, Method, Param, ParamIter, Params, Visibility};

@@ -21,6 +21,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::text::KeyIndex;
+
 /// Error produced by a failed snapshot decode.
 ///
 /// Always a clean, human-readable description of what was being decoded
@@ -383,7 +385,7 @@ pub struct Strings<'a> {
 impl<'a> Strings<'a> {
     /// Decodes a whole string-table section. The end offsets must be
     /// non-decreasing, fall on character boundaries and end exactly at the
-    /// end of the text.
+    /// end of the text, and no text may appear twice.
     pub fn decode(bytes: &'a [u8]) -> WireResult<Self> {
         let mut r = Reader::new(bytes);
         let ends: &[[u8; 4]] = r.get_rows("string end offsets")?;
@@ -412,7 +414,19 @@ impl<'a> Strings<'a> {
                 text.len() - start
             )));
         }
-        Ok(Strings { text, ends })
+        let strings = Strings { text, ends };
+        // Readers take equal ids for equal texts, as the encoder writes.
+        let mut index = KeyIndex::with_capacity(ends.len());
+        for i in 0..ends.len() {
+            let s = &text[strings.span(i)];
+            let first = index.find_or_insert(s, |j| &text[strings.span(j as usize)] == s, i as u32);
+            if first as usize != i {
+                return Err(WireError::new(format!(
+                    "string {i} repeats string {first} ({s:?}); a table lists each text once"
+                )));
+            }
+        }
+        Ok(strings)
     }
 
     /// Checks a string id against the table, for a caller that keeps the
@@ -638,6 +652,16 @@ mod tests {
         assert!(err.to_string().contains("string 1"), "{err}");
         let err = Strings::decode(&table(&[1], b"ab")).unwrap_err();
         assert!(err.to_string().contains("after the last string"), "{err}");
+        let err = Strings::decode(&table(&[1, 2, 3], b"aba")).unwrap_err();
+        assert!(
+            err.to_string().contains("string 2 repeats string 0"),
+            "{err}"
+        );
+        let err = Strings::decode(&table(&[0, 1, 1], b"a")).unwrap_err();
+        assert!(
+            err.to_string().contains("string 2 repeats string 0"),
+            "{err}"
+        );
         assert!(Strings::decode(&table(&[3], b"ab")).is_err());
     }
 }
