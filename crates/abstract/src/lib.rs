@@ -680,49 +680,21 @@ mod tests {
             namespace N {
                 class A { }
                 class B { }
-                class Client { }
+                class Client { static void M2(N.A a, N.B b); }
             }
             "#,
         )
         .unwrap();
         // Declare ToString on Object and hand-build a body that calls it on
         // both an A and a B receiver.
-        let obj = db.types().object();
-        let string = db.types().string_ty();
-        db.add_method(
-            obj,
-            "ToString",
-            false,
-            &[],
-            string,
-            pex_model::Visibility::Public,
-        );
-        // Recompile the client body against the new method? Instead build
-        // constraints manually: call ToString on a and b.
+        let (obj, string) = (db.types().object(), db.types().string_ty());
+        let public = pex_model::Visibility::Public;
+        let to_string = db
+            .member_batch()
+            .add_method(obj, "ToString", false, &[], string, public);
         let a_ty = db.types().lookup_qualified("N.A").unwrap();
         let b_ty = db.types().lookup_qualified("N.B").unwrap();
-        let to_string = db
-            .methods()
-            .find(|m| db.method(*m).name() == "ToString")
-            .unwrap();
-        let host = db.types().lookup_qualified("N.Client").unwrap();
-        let m = db.add_method(
-            host,
-            "M2",
-            true,
-            &[
-                pex_model::Param {
-                    name: "a",
-                    ty: a_ty,
-                },
-                pex_model::Param {
-                    name: "b",
-                    ty: b_ty,
-                },
-            ],
-            db.types().void_ty(),
-            pex_model::Visibility::Public,
-        );
+        let m = db.find_method("N.Client.M2").unwrap();
         let body = pex_model::Body {
             locals: vec![("a".into(), a_ty), ("b".into(), b_ty)],
             param_count: 2,

@@ -214,17 +214,14 @@ fn gen_library(
     let mut classes: Vec<TypeId> = Vec::new();
     let mut structs: Vec<TypeId> = Vec::new();
     let mut interfaces: Vec<TypeId> = Vec::new();
+    let mut enum_members: Vec<usize> = Vec::new();
     for _ in 0..p.types {
         let ns = *pick(rng, &ns_ids).expect("namespaces nonempty");
         let name = names.type_name(rng);
         let roll: f64 = rng.gen();
         if roll < p.enum_frac {
             if let Ok(e) = db.types_mut().declare_enum(ns, &name) {
-                let members = rng.gen_range(3..=6);
-                for i in 0..members {
-                    let member = format!("{}{}", NOUN_CASES[i % NOUN_CASES.len()], "");
-                    let _ = db.add_enum_member(e, &member);
-                }
+                enum_members.push(rng.gen_range(3..=6));
                 info.enums.push(e);
             }
         } else if roll < p.enum_frac + p.interface_frac {
@@ -254,12 +251,17 @@ fn gen_library(
         }
     }
 
-    // Members, listed once at the end: struct members follow every
-    // class's, and family copies land on any type.
+    // Members, listed once at the end: enum members come first, struct
+    // members follow every class's, and family copies land on any type.
     let mut batch = db.member_batch();
+    for (&e, &members) in info.enums.iter().zip(&enum_members) {
+        for &member in &NOUN_CASES[..members] {
+            let _ = batch.add_field(e, member, true, e, Visibility::Public, false);
+        }
+    }
     let concrete: Vec<TypeId> = classes.iter().chain(structs.iter()).copied().collect();
     for &t in &concrete {
-        let owner = batch.db().types().qualified_name(t);
+        let owner = batch.types().qualified_name(t);
         let nfields = pick_range(rng, p.fields_per_type);
         for _ in 0..nfields {
             let is_static = rng.gen_bool(p.static_field_frac);
@@ -267,14 +269,14 @@ fn gen_library(
             if rng.gen_bool(p.concept_field_frac) {
                 let c: &Concept = &CONCEPTS[rng.gen_range(0..CONCEPTS.len())];
                 if names.reserve_concept(&owner, c) {
-                    let ty = batch.db().types().prim(c.prim);
+                    let ty = batch.types().prim(c.prim);
                     let _ =
                         batch.add_field(t, c.name, is_static, ty, Visibility::Public, is_property);
                 }
                 continue;
             }
             let name = names.field_name(rng, &owner);
-            let ty = member_type(batch.db(), t, p, &info, rng);
+            let ty = member_type(&batch, t, p, &info, rng);
             let _ = batch.add_field(t, &name, is_static, ty, Visibility::Public, is_property);
         }
         let nmethods = pick_range(rng, p.methods_per_type);
@@ -289,16 +291,16 @@ fn gen_library(
             };
             let mut params = Vec::with_capacity(arity);
             for i in 0..arity {
-                let ty = member_type(batch.db(), t, p, &info, rng);
+                let ty = member_type(&batch, t, p, &info, rng);
                 params.push((NameFactory::local_name(rng, i), ty));
             }
             let ret = if zero_arg {
                 // Zero-argument methods are chain links; they must return.
-                member_type(batch.db(), t, p, &info, rng)
+                member_type(&batch, t, p, &info, rng)
             } else if rng.gen_bool(p.void_frac) {
-                batch.db().types().void_ty()
+                batch.types().void_ty()
             } else {
-                member_type(batch.db(), t, p, &info, rng)
+                member_type(&batch, t, p, &info, rng)
             };
             let m = batch.add_method(
                 t,
@@ -320,7 +322,7 @@ fn gen_library(
         }
         let original = info.methods[mi];
         let (params, ret, is_static) = {
-            let md = batch.db().method(original);
+            let md = batch.method(original);
             let params: Vec<(String, TypeId)> = md
                 .params()
                 .iter()
@@ -342,7 +344,7 @@ fn gen_library(
             let Some(&host) = pick(rng, &concrete) else {
                 break;
             };
-            let owner = batch.db().types().qualified_name(host);
+            let owner = batch.types().qualified_name(host);
             let name = names.method_name(rng, &owner);
             let m = batch.add_method(
                 host,
@@ -358,10 +360,10 @@ fn gen_library(
 
     // Interface methods (no bodies, instance, non-void).
     for &t in &interfaces {
-        let owner = batch.db().types().qualified_name(t);
+        let owner = batch.types().qualified_name(t);
         for _ in 0..rng.gen_range(1..=3usize) {
             let name = names.method_name(rng, &owner);
-            let ret = member_type(batch.db(), t, p, &info, rng);
+            let ret = member_type(&batch, t, p, &info, rng);
             let m = batch.add_method(t, &name, false, &[], ret, Visibility::Public);
             info.methods.push(m);
         }
@@ -370,7 +372,7 @@ fn gen_library(
     info
 }
 
-/// Generated `(name, type)` parameters as [`Database::add_method`] takes
+/// Generated `(name, type)` parameters as a batch's `add_method` takes
 /// them.
 fn borrowed(params: &[(String, TypeId)]) -> Vec<Param<'_>> {
     params
@@ -468,17 +470,24 @@ fn gen_clients(
             let base = lib_classes[rng.gen_range(0..lib_classes.len())];
             let _ = db.types_mut().set_base(class, base);
         }
-        // Library-typed instance fields.
+        // Library-typed instance fields, listed before the bodies that
+        // read them. A client batch names only the newest type, so its
+        // drop appends its rows.
         let nfields = pick_range(rng, p.fields_per_class);
         let owner = db.types().qualified_name(class);
+        let mut batch = db.member_batch();
         for _ in 0..nfields {
             let name = names.field_name(rng, &owner);
             let Some(&ty) = pick(rng, &library.object_types) else {
                 break;
             };
-            let _ = db.add_field(class, &name, false, ty, Visibility::Public, false);
+            let _ = batch.add_field(class, &name, false, ty, Visibility::Public, false);
         }
+        drop(batch);
+        // `Run*` methods take parameters: no body's lookup sees them.
         let nmethods = pick_range(rng, p.methods_per_class);
+        let (void, mut batch) = (db.types().void_ty(), db.member_batch());
+        let mut bodies = Vec::with_capacity(nmethods);
         for mi in 0..nmethods {
             let is_static = rng.gen_bool(0.2);
             let nparams = rng.gen_range(1..=4usize);
@@ -486,21 +495,24 @@ fn gen_clients(
             for i in 0..nparams {
                 let ty = if rng.gen_bool(0.3) || library.object_types.is_empty() {
                     let prims = [PrimKind::Int, PrimKind::Double, PrimKind::String];
-                    db.types().prim(prims[rng.gen_range(0..prims.len())])
+                    batch.types().prim(prims[rng.gen_range(0..prims.len())])
                 } else {
                     *pick(rng, &library.object_types).expect("nonempty")
                 };
                 params.push((NameFactory::local_name(rng, i), ty));
             }
-            let m = db.add_method(
+            let m = batch.add_method(
                 class,
                 &format!("Run{mi}"),
                 is_static,
                 &borrowed(&params),
-                db.types().void_ty(),
+                void,
                 Visibility::Public,
             );
-            let body = gen_body(db, library, p, m, rng);
+            bodies.push((m, gen_body(&batch, library, p, m, rng)));
+        }
+        drop(batch);
+        for (m, body) in bodies {
             db.set_body(m, body);
         }
     }

@@ -111,13 +111,13 @@ mod tests {
         let mut db = Database::new();
         let ns = pex_types::NamespaceId::GLOBAL;
         let c = db.types_mut().declare_class(ns, "C").unwrap();
-        let int = db.types().int_ty();
-        let m = db.add_method(
+        let (int, void) = (db.types().int_ty(), db.types().void_ty());
+        let m = db.member_batch().add_method(
             c,
             "M",
             false,
             &[crate::Param { name: "p", ty: int }],
-            db.types().void_ty(),
+            void,
             Visibility::Public,
         );
         let body = Body {

@@ -214,7 +214,7 @@ impl Names {
 
 /// A formal parameter: its name and declared type. [`Method::params`]
 /// yields these with the name borrowed from the model's name table, and
-/// [`Database::add_method`] takes them and interns the name.
+/// [`crate::MemberBatch::add_method`] takes them and interns the name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Param<'a> {
     /// Parameter name (used for rendering and corpus realism).

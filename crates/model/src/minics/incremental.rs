@@ -23,12 +23,11 @@
 //! parse or resolution error leaves the caller's model byte-identical
 //! (the protocol layer relies on this for its atomic-update guarantee).
 
-use std::collections::HashSet;
 use std::ops::Range;
 
 use pex_types::{TypeError, TypeId};
 
-use crate::{Database, FieldId, MethodId, ModelError, Param, Params, Visibility};
+use crate::{Database, FieldId, MethodId, Param, Params, Visibility};
 
 use super::ast;
 use super::resolve::{compile_body, link_overrides, visibility, ScopeId, Scopes};
@@ -116,12 +115,9 @@ struct TypePatch<'a> {
     enum_fields: Range<u32>,
 }
 
-/// The error for a second field or enum member of one name.
-fn duplicate_field(line: u32, col: u32, name: &str) -> MiniCsError {
-    let dup = ModelError::DuplicateField {
-        name: name.to_owned(),
-    };
-    MiniCsError::new(line, col, dup.to_string())
+/// A model or type-table error, reported at a source position.
+fn at(line: u32, col: u32, e: impl std::fmt::Display) -> MiniCsError {
+    MiniCsError::new(line, col, e.to_string())
 }
 
 /// Body work queued until the whole member surface is patched: the method,
@@ -157,6 +153,9 @@ pub(super) fn apply_units<'a>(
     let mut db = base.clone();
     let mut diff = ModelDiff::default();
     let base_types = db.types().len();
+    // Passes 1-3 mint and tombstone members in one batch; its drop lists
+    // them before pass 4 reads any type's members.
+    let mut batch = db.member_batch();
 
     // Pass 1: declare or match types. A fresh type is declared with its
     // enum members, and its member count sizes the member tables. Every
@@ -164,7 +163,8 @@ pub(super) fn apply_units<'a>(
     // interned namespace starts with.
     for file in files {
         for ns_decl in &file.namespaces {
-            db.types_mut()
+            batch
+                .types_mut()
                 .namespaces_mut()
                 .intern(file.path(ns_decl.path));
         }
@@ -173,26 +173,23 @@ pub(super) fn apply_units<'a>(
     let mut dirty_types = vec![false; base_types];
     let (mut new_methods, mut new_members, mut new_params) = (0, 0, 0);
     let mut patches: Vec<TypePatch<'_>> = Vec::new();
-    // Names seen so far among one type's fields: rows added in this batch
-    // reach the type's list only when the batch relists its members.
-    let mut seen: HashSet<&str> = HashSet::new();
     let mut scopes = Scopes::new();
     for file in files {
         for ns_decl in &file.namespaces {
-            let ns = db
+            let ns = batch
                 .types_mut()
                 .namespaces_mut()
                 .intern(file.path(ns_decl.path));
-            let scope = scopes.add(&db, file, ns_decl.path);
+            let scope = scopes.add(&batch, file, ns_decl.path);
             for decl in &ns_decl.types {
                 let mut enum_fields = 0..0;
-                let ty = match db.types().lookup(ns, decl.name) {
+                let ty = match batch.types().lookup(ns, decl.name) {
                     // Built-in types, and types these units already
                     // declared or matched, cannot be declared again.
                     Some(ty)
                         if ty.index() >= base_types
                             || matched[ty.index()]
-                            || db.types().is_builtin(ty) =>
+                            || batch.types().is_builtin(ty) =>
                     {
                         let dup = TypeError::DuplicateType {
                             name: decl.name.to_owned(),
@@ -201,7 +198,7 @@ pub(super) fn apply_units<'a>(
                     }
                     Some(ty) => {
                         matched[ty.index()] = true;
-                        let have = db.types().get(ty);
+                        let have = batch.types().get(ty);
                         let same_kind = match decl.kind {
                             ast::TypeDeclKind::Class => have.is_class(),
                             ast::TypeDeclKind::Interface => have.is_interface(),
@@ -219,12 +216,12 @@ pub(super) fn apply_units<'a>(
                                 decl.col,
                                 format!(
                                     "update cannot change the kind of `{}`",
-                                    db.types().qualified_name(ty)
+                                    batch.types().qualified_name(ty)
                                 ),
                             ));
                         }
                         if have.is_comparable() != decl.comparable {
-                            db.types_mut().set_comparable(ty, decl.comparable);
+                            batch.types_mut().set_comparable(ty, decl.comparable);
                             // Comparability feeds the ordered-filter
                             // pruners and comparison legality; treat like
                             // a hierarchy edit so every ordering-sensitive
@@ -235,17 +232,16 @@ pub(super) fn apply_units<'a>(
                         ty
                     }
                     None => {
-                        let types = db.types_mut();
+                        let types = batch.types_mut();
                         let declared = match decl.kind {
                             ast::TypeDeclKind::Class => types.declare_class(ns, decl.name),
                             ast::TypeDeclKind::Struct => types.declare_struct(ns, decl.name),
                             ast::TypeDeclKind::Interface => types.declare_interface(ns, decl.name),
                             ast::TypeDeclKind::Enum => types.declare_enum(ns, decl.name),
                         };
-                        let ty = declared
-                            .map_err(|e| MiniCsError::new(decl.line, decl.col, e.to_string()))?;
+                        let ty = declared.map_err(|e| at(decl.line, decl.col, e))?;
                         if decl.comparable {
-                            db.types_mut().set_comparable(ty, true);
+                            batch.types_mut().set_comparable(ty, true);
                         }
                         let (mut methods, mut params) = (0, 0);
                         for member in &decl.members {
@@ -254,15 +250,13 @@ pub(super) fn apply_units<'a>(
                                 params += file.params(*list).len();
                             }
                         }
-                        seen.clear();
-                        if let Some(dup) = decl.enum_members.iter().find(|m| !seen.insert(m)) {
-                            return Err(duplicate_field(decl.line, decl.col, dup));
-                        }
-                        let first = db.field_count() as u32;
+                        let first = batch.field_count() as u32;
                         for &member in &decl.enum_members {
-                            db.push_field(ty, member, true, ty, Visibility::Public, false);
+                            batch
+                                .add_field(ty, member, true, ty, Visibility::Public, false)
+                                .map_err(|e| at(decl.line, decl.col, e))?;
                         }
-                        enum_fields = first..db.field_count() as u32;
+                        enum_fields = first..batch.field_count() as u32;
                         diff.members_added += decl.enum_members.len();
                         new_methods += methods;
                         new_members += decl.members.len();
@@ -281,18 +275,18 @@ pub(super) fn apply_units<'a>(
             }
         }
     }
-    db.reserve_members(new_methods, new_members - new_methods, new_params);
+    batch.reserve(new_methods, new_members - new_methods, new_params);
     // Dirty sets, indexed by type id; pass 1 declared every type.
-    dirty_types.resize(db.types().len(), false);
-    let mut dirty_params = vec![false; db.types().len()];
+    dirty_types.resize(batch.types().len(), false);
+    let mut dirty_params = vec![false; batch.types().len()];
 
     // Pass 2: resolve base lists and diff them against the hierarchy.
     for patch in &patches {
         let mut want_base: Option<(TypeId, &ast::TypeRef)> = None;
         let mut want_ifaces: Vec<(TypeId, &ast::TypeRef)> = Vec::new();
         for base_ref in &patch.decl.bases {
-            let b = scopes.type_ref(&db, patch.scope, base_ref)?;
-            let base_is_class = db.types().get(b).is_class();
+            let b = scopes.type_ref(&batch, patch.scope, base_ref)?;
+            let base_is_class = batch.types().get(b).is_class();
             if matches!(patch.decl.kind, ast::TypeDeclKind::Class) && base_is_class {
                 if want_base.is_some() {
                     return Err(MiniCsError::new(
@@ -306,7 +300,7 @@ pub(super) fn apply_units<'a>(
                 want_ifaces.push((b, base_ref));
             }
         }
-        let types = db.types();
+        let types = batch.types();
         if types.declared_base(patch.ty) == want_base.map(|(b, _)| b)
             && types
                 .get(patch.ty)
@@ -317,15 +311,17 @@ pub(super) fn apply_units<'a>(
         {
             continue;
         }
-        let at = |r: &ast::TypeRef, e: TypeError| MiniCsError::new(r.line, r.col, e.to_string());
-        db.types_mut().clear_supertypes(patch.ty);
+        let types = batch.types_mut();
+        types.clear_supertypes(patch.ty);
         if let Some((b, r)) = want_base {
-            db.types_mut().set_base(patch.ty, b).map_err(|e| at(r, e))?;
+            types
+                .set_base(patch.ty, b)
+                .map_err(|e| at(r.line, r.col, e))?;
         }
         for (i, r) in want_ifaces {
-            db.types_mut()
+            types
                 .add_interface_impl(patch.ty, i)
-                .map_err(|e| at(r, e))?;
+                .map_err(|e| at(r.line, r.col, e))?;
         }
         diff.hierarchy_changed = true;
         dirty_types[patch.ty.index()] = true;
@@ -357,7 +353,7 @@ pub(super) fn apply_units<'a>(
                     want_fields.push(WantField {
                         name,
                         is_static: *is_static,
-                        ty: scopes.type_ref(&db, patch.scope, tr)?,
+                        ty: scopes.type_ref(&batch, patch.scope, tr)?,
                         visibility: visibility(*is_private),
                         is_property: *is_property,
                         line: tr.line,
@@ -373,8 +369,8 @@ pub(super) fn apply_units<'a>(
                     is_private,
                 } => {
                     let ret_ty = match ret {
-                        None => db.types().void_ty(),
-                        Some(tr) => scopes.type_ref(&db, patch.scope, tr)?,
+                        None => batch.types().void_ty(),
+                        Some(tr) => scopes.type_ref(&batch, patch.scope, tr)?,
                     };
                     let params = scopes.file(patch.scope).params(*params);
                     // Reported at the first parameter past the limit.
@@ -393,7 +389,7 @@ pub(super) fn apply_units<'a>(
                     for (tr, pname) in params {
                         want_params.push(Param {
                             name: pname,
-                            ty: scopes.type_ref(&db, patch.scope, tr)?,
+                            ty: scopes.type_ref(&batch, patch.scope, tr)?,
                         });
                     }
                     want_methods.push(WantMethod {
@@ -425,7 +421,7 @@ pub(super) fn apply_units<'a>(
         let mut type_dirty = false;
 
         // --- methods ---
-        let old_methods: Vec<MethodId> = db.methods_of(ty).to_vec();
+        let old_methods: Vec<MethodId> = batch.methods_of(ty).to_vec();
         let mut taken: Vec<bool> = vec![false; old_methods.len()];
         let same_param_types = |params: Params, want: &[Param]| {
             params.len() == want.len() && params.types().zip(want).all(|(a, b)| a == b.ty)
@@ -437,7 +433,7 @@ pub(super) fn apply_units<'a>(
         for round in 0..4 {
             for want in want_methods.iter_mut().filter(|w| w.id.is_none()) {
                 let hit = old_methods.iter().enumerate().find(|&(i, &old)| {
-                    let md = db.method(old);
+                    let md = batch.method(old);
                     !taken[i]
                         && md.name() == want.name
                         && match round {
@@ -459,15 +455,15 @@ pub(super) fn apply_units<'a>(
                 taken[i] = true;
                 want.id = Some(old);
                 if round > 0 {
-                    mark(&mut dirty_params, db.method(old).full_param_types());
-                    db.replace_method_signature(
+                    mark(&mut dirty_params, batch.method(old).full_param_types());
+                    batch.replace_method_signature(
                         old,
                         want.is_static,
                         &want_params[want.params.clone()],
                         want.ret,
                         want.visibility,
                     );
-                    mark(&mut dirty_params, db.method(old).full_param_types());
+                    mark(&mut dirty_params, batch.method(old).full_param_types());
                     diff.signatures_changed += 1;
                     type_dirty = true;
                 }
@@ -482,7 +478,7 @@ pub(super) fn apply_units<'a>(
                     dirty_params[ty.index()] |= !want.is_static;
                     let params = &want_params[want.params.clone()];
                     mark(&mut dirty_params, params.iter().map(|p| p.ty));
-                    let id = db.push_method(
+                    let id = batch.add_method(
                         ty,
                         want.name,
                         want.is_static,
@@ -497,63 +493,60 @@ pub(super) fn apply_units<'a>(
             };
             if let Some(stmts) = want.body {
                 bodies.push((id, patch.scope, stmts));
-            } else if db.method(id).body().is_some() {
+            } else if batch.method(id).body().is_some() {
                 // Declaration went bodiless while the model has a body —
                 // a body removal (the signature may be untouched).
-                db.clear_body(id);
+                batch.clear_body(id);
                 diff.body_edited.push(id);
             }
         }
         for (i, &old) in old_methods.iter().enumerate() {
             if !taken[i] {
-                mark(&mut dirty_params, db.method(old).full_param_types());
-                db.remove_method(old);
+                mark(&mut dirty_params, batch.method(old).full_param_types());
+                batch.remove_method(old);
                 diff.members_removed += 1;
                 type_dirty = true;
             }
         }
 
         // --- fields (matched by name; names are unique per type) ---
-        let old_fields: Vec<FieldId> = db
+        let old_fields: Vec<FieldId> = batch
             .fields_of(ty)
             .iter()
             .copied()
             .chain(patch.enum_fields.clone().map(FieldId))
             .collect();
         let mut field_taken: Vec<bool> = vec![false; old_fields.len()];
-        seen.clear();
         for want in &want_fields {
-            let first = seen.insert(want.name);
             let hit = old_fields
                 .iter()
                 .enumerate()
-                .find(|&(i, &old)| !field_taken[i] && db.field(old).name() == want.name);
+                .find(|&(i, &old)| !field_taken[i] && batch.field(old).name() == want.name);
             let Some((i, &old)) = hit else {
-                // An earlier declaration of this name took the old field
-                // or added one.
-                if !first {
-                    return Err(duplicate_field(want.line, want.col, want.name));
-                }
-                db.push_field(
-                    ty,
-                    want.name,
-                    want.is_static,
-                    want.ty,
-                    want.visibility,
-                    want.is_property,
-                );
+                // Fails when an earlier declaration of this name took the
+                // old field or added one.
+                batch
+                    .add_field(
+                        ty,
+                        want.name,
+                        want.is_static,
+                        want.ty,
+                        want.visibility,
+                        want.is_property,
+                    )
+                    .map_err(|e| at(want.line, want.col, e))?;
                 diff.members_added += 1;
                 type_dirty = true;
                 continue;
             };
             field_taken[i] = true;
-            let fd = db.field(old);
+            let fd = batch.field(old);
             if fd.is_static() != want.is_static
                 || fd.ty() != want.ty
                 || fd.visibility() != want.visibility
                 || fd.is_property() != want.is_property
             {
-                db.replace_field_signature(
+                batch.replace_field_signature(
                     old,
                     want.is_static,
                     want.ty,
@@ -566,7 +559,7 @@ pub(super) fn apply_units<'a>(
         }
         for (i, &old) in old_fields.iter().enumerate() {
             if !field_taken[i] {
-                db.remove_field(old);
+                batch.remove_field(old);
                 diff.members_removed += 1;
                 type_dirty = true;
             }
@@ -579,9 +572,7 @@ pub(super) fn apply_units<'a>(
     }
 
     // The batch's added and removed rows reach their types' lists.
-    if diff.members_added + diff.members_removed > 0 {
-        db.relist_members();
-    }
+    drop(batch);
 
     // Pass 4: re-link overrides when any signature or hierarchy moved.
     if member_surface_changed || diff.hierarchy_changed {

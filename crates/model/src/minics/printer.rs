@@ -411,14 +411,10 @@ mod tests {
         let db = compile(SOURCE).unwrap();
         let mut db = db;
         let shape = db.types().lookup_qualified("Geo.Shape").unwrap();
-        let m = db.add_method(
-            shape,
-            "WithOpaque",
-            false,
-            &[],
-            db.types().int_ty(),
-            Visibility::Public,
-        );
+        let int = db.types().int_ty();
+        let m =
+            db.member_batch()
+                .add_method(shape, "WithOpaque", false, &[], int, Visibility::Public);
         db.set_body(
             m,
             Body {

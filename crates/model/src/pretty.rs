@@ -125,7 +125,8 @@ mod tests {
             .types_mut()
             .declare_class(ns, "CanvasSizeAction")
             .unwrap();
-        db.add_method(
+        let mut batch = db.member_batch();
+        batch.add_method(
             action,
             "ResizeDocument",
             true,
@@ -142,7 +143,8 @@ mod tests {
             doc,
             Visibility::Public,
         );
-        db.add_method(doc, "Flatten", false, &[], doc, Visibility::Public);
+        batch.add_method(doc, "Flatten", false, &[], doc, Visibility::Public);
+        drop(batch);
         let ctx = Context::with_locals(
             None,
             vec![

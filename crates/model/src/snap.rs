@@ -421,7 +421,8 @@ impl Database {
     /// snapshot's string table becomes the database's name table as it
     /// is, so the decoder validates each row and copies its ids: member
     /// and parameter name ids are checked against the table, type, member
-    /// and local-slot ids against their bounds. The per-type member
+    /// and local-slot ids against their bounds, and each live method's
+    /// body must open with its parameters' slots. The per-type member
     /// lookup lists are rebuilt.
     pub fn decode_snapshot<'a>(strings: &Strings<'a>, r: &mut Reader<'a>) -> WireResult<Database> {
         let types = TypeTable::decode(strings, r).map_err(|e| e.context("type table"))?;
@@ -549,9 +550,14 @@ impl Database {
             fields[id].flags |= flag::REMOVED;
         }
         let names = Names::from_parts(strings.end_offsets().collect(), strings.text().to_owned());
-        Ok(Database::from_tables(
-            types, names, methods, params, fields, body_table,
-        ))
+        let db = Database::from_tables(types, names, methods, params, fields, body_table);
+        // Not `check_body`: after an update a body in a type it did not
+        // name may stop type-checking, and that model must round-trip.
+        for (m, body) in db.bodies() {
+            db.check_body_shape(m, body)
+                .map_err(|e| WireError::new(format!("method {}: {e}", m.index())))?;
+        }
+        Ok(db)
     }
 }
 

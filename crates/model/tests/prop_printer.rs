@@ -8,8 +8,8 @@ use pex_model::{Database, Param, Visibility};
 use pex_types::PrimKind;
 
 /// Strategy: a recipe for a small random model built through the public
-/// `Database` API (types, hierarchy, fields, methods — no bodies, which the
-/// corpus-level round-trip in `pex-core` covers).
+/// `Database` and `MemberBatch` API (types, hierarchy, fields, methods —
+/// no bodies, which the corpus-level round-trip in `pex-core` covers).
 #[derive(Debug, Clone)]
 struct Recipe {
     classes: usize,
@@ -70,27 +70,29 @@ fn build(recipe: &Recipe) -> Database {
         bit += 1;
         b
     };
+    let mut batch = db.member_batch();
     for (i, &class) in classes.iter().enumerate() {
         for f in 0..recipe.fields_per_class[i] {
             let ty = if f % 2 == 0 {
-                db.types().prim(prims[f % prims.len()])
+                batch.types().prim(prims[f % prims.len()])
             } else {
                 classes[f % classes.len()]
             };
             let is_static = next_bit(recipe);
-            db.add_field(
-                class,
-                &format!("F{f}"),
-                is_static,
-                ty,
-                Visibility::Public,
-                f % 3 == 0,
-            )
-            .expect("unique per class");
+            batch
+                .add_field(
+                    class,
+                    &format!("F{f}"),
+                    is_static,
+                    ty,
+                    Visibility::Public,
+                    f % 3 == 0,
+                )
+                .expect("unique per class");
         }
         for m in 0..recipe.methods_per_class[i] {
             let ret = if m % 2 == 0 {
-                db.types().void_ty()
+                batch.types().void_ty()
             } else {
                 classes[m % classes.len()]
             };
@@ -99,11 +101,11 @@ fn build(recipe: &Recipe) -> Database {
                 .enumerate()
                 .map(|(p, name)| Param {
                     name,
-                    ty: db.types().prim(prims[p % prims.len()]),
+                    ty: batch.types().prim(prims[p % prims.len()]),
                 })
                 .collect();
             let is_static = next_bit(recipe);
-            db.add_method(
+            batch.add_method(
                 class,
                 &format!("M{m}"),
                 is_static,
@@ -113,6 +115,7 @@ fn build(recipe: &Recipe) -> Database {
             );
         }
     }
+    drop(batch);
     db
 }
 

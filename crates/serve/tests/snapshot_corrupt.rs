@@ -6,6 +6,10 @@
 
 use pex_serve::{persist, Snapshot, SnapshotSource};
 
+mod common;
+
+use common::{assemble, sections, DATABASE, STRINGS};
+
 fn paint_bytes() -> Vec<u8> {
     let snapshot = Snapshot::load(&SnapshotSource::Paint).unwrap();
     persist::to_bytes(&snapshot)
@@ -118,49 +122,6 @@ fn missing_file_errors_cleanly() {
 
 // Forged files: the sections are rewritten and the checksum recomputed,
 // so only the structural validation of the decoders can reject them.
-
-const STRINGS: u32 = 6;
-const DATABASE: u32 = 1;
-
-/// The sections of a snapshot file as `(tag, bytes)`, in file order.
-fn sections(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
-    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    let n = u32_at(28) as usize;
-    let payload = 32 + 20 * n;
-    (0..n)
-        .map(|i| {
-            let entry = 32 + 20 * i;
-            let (offset, len) = (u64_at(entry + 4), u64_at(entry + 12));
-            (
-                u32_at(entry),
-                bytes[payload + offset..payload + offset + len].to_vec(),
-            )
-        })
-        .collect()
-}
-
-/// A snapshot file holding `sections`, with a valid header and checksum.
-fn assemble(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
-    let payload: Vec<u8> = sections
-        .iter()
-        .flat_map(|(_, b)| b.iter().copied())
-        .collect();
-    let mut out = b"pexsnap1".to_vec();
-    out.extend(persist::VERSION.to_le_bytes());
-    out.extend((payload.len() as u64).to_le_bytes());
-    out.extend(pex_types::wire::checksum(&payload).to_le_bytes());
-    out.extend((sections.len() as u32).to_le_bytes());
-    let mut offset = 0u64;
-    for (tag, bytes) in sections {
-        out.extend(tag.to_le_bytes());
-        out.extend(offset.to_le_bytes());
-        out.extend((bytes.len() as u64).to_le_bytes());
-        offset += bytes.len() as u64;
-    }
-    out.extend(payload);
-    out
-}
 
 /// The paint snapshot with the section tagged `tag` rewritten by `edit`.
 fn forged(tag: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
@@ -422,4 +383,16 @@ fn a_string_table_listing_one_text_twice_is_a_clean_error() {
         table.extend(first);
     });
     rejects(&bytes, "string table section: ", "repeats string 0");
+}
+
+#[test]
+fn a_body_claiming_parameters_its_method_lacks_is_a_clean_error() {
+    // A reader that splits the body's slots at the method's parameter
+    // count would index past them.
+    let bytes = common::paint_body_claiming_a_parameter(&sections(&paint_bytes()));
+    rejects(
+        &bytes,
+        "database section: ",
+        "the body of `Example` does not open with its parameters' slots",
+    );
 }

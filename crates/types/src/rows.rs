@@ -82,19 +82,6 @@ impl<T> RowTable<T> {
         self.items.push(item);
     }
 
-    /// Appends `item` to row `row`, first closing empty rows up to it.
-    /// Appending to the last row is amortized O(1); an earlier row moves
-    /// the items of every row after it.
-    pub fn push_to(&mut self, row: usize, item: T) {
-        while self.len() <= row {
-            self.close_row();
-        }
-        self.items.insert(self.starts[row + 1] as usize, item);
-        for end in &mut self.starts[row + 1..] {
-            *end += 1;
-        }
-    }
-
     /// Drops the growth slack of both vectors.
     pub fn shrink_to_fit(&mut self) {
         self.starts.shrink_to_fit();
@@ -171,14 +158,11 @@ mod tests {
             [&['b', 'd'][..], &[], &['a', 'c'], &[]]
         );
         assert_eq!(table.slack(), 0);
-        table.push_to(1, 'e');
-        table.push_to(5, 'f');
+        table.push_row(&[]);
+        table.push_row(&['e', 'f']);
         assert_eq!(table.len(), 6);
-        assert_eq!(table.items(), ['b', 'd', 'e', 'a', 'c', 'f']);
-        assert_eq!(
-            (table.row(1), table.row(2), table.row(5)),
-            (&['e'][..], &['a', 'c'][..], &['f'][..])
-        );
+        assert_eq!(table.items(), ['b', 'd', 'a', 'c', 'e', 'f']);
+        assert_eq!((table.row(4), table.row(5)), (&[][..], &['e', 'f'][..]));
         table.shrink_to_fit();
         assert_eq!(table.slack(), 0);
         assert!(RowTable::<u32>::group(3, std::iter::empty)
